@@ -40,8 +40,6 @@ from gflswing.dynamics import (
     FaultScenario,
     InitializationFailure,
     InverterConfig,
-    InverterState,
-    PllState,
     SimState,
     SolverOptions,
     Trajectory,
@@ -93,8 +91,6 @@ __all__ = [
     "FaultScenario",
     "InitializationFailure",
     "InverterConfig",
-    "InverterState",
-    "PllState",
     "SimState",
     "SolverOptions",
     "Trajectory",

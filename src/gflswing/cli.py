@@ -41,7 +41,6 @@ from gflswing.phasor import Impedance, from_polar, line_impedance
 from gflswing.stability import (
     BracketInvalid,
     CctResult,
-    FleetComparison,
     StabilityVerdict,
     classify,
     compare_uniform,
@@ -52,7 +51,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "CctSettings",
-    "RunSummary",
     "load_config",
     "bundled_config_path",
     "cmd_simulate",
@@ -103,14 +101,6 @@ class RunConfig:
     frequency: float
     resolved: dict[str, Any]
     sha256: str
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    verdict: StabilityVerdict | None
-    cct: CctResult | None
-    comparison: FleetComparison | None
-    provenance: dict[str, str]
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +559,16 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     traj = simulate(config.fleet, config.grid, config.scenario, config.solver)
     verdict = classify(traj, config.settle_tol, config.settle_window)
     _write_trajectory_csv(out / "trajectory.csv", traj)
-    run = RunSummary(verdict=verdict, cct=None, comparison=None,
-                     provenance=_provenance(config))
     summary = {
         "command": "simulate",
-        "verdict": _verdict_dict(run.verdict),
-        "cct": _cct_dict(run.cct) if run.cct else None,
+        "verdict": _verdict_dict(verdict),
+        "cct": None,
         "comparison": None,
         "scenario": config.resolved["scenario"],
         "fleet": _fleet_echo(config),
         "solver_failure_t_s": traj.solver_failure_t,
         "outputs": {"trajectory_csv": "trajectory.csv"},
-        "provenance": run.provenance,
+        "provenance": _provenance(config),
     }
     _write_json(out / "summary.json", summary)
     log.info("simulate: %s (wrote %s)", "stable" if verdict.stable else "unstable", out)

@@ -35,8 +35,6 @@ from gflswing.phasor import Impedance, Phasor
 
 __all__ = [
     "InverterConfig",
-    "PllState",
-    "InverterState",
     "FaultScenario",
     "TrajectoryRecord",
     "Trajectory",
@@ -97,27 +95,6 @@ class InverterConfig:
     def z_total(self) -> Impedance:
         """Series line plus virtual impedance."""
         return Impedance(self.z_line.r + self.r_virtual, self.z_line.x)
-
-
-@dataclass(frozen=True, slots=True)
-class PllState:
-    """Synchronous-frame PI tracker state: theta is constant at lock."""
-
-    theta: float
-    omega_dev: float
-    integral: float
-
-
-@dataclass(frozen=True, slots=True)
-class InverterState:
-    pll: PllState
-    theta_cg: float
-    i_cmd: float
-    v_gq: float
-    limited: bool
-    limited_since: float | None
-    tripped: bool
-    trip_time: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +159,14 @@ class Trajectory:
 
 @dataclass(frozen=True, slots=True)
 class SimState:
-    t: float
-    v_pcc: Phasor
-    inverters: tuple[InverterState, ...]
+    """The last recorded sample plus what each unit carries between steps:
+    its PLL angle (theta, constant at lock), PI integral and the time its
+    current limiting began (None while unlimited)."""
+
+    record: TrajectoryRecord
+    theta: tuple[float, ...]
+    integral: tuple[float, ...]
+    limited_since: tuple[float | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,14 +188,18 @@ class SolverOptions:
         return _DEFAULT_TOL_FRACTION * max(v_th_mag, 1.0)
 
 
-def pll_step(state: PllState, v_q: float, kp: float, ki: float, dt: float) -> PllState:
-    """One PI update: integrate the q error, update omega, advance theta."""
+def pll_step(
+    theta: float, integral: float, v_q: float, kp: float, ki: float, dt: float
+) -> tuple[float, float, float]:
+    """One PI update: integrate the q error, update omega, advance theta.
+
+    Returns (theta, omega_dev, integral) after the step.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    integral = state.integral + v_q * dt
+    integral = integral + v_q * dt
     omega_dev = kp * v_q + ki * integral
-    theta = state.theta + omega_dev * dt
-    return PllState(theta, omega_dev, integral)
+    return theta + omega_dev * dt, omega_dev, integral
 
 
 def limited_current(s_ref: float, v_pcc_mag: float, i_max: float) -> tuple[float, bool]:
@@ -255,6 +241,32 @@ def _build_injections(
             s.append(fleet[p].s_rated)
             fixed.append(None)
     return InjectionState(tuple(s), tuple(theta_cg), tuple(fixed))
+
+
+def _record(
+    t: float,
+    v: Phasor,
+    theta_used: Sequence[float],
+    theta_cg: Sequence[float],
+    i_mag: Sequence[float],
+    v_gq: Sequence[float],
+    limited: Sequence[bool],
+    tripped: Sequence[bool],
+) -> TrajectoryRecord:
+    """Sample one step; i_q follows the injection angles that actually
+    flowed during the step (theta_used)."""
+    v_angle = math.atan2(v.im, v.re)
+    return TrajectoryRecord(
+        t=t,
+        v_pcc_mag=v.magnitude(),
+        v_pcc_angle=v_angle,
+        theta_cg=tuple(theta_cg),
+        i_mag=tuple(i_mag),
+        i_q=tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_used)),
+        v_gq=tuple(v_gq),
+        limited=tuple(limited),
+        tripped=tuple(tripped),
+    )
 
 
 def find_equilibrium(
@@ -318,20 +330,12 @@ def find_equilibrium(
         raise InitializationFailure("pre-fault lock iteration did not converge")
 
     v_mag = v.magnitude()
-    inverters = tuple(
-        InverterState(
-            pll=PllState(theta[p], 0.0, 0.0),
-            theta_cg=theta[p] + fleet[p].pf_angle,
-            i_cmd=fleet[p].s_rated / v_mag,
-            v_gq=0.0,
-            limited=False,
-            limited_since=None,
-            tripped=False,
-            trip_time=None,
-        )
-        for p in range(n)
+    theta_cg = [theta[p] + fleet[p].pf_angle for p in range(n)]
+    record = _record(
+        0.0, v, theta_cg, theta_cg, [cfg.s_rated / v_mag for cfg in fleet],
+        [0.0] * n, [False] * n, [False] * n,
     )
-    return SimState(0.0, v, inverters)
+    return SimState(record, tuple(theta), (0.0,) * n, (None,) * n)
 
 
 def step(
@@ -354,14 +358,14 @@ def step(
     opts = opts or SolverOptions()
     tol = opts.resolve_tol(grid_now.v_th.magnitude())
     n = len(fleet)
-    inv = state.inverters
-    t_new = state.t + dt
+    rec = state.record
+    t_new = rec.t + dt
 
-    tripped = [st.tripped for st in inv]
-    theta_cg_old = [st.theta_cg for st in inv]
+    tripped = rec.tripped
+    theta_cg_old = rec.theta_cg
 
     if opts.lag_mode:
-        v_prev_mag = state.v_pcc.magnitude()
+        v_prev_mag = rec.v_pcc_mag
         currents = []
         limited = []
         for p, cfg in enumerate(fleet):
@@ -375,7 +379,7 @@ def step(
         inj = _build_injections(fleet, theta_cg_old, tripped, limited, currents)
         sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
     else:
-        limited = [st.limited and not st.tripped for st in inv]
+        limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
         if grid_now.v_th.magnitude() == 0.0:
             # Collapsed source: every live unit saturates at once.
             limited = [not t for t in tripped]
@@ -401,64 +405,38 @@ def step(
         raise ZeroVoltage("PCC voltage collapsed to zero during a step")
     z_series = [cfg.z_total() for cfg in fleet]
 
-    new_states = []
+    theta = list(state.theta)
+    integral = list(state.integral)
+    limited_since = list(state.limited_since)
+    theta_cg = list(theta_cg_old)
+    i_mag = [0.0] * n
+    v_gq = [0.0] * n
+    tripped_new = list(tripped)
     for p, cfg in enumerate(fleet):
-        st = inv[p]
         if tripped[p]:
-            new_states.append(
-                replace(st, i_cmd=0.0, v_gq=0.0, limited=False, limited_since=None)
-            )
+            limited_since[p] = None
             continue
 
-        i_cmd = cfg.i_max if limited[p] else cfg.s_rated / v_mag
-        _, v_gq_all = q_components(grid_now, v, zeq_now, inj, z_series, st.pll.theta)
-        v_gq = v_gq_all[p]
-        pll = pll_step(st.pll, v_gq, cfg.kp, cfg.ki, dt)
-        theta_cg = pll.theta + cfg.pf_angle
-
-        limited_since = (st.limited_since if st.limited else t_new) if limited[p] else None
-
-        trip = False
-        if limited[p] and t_new - limited_since >= cfg.trip_holdoff - 1e-12:
-            trip = True
-        if theta_cg_ref is not None and abs(theta_cg - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
-            trip = True
-
-        new_states.append(
-            InverterState(
-                pll=pll,
-                theta_cg=theta_cg,
-                i_cmd=i_cmd,
-                v_gq=v_gq,
-                limited=limited[p],
-                limited_since=limited_since,
-                tripped=trip,
-                trip_time=t_new if trip else None,
-            )
+        i_mag[p] = cfg.i_max if limited[p] else cfg.s_rated / v_mag
+        _, v_gq_all = q_components(grid_now, v, zeq_now, inj, z_series, theta[p])
+        v_gq[p] = v_gq_all[p]
+        theta[p], _, integral[p] = pll_step(
+            theta[p], integral[p], v_gq[p], cfg.kp, cfg.ki, dt
         )
+        theta_cg[p] = theta[p] + cfg.pf_angle
 
-    return SimState(t_new, v, tuple(new_states))
+        if limited[p]:
+            limited_since[p] = limited_since[p] if rec.limited[p] else t_new
+        else:
+            limited_since[p] = None
 
+        if limited[p] and t_new - limited_since[p] >= cfg.trip_holdoff - 1e-12:
+            tripped_new[p] = True
+        if theta_cg_ref is not None and abs(theta_cg[p] - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
+            tripped_new[p] = True
 
-def _record_from(state: SimState, theta_used: Sequence[float]) -> TrajectoryRecord:
-    """Sample the state; i_q follows the injection angles that actually
-    flowed during the step (theta_used)."""
-    v = state.v_pcc
-    v_angle = math.atan2(v.im, v.re)
-    inv = state.inverters
-    return TrajectoryRecord(
-        t=state.t,
-        v_pcc_mag=v.magnitude(),
-        v_pcc_angle=v_angle,
-        theta_cg=tuple(st.theta_cg for st in inv),
-        i_mag=tuple(st.i_cmd for st in inv),
-        i_q=tuple(
-            st.i_cmd * math.sin(theta_used[p] - v_angle) for p, st in enumerate(inv)
-        ),
-        v_gq=tuple(st.v_gq for st in inv),
-        limited=tuple(st.limited for st in inv),
-        tripped=tuple(st.tripped for st in inv),
-    )
+    record = _record(t_new, v, theta_cg_old, theta_cg, i_mag, v_gq, limited, tripped_new)
+    return SimState(record, tuple(theta), tuple(integral), tuple(limited_since))
 
 
 def simulate(
@@ -487,29 +465,24 @@ def simulate(
     k_clear = round(scenario.t_clear / scenario.dt) if scenario.t_clear is not None else None
 
     state = find_equilibrium(fleet, grid.prefault, zeq_pre, opts)
-    theta_cg_ref = [st.theta_cg for st in state.inverters]
+    theta_cg_ref = state.record.theta_cg
 
-    records = [_record_from(state, theta_cg_ref)]
+    records = [state.record]
     solver_failure_t: float | None = None
 
     for k in range(1, n_steps + 1):
         on_fault = k >= k_fault and (k_clear is None or k < k_clear)
         grid_now = fault_ten if on_fault else grid.prefault
         zeq_now = zeq_fault if on_fault else zeq_pre
-        theta_used = [st.theta_cg for st in state.inverters]
         try:
             state = step(state, fleet, grid_now, zeq_now, scenario.dt, opts, theta_cg_ref)
         except (NonConvergence, ZeroVoltage):
-            t_k = k * scenario.dt
-            solver_failure_t = t_k
-            last = records[-1]
+            solver_failure_t = k * scenario.dt
             n = len(fleet)
             records.append(
-                TrajectoryRecord(
-                    t=t_k,
-                    v_pcc_mag=last.v_pcc_mag,
-                    v_pcc_angle=last.v_pcc_angle,
-                    theta_cg=last.theta_cg,
+                replace(
+                    records[-1],
+                    t=solver_failure_t,
                     i_mag=(0.0,) * n,
                     i_q=(0.0,) * n,
                     v_gq=(0.0,) * n,
@@ -518,6 +491,6 @@ def simulate(
                 )
             )
             break
-        records.append(_record_from(state, theta_used))
+        records.append(state.record)
 
     return Trajectory(tuple(records), scenario, fleet, solver_failure_t)

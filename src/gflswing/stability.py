@@ -90,6 +90,17 @@ class FleetComparison:
     result_uniform: CctResult
 
 
+def _first_trips(traj: Trajectory) -> list[tuple[int, float]]:
+    """(unit index, first trip time) of every unit that tripped, earliest
+    first; ties go to the larger apparent power rating."""
+    trip_time: dict[int, float] = {}
+    for rec in traj.records:
+        for p, tripped in enumerate(rec.tripped):
+            if tripped and p not in trip_time:
+                trip_time[p] = rec.t
+    return sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+
+
 def classify(
     traj: Trajectory,
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
@@ -117,17 +128,13 @@ def classify(
                 max_exc = dev
 
     # Trip events decide the verdict outright.
-    trip_time: dict[int, float] = {}
-    for rec in records:
-        for p in range(n):
-            if rec.tripped[p] and p not in trip_time:
-                trip_time[p] = rec.t
-    if trip_time:
-        first = min(trip_time, key=lambda p: (trip_time[p], -s_rated[p]))
+    trips = _first_trips(traj)
+    if trips:
+        first, t_first = trips[0]
         return StabilityVerdict(
             stable=False,
             first_unstable=names[first],
-            t_unstable=trip_time[first],
+            t_unstable=t_first,
             t_settled=None,
             max_angle_excursion=max_exc,
         )
@@ -190,16 +197,10 @@ def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
     Ties are broken by the larger apparent power rating first. Raises
     EmptyOrder for a trajectory without any trip event.
     """
-    n = len(traj.fleet)
-    trip_time: dict[int, float] = {}
-    for rec in traj.records:
-        for p in range(n):
-            if rec.tripped[p] and p not in trip_time:
-                trip_time[p] = rec.t
-    if not trip_time:
+    trips = _first_trips(traj)
+    if not trips:
         raise EmptyOrder("no inverter lost synchronism in this trajectory")
-    order = sorted(trip_time, key=lambda p: (trip_time[p], -traj.fleet[p].s_rated))
-    return [(traj.fleet[p].name, trip_time[p]) for p in order]
+    return [(traj.fleet[p].name, t) for p, t in trips]
 
 
 def _scenario_with_interval(base: FaultScenario, interval: float) -> FaultScenario:
@@ -240,29 +241,27 @@ def find_cct(
 
     evaluations = 0
     log: list[tuple[float, bool]] = []
-    cache: dict[float, tuple[bool, Trajectory]] = {}
+    cache: dict[float, bool] = {}
 
-    def run(interval: float) -> tuple[bool, Trajectory]:
+    def run(interval: float) -> bool:
         nonlocal evaluations
-        if interval in cache:
-            return cache[interval]
-        traj = simulate(fleet, grid, _scenario_with_interval(base_scenario, interval), opts)
-        verdict = classify(traj, settle_tol, settle_window)
-        evaluations += 1
-        log.append((interval, verdict.stable))
-        cache[interval] = (verdict.stable, traj)
+        if interval not in cache:
+            traj = simulate(fleet, grid, _scenario_with_interval(base_scenario, interval), opts)
+            stable = classify(traj, settle_tol, settle_window).stable
+            evaluations += 1
+            log.append((interval, stable))
+            cache[interval] = stable
         return cache[interval]
 
-    lo_stable, _ = run(t_min)
-    hi_stable, _ = run(t_max)
+    lo_stable = run(t_min)
+    hi_stable = run(t_max)
     if not lo_stable or hi_stable:
         raise BracketInvalid(lo_stable, hi_stable)
 
     lo, hi = t_min, t_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        stable, _ = run(mid)
-        if stable:
+        if run(mid):
             lo = mid
         else:
             hi = mid
@@ -291,8 +290,7 @@ def find_cct(
     k = max(2, audit_samples)
     for j in range(k):
         tau = t_max if j == k - 1 else t_min + (t_max - t_min) * j / (k - 1)
-        stable, _ = run(tau)
-        audit.append((tau, stable))
+        audit.append((tau, run(tau)))
     transitions = sum(
         1 for a, b in zip(audit, audit[1:]) if a[1] != b[1]
     )

@@ -298,7 +298,7 @@ def test_criterion_10_trip_cascade(table_config):
     cfg = table_config
     zeq_pre = equivalent_impedance(cfg.fleet, cfg.grid.prefault, cfg.grid.z_load)
     eq = find_equilibrium(cfg.fleet, cfg.grid.prefault, zeq_pre, cfg.solver)
-    theta = tuple(st.theta_cg for st in eq.inverters)
+    theta = eq.record.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)

@@ -6,7 +6,6 @@ import pytest
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
-    PllState,
     SolverOptions,
     find_equilibrium,
     limited_current,
@@ -39,17 +38,16 @@ def _small_grid():
 
 
 def test_pll_step_locked_equilibrium_is_fixed():
-    state = PllState(theta=0.3, omega_dev=0.0, integral=0.0)
-    out = pll_step(state, 0.0, 4.31e-3, 260.0, 1e-5)
-    assert out == state
+    out = pll_step(0.3, 0.0, 0.0, 4.31e-3, 260.0, 1e-5)
+    assert out == (0.3, 0.0, 0.0)
 
 
 def test_pll_step_constant_error_accelerates():
-    state = PllState(0.0, 0.0, 0.0)
+    theta, integral = 0.0, 0.0
     thetas = []
     for _ in range(10):
-        state = pll_step(state, 1.0, 4.31e-3, 260.0, 1e-5)
-        thetas.append(state.theta)
+        theta, _, integral = pll_step(theta, integral, 1.0, 4.31e-3, 260.0, 1e-5)
+        thetas.append(theta)
     diffs = [b - a for a, b in zip(thetas, thetas[1:])]
     assert all(d > 0 for d in diffs)
     second = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -57,15 +55,15 @@ def test_pll_step_constant_error_accelerates():
 
 
 def test_pll_step_single_update_hand_values():
-    out = pll_step(PllState(0.0, 0.0, 0.0), 1.0, 4.31e-3, 260.0, 1e-5)
-    assert out.integral == pytest.approx(1e-5, rel=1e-14)
-    assert out.omega_dev == pytest.approx(6.91e-3, rel=1e-12)
-    assert out.theta == pytest.approx(6.91e-8, rel=1e-12)
+    theta, omega_dev, integral = pll_step(0.0, 0.0, 1.0, 4.31e-3, 260.0, 1e-5)
+    assert integral == pytest.approx(1e-5, rel=1e-14)
+    assert omega_dev == pytest.approx(6.91e-3, rel=1e-12)
+    assert theta == pytest.approx(6.91e-8, rel=1e-12)
 
 
 def test_pll_step_rejects_bad_dt():
     with pytest.raises(ValueError):
-        pll_step(PllState(0.0, 0.0, 0.0), 0.0, 1.0, 1.0, 0.0)
+        pll_step(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
 
 
 def test_limited_current_unconstrained():
@@ -121,13 +119,15 @@ def test_equilibrium_is_a_fixed_point_of_step():
     grid = _small_grid()
     zeq = equivalent_impedance(fleet, grid.prefault, grid.z_load)
     state = find_equilibrium(fleet, grid.prefault, zeq)
-    assert all(st.v_gq == 0.0 for st in state.inverters)
+    assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
     nxt = step(state, fleet, grid.prefault, zeq, 1e-5)
-    for before, after in zip(state.inverters, nxt.inverters):
-        assert after.theta_cg == pytest.approx(before.theta_cg, abs=1e-9)
-        assert abs(after.pll.omega_dev) < 1e-6
-        assert not after.limited and not after.tripped
-    assert nxt.v_pcc.magnitude() == pytest.approx(state.v_pcc.magnitude(), rel=1e-9)
+    before, after = state.record, nxt.record
+    for p, cfg in enumerate(fleet):
+        assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
+        omega_dev = cfg.kp * after.v_gq[p] + cfg.ki * nxt.integral[p]
+        assert abs(omega_dev) < 1e-6
+        assert not after.limited[p] and not after.tripped[p]
+    assert after.v_pcc_mag == pytest.approx(before.v_pcc_mag, rel=1e-9)
 
 
 def test_fault_step_depresses_voltage():
@@ -138,7 +138,7 @@ def test_fault_step_depresses_voltage():
     fault = faulted_grid(grid, 0.5)
     zeq_f = equivalent_impedance(fleet, fault, grid.z_load)
     nxt = step(state, fleet, fault, zeq_f, 1e-5)
-    assert nxt.v_pcc.magnitude() < state.v_pcc.magnitude()
+    assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
 
 
 def test_removing_one_injection_lowers_voltage_and_raises_currents():
@@ -195,6 +195,20 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
                 first_trip[p] = rec.t
     inv4 = 3  # 12 kVA unit
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
+
+
+def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config):
+    # limited_since carries across steps: each unit trips exactly
+    # trip_holdoff after its limiting began, including Inv 1, which starts
+    # limiting only after the others have tripped.
+    cfg = table_config
+    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
+    records = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
+    for p, unit in enumerate(cfg.fleet):
+        k_limit = next(k for k, rec in enumerate(records) if rec.limited[p])
+        k_trip = next(k for k, rec in enumerate(records) if rec.tripped[p])
+        assert k_trip - k_limit == round(unit.trip_holdoff / scen.dt)
+        assert all(rec.limited[p] for rec in records[k_limit:k_trip + 1])
 
 
 def test_cleared_early_returns_to_prefault(table_config):
