@@ -8,10 +8,8 @@ and estimates critical clearing times by bisection.
 """
 
 from gflswing.phasor import (
-    DqPair,
     Impedance,
     Phasor,
-    dq_components,
     from_polar,
     line_impedance,
     parallel,
@@ -22,19 +20,14 @@ from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
-    thevenin_reduce,
 )
 from gflswing.pcc import (
     InjectionState,
-    InverterOperatingPoint,
     NonConvergence,
     PccSolution,
     ZeroVoltage,
-    inverter_terminal_voltage,
-    operating_points,
     q_components,
     solve_vpcc,
-    total_injected_current,
 )
 from gflswing.dynamics import (
     FaultScenario,
@@ -65,10 +58,8 @@ from gflswing.stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DqPair",
     "Impedance",
     "Phasor",
-    "dq_components",
     "from_polar",
     "line_impedance",
     "parallel",
@@ -77,17 +68,12 @@ __all__ = [
     "TheveninEquivalent",
     "equivalent_impedance",
     "faulted_grid",
-    "thevenin_reduce",
     "InjectionState",
-    "InverterOperatingPoint",
     "NonConvergence",
     "PccSolution",
     "ZeroVoltage",
-    "inverter_terminal_voltage",
-    "operating_points",
     "q_components",
     "solve_vpcc",
-    "total_injected_current",
     "FaultScenario",
     "InitializationFailure",
     "InverterConfig",

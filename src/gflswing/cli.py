@@ -29,16 +29,22 @@ from typing import Any, Sequence
 import yaml
 
 from gflswing.dynamics import (
+    DEFAULT_TOL_REL,
+    DEFAULT_TRIP_HOLDOFF_S,
     FaultScenario,
     InitializationFailure,
     InverterConfig,
     SolverOptions,
     Trajectory,
+    absolute_tol,
     simulate,
 )
 from gflswing.network import GridModel, TheveninEquivalent
 from gflswing.phasor import Impedance, from_polar, line_impedance
 from gflswing.stability import (
+    DEFAULT_AUDIT_SAMPLES,
+    DEFAULT_SETTLE_TOL_RAD,
+    DEFAULT_SETTLE_WINDOW_S,
     BracketInvalid,
     CctResult,
     StabilityVerdict,
@@ -69,7 +75,6 @@ except ImportError:  # pragma: no cover
 log = logging.getLogger("gflswing")
 
 DEFAULT_I_MAX_HEADROOM = 1.2
-DEFAULT_TRIP_HOLDOFF_S = 5e-4
 DEFAULT_FREQUENCY_HZ = 60.0
 SWEEP_AXES = ("fault_depth", "clear_interval_s", "s_scale", "xr_scale")
 THREADS_ENV = "GFLSWING_THREADS"
@@ -289,15 +294,16 @@ def _parse_scenario(raw: dict, dt_override: float | None) -> tuple[FaultScenario
 
 def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
     s = _expect_map(raw.get("solver") or {}, "solver")
-    tol_rel = _get_num(s, "tol_rel", "solver", default=1e-9, minimum=0.0, strict_min=True)
-    max_iter = _get_num(s, "max_iter", "solver", default=100, minimum=1)
-    damping = _get_num(s, "damping", "solver", default=0.7, minimum=0.0, strict_min=True,
-                       maximum=1.0)
+    defaults = SolverOptions()
+    tol_rel = _get_num(s, "tol_rel", "solver", default=DEFAULT_TOL_REL, minimum=0.0, strict_min=True)
+    max_iter = _get_num(s, "max_iter", "solver", default=defaults.max_iter, minimum=1)
+    damping = _get_num(s, "damping", "solver", default=defaults.damping, minimum=0.0,
+                       strict_min=True, maximum=1.0)
     lag_mode = s.get("lag_mode", False)
     if not isinstance(lag_mode, bool):
         raise ConfigError(f"solver.lag_mode: expected a boolean, got {lag_mode!r}")
     opts = SolverOptions(
-        tol=tol_rel * max(v_th_mag, 1.0),
+        tol=absolute_tol(tol_rel, v_th_mag),
         max_iter=int(max_iter),
         damping=damping,
         lag_mode=lag_mode,
@@ -313,9 +319,9 @@ def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
 
 def _parse_stability(raw: dict) -> tuple[float, float, CctSettings | None, dict]:
     s = _expect_map(raw.get("stability") or {}, "stability")
-    settle_tol = _get_num(s, "settle_tol_rad", "stability", default=0.02,
+    settle_tol = _get_num(s, "settle_tol_rad", "stability", default=DEFAULT_SETTLE_TOL_RAD,
                           minimum=0.0, strict_min=True)
-    settle_window = _get_num(s, "settle_window_s", "stability", default=1e-3,
+    settle_window = _get_num(s, "settle_window_s", "stability", default=DEFAULT_SETTLE_WINDOW_S,
                              minimum=0.0, strict_min=True)
     cct = None
     cct_resolved = None
@@ -325,7 +331,8 @@ def _parse_stability(raw: dict) -> tuple[float, float, CctSettings | None, dict]
         t_max = _get_num(c, "t_max_s", "stability.cct", required=True, minimum=0.0, strict_min=True)
         resolution = _get_num(c, "resolution_s", "stability.cct", required=True,
                               minimum=0.0, strict_min=True)
-        samples = int(_get_num(c, "audit_samples", "stability.cct", default=5, minimum=2))
+        samples = int(_get_num(c, "audit_samples", "stability.cct",
+                               default=DEFAULT_AUDIT_SAMPLES, minimum=2))
         if t_min >= t_max:
             raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
         cct = CctSettings(t_min, t_max, resolution, samples)
@@ -859,8 +866,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--dt", type=float, default=None, help="override scenario dt_s")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the simulator is deterministic")
         p.add_argument("--log-level", default="WARNING",
                        choices=["DEBUG", "INFO", "WARNING", "ERROR"])
     return parser

@@ -53,7 +53,9 @@ __all__ = [
 # declared out of synchronism and tripped.
 DIVERGENCE_BOUND_RAD = math.pi
 
-_DEFAULT_TOL_FRACTION = 1e-9
+# Solver residual tolerance relative to max(|v_th|, 1 V) when none is given.
+DEFAULT_TOL_REL = 1e-9
+DEFAULT_TRIP_HOLDOFF_S = 5e-4
 
 
 class InitializationFailure(RuntimeError):
@@ -78,7 +80,7 @@ class InverterConfig:
     ki: float
     i_max: float
     pf_angle: float = 0.0
-    trip_holdoff: float = 5e-4
+    trip_holdoff: float = DEFAULT_TRIP_HOLDOFF_S
 
     def __post_init__(self) -> None:
         if self.s_rated <= 0.0:
@@ -171,7 +173,7 @@ class SimState:
 
 @dataclass(frozen=True, slots=True)
 class SolverOptions:
-    """Fixed-point solver settings; tol = None resolves to 1e-9 * |v_th|.
+    """Fixed-point solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|).
 
     lag_mode replaces the implicit solve with an explicit update that uses
     the previous step's voltage magnitude in the current denominators.
@@ -185,7 +187,12 @@ class SolverOptions:
     def resolve_tol(self, v_th_mag: float) -> float:
         if self.tol is not None:
             return self.tol
-        return _DEFAULT_TOL_FRACTION * max(v_th_mag, 1.0)
+        return absolute_tol(DEFAULT_TOL_REL, v_th_mag)
+
+
+def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
+    """Residual tolerance in volts: tol_rel times max(|v_th|, 1 V)."""
+    return tol_rel * max(v_th_mag, 1.0)
 
 
 def pll_step(

@@ -21,7 +21,6 @@ __all__ = [
     "TheveninEquivalent",
     "GridModel",
     "EquivalentImpedanceSet",
-    "thevenin_reduce",
     "equivalent_impedance",
     "faulted_grid",
 ]
@@ -74,27 +73,6 @@ class EquivalentImpedanceSet:
 
     def __len__(self) -> int:
         return len(self.z_eq)
-
-
-def thevenin_reduce(sources: Sequence[tuple[Phasor, Impedance]]) -> TheveninEquivalent:
-    """Collapse parallel voltage-source branches into one equivalent.
-
-    Millman combination: z_th is the parallel of all branch impedances and
-    v_th = z_th * sum(v_k / z_k).
-    """
-    if not sources:
-        raise ValueError("thevenin_reduce needs at least one source branch")
-    y_total = 0.0 + 0.0j
-    i_total = 0.0 + 0.0j
-    for k, (v, z) in enumerate(sources):
-        zc = z.to_complex()
-        if abs(zc) == 0.0:
-            raise ValueError(f"source branch {k} has zero impedance magnitude")
-        y_total += 1.0 / zc
-        i_total += v.to_complex() / zc
-    z_th = 1.0 / y_total
-    v_th = z_th * i_total
-    return TheveninEquivalent(Phasor.from_complex(v_th), Impedance.from_complex(z_th))
 
 
 def equivalent_impedance(

@@ -18,25 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from gflswing.network import EquivalentImpedanceSet, TheveninEquivalent
 from gflswing.phasor import Impedance, Phasor
 
-if TYPE_CHECKING:
-    from gflswing.dynamics import InverterConfig
-
 __all__ = [
     "InjectionState",
     "PccSolution",
-    "InverterOperatingPoint",
     "NonConvergence",
     "ZeroVoltage",
     "solve_vpcc",
-    "inverter_terminal_voltage",
     "q_components",
-    "operating_points",
-    "total_injected_current",
 ]
 
 # |v| below this fraction of |v_th| aborts the iteration as a collapsed node.
@@ -94,19 +87,6 @@ class PccSolution:
     v_pcc: Phasor
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True, slots=True)
-class InverterOperatingPoint:
-    """Per-inverter snapshot at a solved PCC voltage.
-
-    i_mag is the commanded current magnitude before any limiting; v_gq is
-    the generation voltage's q component in the frame the caller anchored.
-    """
-
-    v_g: Phasor
-    v_gq: float
-    i_mag: float
 
 
 def _aggregate(
@@ -231,30 +211,6 @@ def solve_vpcc(
     raise NonConvergence(residual, iterations)
 
 
-def inverter_terminal_voltage(
-    p: int,
-    v_pcc: Phasor,
-    cfg: "InverterConfig",
-    inj: InjectionState,
-) -> Phasor:
-    """Generation voltage behind the inverter's line plus virtual impedance.
-
-    v_g = v_pcc + i_p * (z_line + z_virtual) * e^{j theta_cg_p} with the
-    injected current i_p = s_p / |v_pcc| (or the pinned fixed current).
-    """
-    v = v_pcc.to_complex()
-    v_mag = abs(v)
-    if v_mag == 0.0:
-        raise ValueError("terminal voltage undefined for |v_pcc| = 0")
-    if inj.i_fixed is not None and inj.i_fixed[p] is not None:
-        i_p = inj.i_fixed[p]
-    else:
-        i_p = inj.s[p] / v_mag
-    th = inj.theta_cg[p]
-    z = cfg.z_total().to_complex()
-    return Phasor.from_complex(v + i_p * z * complex(math.cos(th), math.sin(th)))
-
-
 def q_components(
     grid: TheveninEquivalent,
     v_pcc: Phasor,
@@ -303,42 +259,3 @@ def q_components(
         for p in range(len(inj))
     )
     return q, v_gq
-
-
-def operating_points(
-    grid: TheveninEquivalent,
-    v_pcc: Phasor,
-    zeq: EquivalentImpedanceSet,
-    inj: InjectionState,
-    fleet: Sequence["InverterConfig"],
-    ref_angles: Sequence[float],
-) -> tuple[InverterOperatingPoint, ...]:
-    """Per-inverter generation voltages, q components and current commands.
-
-    ref_angles anchors each unit's own rotating frame (its tracked angle);
-    the q components therefore match what each synchronization loop sees.
-    """
-    if len(fleet) != len(inj) or len(ref_angles) != len(inj):
-        raise ValueError("fleet, injections and ref_angles sizes differ")
-    v_mag = v_pcc.magnitude()
-    if v_mag <= 0.0:
-        raise ValueError("operating_points requires |v_pcc| > 0")
-    z_series = [cfg.z_total() for cfg in fleet]
-    fixed = inj.i_fixed
-    points = []
-    for p in range(len(fleet)):
-        v_g = inverter_terminal_voltage(p, v_pcc, fleet[p], inj)
-        _, v_gq_all = q_components(grid, v_pcc, zeq, inj, z_series, ref_angles[p])
-        if fixed is not None and fixed[p] is not None:
-            i_p = fixed[p]
-        else:
-            i_p = inj.s[p] / v_mag
-        points.append(InverterOperatingPoint(v_g, v_gq_all[p], i_p))
-    return tuple(points)
-
-
-def total_injected_current(inj: InjectionState, v_pcc_mag: float) -> float:
-    """Aggregate current magnitude bound sum(|s_i|) / |v_pcc|."""
-    if v_pcc_mag <= 0.0:
-        raise ValueError(f"v_pcc_mag must be positive, got {v_pcc_mag}")
-    return math.fsum(inj.s) / v_pcc_mag

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 __all__ = [
     "Phasor",
     "Impedance",
-    "DqPair",
     "from_polar",
     "line_impedance",
     "parallel",
-    "dq_components",
     "wrap_angle",
 ]
 
@@ -91,14 +89,6 @@ class Impedance:
         return Impedance(self.r + other.r, self.x + other.x)
 
 
-@dataclass(frozen=True, slots=True)
-class DqPair:
-    """Direct/quadrature projection of a phasor onto a rotating reference."""
-
-    d: float
-    q: float
-
-
 def from_polar(magnitude: float, angle: float) -> Phasor:
     """Build a phasor from magnitude (>= 0) and angle in radians."""
     if magnitude < 0.0:
@@ -132,14 +122,3 @@ def parallel(a: Impedance, b: Impedance) -> Impedance:
             f"{MIN_PARALLEL_SUM_OHM:.0e}"
         )
     return Impedance.from_complex(za * zb / s)
-
-
-def dq_components(v: Phasor, ref_angle: float) -> DqPair:
-    """Project a phasor onto the rotating frame anchored at ref_angle.
-
-    d is the component along the reference axis, q the quadrature component;
-    q = 0 exactly when the phasor aligns with the reference (mod pi).
-    """
-    m = v.magnitude()
-    delta = math.atan2(v.im, v.re) - ref_angle
-    return DqPair(m * math.cos(delta), m * math.sin(delta))

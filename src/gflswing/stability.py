@@ -38,6 +38,7 @@ __all__ = [
 
 DEFAULT_SETTLE_TOL_RAD = 0.02
 DEFAULT_SETTLE_WINDOW_S = 1e-3
+DEFAULT_AUDIT_SAMPLES = 5
 
 
 class BracketInvalid(RuntimeError):
@@ -120,12 +121,21 @@ def classify(
     names = [cfg.name for cfg in traj.fleet]
     s_rated = [cfg.s_rated for cfg in traj.fleet]
 
+    dt = traj.scenario.dt
     max_exc = 0.0
+    # Last instant each inverter violated the tolerance, if any, and the
+    # start of its final run of violations.
+    last_violation: list[float | None] = [None] * n
+    first_of_final_streak: list[float | None] = [None] * n
     for rec in records:
         for p in range(n):
             dev = abs(rec.theta_cg[p] - theta0[p])
             if dev > max_exc:
                 max_exc = dev
+            if dev > settle_tol:
+                if last_violation[p] is None or rec.t > last_violation[p] + 1.5 * dt:
+                    first_of_final_streak[p] = rec.t
+                last_violation[p] = rec.t
 
     # Trip events decide the verdict outright.
     trips = _first_trips(traj)
@@ -150,16 +160,6 @@ def classify(
         raise ValueError("trajectory shorter than the settle window")
 
     window_start = t_last - settle_window
-    # Last instant each inverter violated the tolerance, if any.
-    last_violation: list[float | None] = [None] * n
-    first_of_final_streak: list[float | None] = [None] * n
-    for rec in records:
-        for p in range(n):
-            if abs(rec.theta_cg[p] - theta0[p]) > settle_tol:
-                if last_violation[p] is None or rec.t > last_violation[p] + 1.5 * traj.scenario.dt:
-                    first_of_final_streak[p] = rec.t
-                last_violation[p] = rec.t
-
     unsettled = [
         p
         for p in range(n)
@@ -179,7 +179,7 @@ def classify(
         )
 
     settled_at = max(
-        (lv + traj.scenario.dt for lv in last_violation if lv is not None),
+        (lv + dt for lv in last_violation if lv is not None),
         default=0.0,
     )
     return StabilityVerdict(
@@ -217,7 +217,7 @@ def find_cct(
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
     opts: SolverOptions | None = None,
-    audit_samples: int = 5,
+    audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> CctResult:
     """Bisect the clearing interval until the stable/unstable bracket is
     narrower than resolution.
@@ -344,7 +344,7 @@ def compare_uniform(
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
     opts: SolverOptions | None = None,
-    audit_samples: int = 5,
+    audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> FleetComparison:
     """CCT of the fleet against its mean-built uniform counterpart."""
     if len(fleet) < 2:

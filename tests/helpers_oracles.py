@@ -2,7 +2,7 @@
 
 Everything here re-derives expected values from the defining equations with
 code paths separate from the package: exact rational complex arithmetic,
-finite-difference Newton, grid-search refinement and numpy nodal solves.
+finite-difference Newton and grid-search refinement.
 """
 
 from __future__ import annotations
@@ -125,25 +125,3 @@ def grid_zoom_vpcc(v_th: complex, z_eq, s, theta, zooms: int = 12,
         a_lo, a_hi = ab - a_span, ab + a_span
     return best[1] * cmath.exp(1j * best[2])
 
-
-# -- nodal analysis of parallel source branches -----------------------------
-
-def nodal_port_voltage(branches: list[tuple[complex, complex]],
-                       z_load: complex) -> complex:
-    """Terminal voltage of parallel (V, Z) branches loaded by z_load.
-
-    Solves the full linear system with unknowns (node voltage, branch
-    currents): V_k = v + i_k Z_k and sum(i_k) = v / z_load.
-    """
-    n = len(branches)
-    size = n + 1
-    a = np.zeros((size, size), dtype=complex)
-    b = np.zeros(size, dtype=complex)
-    for k, (v_src, z) in enumerate(branches):
-        a[k, 0] = 1.0
-        a[k, 1 + k] = z
-        b[k] = v_src
-    a[n, 0] = -1.0 / z_load
-    a[n, 1:] = 1.0
-    x = np.linalg.solve(a, b)
-    return complex(x[0])

@@ -11,10 +11,9 @@ from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
-    thevenin_reduce,
 )
 from gflswing.phasor import Impedance, from_polar, parallel
-from helpers_oracles import fc, fc_parallel, fc_to_complex, nodal_port_voltage
+from helpers_oracles import fc, fc_parallel, fc_to_complex
 
 
 def _cfg(name="A", s=6000.0, r=0.31, x=0.01508, rv=0.0):
@@ -22,75 +21,6 @@ def _cfg(name="A", s=6000.0, r=0.31, x=0.01508, rv=0.0):
         name=name, s_rated=s, z_line=Impedance(r, x), r_virtual=rv,
         kp=4.5e-3, ki=260.0, i_max=100.0,
     )
-
-
-def test_single_branch_is_its_own_equivalent():
-    v = from_polar(230.0, 0.1)
-    z = Impedance(0.5, 1.0)
-    ten = thevenin_reduce([(v, z)])
-    assert ten.v_th.re == pytest.approx(v.re, rel=1e-12)
-    assert ten.v_th.im == pytest.approx(v.im, rel=1e-12)
-    assert ten.z_th.r == pytest.approx(z.r, rel=1e-12)
-    assert ten.z_th.x == pytest.approx(z.x, rel=1e-12)
-
-
-def test_identical_parallel_branches_halve_impedance():
-    v = from_polar(230.0, 0.0)
-    z = Impedance(0.5, 1.0)
-    ten = thevenin_reduce([(v, z), (v, z)])
-    assert ten.v_th.magnitude() == pytest.approx(230.0, rel=1e-12)
-    assert ten.z_th.r == pytest.approx(0.25, rel=1e-12)
-    assert ten.z_th.x == pytest.approx(0.5, rel=1e-12)
-
-
-def test_two_branch_reduction_matches_nodal_analysis():
-    branches = [
-        (from_polar(230.0, 0.0), Impedance(0.5, 1.0)),
-        (from_polar(220.0, 0.05), Impedance(0.8, 0.9)),
-    ]
-    ten = thevenin_reduce(branches)
-    # Behavioral check: the equivalent must reproduce the full network's
-    # terminal voltage for an arbitrary load.
-    z_load = 2.0 + 1.5j
-    full = nodal_port_voltage(
-        [(b[0].to_complex(), b[1].to_complex()) for b in branches], z_load
-    )
-    v_th = ten.v_th.to_complex()
-    z_th = ten.z_th.to_complex()
-    reduced = v_th * z_load / (z_th + z_load)
-    assert abs(reduced - full) <= 1e-9 * abs(full)
-
-
-def test_randomized_reductions_match_nodal_analysis():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.choice([2, 3])
-        branches = [
-            (
-                from_polar(rng.uniform(100, 250), rng.uniform(-0.3, 0.3)),
-                Impedance(rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0)),
-            )
-            for _ in range(n)
-        ]
-        ten = thevenin_reduce(branches)
-        z_load = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 3.0))
-        full = nodal_port_voltage(
-            [(b[0].to_complex(), b[1].to_complex()) for b in branches], z_load
-        )
-        v_th = ten.v_th.to_complex()
-        z_th = ten.z_th.to_complex()
-        reduced = v_th * z_load / (z_th + z_load)
-        assert abs(reduced - full) <= 1e-9 * max(abs(full), 1.0)
-
-
-def test_reduce_rejects_zero_impedance_branch():
-    with pytest.raises(ValueError):
-        thevenin_reduce([(from_polar(230.0, 0.0), Impedance(0.0, 0.0))])
-
-
-def test_reduce_rejects_empty_list():
-    with pytest.raises(ValueError):
-        thevenin_reduce([])
 
 
 def test_equivalent_impedance_equal_pair():

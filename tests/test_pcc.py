@@ -10,11 +10,8 @@ from gflswing.pcc import (
     InjectionState,
     NonConvergence,
     ZeroVoltage,
-    inverter_terminal_voltage,
-    operating_points,
     q_components,
     solve_vpcc,
-    total_injected_current,
 )
 from gflswing.phasor import Impedance, from_polar
 from helpers_oracles import (
@@ -150,37 +147,6 @@ def test_fixed_current_entries_bypass_the_power_division():
     assert sol.iterations == 1
 
 
-def test_terminal_voltage_zero_injection_is_pcc():
-    cfg = InverterConfig("A", 6000.0, Impedance(0.31, 0.015), 0.0, 4e-3, 260.0, 100.0)
-    inj = InjectionState((0.0,), (0.0,))
-    v = inverter_terminal_voltage(0, from_polar(230.0, 0.0), cfg, inj)
-    assert v.re == pytest.approx(230.0, rel=1e-13)
-    assert v.im == pytest.approx(0.0, abs=1e-13)
-
-
-def test_terminal_voltage_zero_series_impedance_is_pcc():
-    cfg = InverterConfig("A", 6000.0, Impedance(0.0, 0.0), 0.0, 4e-3, 260.0, 100.0)
-    inj = InjectionState((6000.0,), (0.4,))
-    v = inverter_terminal_voltage(0, from_polar(230.0, 0.0), cfg, inj)
-    assert v.re == pytest.approx(230.0, rel=1e-13)
-    assert v.im == pytest.approx(0.0, abs=1e-13)
-
-
-def test_terminal_voltage_matches_exact_arithmetic():
-    # 230 + (6000/230)(0.31 + j0.01508): exact rational value
-    cfg = InverterConfig("A", 6000.0, Impedance(0.15, 0.01508), 0.16, 4e-3, 260.0, 100.0)
-    inj = InjectionState((6000.0,), (0.0,))
-    v = inverter_terminal_voltage(0, from_polar(230.0, 0.0), cfg, inj)
-    assert v.re == pytest.approx(238.08695652173913, rel=1e-13)
-    assert v.im == pytest.approx(0.3933913043478261, rel=1e-13)
-
-
-def test_terminal_voltage_rejects_zero_pcc():
-    cfg = InverterConfig("A", 6000.0, Impedance(0.31, 0.015), 0.0, 4e-3, 260.0, 100.0)
-    with pytest.raises(ValueError):
-        inverter_terminal_voltage(0, from_polar(0.0, 0.0), cfg, InjectionState((1.0,), (0.0,)))
-
-
 def test_q_components_zero_injection_gives_source_projection():
     grid = _grid(230.0, 0.12)
     zeq = _zeq((0.1, 0.05), (0.2, 0.02))
@@ -258,54 +224,26 @@ def test_increasing_lagging_injection_weakly_depresses_q():
 
 
 def test_operating_points_bundle_the_per_inverter_view():
-    from gflswing.phasor import dq_components
-
+    # At a solved PCC voltage, each unit's termwise v_gq equals the q
+    # projection of its generation voltage v_g = v_pcc + i z e^{j theta}
+    # onto its own frame.
     fleet = (
         InverterConfig("A", 6000.0, Impedance(0.15, 0.015), 0.16, 4.31e-3, 260.0, 100.0),
         InverterConfig("B", 9000.0, Impedance(0.30, 0.017), 0.12, 4.45e-3, 259.0, 100.0),
     )
+    z_series = [cfg.z_total() for cfg in fleet]
     grid = _grid()
     zeq = _zeq((0.12, 0.03), (0.15, 0.04))
     inj = InjectionState((6000.0, 9000.0), (0.02, 0.05))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
+    v = sol.v_pcc.to_complex()
     refs = (0.01, 0.04)
-    points = operating_points(grid, sol.v_pcc, zeq, inj, fleet, refs)
-    v_mag = sol.v_pcc.magnitude()
-    assert len(points) == 2
-    for p, point in enumerate(points):
-        # current command before limiting
-        assert point.i_mag == pytest.approx(inj.s[p] / v_mag, rel=1e-12)
-        # at a solved voltage the termwise q equals the projection of v_g
-        projected = dq_components(point.v_g, refs[p]).q
-        assert point.v_gq == pytest.approx(projected, abs=5e-9 * v_mag)
-
-
-def test_operating_points_validates_sizes():
-    fleet = (
-        InverterConfig("A", 6000.0, Impedance(0.15, 0.015), 0.16, 4.31e-3, 260.0, 100.0),
-    )
-    grid = _grid()
-    zeq = _zeq((0.12, 0.03))
-    inj = InjectionState((6000.0,), (0.0,))
-    with pytest.raises(ValueError):
-        operating_points(grid, from_polar(230.0, 0.0), zeq, inj, fleet, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        operating_points(grid, from_polar(0.0, 0.0), zeq, inj, fleet, (0.0,))
-
-
-def test_total_injected_current_reference_fleet():
-    inj = InjectionState(
-        (6000.0, 9000.0, 8000.0, 12000.0, 10000.0), (0.0,) * 5
-    )
-    assert total_injected_current(inj, 230.0) == pytest.approx(195.65217391304347)
-    assert total_injected_current(inj, 115.0) == pytest.approx(391.30434782608694)
-
-
-def test_total_injected_current_zero_and_errors():
-    inj = InjectionState((0.0, 0.0), (0.0, 0.0))
-    assert total_injected_current(inj, 230.0) == 0.0
-    with pytest.raises(ValueError):
-        total_injected_current(inj, 0.0)
+    for p, ref in enumerate(refs):
+        _, v_gq = q_components(grid, sol.v_pcc, zeq, inj, z_series, ref)
+        i_p = inj.s[p] / abs(v)
+        v_g = v + i_p * z_series[p].to_complex() * cmath.exp(1j * inj.theta_cg[p])
+        projected = (v_g * cmath.exp(-1j * ref)).imag
+        assert v_gq[p] == pytest.approx(projected, abs=5e-9 * abs(v))
 
 
 def test_injection_state_validation():

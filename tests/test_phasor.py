@@ -4,10 +4,8 @@ import random
 import pytest
 
 from gflswing.phasor import (
-    DqPair,
     Impedance,
     Phasor,
-    dq_components,
     from_polar,
     line_impedance,
     parallel,
@@ -147,49 +145,6 @@ def test_parallel_rejects_degenerate_pair():
         parallel(Impedance(0.0, 1.0), Impedance(0.0, -1.0))
 
 
-def test_dq_reference_aligned_has_zero_q():
-    v = from_polar(230.0, 0.1745)
-    dq = dq_components(v, 0.1745)
-    assert dq.d == pytest.approx(230.0, rel=1e-12)
-    assert dq.q == pytest.approx(0.0, abs=1e-9)
-
-
-def test_dq_quadrature_case():
-    dq = dq_components(from_polar(1.0, math.pi / 2), 0.0)
-    assert dq.d == pytest.approx(0.0, abs=1e-12)
-    assert dq.q == pytest.approx(1.0, rel=1e-12)
-
-
-def test_dq_matches_direct_trigonometric_evaluation():
-    # 230 at 0.20 rad projected onto a 0.15 rad frame: d = 230 cos(0.05),
-    # q = 230 sin(0.05), evaluated directly.
-    dq = dq_components(from_polar(230.0, 0.20), 0.15)
-    assert dq.d == pytest.approx(229.71255989084224, rel=1e-12)
-    assert dq.q == pytest.approx(11.495208932256016, rel=1e-9)
-
-
-def test_dq_zero_q_iff_aligned_mod_pi():
-    rng = random.Random(3)
-    for _ in range(300):
-        mag = rng.uniform(0.1, 1e3)
-        ang = rng.uniform(-math.pi, math.pi)
-        k = rng.randint(-2, 2)
-        aligned = dq_components(from_polar(mag, ang), ang + k * math.pi)
-        assert abs(aligned.q) < 1e-9 * mag
-        off = rng.uniform(0.01, 0.5)
-        misaligned = dq_components(from_polar(mag, ang), ang + off)
-        assert abs(misaligned.q) > 0.0
-
-
-def test_dq_preserves_magnitude():
-    rng = random.Random(5)
-    for _ in range(300):
-        mag = rng.uniform(1e-3, 1e4)
-        v = from_polar(mag, rng.uniform(-math.pi, math.pi))
-        dq = dq_components(v, rng.uniform(-math.pi, math.pi))
-        assert dq.d**2 + dq.q**2 == pytest.approx(mag**2, rel=1e-12)
-
-
 def test_impedance_angle_range():
     assert Impedance(1.0, 0.0).angle() == 0.0
     assert Impedance(0.0, 1.0).angle() == pytest.approx(math.pi / 2)
@@ -200,7 +155,6 @@ def test_impedance_angle_range():
 def test_types_are_plain_immutable_data():
     p = Phasor(1.0, 2.0)
     z = Impedance(1.0, 2.0)
-    d = DqPair(1.0, 2.0)
-    for obj, field in ((p, "re"), (z, "r"), (d, "d")):
+    for obj, field in ((p, "re"), (z, "r")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 0.0)
