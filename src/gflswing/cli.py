@@ -494,16 +494,13 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             _f9(rec.v_pcc_angle),
             _f9(math.degrees(rec.v_pcc_angle)),
         ]
-        for p in range(len(names)):
-            row += [
-                _f9(rec.theta_cg[p]),
-                _f9(math.degrees(rec.theta_cg[p])),
-                _f9(rec.i_mag[p]),
-                _f9(rec.i_q[p]),
-                _f9(rec.v_gq[p]),
-                _b(rec.limited[p]),
-                _b(rec.tripped[p]),
-            ]
+        for th, i, i_q, v_gq, lim, trip in zip(
+            rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
+        ):
+            row.append(
+                f"{th:.9g},{math.degrees(th):.9g},{i:.9g},{i_q:.9g},{v_gq:.9g},"
+                f"{'true' if lim else 'false'},{'true' if trip else 'false'}"
+            )
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

@@ -411,6 +411,7 @@ def step(
     if v_mag == 0.0:
         raise ZeroVoltage("PCC voltage collapsed to zero during a step")
     z_series = [cfg.z_total() for cfg in fleet]
+    _, v_gq_all = q_components(grid_now, v, zeq_now, inj, z_series, state.theta)
 
     theta = list(state.theta)
     integral = list(state.integral)
@@ -425,7 +426,6 @@ def step(
             continue
 
         i_mag[p] = cfg.i_max if limited[p] else cfg.s_rated / v_mag
-        _, v_gq_all = q_components(grid_now, v, zeq_now, inj, z_series, theta[p])
         v_gq[p] = v_gq_all[p]
         theta[p], _, integral[p] = pll_step(
             theta[p], integral[p], v_gq[p], cfg.kp, cfg.ki, dt
@@ -461,6 +461,9 @@ def simulate(
     if not fleet:
         raise ValueError("fleet must be non-empty")
     opts = opts or SolverOptions()
+    # One tolerance for the whole run, against the pre-fault source as in
+    # find_equilibrium and the config loader.
+    opts = replace(opts, tol=opts.resolve_tol(grid.prefault.v_th.magnitude()))
     fleet = tuple(fleet)
 
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)

@@ -12,6 +12,10 @@ phasor at the injection angle. This is not the conjugate constant-power
 injection of conventional load flow (S* / V*); the two coincide only for
 angle-aligned cases, and the conjugate variant is intentionally not
 implemented.
+
+The q-axis components each PLL needs come from the same superposition: the
+complex sum v_th + sum_i z_eq_i i_i e^{j theta_i} is built once and rotated
+into every unit's own frame, so one call serves the whole fleet.
 """
 
 from __future__ import annotations
@@ -217,45 +221,34 @@ def q_components(
     zeq: EquivalentImpedanceSet,
     inj: InjectionState,
     z_series: Sequence[Impedance],
-    ref_angle: float,
-) -> tuple[float, tuple[float, ...]]:
-    """Termwise q-axis components of the PCC and per-inverter generation voltages.
+    ref_angles: Sequence[float],
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """q-axis components of the PCC and generation voltages, one per unit frame.
 
-    In the rotating frame anchored at ref_angle:
+    The PCC right-hand side total = v_th + D + C / |v_pcc| (see _aggregate)
+    is summed once and rotated into each unit's frame ref_p:
 
-        v_pcc_q = |v_th| sin(ang(v_th) - ref)
-                  + sum_i |z_eq_i| i_i sin(theta_i + gamma_i - ref)
-        v_gq[p] = v_pcc_q + |z_series_p| i_p sin(theta_p + psi_p - ref)
+        v_pcc_q[p] = Im(total e^{-j ref_p})
+        v_gq[p]    = v_pcc_q[p] + |z_series_p| i_p sin(theta_p + psi_p - ref_p)
 
-    with i_i = s_i / |v_pcc| (or the pinned fixed current) and psi_p the
-    angle of the series impedance. The termwise sums equal the q projection
-    of the corresponding complex sums exactly, which the test suite checks.
+    with i_p = s_p / |v_pcc| (or the pinned fixed current) and psi_p the
+    angle of the series impedance. The cost is O(n) for the whole fleet.
     """
     v_mag = v_pcc.magnitude()
     if v_mag <= 0.0:
         raise ValueError("q_components requires |v_pcc| > 0")
-    if len(z_series) != len(inj):
-        raise ValueError("z_series must match the fleet size")
+    if len(z_series) != len(inj) or len(ref_angles) != len(inj):
+        raise ValueError("z_series and ref_angles must match the fleet size")
 
-    v_th = grid.v_th
-    q = v_th.magnitude() * math.sin(math.atan2(v_th.im, v_th.re) - ref_angle)
+    c, d = _aggregate(zeq, inj)
+    total = grid.v_th.to_complex() + d + c / v_mag
     fixed = inj.i_fixed
-    currents = []
-    for k in range(len(inj)):
-        if fixed is not None and fixed[k] is not None:
-            i_k = fixed[k]
-        else:
-            i_k = inj.s[k] / v_mag
-        currents.append(i_k)
-        q += zeq.z_eq[k].magnitude() * i_k * math.sin(
-            inj.theta_cg[k] + zeq.gamma[k] - ref_angle
-        )
-
-    v_gq = tuple(
-        q
-        + z_series[p].magnitude()
-        * currents[p]
-        * math.sin(inj.theta_cg[p] + z_series[p].angle() - ref_angle)
-        for p in range(len(inj))
-    )
-    return q, v_gq
+    v_pcc_q = []
+    v_gq = []
+    for p, ref in enumerate(ref_angles):
+        q = total.imag * math.cos(ref) - total.real * math.sin(ref)
+        i_p = fixed[p] if fixed is not None and fixed[p] is not None else inj.s[p] / v_mag
+        z = z_series[p]
+        v_pcc_q.append(q)
+        v_gq.append(q + z.magnitude() * i_p * math.sin(inj.theta_cg[p] + z.angle() - ref))
+    return tuple(v_pcc_q), tuple(v_gq)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from gflswing import dynamics
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -179,6 +180,32 @@ def test_records_are_uniformly_spaced(nofault_config):
     assert times[0] == 0.0
     for a, b in zip(times, times[1:]):
         assert b - a == pytest.approx(scen.dt, rel=1e-9)
+
+
+def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
+    # The q projection serves every unit from one call, so a step costs
+    # O(n) rather than one O(n) projection per unit.
+    calls = 0
+    original = dynamics.q_components
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "q_components", counting)
+    cfg = table_config
+    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert calls == len(traj.records) - 1
+
+
+def test_default_tolerance_resolves_against_the_prefault_source(table_config):
+    # SolverOptions() and the loaded table1 solver both mean tol_rel 1e-9 of
+    # the pre-fault |v_th|, fault-on steps included.
+    cfg = table_config
+    default = simulate(cfg.fleet, cfg.grid, cfg.scenario, SolverOptions())
+    loaded = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert default.records == loaded.records
 
 
 def test_uncleared_deep_fault_trips_whole_fleet(table_config):

@@ -152,11 +152,11 @@ def test_q_components_zero_injection_gives_source_projection():
     zeq = _zeq((0.1, 0.05), (0.2, 0.02))
     inj = InjectionState((0.0, 0.0), (0.0, 0.0))
     z_series = [Impedance(0.3, 0.01), Impedance(0.4, 0.02)]
-    ref = 0.05
-    q, v_gq = q_components(grid, from_polar(230.0, 0.12), zeq, inj, z_series, ref)
-    expected = 230.0 * math.sin(0.12 - ref)
+    refs = (0.05, -0.3)
+    q, v_gq = q_components(grid, from_polar(230.0, 0.12), zeq, inj, z_series, refs)
+    expected = tuple(230.0 * math.sin(0.12 - ref) for ref in refs)
     assert q == pytest.approx(expected, rel=1e-12)
-    assert v_gq == pytest.approx((expected, expected), rel=1e-12)
+    assert v_gq == pytest.approx(expected, rel=1e-12)
 
 
 def test_q_components_aligned_terms_vanish():
@@ -164,8 +164,8 @@ def test_q_components_aligned_terms_vanish():
     zeq = _zeq((0.1, 0.0), (0.2, 0.0))  # gamma = 0
     inj = InjectionState((5000.0, 7000.0), (0.0, 0.0))  # theta + gamma = 0
     z_series = [Impedance(0.3, 0.0), Impedance(0.4, 0.0)]
-    q, v_gq = q_components(grid, from_polar(240.0, 0.0), zeq, inj, z_series, 0.0)
-    assert q == pytest.approx(0.0, abs=1e-12)
+    q, v_gq = q_components(grid, from_polar(240.0, 0.0), zeq, inj, z_series, (0.0, 0.0))
+    assert q == pytest.approx((0.0, 0.0), abs=1e-12)
     assert v_gq == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
@@ -186,17 +186,17 @@ def test_q_components_termwise_equals_complex_projection():
             Impedance(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3)) for _ in range(n)
         ]
         v_pcc = from_polar(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
-        ref = rng.uniform(-math.pi, math.pi)
-        q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, ref)
+        refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
+        q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, refs)
 
-        rot = cmath.exp(-1j * ref)
         v_mag = v_pcc.magnitude()
         total = v_th.to_complex()
         for k in range(n):
             total += zc[k] * (s[k] / v_mag) * cmath.exp(1j * th[k])
         scale = max(abs(total), v_th.magnitude())
-        assert abs(q - (total * rot).imag) <= 1e-9 * scale
         for p in range(n):
+            rot = cmath.exp(-1j * refs[p])
+            assert abs(q[p] - (total * rot).imag) <= 1e-9 * scale
             full = total + z_series[p].to_complex() * (s[p] / v_mag) * cmath.exp(1j * th[p])
             assert abs(v_gq[p] - (full * rot).imag) <= 1e-9 * max(abs(full), scale)
 
@@ -213,8 +213,8 @@ def test_increasing_lagging_injection_weakly_depresses_q():
     def solved_q(s):
         inj = InjectionState(tuple(s), theta)
         sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
-        q, _ = q_components(grid, sol.v_pcc, zeq, inj, z_series, 0.0)
-        return q
+        q, _ = q_components(grid, sol.v_pcc, zeq, inj, z_series, (0.0,) * 3)
+        return q[0]
 
     q0 = solved_q(base_s)
     for k in range(3):
@@ -224,9 +224,8 @@ def test_increasing_lagging_injection_weakly_depresses_q():
 
 
 def test_operating_points_bundle_the_per_inverter_view():
-    # At a solved PCC voltage, each unit's termwise v_gq equals the q
-    # projection of its generation voltage v_g = v_pcc + i z e^{j theta}
-    # onto its own frame.
+    # At a solved PCC voltage, each unit's v_gq equals the q projection of
+    # its generation voltage v_g = v_pcc + i z e^{j theta} onto its own frame.
     fleet = (
         InverterConfig("A", 6000.0, Impedance(0.15, 0.015), 0.16, 4.31e-3, 260.0, 100.0),
         InverterConfig("B", 9000.0, Impedance(0.30, 0.017), 0.12, 4.45e-3, 259.0, 100.0),
@@ -238,8 +237,8 @@ def test_operating_points_bundle_the_per_inverter_view():
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
     v = sol.v_pcc.to_complex()
     refs = (0.01, 0.04)
+    _, v_gq = q_components(grid, sol.v_pcc, zeq, inj, z_series, refs)
     for p, ref in enumerate(refs):
-        _, v_gq = q_components(grid, sol.v_pcc, zeq, inj, z_series, ref)
         i_p = inj.s[p] / abs(v)
         v_g = v + i_p * z_series[p].to_complex() * cmath.exp(1j * inj.theta_cg[p])
         projected = (v_g * cmath.exp(-1j * ref)).imag
