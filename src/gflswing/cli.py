@@ -520,7 +520,7 @@ def _cct_dict(r: CctResult) -> dict:
         "cct_s": r.cct,
         "bracket_lo_s": r.bracket_lo,
         "bracket_hi_s": r.bracket_hi,
-        "evaluations": r.evaluations,
+        "evaluations": len(r.evaluation_log),
         "loss_order": list(r.loss_order),
         "evaluation_log": [
             {"clear_interval_s": tau, "stable": stable} for tau, stable in r.evaluation_log
@@ -534,10 +534,6 @@ def _cct_dict(r: CctResult) -> dict:
 
 def _provenance(config: RunConfig) -> dict[str, str]:
     return {"config_sha256": config.sha256, "tool_version": TOOL_VERSION}
-
-
-def _fleet_echo(config: RunConfig) -> list[dict]:
-    return config.resolved["fleet"]
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +562,8 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     summary = {
         "command": "simulate",
         "verdict": _verdict_dict(verdict),
-        "cct": None,
-        "comparison": None,
         "scenario": config.resolved["scenario"],
-        "fleet": _fleet_echo(config),
+        "fleet": config.resolved["fleet"],
         "solver_failure_t_s": traj.solver_failure_t,
         "outputs": {"trajectory_csv": "trajectory.csv"},
         "provenance": _provenance(config),

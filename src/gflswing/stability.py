@@ -69,12 +69,12 @@ class StabilityVerdict:
 
 @dataclass(frozen=True, slots=True)
 class CctResult:
-    """Bisection outcome with its evaluation log and monotonicity audit."""
+    """Bisection outcome with its evaluation log (one entry per simulated
+    clearing step) and monotonicity audit."""
 
     cct: float
     bracket_lo: float
     bracket_hi: float
-    evaluations: int
     loss_order: tuple[str, ...]
     evaluation_log: tuple[tuple[float, bool], ...]
     audit: tuple[tuple[float, bool], ...]
@@ -203,10 +203,6 @@ def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
     return [(traj.fleet[p].name, t) for p, t in trips]
 
 
-def _scenario_with_interval(base: FaultScenario, interval: float) -> FaultScenario:
-    return replace(base, t_clear=base.t_fault + interval)
-
-
 def find_cct(
     fleet: Sequence[InverterConfig],
     grid: GridModel,
@@ -223,9 +219,11 @@ def find_cct(
     narrower than resolution.
 
     Requires a stable verdict at t_min and an unstable one at t_max
-    (BracketInvalid otherwise). Both final endpoints are re-verified by
-    confirmation runs, and audit_samples evenly spaced clearing intervals
-    are classified to audit the monotonicity assumption; a non-monotone
+    (BracketInvalid otherwise). simulate snaps clearing to the step grid, so
+    each clearing step is simulated once and every interval on it reuses that
+    verdict; the deterministic simulator needs no confirmation runs. The loss
+    order comes from the run that set bracket_hi. audit_samples evenly spaced
+    clearing intervals audit the monotonicity assumption; a non-monotone
     verdict sequence is reported through the result, not raised.
     """
     if resolution <= 0.0:
@@ -239,58 +237,45 @@ def find_cct(
             f"t_fault + t_max + settle_window = {needed:.6g} s"
         )
 
-    evaluations = 0
     log: list[tuple[float, bool]] = []
-    cache: dict[float, bool] = {}
+    # clearing step -> (stable, loss order names of an unstable run)
+    cache: dict[int, tuple[bool, tuple[str, ...]]] = {}
 
-    def run(interval: float) -> bool:
-        nonlocal evaluations
-        if interval not in cache:
-            traj = simulate(fleet, grid, _scenario_with_interval(base_scenario, interval), opts)
-            stable = classify(traj, settle_tol, settle_window).stable
-            evaluations += 1
-            log.append((interval, stable))
-            cache[interval] = stable
-        return cache[interval]
+    def run(interval: float) -> tuple[bool, tuple[str, ...]]:
+        scenario = replace(base_scenario, t_clear=base_scenario.t_fault + interval)
+        k_clear = round(scenario.t_clear / scenario.dt)
+        if k_clear not in cache:
+            traj = simulate(fleet, grid, scenario, opts)
+            verdict = classify(traj, settle_tol, settle_window)
+            loss: tuple[str, ...] = ()
+            if not verdict.stable:
+                try:
+                    loss = tuple(name for name, _ in sync_loss_order(traj))
+                except EmptyOrder:
+                    loss = (verdict.first_unstable,)
+            log.append((interval, verdict.stable))
+            cache[k_clear] = (verdict.stable, loss)
+        return cache[k_clear]
 
-    lo_stable = run(t_min)
-    hi_stable = run(t_max)
+    lo_stable, _ = run(t_min)
+    hi_stable, loss = run(t_max)
     if not lo_stable or hi_stable:
         raise BracketInvalid(lo_stable, hi_stable)
 
     lo, hi = t_min, t_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if run(mid):
+        mid_stable, mid_loss = run(mid)
+        if mid_stable:
             lo = mid
         else:
-            hi = mid
-
-    # Confirmation runs at the final bracket endpoints.
-    confirm_lo = classify(
-        simulate(fleet, grid, _scenario_with_interval(base_scenario, lo), opts),
-        settle_tol,
-        settle_window,
-    )
-    confirm_hi_traj = simulate(fleet, grid, _scenario_with_interval(base_scenario, hi), opts)
-    confirm_hi = classify(confirm_hi_traj, settle_tol, settle_window)
-    evaluations += 2
-    if not confirm_lo.stable or confirm_hi.stable:
-        raise RuntimeError(
-            "bisection endpoints failed confirmation; the simulator is expected "
-            "to be deterministic"
-        )
-
-    try:
-        loss = tuple(name for name, _ in sync_loss_order(confirm_hi_traj))
-    except EmptyOrder:
-        loss = (confirm_hi.first_unstable,) if confirm_hi.first_unstable else ()
+            hi, loss = mid, mid_loss
 
     audit: list[tuple[float, bool]] = []
     k = max(2, audit_samples)
     for j in range(k):
         tau = t_max if j == k - 1 else t_min + (t_max - t_min) * j / (k - 1)
-        audit.append((tau, run(tau)))
+        audit.append((tau, run(tau)[0]))
     transitions = sum(
         1 for a, b in zip(audit, audit[1:]) if a[1] != b[1]
     )
@@ -300,7 +285,6 @@ def find_cct(
         cct=0.5 * (lo + hi),
         bracket_lo=lo,
         bracket_hi=hi,
-        evaluations=evaluations,
         loss_order=loss,
         evaluation_log=tuple(log),
         audit=tuple(audit),

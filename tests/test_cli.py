@@ -212,6 +212,7 @@ def test_cmd_cct_writes_bisection_result(small_config_path, tmp_path):
     assert payload["monotonic"] is True
     assert len(payload["audit"]) == 5
     assert payload["evaluation_log"]
+    assert payload["evaluations"] == len(payload["evaluation_log"])
     assert payload["provenance"]["config_sha256"] == cfg.sha256
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from gflswing import stability
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -152,8 +153,64 @@ def test_find_cct_brackets_the_trip_boundary():
     assert res.cct == pytest.approx(8e-4, abs=1.5e-4)
     assert res.loss_order[0] == "B"
     assert res.monotonic
-    assert res.evaluations >= len(res.audit)
+    assert len(res.evaluation_log) >= len(res.audit)
     assert dict(res.evaluation_log)  # non-empty log of (interval, verdict)
+
+
+def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
+    """find_cct with stability.simulate counted: (result, clearing step of
+    every simulate call in order)."""
+    steps: list[int] = []
+
+    def counting(fleet, grid, scenario, opts=None):
+        steps.append(round(scenario.t_clear / scenario.dt))
+        return simulate(fleet, grid, scenario, opts)
+
+    monkeypatch.setattr(stability, "simulate", counting)
+    return find_cct(fleet, grid, scenario, *args, **kwargs), steps
+
+
+def _reference_cct(monkeypatch, cfg, scenario):
+    c = cfg.cct
+    return _counting_find_cct(
+        monkeypatch, cfg.fleet, cfg.grid, scenario, c.t_min, c.t_max, c.resolution,
+        cfg.settle_tol, cfg.settle_window, cfg.solver, c.audit_samples,
+    )
+
+
+def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
+    # 2 bracket + 7 bisection runs, and the audit adds only 3.425 ms: its
+    # 1.275 ms and 2.35 ms intervals snap to bisection steps, and 0.2 ms
+    # and 4.5 ms are the bracket itself.
+    res, steps = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    assert len(steps) == 10
+    assert len(res.evaluation_log) == len(steps) == len(set(steps))
+    assert len(res.audit) == 5
+
+
+def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
+    # At depth 0.7 clearing at t_max trips a fifth unit that clearing at
+    # bracket_hi does not, so the order must come from the bracket_hi run.
+    cfg = table_config
+    scenario = replace(cfg.scenario, fault_depth=0.7)
+    res, _ = _reference_cct(monkeypatch, cfg, scenario)
+    at_hi = replace(scenario, t_clear=scenario.t_fault + res.bracket_hi)
+    order = sync_loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
+    assert res.loss_order == tuple(name for name, _ in order)
+    at_max = replace(scenario, t_clear=scenario.t_fault + cfg.cct.t_max)
+    assert len(sync_loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
+
+
+def test_find_cct_resolution_below_dt_reuses_verdicts(monkeypatch):
+    scenario = _base_scenario()
+    resolution = scenario.dt / 4
+    res, steps = _counting_find_cct(
+        monkeypatch, _fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
+        resolution=resolution, settle_tol=0.02, settle_window=2e-3,
+    )
+    assert res.bracket_hi - res.bracket_lo <= resolution
+    assert len(steps) == len(set(steps)) == len(res.evaluation_log)
+    assert res.monotonic
 
 
 def test_find_cct_rejects_depthless_fault():
