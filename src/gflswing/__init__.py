@@ -7,19 +7,13 @@ fault-on and post-fault intervals, applies current limiting and trip logic,
 and estimates critical clearing times by bisection.
 """
 
-from gflswing.phasor import (
-    Impedance,
-    Phasor,
-    from_polar,
-    line_impedance,
-    parallel,
-)
 from gflswing.network import (
-    EquivalentImpedanceSet,
     GridModel,
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
+    line_impedance,
+    parallel,
 )
 from gflswing.pcc import (
     InjectionState,
@@ -58,16 +52,12 @@ from gflswing.stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Impedance",
-    "Phasor",
-    "from_polar",
-    "line_impedance",
-    "parallel",
-    "EquivalentImpedanceSet",
     "GridModel",
     "TheveninEquivalent",
     "equivalent_impedance",
     "faulted_grid",
+    "line_impedance",
+    "parallel",
     "InjectionState",
     "NonConvergence",
     "PccSolution",

@@ -13,6 +13,7 @@ Exit codes: 0 stable / success, 2 unstable, 1 error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import itertools
 import json
@@ -39,8 +40,7 @@ from gflswing.dynamics import (
     absolute_tol,
     simulate,
 )
-from gflswing.network import GridModel, TheveninEquivalent
-from gflswing.phasor import Impedance, from_polar, line_impedance
+from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.stability import (
     DEFAULT_AUDIT_SAMPLES,
     DEFAULT_SETTLE_TOL_RAD,
@@ -118,6 +118,19 @@ def _expect_map(value: Any, path: str) -> dict:
     return value
 
 
+def _finite(value: Any, where: str) -> float:
+    """value as a float; booleans, non-numbers, NaN and +-inf are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return number
+
+
 def _get_num(
     section: dict,
     key: str,
@@ -132,10 +145,7 @@ def _get_num(
         if required:
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
+    value = _finite(section[key], f"{path}.{key}")
     if minimum is not None:
         if strict_min and value <= minimum:
             raise ConfigError(f"{path}.{key}: must be > {minimum}, got {value}")
@@ -146,7 +156,14 @@ def _get_num(
     return value
 
 
-def _get_impedance(section: dict, key: str, path: str, default: Impedance | None = None) -> Impedance:
+def _get_int(section: dict, key: str, path: str, default: int, minimum: int) -> int:
+    value = _get_num(section, key, path, default=default, minimum=minimum)
+    if value != int(value):
+        raise ConfigError(f"{path}.{key}: must be a whole number, got {value}")
+    return int(value)
+
+
+def _get_impedance(section: dict, key: str, path: str, default: complex | None = None) -> complex:
     if key not in section or section[key] is None:
         if default is not None:
             return default
@@ -154,7 +171,7 @@ def _get_impedance(section: dict, key: str, path: str, default: Impedance | None
     m = _expect_map(section[key], f"{path}.{key}")
     r = _get_num(m, "r", f"{path}.{key}", required=True, minimum=0.0)
     x = _get_num(m, "x", f"{path}.{key}", required=True)
-    return Impedance(r, x)
+    return complex(r, x)
 
 
 def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
@@ -170,7 +187,7 @@ def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
     v_nominal = _get_num(g, "v_nominal_volts", "grid", default=v_mag,
                          minimum=0.0, strict_min=True)
 
-    prefault = TheveninEquivalent(from_polar(v_mag, v_angle), z_th)
+    prefault = TheveninEquivalent(cmath.rect(v_mag, v_angle), z_th)
     faulted = None
     faulted_resolved = None
     if g.get("faulted") is not None:
@@ -182,19 +199,19 @@ def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
             raise ConfigError(
                 f"grid.faulted.v_th_volts: fault-on voltage {fv} exceeds pre-fault {v_mag}"
             )
-        faulted = TheveninEquivalent(from_polar(fv, fa), fz)
+        faulted = TheveninEquivalent(cmath.rect(fv, fa), fz)
         faulted_resolved = {
             "v_th_volts": fv,
             "v_th_angle_rad": fa,
-            "z_th_ohms": {"r": fz.r, "x": fz.x},
+            "z_th_ohms": {"r": fz.real, "x": fz.imag},
         }
 
     model = GridModel(prefault, z_load, faulted)
     resolved = {
         "v_th_volts": v_mag,
         "v_th_angle_rad": v_angle,
-        "z_th_ohms": {"r": z_th.r, "x": z_th.x},
-        "z_load_ohms": {"r": z_load.r, "x": z_load.x},
+        "z_th_ohms": {"r": z_th.real, "x": z_th.imag},
+        "z_load_ohms": {"r": z_load.real, "x": z_load.imag},
         "frequency_hz": frequency,
         "v_nominal_volts": v_nominal,
         "faulted": faulted_resolved,
@@ -252,7 +269,7 @@ def _parse_fleet(raw: dict, v_nominal: float, frequency: float) -> tuple[tuple[I
                 "s_rated_va": s_rated,
                 "line_resistance_ohm": r_line,
                 "line_inductance_uh": l_uh,
-                "line_reactance_ohm": cfg.z_line.x,
+                "line_reactance_ohm": cfg.z_line.imag,
                 "virtual_resistance_ohm": r_virtual,
                 "kp": kp,
                 "ki": ki,
@@ -275,8 +292,10 @@ def _parse_scenario(raw: dict, dt_override: float | None) -> tuple[FaultScenario
     t_end = _get_num(s, "t_end_s", "scenario", required=True, minimum=0.0, strict_min=True)
     dt = _get_num(s, "dt_s", "scenario", required=True, minimum=0.0, strict_min=True)
     if dt_override is not None:
-        if dt_override <= 0.0:
-            raise ConfigError("scenario.dt_s: --dt override must be > 0")
+        if not math.isfinite(dt_override) or dt_override <= 0.0:
+            raise ConfigError(
+                f"scenario.dt_s: --dt override must be finite and > 0, got {dt_override}"
+            )
         dt = dt_override
     try:
         scenario = FaultScenario(t_fault, t_clear, depth, t_end, dt)
@@ -296,7 +315,7 @@ def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
     s = _expect_map(raw.get("solver") or {}, "solver")
     defaults = SolverOptions()
     tol_rel = _get_num(s, "tol_rel", "solver", default=DEFAULT_TOL_REL, minimum=0.0, strict_min=True)
-    max_iter = _get_num(s, "max_iter", "solver", default=defaults.max_iter, minimum=1)
+    max_iter = _get_int(s, "max_iter", "solver", default=defaults.max_iter, minimum=1)
     damping = _get_num(s, "damping", "solver", default=defaults.damping, minimum=0.0,
                        strict_min=True, maximum=1.0)
     lag_mode = s.get("lag_mode", False)
@@ -304,13 +323,13 @@ def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
         raise ConfigError(f"solver.lag_mode: expected a boolean, got {lag_mode!r}")
     opts = SolverOptions(
         tol=absolute_tol(tol_rel, v_th_mag),
-        max_iter=int(max_iter),
+        max_iter=max_iter,
         damping=damping,
         lag_mode=lag_mode,
     )
     resolved = {
         "tol_rel": tol_rel,
-        "max_iter": int(max_iter),
+        "max_iter": max_iter,
         "damping": damping,
         "lag_mode": lag_mode,
     }
@@ -331,8 +350,8 @@ def _parse_stability(raw: dict) -> tuple[float, float, CctSettings | None, dict]
         t_max = _get_num(c, "t_max_s", "stability.cct", required=True, minimum=0.0, strict_min=True)
         resolution = _get_num(c, "resolution_s", "stability.cct", required=True,
                               minimum=0.0, strict_min=True)
-        samples = int(_get_num(c, "audit_samples", "stability.cct",
-                               default=DEFAULT_AUDIT_SAMPLES, minimum=2))
+        samples = _get_int(c, "audit_samples", "stability.cct",
+                           default=DEFAULT_AUDIT_SAMPLES, minimum=2)
         if t_min >= t_max:
             raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
         cct = CctSettings(t_min, t_max, resolution, samples)
@@ -363,12 +382,7 @@ def _parse_sweep(raw: dict) -> tuple[dict[str, tuple[float, ...]] | None, dict |
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{key}: expected a non-empty list of numbers")
-        parsed = []
-        for j, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep.axes.{key}[{j}]: expected a number, got {v!r}")
-            parsed.append(float(v))
-        axes[key] = tuple(parsed)
+        axes[key] = tuple(_finite(v, f"sweep.axes.{key}[{j}]") for j, v in enumerate(values))
     resolved = {"axes": {k: list(v) for k, v in axes.items()}}
     return (axes or None), resolved
 
@@ -395,7 +409,7 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     grid, v_nominal, frequency, grid_resolved = _parse_grid(raw)
     fleet, fleet_resolved = _parse_fleet(raw, v_nominal, frequency)
     scenario, scenario_resolved = _parse_scenario(raw, dt_override)
-    solver, solver_resolved = _parse_solver(raw, grid.prefault.v_th.magnitude())
+    solver, solver_resolved = _parse_solver(raw, abs(grid.prefault.v_th))
     settle_tol, settle_window, cct, stability_resolved = _parse_stability(raw)
     sweep_axes, sweep_resolved = _parse_sweep(raw)
 
@@ -656,8 +670,8 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
             {
                 "name": c.name,
                 "s_rated_va": c.s_rated,
-                "line_resistance_ohm": c.z_line.r,
-                "line_reactance_ohm": c.z_line.x,
+                "line_resistance_ohm": c.z_line.real,
+                "line_reactance_ohm": c.z_line.imag,
                 "virtual_resistance_ohm": c.r_virtual,
                 "kp": c.kp,
                 "ki": c.ki,
@@ -691,7 +705,7 @@ def _apply_cell(config: RunConfig, cell: dict[str, float]):
         fleet = tuple(replace(c, s_rated=c.s_rated * cell["s_scale"]) for c in fleet)
     if "xr_scale" in cell:
         fleet = tuple(
-            replace(c, z_line=Impedance(c.z_line.r, c.z_line.x * cell["xr_scale"]))
+            replace(c, z_line=complex(c.z_line.real, c.z_line.imag * cell["xr_scale"]))
             for c in fleet
         )
     if "fault_depth" in cell:

@@ -13,12 +13,12 @@ synchronism shows up as unbounded drift instead of wrap-around.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from gflswing.network import (
-    EquivalentImpedanceSet,
     GridModel,
     TheveninEquivalent,
     equivalent_impedance,
@@ -31,7 +31,6 @@ from gflswing.pcc import (
     q_components,
     solve_vpcc,
 )
-from gflswing.phasor import Impedance, Phasor
 
 __all__ = [
     "InverterConfig",
@@ -74,7 +73,7 @@ class InverterConfig:
 
     name: str
     s_rated: float
-    z_line: Impedance
+    z_line: complex
     r_virtual: float
     kp: float
     ki: float
@@ -94,9 +93,9 @@ class InverterConfig:
         if self.trip_holdoff < 0.0:
             raise ValueError(f"{self.name}: trip_holdoff must be non-negative")
 
-    def z_total(self) -> Impedance:
+    def z_total(self) -> complex:
         """Series line plus virtual impedance."""
-        return Impedance(self.z_line.r + self.r_virtual, self.z_line.x)
+        return self.z_line + self.r_virtual
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,7 +251,7 @@ def _build_injections(
 
 def _record(
     t: float,
-    v: Phasor,
+    v: complex,
     theta_used: Sequence[float],
     theta_cg: Sequence[float],
     i_mag: Sequence[float],
@@ -262,10 +261,10 @@ def _record(
 ) -> TrajectoryRecord:
     """Sample one step; i_q follows the injection angles that actually
     flowed during the step (theta_used)."""
-    v_angle = math.atan2(v.im, v.re)
+    v_angle = cmath.phase(v)
     return TrajectoryRecord(
         t=t,
-        v_pcc_mag=v.magnitude(),
+        v_pcc_mag=abs(v),
         v_pcc_angle=v_angle,
         theta_cg=tuple(theta_cg),
         i_mag=tuple(i_mag),
@@ -279,27 +278,27 @@ def _record(
 def find_equilibrium(
     fleet: Sequence[InverterConfig],
     grid: TheveninEquivalent,
-    zeq: EquivalentImpedanceSet,
+    zeq: Sequence[complex],
     opts: SolverOptions | None = None,
 ) -> SimState:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
     Alternates the PCC voltage solve with per-inverter re-locking of the
-    injection angle until both are self-consistent. Fails when a unit would
-    exceed its current ceiling at rest or no lock angle exists.
+    injection angle until both are self-consistent. At lock, v_gq = 0 in
+    the unit's frame theta gives
+
+        |v_pcc| sin(theta - angle(v_pcc)) = Im(z_series i e^{j pf_angle}).
+
+    Fails when a unit would exceed its current ceiling at rest or no lock
+    angle exists.
     """
     if not fleet:
         raise ValueError("fleet must be non-empty")
     opts = opts or SolverOptions()
-    v_th_mag = grid.v_th.magnitude()
-    tol = opts.resolve_tol(v_th_mag)
+    tol = opts.resolve_tol(abs(grid.v_th))
     n = len(fleet)
-    z_series = [cfg.z_total() for cfg in fleet]
-    psi = [z.angle() for z in z_series]
-    z_abs = [z.magnitude() for z in z_series]
 
-    v_th_angle = math.atan2(grid.v_th.im, grid.v_th.re)
-    theta = [v_th_angle] * n
+    theta = [cmath.phase(grid.v_th)] * n
     tripped = [False] * n
     limited = [False] * n
 
@@ -313,8 +312,8 @@ def find_equilibrium(
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
-        v_mag = v.magnitude()
-        v_angle = math.atan2(v.im, v.re)
+        v_mag = abs(v)
+        v_angle = cmath.phase(v)
         max_delta = 0.0
         for p, cfg in enumerate(fleet):
             i_p = cfg.s_rated / v_mag
@@ -323,7 +322,8 @@ def find_equilibrium(
                     f"{cfg.name}: rated current {i_p:.2f} A exceeds the "
                     f"{cfg.i_max:.2f} A ceiling at the pre-fault voltage"
                 )
-            b = i_p * z_abs[p] * math.sin(cfg.pf_angle + psi[p]) / v_mag
+            drop = cfg.z_total() * i_p * cmath.exp(1j * cfg.pf_angle)
+            b = drop.imag / v_mag
             if abs(b) > 1.0:
                 raise InitializationFailure(
                     f"{cfg.name}: no locked injection angle exists (|{b:.3f}| > 1)"
@@ -336,7 +336,7 @@ def find_equilibrium(
     else:
         raise InitializationFailure("pre-fault lock iteration did not converge")
 
-    v_mag = v.magnitude()
+    v_mag = abs(v)
     theta_cg = [theta[p] + fleet[p].pf_angle for p in range(n)]
     record = _record(
         0.0, v, theta_cg, theta_cg, [cfg.s_rated / v_mag for cfg in fleet],
@@ -349,7 +349,7 @@ def step(
     state: SimState,
     fleet: Sequence[InverterConfig],
     grid_now: TheveninEquivalent,
-    zeq_now: EquivalentImpedanceSet,
+    zeq_now: Sequence[complex],
     dt: float,
     opts: SolverOptions | None = None,
     theta_cg_ref: Sequence[float] | None = None,
@@ -363,7 +363,7 @@ def step(
     Tripped units are frozen and inject nothing from the following step.
     """
     opts = opts or SolverOptions()
-    tol = opts.resolve_tol(grid_now.v_th.magnitude())
+    tol = opts.resolve_tol(abs(grid_now.v_th))
     n = len(fleet)
     rec = state.record
     t_new = rec.t + dt
@@ -387,13 +387,13 @@ def step(
         sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
     else:
         limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
-        if grid_now.v_th.magnitude() == 0.0:
+        if grid_now.v_th == 0.0:
             # Collapsed source: every live unit saturates at once.
             limited = [not t for t in tripped]
         inj = _build_injections(fleet, theta_cg_old, tripped, limited)
         sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
         for _ in range(n + 1):
-            v_mag = sol.v_pcc.magnitude()
+            v_mag = abs(sol.v_pcc)
             if v_mag == 0.0:
                 raise ZeroVoltage("PCC voltage collapsed to zero during a step")
             want = [
@@ -407,7 +407,7 @@ def step(
             sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
 
     v = sol.v_pcc
-    v_mag = v.magnitude()
+    v_mag = abs(v)
     if v_mag == 0.0:
         raise ZeroVoltage("PCC voltage collapsed to zero during a step")
     z_series = [cfg.z_total() for cfg in fleet]
@@ -463,7 +463,7 @@ def simulate(
     opts = opts or SolverOptions()
     # One tolerance for the whole run, against the pre-fault source as in
     # find_equilibrium and the config loader.
-    opts = replace(opts, tol=opts.resolve_tol(grid.prefault.v_th.magnitude()))
+    opts = replace(opts, tol=opts.resolve_tol(abs(grid.prefault.v_th)))
     fleet = tuple(fleet)
 
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)

@@ -1,5 +1,6 @@
 """Thevenin-equivalent reduction of the grid seen by the inverter fleet.
 
+Voltages and impedances are Python ``complex`` numbers in volts and ohms.
 The feeder behind the point of common coupling is collapsed to one voltage
 source behind one impedance, with separate pre-fault and fault-on
 equivalents. Source voltage, source impedance and the series load impedance
@@ -9,10 +10,9 @@ not quantities derivable from the fleet itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
-
-from gflswing.phasor import Impedance, Phasor, parallel
 
 if TYPE_CHECKING:
     from gflswing.dynamics import InverterConfig
@@ -20,22 +20,53 @@ if TYPE_CHECKING:
 __all__ = [
     "TheveninEquivalent",
     "GridModel",
-    "EquivalentImpedanceSet",
     "equivalent_impedance",
     "faulted_grid",
+    "line_impedance",
+    "parallel",
 ]
+
+# Pairs whose series sum falls below this are treated as degenerate
+# (antiresonant) and rejected by parallel().
+MIN_PARALLEL_SUM_OHM = 1e-12
+
+
+def line_impedance(r: float, l: float, f: float) -> complex:
+    """Series line impedance of a resistance r (ohm) and inductance l (H) at f (Hz)."""
+    if f <= 0.0:
+        raise ValueError(f"frequency must be positive, got {f}")
+    if r < 0.0:
+        raise ValueError(f"line resistance must be non-negative, got {r}")
+    if l < 0.0:
+        raise ValueError(f"line inductance must be non-negative, got {l}")
+    return complex(r, 2.0 * math.pi * f * l)
+
+
+def parallel(a: complex, b: complex) -> complex:
+    """Parallel combination a*b/(a+b).
+
+    Rejects pairs whose series sum magnitude is below MIN_PARALLEL_SUM_OHM;
+    such antiresonant pairs have no meaningful parallel equivalent.
+    """
+    s = a + b
+    if abs(s) < MIN_PARALLEL_SUM_OHM:
+        raise ValueError(
+            f"degenerate parallel pair: |a + b| = {abs(s):.3e} ohm is below "
+            f"{MIN_PARALLEL_SUM_OHM:.0e}"
+        )
+    return a * b / s
 
 
 @dataclass(frozen=True, slots=True)
 class TheveninEquivalent:
     """Single voltage source v_th behind a series impedance z_th."""
 
-    v_th: Phasor
-    z_th: Impedance
+    v_th: complex
+    z_th: complex
 
     def __post_init__(self) -> None:
-        if self.z_th.r < 0.0:
-            raise ValueError(f"Thevenin resistance must be non-negative, got {self.z_th.r}")
+        if self.z_th.real < 0.0:
+            raise ValueError(f"Thevenin resistance must be non-negative, got {self.z_th.real}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,49 +79,28 @@ class GridModel:
     """
 
     prefault: TheveninEquivalent
-    z_load: Impedance
+    z_load: complex
     faulted: TheveninEquivalent | None = None
 
     def __post_init__(self) -> None:
         if self.faulted is not None:
-            if self.faulted.v_th.magnitude() > self.prefault.v_th.magnitude() + 1e-12:
+            if abs(self.faulted.v_th) > abs(self.prefault.v_th) + 1e-12:
                 raise ValueError(
                     "fault-on source voltage exceeds the pre-fault voltage: "
-                    f"{self.faulted.v_th.magnitude():.6g} > {self.prefault.v_th.magnitude():.6g}"
+                    f"{abs(self.faulted.v_th):.6g} > {abs(self.prefault.v_th):.6g}"
                 )
-
-
-@dataclass(frozen=True, slots=True)
-class EquivalentImpedanceSet:
-    """Per-inverter equivalent impedance z_eq and its angle gamma."""
-
-    z_eq: tuple[Impedance, ...]
-    gamma: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.z_eq) != len(self.gamma):
-            raise ValueError("z_eq and gamma must have the same length")
-
-    def __len__(self) -> int:
-        return len(self.z_eq)
 
 
 def equivalent_impedance(
     fleet: Sequence["InverterConfig"],
     grid: TheveninEquivalent,
-    z_load: Impedance,
-) -> EquivalentImpedanceSet:
+    z_load: complex,
+) -> tuple[complex, ...]:
     """Per-inverter z_eq = (z_line + z_virtual) || (z_th + z_load)."""
     if not fleet:
         raise ValueError("equivalent_impedance needs a non-empty fleet")
     z_grid = grid.z_th + z_load
-    z_eq = []
-    gamma = []
-    for cfg in fleet:
-        z = parallel(cfg.z_total(), z_grid)
-        z_eq.append(z)
-        gamma.append(z.angle())
-    return EquivalentImpedanceSet(tuple(z_eq), tuple(gamma))
+    return tuple(parallel(cfg.z_total(), z_grid) for cfg in fleet)
 
 
 def faulted_grid(grid: GridModel, fault_depth: float) -> TheveninEquivalent:
@@ -104,5 +114,4 @@ def faulted_grid(grid: GridModel, fault_depth: float) -> TheveninEquivalent:
         raise ValueError(f"fault_depth must lie in [0, 1], got {fault_depth}")
     if grid.faulted is not None:
         return grid.faulted
-    scale = 1.0 - fault_depth
-    return TheveninEquivalent(grid.prefault.v_th.scaled(scale), grid.prefault.z_th)
+    return TheveninEquivalent((1.0 - fault_depth) * grid.prefault.v_th, grid.prefault.z_th)

@@ -16,16 +16,19 @@ implemented.
 The q-axis components each PLL needs come from the same superposition: the
 complex sum v_th + sum_i z_eq_i i_i e^{j theta_i} is built once and rotated
 into every unit's own frame, so one call serves the whole fleet.
+
+Voltages and impedances are Python ``complex`` numbers in volts and ohms;
+the equivalent impedances come from network.equivalent_impedance.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from gflswing.network import EquivalentImpedanceSet, TheveninEquivalent
-from gflswing.phasor import Impedance, Phasor
+from gflswing.network import TheveninEquivalent
 
 __all__ = [
     "InjectionState",
@@ -88,14 +91,12 @@ class InjectionState:
 
 @dataclass(frozen=True, slots=True)
 class PccSolution:
-    v_pcc: Phasor
+    v_pcc: complex
     residual: float
     iterations: int
 
 
-def _aggregate(
-    zeq: EquivalentImpedanceSet, inj: InjectionState
-) -> tuple[complex, complex]:
+def _aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, complex]:
     """Split the injection sum into a 1/|v| part C and a constant part D.
 
     rhs(v) = v_th + D + C / |v|, with C collecting constant-power inverters
@@ -107,7 +108,7 @@ def _aggregate(
     for k in range(len(inj)):
         th = inj.theta_cg[k]
         unit = complex(math.cos(th), math.sin(th))
-        z = zeq.z_eq[k].to_complex()
+        z = zeq[k]
         if fixed is not None and fixed[k] is not None:
             d += z * fixed[k] * unit
         else:
@@ -117,7 +118,7 @@ def _aggregate(
 
 def solve_vpcc(
     grid: TheveninEquivalent,
-    zeq: EquivalentImpedanceSet,
+    zeq: Sequence[complex],
     inj: InjectionState,
     tol: float,
     max_iter: int,
@@ -138,7 +139,7 @@ def solve_vpcc(
     if len(zeq) != len(inj):
         raise ValueError("impedance set and injection state sizes differ")
 
-    v_th = grid.v_th.to_complex()
+    v_th = grid.v_th
     v_th_mag = abs(v_th)
     c, d = _aggregate(zeq, inj)
 
@@ -154,7 +155,7 @@ def solve_vpcc(
             raise ZeroVoltage(
                 f"explicit solution magnitude {abs(v):.3e} V is numerically zero"
             )
-        return PccSolution(Phasor.from_complex(v), 0.0, 1)
+        return PccSolution(v, 0.0, 1)
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
@@ -173,7 +174,7 @@ def solve_vpcc(
         rhs = w + c / r
         residual = abs(v - rhs)
         if residual <= tol:
-            return PccSolution(Phasor.from_complex(v), residual, iterations)
+            return PccSolution(v, residual, iterations)
         v = (1.0 - damping) * v + damping * rhs
 
     # Newton fallback on F(v) = v - w - C/|v| with its closed-form Jacobian.
@@ -188,7 +189,7 @@ def solve_vpcc(
         f = v - w - c / r
         residual = abs(f)
         if residual <= tol:
-            return PccSolution(Phasor.from_complex(v), residual, iterations)
+            return PccSolution(v, residual, iterations)
         r3 = r * r * r
         j11 = 1.0 + c.real * x / r3
         j12 = c.real * y / r3
@@ -217,10 +218,10 @@ def solve_vpcc(
 
 def q_components(
     grid: TheveninEquivalent,
-    v_pcc: Phasor,
-    zeq: EquivalentImpedanceSet,
+    v_pcc: complex,
+    zeq: Sequence[complex],
     inj: InjectionState,
-    z_series: Sequence[Impedance],
+    z_series: Sequence[complex],
     ref_angles: Sequence[float],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """q-axis components of the PCC and generation voltages, one per unit frame.
@@ -229,26 +230,26 @@ def q_components(
     is summed once and rotated into each unit's frame ref_p:
 
         v_pcc_q[p] = Im(total e^{-j ref_p})
-        v_gq[p]    = v_pcc_q[p] + |z_series_p| i_p sin(theta_p + psi_p - ref_p)
+        v_gq[p]    = v_pcc_q[p] + Im(z_series_p i_p e^{j (theta_p - ref_p)})
 
-    with i_p = s_p / |v_pcc| (or the pinned fixed current) and psi_p the
-    angle of the series impedance. The cost is O(n) for the whole fleet.
+    with i_p = s_p / |v_pcc| (or the pinned fixed current). The cost is O(n)
+    for the whole fleet.
     """
-    v_mag = v_pcc.magnitude()
+    v_mag = abs(v_pcc)
     if v_mag <= 0.0:
         raise ValueError("q_components requires |v_pcc| > 0")
     if len(z_series) != len(inj) or len(ref_angles) != len(inj):
         raise ValueError("z_series and ref_angles must match the fleet size")
 
     c, d = _aggregate(zeq, inj)
-    total = grid.v_th.to_complex() + d + c / v_mag
+    total = grid.v_th + d + c / v_mag
     fixed = inj.i_fixed
     v_pcc_q = []
     v_gq = []
     for p, ref in enumerate(ref_angles):
         q = total.imag * math.cos(ref) - total.real * math.sin(ref)
         i_p = fixed[p] if fixed is not None and fixed[p] is not None else inj.s[p] / v_mag
-        z = z_series[p]
+        drop = z_series[p] * i_p * cmath.exp(1j * (inj.theta_cg[p] - ref))
         v_pcc_q.append(q)
-        v_gq.append(q + z.magnitude() * i_p * math.sin(inj.theta_cg[p] + z.angle() - ref))
+        v_gq.append(q + drop.imag)
     return tuple(v_pcc_q), tuple(v_gq)

@@ -21,7 +21,6 @@ from gflswing.dynamics import (
     simulate,
 )
 from gflswing.network import GridModel
-from gflswing.phasor import Impedance
 
 __all__ = [
     "StabilityVerdict",
@@ -305,8 +304,8 @@ def uniform_fleet_of(fleet: Sequence[InverterConfig]) -> tuple[InverterConfig, .
     mean = InverterConfig(
         name="Uni",
         s_rated=fmean(c.s_rated for c in fleet),
-        z_line=Impedance(
-            fmean(c.z_line.r for c in fleet), fmean(c.z_line.x for c in fleet)
+        z_line=complex(
+            fmean(c.z_line.real for c in fleet), fmean(c.z_line.imag for c in fleet)
         ),
         r_virtual=fmean(c.r_virtual for c in fleet),
         kp=fmean(c.kp for c in fleet),

@@ -20,13 +20,12 @@ import pytest
 from gflswing.cli import cmd_sweep
 from gflswing.dynamics import find_equilibrium, simulate
 from gflswing.network import (
-    EquivalentImpedanceSet,
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
+    line_impedance,
 )
 from gflswing.pcc import InjectionState, q_components, solve_vpcc
-from gflswing.phasor import Impedance, from_polar, line_impedance
 from gflswing.stability import classify, compare_uniform, find_cct, sync_loss_order
 from helpers_oracles import newton_fd_vpcc
 
@@ -69,7 +68,7 @@ def criterion(number, description, budget_s):
 def test_criterion_01_line_impedance_table():
     for r, l_uh, xr in XR_TABLE:
         z = line_impedance(r, l_uh * 1e-6, 60.0)
-        assert z.xr_ratio() == pytest.approx(xr, rel=5e-3)
+        assert z.imag / z.real == pytest.approx(xr, rel=5e-3)
 
 
 @criterion(2, "fixed-point solves match an independent Newton oracle", 10.0)
@@ -79,7 +78,7 @@ def test_criterion_02_fixed_point_correctness():
         n = rng.randint(1, 3)
         v_mag = rng.uniform(110, 400)
         grid = TheveninEquivalent(
-            from_polar(v_mag, rng.uniform(-0.2, 0.2)), Impedance(0.1, 0.05)
+            cmath.rect(v_mag, rng.uniform(-0.2, 0.2)), complex(0.1, 0.05)
         )
         zc, s, th = [], [], []
         budget = 0.15 * v_mag * v_mag
@@ -88,21 +87,18 @@ def test_criterion_02_fixed_point_correctness():
             zc.append(z)
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
-        zeq = EquivalentImpedanceSet(
-            tuple(Impedance(z.real, z.imag) for z in zc),
-            tuple(cmath.phase(z) for z in zc),
-        )
+        zeq = tuple(zc)
         sol = solve_vpcc(grid, zeq, InjectionState(tuple(s), tuple(th)),
                          tol=1e-10 * v_mag, max_iter=100)
-        got = sol.v_pcc.to_complex()
-        v_th = grid.v_th.to_complex()
+        got = sol.v_pcc
+        v_th = grid.v_th
         assert abs(got - v_th) < 0.2 * v_mag  # perturbation regime guard
         oracle = newton_fd_vpcc(v_th, zc, s, th)
         assert abs(got - oracle) <= 1e-6 * abs(oracle), f"case {case}"
 
         zero = solve_vpcc(grid, zeq, InjectionState((0.0,) * n, tuple(th)),
                           tol=1e-10 * v_mag, max_iter=100)
-        assert abs(zero.v_pcc.to_complex() - v_th) <= 1e-12 * v_mag
+        assert abs(zero.v_pcc - v_th) <= 1e-12 * v_mag
 
 
 @criterion(3, "each unit's q components equal the complex projection in its frame", 5.0)
@@ -110,30 +106,27 @@ def test_criterion_03_termwise_complex_agreement():
     rng = random.Random(777)
     for _ in range(1000):
         n = rng.randint(1, 5)
-        v_th = from_polar(rng.uniform(50, 400), rng.uniform(-math.pi, math.pi))
-        grid = TheveninEquivalent(v_th, Impedance(0.1, 0.1))
+        v_th = cmath.rect(rng.uniform(50, 400), rng.uniform(-math.pi, math.pi))
+        grid = TheveninEquivalent(v_th, complex(0.1, 0.1))
         zc = [complex(rng.uniform(0.01, 0.5), rng.uniform(-0.2, 0.5)) for _ in range(n)]
-        zeq = EquivalentImpedanceSet(
-            tuple(Impedance(z.real, z.imag) for z in zc),
-            tuple(cmath.phase(z) for z in zc),
-        )
+        zeq = tuple(zc)
         s = tuple(rng.uniform(0, 2e4) for _ in range(n))
         th = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
-        z_series = [Impedance(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3))
+        z_series = [complex(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3))
                     for _ in range(n)]
-        v_pcc = from_polar(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
+        v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, refs)
 
-        v_mag = v_pcc.magnitude()
-        total = v_th.to_complex()
+        v_mag = abs(v_pcc)
+        total = v_th
         for k in range(n):
             total += zc[k] * (s[k] / v_mag) * cmath.exp(1j * th[k])
-        scale = max(abs(total), v_th.magnitude())
+        scale = max(abs(total), abs(v_th))
         for p in range(n):
             rot = cmath.exp(-1j * refs[p])
             assert abs(q[p] - (total * rot).imag) <= 1e-9 * scale
-            full = total + z_series[p].to_complex() * (s[p] / v_mag) * cmath.exp(1j * th[p])
+            full = total + z_series[p] * (s[p] / v_mag) * cmath.exp(1j * th[p])
             assert abs(v_gq[p] - (full * rot).imag) <= 1e-9 * max(abs(full), scale)
 
 
@@ -158,7 +151,7 @@ def test_criterion_05_loss_order(table_config):
     deep = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
 
     equalized = tuple(
-        replace(c, z_line=Impedance(c.z_line.r, c.z_line.r * 0.08))
+        replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
         for c in cfg.fleet
     )
     order = sync_loss_order(simulate(equalized, cfg.grid, deep, cfg.solver))
@@ -302,14 +295,14 @@ def test_criterion_10_trip_cascade(table_config):
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)
-    tol = cfg.solver.resolve_tol(cfg.grid.prefault.v_th.magnitude())
+    tol = cfg.solver.resolve_tol(abs(cfg.grid.prefault.v_th))
 
     with_all = solve_vpcc(fault, zeq_f, InjectionState(s_all, theta), tol, 100)
     without_first = solve_vpcc(
         fault, zeq_f, InjectionState((0.0,) + s_all[1:], theta), tol, 100
     )
-    v_a = with_all.v_pcc.magnitude()
-    v_b = without_first.v_pcc.magnitude()
+    v_a = abs(with_all.v_pcc)
+    v_b = abs(without_first.v_pcc)
     assert v_b < v_a
     for s in s_all[1:]:
         assert s / v_b > s / v_a

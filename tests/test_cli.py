@@ -86,6 +86,57 @@ def test_zero_dt_is_rejected_with_field_address(tmp_path):
     assert "scenario.dt_s" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("kp: 4.31e-3", "kp: .nan", r"fleet\[0\]\.kp"),
+    ("ki: 260.0", "ki: 1" + "0" * 400, r"fleet\[0\]\.ki"),
+    ("stability:\n", "sweep:\n  axes:\n    fault_depth: [0.4, .nan]\nstability:\n",
+     r"sweep\.axes\.fault_depth\[1\]"),
+], ids=["nan_gain", "int_beyond_float", "nan_sweep_value"])
+def test_non_finite_numbers_are_rejected_with_field_address(tmp_path, old, new, field):
+    # A NaN gain would otherwise load and read as a loss of synchronism.
+    p = tmp_path / "non_finite.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{field}: must be finite"):
+        load_config(p)
+
+
+def test_infinite_end_time_is_a_config_error(tmp_path, capsys):
+    # An infinite t_end would otherwise overflow the step count mid-run.
+    p = tmp_path / "inf.yaml"
+    p.write_text(SMALL_CONFIG.replace("t_end_s: 8.0e-3", "t_end_s: .inf"), encoding="utf-8")
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "scenario.t_end_s: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_non_finite_dt_override_is_rejected(small_config_path, dt):
+    with pytest.raises(ConfigError, match="scenario.dt_s: --dt override must be finite"):
+        load_config(small_config_path, dt_override=dt)
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("stability:\n", "solver:\n  max_iter: 2.5\nstability:\n", "solver.max_iter"),
+    ("audit_samples: 5", "audit_samples: 3.9", "stability.cct.audit_samples"),
+], ids=["max_iter", "audit_samples"])
+def test_non_integral_integer_fields_are_rejected(tmp_path, old, new, field):
+    p = tmp_path / "frac.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{field}: must be a whole number"):
+        load_config(p)
+
+
+def test_whole_valued_floats_load_as_their_integers(tmp_path, small_config_path):
+    p = tmp_path / "whole.yaml"
+    p.write_text(
+        SMALL_CONFIG.replace("stability:\n", "solver:\n  max_iter: 100.0\nstability:\n")
+        .replace("audit_samples: 5", "audit_samples: 5.0"),
+        encoding="utf-8",
+    )
+    cfg = load_config(p)
+    assert cfg.solver.max_iter == 100 and cfg.cct.audit_samples == 5
+    assert cfg.sha256 == load_config(small_config_path).sha256
+
+
 def test_missing_imax_gets_documented_default_and_echo(tmp_path):
     text = SMALL_CONFIG.replace("    i_max_a: 55.0\n", "")
     p = tmp_path / "defaulted.yaml"
@@ -191,6 +242,20 @@ def test_provenance_hash_ignores_formatting(tmp_path):
     b.write_text("# a comment\n" + SMALL_CONFIG.replace(
         "  t_fault_s: 1.0e-3", "  t_fault_s:   0.001"), encoding="utf-8")
     assert load_config(a).sha256 == load_config(b).sha256
+
+
+# The hash covers the resolved echo of every section, impedances included, so
+# a change in how the package stores numbers must leave these values alone.
+BUNDLED_SHA256 = {
+    "table1.yaml": "f07a8f672afb51b27aeac49efe5c6b519258e064b22acefcfea1b0b56368e718",
+    "table1_uncleared.yaml": "913814137c1ffd3e26986992f1af7d9cbddf278c87c9c326c1bb64d4acc3492c",
+    "table1_nofault.yaml": "2fb88a0338666211fc05a1b6ba6a7f22dfb22edcd750c5f602b5d2d6e2b023eb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
+def test_bundled_config_provenance_hash_is_pinned(name):
+    assert load_config(bundled_config_path(name)).sha256 == BUNDLED_SHA256[name]
 
 
 def test_provenance_hash_tracks_semantic_changes(tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gflswing.dynamics import InverterConfig
-from gflswing.network import EquivalentImpedanceSet, TheveninEquivalent
+from gflswing.network import TheveninEquivalent
 from gflswing.pcc import (
     InjectionState,
     NonConvergence,
@@ -13,7 +13,6 @@ from gflswing.pcc import (
     q_components,
     solve_vpcc,
 )
-from gflswing.phasor import Impedance, from_polar
 from helpers_oracles import (
     grid_zoom_vpcc,
     newton_fd_vpcc,
@@ -21,13 +20,12 @@ from helpers_oracles import (
 )
 
 
-def _zeq(*pairs) -> EquivalentImpedanceSet:
-    zs = tuple(Impedance(r, x) for r, x in pairs)
-    return EquivalentImpedanceSet(zs, tuple(z.angle() for z in zs))
+def _zeq(*pairs) -> tuple[complex, ...]:
+    return tuple(complex(r, x) for r, x in pairs)
 
 
 def _grid(mag=230.0, ang=0.0, z=(0.2, 0.1)) -> TheveninEquivalent:
-    return TheveninEquivalent(from_polar(mag, ang), Impedance(*z))
+    return TheveninEquivalent(cmath.rect(mag, ang), complex(*z))
 
 
 def test_zero_injection_returns_source_voltage_exactly():
@@ -35,8 +33,8 @@ def test_zero_injection_returns_source_voltage_exactly():
     zeq = _zeq((0.1, 0.05), (0.2, 0.1))
     inj = InjectionState((0.0, 0.0), (0.0, 0.0))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
-    assert sol.v_pcc.re == grid.v_th.re
-    assert sol.v_pcc.im == grid.v_th.im
+    assert sol.v_pcc.real == grid.v_th.real
+    assert sol.v_pcc.imag == grid.v_th.imag
     assert sol.iterations == 1
     assert sol.residual == 0.0
 
@@ -47,7 +45,7 @@ def test_single_inverter_matches_grid_search_oracle():
     inj = InjectionState((6000.0,), (0.0,))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
     oracle = grid_zoom_vpcc(230 + 0j, [0.1 + 0.05j], [6000.0], [0.0])
-    got = sol.v_pcc.to_complex()
+    got = sol.v_pcc
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
     # residual re-checked against a fresh evaluation of the equation
     assert pcc_residual(got, 230 + 0j, [0.1 + 0.05j], [6000.0], [0.0]) <= 1e-10
@@ -55,22 +53,19 @@ def test_single_inverter_matches_grid_search_oracle():
 
 def test_two_inverter_case_matches_newton_oracle():
     # Fleet rows 1 and 2 of the reference design against a 1.0 + j0.5 feeder
-    z1 = Impedance(0.15 + 0.16, 2 * math.pi * 60 * 40e-6)
-    z2 = Impedance(0.30 + 0.12, 2 * math.pi * 60 * 45e-6)
+    z1 = complex(0.15 + 0.16, 2 * math.pi * 60 * 40e-6)
+    z2 = complex(0.30 + 0.12, 2 * math.pi * 60 * 45e-6)
     z_grid = 1.0 + 0.5j
     zc = [
-        (z1.to_complex() * z_grid) / (z1.to_complex() + z_grid),
-        (z2.to_complex() * z_grid) / (z2.to_complex() + z_grid),
+        (z1 * z_grid) / (z1 + z_grid),
+        (z2 * z_grid) / (z2 + z_grid),
     ]
-    zeq = EquivalentImpedanceSet(
-        tuple(Impedance(z.real, z.imag) for z in zc),
-        tuple(cmath.phase(z) for z in zc),
-    )
+    zeq = tuple(zc)
     grid = _grid()
     inj = InjectionState((6000.0, 9000.0), (0.05, 0.03))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
     oracle = newton_fd_vpcc(230 + 0j, zc, [6000.0, 9000.0], [0.05, 0.03])
-    assert abs(sol.v_pcc.to_complex() - oracle) <= 1e-8 * abs(oracle)
+    assert abs(sol.v_pcc - oracle) <= 1e-8 * abs(oracle)
 
 
 def test_randomized_small_fleets_match_newton_oracle():
@@ -86,14 +81,11 @@ def test_randomized_small_fleets_match_newton_oracle():
             zc.append(z)
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
-        zeq = EquivalentImpedanceSet(
-            tuple(Impedance(z.real, z.imag) for z in zc),
-            tuple(cmath.phase(z) for z in zc),
-        )
+        zeq = tuple(zc)
         inj = InjectionState(tuple(s), tuple(th))
         sol = solve_vpcc(grid, zeq, inj, tol=1e-10 * v_mag, max_iter=100)
-        oracle = newton_fd_vpcc(grid.v_th.to_complex(), zc, s, th)
-        assert abs(sol.v_pcc.to_complex() - oracle) <= 1e-6 * abs(oracle)
+        oracle = newton_fd_vpcc(grid.v_th, zc, s, th)
+        assert abs(sol.v_pcc - oracle) <= 1e-6 * abs(oracle)
 
 
 def test_solver_residual_meets_tolerance():
@@ -102,8 +94,8 @@ def test_solver_residual_meets_tolerance():
     inj = InjectionState((8000.0, 12000.0), (0.1, -0.2))
     tol = 1e-9 * 230
     sol = solve_vpcc(grid, zeq, inj, tol=tol, max_iter=100)
-    zc = [z.to_complex() for z in zeq.z_eq]
-    assert pcc_residual(sol.v_pcc.to_complex(), 230 + 0j, zc, list(inj.s), list(inj.theta_cg)) <= tol
+    zc = list(zeq)
+    assert pcc_residual(sol.v_pcc, 230 + 0j, zc, list(inj.s), list(inj.theta_cg)) <= tol
 
 
 def test_solver_reports_nonconvergence_when_budget_exhausted():
@@ -143,7 +135,7 @@ def test_fixed_current_entries_bypass_the_power_division():
     inj = InjectionState((123456.0,), (0.3,), i_fixed=(40.0,))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
     expected = 230 + (0.1 + 0.05j) * 40.0 * cmath.exp(0.3j)
-    assert sol.v_pcc.to_complex() == pytest.approx(expected, rel=1e-12)
+    assert sol.v_pcc == pytest.approx(expected, rel=1e-12)
     assert sol.iterations == 1
 
 
@@ -151,9 +143,9 @@ def test_q_components_zero_injection_gives_source_projection():
     grid = _grid(230.0, 0.12)
     zeq = _zeq((0.1, 0.05), (0.2, 0.02))
     inj = InjectionState((0.0, 0.0), (0.0, 0.0))
-    z_series = [Impedance(0.3, 0.01), Impedance(0.4, 0.02)]
+    z_series = [complex(0.3, 0.01), complex(0.4, 0.02)]
     refs = (0.05, -0.3)
-    q, v_gq = q_components(grid, from_polar(230.0, 0.12), zeq, inj, z_series, refs)
+    q, v_gq = q_components(grid, cmath.rect(230.0, 0.12), zeq, inj, z_series, refs)
     expected = tuple(230.0 * math.sin(0.12 - ref) for ref in refs)
     assert q == pytest.approx(expected, rel=1e-12)
     assert v_gq == pytest.approx(expected, rel=1e-12)
@@ -163,8 +155,8 @@ def test_q_components_aligned_terms_vanish():
     grid = _grid(230.0, 0.0)
     zeq = _zeq((0.1, 0.0), (0.2, 0.0))  # gamma = 0
     inj = InjectionState((5000.0, 7000.0), (0.0, 0.0))  # theta + gamma = 0
-    z_series = [Impedance(0.3, 0.0), Impedance(0.4, 0.0)]
-    q, v_gq = q_components(grid, from_polar(240.0, 0.0), zeq, inj, z_series, (0.0, 0.0))
+    z_series = [complex(0.3, 0.0), complex(0.4, 0.0)]
+    q, v_gq = q_components(grid, cmath.rect(240.0, 0.0), zeq, inj, z_series, (0.0, 0.0))
     assert q == pytest.approx((0.0, 0.0), abs=1e-12)
     assert v_gq == pytest.approx((0.0, 0.0), abs=1e-12)
 
@@ -173,31 +165,28 @@ def test_q_components_termwise_equals_complex_projection():
     rng = random.Random(2024)
     for _ in range(300):
         n = rng.randint(1, 5)
-        v_th = from_polar(rng.uniform(50, 400), rng.uniform(-math.pi, math.pi))
-        grid = TheveninEquivalent(v_th, Impedance(0.1, 0.1))
+        v_th = cmath.rect(rng.uniform(50, 400), rng.uniform(-math.pi, math.pi))
+        grid = TheveninEquivalent(v_th, complex(0.1, 0.1))
         zc = [complex(rng.uniform(0.01, 0.5), rng.uniform(-0.2, 0.5)) for _ in range(n)]
-        zeq = EquivalentImpedanceSet(
-            tuple(Impedance(z.real, z.imag) for z in zc),
-            tuple(cmath.phase(z) for z in zc),
-        )
+        zeq = tuple(zc)
         s = tuple(rng.uniform(0, 2e4) for _ in range(n))
         th = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         z_series = [
-            Impedance(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3)) for _ in range(n)
+            complex(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3)) for _ in range(n)
         ]
-        v_pcc = from_polar(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
+        v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, refs)
 
-        v_mag = v_pcc.magnitude()
-        total = v_th.to_complex()
+        v_mag = abs(v_pcc)
+        total = v_th
         for k in range(n):
             total += zc[k] * (s[k] / v_mag) * cmath.exp(1j * th[k])
-        scale = max(abs(total), v_th.magnitude())
+        scale = max(abs(total), abs(v_th))
         for p in range(n):
             rot = cmath.exp(-1j * refs[p])
             assert abs(q[p] - (total * rot).imag) <= 1e-9 * scale
-            full = total + z_series[p].to_complex() * (s[p] / v_mag) * cmath.exp(1j * th[p])
+            full = total + z_series[p] * (s[p] / v_mag) * cmath.exp(1j * th[p])
             assert abs(v_gq[p] - (full * rot).imag) <= 1e-9 * max(abs(full), scale)
 
 
@@ -206,7 +195,7 @@ def test_increasing_lagging_injection_weakly_depresses_q():
     # frame, so growing any s must not raise the solved q component.
     grid = _grid(230.0, 0.0, z=(0.1, 0.05))
     zeq = _zeq((0.12, 0.04), (0.18, 0.06), (0.09, 0.02))
-    z_series = [Impedance(0.3, 0.01)] * 3
+    z_series = [complex(0.3, 0.01)] * 3
     theta = (-0.9, -1.1, -0.7)
     base_s = [5000.0, 7000.0, 6000.0]
 
@@ -227,20 +216,20 @@ def test_operating_points_bundle_the_per_inverter_view():
     # At a solved PCC voltage, each unit's v_gq equals the q projection of
     # its generation voltage v_g = v_pcc + i z e^{j theta} onto its own frame.
     fleet = (
-        InverterConfig("A", 6000.0, Impedance(0.15, 0.015), 0.16, 4.31e-3, 260.0, 100.0),
-        InverterConfig("B", 9000.0, Impedance(0.30, 0.017), 0.12, 4.45e-3, 259.0, 100.0),
+        InverterConfig("A", 6000.0, complex(0.15, 0.015), 0.16, 4.31e-3, 260.0, 100.0),
+        InverterConfig("B", 9000.0, complex(0.30, 0.017), 0.12, 4.45e-3, 259.0, 100.0),
     )
     z_series = [cfg.z_total() for cfg in fleet]
     grid = _grid()
     zeq = _zeq((0.12, 0.03), (0.15, 0.04))
     inj = InjectionState((6000.0, 9000.0), (0.02, 0.05))
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
-    v = sol.v_pcc.to_complex()
+    v = sol.v_pcc
     refs = (0.01, 0.04)
     _, v_gq = q_components(grid, sol.v_pcc, zeq, inj, z_series, refs)
     for p, ref in enumerate(refs):
         i_p = inj.s[p] / abs(v)
-        v_g = v + i_p * z_series[p].to_complex() * cmath.exp(1j * inj.theta_cg[p])
+        v_g = v + i_p * z_series[p] * cmath.exp(1j * inj.theta_cg[p])
         projected = (v_g * cmath.exp(-1j * ref)).imag
         assert v_gq[p] == pytest.approx(projected, abs=5e-9 * abs(v))
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from gflswing.dynamics import (
     simulate,
 )
 from gflswing.network import GridModel, TheveninEquivalent
-from gflswing.phasor import Impedance, from_polar
 from gflswing.stability import (
     BracketInvalid,
     EmptyOrder,
@@ -26,16 +26,16 @@ from gflswing.stability import (
 
 def _fleet2():
     return (
-        InverterConfig("A", 6000.0, Impedance(0.15, 0.015), 0.16, 4.31e-3, 260.0, 55.0,
+        InverterConfig("A", 6000.0, complex(0.15, 0.015), 0.16, 4.31e-3, 260.0, 55.0,
                        trip_holdoff=8e-4),
-        InverterConfig("B", 12000.0, Impedance(0.35, 0.023), 0.0, 4.76e-3, 265.0, 55.0,
+        InverterConfig("B", 12000.0, complex(0.35, 0.023), 0.0, 4.76e-3, 265.0, 55.0,
                        trip_holdoff=8e-4),
     )
 
 
 def _grid2():
-    pre = TheveninEquivalent(from_polar(230.0, 0.0), Impedance(0.20, 0.10))
-    return GridModel(pre, Impedance(0.10, 0.05))
+    pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.20, 0.10))
+    return GridModel(pre, complex(0.10, 0.05))
 
 
 def _base_scenario():
@@ -238,14 +238,14 @@ def test_find_cct_validates_bracket_and_coverage():
 
 def test_uniform_fleet_preserves_totals():
     fleet = (
-        InverterConfig("A", 6000.0, Impedance(0.2, 0.02), 0.1, 4e-3, 250.0, 40.0),
-        InverterConfig("B", 12000.0, Impedance(0.2, 0.02), 0.1, 5e-3, 270.0, 60.0),
+        InverterConfig("A", 6000.0, complex(0.2, 0.02), 0.1, 4e-3, 250.0, 40.0),
+        InverterConfig("B", 12000.0, complex(0.2, 0.02), 0.1, 5e-3, 270.0, 60.0),
     )
     uni = uniform_fleet_of(fleet)
     assert len(uni) == 2
     assert all(c.s_rated == 9000.0 for c in uni)
     assert sum(c.s_rated for c in uni) == sum(c.s_rated for c in fleet)
-    assert all(c.z_line == Impedance(0.2, 0.02) for c in uni)
+    assert all(c.z_line == complex(0.2, 0.02) for c in uni)
     assert all(c.kp == pytest.approx(4.5e-3) for c in uni)
     assert all(c.i_max == pytest.approx(50.0) for c in uni)
     assert len({c.name for c in uni}) == 2

@@ -11,7 +11,6 @@ from gflswing import dynamics
 
 MODULES = (
     "gflswing",
-    "gflswing.phasor",
     "gflswing.network",
     "gflswing.pcc",
     "gflswing.dynamics",
