@@ -451,12 +451,19 @@ def simulate(
     grid: GridModel,
     scenario: FaultScenario,
     opts: SolverOptions | None = None,
+    *,
+    stop_at_first_trip: bool = False,
 ) -> Trajectory:
     """Run pre-fault, fault-on and post-fault intervals and record every step.
 
     Fault application and clearing snap to the nearest step boundary. A
     solver failure mid-run is recorded as instability onset: all remaining
     units are marked tripped at that step and the run stops there.
+
+    stop_at_first_trip ends the run at the first record in which any unit
+    is tripped; every record up to it is the one the full run records. A
+    trip decides the stability verdict, so a caller that needs only the
+    verdict can skip the rest of the cascade.
     """
     if not fleet:
         raise ValueError("fleet must be non-empty")
@@ -502,5 +509,7 @@ def simulate(
             )
             break
         records.append(state.record)
+        if stop_at_first_trip and True in state.record.tripped:
+            break
 
     return Trajectory(tuple(records), scenario, fleet, solver_failure_t)

@@ -220,10 +220,12 @@ def find_cct(
     Requires a stable verdict at t_min and an unstable one at t_max
     (BracketInvalid otherwise). simulate snaps clearing to the step grid, so
     each clearing step is simulated once and every interval on it reuses that
-    verdict; the deterministic simulator needs no confirmation runs. The loss
-    order comes from the run that set bracket_hi. audit_samples evenly spaced
-    clearing intervals audit the monotonicity assumption; a non-monotone
-    verdict sequence is reported through the result, not raised.
+    verdict; the deterministic simulator needs no confirmation runs. A trip
+    decides a verdict, so these runs stop at their first trip. The loss order
+    needs the whole cascade: bracket_hi's clearing step is simulated once more
+    to t_end for it. audit_samples evenly spaced clearing intervals audit the
+    monotonicity assumption; a non-monotone verdict sequence is reported
+    through the result, not raised.
     """
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -236,45 +238,45 @@ def find_cct(
             f"t_fault + t_max + settle_window = {needed:.6g} s"
         )
 
-    log: list[tuple[float, bool]] = []
-    # clearing step -> (stable, loss order names of an unstable run)
-    cache: dict[int, tuple[bool, tuple[str, ...]]] = {}
+    def scenario_at(interval: float) -> FaultScenario:
+        return replace(base_scenario, t_clear=base_scenario.t_fault + interval)
 
-    def run(interval: float) -> tuple[bool, tuple[str, ...]]:
-        scenario = replace(base_scenario, t_clear=base_scenario.t_fault + interval)
+    log: list[tuple[float, bool]] = []
+    cache: dict[int, bool] = {}  # clearing step -> stable
+
+    def run(interval: float) -> bool:
+        scenario = scenario_at(interval)
         k_clear = round(scenario.t_clear / scenario.dt)
         if k_clear not in cache:
-            traj = simulate(fleet, grid, scenario, opts)
-            verdict = classify(traj, settle_tol, settle_window)
-            loss: tuple[str, ...] = ()
-            if not verdict.stable:
-                try:
-                    loss = tuple(name for name, _ in sync_loss_order(traj))
-                except EmptyOrder:
-                    loss = (verdict.first_unstable,)
-            log.append((interval, verdict.stable))
-            cache[k_clear] = (verdict.stable, loss)
+            traj = simulate(fleet, grid, scenario, opts, stop_at_first_trip=True)
+            stable = classify(traj, settle_tol, settle_window).stable
+            log.append((interval, stable))
+            cache[k_clear] = stable
         return cache[k_clear]
 
-    lo_stable, _ = run(t_min)
-    hi_stable, loss = run(t_max)
+    lo_stable, hi_stable = run(t_min), run(t_max)
     if not lo_stable or hi_stable:
         raise BracketInvalid(lo_stable, hi_stable)
 
     lo, hi = t_min, t_max
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        mid_stable, mid_loss = run(mid)
-        if mid_stable:
+        if run(mid):
             lo = mid
         else:
-            hi, loss = mid, mid_loss
+            hi = mid
+
+    cascade = simulate(fleet, grid, scenario_at(hi), opts)
+    try:
+        loss = tuple(name for name, _ in sync_loss_order(cascade))
+    except EmptyOrder:
+        loss = (classify(cascade, settle_tol, settle_window).first_unstable,)
 
     audit: list[tuple[float, bool]] = []
     k = max(2, audit_samples)
     for j in range(k):
         tau = t_max if j == k - 1 else t_min + (t_max - t_min) * j / (k - 1)
-        audit.append((tau, run(tau)[0]))
+        audit.append((tau, run(tau)))
     transitions = sum(
         1 for a, b in zip(audit, audit[1:]) if a[1] != b[1]
     )

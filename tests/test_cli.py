@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -256,6 +257,17 @@ BUNDLED_SHA256 = {
 @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
 def test_bundled_config_provenance_hash_is_pinned(name):
     assert load_config(bundled_config_path(name)).sha256 == BUNDLED_SHA256[name]
+
+
+# cct.json of bundled table1.yaml: CCT, bracket, evaluation log, audit and loss
+# order. A change that only makes the search cheaper must leave it alone.
+TABLE1_CCT_JSON_SHA256 = "a5b6ca43a955999c56f9888fd7a2e1668ccf165bd7b96c19de53bb0012d7f539"
+
+
+def test_bundled_cct_json_is_pinned(tmp_path):
+    assert cmd_cct(load_config(bundled_config_path()), tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "cct.json").read_bytes()).hexdigest()
+    assert digest == TABLE1_CCT_JSON_SHA256
 
 
 def test_provenance_hash_tracks_semantic_changes(tmp_path):

@@ -224,6 +224,22 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
 
 
+def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
+    cfg = table_config
+    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
+    full = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
+    cut = simulate(cfg.fleet, cfg.grid, scen, cfg.solver, stop_at_first_trip=True).records
+    k_trip = next(k for k, rec in enumerate(full) if True in rec.tripped)
+    assert k_trip < len(full) - 1
+    assert cut == full[:k_trip + 1]
+
+
+def test_stop_at_first_trip_leaves_a_run_without_trips_whole(nofault_config):
+    cfg = nofault_config
+    cut = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver, stop_at_first_trip=True)
+    assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+
+
 def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config):
     # limited_since carries across steps: each unit trips exactly
     # trip_holdoff after its limiting began, including Inv 1, which starts

@@ -158,16 +158,30 @@ def test_find_cct_brackets_the_trip_boundary():
 
 
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
-    """find_cct with stability.simulate counted: (result, clearing step of
-    every simulate call in order)."""
-    steps: list[int] = []
+    """find_cct with stability.simulate recorded: (result, (stop_at_first_trip,
+    trajectory) of every simulate call in order)."""
+    runs: list[tuple[bool, Trajectory]] = []
 
-    def counting(fleet, grid, scenario, opts=None):
-        steps.append(round(scenario.t_clear / scenario.dt))
-        return simulate(fleet, grid, scenario, opts)
+    def counting(fleet, grid, scenario, opts=None, *, stop_at_first_trip=False):
+        traj = simulate(fleet, grid, scenario, opts, stop_at_first_trip=stop_at_first_trip)
+        runs.append((stop_at_first_trip, traj))
+        return traj
 
     monkeypatch.setattr(stability, "simulate", counting)
-    return find_cct(fleet, grid, scenario, *args, **kwargs), steps
+    return find_cct(fleet, grid, scenario, *args, **kwargs), runs
+
+
+def _clearing_steps(runs, stop_at_first_trip):
+    """Clearing step of every recorded run of one kind, in call order."""
+    return [
+        round(traj.scenario.t_clear / traj.scenario.dt)
+        for stop, traj in runs
+        if stop is stop_at_first_trip
+    ]
+
+
+def _step_of(scenario, interval):
+    return round((scenario.t_fault + interval) / scenario.dt)
 
 
 def _reference_cct(monkeypatch, cfg, scenario):
@@ -181,11 +195,25 @@ def _reference_cct(monkeypatch, cfg, scenario):
 def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
     # 2 bracket + 7 bisection runs, and the audit adds only 3.425 ms: its
     # 1.275 ms and 2.35 ms intervals snap to bisection steps, and 0.2 ms
-    # and 4.5 ms are the bracket itself.
-    res, steps = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    # and 4.5 ms are the bracket itself. One further run, to t_end, of
+    # bracket_hi's clearing step gives the loss order.
+    res, runs = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    steps = _clearing_steps(runs, True)
     assert len(steps) == 10
     assert len(res.evaluation_log) == len(steps) == len(set(steps))
     assert len(res.audit) == 5
+    assert _clearing_steps(runs, False) == [_step_of(table_config.scenario, res.bracket_hi)]
+
+
+def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
+    # 4 stable runs of 2,200 steps, 6 unstable ones that stop at step 450
+    # (Inv 4 trips the 1.5 ms holdoff after the 3 ms fault) and the full run
+    # of bracket_hi: 8,800 + 2,700 + 2,200 steps.
+    _, runs = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    for stop, traj in runs:
+        if stop:
+            assert not any(True in rec.tripped for rec in traj.records[:-1])
+    assert sum(len(traj.records) - 1 for _, traj in runs) == 13_700
 
 
 def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
@@ -193,7 +221,8 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     # bracket_hi does not, so the order must come from the bracket_hi run.
     cfg = table_config
     scenario = replace(cfg.scenario, fault_depth=0.7)
-    res, _ = _reference_cct(monkeypatch, cfg, scenario)
+    res, runs = _reference_cct(monkeypatch, cfg, scenario)
+    assert _clearing_steps(runs, False) == [_step_of(scenario, res.bracket_hi)]
     at_hi = replace(scenario, t_clear=scenario.t_fault + res.bracket_hi)
     order = sync_loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
     assert res.loss_order == tuple(name for name, _ in order)
@@ -204,12 +233,14 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
 def test_find_cct_resolution_below_dt_reuses_verdicts(monkeypatch):
     scenario = _base_scenario()
     resolution = scenario.dt / 4
-    res, steps = _counting_find_cct(
+    res, runs = _counting_find_cct(
         monkeypatch, _fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
         resolution=resolution, settle_tol=0.02, settle_window=2e-3,
     )
+    steps = _clearing_steps(runs, True)
     assert res.bracket_hi - res.bracket_lo <= resolution
     assert len(steps) == len(set(steps)) == len(res.evaluation_log)
+    assert _clearing_steps(runs, False) == [_step_of(scenario, res.bracket_hi)]
     assert res.monotonic
 
 
