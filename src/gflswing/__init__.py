@@ -20,6 +20,7 @@ from gflswing.pcc import (
     NonConvergence,
     PccSolution,
     ZeroVoltage,
+    aggregate,
     q_components,
     solve_vpcc,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "NonConvergence",
     "PccSolution",
     "ZeroVoltage",
+    "aggregate",
     "q_components",
     "solve_vpcc",
     "FaultScenario",

@@ -40,10 +40,13 @@ __all__ = [
     "SimState",
     "SolverOptions",
     "InitializationFailure",
+    "RunSetup",
     "pll_step",
     "limited_current",
     "find_equilibrium",
     "step",
+    "prepare_run",
+    "advance",
     "simulate",
     "DIVERGENCE_BOUND_RAD",
 ]
@@ -192,6 +195,27 @@ class SolverOptions:
 def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
     """Residual tolerance in volts: tol_rel times max(|v_th|, 1 V)."""
     return tol_rel * max(v_th_mag, 1.0)
+
+
+@dataclass(frozen=True, slots=True)
+class RunSetup:
+    """What every run of one fleet on one grid at one fault depth shares.
+
+    opts holds the tolerance resolved against the pre-fault source, as in
+    find_equilibrium and the config loader, for every step of the run.
+    zeq_pre and zeq_fault are the equivalent impedances before and during
+    the fault, fault_grid the faulted Thevenin equivalent and equilibrium
+    the locked pre-fault state, whose injection angles are the reference of
+    the divergence trip.
+    """
+
+    fleet: tuple[InverterConfig, ...]
+    grid: GridModel
+    opts: SolverOptions
+    zeq_pre: tuple[complex, ...]
+    fault_grid: TheveninEquivalent
+    zeq_fault: tuple[complex, ...]
+    equilibrium: SimState
 
 
 def pll_step(
@@ -411,7 +435,7 @@ def step(
     if v_mag == 0.0:
         raise ZeroVoltage("PCC voltage collapsed to zero during a step")
     z_series = [cfg.z_total() for cfg in fleet]
-    _, v_gq_all = q_components(grid_now, v, zeq_now, inj, z_series, state.theta)
+    _, v_gq_all = q_components(grid_now, v, sol.aggregate, inj, z_series, state.theta)
 
     theta = list(state.theta)
     integral = list(state.integral)
@@ -446,60 +470,70 @@ def step(
     return SimState(record, tuple(theta), tuple(integral), tuple(limited_since))
 
 
-def simulate(
+def prepare_run(
     fleet: Sequence[InverterConfig],
     grid: GridModel,
-    scenario: FaultScenario,
+    fault_depth: float,
     opts: SolverOptions | None = None,
-    *,
-    stop_at_first_trip: bool = False,
-) -> Trajectory:
-    """Run pre-fault, fault-on and post-fault intervals and record every step.
-
-    Fault application and clearing snap to the nearest step boundary. A
-    solver failure mid-run is recorded as instability onset: all remaining
-    units are marked tripped at that step and the run stops there.
-
-    stop_at_first_trip ends the run at the first record in which any unit
-    is tripped; every record up to it is the one the full run records. A
-    trip decides the stability verdict, so a caller that needs only the
-    verdict can skip the rest of the cascade.
-    """
+) -> RunSetup:
+    """The per-run setup of fleet on grid with a fault of fault_depth."""
     if not fleet:
         raise ValueError("fleet must be non-empty")
     opts = opts or SolverOptions()
-    # One tolerance for the whole run, against the pre-fault source as in
-    # find_equilibrium and the config loader.
     opts = replace(opts, tol=opts.resolve_tol(abs(grid.prefault.v_th)))
     fleet = tuple(fleet)
-
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
-    fault_ten = faulted_grid(grid, scenario.fault_depth)
+    fault_ten = faulted_grid(grid, fault_depth)
     zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
+    equilibrium = find_equilibrium(fleet, grid.prefault, zeq_pre, opts)
+    return RunSetup(fleet, grid, opts, zeq_pre, fault_ten, zeq_fault, equilibrium)
 
-    n_steps = round(scenario.t_end / scenario.dt)
-    k_fault = round(scenario.t_fault / scenario.dt)
-    k_clear = round(scenario.t_clear / scenario.dt) if scenario.t_clear is not None else None
 
-    state = find_equilibrium(fleet, grid.prefault, zeq_pre, opts)
-    theta_cg_ref = state.record.theta_cg
+def advance(
+    run: RunSetup,
+    scenario: FaultScenario,
+    records: list[TrajectoryRecord],
+    state: SimState,
+    k_stop: int | None = None,
+    *,
+    stop_at_first_trip: bool = False,
+    checkpoints: list[SimState] | None = None,
+) -> float | None:
+    """Step on from state, the state after step len(records) - 1, appending
+    the record of each step to records and, when checkpoints is given, the
+    state after it to checkpoints, so that records[k] is step k's record.
 
-    records = [state.record]
-    solver_failure_t: float | None = None
+    Step k is under the fault while k_fault <= k < k_clear, with fault
+    application and clearing snapped to the nearest step boundary. Two runs
+    of one setup that differ only in their clearing step therefore agree on
+    every step before the earlier one, and a run can continue from the
+    checkpoint of another at the step before it clears.
 
-    for k in range(1, n_steps + 1):
+    Stepping ends after step k_stop (by default the scenario's last step),
+    at the first record in which any unit is tripped when
+    stop_at_first_trip is set, or at a solver failure. A failure is
+    recorded as instability onset: the failed step's record marks every
+    unit tripped and injecting nothing, it has no checkpoint, and its time
+    is returned (None when no step failed).
+    """
+    dt = scenario.dt
+    k_fault = round(scenario.t_fault / dt)
+    k_clear = round(scenario.t_clear / dt) if scenario.t_clear is not None else None
+    if k_stop is None:
+        k_stop = round(scenario.t_end / dt)
+    theta_cg_ref = run.equilibrium.record.theta_cg
+    for k in range(len(records), k_stop + 1):
         on_fault = k >= k_fault and (k_clear is None or k < k_clear)
-        grid_now = fault_ten if on_fault else grid.prefault
-        zeq_now = zeq_fault if on_fault else zeq_pre
+        grid_now = run.fault_grid if on_fault else run.grid.prefault
+        zeq_now = run.zeq_fault if on_fault else run.zeq_pre
         try:
-            state = step(state, fleet, grid_now, zeq_now, scenario.dt, opts, theta_cg_ref)
+            state = step(state, run.fleet, grid_now, zeq_now, dt, run.opts, theta_cg_ref)
         except (NonConvergence, ZeroVoltage):
-            solver_failure_t = k * scenario.dt
-            n = len(fleet)
+            n = len(run.fleet)
             records.append(
                 replace(
                     records[-1],
-                    t=solver_failure_t,
+                    t=k * dt,
                     i_mag=(0.0,) * n,
                     i_q=(0.0,) * n,
                     v_gq=(0.0,) * n,
@@ -507,9 +541,28 @@ def simulate(
                     tripped=(True,) * n,
                 )
             )
-            break
+            return k * dt
         records.append(state.record)
+        if checkpoints is not None:
+            checkpoints.append(state)
         if stop_at_first_trip and True in state.record.tripped:
             break
+    return None
 
-    return Trajectory(tuple(records), scenario, fleet, solver_failure_t)
+
+def simulate(
+    fleet: Sequence[InverterConfig],
+    grid: GridModel,
+    scenario: FaultScenario,
+    opts: SolverOptions | None = None,
+) -> Trajectory:
+    """Run pre-fault, fault-on and post-fault intervals and record every step.
+
+    One per-run setup (prepare_run) and one pass of advance from the
+    equilibrium to t_end. A solver failure mid-run ends the run there, with
+    every remaining unit marked tripped (see advance).
+    """
+    run = prepare_run(fleet, grid, scenario.fault_depth, opts)
+    records = [run.equilibrium.record]
+    failure_t = advance(run, scenario, records, run.equilibrium)
+    return Trajectory(tuple(records), scenario, run.fleet, failure_t)

@@ -14,8 +14,9 @@ angle-aligned cases, and the conjugate variant is intentionally not
 implemented.
 
 The q-axis components each PLL needs come from the same superposition: the
-complex sum v_th + sum_i z_eq_i i_i e^{j theta_i} is built once and rotated
-into every unit's own frame, so one call serves the whole fleet.
+complex sum v_th + sum_i z_eq_i i_i e^{j theta_i} is built once, from the
+aggregate the voltage solve already formed, and rotated into every unit's
+own frame, so one call serves the whole fleet.
 
 Voltages and impedances are Python ``complex`` numbers in volts and ohms;
 the equivalent impedances come from network.equivalent_impedance.
@@ -35,6 +36,7 @@ __all__ = [
     "PccSolution",
     "NonConvergence",
     "ZeroVoltage",
+    "aggregate",
     "solve_vpcc",
     "q_components",
 ]
@@ -91,12 +93,16 @@ class InjectionState:
 
 @dataclass(frozen=True, slots=True)
 class PccSolution:
+    """The solved PCC voltage and the aggregate (C, D) of the injections it
+    solves for, which q_components takes at that voltage."""
+
     v_pcc: complex
     residual: float
     iterations: int
+    aggregate: tuple[complex, complex]
 
 
-def _aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, complex]:
+def aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, complex]:
     """Split the injection sum into a 1/|v| part C and a constant part D.
 
     rhs(v) = v_th + D + C / |v|, with C collecting constant-power inverters
@@ -141,7 +147,7 @@ def solve_vpcc(
 
     v_th = grid.v_th
     v_th_mag = abs(v_th)
-    c, d = _aggregate(zeq, inj)
+    c, d = agg = aggregate(zeq, inj)
 
     if v_th_mag == 0.0 and abs(c) > 0.0:
         raise ValueError(
@@ -155,7 +161,7 @@ def solve_vpcc(
             raise ZeroVoltage(
                 f"explicit solution magnitude {abs(v):.3e} V is numerically zero"
             )
-        return PccSolution(v, 0.0, 1)
+        return PccSolution(v, 0.0, 1, agg)
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
@@ -174,7 +180,7 @@ def solve_vpcc(
         rhs = w + c / r
         residual = abs(v - rhs)
         if residual <= tol:
-            return PccSolution(v, residual, iterations)
+            return PccSolution(v, residual, iterations, agg)
         v = (1.0 - damping) * v + damping * rhs
 
     # Newton fallback on F(v) = v - w - C/|v| with its closed-form Jacobian.
@@ -189,7 +195,7 @@ def solve_vpcc(
         f = v - w - c / r
         residual = abs(f)
         if residual <= tol:
-            return PccSolution(v, residual, iterations)
+            return PccSolution(v, residual, iterations, agg)
         r3 = r * r * r
         j11 = 1.0 + c.real * x / r3
         j12 = c.real * y / r3
@@ -219,15 +225,16 @@ def solve_vpcc(
 def q_components(
     grid: TheveninEquivalent,
     v_pcc: complex,
-    zeq: Sequence[complex],
+    agg: tuple[complex, complex],
     inj: InjectionState,
     z_series: Sequence[complex],
     ref_angles: Sequence[float],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """q-axis components of the PCC and generation voltages, one per unit frame.
 
-    The PCC right-hand side total = v_th + D + C / |v_pcc| (see _aggregate)
-    is summed once and rotated into each unit's frame ref_p:
+    agg is the aggregate (C, D) of inj: the one solve_vpcc returns, or
+    aggregate(zeq, inj) at any other v_pcc. The PCC right-hand side
+    total = v_th + D + C / |v_pcc| is rotated into each unit's frame ref_p:
 
         v_pcc_q[p] = Im(total e^{-j ref_p})
         v_gq[p]    = v_pcc_q[p] + Im(z_series_p i_p e^{j (theta_p - ref_p)})
@@ -241,7 +248,7 @@ def q_components(
     if len(z_series) != len(inj) or len(ref_angles) != len(inj):
         raise ValueError("z_series and ref_angles must match the fleet size")
 
-    c, d = _aggregate(zeq, inj)
+    c, d = agg
     total = grid.v_th + d + c / v_mag
     fixed = inj.i_fixed
     v_pcc_q = []

@@ -18,7 +18,9 @@ from gflswing.dynamics import (
     InverterConfig,
     SolverOptions,
     Trajectory,
-    simulate,
+    advance,
+    prepare_run,
+    simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
 )
 from gflswing.network import GridModel
 
@@ -68,7 +70,7 @@ class StabilityVerdict:
 
 @dataclass(frozen=True, slots=True)
 class CctResult:
-    """Bisection outcome with its evaluation log (one entry per simulated
+    """Bisection outcome with its evaluation log (one entry per decided
     clearing step) and monotonicity audit."""
 
     cct: float
@@ -218,14 +220,23 @@ def find_cct(
     narrower than resolution.
 
     Requires a stable verdict at t_min and an unstable one at t_max
-    (BracketInvalid otherwise). simulate snaps clearing to the step grid, so
-    each clearing step is simulated once and every interval on it reuses that
-    verdict; the deterministic simulator needs no confirmation runs. A trip
-    decides a verdict, so these runs stop at their first trip. The loss order
-    needs the whole cascade: bracket_hi's clearing step is simulated once more
-    to t_end for it. audit_samples evenly spaced clearing intervals audit the
-    monotonicity assumption; a non-monotone verdict sequence is reported
-    through the result, not raised.
+    (BracketInvalid otherwise). Clearing snaps to the step grid, so each
+    clearing step is decided once and every interval on it reuses that
+    verdict; the deterministic simulator needs no confirmation runs.
+
+    Every run shares its steps before its clearing step with the uncleared
+    fault-on run, which is stepped once, from the one equilibrium, until its
+    first trip or solver failure or up to the step before the latest
+    clearing step t_max can ask for. Its states are the checkpoints: the
+    run for clearing step k continues from the state after step k - 1. A
+    trip decides a verdict, so these runs stop at their first trip, and a
+    clearing step after the fault-on run's first trip or failure takes its
+    verdict from the fault-on run's records, identical up to that step,
+    without stepping. The loss order needs the whole cascade: bracket_hi's
+    run continues from its checkpoint to t_end for it. audit_samples evenly
+    spaced clearing intervals audit the monotonicity assumption; a
+    non-monotone verdict sequence is reported through the result, not
+    raised.
     """
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -241,14 +252,45 @@ def find_cct(
     def scenario_at(interval: float) -> FaultScenario:
         return replace(base_scenario, t_clear=base_scenario.t_fault + interval)
 
+    setup = prepare_run(fleet, grid, base_scenario.fault_depth, opts)
+    dt = base_scenario.dt
+    k_last = round(scenario_at(t_max).t_clear / dt)
+    fault_on = replace(base_scenario, t_clear=None)
+    fault_on_records = [setup.equilibrium.record]
+    checkpoints = [setup.equilibrium]
+    fault_on_failure_t = advance(
+        setup, fault_on, fault_on_records, setup.equilibrium, k_last - 1,
+        stop_at_first_trip=True, checkpoints=checkpoints,
+    )
+    # Step at which the fault-on run trips or fails (a failure's record marks
+    # every unit tripped), k_last if it does neither: a run still under the
+    # fault at that step trips or fails there too.
+    last = len(fault_on_records) - 1
+    k_decided = last if True in fault_on_records[last].tripped else k_last
+
+    def fork(scenario: FaultScenario, stop_at_first_trip: bool) -> Trajectory:
+        # From the step before clearing, or the fault-on run's last state if
+        # it ended earlier. A clearing step of 0 never applies the fault.
+        k = min(max(round(scenario.t_clear / dt), 1), len(checkpoints)) - 1
+        records = fault_on_records[: k + 1]
+        failure_t = advance(
+            setup, scenario, records, checkpoints[k], stop_at_first_trip=stop_at_first_trip
+        )
+        return Trajectory(tuple(records), scenario, setup.fleet, failure_t)
+
     log: list[tuple[float, bool]] = []
     cache: dict[int, bool] = {}  # clearing step -> stable
 
     def run(interval: float) -> bool:
         scenario = scenario_at(interval)
-        k_clear = round(scenario.t_clear / scenario.dt)
+        k_clear = round(scenario.t_clear / dt)
         if k_clear not in cache:
-            traj = simulate(fleet, grid, scenario, opts, stop_at_first_trip=True)
+            if k_clear > k_decided:
+                traj = Trajectory(
+                    tuple(fault_on_records), scenario, setup.fleet, fault_on_failure_t
+                )
+            else:
+                traj = fork(scenario, stop_at_first_trip=True)
             stable = classify(traj, settle_tol, settle_window).stable
             log.append((interval, stable))
             cache[k_clear] = stable
@@ -266,7 +308,7 @@ def find_cct(
         else:
             hi = mid
 
-    cascade = simulate(fleet, grid, scenario_at(hi), opts)
+    cascade = fork(scenario_at(hi), stop_at_first_trip=False)
     try:
         loss = tuple(name for name, _ in sync_loss_order(cascade))
     except EmptyOrder:

@@ -25,7 +25,7 @@ from gflswing.network import (
     faulted_grid,
     line_impedance,
 )
-from gflswing.pcc import InjectionState, q_components, solve_vpcc
+from gflswing.pcc import InjectionState, aggregate, q_components, solve_vpcc
 from gflswing.stability import classify, compare_uniform, find_cct, sync_loss_order
 from helpers_oracles import newton_fd_vpcc
 
@@ -116,7 +116,8 @@ def test_criterion_03_termwise_complex_agreement():
                     for _ in range(n)]
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
-        q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, refs)
+        inj = InjectionState(s, th)
+        q, v_gq = q_components(grid, v_pcc, aggregate(zeq, inj), inj, z_series, refs)
 
         v_mag = abs(v_pcc)
         total = v_th

@@ -4,14 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from gflswing import dynamics
+from gflswing import dynamics, pcc
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     SolverOptions,
+    Trajectory,
+    advance,
     find_equilibrium,
     limited_current,
     pll_step,
+    prepare_run,
     simulate,
     step,
 )
@@ -224,20 +227,56 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
 
 
+def _decision_run(cfg, scenario, checkpoints_to):
+    """The run of scenario, stopped at its first trip, continued from the
+    state after step checkpoints_to of the uncleared fault-on run."""
+    run = prepare_run(cfg.fleet, cfg.grid, scenario.fault_depth, cfg.solver)
+    records = [run.equilibrium.record]
+    checkpoints = [run.equilibrium]
+    fault_on = replace(scenario, t_clear=None)
+    assert advance(
+        run, fault_on, records, run.equilibrium, checkpoints_to, checkpoints=checkpoints
+    ) is None
+    failure_t = advance(run, scenario, records, checkpoints[-1], stop_at_first_trip=True)
+    return Trajectory(tuple(records), scenario, run.fleet, failure_t)
+
+
 def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
+    # Cleared 2 ms after a depth-0.6 fault, after Inv 4's 1.5 ms holdoff.
     cfg = table_config
-    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
+    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
     full = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
-    cut = simulate(cfg.fleet, cfg.grid, scen, cfg.solver, stop_at_first_trip=True).records
+    cut = _decision_run(cfg, scen, round(scen.t_fault / scen.dt)).records
     k_trip = next(k for k, rec in enumerate(full) if True in rec.tripped)
     assert k_trip < len(full) - 1
     assert cut == full[:k_trip + 1]
 
 
-def test_stop_at_first_trip_leaves_a_run_without_trips_whole(nofault_config):
-    cfg = nofault_config
-    cut = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver, stop_at_first_trip=True)
+def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
+    # table1 clears 1 ms after the fault; the run forks from the fault-on
+    # run's state one step before clearing.
+    cfg = table_config
+    k_clear = round(cfg.scenario.t_clear / cfg.scenario.dt)
+    cut = _decision_run(cfg, cfg.scenario, k_clear - 1)
     assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+
+
+def test_step_builds_the_aggregate_once_per_voltage_solve(table_config, monkeypatch):
+    # q_components takes the (C, D) aggregate that solve_vpcc converged with
+    # instead of building it again from the same injections.
+    counts = {"aggregate": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pcc, "aggregate", counting("aggregate", pcc.aggregate))
+    monkeypatch.setattr(dynamics, "solve_vpcc", counting("solve", dynamics.solve_vpcc))
+    cfg = table_config
+    simulate(cfg.fleet, cfg.grid, replace(cfg.scenario, t_end=6e-3), cfg.solver)
+    assert counts["aggregate"] == counts["solve"] > 600
 
 
 def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config):

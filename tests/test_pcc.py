@@ -10,6 +10,7 @@ from gflswing.pcc import (
     InjectionState,
     NonConvergence,
     ZeroVoltage,
+    aggregate,
     q_components,
     solve_vpcc,
 )
@@ -139,13 +140,27 @@ def test_fixed_current_entries_bypass_the_power_division():
     assert sol.iterations == 1
 
 
+def test_solution_carries_the_aggregate_it_solved_with():
+    # Explicit (fixed currents only) and iterated solves alike.
+    grid = _grid()
+    zeq = _zeq((0.1, 0.05), (0.2, 0.1))
+    for inj in (
+        InjectionState((0.0, 0.0), (0.3, -0.2), i_fixed=(40.0, 20.0)),
+        InjectionState((6000.0, 9000.0), (0.3, -0.2), i_fixed=(None, 20.0)),
+    ):
+        sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
+        assert sol.aggregate == aggregate(zeq, inj)
+
+
 def test_q_components_zero_injection_gives_source_projection():
     grid = _grid(230.0, 0.12)
     zeq = _zeq((0.1, 0.05), (0.2, 0.02))
     inj = InjectionState((0.0, 0.0), (0.0, 0.0))
     z_series = [complex(0.3, 0.01), complex(0.4, 0.02)]
     refs = (0.05, -0.3)
-    q, v_gq = q_components(grid, cmath.rect(230.0, 0.12), zeq, inj, z_series, refs)
+    q, v_gq = q_components(
+        grid, cmath.rect(230.0, 0.12), aggregate(zeq, inj), inj, z_series, refs
+    )
     expected = tuple(230.0 * math.sin(0.12 - ref) for ref in refs)
     assert q == pytest.approx(expected, rel=1e-12)
     assert v_gq == pytest.approx(expected, rel=1e-12)
@@ -156,7 +171,9 @@ def test_q_components_aligned_terms_vanish():
     zeq = _zeq((0.1, 0.0), (0.2, 0.0))  # gamma = 0
     inj = InjectionState((5000.0, 7000.0), (0.0, 0.0))  # theta + gamma = 0
     z_series = [complex(0.3, 0.0), complex(0.4, 0.0)]
-    q, v_gq = q_components(grid, cmath.rect(240.0, 0.0), zeq, inj, z_series, (0.0, 0.0))
+    q, v_gq = q_components(
+        grid, cmath.rect(240.0, 0.0), aggregate(zeq, inj), inj, z_series, (0.0, 0.0)
+    )
     assert q == pytest.approx((0.0, 0.0), abs=1e-12)
     assert v_gq == pytest.approx((0.0, 0.0), abs=1e-12)
 
@@ -176,7 +193,8 @@ def test_q_components_termwise_equals_complex_projection():
         ]
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
-        q, v_gq = q_components(grid, v_pcc, zeq, InjectionState(s, th), z_series, refs)
+        inj = InjectionState(s, th)
+        q, v_gq = q_components(grid, v_pcc, aggregate(zeq, inj), inj, z_series, refs)
 
         v_mag = abs(v_pcc)
         total = v_th
@@ -202,7 +220,7 @@ def test_increasing_lagging_injection_weakly_depresses_q():
     def solved_q(s):
         inj = InjectionState(tuple(s), theta)
         sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
-        q, _ = q_components(grid, sol.v_pcc, zeq, inj, z_series, (0.0,) * 3)
+        q, _ = q_components(grid, sol.v_pcc, sol.aggregate, inj, z_series, (0.0,) * 3)
         return q[0]
 
     q0 = solved_q(base_s)
@@ -226,7 +244,7 @@ def test_operating_points_bundle_the_per_inverter_view():
     sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
     v = sol.v_pcc
     refs = (0.01, 0.04)
-    _, v_gq = q_components(grid, sol.v_pcc, zeq, inj, z_series, refs)
+    _, v_gq = q_components(grid, sol.v_pcc, sol.aggregate, inj, z_series, refs)
     for p, ref in enumerate(refs):
         i_p = inj.s[p] / abs(v)
         v_g = v + i_p * z_series[p] * cmath.exp(1j * inj.theta_cg[p])

@@ -1,10 +1,11 @@
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from gflswing import stability
+from gflswing import dynamics, stability
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -158,26 +159,34 @@ def test_find_cct_brackets_the_trip_boundary():
 
 
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
-    """find_cct with stability.simulate recorded: (result, (stop_at_first_trip,
-    trajectory) of every simulate call in order)."""
-    runs: list[tuple[bool, Trajectory]] = []
+    """find_cct with its decisions and its loss-order run recorded: (result,
+    calls), where calls.decided holds every trajectory it classifies, in
+    order, calls.ordered every trajectory it takes the loss order from, and
+    calls.steps counts dynamics.step calls."""
+    calls = SimpleNamespace(decided=[], ordered=[], steps=0)
+    step = dynamics.step
 
-    def counting(fleet, grid, scenario, opts=None, *, stop_at_first_trip=False):
-        traj = simulate(fleet, grid, scenario, opts, stop_at_first_trip=stop_at_first_trip)
-        runs.append((stop_at_first_trip, traj))
-        return traj
+    def classifying(traj, *a, **kw):
+        calls.decided.append(traj)
+        return classify(traj, *a, **kw)
 
-    monkeypatch.setattr(stability, "simulate", counting)
-    return find_cct(fleet, grid, scenario, *args, **kwargs), runs
+    def ordering(traj):
+        calls.ordered.append(traj)
+        return sync_loss_order(traj)
+
+    def stepping(*a, **kw):
+        calls.steps += 1
+        return step(*a, **kw)
+
+    monkeypatch.setattr(stability, "classify", classifying)
+    monkeypatch.setattr(stability, "sync_loss_order", ordering)
+    monkeypatch.setattr(dynamics, "step", stepping)
+    return find_cct(fleet, grid, scenario, *args, **kwargs), calls
 
 
-def _clearing_steps(runs, stop_at_first_trip):
-    """Clearing step of every recorded run of one kind, in call order."""
-    return [
-        round(traj.scenario.t_clear / traj.scenario.dt)
-        for stop, traj in runs
-        if stop is stop_at_first_trip
-    ]
+def _clearing_steps(trajectories):
+    """Clearing step of every trajectory, in order."""
+    return [round(traj.scenario.t_clear / traj.scenario.dt) for traj in trajectories]
 
 
 def _step_of(scenario, interval):
@@ -193,27 +202,53 @@ def _reference_cct(monkeypatch, cfg, scenario):
 
 
 def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
-    # 2 bracket + 7 bisection runs, and the audit adds only 3.425 ms: its
-    # 1.275 ms and 2.35 ms intervals snap to bisection steps, and 0.2 ms
+    # 2 bracket + 7 bisection decisions, and the audit adds only 3.425 ms:
+    # its 1.275 ms and 2.35 ms intervals snap to bisection steps, and 0.2 ms
     # and 4.5 ms are the bracket itself. One further run, to t_end, of
     # bracket_hi's clearing step gives the loss order.
-    res, runs = _reference_cct(monkeypatch, table_config, table_config.scenario)
-    steps = _clearing_steps(runs, True)
+    res, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    steps = _clearing_steps(calls.decided)
     assert len(steps) == 10
     assert len(res.evaluation_log) == len(steps) == len(set(steps))
     assert len(res.audit) == 5
-    assert _clearing_steps(runs, False) == [_step_of(table_config.scenario, res.bracket_hi)]
+    assert _clearing_steps(calls.ordered) == [_step_of(table_config.scenario, res.bracket_hi)]
 
 
 def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
-    # 4 stable runs of 2,200 steps, 6 unstable ones that stop at step 450
-    # (Inv 4 trips the 1.5 ms holdoff after the 3 ms fault) and the full run
-    # of bracket_hi: 8,800 + 2,700 + 2,200 steps.
-    _, runs = _reference_cct(monkeypatch, table_config, table_config.scenario)
-    for stop, traj in runs:
-        if stop:
-            assert not any(True in rec.tripped for rec in traj.records[:-1])
-    assert sum(len(traj.records) - 1 for _, traj in runs) == 13_700
+    # The fault-on run stops at step 450, where Inv 4 trips the 1.5 ms
+    # holdoff after the 3 ms fault. The 4 stable decisions (clearing steps
+    # 320, 428, 441 and 448) continue from its state before their clearing
+    # step to step 2,200; the 6 unstable ones clear after step 450 and step
+    # nothing. The loss-order run continues from step 450 to 2,200:
+    # 450 + 1,881 + 1,773 + 1,760 + 1,753 + 1,750 steps.
+    _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
+    for traj in calls.decided:
+        assert not any(True in rec.tripped for rec in traj.records[:-1])
+    assert calls.steps == 9_367
+
+
+def test_find_cct_decisions_equal_full_runs_cut_at_their_first_trip(
+    table_config, monkeypatch
+):
+    # Every trajectory find_cct classifies is the full run of its clearing
+    # step cut at its first trip, every logged verdict (those taken from the
+    # fault-on run included) is the full run's, and the loss-order run is
+    # the full run of bracket_hi's clearing step.
+    cfg = table_config
+    res, calls = _reference_cct(monkeypatch, cfg, cfg.scenario)
+    for traj in calls.decided:
+        full = simulate(cfg.fleet, cfg.grid, traj.scenario, cfg.solver)
+        k_trip = next(
+            (k for k, rec in enumerate(full.records) if True in rec.tripped),
+            len(full.records) - 1,
+        )
+        assert traj.records == full.records[:k_trip + 1]
+    for interval, stable in res.evaluation_log:
+        at = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + interval)
+        full = simulate(cfg.fleet, cfg.grid, at, cfg.solver)
+        assert stable == classify(full, cfg.settle_tol, cfg.settle_window).stable
+    at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
+    assert calls.ordered == [simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver)]
 
 
 def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
@@ -221,8 +256,8 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     # bracket_hi does not, so the order must come from the bracket_hi run.
     cfg = table_config
     scenario = replace(cfg.scenario, fault_depth=0.7)
-    res, runs = _reference_cct(monkeypatch, cfg, scenario)
-    assert _clearing_steps(runs, False) == [_step_of(scenario, res.bracket_hi)]
+    res, calls = _reference_cct(monkeypatch, cfg, scenario)
+    assert _clearing_steps(calls.ordered) == [_step_of(scenario, res.bracket_hi)]
     at_hi = replace(scenario, t_clear=scenario.t_fault + res.bracket_hi)
     order = sync_loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
     assert res.loss_order == tuple(name for name, _ in order)
@@ -233,14 +268,14 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
 def test_find_cct_resolution_below_dt_reuses_verdicts(monkeypatch):
     scenario = _base_scenario()
     resolution = scenario.dt / 4
-    res, runs = _counting_find_cct(
+    res, calls = _counting_find_cct(
         monkeypatch, _fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
         resolution=resolution, settle_tol=0.02, settle_window=2e-3,
     )
-    steps = _clearing_steps(runs, True)
+    steps = _clearing_steps(calls.decided)
     assert res.bracket_hi - res.bracket_lo <= resolution
     assert len(steps) == len(set(steps)) == len(res.evaluation_log)
-    assert _clearing_steps(runs, False) == [_step_of(scenario, res.bracket_hi)]
+    assert _clearing_steps(calls.ordered) == [_step_of(scenario, res.bracket_hi)]
     assert res.monotonic
 
 
