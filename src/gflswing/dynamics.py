@@ -510,11 +510,12 @@ def advance(
     checkpoint of another at the step before it clears.
 
     Stepping ends after step k_stop (by default the scenario's last step),
-    at the first record in which any unit is tripped when
-    stop_at_first_trip is set, or at a solver failure. A failure is
-    recorded as instability onset: the failed step's record marks every
-    unit tripped and injecting nothing, it has no checkpoint, and its time
-    is returned (None when no step failed).
+    at a solver failure, or, when stop_at_first_trip is set, at the first
+    record in which any unit is tripped; if records already ends with such
+    a record, no step is made. A failure is recorded as instability onset:
+    the failed step's record marks every unit tripped and injecting
+    nothing, it has no checkpoint, and its time is returned (None when no
+    step failed).
     """
     dt = scenario.dt
     k_fault = round(scenario.t_fault / dt)
@@ -523,6 +524,8 @@ def advance(
         k_stop = round(scenario.t_end / dt)
     theta_cg_ref = run.equilibrium.record.theta_cg
     for k in range(len(records), k_stop + 1):
+        if stop_at_first_trip and True in records[-1].tripped:
+            break
         on_fault = k >= k_fault and (k_clear is None or k < k_clear)
         grid_now = run.fault_grid if on_fault else run.grid.prefault
         zeq_now = run.zeq_fault if on_fault else run.zeq_pre
@@ -545,8 +548,6 @@ def advance(
         records.append(state.record)
         if checkpoints is not None:
             checkpoints.append(state)
-        if stop_at_first_trip and True in state.record.tripped:
-            break
     return None
 
 

@@ -229,14 +229,15 @@ def find_cct(
     first trip or solver failure or up to the step before the latest
     clearing step t_max can ask for. Its states are the checkpoints: the
     run for clearing step k continues from the state after step k - 1. A
-    trip decides a verdict, so these runs stop at their first trip, and a
-    clearing step after the fault-on run's first trip or failure takes its
-    verdict from the fault-on run's records, identical up to that step,
-    without stepping. The loss order needs the whole cascade: bracket_hi's
-    run continues from its checkpoint to t_end for it. audit_samples evenly
-    spaced clearing intervals audit the monotonicity assumption; a
-    non-monotone verdict sequence is reported through the result, not
-    raised.
+    trip decides a verdict, so these runs stop at their first trip. A
+    clearing step after the fault-on run's first trip continues from its
+    last state, which holds that trip, so its decision takes the fault-on
+    run's records, identical up to that step, without stepping (after a
+    solver failure it repeats only the failed step). The loss order needs
+    the whole cascade: bracket_hi's run continues from its checkpoint to
+    t_end for it. audit_samples evenly spaced clearing intervals audit the
+    monotonicity assumption; a non-monotone verdict sequence is reported
+    through the result, not raised.
     """
     if resolution <= 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -258,19 +259,15 @@ def find_cct(
     fault_on = replace(base_scenario, t_clear=None)
     fault_on_records = [setup.equilibrium.record]
     checkpoints = [setup.equilibrium]
-    fault_on_failure_t = advance(
+    advance(
         setup, fault_on, fault_on_records, setup.equilibrium, k_last - 1,
         stop_at_first_trip=True, checkpoints=checkpoints,
     )
-    # Step at which the fault-on run trips or fails (a failure's record marks
-    # every unit tripped), k_last if it does neither: a run still under the
-    # fault at that step trips or fails there too.
-    last = len(fault_on_records) - 1
-    k_decided = last if True in fault_on_records[last].tripped else k_last
 
     def fork(scenario: FaultScenario, stop_at_first_trip: bool) -> Trajectory:
         # From the step before clearing, or the fault-on run's last state if
-        # it ended earlier. A clearing step of 0 never applies the fault.
+        # it ended earlier: after its first trip, a decision makes no step. A
+        # clearing step of 0 never applies the fault.
         k = min(max(round(scenario.t_clear / dt), 1), len(checkpoints)) - 1
         records = fault_on_records[: k + 1]
         failure_t = advance(
@@ -285,12 +282,7 @@ def find_cct(
         scenario = scenario_at(interval)
         k_clear = round(scenario.t_clear / dt)
         if k_clear not in cache:
-            if k_clear > k_decided:
-                traj = Trajectory(
-                    tuple(fault_on_records), scenario, setup.fleet, fault_on_failure_t
-                )
-            else:
-                traj = fork(scenario, stop_at_first_trip=True)
+            traj = fork(scenario, stop_at_first_trip=True)
             stable = classify(traj, settle_tol, settle_window).stable
             log.append((interval, stable))
             cache[k_clear] = stable

@@ -261,6 +261,22 @@ def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
     assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
 
 
+def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, monkeypatch):
+    # A run continued from a state that already holds a trip is decided.
+    cfg = table_config
+    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
+    cut = _decision_run(cfg, scen, round(scen.t_fault / scen.dt)).records
+    run = prepare_run(cfg.fleet, cfg.grid, scen.fault_depth, cfg.solver)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped on from a tripped record")
+
+    monkeypatch.setattr(dynamics, "step", no_step)
+    records = list(cut)
+    assert advance(run, scen, records, run.equilibrium, stop_at_first_trip=True) is None
+    assert records == list(cut)
+
+
 def test_step_builds_the_aggregate_once_per_voltage_solve(table_config, monkeypatch):
     # q_components takes the (C, D) aggregate that solve_vpcc converged with
     # instead of building it again from the same injections.
