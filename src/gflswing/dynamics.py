@@ -28,6 +28,7 @@ from gflswing.pcc import (
     InjectionState,
     NonConvergence,
     ZeroVoltage,
+    aggregate,
     q_components,
     solve_vpcc,
 )
@@ -40,6 +41,8 @@ __all__ = [
     "SimState",
     "SolverOptions",
     "InitializationFailure",
+    "UnitTable",
+    "GridPhase",
     "RunSetup",
     "pll_step",
     "limited_current",
@@ -197,24 +200,71 @@ def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
     return tol_rel * max(v_th_mag, 1.0)
 
 
+class UnitTable:
+    """The constants of each unit of fleet that step reads, in fleet order.
+
+    s_rated, i_max, kp, ki and pf_angle come from the configs. holdoff is
+    trip_holdoff less 1e-12 s, against which step compares how long a unit
+    has been limited. series_q is Im(z_total e^{j pf_angle}), the q-axis
+    drop per ampere across the unit's series impedance in its own PLL
+    frame. aligned is True when every pf_angle is 0, so that each PLL frame
+    is the unit's injection angle.
+
+    UnitTable and GridPhase are plain slotted classes, not dataclasses: a
+    dataclass takes about 1 ms to define, which every import would pay.
+    """
+
+    __slots__ = ("s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned")
+
+    def __init__(self, fleet: Sequence[InverterConfig]) -> None:
+        self.s_rated = tuple(cfg.s_rated for cfg in fleet)
+        self.i_max = tuple(cfg.i_max for cfg in fleet)
+        self.kp = tuple(cfg.kp for cfg in fleet)
+        self.ki = tuple(cfg.ki for cfg in fleet)
+        self.pf_angle = tuple(cfg.pf_angle for cfg in fleet)
+        self.holdoff = tuple(cfg.trip_holdoff - 1e-12 for cfg in fleet)
+        self.series_q = tuple(
+            (cfg.z_total() * cmath.exp(1j * cfg.pf_angle)).imag for cfg in fleet
+        )
+        self.aligned = not any(self.pf_angle)
+
+    def __len__(self) -> int:
+        return len(self.s_rated)
+
+
+class GridPhase:
+    """One interval's Thevenin equivalent grid and each unit's equivalent
+    impedance zeq under it, with the products zs = zeq * s_rated and
+    zi = zeq * i_max that the aggregate (C, D) sums."""
+
+    __slots__ = ("grid", "zeq", "zs", "zi")
+
+    def __init__(
+        self, units: UnitTable, grid: TheveninEquivalent, zeq: Sequence[complex]
+    ) -> None:
+        self.grid = grid
+        self.zeq = tuple(zeq)
+        self.zs = tuple(z * s for z, s in zip(self.zeq, units.s_rated))
+        self.zi = tuple(z * i for z, i in zip(self.zeq, units.i_max))
+
+
 @dataclass(frozen=True, slots=True)
 class RunSetup:
     """What every run of one fleet on one grid at one fault depth shares.
 
     opts holds the tolerance resolved against the pre-fault source, as in
     find_equilibrium and the config loader, for every step of the run.
-    zeq_pre and zeq_fault are the equivalent impedances before and during
-    the fault, fault_grid the faulted Thevenin equivalent and equilibrium
-    the locked pre-fault state, whose injection angles are the reference of
-    the divergence trip.
+    units is the fleet's table of constants, prefault and fault the grid
+    phases before and during the fault, and equilibrium the locked
+    pre-fault state, whose injection angles are the reference of the
+    divergence trip.
     """
 
     fleet: tuple[InverterConfig, ...]
-    grid: GridModel
     opts: SolverOptions
-    zeq_pre: tuple[complex, ...]
-    fault_grid: TheveninEquivalent
-    zeq_fault: tuple[complex, ...]
+    units: UnitTable
+    prefault: GridPhase
+    fault: GridPhase
     equilibrium: SimState
 
 
@@ -223,7 +273,8 @@ def pll_step(
 ) -> tuple[float, float, float]:
     """One PI update: integrate the q error, update omega, advance theta.
 
-    Returns (theta, omega_dev, integral) after the step.
+    Returns (theta, omega_dev, integral) after the step. step makes the
+    same update inline for every live unit.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -240,63 +291,6 @@ def limited_current(s_ref: float, v_pcc_mag: float, i_max: float) -> tuple[float
     if i_raw > i_max:
         return i_max, True
     return i_raw, False
-
-
-def _build_injections(
-    fleet: Sequence[InverterConfig],
-    theta_cg: Sequence[float],
-    tripped: Sequence[bool],
-    limited: Sequence[bool],
-    lag_currents: Sequence[float] | None = None,
-) -> InjectionState:
-    """Injection state with tripped units at zero and limited units pinned.
-
-    lag_currents pins every live unit to the given current (explicit-lag
-    stepping); otherwise only limited units are pinned at i_max.
-    """
-    n = len(fleet)
-    s = []
-    fixed: list[float | None] = []
-    for p in range(n):
-        if tripped[p]:
-            s.append(0.0)
-            fixed.append(None)
-        elif lag_currents is not None:
-            s.append(fleet[p].s_rated)
-            fixed.append(lag_currents[p])
-        elif limited[p]:
-            s.append(fleet[p].s_rated)
-            fixed.append(fleet[p].i_max)
-        else:
-            s.append(fleet[p].s_rated)
-            fixed.append(None)
-    return InjectionState(tuple(s), tuple(theta_cg), tuple(fixed))
-
-
-def _record(
-    t: float,
-    v: complex,
-    theta_used: Sequence[float],
-    theta_cg: Sequence[float],
-    i_mag: Sequence[float],
-    v_gq: Sequence[float],
-    limited: Sequence[bool],
-    tripped: Sequence[bool],
-) -> TrajectoryRecord:
-    """Sample one step; i_q follows the injection angles that actually
-    flowed during the step (theta_used)."""
-    v_angle = cmath.phase(v)
-    return TrajectoryRecord(
-        t=t,
-        v_pcc_mag=abs(v),
-        v_pcc_angle=v_angle,
-        theta_cg=tuple(theta_cg),
-        i_mag=tuple(i_mag),
-        i_q=tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_used)),
-        v_gq=tuple(v_gq),
-        limited=tuple(limited),
-        tripped=tuple(tripped),
-    )
 
 
 def find_equilibrium(
@@ -321,18 +315,17 @@ def find_equilibrium(
     opts = opts or SolverOptions()
     tol = opts.resolve_tol(abs(grid.v_th))
     n = len(fleet)
+    units = UnitTable(fleet)
 
     theta = [cmath.phase(grid.v_th)] * n
-    tripped = [False] * n
-    limited = [False] * n
 
     v = grid.v_th
     for _ in range(500):
-        inj = _build_injections(
-            fleet, [theta[p] + fleet[p].pf_angle for p in range(n)], tripped, limited
+        inj = InjectionState(
+            units.s_rated, tuple(theta[p] + units.pf_angle[p] for p in range(n))
         )
         try:
-            sol = solve_vpcc(grid, zeq, inj, tol, opts.max_iter, opts.damping)
+            sol = solve_vpcc(grid, aggregate(zeq, inj), tol, opts.max_iter, opts.damping)
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
@@ -346,8 +339,7 @@ def find_equilibrium(
                     f"{cfg.name}: rated current {i_p:.2f} A exceeds the "
                     f"{cfg.i_max:.2f} A ceiling at the pre-fault voltage"
                 )
-            drop = cfg.z_total() * i_p * cmath.exp(1j * cfg.pf_angle)
-            b = drop.imag / v_mag
+            b = units.series_q[p] * i_p / v_mag
             if abs(b) > 1.0:
                 raise InitializationFailure(
                     f"{cfg.name}: no locked injection angle exists (|{b:.3f}| > 1)"
@@ -361,112 +353,159 @@ def find_equilibrium(
         raise InitializationFailure("pre-fault lock iteration did not converge")
 
     v_mag = abs(v)
-    theta_cg = [theta[p] + fleet[p].pf_angle for p in range(n)]
-    record = _record(
-        0.0, v, theta_cg, theta_cg, [cfg.s_rated / v_mag for cfg in fleet],
-        [0.0] * n, [False] * n, [False] * n,
+    v_angle = cmath.phase(v)
+    theta_cg = tuple(theta[p] + units.pf_angle[p] for p in range(n))
+    i_mag = tuple(s / v_mag for s in units.s_rated)
+    record = TrajectoryRecord(
+        0.0, v_mag, v_angle, theta_cg, i_mag,
+        tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
+        (0.0,) * n, (False,) * n, (False,) * n,
     )
     return SimState(record, tuple(theta), (0.0,) * n, (None,) * n)
 
 
+def _aggregate(
+    phase: GridPhase,
+    e: Sequence[complex],
+    tripped: Sequence[bool],
+    limited: Sequence[bool],
+) -> tuple[complex, complex]:
+    """(C, D) of the fleet at injection phasors e: limited units enter D at
+    i_max, other live units C at s_rated, tripped units neither."""
+    c = d = 0j
+    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
+        if trip:
+            continue
+        if lim:
+            d += zi * e_p
+        else:
+            c += zs * e_p
+    return c, d
+
+
 def step(
     state: SimState,
-    fleet: Sequence[InverterConfig],
-    grid_now: TheveninEquivalent,
-    zeq_now: Sequence[complex],
+    fleet: UnitTable,
+    phase: GridPhase,
     dt: float,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions,
     theta_cg_ref: Sequence[float] | None = None,
 ) -> SimState:
-    """Advance the fleet by one step under the given grid equivalent.
+    """Advance the fleet by one step under the given grid phase.
 
+    fleet and phase are per-run tables (see prepare_run), and opts.tol the
+    tolerance resolved once for the run; an unresolved tol is a ValueError.
     Order per step: resolve limiter flags and solve the PCC voltage with the
     current injection angles, evaluate each live unit's q-axis generation
     voltage in its own PLL frame, update the PLLs, then latch trips (holdoff
     expiry or angle divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
     Tripped units are frozen and inject nothing from the following step.
+    One cos and one sin of each injection angle serve every voltage solve
+    of the step and the q projection.
     """
-    opts = opts or SolverOptions()
-    tol = opts.resolve_tol(abs(grid_now.v_th))
+    tol = opts.tol
+    if tol is None:
+        raise ValueError("step needs a resolved tolerance; prepare_run resolves one")
     n = len(fleet)
     rec = state.record
     t_new = rec.t + dt
+    grid = phase.grid
+    s_rated = fleet.s_rated
+    i_max = fleet.i_max
 
     tripped = rec.tripped
     theta_cg_old = rec.theta_cg
+    cos_cg = list(map(math.cos, theta_cg_old))
+    sin_cg = list(map(math.sin, theta_cg_old))
+    e = list(map(complex, cos_cg, sin_cg))
 
     if opts.lag_mode:
+        # Live units are pinned at the current of the previous step's voltage.
         v_prev_mag = rec.v_pcc_mag
-        currents = []
+        i_lag = []
         limited = []
-        for p, cfg in enumerate(fleet):
+        d = 0j
+        for p in range(n):
             if tripped[p]:
-                currents.append(0.0)
+                i_lag.append(0.0)
                 limited.append(False)
             else:
-                i_p, lim = limited_current(cfg.s_rated, v_prev_mag, cfg.i_max)
-                currents.append(i_p)
+                i_p, lim = limited_current(s_rated[p], v_prev_mag, i_max[p])
+                i_lag.append(i_p)
                 limited.append(lim)
-        inj = _build_injections(fleet, theta_cg_old, tripped, limited, currents)
-        sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
+                d += phase.zeq[p] * i_p * e[p]
+        agg = (0j, d)
+        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
     else:
         limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
-        if grid_now.v_th == 0.0:
+        if grid.v_th == 0.0:
             # Collapsed source: every live unit saturates at once.
             limited = [not t for t in tripped]
-        inj = _build_injections(fleet, theta_cg_old, tripped, limited)
-        sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
+        agg = _aggregate(phase, e, tripped, limited)
+        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
         for _ in range(n + 1):
             v_mag = abs(sol.v_pcc)
             if v_mag == 0.0:
                 raise ZeroVoltage("PCC voltage collapsed to zero during a step")
-            want = [
-                (not tripped[p]) and fleet[p].s_rated / v_mag > fleet[p].i_max
-                for p in range(n)
-            ]
+            want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
             if want == limited:
                 break
             limited = want
-            inj = _build_injections(fleet, theta_cg_old, tripped, limited)
-            sol = solve_vpcc(grid_now, zeq_now, inj, tol, opts.max_iter, opts.damping)
+            agg = _aggregate(phase, e, tripped, limited)
+            sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
 
     v = sol.v_pcc
     v_mag = abs(v)
     if v_mag == 0.0:
         raise ZeroVoltage("PCC voltage collapsed to zero during a step")
-    z_series = [cfg.z_total() for cfg in fleet]
-    _, v_gq_all = q_components(grid_now, v, sol.aggregate, inj, z_series, state.theta)
+    i_mag = [
+        0.0 if t else (i if lim else s / v_mag)
+        for t, lim, s, i in zip(tripped, limited, s_rated, i_max)
+    ]
+    if fleet.aligned:
+        cos_ref, sin_ref = cos_cg, sin_cg
+    else:
+        cos_ref = list(map(math.cos, state.theta))
+        sin_ref = list(map(math.sin, state.theta))
+    _, v_gq_all = q_components(
+        grid, v, agg, cos_ref, sin_ref, fleet.series_q,
+        i_lag if opts.lag_mode else i_mag,
+    )
 
     theta = list(state.theta)
     integral = list(state.integral)
     limited_since = list(state.limited_since)
     theta_cg = list(theta_cg_old)
-    i_mag = [0.0] * n
     v_gq = [0.0] * n
     tripped_new = list(tripped)
-    for p, cfg in enumerate(fleet):
+    kp, ki, pf_angle, holdoff = fleet.kp, fleet.ki, fleet.pf_angle, fleet.holdoff
+    for p in range(n):
         if tripped[p]:
             limited_since[p] = None
             continue
 
-        i_mag[p] = cfg.i_max if limited[p] else cfg.s_rated / v_mag
-        v_gq[p] = v_gq_all[p]
-        theta[p], _, integral[p] = pll_step(
-            theta[p], integral[p], v_gq[p], cfg.kp, cfg.ki, dt
-        )
-        theta_cg[p] = theta[p] + cfg.pf_angle
+        # pll_step's update, inline.
+        v_q = v_gq[p] = v_gq_all[p]
+        integral[p] = integral_p = integral[p] + v_q * dt
+        theta[p] += (kp[p] * v_q + ki[p] * integral_p) * dt
+        theta_cg[p] = theta_cg_p = theta[p] + pf_angle[p]
 
         if limited[p]:
-            limited_since[p] = limited_since[p] if rec.limited[p] else t_new
+            since = limited_since[p] = limited_since[p] if rec.limited[p] else t_new
+            if t_new - since >= holdoff[p]:
+                tripped_new[p] = True
         else:
             limited_since[p] = None
-
-        if limited[p] and t_new - limited_since[p] >= cfg.trip_holdoff - 1e-12:
-            tripped_new[p] = True
-        if theta_cg_ref is not None and abs(theta_cg[p] - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
+        if theta_cg_ref is not None and abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
             tripped_new[p] = True
 
-    record = _record(t_new, v, theta_cg_old, theta_cg, i_mag, v_gq, limited, tripped_new)
+    # i_q follows the injection angles that flowed during the step.
+    v_angle = cmath.phase(v)
+    record = TrajectoryRecord(
+        t_new, v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
+        tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
+        tuple(v_gq), tuple(limited), tuple(tripped_new),
+    )
     return SimState(record, tuple(theta), tuple(integral), tuple(limited_since))
 
 
@@ -482,11 +521,17 @@ def prepare_run(
     opts = opts or SolverOptions()
     opts = replace(opts, tol=opts.resolve_tol(abs(grid.prefault.v_th)))
     fleet = tuple(fleet)
+    units = UnitTable(fleet)
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
     fault_ten = faulted_grid(grid, fault_depth)
     zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
     equilibrium = find_equilibrium(fleet, grid.prefault, zeq_pre, opts)
-    return RunSetup(fleet, grid, opts, zeq_pre, fault_ten, zeq_fault, equilibrium)
+    return RunSetup(
+        fleet, opts, units,
+        GridPhase(units, grid.prefault, zeq_pre),
+        GridPhase(units, fault_ten, zeq_fault),
+        equilibrium,
+    )
 
 
 def advance(
@@ -527,10 +572,9 @@ def advance(
         if stop_at_first_trip and True in records[-1].tripped:
             break
         on_fault = k >= k_fault and (k_clear is None or k < k_clear)
-        grid_now = run.fault_grid if on_fault else run.grid.prefault
-        zeq_now = run.zeq_fault if on_fault else run.zeq_pre
+        phase = run.fault if on_fault else run.prefault
         try:
-            state = step(state, run.fleet, grid_now, zeq_now, dt, run.opts, theta_cg_ref)
+            state = step(state, run.units, phase, dt, run.opts, theta_cg_ref)
         except (NonConvergence, ZeroVoltage):
             n = len(run.fleet)
             records.append(

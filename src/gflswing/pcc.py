@@ -13,10 +13,11 @@ injection of conventional load flow (S* / V*); the two coincide only for
 angle-aligned cases, and the conjugate variant is intentionally not
 implemented.
 
-The q-axis components each PLL needs come from the same superposition: the
-complex sum v_th + sum_i z_eq_i i_i e^{j theta_i} is built once, from the
-aggregate the voltage solve already formed, and rotated into every unit's
-own frame, so one call serves the whole fleet.
+Both solve_vpcc and q_components work on the aggregate (C, D) of the
+injections, rhs(v) = v_th + D + C / |v|: the caller sums it once per set of
+injections (aggregate builds it from an InjectionState; dynamics.step from
+its per-run table), and q_components rotates that one complex sum into
+every unit's frame, so one call serves the whole fleet.
 
 Voltages and impedances are Python ``complex`` numbers in volts and ohms;
 the equivalent impedances come from network.equivalent_impedance.
@@ -24,7 +25,6 @@ the equivalent impedances come from network.equivalent_impedance.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,13 +93,11 @@ class InjectionState:
 
 @dataclass(frozen=True, slots=True)
 class PccSolution:
-    """The solved PCC voltage and the aggregate (C, D) of the injections it
-    solves for, which q_components takes at that voltage."""
+    """The solved PCC voltage, its residual and the iterations it took."""
 
     v_pcc: complex
     residual: float
     iterations: int
-    aggregate: tuple[complex, complex]
 
 
 def aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, complex]:
@@ -108,6 +106,8 @@ def aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, com
     rhs(v) = v_th + D + C / |v|, with C collecting constant-power inverters
     (z_eq * s * e^{j theta}) and D the fixed-current ones (z_eq * i * e^{j theta}).
     """
+    if len(zeq) != len(inj):
+        raise ValueError("impedance set and injection state sizes differ")
     c = 0.0 + 0.0j
     d = 0.0 + 0.0j
     fixed = inj.i_fixed
@@ -124,30 +124,29 @@ def aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, com
 
 def solve_vpcc(
     grid: TheveninEquivalent,
-    zeq: Sequence[complex],
-    inj: InjectionState,
+    agg: tuple[complex, complex],
     tol: float,
     max_iter: int,
     damping: float = 0.7,
 ) -> PccSolution:
-    """Solve v = v_th + sum_i z_eq_i (s_i / |v|) e^{j theta_i} to a fixed point.
+    """Solve v = v_th + D + C / |v| to a fixed point for the aggregate (C, D).
 
-    Damped fixed-point iteration seeded at v_th, falling back to a damped
-    2-D Newton step on the closed-form residual once the plain iteration
-    stalls. Raises NonConvergence if the residual stays above tol within
-    max_iter total iterations and ZeroVoltage if |v| collapses below
+    C = sum_i z_eq_i s_i e^{j theta_i} over the constant-power injections
+    and D the same sum over the fixed-current ones (see aggregate). Damped
+    fixed-point iteration seeded at v_th, falling back to a damped 2-D
+    Newton step on the closed-form residual once the plain iteration stalls.
+    Raises NonConvergence if the residual stays above tol within max_iter
+    total iterations and ZeroVoltage if |v| collapses below
     ZERO_VOLTAGE_FRACTION * |v_th|.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if len(zeq) != len(inj):
-        raise ValueError("impedance set and injection state sizes differ")
 
     v_th = grid.v_th
     v_th_mag = abs(v_th)
-    c, d = agg = aggregate(zeq, inj)
+    c, d = agg
 
     if v_th_mag == 0.0 and abs(c) > 0.0:
         raise ValueError(
@@ -161,7 +160,7 @@ def solve_vpcc(
             raise ZeroVoltage(
                 f"explicit solution magnitude {abs(v):.3e} V is numerically zero"
             )
-        return PccSolution(v, 0.0, 1, agg)
+        return PccSolution(v, 0.0, 1)
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
@@ -169,9 +168,8 @@ def solve_vpcc(
     iterations = 0
     residual = math.inf
 
-    fp_budget = min(max_iter, 40)
-    while iterations < fp_budget:
-        iterations += 1
+    keep = 1.0 - damping
+    for iterations in range(1, min(max_iter, 40) + 1):
         r = abs(v)
         if r < floor:
             raise ZeroVoltage(
@@ -180,8 +178,8 @@ def solve_vpcc(
         rhs = w + c / r
         residual = abs(v - rhs)
         if residual <= tol:
-            return PccSolution(v, residual, iterations, agg)
-        v = (1.0 - damping) * v + damping * rhs
+            return PccSolution(v, residual, iterations)
+        v = keep * v + damping * rhs
 
     # Newton fallback on F(v) = v - w - C/|v| with its closed-form Jacobian.
     while iterations < max_iter:
@@ -195,7 +193,7 @@ def solve_vpcc(
         f = v - w - c / r
         residual = abs(f)
         if residual <= tol:
-            return PccSolution(v, residual, iterations, agg)
+            return PccSolution(v, residual, iterations)
         r3 = r * r * r
         j11 = 1.0 + c.real * x / r3
         j12 = c.real * y / r3
@@ -226,37 +224,34 @@ def q_components(
     grid: TheveninEquivalent,
     v_pcc: complex,
     agg: tuple[complex, complex],
-    inj: InjectionState,
-    z_series: Sequence[complex],
-    ref_angles: Sequence[float],
+    cos_ref: Sequence[float],
+    sin_ref: Sequence[float],
+    series_q: Sequence[float],
+    i_mag: Sequence[float],
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """q-axis components of the PCC and generation voltages, one per unit frame.
 
-    agg is the aggregate (C, D) of inj: the one solve_vpcc returns, or
-    aggregate(zeq, inj) at any other v_pcc. The PCC right-hand side
-    total = v_th + D + C / |v_pcc| is rotated into each unit's frame ref_p:
+    agg is the aggregate (C, D) of the injections at v_pcc. The PCC
+    right-hand side total = v_th + D + C / |v_pcc| is rotated into each
+    unit's frame ref_p, given by cos_ref and sin_ref:
 
         v_pcc_q[p] = Im(total e^{-j ref_p})
-        v_gq[p]    = v_pcc_q[p] + Im(z_series_p i_p e^{j (theta_p - ref_p)})
+        v_gq[p]    = v_pcc_q[p] + series_q[p] i_mag[p]
 
-    with i_p = s_p / |v_pcc| (or the pinned fixed current). The cost is O(n)
-    for the whole fleet.
+    where series_q[p] = Im(z_series_p e^{j (theta_p - ref_p)}) is the q-axis
+    drop per ampere of unit p's series impedance at its injection angle
+    theta_p, and i_mag[p] its current. The cost is O(n) for the whole fleet.
     """
     v_mag = abs(v_pcc)
     if v_mag <= 0.0:
         raise ValueError("q_components requires |v_pcc| > 0")
-    if len(z_series) != len(inj) or len(ref_angles) != len(inj):
-        raise ValueError("z_series and ref_angles must match the fleet size")
+    n = len(cos_ref)
+    if len(sin_ref) != n or len(series_q) != n or len(i_mag) != n:
+        raise ValueError("cos_ref, sin_ref, series_q and i_mag must match the fleet size")
 
     c, d = agg
     total = grid.v_th + d + c / v_mag
-    fixed = inj.i_fixed
-    v_pcc_q = []
-    v_gq = []
-    for p, ref in enumerate(ref_angles):
-        q = total.imag * math.cos(ref) - total.real * math.sin(ref)
-        i_p = fixed[p] if fixed is not None and fixed[p] is not None else inj.s[p] / v_mag
-        drop = z_series[p] * i_p * cmath.exp(1j * (inj.theta_cg[p] - ref))
-        v_pcc_q.append(q)
-        v_gq.append(q + drop.imag)
-    return tuple(v_pcc_q), tuple(v_gq)
+    re, im = total.real, total.imag
+    v_pcc_q = tuple([im * cr - re * sr for cr, sr in zip(cos_ref, sin_ref)])
+    v_gq = tuple([q + b * i for q, b, i in zip(v_pcc_q, series_q, i_mag)])
+    return v_pcc_q, v_gq

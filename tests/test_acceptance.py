@@ -88,7 +88,7 @@ def test_criterion_02_fixed_point_correctness():
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
         zeq = tuple(zc)
-        sol = solve_vpcc(grid, zeq, InjectionState(tuple(s), tuple(th)),
+        sol = solve_vpcc(grid, aggregate(zeq, InjectionState(tuple(s), tuple(th))),
                          tol=1e-10 * v_mag, max_iter=100)
         got = sol.v_pcc
         v_th = grid.v_th
@@ -96,7 +96,7 @@ def test_criterion_02_fixed_point_correctness():
         oracle = newton_fd_vpcc(v_th, zc, s, th)
         assert abs(got - oracle) <= 1e-6 * abs(oracle), f"case {case}"
 
-        zero = solve_vpcc(grid, zeq, InjectionState((0.0,) * n, tuple(th)),
+        zero = solve_vpcc(grid, aggregate(zeq, InjectionState((0.0,) * n, tuple(th))),
                           tol=1e-10 * v_mag, max_iter=100)
         assert abs(zero.v_pcc - v_th) <= 1e-12 * v_mag
 
@@ -117,9 +117,15 @@ def test_criterion_03_termwise_complex_agreement():
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         inj = InjectionState(s, th)
-        q, v_gq = q_components(grid, v_pcc, aggregate(zeq, inj), inj, z_series, refs)
-
         v_mag = abs(v_pcc)
+        q, v_gq = q_components(
+            grid, v_pcc, aggregate(zeq, inj),
+            [math.cos(ref) for ref in refs],
+            [math.sin(ref) for ref in refs],
+            [(z_series[p] * cmath.exp(1j * (th[p] - refs[p]))).imag for p in range(n)],
+            [s_p / v_mag for s_p in s],
+        )
+
         total = v_th
         for k in range(n):
             total += zc[k] * (s[k] / v_mag) * cmath.exp(1j * th[k])
@@ -298,9 +304,9 @@ def test_criterion_10_trip_cascade(table_config):
     s_all = tuple(c.s_rated for c in cfg.fleet)
     tol = cfg.solver.resolve_tol(abs(cfg.grid.prefault.v_th))
 
-    with_all = solve_vpcc(fault, zeq_f, InjectionState(s_all, theta), tol, 100)
+    with_all = solve_vpcc(fault, aggregate(zeq_f, InjectionState(s_all, theta)), tol, 100)
     without_first = solve_vpcc(
-        fault, zeq_f, InjectionState((0.0,) + s_all[1:], theta), tol, 100
+        fault, aggregate(zeq_f, InjectionState((0.0,) + s_all[1:], theta)), tol, 100
     )
     v_a = abs(with_all.v_pcc)
     v_b = abs(without_first.v_pcc)

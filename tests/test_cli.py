@@ -270,6 +270,21 @@ def test_bundled_cct_json_is_pinned(tmp_path):
     assert digest == TABLE1_CCT_JSON_SHA256
 
 
+# trajectory.csv of bundled runs. These catch what cct.json cannot, e.g. a
+# tripped unit's i_q, which is 0.0 * sin(...) = -0.0 and prints "-0".
+TRAJECTORY_CSV_SHA256 = {
+    "table1.yaml": "b21eef79847c72481c2bdc412d394d1a80b9cb5d8dc4ae6921365beb986c7df3",
+    "table1_uncleared.yaml": "c67019efd339ea5a75f47248f382248592d27868a6ecbb911e430d690ce1481a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_CSV_SHA256))
+def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
+    cmd_simulate(load_config(bundled_config_path(name)), tmp_path)
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_CSV_SHA256[name]
+
+
 def test_provenance_hash_tracks_semantic_changes(tmp_path):
     a = tmp_path / "a.yaml"
     b = tmp_path / "b.yaml"

@@ -11,7 +11,6 @@ from gflswing.dynamics import (
     SolverOptions,
     Trajectory,
     advance,
-    find_equilibrium,
     limited_current,
     pll_step,
     prepare_run,
@@ -24,7 +23,7 @@ from gflswing.network import (
     equivalent_impedance,
     faulted_grid,
 )
-from gflswing.pcc import InjectionState, solve_vpcc
+from gflswing.pcc import InjectionState, aggregate, solve_vpcc
 
 
 def _small_fleet():
@@ -118,13 +117,11 @@ def test_fault_scenario_validation():
         FaultScenario(1e-3, None, 1.5, 1e-2, 1e-5)
 
 
-def test_equilibrium_is_a_fixed_point_of_step():
-    fleet = _small_fleet()
-    grid = _small_grid()
-    zeq = equivalent_impedance(fleet, grid.prefault, grid.z_load)
-    state = find_equilibrium(fleet, grid.prefault, zeq)
+def _assert_fixed_point(fleet, grid):
+    run = prepare_run(fleet, grid, 0.5)
+    state = run.equilibrium
     assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
-    nxt = step(state, fleet, grid.prefault, zeq, 1e-5)
+    nxt = step(state, run.units, run.prefault, 1e-5, run.opts)
     before, after = state.record, nxt.record
     for p, cfg in enumerate(fleet):
         assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
@@ -134,14 +131,68 @@ def test_equilibrium_is_a_fixed_point_of_step():
     assert after.v_pcc_mag == pytest.approx(before.v_pcc_mag, rel=1e-9)
 
 
-def test_fault_step_depresses_voltage():
+def test_equilibrium_is_a_fixed_point_of_step():
+    _assert_fixed_point(_small_fleet(), _small_grid())
+
+
+def _pf_fleet():
+    return tuple(
+        replace(cfg, pf_angle=pf) for cfg, pf in zip(_small_fleet(), (0.2, -0.2))
+    )
+
+
+def test_pf_angle_equilibrium_is_a_fixed_point_of_step():
+    _assert_fixed_point(_pf_fleet(), _small_grid())
+
+
+def test_pf_angle_fault_step_matches_the_termwise_projection():
+    # v_gq = Im((v_pcc + z_s i e^{j theta_cg}) e^{-j theta}) in each unit's
+    # PLL frame theta = theta_cg - pf_angle, within criterion 3's bound, for
+    # an unlimited unit (A) and a limited one (B). The tight tolerance keeps
+    # the solve residual far below that bound.
+    fleet = _pf_fleet()
+    run = prepare_run(fleet, _small_grid(), 0.5, SolverOptions(tol=1e-11))
+    state = run.equilibrium
+    nxt = step(state, run.units, run.fault, 1e-5, run.opts)
+    rec = nxt.record
+    assert rec.limited == (False, True) and not any(rec.tripped)
+    v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
+    scale = max(abs(v_pcc), abs(run.fault.grid.v_th))
+    for p, cfg in enumerate(fleet):
+        full = v_pcc + cfg.z_total() * rec.i_mag[p] * cmath.exp(1j * state.record.theta_cg[p])
+        oracle = (full * cmath.exp(-1j * state.theta[p])).imag
+        assert abs(rec.v_gq[p] - oracle) <= 1e-9 * max(abs(full), scale)
+        assert abs(oracle) > 1e-3  # the fault moved every unit off lock
+        # The PLLs take pll_step's update from that v_gq, bit for bit.
+        theta, _, integral = pll_step(
+            state.theta[p], state.integral[p], rec.v_gq[p], cfg.kp, cfg.ki, 1e-5
+        )
+        assert (nxt.theta[p], nxt.integral[p]) == (theta, integral)
+        assert rec.theta_cg[p] == theta + cfg.pf_angle
+
+
+def test_direct_fault_on_step_equals_the_step_advance_makes():
+    # step solves to the run's tolerance, resolved once against the
+    # pre-fault source; it resolves none of its own.
     fleet = _small_fleet()
-    grid = _small_grid()
-    zeq = equivalent_impedance(fleet, grid.prefault, grid.z_load)
-    state = find_equilibrium(fleet, grid.prefault, zeq)
-    fault = faulted_grid(grid, 0.5)
-    zeq_f = equivalent_impedance(fleet, fault, grid.z_load)
-    nxt = step(state, fleet, fault, zeq_f, 1e-5)
+    run = prepare_run(fleet, _small_grid(), 0.5, SolverOptions())
+    dt = 1e-5
+    direct = step(
+        run.equilibrium, run.units, run.fault, dt, run.opts,
+        run.equilibrium.record.theta_cg,
+    )
+    records = [run.equilibrium.record]
+    scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
+    assert advance(run, scenario, records, run.equilibrium, 1) is None
+    assert records[1] == direct.record
+    with pytest.raises(ValueError):
+        step(run.equilibrium, run.units, run.fault, dt, SolverOptions())
+
+
+def test_fault_step_depresses_voltage():
+    run = prepare_run(_small_fleet(), _small_grid(), 0.5)
+    state = run.equilibrium
+    nxt = step(state, run.units, run.fault, 1e-5, run.opts)
     assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
 
 
@@ -153,9 +204,9 @@ def test_removing_one_injection_lowers_voltage_and_raises_currents():
     fault = faulted_grid(grid, 0.4)
     zeq = equivalent_impedance(fleet, fault, grid.z_load)
     theta = (0.03, 0.04)
-    with_all = solve_vpcc(fault, zeq, InjectionState((6000.0, 12000.0), theta),
+    with_all = solve_vpcc(fault, aggregate(zeq, InjectionState((6000.0, 12000.0), theta)),
                           tol=1e-9, max_iter=100)
-    without_first = solve_vpcc(fault, zeq, InjectionState((0.0, 12000.0), theta),
+    without_first = solve_vpcc(fault, aggregate(zeq, InjectionState((0.0, 12000.0), theta)),
                                tol=1e-9, max_iter=100)
     v_a = abs(with_all.v_pcc)
     v_b = abs(without_first.v_pcc)
@@ -277,22 +328,39 @@ def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, m
     assert records == list(cut)
 
 
-def test_step_builds_the_aggregate_once_per_voltage_solve(table_config, monkeypatch):
-    # q_components takes the (C, D) aggregate that solve_vpcc converged with
-    # instead of building it again from the same injections.
-    counts = {"aggregate": 0, "solve": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(pcc, "aggregate", counting("aggregate", pcc.aggregate))
-    monkeypatch.setattr(dynamics, "solve_vpcc", counting("solve", dynamics.solve_vpcc))
+def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
+    # step sums (C, D) from its per-run table and hands it to solve_vpcc,
+    # which builds none; q_components takes the aggregate of the step's last
+    # solve. Limiter re-solves (Inv 4 limits from 3 ms) are included.
     cfg = table_config
-    simulate(cfg.fleet, cfg.grid, replace(cfg.scenario, t_end=6e-3), cfg.solver)
-    assert counts["aggregate"] == counts["solve"] > 600
+    run = prepare_run(cfg.fleet, cfg.grid, 0.6, cfg.solver)
+    solved = []
+    projected = []
+
+    def no_aggregate(*args, **kwargs):
+        raise AssertionError("an aggregate was built inside a step")
+
+    def solving(grid, agg, *args):
+        c, d = agg
+        assert isinstance(c, complex) and isinstance(d, complex)
+        solved.append(agg)
+        return solve_vpcc(grid, agg, *args)
+
+    def projecting(grid, v_pcc, agg, *args):
+        projected.append(agg is solved[-1])
+        return q_components(grid, v_pcc, agg, *args)
+
+    q_components = dynamics.q_components
+    monkeypatch.setattr(pcc, "aggregate", no_aggregate)
+    monkeypatch.setattr(dynamics, "aggregate", no_aggregate)
+    monkeypatch.setattr(dynamics, "solve_vpcc", solving)
+    monkeypatch.setattr(dynamics, "q_components", projecting)
+    records = [run.equilibrium.record]
+    scenario = replace(cfg.scenario, fault_depth=0.6, t_end=6e-3)
+    advance(run, scenario, records, run.equilibrium)
+    assert len(projected) == len(records) - 1 == 600
+    assert all(projected)
+    assert len(solved) > len(projected)
 
 
 def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config):

@@ -33,7 +33,7 @@ def test_zero_injection_returns_source_voltage_exactly():
     grid = _grid()
     zeq = _zeq((0.1, 0.05), (0.2, 0.1))
     inj = InjectionState((0.0, 0.0), (0.0, 0.0))
-    sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
+    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=100)
     assert sol.v_pcc.real == grid.v_th.real
     assert sol.v_pcc.imag == grid.v_th.imag
     assert sol.iterations == 1
@@ -44,7 +44,7 @@ def test_single_inverter_matches_grid_search_oracle():
     grid = _grid(z=(0.05, 0.02))
     zeq = _zeq((0.1, 0.05))
     inj = InjectionState((6000.0,), (0.0,))
-    sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
+    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10, max_iter=100)
     oracle = grid_zoom_vpcc(230 + 0j, [0.1 + 0.05j], [6000.0], [0.0])
     got = sol.v_pcc
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
@@ -64,7 +64,7 @@ def test_two_inverter_case_matches_newton_oracle():
     zeq = tuple(zc)
     grid = _grid()
     inj = InjectionState((6000.0, 9000.0), (0.05, 0.03))
-    sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
+    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10, max_iter=100)
     oracle = newton_fd_vpcc(230 + 0j, zc, [6000.0, 9000.0], [0.05, 0.03])
     assert abs(sol.v_pcc - oracle) <= 1e-8 * abs(oracle)
 
@@ -84,7 +84,7 @@ def test_randomized_small_fleets_match_newton_oracle():
             th.append(rng.uniform(-0.6, 0.6))
         zeq = tuple(zc)
         inj = InjectionState(tuple(s), tuple(th))
-        sol = solve_vpcc(grid, zeq, inj, tol=1e-10 * v_mag, max_iter=100)
+        sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10 * v_mag, max_iter=100)
         oracle = newton_fd_vpcc(grid.v_th, zc, s, th)
         assert abs(sol.v_pcc - oracle) <= 1e-6 * abs(oracle)
 
@@ -94,7 +94,7 @@ def test_solver_residual_meets_tolerance():
     zeq = _zeq((0.15, 0.07), (0.1, 0.02))
     inj = InjectionState((8000.0, 12000.0), (0.1, -0.2))
     tol = 1e-9 * 230
-    sol = solve_vpcc(grid, zeq, inj, tol=tol, max_iter=100)
+    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=tol, max_iter=100)
     zc = list(zeq)
     assert pcc_residual(sol.v_pcc, 230 + 0j, zc, list(inj.s), list(inj.theta_cg)) <= tol
 
@@ -104,7 +104,7 @@ def test_solver_reports_nonconvergence_when_budget_exhausted():
     zeq = _zeq((0.1, 0.05))
     inj = InjectionState((6000.0,), (0.0,))
     with pytest.raises(NonConvergence) as err:
-        solve_vpcc(grid, zeq, inj, tol=1e-15, max_iter=2)
+        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-15, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 1e-15
 
@@ -115,7 +115,7 @@ def test_solver_zero_voltage_guard():
     zeq = _zeq((1.0, 0.0))
     inj = InjectionState((0.0,), (math.pi,), i_fixed=(230.0,))
     with pytest.raises(ZeroVoltage):
-        solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=50)
+        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=50)
 
 
 def test_solver_validates_arguments():
@@ -123,33 +123,59 @@ def test_solver_validates_arguments():
     zeq = _zeq((0.1, 0.05))
     inj = InjectionState((6000.0,), (0.0,))
     with pytest.raises(ValueError):
-        solve_vpcc(grid, zeq, inj, tol=0.0, max_iter=10)
+        solve_vpcc(grid, aggregate(zeq, inj), tol=0.0, max_iter=10)
     with pytest.raises(ValueError):
-        solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=0)
+        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=0)
     with pytest.raises(ValueError):
-        solve_vpcc(_grid(0.0), zeq, inj, tol=1e-9, max_iter=10)
+        solve_vpcc(_grid(0.0), aggregate(zeq, inj), tol=1e-9, max_iter=10)
 
 
 def test_fixed_current_entries_bypass_the_power_division():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))
     inj = InjectionState((123456.0,), (0.3,), i_fixed=(40.0,))
-    sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
+    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=100)
     expected = 230 + (0.1 + 0.05j) * 40.0 * cmath.exp(0.3j)
     assert sol.v_pcc == pytest.approx(expected, rel=1e-12)
     assert sol.iterations == 1
 
 
-def test_solution_carries_the_aggregate_it_solved_with():
-    # Explicit (fixed currents only) and iterated solves alike.
+def test_solver_solves_the_aggregate_it_is_given():
+    # Explicit (fixed currents only) and iterated solves alike: the solution
+    # meets v = v_th + D + C / |v| for the (C, D) handed in.
     grid = _grid()
     zeq = _zeq((0.1, 0.05), (0.2, 0.1))
     for inj in (
         InjectionState((0.0, 0.0), (0.3, -0.2), i_fixed=(40.0, 20.0)),
         InjectionState((6000.0, 9000.0), (0.3, -0.2), i_fixed=(None, 20.0)),
     ):
-        sol = solve_vpcc(grid, zeq, inj, tol=1e-9, max_iter=100)
-        assert sol.aggregate == aggregate(zeq, inj)
+        c, d = agg = aggregate(zeq, inj)
+        sol = solve_vpcc(grid, agg, tol=1e-9, max_iter=100)
+        v = sol.v_pcc
+        assert abs(v - (grid.v_th + d + c / abs(v))) <= 1e-9
+        oracle = grid.v_th
+        for k, th in enumerate(inj.theta_cg):
+            i_k = inj.i_fixed[k] if inj.i_fixed[k] is not None else inj.s[k] / abs(v)
+            oracle += zeq[k] * i_k * cmath.exp(1j * th)
+        assert abs(v - oracle) <= 1e-9 * abs(oracle)
+
+
+def test_aggregate_rejects_mismatched_sizes():
+    with pytest.raises(ValueError):
+        aggregate(_zeq((0.1, 0.05)), InjectionState((1.0, 2.0), (0.0, 0.0)))
+
+
+def _frames(inj, z_series, refs, v_mag):
+    """q_components' per-unit arguments for the injections inj seen from the
+    frames refs: cos and sin of each frame, Im(z_series e^{j (theta - ref)})
+    and the currents s / |v_pcc|."""
+    return (
+        [math.cos(ref) for ref in refs],
+        [math.sin(ref) for ref in refs],
+        [(z * cmath.exp(1j * (th - ref))).imag
+         for z, th, ref in zip(z_series, inj.theta_cg, refs)],
+        [s / v_mag for s in inj.s],
+    )
 
 
 def test_q_components_zero_injection_gives_source_projection():
@@ -159,7 +185,7 @@ def test_q_components_zero_injection_gives_source_projection():
     z_series = [complex(0.3, 0.01), complex(0.4, 0.02)]
     refs = (0.05, -0.3)
     q, v_gq = q_components(
-        grid, cmath.rect(230.0, 0.12), aggregate(zeq, inj), inj, z_series, refs
+        grid, cmath.rect(230.0, 0.12), aggregate(zeq, inj), *_frames(inj, z_series, refs, 230.0)
     )
     expected = tuple(230.0 * math.sin(0.12 - ref) for ref in refs)
     assert q == pytest.approx(expected, rel=1e-12)
@@ -172,7 +198,8 @@ def test_q_components_aligned_terms_vanish():
     inj = InjectionState((5000.0, 7000.0), (0.0, 0.0))  # theta + gamma = 0
     z_series = [complex(0.3, 0.0), complex(0.4, 0.0)]
     q, v_gq = q_components(
-        grid, cmath.rect(240.0, 0.0), aggregate(zeq, inj), inj, z_series, (0.0, 0.0)
+        grid, cmath.rect(240.0, 0.0), aggregate(zeq, inj),
+        *_frames(inj, z_series, (0.0, 0.0), 240.0),
     )
     assert q == pytest.approx((0.0, 0.0), abs=1e-12)
     assert v_gq == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -194,7 +221,9 @@ def test_q_components_termwise_equals_complex_projection():
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         inj = InjectionState(s, th)
-        q, v_gq = q_components(grid, v_pcc, aggregate(zeq, inj), inj, z_series, refs)
+        q, v_gq = q_components(
+            grid, v_pcc, aggregate(zeq, inj), *_frames(inj, z_series, refs, abs(v_pcc))
+        )
 
         v_mag = abs(v_pcc)
         total = v_th
@@ -219,8 +248,11 @@ def test_increasing_lagging_injection_weakly_depresses_q():
 
     def solved_q(s):
         inj = InjectionState(tuple(s), theta)
-        sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
-        q, _ = q_components(grid, sol.v_pcc, sol.aggregate, inj, z_series, (0.0,) * 3)
+        agg = aggregate(zeq, inj)
+        sol = solve_vpcc(grid, agg, tol=1e-10, max_iter=100)
+        q, _ = q_components(
+            grid, sol.v_pcc, agg, *_frames(inj, z_series, (0.0,) * 3, abs(sol.v_pcc))
+        )
         return q[0]
 
     q0 = solved_q(base_s)
@@ -241,10 +273,11 @@ def test_operating_points_bundle_the_per_inverter_view():
     grid = _grid()
     zeq = _zeq((0.12, 0.03), (0.15, 0.04))
     inj = InjectionState((6000.0, 9000.0), (0.02, 0.05))
-    sol = solve_vpcc(grid, zeq, inj, tol=1e-10, max_iter=100)
+    agg = aggregate(zeq, inj)
+    sol = solve_vpcc(grid, agg, tol=1e-10, max_iter=100)
     v = sol.v_pcc
     refs = (0.01, 0.04)
-    _, v_gq = q_components(grid, sol.v_pcc, sol.aggregate, inj, z_series, refs)
+    _, v_gq = q_components(grid, v, agg, *_frames(inj, z_series, refs, abs(v)))
     for p, ref in enumerate(refs):
         i_p = inj.s[p] / abs(v)
         v_g = v + i_p * z_series[p] * cmath.exp(1j * inj.theta_cg[p])
