@@ -36,7 +36,6 @@ from gflswing.dynamics import (
     limited_current,
     pll_step,
     simulate,
-    step,
 )
 from gflswing.stability import (
     BracketInvalid,
@@ -77,7 +76,6 @@ __all__ = [
     "limited_current",
     "pll_step",
     "simulate",
-    "step",
     "BracketInvalid",
     "CctResult",
     "EmptyOrder",

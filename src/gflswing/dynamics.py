@@ -207,14 +207,13 @@ class UnitTable:
     trip_holdoff less 1e-12 s, against which step compares how long a unit
     has been limited. series_q is Im(z_total e^{j pf_angle}), the q-axis
     drop per ampere across the unit's series impedance in its own PLL
-    frame. aligned is True when every pf_angle is 0, so that each PLL frame
-    is the unit's injection angle.
+    frame.
 
     UnitTable and GridPhase are plain slotted classes, not dataclasses: a
     dataclass takes about 1 ms to define, which every import would pay.
     """
 
-    __slots__ = ("s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned")
+    __slots__ = ("s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q")
 
     def __init__(self, fleet: Sequence[InverterConfig]) -> None:
         self.s_rated = tuple(cfg.s_rated for cfg in fleet)
@@ -226,7 +225,6 @@ class UnitTable:
         self.series_q = tuple(
             (cfg.z_total() * cmath.exp(1j * cfg.pf_angle)).imag for cfg in fleet
         )
-        self.aligned = not any(self.pf_angle)
 
     def __len__(self) -> int:
         return len(self.s_rated)
@@ -403,6 +401,8 @@ def step(
     One cos and one sin of each injection angle serve every voltage solve
     of the step and the q projection.
     """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     tol = opts.tol
     if tol is None:
         raise ValueError("step needs a resolved tolerance; prepare_run resolves one")
@@ -462,13 +462,10 @@ def step(
         0.0 if t else (i if lim else s / v_mag)
         for t, lim, s, i in zip(tripped, limited, s_rated, i_max)
     ]
-    if fleet.aligned:
-        cos_ref, sin_ref = cos_cg, sin_cg
-    else:
-        cos_ref = list(map(math.cos, state.theta))
-        sin_ref = list(map(math.sin, state.theta))
     _, v_gq_all = q_components(
-        grid, v, agg, cos_ref, sin_ref, fleet.series_q,
+        grid, v, agg,
+        list(map(math.cos, state.theta)), list(map(math.sin, state.theta)),
+        fleet.series_q,
         i_lag if opts.lag_mode else i_mag,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from gflswing.cli import cmd_sweep
-from gflswing.dynamics import find_equilibrium, simulate
+from gflswing.dynamics import InverterConfig, UnitTable, find_equilibrium, simulate
 from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
@@ -112,17 +112,26 @@ def test_criterion_03_termwise_complex_agreement():
         zeq = tuple(zc)
         s = tuple(rng.uniform(0, 2e4) for _ in range(n))
         th = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
-        z_series = [complex(rng.uniform(0.01, 0.6), rng.uniform(0.0, 0.3))
-                    for _ in range(n)]
+        fleet = [
+            InverterConfig(
+                f"u{p}", s[p],
+                complex(rng.uniform(0.01, 0.3), rng.uniform(0.0, 0.3)),
+                rng.uniform(0.0, 0.3), 1.0, 1.0, 1.0,
+                pf_angle=rng.uniform(-math.pi / 2, math.pi / 2),
+            )
+            for p in range(n)
+        ]
+        z_series = [cfg.z_line + cfg.r_virtual for cfg in fleet]
+        # Each unit's PLL frame lags its injection angle by pf_angle.
+        refs = tuple(th[p] - fleet[p].pf_angle for p in range(n))
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
-        refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
         inj = InjectionState(s, th)
         v_mag = abs(v_pcc)
         q, v_gq = q_components(
             grid, v_pcc, aggregate(zeq, inj),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
-            [(z_series[p] * cmath.exp(1j * (th[p] - refs[p]))).imag for p in range(n)],
+            UnitTable(fleet).series_q,
             [s_p / v_mag for s_p in s],
         )
 
