@@ -399,7 +399,7 @@ def step(
     expiry or angle divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
     Tripped units are frozen and inject nothing from the following step.
     One cos and one sin of each injection angle serve every voltage solve
-    of the step and the q projection.
+    of the step; the q projection takes them of each PLL angle.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
