@@ -16,11 +16,9 @@ from gflswing.network import (
     parallel,
 )
 from gflswing.pcc import (
-    InjectionState,
     NonConvergence,
     PccSolution,
     ZeroVoltage,
-    aggregate,
     q_components,
     solve_vpcc,
 )
@@ -32,9 +30,7 @@ from gflswing.dynamics import (
     SolverOptions,
     Trajectory,
     TrajectoryRecord,
-    find_equilibrium,
     limited_current,
-    pll_step,
     simulate,
 )
 from gflswing.stability import (
@@ -58,11 +54,9 @@ __all__ = [
     "faulted_grid",
     "line_impedance",
     "parallel",
-    "InjectionState",
     "NonConvergence",
     "PccSolution",
     "ZeroVoltage",
-    "aggregate",
     "q_components",
     "solve_vpcc",
     "FaultScenario",
@@ -72,9 +66,7 @@ __all__ = [
     "SolverOptions",
     "Trajectory",
     "TrajectoryRecord",
-    "find_equilibrium",
     "limited_current",
-    "pll_step",
     "simulate",
     "BracketInvalid",
     "CctResult",

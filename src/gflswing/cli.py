@@ -318,20 +318,20 @@ def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
     max_iter = _get_int(s, "max_iter", "solver", default=defaults.max_iter, minimum=1)
     damping = _get_num(s, "damping", "solver", default=defaults.damping, minimum=0.0,
                        strict_min=True, maximum=1.0)
-    lag_mode = s.get("lag_mode", False)
-    if not isinstance(lag_mode, bool):
-        raise ConfigError(f"solver.lag_mode: expected a boolean, got {lag_mode!r}")
+    if s.get("lag_mode", False) is not False:
+        raise ConfigError(
+            "solver.lag_mode: the one-step-lag model was removed; "
+            "omit the key or set it to false"
+        )
     opts = SolverOptions(
         tol=absolute_tol(tol_rel, v_th_mag),
         max_iter=max_iter,
         damping=damping,
-        lag_mode=lag_mode,
     )
     resolved = {
         "tol_rel": tol_rel,
         "max_iter": max_iter,
         "damping": damping,
-        "lag_mode": lag_mode,
     }
     return opts, resolved
 

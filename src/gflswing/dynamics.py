@@ -24,14 +24,7 @@ from gflswing.network import (
     equivalent_impedance,
     faulted_grid,
 )
-from gflswing.pcc import (
-    InjectionState,
-    NonConvergence,
-    ZeroVoltage,
-    aggregate,
-    q_components,
-    solve_vpcc,
-)
+from gflswing.pcc import NonConvergence, ZeroVoltage, q_components, solve_vpcc
 
 __all__ = [
     "InverterConfig",
@@ -44,7 +37,6 @@ __all__ = [
     "UnitTable",
     "GridPhase",
     "RunSetup",
-    "pll_step",
     "limited_current",
     "find_equilibrium",
     "step",
@@ -178,16 +170,11 @@ class SimState:
 
 @dataclass(frozen=True, slots=True)
 class SolverOptions:
-    """Fixed-point solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|).
-
-    lag_mode replaces the implicit solve with an explicit update that uses
-    the previous step's voltage magnitude in the current denominators.
-    """
+    """Fixed-point solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|)."""
 
     tol: float | None = None
     max_iter: int = 100
     damping: float = 0.7
-    lag_mode: bool = False
 
     def resolve_tol(self, v_th_mag: float) -> float:
         if self.tol is not None:
@@ -251,7 +238,7 @@ class RunSetup:
     """What every run of one fleet on one grid at one fault depth shares.
 
     opts holds the tolerance resolved against the pre-fault source, as in
-    find_equilibrium and the config loader, for every step of the run.
+    the config loader, for the equilibrium and every step of the run.
     units is the fleet's table of constants, prefault and fault the grid
     phases before and during the fault, and equilibrium the locked
     pre-fault state, whose injection angles are the reference of the
@@ -266,21 +253,6 @@ class RunSetup:
     equilibrium: SimState
 
 
-def pll_step(
-    theta: float, integral: float, v_q: float, kp: float, ki: float, dt: float
-) -> tuple[float, float, float]:
-    """One PI update: integrate the q error, update omega, advance theta.
-
-    Returns (theta, omega_dev, integral) after the step. step makes the
-    same update inline for every live unit.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    integral = integral + v_q * dt
-    omega_dev = kp * v_q + ki * integral
-    return theta + omega_dev * dt, omega_dev, integral
-
-
 def limited_current(s_ref: float, v_pcc_mag: float, i_max: float) -> tuple[float, bool]:
     """Clamp the commanded current s_ref / v_pcc_mag against i_max."""
     if v_pcc_mag <= 0.0:
@@ -291,16 +263,37 @@ def limited_current(s_ref: float, v_pcc_mag: float, i_max: float) -> tuple[float
     return i_raw, False
 
 
+def _aggregate(
+    phase: GridPhase,
+    e: Sequence[complex],
+    tripped: Sequence[bool],
+    limited: Sequence[bool],
+) -> tuple[complex, complex]:
+    """(C, D) of the fleet at injection phasors e: limited units enter D at
+    i_max, other live units C at s_rated, tripped units neither."""
+    c = d = 0j
+    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
+        if trip:
+            continue
+        if lim:
+            d += zi * e_p
+        else:
+            c += zs * e_p
+    return c, d
+
+
 def find_equilibrium(
     fleet: Sequence[InverterConfig],
-    grid: TheveninEquivalent,
-    zeq: Sequence[complex],
-    opts: SolverOptions | None = None,
+    units: UnitTable,
+    prefault: GridPhase,
+    opts: SolverOptions,
 ) -> SimState:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
-    Alternates the PCC voltage solve with per-inverter re-locking of the
-    injection angle until both are self-consistent. At lock, v_gq = 0 in
+    units and prefault are the run's tables (see prepare_run), and opts.tol
+    the tolerance resolved once for the run; fleet names the units in
+    errors. Alternates the PCC voltage solve with per-inverter re-locking of
+    the injection angle until both are self-consistent. At lock, v_gq = 0 in
     the unit's frame theta gives
 
         |v_pcc| sin(theta - angle(v_pcc)) = Im(z_series i e^{j pf_angle}).
@@ -308,22 +301,19 @@ def find_equilibrium(
     Fails when a unit would exceed its current ceiling at rest or no lock
     angle exists.
     """
-    if not fleet:
-        raise ValueError("fleet must be non-empty")
-    opts = opts or SolverOptions()
-    tol = opts.resolve_tol(abs(grid.v_th))
-    n = len(fleet)
-    units = UnitTable(fleet)
+    grid = prefault.grid
+    n = len(units)
+    flags_off = (False,) * n
 
     theta = [cmath.phase(grid.v_th)] * n
 
     v = grid.v_th
     for _ in range(500):
-        inj = InjectionState(
-            units.s_rated, tuple(theta[p] + units.pf_angle[p] for p in range(n))
-        )
+        theta_cg = [th + pf for th, pf in zip(theta, units.pf_angle)]
+        e = [complex(math.cos(th), math.sin(th)) for th in theta_cg]
+        agg = _aggregate(prefault, e, flags_off, flags_off)
         try:
-            sol = solve_vpcc(grid, aggregate(zeq, inj), tol, opts.max_iter, opts.damping)
+            sol = solve_vpcc(grid, agg, opts.tol, opts.max_iter, opts.damping)
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
@@ -331,11 +321,11 @@ def find_equilibrium(
         v_angle = cmath.phase(v)
         max_delta = 0.0
         for p, cfg in enumerate(fleet):
-            i_p = cfg.s_rated / v_mag
-            if i_p > cfg.i_max:
+            i_p = units.s_rated[p] / v_mag
+            if i_p > units.i_max[p]:
                 raise InitializationFailure(
                     f"{cfg.name}: rated current {i_p:.2f} A exceeds the "
-                    f"{cfg.i_max:.2f} A ceiling at the pre-fault voltage"
+                    f"{units.i_max[p]:.2f} A ceiling at the pre-fault voltage"
                 )
             b = units.series_q[p] * i_p / v_mag
             if abs(b) > 1.0:
@@ -357,28 +347,9 @@ def find_equilibrium(
     record = TrajectoryRecord(
         0.0, v_mag, v_angle, theta_cg, i_mag,
         tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
-        (0.0,) * n, (False,) * n, (False,) * n,
+        (0.0,) * n, flags_off, flags_off,
     )
     return SimState(record, tuple(theta), (0.0,) * n, (None,) * n)
-
-
-def _aggregate(
-    phase: GridPhase,
-    e: Sequence[complex],
-    tripped: Sequence[bool],
-    limited: Sequence[bool],
-) -> tuple[complex, complex]:
-    """(C, D) of the fleet at injection phasors e: limited units enter D at
-    i_max, other live units C at s_rated, tripped units neither."""
-    c = d = 0j
-    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
-        if trip:
-            continue
-        if lim:
-            d += zi * e_p
-        else:
-            c += zs * e_p
-    return c, d
 
 
 def step(
@@ -419,40 +390,22 @@ def step(
     sin_cg = list(map(math.sin, theta_cg_old))
     e = list(map(complex, cos_cg, sin_cg))
 
-    if opts.lag_mode:
-        # Live units are pinned at the current of the previous step's voltage.
-        v_prev_mag = rec.v_pcc_mag
-        i_lag = []
-        limited = []
-        d = 0j
-        for p in range(n):
-            if tripped[p]:
-                i_lag.append(0.0)
-                limited.append(False)
-            else:
-                i_p, lim = limited_current(s_rated[p], v_prev_mag, i_max[p])
-                i_lag.append(i_p)
-                limited.append(lim)
-                d += phase.zeq[p] * i_p * e[p]
-        agg = (0j, d)
-        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
-    else:
-        limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
-        if grid.v_th == 0.0:
-            # Collapsed source: every live unit saturates at once.
-            limited = [not t for t in tripped]
+    limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
+    if grid.v_th == 0.0:
+        # Collapsed source: every live unit saturates at once.
+        limited = [not t for t in tripped]
+    agg = _aggregate(phase, e, tripped, limited)
+    sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
+    for _ in range(n + 1):
+        v_mag = abs(sol.v_pcc)
+        if v_mag == 0.0:
+            raise ZeroVoltage("PCC voltage collapsed to zero during a step")
+        want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
+        if want == limited:
+            break
+        limited = want
         agg = _aggregate(phase, e, tripped, limited)
         sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
-        for _ in range(n + 1):
-            v_mag = abs(sol.v_pcc)
-            if v_mag == 0.0:
-                raise ZeroVoltage("PCC voltage collapsed to zero during a step")
-            want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
-            if want == limited:
-                break
-            limited = want
-            agg = _aggregate(phase, e, tripped, limited)
-            sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
 
     v = sol.v_pcc
     v_mag = abs(v)
@@ -465,8 +418,7 @@ def step(
     _, v_gq_all = q_components(
         grid, v, agg,
         list(map(math.cos, state.theta)), list(map(math.sin, state.theta)),
-        fleet.series_q,
-        i_lag if opts.lag_mode else i_mag,
+        fleet.series_q, i_mag,
     )
 
     theta = list(state.theta)
@@ -481,7 +433,6 @@ def step(
             limited_since[p] = None
             continue
 
-        # pll_step's update, inline.
         v_q = v_gq[p] = v_gq_all[p]
         integral[p] = integral_p = integral[p] + v_q * dt
         theta[p] += (kp[p] * v_q + ki[p] * integral_p) * dt
@@ -522,12 +473,11 @@ def prepare_run(
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
     fault_ten = faulted_grid(grid, fault_depth)
     zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
-    equilibrium = find_equilibrium(fleet, grid.prefault, zeq_pre, opts)
+    prefault = GridPhase(units, grid.prefault, zeq_pre)
     return RunSetup(
-        fleet, opts, units,
-        GridPhase(units, grid.prefault, zeq_pre),
+        fleet, opts, units, prefault,
         GridPhase(units, fault_ten, zeq_fault),
-        equilibrium,
+        find_equilibrium(fleet, units, prefault, opts),
     )
 
 

@@ -4,8 +4,8 @@ The PCC voltage obeys an implicit superposition: every inverter injects a
 current of magnitude s_i / |v_pcc| at its injection angle through its
 equivalent impedance, on top of the Thevenin source voltage. The solver
 treats the current-magnitude denominator and the solved voltage as the same
-quantity (zero measurement lag); an explicit one-step lag is available
-through fixed-current injections, see dynamics.SolverOptions.lag_mode.
+quantity (zero measurement lag); a current-limited unit injects a fixed
+current instead.
 
 Injections enter with the literal magnitude form |s| / |v| times a unit
 phasor at the injection angle. This is not the conjugate constant-power
@@ -15,9 +15,9 @@ implemented.
 
 Both solve_vpcc and q_components work on the aggregate (C, D) of the
 injections, rhs(v) = v_th + D + C / |v|: the caller sums it once per set of
-injections (aggregate builds it from an InjectionState; dynamics.step from
-its per-run table), and q_components rotates that one complex sum into
-every unit's frame, so one call serves the whole fleet.
+injections (dynamics sums it from its per-run table), and q_components
+rotates that one complex sum into every unit's frame, so one call serves
+the whole fleet.
 
 Voltages and impedances are Python ``complex`` numbers in volts and ohms;
 the equivalent impedances come from network.equivalent_impedance.
@@ -32,11 +32,9 @@ from typing import Sequence
 from gflswing.network import TheveninEquivalent
 
 __all__ = [
-    "InjectionState",
     "PccSolution",
     "NonConvergence",
     "ZeroVoltage",
-    "aggregate",
     "solve_vpcc",
     "q_components",
 ]
@@ -66,60 +64,12 @@ class ZeroVoltage(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class InjectionState:
-    """Per-inverter apparent power magnitudes and injection angles.
-
-    ``i_fixed`` optionally pins individual inverters to a constant current in
-    amperes (used for current-limited units); those entries ignore ``s`` in
-    the voltage solve.
-    """
-
-    s: tuple[float, ...]
-    theta_cg: tuple[float, ...]
-    i_fixed: tuple[float | None, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.s) != len(self.theta_cg):
-            raise ValueError("s and theta_cg must have the same length")
-        if self.i_fixed is not None and len(self.i_fixed) != len(self.s):
-            raise ValueError("i_fixed must match the fleet size")
-        for k, sk in enumerate(self.s):
-            if sk < 0.0:
-                raise ValueError(f"apparent power s[{k}] must be non-negative, got {sk}")
-
-    def __len__(self) -> int:
-        return len(self.s)
-
-
-@dataclass(frozen=True, slots=True)
 class PccSolution:
     """The solved PCC voltage, its residual and the iterations it took."""
 
     v_pcc: complex
     residual: float
     iterations: int
-
-
-def aggregate(zeq: Sequence[complex], inj: InjectionState) -> tuple[complex, complex]:
-    """Split the injection sum into a 1/|v| part C and a constant part D.
-
-    rhs(v) = v_th + D + C / |v|, with C collecting constant-power inverters
-    (z_eq * s * e^{j theta}) and D the fixed-current ones (z_eq * i * e^{j theta}).
-    """
-    if len(zeq) != len(inj):
-        raise ValueError("impedance set and injection state sizes differ")
-    c = 0.0 + 0.0j
-    d = 0.0 + 0.0j
-    fixed = inj.i_fixed
-    for k in range(len(inj)):
-        th = inj.theta_cg[k]
-        unit = complex(math.cos(th), math.sin(th))
-        z = zeq[k]
-        if fixed is not None and fixed[k] is not None:
-            d += z * fixed[k] * unit
-        else:
-            c += z * inj.s[k] * unit
-    return c, d
 
 
 def solve_vpcc(
@@ -132,7 +82,7 @@ def solve_vpcc(
     """Solve v = v_th + D + C / |v| to a fixed point for the aggregate (C, D).
 
     C = sum_i z_eq_i s_i e^{j theta_i} over the constant-power injections
-    and D the same sum over the fixed-current ones (see aggregate). Damped
+    and D = sum_i z_eq_i i_i e^{j theta_i} over the fixed-current ones. Damped
     fixed-point iteration seeded at v_th, falling back to a damped 2-D
     Newton step on the closed-form residual once the plain iteration stalls.
     Raises NonConvergence if the residual stays above tol within max_iter

@@ -125,3 +125,24 @@ def grid_zoom_vpcc(v_th: complex, z_eq, s, theta, zooms: int = 12,
         a_lo, a_hi = ab - a_span, ab + a_span
     return best[1] * cmath.exp(1j * best[2])
 
+
+
+# -- aggregate injection sum, written out fresh -----------------------------
+
+def aggregate_cd(zeq, s, theta, i_fixed=None) -> tuple[complex, complex]:
+    """(C, D) of rhs(v) = v_th + D + C / |v| for the injections at angles theta.
+
+    C = sum z s e^{j theta} over the constant-power units and
+    D = sum z i e^{j theta} over the units pinned to a fixed current i (an
+    entry of i_fixed that is not None).
+    """
+    assert len(zeq) == len(s) == len(theta)
+    c = 0.0 + 0.0j
+    d = 0.0 + 0.0j
+    for k in range(len(zeq)):
+        unit = complex(math.cos(theta[k]), math.sin(theta[k]))
+        if i_fixed is not None and i_fixed[k] is not None:
+            d += zeq[k] * i_fixed[k] * unit
+        else:
+            c += zeq[k] * s[k] * unit
+    return c, d

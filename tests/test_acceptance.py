@@ -18,16 +18,16 @@ from dataclasses import replace
 import pytest
 
 from gflswing.cli import cmd_sweep
-from gflswing.dynamics import InverterConfig, UnitTable, find_equilibrium, simulate
+from gflswing.dynamics import InverterConfig, UnitTable, prepare_run, simulate
 from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
     line_impedance,
 )
-from gflswing.pcc import InjectionState, aggregate, q_components, solve_vpcc
+from gflswing.pcc import q_components, solve_vpcc
 from gflswing.stability import classify, compare_uniform, find_cct, sync_loss_order
-from helpers_oracles import newton_fd_vpcc
+from helpers_oracles import aggregate_cd, newton_fd_vpcc
 
 XR_TABLE = [
     (0.15, 40.0, 0.1005),
@@ -88,15 +88,14 @@ def test_criterion_02_fixed_point_correctness():
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
         zeq = tuple(zc)
-        sol = solve_vpcc(grid, aggregate(zeq, InjectionState(tuple(s), tuple(th))),
-                         tol=1e-10 * v_mag, max_iter=100)
+        sol = solve_vpcc(grid, aggregate_cd(zeq, s, th), tol=1e-10 * v_mag, max_iter=100)
         got = sol.v_pcc
         v_th = grid.v_th
         assert abs(got - v_th) < 0.2 * v_mag  # perturbation regime guard
         oracle = newton_fd_vpcc(v_th, zc, s, th)
         assert abs(got - oracle) <= 1e-6 * abs(oracle), f"case {case}"
 
-        zero = solve_vpcc(grid, aggregate(zeq, InjectionState((0.0,) * n, tuple(th))),
+        zero = solve_vpcc(grid, aggregate_cd(zeq, (0.0,) * n, th),
                           tol=1e-10 * v_mag, max_iter=100)
         assert abs(zero.v_pcc - v_th) <= 1e-12 * v_mag
 
@@ -125,10 +124,9 @@ def test_criterion_03_termwise_complex_agreement():
         # Each unit's PLL frame lags its injection angle by pf_angle.
         refs = tuple(th[p] - fleet[p].pf_angle for p in range(n))
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
-        inj = InjectionState(s, th)
         v_mag = abs(v_pcc)
         q, v_gq = q_components(
-            grid, v_pcc, aggregate(zeq, inj),
+            grid, v_pcc, aggregate_cd(zeq, s, th),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
             UnitTable(fleet).series_q,
@@ -305,17 +303,16 @@ def test_criterion_09_dichotomy(table_config):
 @criterion(10, "removing one unit's power depresses the node and raises all currents", 1.0)
 def test_criterion_10_trip_cascade(table_config):
     cfg = table_config
-    zeq_pre = equivalent_impedance(cfg.fleet, cfg.grid.prefault, cfg.grid.z_load)
-    eq = find_equilibrium(cfg.fleet, cfg.grid.prefault, zeq_pre, cfg.solver)
+    eq = prepare_run(cfg.fleet, cfg.grid, 0.4, cfg.solver).equilibrium
     theta = eq.record.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)
     tol = cfg.solver.resolve_tol(abs(cfg.grid.prefault.v_th))
 
-    with_all = solve_vpcc(fault, aggregate(zeq_f, InjectionState(s_all, theta)), tol, 100)
+    with_all = solve_vpcc(fault, aggregate_cd(zeq_f, s_all, theta), tol, 100)
     without_first = solve_vpcc(
-        fault, aggregate(zeq_f, InjectionState((0.0,) + s_all[1:], theta)), tol, 100
+        fault, aggregate_cd(zeq_f, (0.0,) + s_all[1:], theta), tol, 100
     )
     v_a = abs(with_all.v_pcc)
     v_b = abs(without_first.v_pcc)

@@ -245,12 +245,28 @@ def test_provenance_hash_ignores_formatting(tmp_path):
     assert load_config(a).sha256 == load_config(b).sha256
 
 
+def test_solver_lag_mode_false_loads_and_hashes_as_omitted(tmp_path, small_config_path):
+    p = tmp_path / "lag.yaml"
+    p.write_text(SMALL_CONFIG + "solver:\n  lag_mode: false\n", encoding="utf-8")
+    assert load_config(p).sha256 == load_config(small_config_path).sha256
+
+
+@pytest.mark.parametrize("value", ["true", "null", "0", "'false'"])
+def test_solver_lag_mode_other_values_are_rejected(tmp_path, value):
+    # The one-step-lag model is gone; a config that asks for it must not
+    # silently run the implicit solve.
+    p = tmp_path / "lag.yaml"
+    p.write_text(SMALL_CONFIG + f"solver:\n  lag_mode: {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^solver\.lag_mode: .*removed"):
+        load_config(p)
+
+
 # The hash covers the resolved echo of every section, impedances included, so
 # a change in how the package stores numbers must leave these values alone.
 BUNDLED_SHA256 = {
-    "table1.yaml": "f07a8f672afb51b27aeac49efe5c6b519258e064b22acefcfea1b0b56368e718",
-    "table1_uncleared.yaml": "913814137c1ffd3e26986992f1af7d9cbddf278c87c9c326c1bb64d4acc3492c",
-    "table1_nofault.yaml": "2fb88a0338666211fc05a1b6ba6a7f22dfb22edcd750c5f602b5d2d6e2b023eb",
+    "table1.yaml": "8ccdec8f3bcaec9a884dfa53342cd25181feea2fbf11813e7191ee0d51f51e66",
+    "table1_uncleared.yaml": "83fc868f121b619aa2cdebed6c3c65628f0866d98e9f169fa2851772548456a7",
+    "table1_nofault.yaml": "354b65637e632873c6a8d814c0d2d8c5645112c5dcd4b8e5762ce443c6d3b7b6",
 }
 
 
@@ -261,7 +277,7 @@ def test_bundled_config_provenance_hash_is_pinned(name):
 
 # cct.json of bundled table1.yaml: CCT, bracket, evaluation log, audit and loss
 # order. A change that only makes the search cheaper must leave it alone.
-TABLE1_CCT_JSON_SHA256 = "a5b6ca43a955999c56f9888fd7a2e1668ccf165bd7b96c19de53bb0012d7f539"
+TABLE1_CCT_JSON_SHA256 = "6f213d89dd39d73cb1720a5a9f4464cebf6c30a677e426245ddd4133b75d2a99"
 
 
 def test_bundled_cct_json_is_pinned(tmp_path):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gflswing import dynamics, pcc
+from gflswing import dynamics
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -12,7 +12,6 @@ from gflswing.dynamics import (
     Trajectory,
     advance,
     limited_current,
-    pll_step,
     prepare_run,
     simulate,
     step,
@@ -23,7 +22,8 @@ from gflswing.network import (
     equivalent_impedance,
     faulted_grid,
 )
-from gflswing.pcc import InjectionState, aggregate, solve_vpcc
+from gflswing.pcc import solve_vpcc
+from helpers_oracles import aggregate_cd
 
 
 def _small_fleet():
@@ -38,35 +38,6 @@ def _small_fleet():
 def _small_grid():
     pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.20, 0.10))
     return GridModel(pre, complex(0.10, 0.05))
-
-
-def test_pll_step_locked_equilibrium_is_fixed():
-    out = pll_step(0.3, 0.0, 0.0, 4.31e-3, 260.0, 1e-5)
-    assert out == (0.3, 0.0, 0.0)
-
-
-def test_pll_step_constant_error_accelerates():
-    theta, integral = 0.0, 0.0
-    thetas = []
-    for _ in range(10):
-        theta, _, integral = pll_step(theta, integral, 1.0, 4.31e-3, 260.0, 1e-5)
-        thetas.append(theta)
-    diffs = [b - a for a, b in zip(thetas, thetas[1:])]
-    assert all(d > 0 for d in diffs)
-    second = [b - a for a, b in zip(diffs, diffs[1:])]
-    assert all(d > 0 for d in second)
-
-
-def test_pll_step_single_update_hand_values():
-    theta, omega_dev, integral = pll_step(0.0, 0.0, 1.0, 4.31e-3, 260.0, 1e-5)
-    assert integral == pytest.approx(1e-5, rel=1e-14)
-    assert omega_dev == pytest.approx(6.91e-3, rel=1e-12)
-    assert theta == pytest.approx(6.91e-8, rel=1e-12)
-
-
-def test_pll_step_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        pll_step(0.0, 0.0, 0.0, 1.0, 1.0, 0.0)
 
 
 def test_limited_current_unconstrained():
@@ -163,10 +134,9 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
         oracle = (full * cmath.exp(-1j * state.theta[p])).imag
         assert abs(rec.v_gq[p] - oracle) <= 1e-9 * max(abs(full), scale)
         assert abs(oracle) > 1e-3  # the fault moved every unit off lock
-        # The PLLs take pll_step's update from that v_gq, bit for bit.
-        theta, _, integral = pll_step(
-            state.theta[p], state.integral[p], rec.v_gq[p], cfg.kp, cfg.ki, 1e-5
-        )
+        # The PLLs take the PI update from that v_gq, bit for bit.
+        integral = state.integral[p] + rec.v_gq[p] * 1e-5
+        theta = state.theta[p] + (cfg.kp * rec.v_gq[p] + cfg.ki * integral) * 1e-5
         assert (nxt.theta[p], nxt.integral[p]) == (theta, integral)
         assert rec.theta_cg[p] == theta + cfg.pf_angle
 
@@ -189,6 +159,13 @@ def test_direct_fault_on_step_equals_the_step_advance_makes():
         step(run.equilibrium, run.units, run.fault, dt, SolverOptions())
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-5])
+def test_step_rejects_a_non_positive_dt(dt):
+    run = prepare_run(_small_fleet(), _small_grid(), 0.5)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(run.equilibrium, run.units, run.prefault, dt, run.opts)
+
+
 def test_fault_step_depresses_voltage():
     run = prepare_run(_small_fleet(), _small_grid(), 0.5)
     state = run.equilibrium
@@ -204,9 +181,9 @@ def test_removing_one_injection_lowers_voltage_and_raises_currents():
     fault = faulted_grid(grid, 0.4)
     zeq = equivalent_impedance(fleet, fault, grid.z_load)
     theta = (0.03, 0.04)
-    with_all = solve_vpcc(fault, aggregate(zeq, InjectionState((6000.0, 12000.0), theta)),
+    with_all = solve_vpcc(fault, aggregate_cd(zeq, (6000.0, 12000.0), theta),
                           tol=1e-9, max_iter=100)
-    without_first = solve_vpcc(fault, aggregate(zeq, InjectionState((0.0, 12000.0), theta)),
+    without_first = solve_vpcc(fault, aggregate_cd(zeq, (0.0, 12000.0), theta),
                                tol=1e-9, max_iter=100)
     v_a = abs(with_all.v_pcc)
     v_b = abs(without_first.v_pcc)
@@ -329,16 +306,13 @@ def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, m
 
 
 def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
-    # step sums (C, D) from its per-run table and hands it to solve_vpcc,
-    # which builds none; q_components takes the aggregate of the step's last
-    # solve. Limiter re-solves (Inv 4 limits from 3 ms) are included.
+    # step sums (C, D) from its per-run table and hands it to solve_vpcc;
+    # q_components takes the aggregate of the step's last solve. Limiter
+    # re-solves (Inv 4 limits from 3 ms) are included.
     cfg = table_config
     run = prepare_run(cfg.fleet, cfg.grid, 0.6, cfg.solver)
     solved = []
     projected = []
-
-    def no_aggregate(*args, **kwargs):
-        raise AssertionError("an aggregate was built inside a step")
 
     def solving(grid, agg, *args):
         c, d = agg
@@ -351,8 +325,6 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
         return q_components(grid, v_pcc, agg, *args)
 
     q_components = dynamics.q_components
-    monkeypatch.setattr(pcc, "aggregate", no_aggregate)
-    monkeypatch.setattr(dynamics, "aggregate", no_aggregate)
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
     monkeypatch.setattr(dynamics, "q_components", projecting)
     records = [run.equilibrium.record]
@@ -435,24 +407,6 @@ def test_bolted_fault_saturates_everyone_then_trips(table_config):
     # once every unit has tripped the source-less node collapses and the run
     # is truncated as instability onset
     assert traj.solver_failure_t is not None
-
-
-def test_lag_mode_equilibrium_and_fault_run(table_config):
-    cfg = table_config
-    lag = SolverOptions(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-                        damping=cfg.solver.damping, lag_mode=True)
-    scen = replace(cfg.scenario, t_end=6e-3)
-    traj = simulate(cfg.fleet, cfg.grid, scen, lag)
-    first = traj.records[0]
-    pre_fault_records = [r for r in traj.records if r.t < scen.t_fault]
-    worst = max(
-        abs(rec.theta_cg[p] - first.theta_cg[p])
-        for rec in pre_fault_records
-        for p in range(5)
-    )
-    assert worst < 1e-6
-    k = round(scen.t_fault / scen.dt)
-    assert traj.records[k + 1].v_pcc_mag < first.v_pcc_mag
 
 
 def test_trip_latches_and_zeroes_injection():

@@ -6,15 +6,9 @@ import pytest
 
 from gflswing.dynamics import InverterConfig
 from gflswing.network import TheveninEquivalent
-from gflswing.pcc import (
-    InjectionState,
-    NonConvergence,
-    ZeroVoltage,
-    aggregate,
-    q_components,
-    solve_vpcc,
-)
+from gflswing.pcc import NonConvergence, ZeroVoltage, q_components, solve_vpcc
 from helpers_oracles import (
+    aggregate_cd,
     grid_zoom_vpcc,
     newton_fd_vpcc,
     pcc_residual,
@@ -32,8 +26,7 @@ def _grid(mag=230.0, ang=0.0, z=(0.2, 0.1)) -> TheveninEquivalent:
 def test_zero_injection_returns_source_voltage_exactly():
     grid = _grid()
     zeq = _zeq((0.1, 0.05), (0.2, 0.1))
-    inj = InjectionState((0.0, 0.0), (0.0, 0.0))
-    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=100)
+    sol = solve_vpcc(grid, aggregate_cd(zeq, (0.0, 0.0), (0.0, 0.0)), tol=1e-9, max_iter=100)
     assert sol.v_pcc.real == grid.v_th.real
     assert sol.v_pcc.imag == grid.v_th.imag
     assert sol.iterations == 1
@@ -43,8 +36,7 @@ def test_zero_injection_returns_source_voltage_exactly():
 def test_single_inverter_matches_grid_search_oracle():
     grid = _grid(z=(0.05, 0.02))
     zeq = _zeq((0.1, 0.05))
-    inj = InjectionState((6000.0,), (0.0,))
-    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10, max_iter=100)
+    sol = solve_vpcc(grid, aggregate_cd(zeq, (6000.0,), (0.0,)), tol=1e-10, max_iter=100)
     oracle = grid_zoom_vpcc(230 + 0j, [0.1 + 0.05j], [6000.0], [0.0])
     got = sol.v_pcc
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
@@ -63,8 +55,8 @@ def test_two_inverter_case_matches_newton_oracle():
     ]
     zeq = tuple(zc)
     grid = _grid()
-    inj = InjectionState((6000.0, 9000.0), (0.05, 0.03))
-    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10, max_iter=100)
+    agg = aggregate_cd(zeq, (6000.0, 9000.0), (0.05, 0.03))
+    sol = solve_vpcc(grid, agg, tol=1e-10, max_iter=100)
     oracle = newton_fd_vpcc(230 + 0j, zc, [6000.0, 9000.0], [0.05, 0.03])
     assert abs(sol.v_pcc - oracle) <= 1e-8 * abs(oracle)
 
@@ -83,8 +75,7 @@ def test_randomized_small_fleets_match_newton_oracle():
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
         zeq = tuple(zc)
-        inj = InjectionState(tuple(s), tuple(th))
-        sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-10 * v_mag, max_iter=100)
+        sol = solve_vpcc(grid, aggregate_cd(zeq, s, th), tol=1e-10 * v_mag, max_iter=100)
         oracle = newton_fd_vpcc(grid.v_th, zc, s, th)
         assert abs(sol.v_pcc - oracle) <= 1e-6 * abs(oracle)
 
@@ -92,19 +83,18 @@ def test_randomized_small_fleets_match_newton_oracle():
 def test_solver_residual_meets_tolerance():
     grid = _grid()
     zeq = _zeq((0.15, 0.07), (0.1, 0.02))
-    inj = InjectionState((8000.0, 12000.0), (0.1, -0.2))
+    s, th = (8000.0, 12000.0), (0.1, -0.2)
     tol = 1e-9 * 230
-    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=tol, max_iter=100)
+    sol = solve_vpcc(grid, aggregate_cd(zeq, s, th), tol=tol, max_iter=100)
     zc = list(zeq)
-    assert pcc_residual(sol.v_pcc, 230 + 0j, zc, list(inj.s), list(inj.theta_cg)) <= tol
+    assert pcc_residual(sol.v_pcc, 230 + 0j, zc, list(s), list(th)) <= tol
 
 
 def test_solver_reports_nonconvergence_when_budget_exhausted():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))
-    inj = InjectionState((6000.0,), (0.0,))
     with pytest.raises(NonConvergence) as err:
-        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-15, max_iter=2)
+        solve_vpcc(grid, aggregate_cd(zeq, (6000.0,), (0.0,)), tol=1e-15, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 1e-15
 
@@ -113,28 +103,28 @@ def test_solver_zero_voltage_guard():
     # A pinned current cancelling the source exactly collapses the node.
     grid = _grid(230.0, 0.0, z=(0.0, 0.0))
     zeq = _zeq((1.0, 0.0))
-    inj = InjectionState((0.0,), (math.pi,), i_fixed=(230.0,))
+    agg = aggregate_cd(zeq, (0.0,), (math.pi,), i_fixed=(230.0,))
     with pytest.raises(ZeroVoltage):
-        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=50)
+        solve_vpcc(grid, agg, tol=1e-9, max_iter=50)
 
 
 def test_solver_validates_arguments():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))
-    inj = InjectionState((6000.0,), (0.0,))
+    agg = aggregate_cd(zeq, (6000.0,), (0.0,))
     with pytest.raises(ValueError):
-        solve_vpcc(grid, aggregate(zeq, inj), tol=0.0, max_iter=10)
+        solve_vpcc(grid, agg, tol=0.0, max_iter=10)
     with pytest.raises(ValueError):
-        solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=0)
+        solve_vpcc(grid, agg, tol=1e-9, max_iter=0)
     with pytest.raises(ValueError):
-        solve_vpcc(_grid(0.0), aggregate(zeq, inj), tol=1e-9, max_iter=10)
+        solve_vpcc(_grid(0.0), agg, tol=1e-9, max_iter=10)
 
 
 def test_fixed_current_entries_bypass_the_power_division():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))
-    inj = InjectionState((123456.0,), (0.3,), i_fixed=(40.0,))
-    sol = solve_vpcc(grid, aggregate(zeq, inj), tol=1e-9, max_iter=100)
+    agg = aggregate_cd(zeq, (123456.0,), (0.3,), i_fixed=(40.0,))
+    sol = solve_vpcc(grid, agg, tol=1e-9, max_iter=100)
     expected = 230 + (0.1 + 0.05j) * 40.0 * cmath.exp(0.3j)
     assert sol.v_pcc == pytest.approx(expected, rel=1e-12)
     assert sol.iterations == 1
@@ -145,47 +135,44 @@ def test_solver_solves_the_aggregate_it_is_given():
     # meets v = v_th + D + C / |v| for the (C, D) handed in.
     grid = _grid()
     zeq = _zeq((0.1, 0.05), (0.2, 0.1))
-    for inj in (
-        InjectionState((0.0, 0.0), (0.3, -0.2), i_fixed=(40.0, 20.0)),
-        InjectionState((6000.0, 9000.0), (0.3, -0.2), i_fixed=(None, 20.0)),
+    theta = (0.3, -0.2)
+    for s, i_fixed in (
+        ((0.0, 0.0), (40.0, 20.0)),
+        ((6000.0, 9000.0), (None, 20.0)),
     ):
-        c, d = agg = aggregate(zeq, inj)
+        c, d = agg = aggregate_cd(zeq, s, theta, i_fixed)
         sol = solve_vpcc(grid, agg, tol=1e-9, max_iter=100)
         v = sol.v_pcc
         assert abs(v - (grid.v_th + d + c / abs(v))) <= 1e-9
         oracle = grid.v_th
-        for k, th in enumerate(inj.theta_cg):
-            i_k = inj.i_fixed[k] if inj.i_fixed[k] is not None else inj.s[k] / abs(v)
+        for k, th in enumerate(theta):
+            i_k = i_fixed[k] if i_fixed[k] is not None else s[k] / abs(v)
             oracle += zeq[k] * i_k * cmath.exp(1j * th)
         assert abs(v - oracle) <= 1e-9 * abs(oracle)
 
 
-def test_aggregate_rejects_mismatched_sizes():
-    with pytest.raises(ValueError):
-        aggregate(_zeq((0.1, 0.05)), InjectionState((1.0, 2.0), (0.0, 0.0)))
-
-
-def _frames(inj, z_series, refs, v_mag):
-    """q_components' per-unit arguments for the injections inj seen from the
-    frames refs: cos and sin of each frame, Im(z_series e^{j (theta - ref)})
-    and the currents s / |v_pcc|."""
+def _frames(s, theta, z_series, refs, v_mag):
+    """q_components' per-unit arguments for the injections s at angles theta
+    seen from the frames refs: cos and sin of each frame,
+    Im(z_series e^{j (theta - ref)}) and the currents s / |v_pcc|."""
     return (
         [math.cos(ref) for ref in refs],
         [math.sin(ref) for ref in refs],
         [(z * cmath.exp(1j * (th - ref))).imag
-         for z, th, ref in zip(z_series, inj.theta_cg, refs)],
-        [s / v_mag for s in inj.s],
+         for z, th, ref in zip(z_series, theta, refs)],
+        [s_k / v_mag for s_k in s],
     )
 
 
 def test_q_components_zero_injection_gives_source_projection():
     grid = _grid(230.0, 0.12)
     zeq = _zeq((0.1, 0.05), (0.2, 0.02))
-    inj = InjectionState((0.0, 0.0), (0.0, 0.0))
+    s, th = (0.0, 0.0), (0.0, 0.0)
     z_series = [complex(0.3, 0.01), complex(0.4, 0.02)]
     refs = (0.05, -0.3)
     q, v_gq = q_components(
-        grid, cmath.rect(230.0, 0.12), aggregate(zeq, inj), *_frames(inj, z_series, refs, 230.0)
+        grid, cmath.rect(230.0, 0.12), aggregate_cd(zeq, s, th),
+        *_frames(s, th, z_series, refs, 230.0),
     )
     expected = tuple(230.0 * math.sin(0.12 - ref) for ref in refs)
     assert q == pytest.approx(expected, rel=1e-12)
@@ -195,11 +182,11 @@ def test_q_components_zero_injection_gives_source_projection():
 def test_q_components_aligned_terms_vanish():
     grid = _grid(230.0, 0.0)
     zeq = _zeq((0.1, 0.0), (0.2, 0.0))  # gamma = 0
-    inj = InjectionState((5000.0, 7000.0), (0.0, 0.0))  # theta + gamma = 0
+    s, th = (5000.0, 7000.0), (0.0, 0.0)  # theta + gamma = 0
     z_series = [complex(0.3, 0.0), complex(0.4, 0.0)]
     q, v_gq = q_components(
-        grid, cmath.rect(240.0, 0.0), aggregate(zeq, inj),
-        *_frames(inj, z_series, (0.0, 0.0), 240.0),
+        grid, cmath.rect(240.0, 0.0), aggregate_cd(zeq, s, th),
+        *_frames(s, th, z_series, (0.0, 0.0), 240.0),
     )
     assert q == pytest.approx((0.0, 0.0), abs=1e-12)
     assert v_gq == pytest.approx((0.0, 0.0), abs=1e-12)
@@ -220,9 +207,8 @@ def test_q_components_termwise_equals_complex_projection():
         ]
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         refs = tuple(rng.uniform(-math.pi, math.pi) for _ in range(n))
-        inj = InjectionState(s, th)
         q, v_gq = q_components(
-            grid, v_pcc, aggregate(zeq, inj), *_frames(inj, z_series, refs, abs(v_pcc))
+            grid, v_pcc, aggregate_cd(zeq, s, th), *_frames(s, th, z_series, refs, abs(v_pcc))
         )
 
         v_mag = abs(v_pcc)
@@ -247,11 +233,10 @@ def test_increasing_lagging_injection_weakly_depresses_q():
     base_s = [5000.0, 7000.0, 6000.0]
 
     def solved_q(s):
-        inj = InjectionState(tuple(s), theta)
-        agg = aggregate(zeq, inj)
+        agg = aggregate_cd(zeq, s, theta)
         sol = solve_vpcc(grid, agg, tol=1e-10, max_iter=100)
         q, _ = q_components(
-            grid, sol.v_pcc, agg, *_frames(inj, z_series, (0.0,) * 3, abs(sol.v_pcc))
+            grid, sol.v_pcc, agg, *_frames(s, theta, z_series, (0.0,) * 3, abs(sol.v_pcc))
         )
         return q[0]
 
@@ -272,23 +257,15 @@ def test_operating_points_bundle_the_per_inverter_view():
     z_series = [cfg.z_total() for cfg in fleet]
     grid = _grid()
     zeq = _zeq((0.12, 0.03), (0.15, 0.04))
-    inj = InjectionState((6000.0, 9000.0), (0.02, 0.05))
-    agg = aggregate(zeq, inj)
+    s, th = (6000.0, 9000.0), (0.02, 0.05)
+    agg = aggregate_cd(zeq, s, th)
     sol = solve_vpcc(grid, agg, tol=1e-10, max_iter=100)
     v = sol.v_pcc
     refs = (0.01, 0.04)
-    _, v_gq = q_components(grid, v, agg, *_frames(inj, z_series, refs, abs(v)))
+    _, v_gq = q_components(grid, v, agg, *_frames(s, th, z_series, refs, abs(v)))
     for p, ref in enumerate(refs):
-        i_p = inj.s[p] / abs(v)
-        v_g = v + i_p * z_series[p] * cmath.exp(1j * inj.theta_cg[p])
+        i_p = s[p] / abs(v)
+        v_g = v + i_p * z_series[p] * cmath.exp(1j * th[p])
         projected = (v_g * cmath.exp(-1j * ref)).imag
         assert v_gq[p] == pytest.approx(projected, abs=5e-9 * abs(v))
 
-
-def test_injection_state_validation():
-    with pytest.raises(ValueError):
-        InjectionState((1.0,), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        InjectionState((-1.0,), (0.0,))
-    with pytest.raises(ValueError):
-        InjectionState((1.0,), (0.0,), i_fixed=(None, None))
