@@ -30,7 +30,6 @@ from gflswing.dynamics import (
     SolverOptions,
     Trajectory,
     TrajectoryRecord,
-    limited_current,
     simulate,
 )
 from gflswing.stability import (
@@ -66,7 +65,6 @@ __all__ = [
     "SolverOptions",
     "Trajectory",
     "TrajectoryRecord",
-    "limited_current",
     "simulate",
     "BracketInvalid",
     "CctResult",

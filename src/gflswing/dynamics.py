@@ -37,7 +37,6 @@ __all__ = [
     "UnitTable",
     "GridPhase",
     "RunSetup",
-    "limited_current",
     "find_equilibrium",
     "step",
     "prepare_run",
@@ -121,7 +120,7 @@ class FaultScenario:
             raise ValueError(f"fault_depth must lie in [0, 1], got {self.fault_depth}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     """One sample: PCC phasor plus per-inverter tuples in fleet order.
 
@@ -129,6 +128,10 @@ class TrajectoryRecord:
     (leading positive); v_gq is the q-axis generation voltage seen by each
     unit's own PLL (0.0 once tripped). i_mag equals i_max exactly while a
     unit is limited and 0 after it trips.
+
+    Read-only by contract, as forked runs share earlier records; not
+    frozen, since a frozen dataclass sets each field through
+    object.__setattr__, a cost every step would pay.
     """
 
     t: float
@@ -156,11 +159,12 @@ class Trajectory:
             raise ValueError("trajectory must start at t = 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SimState:
     """The last recorded sample plus what each unit carries between steps:
     its PLL angle (theta, constant at lock), PI integral and the time its
-    current limiting began (None while unlimited)."""
+    current limiting began (None while unlimited). Read-only and not
+    frozen, like TrajectoryRecord: forked runs share checkpointed states."""
 
     record: TrajectoryRecord
     theta: tuple[float, ...]
@@ -170,7 +174,10 @@ class SimState:
 
 @dataclass(frozen=True, slots=True)
 class SolverOptions:
-    """Fixed-point solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|)."""
+    """Voltage solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|).
+
+    damping applies to the unseeded solves of find_equilibrium only; step
+    seeds every solve and starts Newton there (see pcc.solve_vpcc)."""
 
     tol: float | None = None
     max_iter: int = 100
@@ -251,16 +258,6 @@ class RunSetup:
     prefault: GridPhase
     fault: GridPhase
     equilibrium: SimState
-
-
-def limited_current(s_ref: float, v_pcc_mag: float, i_max: float) -> tuple[float, bool]:
-    """Clamp the commanded current s_ref / v_pcc_mag against i_max."""
-    if v_pcc_mag <= 0.0:
-        raise ValueError(f"v_pcc_mag must be positive, got {v_pcc_mag}")
-    i_raw = s_ref / v_pcc_mag
-    if i_raw > i_max:
-        return i_max, True
-    return i_raw, False
 
 
 def _aggregate(
@@ -370,7 +367,9 @@ def step(
     expiry or angle divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
     Tripped units are frozen and inject nothing from the following step.
     One cos and one sin of each injection angle serve every voltage solve
-    of the step; the q projection takes them of each PLL angle.
+    of the step; the q projection takes them of each PLL angle. The first
+    voltage solve is seeded with the previous record's PCC voltage and each
+    limiter re-solve with the last solution.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -395,7 +394,10 @@ def step(
         # Collapsed source: every live unit saturates at once.
         limited = [not t for t in tripped]
     agg = _aggregate(phase, e, tripped, limited)
-    sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
+    sol = solve_vpcc(
+        grid, agg, tol, opts.max_iter, opts.damping,
+        cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
+    )
     for _ in range(n + 1):
         v_mag = abs(sol.v_pcc)
         if v_mag == 0.0:
@@ -405,7 +407,7 @@ def step(
             break
         limited = want
         agg = _aggregate(phase, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping)
+        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping, sol.v_pcc)
 
     v = sol.v_pcc
     v_mag = abs(v)

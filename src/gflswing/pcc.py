@@ -19,6 +19,11 @@ injections (dynamics sums it from its per-run table), and q_components
 rotates that one complex sum into every unit's frame, so one call serves
 the whole fleet.
 
+A solve without a seed starts from v_th with damped fixed-point
+iteration. A solve given a seed, such as the voltage of the previous time
+step, starts Newton's method there: from a near solution it converges in
+one or two iterations.
+
 Voltages and impedances are Python ``complex`` numbers in volts and ohms;
 the equivalent impedances come from network.equivalent_impedance.
 """
@@ -63,9 +68,10 @@ class ZeroVoltage(RuntimeError):
     """The iterated voltage magnitude collapsed toward zero."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PccSolution:
-    """The solved PCC voltage, its residual and the iterations it took."""
+    """The solved PCC voltage, its residual and the iterations it took.
+    Read-only and not frozen, like dynamics.TrajectoryRecord."""
 
     v_pcc: complex
     residual: float
@@ -78,15 +84,18 @@ def solve_vpcc(
     tol: float,
     max_iter: int,
     damping: float = 0.7,
+    seed: complex | None = None,
 ) -> PccSolution:
     """Solve v = v_th + D + C / |v| to a fixed point for the aggregate (C, D).
 
     C = sum_i z_eq_i s_i e^{j theta_i} over the constant-power injections
-    and D = sum_i z_eq_i i_i e^{j theta_i} over the fixed-current ones. Damped
-    fixed-point iteration seeded at v_th, falling back to a damped 2-D
-    Newton step on the closed-form residual once the plain iteration stalls.
-    Raises NonConvergence if the residual stays above tol within max_iter
-    total iterations and ZeroVoltage if |v| collapses below
+    and D = sum_i z_eq_i i_i e^{j theta_i} over the fixed-current ones.
+    Without a seed: damped fixed-point iteration from v_th, falling back to
+    a damped 2-D Newton step on the closed-form residual after 40
+    iterations. With a seed: the Newton iteration from the seed, with the
+    same residual check, step halving and budget. Raises NonConvergence if
+    the residual stays above tol within max_iter total iterations and
+    ZeroVoltage if |v| (the seed's included) falls below
     ZERO_VOLTAGE_FRACTION * |v_th|.
     """
     if tol <= 0.0:
@@ -114,12 +123,14 @@ def solve_vpcc(
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
-    v = v_th
     iterations = 0
     residual = math.inf
 
+    # A seeded solve makes no fixed-point iterations and starts Newton there.
+    v = v_th if seed is None else seed
+    fixed_point_iter = min(max_iter, 40) if seed is None else 0
     keep = 1.0 - damping
-    for iterations in range(1, min(max_iter, 40) + 1):
+    for iterations in range(1, fixed_point_iter + 1):
         r = abs(v)
         if r < floor:
             raise ZeroVoltage(
@@ -131,7 +142,8 @@ def solve_vpcc(
             return PccSolution(v, residual, iterations)
         v = keep * v + damping * rhs
 
-    # Newton fallback on F(v) = v - w - C/|v| with its closed-form Jacobian.
+    # Newton on F(v) = v - w - C/|v| with its closed-form Jacobian: the
+    # fallback of an unseeded solve, the whole of a seeded one.
     while iterations < max_iter:
         iterations += 1
         x, y = v.real, v.imag

@@ -289,8 +289,8 @@ def test_bundled_cct_json_is_pinned(tmp_path):
 # trajectory.csv of bundled runs. These catch what cct.json cannot, e.g. a
 # tripped unit's i_q, which is 0.0 * sin(...) = -0.0 and prints "-0".
 TRAJECTORY_CSV_SHA256 = {
-    "table1.yaml": "b21eef79847c72481c2bdc412d394d1a80b9cb5d8dc4ae6921365beb986c7df3",
-    "table1_uncleared.yaml": "c67019efd339ea5a75f47248f382248592d27868a6ecbb911e430d690ce1481a",
+    "table1.yaml": "47ec1913c3a25563ccfca0c4fd475871c50299e820e40d013793036a05ddd88a",
+    "table1_uncleared.yaml": "cb26d3bf291c906a6e7198f9bf8a23d0f4984098ebb4a171cdd5317cc4deb9b1",
 }
 
 

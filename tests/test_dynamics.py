@@ -5,13 +5,13 @@ from dataclasses import replace
 import pytest
 
 from gflswing import dynamics
+from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     SolverOptions,
     Trajectory,
     advance,
-    limited_current,
     prepare_run,
     simulate,
     step,
@@ -23,6 +23,7 @@ from gflswing.network import (
     faulted_grid,
 )
 from gflswing.pcc import solve_vpcc
+from gflswing.stability import classify
 from helpers_oracles import aggregate_cd
 
 
@@ -38,34 +39,6 @@ def _small_fleet():
 def _small_grid():
     pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.20, 0.10))
     return GridModel(pre, complex(0.10, 0.05))
-
-
-def test_limited_current_unconstrained():
-    i, lim = limited_current(6000.0, 230.0, 40.0)
-    assert i == pytest.approx(26.086956521739129)
-    assert lim is False
-
-
-def test_limited_current_clamped():
-    i, lim = limited_current(6000.0, 100.0, 40.0)
-    assert i == 40.0
-    assert lim is True
-
-
-def test_limited_current_zero_power():
-    assert limited_current(0.0, 230.0, 40.0) == (0.0, False)
-
-
-def test_limited_current_rejects_zero_voltage():
-    with pytest.raises(ValueError):
-        limited_current(6000.0, 0.0, 40.0)
-
-
-def test_limiter_flag_monotone_as_voltage_sags():
-    s_ref, i_max = 6000.0, 40.0
-    flags = [limited_current(s_ref, v, i_max)[1] for v in (300, 250, 200, 160, 150, 120, 80, 40)]
-    # once active it stays active as the voltage keeps dropping
-    assert flags == sorted(flags)
 
 
 def test_inverter_config_validation():
@@ -237,6 +210,35 @@ def test_default_tolerance_resolves_against_the_prefault_source(table_config):
     default = simulate(cfg.fleet, cfg.grid, cfg.scenario, SolverOptions())
     loaded = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     assert default.records == loaded.records
+
+
+@pytest.mark.parametrize("name", ["table1.yaml", "table1_uncleared.yaml"])
+@pytest.mark.parametrize(
+    "depth, cleared_after, stable, failure_step, n_records",
+    [
+        (0.5, None, False, None, 2201),
+        (0.5, 1e-3, True, None, 2201),
+        (0.9, None, False, None, 2201),
+        (0.9, 1e-3, True, None, 2201),
+        # Every unit has tripped by 4.5 ms; the source-less node fails to
+        # solve at step 451 (4.51 ms) and the run ends there.
+        (1.0, None, False, 451, 452),
+        (1.0, 1e-3, True, None, 2201),
+    ],
+)
+def test_deep_fault_verdicts_and_solver_failures_are_pinned(
+    name, depth, cleared_after, stable, failure_step, n_records
+):
+    cfg = load_config(bundled_config_path(name))
+    t_clear = None if cleared_after is None else cfg.scenario.t_fault + cleared_after
+    scen = replace(cfg.scenario, fault_depth=depth, t_clear=t_clear)
+    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    assert classify(traj, cfg.settle_tol, cfg.settle_window).stable is stable
+    if failure_step is None:
+        assert traj.solver_failure_t is None
+    else:
+        assert traj.solver_failure_t == failure_step * scen.dt
+    assert len(traj.records) == n_records
 
 
 def test_uncleared_deep_fault_trips_whole_fleet(table_config):

@@ -90,6 +90,50 @@ def test_solver_residual_meets_tolerance():
     assert pcc_residual(sol.v_pcc, 230 + 0j, zc, list(s), list(th)) <= tol
 
 
+def _fault_on_case(theta):
+    """The two-unit reference fleet at injection angles theta, behind a
+    feeder whose source has sagged to half its 230 V: (grid, z_eq,
+    aggregate)."""
+    z1 = complex(0.15 + 0.16, 2 * math.pi * 60 * 40e-6)
+    z2 = complex(0.30 + 0.12, 2 * math.pi * 60 * 45e-6)
+    z_grid = 1.0 + 0.5j
+    zeq = tuple((z * z_grid) / (z + z_grid) for z in (z1, z2))
+    grid = _grid(115.0, 0.0, z=(0.7, 0.35))
+    return grid, zeq, aggregate_cd(zeq, (6000.0, 9000.0), theta)
+
+
+def test_seeded_solve_from_its_own_solution_returns_at_once():
+    grid, _, agg = _fault_on_case((0.06, 0.045))
+    tol = 1e-9 * 230
+    cold = solve_vpcc(grid, agg, tol=tol, max_iter=100)
+    warm = solve_vpcc(grid, agg, tol=tol, max_iter=100, seed=cold.v_pcc)
+    assert warm.iterations == 1
+    assert warm.v_pcc == cold.v_pcc
+
+
+def test_seeded_solve_from_a_neighbouring_state_agrees_with_the_cold_solve():
+    # Seeded with the solution of the injection angles one step earlier, as
+    # step seeds it, the solve lands within tol of the cold solve in fewer
+    # iterations, and its residual meets tol.
+    s, theta = (6000.0, 9000.0), (0.06, 0.045)
+    grid, zeq, agg = _fault_on_case(theta)
+    tol = 1e-9 * 230
+    before = solve_vpcc(grid, _fault_on_case((0.05, 0.03))[2], tol=tol, max_iter=100)
+    cold = solve_vpcc(grid, agg, tol=tol, max_iter=100)
+    warm = solve_vpcc(grid, agg, tol=tol, max_iter=100, seed=before.v_pcc)
+    assert abs(warm.v_pcc - cold.v_pcc) <= tol
+    assert warm.iterations < cold.iterations
+    assert pcc_residual(warm.v_pcc, grid.v_th, list(zeq), list(s), list(theta)) <= tol
+
+
+@pytest.mark.parametrize("seed", [0j, 1e-5 + 0j])
+def test_seed_below_the_zero_voltage_floor_raises(seed):
+    # The floor is ZERO_VOLTAGE_FRACTION of |v_th| = 115 V, 1.15e-4 V.
+    grid, _, agg = _fault_on_case((0.06, 0.045))
+    with pytest.raises(ZeroVoltage):
+        solve_vpcc(grid, agg, tol=1e-9 * 230, max_iter=100, seed=seed)
+
+
 def test_solver_reports_nonconvergence_when_budget_exhausted():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))
