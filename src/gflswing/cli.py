@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Container
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -79,6 +80,10 @@ DEFAULT_FREQUENCY_HZ = 60.0
 SWEEP_AXES = ("fault_depth", "clear_interval_s", "s_scale", "xr_scale")
 THREADS_ENV = "GFLSWING_THREADS"
 
+# libyaml's parser with PyYAML's safe constructor and resolver; the
+# pure-Python parser when PyYAML was built without libyaml.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure with a field-addressed message."""
@@ -116,6 +121,13 @@ def _expect_map(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
+
+
+def _reject_unknown(section: dict, known: Container, path: str) -> None:
+    """Reject the first key of section that is not in known (its echo's keys)."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
 def _finite(value: Any, where: str) -> float:
@@ -171,7 +183,13 @@ def _get_impedance(section: dict, key: str, path: str, default: complex | None =
     m = _expect_map(section[key], f"{path}.{key}")
     r = _get_num(m, "r", f"{path}.{key}", required=True, minimum=0.0)
     x = _get_num(m, "x", f"{path}.{key}", required=True)
-    return complex(r, x)
+    z = complex(r, x)
+    _reject_unknown(m, _impedance_echo(z), f"{path}.{key}")
+    return z
+
+
+def _impedance_echo(z: complex) -> dict:
+    return {"r": z.real, "x": z.imag}
 
 
 def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
@@ -203,19 +221,21 @@ def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
         faulted_resolved = {
             "v_th_volts": fv,
             "v_th_angle_rad": fa,
-            "z_th_ohms": {"r": fz.real, "x": fz.imag},
+            "z_th_ohms": _impedance_echo(fz),
         }
+        _reject_unknown(f, faulted_resolved, "grid.faulted")
 
     model = GridModel(prefault, z_load, faulted)
     resolved = {
         "v_th_volts": v_mag,
         "v_th_angle_rad": v_angle,
-        "z_th_ohms": {"r": z_th.real, "x": z_th.imag},
-        "z_load_ohms": {"r": z_load.real, "x": z_load.imag},
+        "z_th_ohms": _impedance_echo(z_th),
+        "z_load_ohms": _impedance_echo(z_load),
         "frequency_hz": frequency,
         "v_nominal_volts": v_nominal,
         "faulted": faulted_resolved,
     }
+    _reject_unknown(g, resolved, "grid")
     return model, v_nominal, frequency, resolved
 
 
@@ -262,22 +282,23 @@ def _parse_fleet(raw: dict, v_nominal: float, frequency: float) -> tuple[tuple[I
             )
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        echo = {
+            "name": name,
+            "s_rated_va": s_rated,
+            "line_resistance_ohm": r_line,
+            "line_inductance_uh": l_uh,
+            "line_reactance_ohm": cfg.z_line.imag,
+            "virtual_resistance_ohm": r_virtual,
+            "kp": kp,
+            "ki": ki,
+            "i_max_a": i_max,
+            "pf_angle_rad": pf_angle,
+            "trip_holdoff_s": holdoff,
+        }
+        # The reactance is derived from the inductance: echoed, not read.
+        _reject_unknown(e, echo.keys() - {"line_reactance_ohm"}, path)
         fleet.append(cfg)
-        resolved.append(
-            {
-                "name": name,
-                "s_rated_va": s_rated,
-                "line_resistance_ohm": r_line,
-                "line_inductance_uh": l_uh,
-                "line_reactance_ohm": cfg.z_line.imag,
-                "virtual_resistance_ohm": r_virtual,
-                "kp": kp,
-                "ki": ki,
-                "i_max_a": i_max,
-                "pf_angle_rad": pf_angle,
-                "trip_holdoff_s": holdoff,
-            }
-        )
+        resolved.append(echo)
     return tuple(fleet), resolved
 
 
@@ -308,6 +329,7 @@ def _parse_scenario(raw: dict, dt_override: float | None) -> tuple[FaultScenario
         "t_end_s": t_end,
         "dt_s": dt,
     }
+    _reject_unknown(s, resolved, "scenario")
     return scenario, resolved
 
 
@@ -333,6 +355,7 @@ def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
         "max_iter": max_iter,
         "damping": damping,
     }
+    _reject_unknown(s, resolved.keys() | {"lag_mode"}, "solver")
     return opts, resolved
 
 
@@ -361,11 +384,13 @@ def _parse_stability(raw: dict) -> tuple[float, float, CctSettings | None, dict]
             "resolution_s": resolution,
             "audit_samples": samples,
         }
+        _reject_unknown(c, cct_resolved, "stability.cct")
     resolved = {
         "settle_tol_rad": settle_tol,
         "settle_window_s": settle_window,
         "cct": cct_resolved,
     }
+    _reject_unknown(s, resolved, "stability")
     return settle_tol, settle_window, cct, resolved
 
 
@@ -384,6 +409,7 @@ def _parse_sweep(raw: dict) -> tuple[dict[str, tuple[float, ...]] | None, dict |
             raise ConfigError(f"sweep.axes.{key}: expected a non-empty list of numbers")
         axes[key] = tuple(_finite(v, f"sweep.axes.{key}[{j}]") for j, v in enumerate(values))
     resolved = {"axes": {k: list(v) for k, v in axes.items()}}
+    _reject_unknown(s, resolved, "sweep")
     return (axes or None), resolved
 
 
@@ -391,14 +417,15 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     """Parse and fully validate a YAML run configuration.
 
     Every downstream precondition is checked here with a field-addressed
-    message. Defaults (i_max, trip holdoff, solver and stability settings)
-    are resolved into the returned config and its provenance hash.
+    message, and a key that its section's resolved echo lacks is rejected
+    as unknown. Defaults (i_max, trip holdoff, solver and stability
+    settings) are resolved into the returned config and its provenance hash.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -429,6 +456,7 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         "stability": stability_resolved,
         "sweep": sweep_resolved,
     }
+    _reject_unknown(raw, resolved, "")
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     sha = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -461,10 +489,6 @@ def _f9(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _f9e(x: float) -> str:
-    return f"{x:.9e}"
-
-
 def _b(x: bool) -> str:
     return "true" if x else "false"
 
@@ -487,36 +511,35 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
+# One trajectory.csv row: time, the PCC voltage, then seven cells per unit.
+_ROW_HEAD = "%.9e,%.9g,%.9g,%.9g"
+_ROW_UNIT = ",%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s"
+_UNIT_COLUMNS = (
+    "theta_cg_rad", "theta_cg_deg", "i_mag_A", "i_q_A", "v_gq_V", "limited", "tripped",
+)
+_BOOL_CELL = ("false", "true")
+
+
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    names = [cfg.name for cfg in traj.fleet]
+    """Write traj as CSV, one row as soon as it is formatted.
+
+    The file is the only copy of the text: no row list or joined string
+    is built, so memory does not grow with the number of steps.
+    """
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
-    for name in names:
-        header += [
-            f"{name}.theta_cg_rad",
-            f"{name}.theta_cg_deg",
-            f"{name}.i_mag_A",
-            f"{name}.i_q_A",
-            f"{name}.v_gq_V",
-            f"{name}.limited",
-            f"{name}.tripped",
-        ]
-    lines = [",".join(header)]
-    for rec in traj.records:
-        row = [
-            _f9e(rec.t),
-            _f9(rec.v_pcc_mag),
-            _f9(rec.v_pcc_angle),
-            _f9(math.degrees(rec.v_pcc_angle)),
-        ]
-        for th, i, i_q, v_gq, lim, trip in zip(
-            rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
-        ):
-            row.append(
-                f"{th:.9g},{math.degrees(th):.9g},{i:.9g},{i_q:.9g},{v_gq:.9g},"
-                f"{'true' if lim else 'false'},{'true' if trip else 'false'}"
-            )
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    for cfg in traj.fleet:
+        header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
+    row = _ROW_HEAD + _ROW_UNIT * len(traj.fleet) + "\n"
+    degrees = math.degrees
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for rec in traj.records:
+            cells = [rec.t, rec.v_pcc_mag, rec.v_pcc_angle, degrees(rec.v_pcc_angle)]
+            for th, i, i_q, v_gq, lim, trip in zip(
+                rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
+            ):
+                cells += (th, degrees(th), i, i_q, v_gq, _BOOL_CELL[lim], _BOOL_CELL[trip])
+            f.write(row % tuple(cells))
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:

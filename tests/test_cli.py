@@ -1,8 +1,12 @@
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
+import yaml
 
+from gflswing import cli
 from gflswing.cli import (
     ConfigError,
     bundled_config_path,
@@ -14,6 +18,7 @@ from gflswing.cli import (
     load_config,
     main,
 )
+from gflswing.dynamics import simulate
 
 SMALL_CONFIG = """\
 grid:
@@ -299,6 +304,159 @@ def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
     cmd_simulate(load_config(bundled_config_path(name)), tmp_path)
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_CSV_SHA256[name]
+
+
+# comparison.json and both replay CSVs of cmd_compare on bundled table1.yaml:
+# the trajectory writer's second caller.
+COMPARE_SHA256 = {
+    "trajectory_nonuniform.csv": "fe2df763962c746442888883b965d3503c74adca9dc6ea8ad7dccd3ac5815f5a",
+    "trajectory_uniform.csv": "f9ce86d9c80af50f6b2d26351e6c7758b11bf3ca04db7f73bb99773c16caafe7",
+    "comparison.json": "1049a1612b796ced47d9d79a684b183da95b9cb2f1b207c850a2bb753eb961ed",
+}
+
+
+def test_bundled_compare_outputs_are_pinned(table_config, tmp_path):
+    assert cmd_compare(table_config, tmp_path) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in COMPARE_SHA256
+    }
+    assert digests == COMPARE_SHA256
+
+
+def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
+    # Holding the rows, their join and its encoding costs about 3x the file.
+    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
+                    table_config.solver)
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        cli._write_trajectory_csv(path, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 500_000
+    assert peak <= 0.25 * size, f"peak {peak} B for a {size} B file"
+
+
+def _wide_fleet_yaml(units: int = 20, seed: int = 20) -> str:
+    """A fleet of table1-like units with jittered parameters, written the way
+    the benchmark inputs are: flow-style impedances, floats with a '.'."""
+    rng = random.Random(seed)
+    lines = [
+        "grid:",
+        "  v_th_volts: 230.0",
+        "  v_th_angle_rad: 0.0",
+        "  z_th_ohms: {r: 0.20, x: 0.10}",
+        "  z_load_ohms: {r: 0.10, x: 0.05}",
+        "  frequency_hz: 60.0",
+        "  v_nominal_volts: 230.0",
+        "fleet:",
+    ]
+
+    def jitter(x: float) -> str:
+        return repr(round(x * rng.uniform(0.9, 1.1), 9))
+
+    for k in range(units):
+        lines += [
+            f"  - name: U{k + 1:02d}",
+            f"    s_rated_va: {jitter(2250.0)}",
+            f"    line_resistance_ohm: {jitter(1.1)}",
+            f"    line_inductance_uh: {jitter(210.0)}",
+            f"    virtual_resistance_ohm: {jitter(0.3)}",
+            f"    kp: {jitter(4.5e-3)}",
+            f"    ki: {jitter(260.0)}",
+            f"    i_max_a: {jitter(13.75)}",
+            "    trip_holdoff_s: 1.5e-3",
+        ]
+    lines += [
+        "scenario: {t_fault_s: 3.0e-3, t_clear_s: 4.0e-3, fault_depth: 0.3, "
+        "t_end_s: 22.0e-3, dt_s: 1.0e-5}",
+        "solver:",
+        "  tol_rel: 1.0e-9",
+        "  max_iter: 100",
+        "  damping: 0.7",
+        "  lag_mode: false",
+        "stability:",
+        "  settle_tol_rad: 0.02",
+        "  settle_window_s: 1.3e-2",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+LOADERS = [
+    pytest.param("SafeLoader", id="python"),
+    pytest.param("CSafeLoader", id="libyaml", marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")),
+]
+
+
+@pytest.fixture()
+def loader_inputs(tmp_path):
+    wide = tmp_path / "wide_fleet.yaml"
+    wide.write_text(_wide_fleet_yaml(), encoding="utf-8")
+    return [bundled_config_path(name) for name in sorted(BUNDLED_SHA256)] + [wide]
+
+
+def test_module_parses_with_libyaml_when_present():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert cli._YAML_LOADER is expected
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_libyaml_and_python_parsers_give_equal_documents(loader_inputs):
+    for path in loader_inputs:
+        text = path.read_text(encoding="utf-8")
+        # repr tells 1 from 1.0, which == does not.
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(
+            yaml.load(text, Loader=yaml.SafeLoader)
+        ), path.name
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_load_config_hash_is_the_same_under_each_parser(loader, loader_inputs, monkeypatch):
+    reference = [load_config(path).sha256 for path in loader_inputs]
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    assert [load_config(path).sha256 for path in loader_inputs] == reference
+    assert reference[:3] == [BUNDLED_SHA256[name] for name in sorted(BUNDLED_SHA256)]
+    assert len(load_config(loader_inputs[3]).fleet) == 20
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_parse_error_reports_location_under_each_parser(loader, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    p = tmp_path / "broken.yaml"
+    p.write_text("grid: {v_th_volts: [unclosed\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="at line 2, column 1"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("stability:\n", "stabilty:\n  settle_tol_rad: 0.5\nstability:\n", "stabilty"),
+    ("  v_th_volts: 230.0\n", "  v_th_volts: 230.0\n  frequency: 50.0\n", "grid.frequency"),
+    ("fleet:\n", "  faulted: {v_th_volts: 100.0, depth: 0.5}\nfleet:\n", "grid.faulted.depth"),
+    ("z_load_ohms: {r: 0.10, x: 0.05}", "z_load_ohms: {r: 0.10, x: 0.05, l: 1.0e-4}",
+     "grid.z_load_ohms.l"),
+    ("fleet:\n", "  faulted:\n    v_th_volts: 100.0\n    z_th_ohms: {r: 0.2, x: 0.1, y: 0.0}\nfleet:\n",
+     "grid.faulted.z_th_ohms.y"),
+    ("    ki: 265.0\n", "    ki: 265.0\n    kd: 1.0\n", r"fleet\[1\]\.kd"),
+    ("    ki: 260.0\n", "    ki: 260.0\n    line_reactance_ohm: 0.0151\n",
+     r"fleet\[0\]\.line_reactance_ohm"),
+    ("  dt_s: 2.0e-5\n", "  dt_s: 2.0e-5\n  t_clear: 2.0e-3\n", "scenario.t_clear"),
+    ("stability:\n", "solver:\n  tol_rell: 1.0e-3\nstability:\n", "solver.tol_rell"),
+    ("  settle_window_s: 2.0e-3\n", "  settle_window_s: 2.0e-3\n  settle: 1.0\n",
+     "stability.settle"),
+    ("    audit_samples: 5\n", "    audit_samples: 5\n    samples: 7\n", "stability.cct.samples"),
+    ("stability:\n", "sweep:\n  axis: {fault_depth: [0.4]}\nstability:\n", "sweep.axis"),
+], ids=["top", "grid", "faulted", "impedance", "faulted_impedance", "fleet",
+        "derived_reactance", "scenario", "solver", "stability", "cct", "sweep"])
+def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field):
+    # A misspelt key would otherwise run silently with its default.
+    p = tmp_path / "unknown.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{field}: unknown key$"):
+        load_config(p)
 
 
 def test_provenance_hash_tracks_semantic_changes(tmp_path):
