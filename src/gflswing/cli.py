@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Container
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -107,27 +106,35 @@ class RunConfig:
     settle_window: float
     cct: CctSettings | None
     sweep_axes: dict[str, tuple[float, ...]] | None
-    v_nominal: float
-    frequency: float
     resolved: dict[str, Any]
     sha256: str
 
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# The schema is one table per section, {key: (default, rule)}. An absent or
+# null key takes its default, and the default REQUIRED makes its absence an
+# error. A rule is one of:
+#   (minimum, strict, maximum)  a finite number within the bounds (None: no
+#                               bound; strict: the minimum is excluded);
+#   an int                      a whole number of at least that;
+#   a table                     a mapping checked by that table;
+#   a function (value, path)    which checks value and returns its echo.
+# _section checks one mapping against its table; what it returns is the
+# resolved echo, and a key missing from the table is rejected as unknown.
+
+REQUIRED = object()
+
+_ANY = (None, False, None)
+_NONNEGATIVE = (0.0, False, None)
+_POSITIVE = (0.0, True, None)
 
 
 def _expect_map(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
-
-
-def _reject_unknown(section: dict, known: Container, path: str) -> None:
-    """Reject the first key of section that is not in known (its echo's keys)."""
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
 def _finite(value: Any, where: str) -> float:
@@ -143,336 +150,298 @@ def _finite(value: Any, where: str) -> float:
     return number
 
 
-def _get_num(
-    section: dict,
-    key: str,
-    path: str,
-    default: float | None = None,
-    required: bool = False,
-    minimum: float | None = None,
-    maximum: float | None = None,
-    strict_min: bool = False,
-) -> float | None:
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    value = _finite(section[key], f"{path}.{key}")
-    if minimum is not None:
-        if strict_min and value <= minimum:
-            raise ConfigError(f"{path}.{key}: must be > {minimum}, got {value}")
-        if not strict_min and value < minimum:
-            raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}, got {value}")
+def _number(value: Any, rule: tuple | int, where: str) -> float | int:
+    number = _finite(value, where)
+    whole = isinstance(rule, int)
+    minimum, strict, maximum = (rule, False, None) if whole else rule
+    if minimum is not None and (number <= minimum if strict else number < minimum):
+        raise ConfigError(f"{where}: must be {'>' if strict else '>='} {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {number}")
+    if not whole:
+        return number
+    if number != int(number):
+        raise ConfigError(f"{where}: must be a whole number, got {number}")
+    return int(number)
+
+
+def _section(raw: Any, table: dict, path: str) -> dict:
+    """The resolved echo of the mapping raw, checked row by row against table."""
+    raw = _expect_map(raw, path)
+    prefix = f"{path}." if path else ""
+    echo = {}
+    for key, (default, rule) in table.items():
+        where = prefix + key
+        value = raw.get(key)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise ConfigError(f"{where}: required {'field' if path else 'section'} is missing")
+        if value is None:
+            echo[key] = None
+        elif isinstance(rule, dict):
+            echo[key] = _section(value, rule, where)
+        elif callable(rule):
+            echo[key] = rule(value, where)
+        else:
+            echo[key] = _number(value, rule, where)
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    return echo
+
+
+def _name(value: Any, where: str) -> str:
+    if not isinstance(value, str) or not value.strip():
+        raise ConfigError(f"{where}: required non-empty string")
+    if any(ch in value for ch in ",\n\r"):
+        raise ConfigError(f"{where}: must not contain commas or newlines")
     return value
 
 
-def _get_int(section: dict, key: str, path: str, default: int, minimum: int) -> int:
-    value = _get_num(section, key, path, default=default, minimum=minimum)
-    if value != int(value):
-        raise ConfigError(f"{path}.{key}: must be a whole number, got {value}")
-    return int(value)
+_IMPEDANCE = {"r": (REQUIRED, _NONNEGATIVE), "x": (REQUIRED, _ANY)}
+
+# load_config adds line_reactance_ohm to each unit's echo. It is derived from
+# the inductance, so as an input it is an unknown key.
+_UNIT = {
+    "name": (REQUIRED, _name),
+    "s_rated_va": (REQUIRED, _POSITIVE),
+    "line_resistance_ohm": (REQUIRED, _NONNEGATIVE),
+    "line_inductance_uh": (REQUIRED, _NONNEGATIVE),
+    "virtual_resistance_ohm": (REQUIRED, _NONNEGATIVE),
+    "kp": (REQUIRED, _NONNEGATIVE),
+    "ki": (REQUIRED, _NONNEGATIVE),
+    "i_max_a": (None, _POSITIVE),  # None: DEFAULT_I_MAX_HEADROOM * s_rated / v_nominal
+    "pf_angle_rad": (0.0, _ANY),
+    "trip_holdoff_s": (DEFAULT_TRIP_HOLDOFF_S, _NONNEGATIVE),
+}
 
 
-def _get_impedance(section: dict, key: str, path: str, default: complex | None = None) -> complex:
-    if key not in section or section[key] is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    m = _expect_map(section[key], f"{path}.{key}")
-    r = _get_num(m, "r", f"{path}.{key}", required=True, minimum=0.0)
-    x = _get_num(m, "x", f"{path}.{key}", required=True)
-    z = complex(r, x)
-    _reject_unknown(m, _impedance_echo(z), f"{path}.{key}")
-    return z
+def _fleet(value: Any, where: str) -> list[dict]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: required section must be a non-empty list")
+    return [_section(unit, _UNIT, f"{where}[{k}]") for k, unit in enumerate(value)]
 
 
-def _impedance_echo(z: complex) -> dict:
-    return {"r": z.real, "x": z.imag}
-
-
-def _parse_grid(raw: dict) -> tuple[GridModel, float, float, dict]:
-    g = _expect_map(raw.get("grid"), "grid") if raw.get("grid") is not None else None
-    if g is None:
-        raise ConfigError("grid: required section is missing")
-    v_mag = _get_num(g, "v_th_volts", "grid", required=True, minimum=0.0)
-    v_angle = _get_num(g, "v_th_angle_rad", "grid", default=0.0)
-    z_th = _get_impedance(g, "z_th_ohms", "grid")
-    z_load = _get_impedance(g, "z_load_ohms", "grid")
-    frequency = _get_num(g, "frequency_hz", "grid", default=DEFAULT_FREQUENCY_HZ,
-                         minimum=0.0, strict_min=True)
-    v_nominal = _get_num(g, "v_nominal_volts", "grid", default=v_mag,
-                         minimum=0.0, strict_min=True)
-
-    prefault = TheveninEquivalent(cmath.rect(v_mag, v_angle), z_th)
-    faulted = None
-    faulted_resolved = None
-    if g.get("faulted") is not None:
-        f = _expect_map(g["faulted"], "grid.faulted")
-        fv = _get_num(f, "v_th_volts", "grid.faulted", required=True, minimum=0.0)
-        fa = _get_num(f, "v_th_angle_rad", "grid.faulted", default=v_angle)
-        fz = _get_impedance(f, "z_th_ohms", "grid.faulted", default=z_th)
-        if fv > v_mag:
-            raise ConfigError(
-                f"grid.faulted.v_th_volts: fault-on voltage {fv} exceeds pre-fault {v_mag}"
-            )
-        faulted = TheveninEquivalent(cmath.rect(fv, fa), fz)
-        faulted_resolved = {
-            "v_th_volts": fv,
-            "v_th_angle_rad": fa,
-            "z_th_ohms": _impedance_echo(fz),
-        }
-        _reject_unknown(f, faulted_resolved, "grid.faulted")
-
-    model = GridModel(prefault, z_load, faulted)
-    resolved = {
-        "v_th_volts": v_mag,
-        "v_th_angle_rad": v_angle,
-        "z_th_ohms": _impedance_echo(z_th),
-        "z_load_ohms": _impedance_echo(z_load),
-        "frequency_hz": frequency,
-        "v_nominal_volts": v_nominal,
-        "faulted": faulted_resolved,
-    }
-    _reject_unknown(g, resolved, "grid")
-    return model, v_nominal, frequency, resolved
-
-
-def _parse_fleet(raw: dict, v_nominal: float, frequency: float) -> tuple[tuple[InverterConfig, ...], list[dict]]:
-    entries = raw.get("fleet")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("fleet: required section must be a non-empty list")
-    fleet = []
-    resolved = []
-    names = set()
-    for k, entry in enumerate(entries):
-        path = f"fleet[{k}]"
-        e = _expect_map(entry, path)
-        name = e.get("name")
-        if not isinstance(name, str) or not name.strip():
-            raise ConfigError(f"{path}.name: required non-empty string")
-        if any(ch in name for ch in ",\n\r"):
-            raise ConfigError(f"{path}.name: must not contain commas or newlines")
-        if name in names:
-            raise ConfigError(f"{path}.name: duplicate inverter name {name!r}")
-        names.add(name)
-        s_rated = _get_num(e, "s_rated_va", path, required=True, minimum=0.0, strict_min=True)
-        r_line = _get_num(e, "line_resistance_ohm", path, required=True, minimum=0.0)
-        l_uh = _get_num(e, "line_inductance_uh", path, required=True, minimum=0.0)
-        r_virtual = _get_num(e, "virtual_resistance_ohm", path, required=True, minimum=0.0)
-        kp = _get_num(e, "kp", path, required=True, minimum=0.0)
-        ki = _get_num(e, "ki", path, required=True, minimum=0.0)
-        i_max = _get_num(e, "i_max_a", path, default=None, minimum=0.0, strict_min=True)
-        if i_max is None:
-            i_max = DEFAULT_I_MAX_HEADROOM * s_rated / v_nominal
-        pf_angle = _get_num(e, "pf_angle_rad", path, default=0.0)
-        holdoff = _get_num(e, "trip_holdoff_s", path, default=DEFAULT_TRIP_HOLDOFF_S, minimum=0.0)
-        try:
-            cfg = InverterConfig(
-                name=name,
-                s_rated=s_rated,
-                z_line=line_impedance(r_line, l_uh * 1e-6, frequency),
-                r_virtual=r_virtual,
-                kp=kp,
-                ki=ki,
-                i_max=i_max,
-                pf_angle=pf_angle,
-                trip_holdoff=holdoff,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        echo = {
-            "name": name,
-            "s_rated_va": s_rated,
-            "line_resistance_ohm": r_line,
-            "line_inductance_uh": l_uh,
-            "line_reactance_ohm": cfg.z_line.imag,
-            "virtual_resistance_ohm": r_virtual,
-            "kp": kp,
-            "ki": ki,
-            "i_max_a": i_max,
-            "pf_angle_rad": pf_angle,
-            "trip_holdoff_s": holdoff,
-        }
-        # The reactance is derived from the inductance: echoed, not read.
-        _reject_unknown(e, echo.keys() - {"line_reactance_ohm"}, path)
-        fleet.append(cfg)
-        resolved.append(echo)
-    return tuple(fleet), resolved
-
-
-def _parse_scenario(raw: dict, dt_override: float | None) -> tuple[FaultScenario, dict]:
-    s = raw.get("scenario")
-    if s is None:
-        raise ConfigError("scenario: required section is missing")
-    s = _expect_map(s, "scenario")
-    t_fault = _get_num(s, "t_fault_s", "scenario", required=True, minimum=0.0)
-    t_clear = _get_num(s, "t_clear_s", "scenario", default=None)
-    depth = _get_num(s, "fault_depth", "scenario", required=True, minimum=0.0, maximum=1.0)
-    t_end = _get_num(s, "t_end_s", "scenario", required=True, minimum=0.0, strict_min=True)
-    dt = _get_num(s, "dt_s", "scenario", required=True, minimum=0.0, strict_min=True)
-    if dt_override is not None:
-        if not math.isfinite(dt_override) or dt_override <= 0.0:
-            raise ConfigError(
-                f"scenario.dt_s: --dt override must be finite and > 0, got {dt_override}"
-            )
-        dt = dt_override
-    try:
-        scenario = FaultScenario(t_fault, t_clear, depth, t_end, dt)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    resolved = {
-        "t_fault_s": t_fault,
-        "t_clear_s": t_clear,
-        "fault_depth": depth,
-        "t_end_s": t_end,
-        "dt_s": dt,
-    }
-    _reject_unknown(s, resolved, "scenario")
-    return scenario, resolved
-
-
-def _parse_solver(raw: dict, v_th_mag: float) -> tuple[SolverOptions, dict]:
-    s = _expect_map(raw.get("solver") or {}, "solver")
-    defaults = SolverOptions()
-    tol_rel = _get_num(s, "tol_rel", "solver", default=DEFAULT_TOL_REL, minimum=0.0, strict_min=True)
-    max_iter = _get_int(s, "max_iter", "solver", default=defaults.max_iter, minimum=1)
-    damping = _get_num(s, "damping", "solver", default=defaults.damping, minimum=0.0,
-                       strict_min=True, maximum=1.0)
-    if s.get("lag_mode", False) is not False:
-        raise ConfigError(
-            "solver.lag_mode: the one-step-lag model was removed; "
-            "omit the key or set it to false"
-        )
-    opts = SolverOptions(
-        tol=absolute_tol(tol_rel, v_th_mag),
-        max_iter=max_iter,
-        damping=damping,
-    )
-    resolved = {
-        "tol_rel": tol_rel,
-        "max_iter": max_iter,
-        "damping": damping,
-    }
-    _reject_unknown(s, resolved.keys() | {"lag_mode"}, "solver")
-    return opts, resolved
-
-
-def _parse_stability(raw: dict) -> tuple[float, float, CctSettings | None, dict]:
-    s = _expect_map(raw.get("stability") or {}, "stability")
-    settle_tol = _get_num(s, "settle_tol_rad", "stability", default=DEFAULT_SETTLE_TOL_RAD,
-                          minimum=0.0, strict_min=True)
-    settle_window = _get_num(s, "settle_window_s", "stability", default=DEFAULT_SETTLE_WINDOW_S,
-                             minimum=0.0, strict_min=True)
-    cct = None
-    cct_resolved = None
-    if s.get("cct") is not None:
-        c = _expect_map(s["cct"], "stability.cct")
-        t_min = _get_num(c, "t_min_s", "stability.cct", required=True, minimum=0.0, strict_min=True)
-        t_max = _get_num(c, "t_max_s", "stability.cct", required=True, minimum=0.0, strict_min=True)
-        resolution = _get_num(c, "resolution_s", "stability.cct", required=True,
-                              minimum=0.0, strict_min=True)
-        samples = _get_int(c, "audit_samples", "stability.cct",
-                           default=DEFAULT_AUDIT_SAMPLES, minimum=2)
-        if t_min >= t_max:
-            raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
-        cct = CctSettings(t_min, t_max, resolution, samples)
-        cct_resolved = {
-            "t_min_s": t_min,
-            "t_max_s": t_max,
-            "resolution_s": resolution,
-            "audit_samples": samples,
-        }
-        _reject_unknown(c, cct_resolved, "stability.cct")
-    resolved = {
-        "settle_tol_rad": settle_tol,
-        "settle_window_s": settle_window,
-        "cct": cct_resolved,
-    }
-    _reject_unknown(s, resolved, "stability")
-    return settle_tol, settle_window, cct, resolved
-
-
-def _parse_sweep(raw: dict) -> tuple[dict[str, tuple[float, ...]] | None, dict | None]:
-    if raw.get("sweep") is None:
-        return None, None
-    s = _expect_map(raw["sweep"], "sweep")
-    axes_raw = _expect_map(s.get("axes") or {}, "sweep.axes")
-    axes: dict[str, tuple[float, ...]] = {}
-    for key, values in axes_raw.items():
+def _axes(value: Any, where: str) -> dict[str, list[float]]:
+    axes = {}
+    for key, values in _expect_map(value, where).items():
         if key not in SWEEP_AXES:
             raise ConfigError(
-                f"sweep.axes.{key}: unknown axis; expected one of {', '.join(SWEEP_AXES)}"
+                f"{where}.{key}: unknown axis; expected one of {', '.join(SWEEP_AXES)}"
             )
         if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.axes.{key}: expected a non-empty list of numbers")
-        axes[key] = tuple(_finite(v, f"sweep.axes.{key}[{j}]") for j, v in enumerate(values))
-    resolved = {"axes": {k: list(v) for k, v in axes.items()}}
-    _reject_unknown(s, resolved, "sweep")
-    return (axes or None), resolved
+            raise ConfigError(f"{where}.{key}: expected a non-empty list of numbers")
+        axes[key] = [_finite(v, f"{where}.{key}[{j}]") for j, v in enumerate(values)]
+    return axes
+
+
+_CONFIG = {
+    "grid": (REQUIRED, {
+        "v_th_volts": (REQUIRED, _NONNEGATIVE),
+        "v_th_angle_rad": (0.0, _ANY),
+        "z_th_ohms": (REQUIRED, _IMPEDANCE),
+        "z_load_ohms": (REQUIRED, _IMPEDANCE),
+        "frequency_hz": (DEFAULT_FREQUENCY_HZ, _POSITIVE),
+        "v_nominal_volts": (None, _POSITIVE),  # None: v_th_volts
+        "faulted": (None, {
+            "v_th_volts": (REQUIRED, _NONNEGATIVE),
+            "v_th_angle_rad": (None, _ANY),  # None: the pre-fault angle
+            "z_th_ohms": (None, _IMPEDANCE),  # None: the pre-fault impedance
+        }),
+    }),
+    "fleet": (REQUIRED, _fleet),
+    "scenario": (REQUIRED, {
+        "t_fault_s": (REQUIRED, _NONNEGATIVE),
+        "t_clear_s": (None, _ANY),
+        "fault_depth": (REQUIRED, (0.0, False, 1.0)),
+        "t_end_s": (REQUIRED, _POSITIVE),
+        "dt_s": (REQUIRED, _POSITIVE),
+    }),
+    "solver": ({}, {
+        "tol_rel": (DEFAULT_TOL_REL, _POSITIVE),
+        "max_iter": (SolverOptions().max_iter, 1),
+        "damping": (SolverOptions().damping, (0.0, True, 1.0)),
+    }),
+    "stability": ({}, {
+        "settle_tol_rad": (DEFAULT_SETTLE_TOL_RAD, _POSITIVE),
+        "settle_window_s": (DEFAULT_SETTLE_WINDOW_S, _POSITIVE),
+        "cct": (None, {
+            "t_min_s": (REQUIRED, _POSITIVE),
+            "t_max_s": (REQUIRED, _POSITIVE),
+            "resolution_s": (REQUIRED, _POSITIVE),
+            "audit_samples": (DEFAULT_AUDIT_SAMPLES, 2),
+        }),
+    }),
+    "sweep": (None, {"axes": ({}, _axes)}),
+}
+
+
+def _reject_duplicate_keys(root: yaml.Node) -> None:
+    """Raise a YAML error at the second of two equal keys in one mapping."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:  # an alias repeats a node, possibly inside itself
+            continue
+        seen.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            keys = set()
+            for key, value in node.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in keys:
+                        raise yaml.MarkedYAMLError(
+                            problem=f"duplicate key {key.value!r}", problem_mark=key.start_mark
+                        )
+                    keys.add((key.tag, key.value))
+                todo.append(value)
+        elif isinstance(node, yaml.SequenceNode):
+            todo += node.value
+
+
+def _read_yaml(path: Path) -> Any:
+    """The one YAML document in path, with duplicate keys rejected."""
+    loader = _YAML_LOADER(path.read_text(encoding="utf-8"))
+    try:
+        root = loader.get_single_node()
+        if root is None:
+            return None
+        _reject_duplicate_keys(root)
+        return loader.construct_document(root)
+    finally:
+        loader.dispose()
+
+
+def _thevenin(echo: dict) -> TheveninEquivalent:
+    z = echo["z_th_ohms"]
+    return TheveninEquivalent(
+        cmath.rect(echo["v_th_volts"], echo["v_th_angle_rad"]), complex(z["r"], z["x"])
+    )
 
 
 def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig:
     """Parse and fully validate a YAML run configuration.
 
     Every downstream precondition is checked here with a field-addressed
-    message, and a key that its section's resolved echo lacks is rejected
-    as unknown. Defaults (i_max, trip holdoff, solver and stability
-    settings) are resolved into the returned config and its provenance hash.
+    message. The section tables above are the schema: a key that they lack,
+    a key given twice and a section that is not a mapping are errors.
+    Defaults (i_max, trip holdoff, solver and stability settings) are
+    resolved into the returned config and its provenance hash.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        raw = _read_yaml(path)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"config parse error{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a mapping of sections")
+    # Configs written for the removed one-step-lag model say lag_mode: false.
+    raw_solver = raw.get("solver")
+    if isinstance(raw_solver, dict) and raw_solver.pop("lag_mode", False) is not False:
+        raise ConfigError(
+            "solver.lag_mode: the one-step-lag model was removed; "
+            "omit the key or set it to false"
+        )
+    resolved = _section(raw, _CONFIG, "")
 
-    grid, v_nominal, frequency, grid_resolved = _parse_grid(raw)
-    fleet, fleet_resolved = _parse_fleet(raw, v_nominal, frequency)
-    scenario, scenario_resolved = _parse_scenario(raw, dt_override)
-    solver, solver_resolved = _parse_solver(raw, abs(grid.prefault.v_th))
-    settle_tol, settle_window, cct, stability_resolved = _parse_stability(raw)
-    sweep_axes, sweep_resolved = _parse_sweep(raw)
+    # Defaults that depend on other keys, and checks across keys.
+    g = resolved["grid"]
+    if g["v_nominal_volts"] is None:
+        g["v_nominal_volts"] = g["v_th_volts"]
+    gf = g["faulted"]
+    if gf is not None:
+        if gf["v_th_volts"] > g["v_th_volts"]:
+            raise ConfigError(
+                f"grid.faulted.v_th_volts: fault-on voltage {gf['v_th_volts']} "
+                f"exceeds pre-fault {g['v_th_volts']}"
+            )
+        if gf["v_th_angle_rad"] is None:
+            gf["v_th_angle_rad"] = g["v_th_angle_rad"]
+        if gf["z_th_ohms"] is None:
+            gf["z_th_ohms"] = dict(g["z_th_ohms"])
+    z_load = g["z_load_ohms"]
+    grid = GridModel(
+        _thevenin(g), complex(z_load["r"], z_load["x"]), None if gf is None else _thevenin(gf)
+    )
 
-    if cct is not None:
-        needed = scenario.t_fault + cct.t_max + settle_window
+    fleet = []
+    for k, unit in enumerate(resolved["fleet"]):
+        if any(unit["name"] == cfg.name for cfg in fleet):
+            raise ConfigError(f"fleet[{k}].name: duplicate inverter name {unit['name']!r}")
+        if unit["i_max_a"] is None:
+            unit["i_max_a"] = DEFAULT_I_MAX_HEADROOM * unit["s_rated_va"] / g["v_nominal_volts"]
+        try:
+            cfg = InverterConfig(
+                name=unit["name"],
+                s_rated=unit["s_rated_va"],
+                z_line=line_impedance(
+                    unit["line_resistance_ohm"], unit["line_inductance_uh"] * 1e-6,
+                    g["frequency_hz"],
+                ),
+                r_virtual=unit["virtual_resistance_ohm"],
+                kp=unit["kp"],
+                ki=unit["ki"],
+                i_max=unit["i_max_a"],
+                pf_angle=unit["pf_angle_rad"],
+                trip_holdoff=unit["trip_holdoff_s"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"fleet[{k}]: {exc}") from exc
+        unit["line_reactance_ohm"] = cfg.z_line.imag
+        fleet.append(cfg)
+
+    sc = resolved["scenario"]
+    if dt_override is not None:
+        if not math.isfinite(dt_override) or dt_override <= 0.0:
+            raise ConfigError(
+                f"scenario.dt_s: --dt override must be finite and > 0, got {dt_override}"
+            )
+        sc["dt_s"] = dt_override
+    try:
+        scenario = FaultScenario(
+            sc["t_fault_s"], sc["t_clear_s"], sc["fault_depth"], sc["t_end_s"], sc["dt_s"]
+        )
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
+
+    so = resolved["solver"]
+    solver = SolverOptions(
+        tol=absolute_tol(so["tol_rel"], abs(grid.prefault.v_th)),
+        max_iter=so["max_iter"],
+        damping=so["damping"],
+    )
+
+    st = resolved["stability"]
+    cct = None
+    if st["cct"] is not None:
+        c = st["cct"]
+        if c["t_min_s"] >= c["t_max_s"]:
+            raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
+        cct = CctSettings(c["t_min_s"], c["t_max_s"], c["resolution_s"], c["audit_samples"])
+        needed = scenario.t_fault + cct.t_max + st["settle_window_s"]
         if scenario.t_end < needed - 1e-12:
             raise ConfigError(
                 f"scenario.t_end_s: {scenario.t_end} does not cover "
                 f"t_fault_s + cct.t_max_s + settle_window_s = {needed:.6g}"
             )
 
-    resolved = {
-        "grid": grid_resolved,
-        "fleet": fleet_resolved,
-        "scenario": scenario_resolved,
-        "solver": solver_resolved,
-        "stability": stability_resolved,
-        "sweep": sweep_resolved,
-    }
-    _reject_unknown(raw, resolved, "")
+    axes = resolved["sweep"]["axes"] if resolved["sweep"] is not None else {}
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    sha = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
     return RunConfig(
         grid=grid,
-        fleet=fleet,
+        fleet=tuple(fleet),
         scenario=scenario,
         solver=solver,
-        settle_tol=settle_tol,
-        settle_window=settle_window,
+        settle_tol=st["settle_tol_rad"],
+        settle_window=st["settle_window_s"],
         cct=cct,
-        sweep_axes=sweep_axes,
-        v_nominal=v_nominal,
-        frequency=frequency,
+        sweep_axes={k: tuple(v) for k, v in axes.items()} or None,
         resolved=resolved,
-        sha256=sha,
+        sha256=hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
     )
 
 

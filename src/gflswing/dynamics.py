@@ -183,11 +183,6 @@ class SolverOptions:
     max_iter: int = 100
     damping: float = 0.7
 
-    def resolve_tol(self, v_th_mag: float) -> float:
-        if self.tol is not None:
-            return self.tol
-        return absolute_tol(DEFAULT_TOL_REL, v_th_mag)
-
 
 def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
     """Residual tolerance in volts: tol_rel times max(|v_th|, 1 V)."""
@@ -469,7 +464,8 @@ def prepare_run(
     if not fleet:
         raise ValueError("fleet must be non-empty")
     opts = opts or SolverOptions()
-    opts = replace(opts, tol=opts.resolve_tol(abs(grid.prefault.v_th)))
+    if opts.tol is None:
+        opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
     fleet = tuple(fleet)
     units = UnitTable(fleet)
     zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)

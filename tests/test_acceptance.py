@@ -308,7 +308,7 @@ def test_criterion_10_trip_cascade(table_config):
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)
-    tol = cfg.solver.resolve_tol(abs(cfg.grid.prefault.v_th))
+    tol = cfg.solver.tol
 
     with_all = solve_vpcc(fault, aggregate_cd(zeq_f, s_all, theta), tol, 100)
     without_first = solve_vpcc(

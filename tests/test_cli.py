@@ -81,7 +81,7 @@ def test_bundled_reference_config(table_config):
         6000.0, 9000.0, 8000.0, 12000.0, 10000.0
     ]
     assert len(table_config.sha256) == 64
-    assert table_config.frequency == 60.0
+    assert table_config.resolved["grid"]["frequency_hz"] == 60.0
 
 
 def test_zero_dt_is_rejected_with_field_address(tmp_path):
@@ -432,6 +432,44 @@ def test_parse_error_reports_location_under_each_parser(loader, tmp_path, monkey
         load_config(p)
 
 
+@pytest.mark.parametrize("loader", LOADERS)
+def test_duplicate_keys_are_parse_errors_under_each_parser(loader, tmp_path, monkeypatch):
+    # Either parser would otherwise keep the last of the two values silently.
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    p = tmp_path / "dup.yaml"
+    p.write_text(SMALL_CONFIG + "solver: {tol_rel: 1.0e-3, tol_rel: 1.0e-9}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config parse error at line 38, column 27: "
+                                          "duplicate key 'tol_rel'"):
+        load_config(p)
+    p.write_text(SMALL_CONFIG.replace("    kp: 4.76e-3\n", "    kp: 4.76e-3\n    kp: 1.0\n"),
+                 encoding="utf-8")
+    with pytest.raises(ConfigError, match="at line 21, column 5: duplicate key 'kp'"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("section, message", [
+    ("solver: []", "solver: expected a mapping, got list"),
+    ("solver: 0", "solver: expected a mapping, got int"),
+    ("solver: false", "solver: expected a mapping, got bool"),
+    ("stability: []", "stability: expected a mapping, got list"),
+    ("sweep: {axes: []}", "sweep.axes: expected a mapping, got list"),
+])
+def test_a_section_that_is_not_a_mapping_is_an_error(tmp_path, section, message):
+    # A falsy non-mapping used to load as the section's defaults.
+    p = tmp_path / "section.yaml"
+    p.write_text(SMALL_CONFIG[:SMALL_CONFIG.index("stability:")] + section + "\n",
+                 encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert str(err.value) == message
+
+
+def test_a_null_section_takes_its_defaults(tmp_path, small_config_path):
+    p = tmp_path / "null.yaml"
+    p.write_text(SMALL_CONFIG + "solver:\n", encoding="utf-8")
+    assert load_config(p).sha256 == load_config(small_config_path).sha256
+
+
 @pytest.mark.parametrize("old, new, field", [
     ("stability:\n", "stabilty:\n  settle_tol_rad: 0.5\nstability:\n", "stabilty"),
     ("  v_th_volts: 230.0\n", "  v_th_volts: 230.0\n  frequency: 50.0\n", "grid.frequency"),
@@ -457,6 +495,41 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"^{field}: unknown key$"):
         load_config(p)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("stability:\n", "solver:\n  damping: 0.0\nstability:\n",
+     "solver.damping: must be > 0.0, got 0.0"),
+    ("fault_depth: 0.5", "fault_depth: 1.5", "scenario.fault_depth: must be <= 1.0, got 1.5"),
+    ("stability:\n", "solver:\n  max_iter: 0\nstability:\n",
+     "solver.max_iter: must be >= 1, got 0.0"),
+    ("audit_samples: 5", "audit_samples: 1",
+     "stability.cct.audit_samples: must be >= 2, got 1.0"),
+    ("z_th_ohms: {r: 0.20, x: 0.10}", "z_th_ohms: {r: 0.20}",
+     "grid.z_th_ohms.x: required field is missing"),
+    ("z_th_ohms: {r: 0.20, x: 0.10}", "z_th_ohms: 0.2",
+     "grid.z_th_ohms: expected a mapping, got float"),
+    ("kp: 4.31e-3", "kp: fast", "fleet[0].kp: expected a number, got 'fast'"),
+    ("fleet:\n", "  faulted: {v_th_volts: 300.0}\nfleet:\n",
+     "grid.faulted.v_th_volts: fault-on voltage 300.0 exceeds pre-fault 230.0"),
+    ("t_min_s: 2.0e-4", "t_min_s: 2.0e-3",
+     "stability.cct: t_min_s must be strictly below t_max_s"),
+    ("t_end_s: 8.0e-3", "t_end_s: 4.0e-3",
+     "scenario.t_end_s: 0.004 does not cover "
+     "t_fault_s + cct.t_max_s + settle_window_s = 0.005"),
+    ("name: A", "name: 'A,1'", "fleet[0].name: must not contain commas or newlines"),
+    ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
+    ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
+     "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
+], ids=["strict_min_and_max", "maximum", "whole_number_minimum", "cct_whole_number",
+        "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
+        "cct_bracket", "t_end_coverage", "name_comma", "strict_min", "minimum"])
+def test_config_errors_keep_their_messages(tmp_path, old, new, message):
+    p = tmp_path / "bad.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert str(err.value) == message
 
 
 def test_provenance_hash_tracks_semantic_changes(tmp_path):
