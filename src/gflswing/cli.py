@@ -261,7 +261,6 @@ _CONFIG = {
     "solver": ({}, {
         "tol_rel": (DEFAULT_TOL_REL, _POSITIVE),
         "max_iter": (SolverOptions().max_iter, 1),
-        "damping": (SolverOptions().damping, (0.0, True, 1.0)),
     }),
     "stability": ({}, {
         "settle_tol_rad": (DEFAULT_SETTLE_TOL_RAD, _POSITIVE),
@@ -274,6 +273,14 @@ _CONFIG = {
         }),
     }),
     "sweep": (None, {"axes": ({}, _axes)}),
+}
+
+# Solver keys of removed features, {key: (the one value that still loads,
+# what was removed)}. Configs written before a removal give that value; it
+# loads and hashes as if the key were omitted.
+_RETIRED_SOLVER = {
+    "lag_mode": (False, "the one-step-lag model"),
+    "damping": (0.7, "the damped fixed-point solve"),
 }
 
 
@@ -339,13 +346,15 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         raise ConfigError(f"config parse error{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a mapping of sections")
-    # Configs written for the removed one-step-lag model say lag_mode: false.
     raw_solver = raw.get("solver")
-    if isinstance(raw_solver, dict) and raw_solver.pop("lag_mode", False) is not False:
-        raise ConfigError(
-            "solver.lag_mode: the one-step-lag model was removed; "
-            "omit the key or set it to false"
-        )
+    for key, (kept, what) in _RETIRED_SOLVER.items():
+        if isinstance(raw_solver, dict) and key in raw_solver:
+            value = raw_solver.pop(key)
+            if type(value) is not type(kept) or value != kept:
+                raise ConfigError(
+                    f"solver.{key}: {what} was removed; "
+                    f"omit the key or set it to {json.dumps(kept)}"
+                )
     resolved = _section(raw, _CONFIG, "")
 
     # Defaults that depend on other keys, and checks across keys.
@@ -412,7 +421,6 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     solver = SolverOptions(
         tol=absolute_tol(so["tol_rel"], abs(grid.prefault.v_th)),
         max_iter=so["max_iter"],
-        damping=so["damping"],
     )
 
     st = resolved["stability"]

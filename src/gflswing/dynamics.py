@@ -79,15 +79,15 @@ class InverterConfig:
     trip_holdoff: float = DEFAULT_TRIP_HOLDOFF_S
 
     def __post_init__(self) -> None:
-        if self.s_rated <= 0.0:
+        if not self.s_rated > 0.0:
             raise ValueError(f"{self.name}: s_rated must be positive, got {self.s_rated}")
-        if self.i_max <= 0.0:
+        if not self.i_max > 0.0:
             raise ValueError(f"{self.name}: i_max must be positive, got {self.i_max}")
-        if self.kp < 0.0 or self.ki < 0.0:
+        if not (self.kp >= 0.0 and self.ki >= 0.0):
             raise ValueError(f"{self.name}: PLL gains must be non-negative")
-        if self.r_virtual < 0.0:
+        if not self.r_virtual >= 0.0:
             raise ValueError(f"{self.name}: r_virtual must be non-negative")
-        if self.trip_holdoff < 0.0:
+        if not self.trip_holdoff >= 0.0:
             raise ValueError(f"{self.name}: trip_holdoff must be non-negative")
 
     def z_total(self) -> complex:
@@ -106,7 +106,7 @@ class FaultScenario:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.t_fault < self.t_end:
             raise ValueError(
@@ -176,12 +176,11 @@ class SimState:
 class SolverOptions:
     """Voltage solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|).
 
-    damping applies to the unseeded solves of find_equilibrium only; step
-    seeds every solve and starts Newton there (see pcc.solve_vpcc)."""
+    Every solve is Newton within max_iter iterations (see pcc.solve_vpcc):
+    step seeds it with the last voltage, find_equilibrium starts it at v_th."""
 
     tol: float | None = None
     max_iter: int = 100
-    damping: float = 0.7
 
 
 def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
@@ -305,7 +304,7 @@ def find_equilibrium(
         e = [complex(math.cos(th), math.sin(th)) for th in theta_cg]
         agg = _aggregate(prefault, e, flags_off, flags_off)
         try:
-            sol = solve_vpcc(grid, agg, opts.tol, opts.max_iter, opts.damping)
+            sol = solve_vpcc(grid, agg, opts.tol, opts.max_iter)
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
@@ -366,7 +365,7 @@ def step(
     voltage solve is seeded with the previous record's PCC voltage and each
     limiter re-solve with the last solution.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     tol = opts.tol
     if tol is None:
@@ -390,7 +389,7 @@ def step(
         limited = [not t for t in tripped]
     agg = _aggregate(phase, e, tripped, limited)
     sol = solve_vpcc(
-        grid, agg, tol, opts.max_iter, opts.damping,
+        grid, agg, tol, opts.max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
     for _ in range(n + 1):
@@ -402,7 +401,7 @@ def step(
             break
         limited = want
         agg = _aggregate(phase, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, tol, opts.max_iter, opts.damping, sol.v_pcc)
+        sol = solve_vpcc(grid, agg, tol, opts.max_iter, sol.v_pcc)
 
     v = sol.v_pcc
     v_mag = abs(v)

@@ -33,11 +33,11 @@ MIN_PARALLEL_SUM_OHM = 1e-12
 
 def line_impedance(r: float, l: float, f: float) -> complex:
     """Series line impedance of a resistance r (ohm) and inductance l (H) at f (Hz)."""
-    if f <= 0.0:
+    if not f > 0.0:
         raise ValueError(f"frequency must be positive, got {f}")
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError(f"line resistance must be non-negative, got {r}")
-    if l < 0.0:
+    if not l >= 0.0:
         raise ValueError(f"line inductance must be non-negative, got {l}")
     return complex(r, 2.0 * math.pi * f * l)
 
@@ -65,7 +65,7 @@ class TheveninEquivalent:
     z_th: complex
 
     def __post_init__(self) -> None:
-        if self.z_th.real < 0.0:
+        if not self.z_th.real >= 0.0:
             raise ValueError(f"Thevenin resistance must be non-negative, got {self.z_th.real}")
 
 

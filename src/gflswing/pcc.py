@@ -19,10 +19,9 @@ injections (dynamics sums it from its per-run table), and q_components
 rotates that one complex sum into every unit's frame, so one call serves
 the whole fleet.
 
-A solve without a seed starts from v_th with damped fixed-point
-iteration. A solve given a seed, such as the voltage of the previous time
-step, starts Newton's method there: from a near solution it converges in
-one or two iterations.
+Every solve is damped Newton from a seed: the voltage of the previous
+time step, from which it converges in one or two iterations, or v_th when
+no seed is given.
 
 Voltages and impedances are Python ``complex`` numbers in volts and ohms;
 the equivalent impedances come from network.equivalent_impedance.
@@ -83,22 +82,19 @@ def solve_vpcc(
     agg: tuple[complex, complex],
     tol: float,
     max_iter: int,
-    damping: float = 0.7,
     seed: complex | None = None,
 ) -> PccSolution:
-    """Solve v = v_th + D + C / |v| to a fixed point for the aggregate (C, D).
+    """Solve v = v_th + D + C / |v| for the aggregate (C, D).
 
     C = sum_i z_eq_i s_i e^{j theta_i} over the constant-power injections
     and D = sum_i z_eq_i i_i e^{j theta_i} over the fixed-current ones.
-    Without a seed: damped fixed-point iteration from v_th, falling back to
-    a damped 2-D Newton step on the closed-form residual after 40
-    iterations. With a seed: the Newton iteration from the seed, with the
-    same residual check, step halving and budget. Raises NonConvergence if
-    the residual stays above tol within max_iter total iterations and
-    ZeroVoltage if |v| (the seed's included) falls below
-    ZERO_VOLTAGE_FRACTION * |v_th|.
+    Newton's method on the residual with its closed-form 2-D Jacobian,
+    halving each step that would raise the residual, from seed, or from
+    v_th when no seed is given. Raises NonConvergence if the residual stays
+    above tol within max_iter iterations and ZeroVoltage if |v| (the
+    seed's included) falls below ZERO_VOLTAGE_FRACTION * |v_th|.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -123,29 +119,11 @@ def solve_vpcc(
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
-    iterations = 0
     residual = math.inf
 
-    # A seeded solve makes no fixed-point iterations and starts Newton there.
+    # Newton on F(v) = v - w - C/|v| with its closed-form Jacobian.
     v = v_th if seed is None else seed
-    fixed_point_iter = min(max_iter, 40) if seed is None else 0
-    keep = 1.0 - damping
-    for iterations in range(1, fixed_point_iter + 1):
-        r = abs(v)
-        if r < floor:
-            raise ZeroVoltage(
-                f"voltage magnitude {r:.3e} V collapsed below {floor:.3e} V"
-            )
-        rhs = w + c / r
-        residual = abs(v - rhs)
-        if residual <= tol:
-            return PccSolution(v, residual, iterations)
-        v = keep * v + damping * rhs
-
-    # Newton on F(v) = v - w - C/|v| with its closed-form Jacobian: the
-    # fallback of an unseeded solve, the whole of a seeded one.
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         x, y = v.real, v.imag
         r = abs(v)
         if r < floor:

@@ -114,7 +114,7 @@ def classify(
     Trajectories with a clearing time must extend past
     t_clear + settle_window unless a trip already decided the verdict.
     """
-    if settle_tol <= 0.0 or settle_window <= 0.0:
+    if not (settle_tol > 0.0 and settle_window > 0.0):
         raise ValueError("settle_tol and settle_window must be positive")
     records = traj.records
     theta0 = records[0].theta_cg
@@ -239,7 +239,7 @@ def find_cct(
     monotonicity assumption; a non-monotone verdict sequence is reported
     through the result, not raised.
     """
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     if not 0.0 < t_min < t_max:
         raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")

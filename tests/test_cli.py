@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
@@ -241,6 +242,16 @@ def test_trajectory_csv_shape(small_config_path, tmp_path):
     assert set(first_row[header.index("A.limited")]) <= set("truefals")
 
 
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.yaml"
+    p.write_text(example, encoding="utf-8")
+    cfg = load_config(p)
+    assert len(cfg.fleet) == 1 and cfg.cct is not None and cfg.sweep_axes
+
+
 def test_provenance_hash_ignores_formatting(tmp_path):
     a = tmp_path / "a.yaml"
     b = tmp_path / "b.yaml"
@@ -250,28 +261,39 @@ def test_provenance_hash_ignores_formatting(tmp_path):
     assert load_config(a).sha256 == load_config(b).sha256
 
 
-def test_solver_lag_mode_false_loads_and_hashes_as_omitted(tmp_path, small_config_path):
-    p = tmp_path / "lag.yaml"
-    p.write_text(SMALL_CONFIG + "solver:\n  lag_mode: false\n", encoding="utf-8")
+# Solver keys of removed features and the one value of each that still loads.
+RETIRED_SOLVER_KEYS = {"lag_mode": "false", "damping": "0.7"}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED_SOLVER_KEYS))
+def test_retired_solver_key_at_its_kept_value_loads_and_hashes_as_omitted(
+    tmp_path, small_config_path, key
+):
+    p = tmp_path / "retired.yaml"
+    p.write_text(SMALL_CONFIG + f"solver:\n  {key}: {RETIRED_SOLVER_KEYS[key]}\n",
+                 encoding="utf-8")
     assert load_config(p).sha256 == load_config(small_config_path).sha256
 
 
-@pytest.mark.parametrize("value", ["true", "null", "0", "'false'"])
-def test_solver_lag_mode_other_values_are_rejected(tmp_path, value):
-    # The one-step-lag model is gone; a config that asks for it must not
-    # silently run the implicit solve.
-    p = tmp_path / "lag.yaml"
-    p.write_text(SMALL_CONFIG + f"solver:\n  lag_mode: {value}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"^solver\.lag_mode: .*removed"):
+@pytest.mark.parametrize("key, value", [
+    ("lag_mode", "true"), ("lag_mode", "null"), ("lag_mode", "0"), ("lag_mode", "'false'"),
+    ("damping", "0.5"), ("damping", "null"), ("damping", "true"),
+])
+def test_retired_solver_key_other_values_are_rejected(tmp_path, key, value):
+    # A config that asks for a removed solver feature must not silently run
+    # the one that replaced it.
+    p = tmp_path / "retired.yaml"
+    p.write_text(SMALL_CONFIG + f"solver:\n  {key}: {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^solver\.{key}: .*removed"):
         load_config(p)
 
 
 # The hash covers the resolved echo of every section, impedances included, so
 # a change in how the package stores numbers must leave these values alone.
 BUNDLED_SHA256 = {
-    "table1.yaml": "8ccdec8f3bcaec9a884dfa53342cd25181feea2fbf11813e7191ee0d51f51e66",
-    "table1_uncleared.yaml": "83fc868f121b619aa2cdebed6c3c65628f0866d98e9f169fa2851772548456a7",
-    "table1_nofault.yaml": "354b65637e632873c6a8d814c0d2d8c5645112c5dcd4b8e5762ce443c6d3b7b6",
+    "table1.yaml": "5ec658e9f3bbeb3790a0135c7f66a110fc3af68ad39c17072f49ded896b371a3",
+    "table1_uncleared.yaml": "6b4224dcf7f7b55347f090e3c7f039600cffe33f33fffc701249d5286e9a1195",
+    "table1_nofault.yaml": "523276079405e2460e4c46b097a48ec73f5095bcc75218aa6954e6a2788d0077",
 }
 
 
@@ -282,7 +304,7 @@ def test_bundled_config_provenance_hash_is_pinned(name):
 
 # cct.json of bundled table1.yaml: CCT, bracket, evaluation log, audit and loss
 # order. A change that only makes the search cheaper must leave it alone.
-TABLE1_CCT_JSON_SHA256 = "6f213d89dd39d73cb1720a5a9f4464cebf6c30a677e426245ddd4133b75d2a99"
+TABLE1_CCT_JSON_SHA256 = "f2eab6a0605bdb75d0c0410cbf8bf7756064b5ab0ecb5f3074111fa024e304fd"
 
 
 def test_bundled_cct_json_is_pinned(tmp_path):
@@ -294,8 +316,8 @@ def test_bundled_cct_json_is_pinned(tmp_path):
 # trajectory.csv of bundled runs. These catch what cct.json cannot, e.g. a
 # tripped unit's i_q, which is 0.0 * sin(...) = -0.0 and prints "-0".
 TRAJECTORY_CSV_SHA256 = {
-    "table1.yaml": "47ec1913c3a25563ccfca0c4fd475871c50299e820e40d013793036a05ddd88a",
-    "table1_uncleared.yaml": "cb26d3bf291c906a6e7198f9bf8a23d0f4984098ebb4a171cdd5317cc4deb9b1",
+    "table1.yaml": "2dbb3292c5c43c423e7f02fff86edf3a04fbda3ab1650e169bc63e9dbbecc337",
+    "table1_uncleared.yaml": "86536f64fa2041c320c1b72fc7316736d2f99c4d84e31496d2441a7963526a59",
 }
 
 
@@ -309,9 +331,9 @@ def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
 # comparison.json and both replay CSVs of cmd_compare on bundled table1.yaml:
 # the trajectory writer's second caller.
 COMPARE_SHA256 = {
-    "trajectory_nonuniform.csv": "fe2df763962c746442888883b965d3503c74adca9dc6ea8ad7dccd3ac5815f5a",
-    "trajectory_uniform.csv": "f9ce86d9c80af50f6b2d26351e6c7758b11bf3ca04db7f73bb99773c16caafe7",
-    "comparison.json": "1049a1612b796ced47d9d79a684b183da95b9cb2f1b207c850a2bb753eb961ed",
+    "trajectory_nonuniform.csv": "a7640dc5e0baacd6d64d49020d0053915822704a978e1fdd0419a0eb4b833c36",
+    "trajectory_uniform.csv": "e52efe9e0d40f0670fe2410008f7080f9357be22867481bbc42e96cc2a2d4a70",
+    "comparison.json": "52c6e8d32764f734bc2013a33292372a6a5e4f790f43b51a1c0c1f4eb2c14f68",
 }
 
 
@@ -498,8 +520,8 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("stability:\n", "solver:\n  damping: 0.0\nstability:\n",
-     "solver.damping: must be > 0.0, got 0.0"),
+    ("stability:\n", "solver:\n  tol_rel: 0.0\nstability:\n",
+     "solver.tol_rel: must be > 0.0, got 0.0"),
     ("fault_depth: 0.5", "fault_depth: 1.5", "scenario.fault_depth: must be <= 1.0, got 1.5"),
     ("stability:\n", "solver:\n  max_iter: 0\nstability:\n",
      "solver.max_iter: must be >= 1, got 0.0"),
@@ -521,7 +543,7 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
     ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
-], ids=["strict_min_and_max", "maximum", "whole_number_minimum", "cct_whole_number",
+], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
         "cct_bracket", "t_end_coverage", "name_comma", "strict_min", "minimum"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):

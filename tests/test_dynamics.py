@@ -79,6 +79,15 @@ def test_equilibrium_is_a_fixed_point_of_step():
     _assert_fixed_point(_small_fleet(), _small_grid())
 
 
+def test_table1_nofault_holds_its_equilibrium_to_round_off(nofault_config):
+    # find_equilibrium and step solve the PCC voltage the same way, so with
+    # no fault every angle holds its pre-fault value to round-off.
+    cfg = nofault_config
+    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert classify(traj).max_angle_excursion <= 1e-12
+    assert classify(traj, settle_tol=1e-12).stable
+
+
 def _pf_fleet():
     return tuple(
         replace(cfg, pf_angle=pf) for cfg, pf in zip(_small_fleet(), (0.2, -0.2))

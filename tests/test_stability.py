@@ -11,9 +11,12 @@ from gflswing.dynamics import (
     InverterConfig,
     Trajectory,
     TrajectoryRecord,
+    prepare_run,
     simulate,
+    step,
 )
-from gflswing.network import GridModel, TheveninEquivalent
+from gflswing.network import GridModel, TheveninEquivalent, line_impedance
+from gflswing.pcc import solve_vpcc
 from gflswing.stability import (
     BracketInvalid,
     EmptyOrder,
@@ -318,6 +321,49 @@ def test_find_cct_validates_bracket_and_coverage():
     with pytest.raises(ValueError):
         find_cct(fleet, _grid2(), short, t_min=2e-4, t_max=2e-3,
                  resolution=1e-4, settle_window=2e-3)
+
+
+def _steady_trajectory():
+    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(9)]
+    return _synthetic(_fleet2(), rows, t_clear=2e-3)
+
+
+def _step_by(dt):
+    run = prepare_run(_fleet2(), _grid2(), 0.5)
+    return step(run.equilibrium, run.units, run.prefault, dt, run.opts)
+
+
+NAN = math.nan
+
+
+# A check written as x <= 0 lets NaN through: every comparison with NaN is
+# false. Each of these calls must raise rather than run on a NaN.
+@pytest.mark.parametrize("call", [
+    lambda: find_cct(_fleet2(), _grid2(), _base_scenario(), t_min=2e-4, t_max=2e-3,
+                     resolution=NAN),
+    lambda: classify(_steady_trajectory(), settle_tol=NAN, settle_window=2e-3),
+    lambda: classify(_steady_trajectory(), settle_tol=0.02, settle_window=NAN),
+    lambda: FaultScenario(1e-3, None, 0.5, 8e-3, NAN),
+    lambda: _step_by(NAN),
+    lambda: InverterConfig("X", NAN, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), NAN, 1e-3, 100.0, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, NAN, 100.0, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, NAN, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, NAN),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0,
+                           trip_holdoff=NAN),
+    lambda: line_impedance(NAN, 1e-6, 50.0),
+    lambda: line_impedance(0.1, NAN, 50.0),
+    lambda: line_impedance(0.1, 1e-6, NAN),
+    lambda: TheveninEquivalent(230.0, complex(NAN, 0.1)),
+    lambda: solve_vpcc(_grid2().prefault, (1000.0 + 0j, 0j), NAN, 10),
+], ids=["find_cct_resolution", "classify_settle_tol", "classify_settle_window",
+        "scenario_dt", "step_dt", "s_rated", "r_virtual", "kp", "ki", "i_max",
+        "trip_holdoff", "line_resistance", "line_inductance", "frequency",
+        "thevenin_resistance", "solve_vpcc_tol"])
+def test_range_checks_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_uniform_fleet_preserves_totals():

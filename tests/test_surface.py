@@ -59,36 +59,36 @@ def test_step_takes_the_fleet_second():
 # the benchmark's inputs load, and load to the same resolved config.
 PERFBENCH_INPUT_SHA256 = {
     ("wide_fleet", 1): (
-        "11908d97353af796f3f3ce391e24d5d98713a7ce7bc0ffeec6b22625c942145e",
-        "916df3e90c745e08d8cff7a7c19b8dd4f2be17d9affdfc2b7b3db56a0711f3de",
+        "02eb5c06ffadd1e29ba34c4380b1f844f7f34231d0cb193a3772a1ee5128c73d",
+        "a3f537010941937086466ee1edfbc23b0c920a45da0d00e8fef26c151e5e8534",
     ),
     ("wide_fleet", 601): (
-        "6700d18aa17c942fed02f0924b23018ffd0de86a2cc809789d744c32caecf78d",
-        "4151a70506af1595e2f8a3c96154dc2de804e9f13882da8b9d91c55962cd1040",
+        "8809aebc4645c0e0e9e3a320f1a7e78119c44458e962cd1fd2a926307396b4e7",
+        "65f0387250e552a7ecfcab037b4016f5ae56cfa10aea5037bbf467b749d78ce8",
     ),
     ("cct_search", 1): (
-        "120fc52a2a9f7b2a3f631aedf6392a63868edb552f0b8ba066871b22319760e3",
-        "292bbac38d20be1926266f3253c46ab33ef78944bc3a1bb0f273fd637793a6be",
-        "0bc1e5b1464b690a40eaed9ef89ecf816d11cbfd5071b3c9fc6086e4785bc26c",
-        "56a9ec95c29d3c5d25c27b4ccc64f62c1db028440beeca1a77d6682d12829d30",
-        "d6765e4d8ae1b55cfea8027e597fe3c9301966954ca58352dc0dc7663dd10bab",
-        "6daffd741400a40dd98035d6ebf325a0cf4ff817bd81dfbe3fa6e2966642fa0a",
-        "1142598ed8543aa5e3cd42ec4c325f09bf4899f07b9c4641665cd9751098f190",
-        "e63c3761c722631033182cf3227e3f5c8c611864bee63bb3b7a0e6d0a333845a",
-        "a299a4014dd46d2ee46340a6838f260daa3887cee2e77193571174586518c399",
-        "5ff406b1a6aeb1a1d5e50971ae823517f9afd72fe1ca989b1ad84e891bfee96d",
+        "68c8adf96e0400f08b4d9c7f2369a40752e79c8d3e06c2c60bee2c4f22e7d254",
+        "bb581c97a7f780874598cdf278131e00b5089125da7ebf420a62c391212ca0a1",
+        "fa9b2869411676a1bbec818c32b532973a7bbae9bdfb2e592bea47fc29e3fc28",
+        "2c4729bd0172176930a92de0c2b7258c360493d4577a8e1b24797420556b7444",
+        "8aaab1f06bd7ef7fd70321e55d435b0a8a863e14545fb67c1ea77b5b73ffe011",
+        "11a2e306fb7c3711cfe6aa3ef7456bcdde8e9e2c00421ad31d16b091630bdeb4",
+        "a9d7b4ea5fd0046f44964092f3acca11a50cc60f8462bdf7911798bf76fdcafd",
+        "5b331a24eb847fe744737ef13fb3d2c8a396e44803e7a943b19575bdd748e63b",
+        "a246a432c78e6fd89819066341ac471aa0d6cc9ba1a97f236769e466cb83dd90",
+        "fb49e4aa1ff247dc4639f86add945177dd20271470a41441d8dd12ee170f301c",
     ),
     ("cct_search", 601): (
-        "d9664fa3a9b83da5f2e25607a13cfa486c1fa9d040d60922816ca996e3f138cb",
-        "0587bc3863206c2be5d28aa35b720e34f128149bdc162503b19ada74b021b4d2",
-        "6d18564665b2f7e54614fcd60c7d6b9dba75fbdfd94761cd59c4c29844cf6591",
-        "c68e865c97f318cb9cd41f3aef7554fe30c9003e3bfc196d8f7b15a3b52d2beb",
-        "5cf7b237d6d74f11513547ad1be2cd4404e052565c61584c01b96cb50dc68a56",
-        "e798e6f59e6d17b969a534fea4ca10b0b9fdd5a9c38c9da45cbe79365275e1ce",
-        "29920d9788e9102d2db1b53570fc500c9f99a3670b6217202d64d611aa32e2f4",
-        "b272e48fd7b512a4809f6fbc650d801ccdfdd0ec9d3d02687c9ceac06416c2d6",
-        "4e4074f94c3ef96431600d735bbc3bf52df65bf185bdb093fa111c5ae5720f37",
-        "38cc0b3f85600a14a3674f5bec9dbf89053eff89113695a6843a8435c8b6ff4d",
+        "5e93a1bd51e402b00a82db2aaadd7646afbc8944198be859895f4b8a34d429fe",
+        "cb5475e6c13ac0af878728025d076fc0a23b2d49da720fac17af04338b350675",
+        "bdae7ebabb3a8c5e9e5044bd6f3faf0bc425e6f723b1c2f65def577547c8dd24",
+        "18a11134e26648fa94f7dde3a2acf28d2e2a484e0be6c9d21c497eba391d80b4",
+        "86a9010df9d53516ac99522ddf44d4e078859481f1f2965480969e053d40853d",
+        "fe32f4a107562deb7fdd5a2ca9637f48332a565d9aadc0246f7514cc2205a118",
+        "4a80cf48ba5a33717543ee5fc22962174b668d39909ae9ef13693e86eec917d5",
+        "0e19a44e9e4df83f62ee842513ce2490cdb374d74b48c6bc1b8ae23b17f3300f",
+        "f430b138689b753471c327115e98c2b82da3c93735bf089410e0418f6138fae1",
+        "3fa79ab5140d8259a7d05f9a37abfa99016553724bb5a3259540497bd2b04dbb",
     ),
 }
 
