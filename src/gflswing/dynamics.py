@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from gflswing.network import (
     GridModel,
@@ -36,11 +36,9 @@ __all__ = [
     "InitializationFailure",
     "UnitTable",
     "GridPhase",
-    "RunSetup",
+    "Runs",
     "find_equilibrium",
     "step",
-    "prepare_run",
-    "advance",
     "simulate",
     "DIVERGENCE_BOUND_RAD",
 ]
@@ -85,8 +83,12 @@ class InverterConfig:
             raise ValueError(f"{self.name}: i_max must be positive, got {self.i_max}")
         if not (self.kp >= 0.0 and self.ki >= 0.0):
             raise ValueError(f"{self.name}: PLL gains must be non-negative")
+        if not cmath.isfinite(self.z_line):
+            raise ValueError(f"{self.name}: z_line must be finite, got {self.z_line}")
         if not self.r_virtual >= 0.0:
             raise ValueError(f"{self.name}: r_virtual must be non-negative")
+        if not math.isfinite(self.pf_angle):
+            raise ValueError(f"{self.name}: pf_angle must be finite, got {self.pf_angle}")
         if not self.trip_holdoff >= 0.0:
             raise ValueError(f"{self.name}: trip_holdoff must be non-negative")
 
@@ -164,7 +166,7 @@ class SimState:
     """The last recorded sample plus what each unit carries between steps:
     its PLL angle (theta, constant at lock), PI integral and the time its
     current limiting began (None while unlimited). Read-only and not
-    frozen, like TrajectoryRecord: forked runs share checkpointed states."""
+    frozen, like TrajectoryRecord: forked runs share kept states."""
 
     record: TrajectoryRecord
     theta: tuple[float, ...]
@@ -234,26 +236,6 @@ class GridPhase:
         self.zi = tuple(z * i for z, i in zip(self.zeq, units.i_max))
 
 
-@dataclass(frozen=True, slots=True)
-class RunSetup:
-    """What every run of one fleet on one grid at one fault depth shares.
-
-    opts holds the tolerance resolved against the pre-fault source, as in
-    the config loader, for the equilibrium and every step of the run.
-    units is the fleet's table of constants, prefault and fault the grid
-    phases before and during the fault, and equilibrium the locked
-    pre-fault state, whose injection angles are the reference of the
-    divergence trip.
-    """
-
-    fleet: tuple[InverterConfig, ...]
-    opts: SolverOptions
-    units: UnitTable
-    prefault: GridPhase
-    fault: GridPhase
-    equilibrium: SimState
-
-
 def _aggregate(
     phase: GridPhase,
     e: Sequence[complex],
@@ -281,8 +263,8 @@ def find_equilibrium(
 ) -> SimState:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
-    units and prefault are the run's tables (see prepare_run), and opts.tol
-    the tolerance resolved once for the run; fleet names the units in
+    units and prefault are the run's tables (see Runs), and opts.tol the
+    tolerance resolved once for the run; fleet names the units in
     errors. Alternates the PCC voltage solve with per-inverter re-locking of
     the injection angle until both are self-consistent. At lock, v_gq = 0 in
     the unit's frame theta gives
@@ -349,11 +331,11 @@ def step(
     phase: GridPhase,
     dt: float,
     opts: SolverOptions,
-    theta_cg_ref: Sequence[float] | None = None,
+    theta_cg_ref: Sequence[float],
 ) -> SimState:
     """Advance the fleet by one step under the given grid phase.
 
-    fleet and phase are per-run tables (see prepare_run), and opts.tol the
+    fleet and phase are per-run tables (see Runs), and opts.tol the
     tolerance resolved once for the run; an unresolved tol is a ValueError.
     Order per step: resolve limiter flags and solve the PCC voltage with the
     current injection angles, evaluate each live unit's q-axis generation
@@ -369,7 +351,7 @@ def step(
         raise ValueError(f"dt must be positive, got {dt}")
     tol = opts.tol
     if tol is None:
-        raise ValueError("step needs a resolved tolerance; prepare_run resolves one")
+        raise ValueError("step needs a resolved tolerance; Runs resolves one")
     n = len(fleet)
     rec = state.record
     t_new = rec.t + dt
@@ -440,7 +422,7 @@ def step(
                 tripped_new[p] = True
         else:
             limited_since[p] = None
-        if theta_cg_ref is not None and abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
+        if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
             tripped_new[p] = True
 
     # i_q follows the injection angles that flowed during the step.
@@ -453,90 +435,128 @@ def step(
     return SimState(record, tuple(theta), tuple(integral), tuple(limited_since))
 
 
-def prepare_run(
-    fleet: Sequence[InverterConfig],
-    grid: GridModel,
-    fault_depth: float,
-    opts: SolverOptions | None = None,
-) -> RunSetup:
-    """The per-run setup of fleet on grid with a fault of fault_depth."""
-    if not fleet:
-        raise ValueError("fleet must be non-empty")
-    opts = opts or SolverOptions()
-    if opts.tol is None:
-        opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
-    fleet = tuple(fleet)
-    units = UnitTable(fleet)
-    zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
-    fault_ten = faulted_grid(grid, fault_depth)
-    zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
-    prefault = GridPhase(units, grid.prefault, zeq_pre)
-    return RunSetup(
-        fleet, opts, units, prefault,
-        GridPhase(units, fault_ten, zeq_fault),
-        find_equilibrium(fleet, units, prefault, opts),
-    )
 
 
-def advance(
-    run: RunSetup,
-    scenario: FaultScenario,
-    records: list[TrajectoryRecord],
-    state: SimState,
-    k_stop: int | None = None,
-    *,
-    stop_at_first_trip: bool = False,
-    checkpoints: list[SimState] | None = None,
-) -> float | None:
-    """Step on from state, the state after step len(records) - 1, appending
-    the record of each step to records and, when checkpoints is given, the
-    state after it to checkpoints, so that records[k] is step k's record.
+class Runs:
+    """The runs of one fleet on one grid through one fault, one per clearing
+    time, each branching from one uncleared fault-on run.
+
+    opts holds the tolerance resolved against the pre-fault source, as in
+    the config loader, for the equilibrium and every step. units is the
+    fleet's table of constants, prefault and fault the grid phases before
+    and during the fault, and equilibrium the locked pre-fault state, whose
+    injection angles are the reference of the divergence trip. run sets the
+    clearing time of scenario.
 
     Step k is under the fault while k_fault <= k < k_clear, with fault
-    application and clearing snapped to the nearest step boundary. Two runs
-    of one setup that differ only in their clearing step therefore agree on
-    every step before the earlier one, and a run can continue from the
-    checkpoint of another at the step before it clears.
+    application and clearing snapped to the nearest step boundary, so every
+    run agrees with the fault-on run on each step before it clears. run
+    steps the fault-on run once, on demand, up to the step before the
+    requested clearing step, keeping its states from step k_fault - 1 on (no
+    run clears earlier), and continues from the state there. The fault-on
+    run stops at its first trip or solver failure: a later clearing
+    continues from its last state, which holds that trip, so a run that
+    stops at its first trip makes no step (after a failure it repeats only
+    the failed step). An uncleared run extends nothing: it continues from
+    the furthest state kept and keeps none of its own.
 
-    Stepping ends after step k_stop (by default the scenario's last step),
-    at a solver failure, or, when stop_at_first_trip is set, at the first
-    record in which any unit is tripped; if records already ends with such
-    a record, no step is made. A failure is recorded as instability onset:
-    the failed step's record marks every unit tripped and injecting
-    nothing, it has no checkpoint, and its time is returned (None when no
-    step failed).
+    A Runs object grows as it is used and is not shared across threads.
     """
-    dt = scenario.dt
-    k_fault = round(scenario.t_fault / dt)
-    k_clear = round(scenario.t_clear / dt) if scenario.t_clear is not None else None
-    if k_stop is None:
-        k_stop = round(scenario.t_end / dt)
-    theta_cg_ref = run.equilibrium.record.theta_cg
-    for k in range(len(records), k_stop + 1):
-        if stop_at_first_trip and True in records[-1].tripped:
-            break
-        on_fault = k >= k_fault and (k_clear is None or k < k_clear)
-        phase = run.fault if on_fault else run.prefault
-        try:
-            state = step(state, run.units, phase, dt, run.opts, theta_cg_ref)
-        except (NonConvergence, ZeroVoltage):
-            n = len(run.fleet)
-            records.append(
-                replace(
-                    records[-1],
-                    t=k * dt,
-                    i_mag=(0.0,) * n,
-                    i_q=(0.0,) * n,
-                    v_gq=(0.0,) * n,
-                    limited=(False,) * n,
-                    tripped=(True,) * n,
-                )
-            )
-            return k * dt
-        records.append(state.record)
-        if checkpoints is not None:
-            checkpoints.append(state)
-    return None
+
+    def __init__(
+        self,
+        fleet: Sequence[InverterConfig],
+        grid: GridModel,
+        scenario: FaultScenario,
+        opts: SolverOptions | None = None,
+    ) -> None:
+        if not fleet:
+            raise ValueError("fleet must be non-empty")
+        opts = opts or SolverOptions()
+        if opts.tol is None:
+            opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
+        self.fleet = fleet = tuple(fleet)
+        self.opts = opts
+        self.units = units = UnitTable(fleet)
+        zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
+        fault_ten = faulted_grid(grid, scenario.fault_depth)
+        zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
+        self.prefault = GridPhase(units, grid.prefault, zeq_pre)
+        self.fault = GridPhase(units, fault_ten, zeq_fault)
+        self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
+        self._scenario = scenario
+        self._k_fault = round(scenario.t_fault / scenario.dt)
+        # The fault-on run: its records from step 0 on and the state after
+        # each step from _first_kept on.
+        self._first_kept = max(self._k_fault - 1, 1)
+        self._records = [self.equilibrium.record]
+        self._states: list[SimState] = []
+
+    def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
+        """The run that clears the fault at t_clear (None: never), stepped to
+        the scenario's end or, with stop_at_first_trip, to the first record
+        in which any unit is tripped.
+
+        A solver failure ends the run as instability onset: the failed
+        step's record marks every unit tripped and injecting nothing, and
+        its time is the trajectory's solver_failure_t.
+        """
+        scenario = replace(self._scenario, t_clear=t_clear)
+        k_clear = None if t_clear is None else round(t_clear / scenario.dt)
+        fault_on, states = self._records, self._states
+        # The step to fork at: a clearing step of 0 never applies the fault.
+        k = None if k_clear is None else max(k_clear, 1) - 1
+        if k is not None and k >= len(fault_on):
+            start = states[-1] if states else self.equilibrium
+            for state in self._advance(None, fault_on, start, True):
+                if len(fault_on) > self._first_kept:
+                    states.append(state)
+                if len(fault_on) > k:
+                    break
+        last = self._first_kept + len(states) - 1 if states else 0
+        k = last if k is None else min(k, last)
+        records = fault_on[:k + 1]
+        state = states[k - self._first_kept] if k else self.equilibrium
+        for state in self._advance(k_clear, records, state, stop_at_first_trip):
+            pass
+        # A failed step appends a record of no state.
+        failure_t = None if records[-1] is state.record else records[-1].t
+        return Trajectory(tuple(records), scenario, self.fleet, failure_t)
+
+    def _advance(
+        self,
+        k_clear: int | None,
+        records: list[TrajectoryRecord],
+        state: SimState,
+        stop_at_first_trip: bool,
+    ) -> Iterator[SimState]:
+        """Step on from state, the state after step len(records) - 1, to the
+        scenario's last step, appending each step's record to records and
+        yielding the state after it; k_clear is the clearing step.
+
+        Stepping ends at a solver failure or, when stop_at_first_trip is
+        set, at the first record in which any unit is tripped; if records
+        already ends with such a record, no step is made. A failed step
+        appends the failure record that run describes and yields nothing.
+        """
+        dt = self._scenario.dt
+        theta_cg_ref = self.equilibrium.record.theta_cg
+        for k in range(len(records), round(self._scenario.t_end / dt) + 1):
+            if stop_at_first_trip and True in records[-1].tripped:
+                return
+            on_fault = k >= self._k_fault and (k_clear is None or k < k_clear)
+            phase = self.fault if on_fault else self.prefault
+            try:
+                state = step(state, self.units, phase, dt, self.opts, theta_cg_ref)
+            except (NonConvergence, ZeroVoltage):
+                n = len(self.fleet)
+                records.append(replace(
+                    records[-1], t=k * dt, i_mag=(0.0,) * n, i_q=(0.0,) * n,
+                    v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
+                ))
+                return
+            records.append(state.record)
+            yield state
 
 
 def simulate(
@@ -547,11 +567,8 @@ def simulate(
 ) -> Trajectory:
     """Run pre-fault, fault-on and post-fault intervals and record every step.
 
-    One per-run setup (prepare_run) and one pass of advance from the
-    equilibrium to t_end. A solver failure mid-run ends the run there, with
-    every remaining unit marked tripped (see advance).
+    The one run of a new Runs that clears at scenario.t_clear. A solver
+    failure mid-run ends the run there, with every remaining unit marked
+    tripped (see Runs.run).
     """
-    run = prepare_run(fleet, grid, scenario.fault_depth, opts)
-    records = [run.equilibrium.record]
-    failure_t = advance(run, scenario, records, run.equilibrium)
-    return Trajectory(tuple(records), scenario, run.fleet, failure_t)
+    return Runs(fleet, grid, scenario, opts).run(scenario.t_clear)

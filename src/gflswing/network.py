@@ -10,6 +10,7 @@ not quantities derivable from the fleet itself.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -65,8 +66,12 @@ class TheveninEquivalent:
     z_th: complex
 
     def __post_init__(self) -> None:
+        if not cmath.isfinite(self.v_th):
+            raise ValueError(f"Thevenin source voltage must be finite, got {self.v_th}")
         if not self.z_th.real >= 0.0:
             raise ValueError(f"Thevenin resistance must be non-negative, got {self.z_th.real}")
+        if not cmath.isfinite(self.z_th):
+            raise ValueError(f"Thevenin impedance must be finite, got {self.z_th}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +88,8 @@ class GridModel:
     faulted: TheveninEquivalent | None = None
 
     def __post_init__(self) -> None:
+        if not cmath.isfinite(self.z_load):
+            raise ValueError(f"load impedance must be finite, got {self.z_load}")
         if self.faulted is not None:
             if abs(self.faulted.v_th) > abs(self.prefault.v_th) + 1e-12:
                 raise ValueError(

@@ -16,10 +16,9 @@ from typing import Sequence
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
+    Runs,
     SolverOptions,
     Trajectory,
-    advance,
-    prepare_run,
     simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
 )
 from gflswing.network import GridModel
@@ -224,20 +223,12 @@ def find_cct(
     clearing step is decided once and every interval on it reuses that
     verdict; the deterministic simulator needs no confirmation runs.
 
-    Every run shares its steps before its clearing step with the uncleared
-    fault-on run, which is stepped once, from the one equilibrium, until its
-    first trip or solver failure or up to the step before the latest
-    clearing step t_max can ask for. Its states are the checkpoints: the
-    run for clearing step k continues from the state after step k - 1. A
-    trip decides a verdict, so these runs stop at their first trip. A
-    clearing step after the fault-on run's first trip continues from its
-    last state, which holds that trip, so its decision takes the fault-on
-    run's records, identical up to that step, without stepping (after a
-    solver failure it repeats only the failed step). The loss order needs
-    the whole cascade: bracket_hi's run continues from its checkpoint to
-    t_end for it. audit_samples evenly spaced clearing intervals audit the
-    monotonicity assumption; a non-monotone verdict sequence is reported
-    through the result, not raised.
+    Every run branches from one uncleared fault-on run (see
+    dynamics.Runs), and a trip decides a verdict, so each verdict run stops
+    at its first trip. The loss order needs the whole cascade: bracket_hi's
+    run is stepped to t_end for it. audit_samples evenly spaced clearing
+    intervals audit the monotonicity assumption; a non-monotone verdict
+    sequence is reported through the result, not raised.
     """
     if not resolution > 0.0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -250,39 +241,16 @@ def find_cct(
             f"t_fault + t_max + settle_window = {needed:.6g} s"
         )
 
-    def scenario_at(interval: float) -> FaultScenario:
-        return replace(base_scenario, t_clear=base_scenario.t_fault + interval)
-
-    setup = prepare_run(fleet, grid, base_scenario.fault_depth, opts)
+    runs = Runs(fleet, grid, base_scenario, opts)
     dt = base_scenario.dt
-    k_last = round(scenario_at(t_max).t_clear / dt)
-    fault_on = replace(base_scenario, t_clear=None)
-    fault_on_records = [setup.equilibrium.record]
-    checkpoints = [setup.equilibrium]
-    advance(
-        setup, fault_on, fault_on_records, setup.equilibrium, k_last - 1,
-        stop_at_first_trip=True, checkpoints=checkpoints,
-    )
-
-    def fork(scenario: FaultScenario, stop_at_first_trip: bool) -> Trajectory:
-        # From the step before clearing, or the fault-on run's last state if
-        # it ended earlier: after its first trip, a decision makes no step. A
-        # clearing step of 0 never applies the fault.
-        k = min(max(round(scenario.t_clear / dt), 1), len(checkpoints)) - 1
-        records = fault_on_records[: k + 1]
-        failure_t = advance(
-            setup, scenario, records, checkpoints[k], stop_at_first_trip=stop_at_first_trip
-        )
-        return Trajectory(tuple(records), scenario, setup.fleet, failure_t)
-
     log: list[tuple[float, bool]] = []
     cache: dict[int, bool] = {}  # clearing step -> stable
 
     def run(interval: float) -> bool:
-        scenario = scenario_at(interval)
-        k_clear = round(scenario.t_clear / dt)
+        t_clear = base_scenario.t_fault + interval
+        k_clear = round(t_clear / dt)
         if k_clear not in cache:
-            traj = fork(scenario, stop_at_first_trip=True)
+            traj = runs.run(t_clear, stop_at_first_trip=True)
             stable = classify(traj, settle_tol, settle_window).stable
             log.append((interval, stable))
             cache[k_clear] = stable
@@ -300,7 +268,7 @@ def find_cct(
         else:
             hi = mid
 
-    cascade = fork(scenario_at(hi), stop_at_first_trip=False)
+    cascade = runs.run(base_scenario.t_fault + hi)
     try:
         loss = tuple(name for name, _ in sync_loss_order(cascade))
     except EmptyOrder:

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from gflswing.cli import cmd_sweep
-from gflswing.dynamics import InverterConfig, UnitTable, prepare_run, simulate
+from gflswing.dynamics import InverterConfig, Runs, UnitTable, simulate
 from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
@@ -303,7 +303,8 @@ def test_criterion_09_dichotomy(table_config):
 @criterion(10, "removing one unit's power depresses the node and raises all currents", 1.0)
 def test_criterion_10_trip_cascade(table_config):
     cfg = table_config
-    eq = prepare_run(cfg.fleet, cfg.grid, 0.4, cfg.solver).equilibrium
+    scenario = replace(cfg.scenario, fault_depth=0.4)
+    eq = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver).equilibrium
     theta = eq.record.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)

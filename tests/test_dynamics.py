@@ -10,9 +10,7 @@ from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     SolverOptions,
-    Trajectory,
-    advance,
-    prepare_run,
+    Runs,
     simulate,
     step,
 )
@@ -41,6 +39,10 @@ def _small_grid():
     return GridModel(pre, complex(0.10, 0.05))
 
 
+def _runs(fleet, grid, opts=None):
+    return Runs(fleet, grid, FaultScenario(1e-3, None, 0.5, 8e-3, 1e-5), opts)
+
+
 def test_inverter_config_validation():
     with pytest.raises(ValueError):
         InverterConfig("X", 0.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0)
@@ -62,10 +64,10 @@ def test_fault_scenario_validation():
 
 
 def _assert_fixed_point(fleet, grid):
-    run = prepare_run(fleet, grid, 0.5)
+    run = _runs(fleet, grid)
     state = run.equilibrium
     assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
-    nxt = step(state, run.units, run.prefault, 1e-5, run.opts)
+    nxt = step(state, run.units, run.prefault, 1e-5, run.opts, state.record.theta_cg)
     before, after = state.record, nxt.record
     for p, cfg in enumerate(fleet):
         assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
@@ -104,9 +106,9 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     # an unlimited unit (A) and a limited one (B). The tight tolerance keeps
     # the solve residual far below that bound.
     fleet = _pf_fleet()
-    run = prepare_run(fleet, _small_grid(), 0.5, SolverOptions(tol=1e-11))
+    run = _runs(fleet, _small_grid(), SolverOptions(tol=1e-11))
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, 1e-5, run.opts)
+    nxt = step(state, run.units, run.fault, 1e-5, run.opts, state.record.theta_cg)
     rec = nxt.record
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
@@ -123,35 +125,41 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
         assert rec.theta_cg[p] == theta + cfg.pf_angle
 
 
-def test_direct_fault_on_step_equals_the_step_advance_makes():
+def test_direct_fault_on_step_equals_the_step_a_run_makes():
     # step solves to the run's tolerance, resolved once against the
     # pre-fault source; it resolves none of its own.
     fleet = _small_fleet()
-    run = prepare_run(fleet, _small_grid(), 0.5, SolverOptions())
     dt = 1e-5
+    scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
+    run = Runs(fleet, _small_grid(), scenario, SolverOptions())
     direct = step(
         run.equilibrium, run.units, run.fault, dt, run.opts,
         run.equilibrium.record.theta_cg,
     )
-    records = [run.equilibrium.record]
-    scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
-    assert advance(run, scenario, records, run.equilibrium, 1) is None
-    assert records[1] == direct.record
+    traj = run.run(None)
+    assert traj.solver_failure_t is None
+    assert traj.records[1] == direct.record
     with pytest.raises(ValueError):
-        step(run.equilibrium, run.units, run.fault, dt, SolverOptions())
+        step(
+            run.equilibrium, run.units, run.fault, dt, SolverOptions(),
+            run.equilibrium.record.theta_cg,
+        )
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5])
 def test_step_rejects_a_non_positive_dt(dt):
-    run = prepare_run(_small_fleet(), _small_grid(), 0.5)
+    run = _runs(_small_fleet(), _small_grid())
     with pytest.raises(ValueError, match="dt must be positive"):
-        step(run.equilibrium, run.units, run.prefault, dt, run.opts)
+        step(
+            run.equilibrium, run.units, run.prefault, dt, run.opts,
+            run.equilibrium.record.theta_cg,
+        )
 
 
 def test_fault_step_depresses_voltage():
-    run = prepare_run(_small_fleet(), _small_grid(), 0.5)
+    run = _runs(_small_fleet(), _small_grid())
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, 1e-5, run.opts)
+    nxt = step(state, run.units, run.fault, 1e-5, run.opts, state.record.theta_cg)
     assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
 
 
@@ -266,18 +274,11 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
 
 
-def _decision_run(cfg, scenario, checkpoints_to):
+def _decision_run(cfg, scenario):
     """The run of scenario, stopped at its first trip, continued from the
-    state after step checkpoints_to of the uncleared fault-on run."""
-    run = prepare_run(cfg.fleet, cfg.grid, scenario.fault_depth, cfg.solver)
-    records = [run.equilibrium.record]
-    checkpoints = [run.equilibrium]
-    fault_on = replace(scenario, t_clear=None)
-    assert advance(
-        run, fault_on, records, run.equilibrium, checkpoints_to, checkpoints=checkpoints
-    ) is None
-    failure_t = advance(run, scenario, records, checkpoints[-1], stop_at_first_trip=True)
-    return Trajectory(tuple(records), scenario, run.fleet, failure_t)
+    uncleared fault-on run."""
+    runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
+    return runs.run(scenario.t_clear, stop_at_first_trip=True)
 
 
 def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
@@ -285,7 +286,7 @@ def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
     full = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
-    cut = _decision_run(cfg, scen, round(scen.t_fault / scen.dt)).records
+    cut = _decision_run(cfg, scen).records
     k_trip = next(k for k, rec in enumerate(full) if True in rec.tripped)
     assert k_trip < len(full) - 1
     assert cut == full[:k_trip + 1]
@@ -295,8 +296,7 @@ def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
     # table1 clears 1 ms after the fault; the run forks from the fault-on
     # run's state one step before clearing.
     cfg = table_config
-    k_clear = round(cfg.scenario.t_clear / cfg.scenario.dt)
-    cut = _decision_run(cfg, cfg.scenario, k_clear - 1)
+    cut = _decision_run(cfg, cfg.scenario)
     assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
 
 
@@ -304,16 +304,83 @@ def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, m
     # A run continued from a state that already holds a trip is decided.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
-    cut = _decision_run(cfg, scen, round(scen.t_fault / scen.dt)).records
-    run = prepare_run(cfg.fleet, cfg.grid, scen.fault_depth, cfg.solver)
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    cut = runs.run(scen.t_clear, stop_at_first_trip=True)
 
     def no_step(*args, **kwargs):
         raise AssertionError("stepped on from a tripped record")
 
     monkeypatch.setattr(dynamics, "step", no_step)
-    records = list(cut)
-    assert advance(run, scen, records, run.equilibrium, stop_at_first_trip=True) is None
-    assert records == list(cut)
+    again = runs.run(scen.t_clear, stop_at_first_trip=True)
+    assert again.solver_failure_t is None
+    assert again.records == cut.records
+
+
+@pytest.mark.parametrize("depth", [0.3, 0.6, 1.0])
+def test_runs_in_any_order_equal_simulate(table_config, depth):
+    # The fault-on run is stepped on demand, so the order of requests must
+    # not matter: t_max's clearing first, then t_min's, then none, then
+    # table1's own. At each depth the fault-on run trips at step 450,
+    # between t_min's clearing step and t_max's; at depth 1.0 the uncleared
+    # run then fails to solve at step 451 (see the pinned deep-fault verdicts).
+    cfg = table_config
+    scen = replace(cfg.scenario, fault_depth=depth)
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    for t_clear in (
+        scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min, None, scen.t_clear
+    ):
+        full = simulate(cfg.fleet, cfg.grid, replace(scen, t_clear=t_clear), cfg.solver)
+        assert runs.run(t_clear) == full
+        cut = runs.run(t_clear, stop_at_first_trip=True).records
+        k_trip = next(
+            (k for k, rec in enumerate(full.records) if True in rec.tripped),
+            len(full.records) - 1,
+        )
+        assert cut == full.records[:k_trip + 1]
+
+
+def _count_steps(monkeypatch):
+    calls = [0]
+    original = dynamics.step
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "step", counting)
+    return calls
+
+
+def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, monkeypatch):
+    # A run clearing at step k shares steps 1 .. k - 1 with the fault-on
+    # run; once another run has stepped them, it steps only the rest.
+    cfg = table_config
+    scen = cfg.scenario
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    calls = _count_steps(monkeypatch)
+    first = runs.run(scen.t_clear)
+    assert calls[0] == len(first.records) - 1
+    k_first = round(scen.t_clear / scen.dt)
+    for t_clear in (scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min):
+        before = calls[0]
+        traj = runs.run(t_clear)
+        k_shared = min(k_first, round(t_clear / scen.dt)) - 1
+        assert calls[0] - before == len(traj.records) - 1 - k_shared
+
+
+def test_an_uncleared_run_keeps_no_states(table_config, monkeypatch):
+    # The uncleared run steps from the equilibrium and keeps nothing, so a
+    # cleared run made after it steps its own fault-on prefix.
+    cfg = table_config
+    scen = cfg.scenario
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    calls = _count_steps(monkeypatch)
+    uncleared = runs.run(None)
+    assert calls[0] == len(uncleared.records) - 1
+    before = calls[0]
+    cleared = runs.run(scen.t_clear)
+    assert calls[0] - before == len(cleared.records) - 1
+    assert cleared == simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
 
 
 def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
@@ -321,7 +388,8 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     # q_components takes the aggregate of the step's last solve. Limiter
     # re-solves (Inv 4 limits from 3 ms) are included.
     cfg = table_config
-    run = prepare_run(cfg.fleet, cfg.grid, 0.6, cfg.solver)
+    scenario = replace(cfg.scenario, fault_depth=0.6, t_end=6e-3)
+    run = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
     solved = []
     projected = []
 
@@ -338,9 +406,7 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     q_components = dynamics.q_components
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
     monkeypatch.setattr(dynamics, "q_components", projecting)
-    records = [run.equilibrium.record]
-    scenario = replace(cfg.scenario, fault_depth=0.6, t_end=6e-3)
-    advance(run, scenario, records, run.equilibrium)
+    records = run.run(scenario.t_clear).records
     assert len(projected) == len(records) - 1 == 600
     assert all(projected)
     assert len(solved) > len(projected)

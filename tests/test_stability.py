@@ -11,7 +11,7 @@ from gflswing.dynamics import (
     InverterConfig,
     Trajectory,
     TrajectoryRecord,
-    prepare_run,
+    Runs,
     simulate,
     step,
 )
@@ -329,8 +329,11 @@ def _steady_trajectory():
 
 
 def _step_by(dt):
-    run = prepare_run(_fleet2(), _grid2(), 0.5)
-    return step(run.equilibrium, run.units, run.prefault, dt, run.opts)
+    run = Runs(_fleet2(), _grid2(), _base_scenario())
+    return step(
+        run.equilibrium, run.units, run.prefault, dt, run.opts,
+        run.equilibrium.record.theta_cg,
+    )
 
 
 NAN = math.nan
@@ -357,10 +360,19 @@ NAN = math.nan
     lambda: line_impedance(0.1, 1e-6, NAN),
     lambda: TheveninEquivalent(230.0, complex(NAN, 0.1)),
     lambda: solve_vpcc(_grid2().prefault, (1000.0 + 0j, 0j), NAN, 10),
+    lambda: InverterConfig("X", 100.0, complex(NAN, 0.0), 0.0, 1e-3, 100.0, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, NAN), 0.0, 1e-3, 100.0, 10.0),
+    lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0,
+                           pf_angle=NAN),
+    lambda: TheveninEquivalent(NAN, complex(0.2, 0.1)),
+    lambda: TheveninEquivalent(230.0, complex(0.2, NAN)),
+    lambda: GridModel(_grid2().prefault, complex(NAN, 0.05)),
 ], ids=["find_cct_resolution", "classify_settle_tol", "classify_settle_window",
         "scenario_dt", "step_dt", "s_rated", "r_virtual", "kp", "ki", "i_max",
         "trip_holdoff", "line_resistance", "line_inductance", "frequency",
-        "thevenin_resistance", "solve_vpcc_tol"])
+        "thevenin_resistance", "solve_vpcc_tol", "z_line_resistance",
+        "z_line_reactance", "pf_angle", "thevenin_voltage", "thevenin_reactance",
+        "load_impedance"])
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
