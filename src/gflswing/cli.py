@@ -39,6 +39,7 @@ from gflswing.dynamics import (
     Trajectory,
     absolute_tol,
     simulate,
+    whole_steps,
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.stability import (
@@ -429,12 +430,20 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         c = st["cct"]
         if c["t_min_s"] >= c["t_max_s"]:
             raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
+        if c["resolution_s"] < scenario.dt:
+            raise ConfigError(
+                f"stability.cct.resolution_s: must be >= scenario.dt_s = {scenario.dt}, "
+                f"got {c['resolution_s']}"
+            )
         cct = CctSettings(c["t_min_s"], c["t_max_s"], c["resolution_s"], c["audit_samples"])
-        needed = scenario.t_fault + cct.t_max + st["settle_window_s"]
-        if scenario.t_end < needed - 1e-12:
+        k_needed = (
+            scenario.k_fault + whole_steps(cct.t_max, scenario.dt)
+            + whole_steps(st["settle_window_s"], scenario.dt)
+        )
+        if scenario.k_end < k_needed:
             raise ConfigError(
                 f"scenario.t_end_s: {scenario.t_end} does not cover "
-                f"t_fault_s + cct.t_max_s + settle_window_s = {needed:.6g}"
+                f"t_fault_s + cct.t_max_s + settle_window_s = {k_needed * scenario.dt:.6g}"
             )
 
     axes = resolved["sweep"]["axes"] if resolved["sweep"] is not None else {}
@@ -653,9 +662,10 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
         config.solver,
         settings.audit_samples,
     )
-    # Both fleets replayed at the configured fleet's critical clearing time.
+    # Both fleets replayed at the configured fleet's last stable clearing step.
     scenario = replace(
-        config.scenario, t_clear=config.scenario.t_fault + comparison.cct_nonuniform
+        config.scenario,
+        t_clear=config.scenario.t_fault + comparison.result_nonuniform.bracket_lo,
     )
     traj_nonuni = simulate(config.fleet, config.grid, scenario, config.solver)
     traj_uni = simulate(comparison.uniform_fleet, config.grid, scenario, config.solver)

@@ -37,6 +37,7 @@ __all__ = [
     "UnitTable",
     "GridPhase",
     "Runs",
+    "whole_steps",
     "find_equilibrium",
     "step",
     "simulate",
@@ -50,6 +51,16 @@ DIVERGENCE_BOUND_RAD = math.pi
 # Solver residual tolerance relative to max(|v_th|, 1 V) when none is given.
 DEFAULT_TOL_REL = 1e-9
 DEFAULT_TRIP_HOLDOFF_S = 5e-4
+
+
+def whole_steps(seconds: float, dt: float) -> int:
+    """seconds as the nearest whole number of steps of dt.
+
+    The one time base: every event time, duration and clearing time is
+    taken through here once, at the edge, and below it time is a step
+    index k, at t = k * dt.
+    """
+    return round(seconds / dt)
 
 
 class InitializationFailure(RuntimeError):
@@ -99,7 +110,13 @@ class InverterConfig:
 
 @dataclass(frozen=True, slots=True)
 class FaultScenario:
-    """Fault timing: t_clear = None leaves the fault on until t_end."""
+    """Fault timing: t_clear = None leaves the fault on until t_end.
+
+    k_fault, k_clear and k_end are the steps of the three events (see
+    whole_steps). The fault is applied at step k_fault and cleared
+    t_clear - t_fault, in whole steps, later, so a fault of k steps lasts
+    exactly k steps wherever t_fault falls.
+    """
 
     t_fault: float
     t_clear: float | None
@@ -120,6 +137,20 @@ class FaultScenario:
             )
         if not 0.0 <= self.fault_depth <= 1.0:
             raise ValueError(f"fault_depth must lie in [0, 1], got {self.fault_depth}")
+
+    @property
+    def k_fault(self) -> int:
+        return whole_steps(self.t_fault, self.dt)
+
+    @property
+    def k_clear(self) -> int | None:
+        if self.t_clear is None:
+            return None
+        return self.k_fault + whole_steps(self.t_clear - self.t_fault, self.dt)
+
+    @property
+    def k_end(self) -> int:
+        return whole_steps(self.t_end, self.dt)
 
 
 @dataclass(slots=True)
@@ -163,15 +194,17 @@ class Trajectory:
 
 @dataclass(slots=True)
 class SimState:
-    """The last recorded sample plus what each unit carries between steps:
-    its PLL angle (theta, constant at lock), PI integral and the time its
-    current limiting began (None while unlimited). Read-only and not
-    frozen, like TrajectoryRecord: forked runs share kept states."""
+    """The last recorded sample and its step index k, plus what each unit
+    carries between steps: its PLL angle (theta, constant at lock), PI
+    integral and the step at which its current limiting began (None while
+    unlimited). Read-only and not frozen, like TrajectoryRecord: forked
+    runs share kept states."""
 
     record: TrajectoryRecord
+    k: int
     theta: tuple[float, ...]
     integral: tuple[float, ...]
-    limited_since: tuple[float | None, ...]
+    limited_since: tuple[int | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,27 +224,31 @@ def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
 
 
 class UnitTable:
-    """The constants of each unit of fleet that step reads, in fleet order.
+    """The constants of each unit of fleet that step reads, in fleet order,
+    and the step dt they are counted in.
 
     s_rated, i_max, kp, ki and pf_angle come from the configs. holdoff is
-    trip_holdoff less 1e-12 s, against which step compares how long a unit
-    has been limited. series_q is Im(z_total e^{j pf_angle}), the q-axis
-    drop per ampere across the unit's series impedance in its own PLL
-    frame.
+    trip_holdoff in whole steps of dt (see whole_steps): a unit trips when
+    it has been limited for that many steps. series_q is
+    Im(z_total e^{j pf_angle}), the q-axis drop per ampere across the
+    unit's series impedance in its own PLL frame.
 
     UnitTable and GridPhase are plain slotted classes, not dataclasses: a
     dataclass takes about 1 ms to define, which every import would pay.
     """
 
-    __slots__ = ("s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q")
+    __slots__ = ("dt", "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q")
 
-    def __init__(self, fleet: Sequence[InverterConfig]) -> None:
+    def __init__(self, fleet: Sequence[InverterConfig], dt: float) -> None:
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self.dt = dt
         self.s_rated = tuple(cfg.s_rated for cfg in fleet)
         self.i_max = tuple(cfg.i_max for cfg in fleet)
         self.kp = tuple(cfg.kp for cfg in fleet)
         self.ki = tuple(cfg.ki for cfg in fleet)
         self.pf_angle = tuple(cfg.pf_angle for cfg in fleet)
-        self.holdoff = tuple(cfg.trip_holdoff - 1e-12 for cfg in fleet)
+        self.holdoff = tuple(whole_steps(cfg.trip_holdoff, dt) for cfg in fleet)
         self.series_q = tuple(
             (cfg.z_total() * cmath.exp(1j * cfg.pf_angle)).imag for cfg in fleet
         )
@@ -322,39 +359,39 @@ def find_equilibrium(
         tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
         (0.0,) * n, flags_off, flags_off,
     )
-    return SimState(record, tuple(theta), (0.0,) * n, (None,) * n)
+    return SimState(record, 0, tuple(theta), (0.0,) * n, (None,) * n)
 
 
 def step(
     state: SimState,
     fleet: UnitTable,
     phase: GridPhase,
-    dt: float,
     opts: SolverOptions,
     theta_cg_ref: Sequence[float],
 ) -> SimState:
-    """Advance the fleet by one step under the given grid phase.
+    """Advance the fleet by one step of fleet.dt under the given grid phase.
 
     fleet and phase are per-run tables (see Runs), and opts.tol the
     tolerance resolved once for the run; an unresolved tol is a ValueError.
+    The new record is step k = state.k + 1, at t = k * dt.
     Order per step: resolve limiter flags and solve the PCC voltage with the
     current injection angles, evaluate each live unit's q-axis generation
     voltage in its own PLL frame, update the PLLs, then latch trips (holdoff
-    expiry or angle divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
+    expiry, once a unit has been limited for fleet.holdoff steps, or angle
+    divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
     Tripped units are frozen and inject nothing from the following step.
     One cos and one sin of each injection angle serve every voltage solve
     of the step; the q projection takes them of each PLL angle. The first
     voltage solve is seeded with the previous record's PCC voltage and each
     limiter re-solve with the last solution.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     tol = opts.tol
     if tol is None:
         raise ValueError("step needs a resolved tolerance; Runs resolves one")
     n = len(fleet)
+    dt = fleet.dt
     rec = state.record
-    t_new = rec.t + dt
+    k = state.k + 1
     grid = phase.grid
     s_rated = fleet.s_rated
     i_max = fleet.i_max
@@ -417,8 +454,8 @@ def step(
         theta_cg[p] = theta_cg_p = theta[p] + pf_angle[p]
 
         if limited[p]:
-            since = limited_since[p] = limited_since[p] if rec.limited[p] else t_new
-            if t_new - since >= holdoff[p]:
+            since = limited_since[p] = limited_since[p] if rec.limited[p] else k
+            if k - since >= holdoff[p]:
                 tripped_new[p] = True
         else:
             limited_since[p] = None
@@ -428,13 +465,11 @@ def step(
     # i_q follows the injection angles that flowed during the step.
     v_angle = cmath.phase(v)
     record = TrajectoryRecord(
-        t_new, v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
+        k * dt, v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
         tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
         tuple(v_gq), tuple(limited), tuple(tripped_new),
     )
-    return SimState(record, tuple(theta), tuple(integral), tuple(limited_since))
-
-
+    return SimState(record, k, tuple(theta), tuple(integral), tuple(limited_since))
 
 
 class Runs:
@@ -448,9 +483,9 @@ class Runs:
     injection angles are the reference of the divergence trip. run sets the
     clearing time of scenario.
 
-    Step k is under the fault while k_fault <= k < k_clear, with fault
-    application and clearing snapped to the nearest step boundary, so every
-    run agrees with the fault-on run on each step before it clears. run
+    Step k is under the fault while k_fault <= k < k_clear, the scenario's
+    event steps (see FaultScenario), so every run agrees with the fault-on
+    run on each step before it clears; every record is at k * dt. run
     steps the fault-on run once, on demand, up to the step before the
     requested clearing step, keeping its states from step k_fault - 1 on (no
     run clears earlier), and continues from the state there. The fault-on
@@ -477,7 +512,7 @@ class Runs:
             opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
         self.fleet = fleet = tuple(fleet)
         self.opts = opts
-        self.units = units = UnitTable(fleet)
+        self.units = units = UnitTable(fleet, scenario.dt)
         zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
         fault_ten = faulted_grid(grid, scenario.fault_depth)
         zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
@@ -485,7 +520,8 @@ class Runs:
         self.fault = GridPhase(units, fault_ten, zeq_fault)
         self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
         self._scenario = scenario
-        self._k_fault = round(scenario.t_fault / scenario.dt)
+        self._k_fault = scenario.k_fault
+        self._k_end = scenario.k_end
         # The fault-on run: its records from step 0 on and the state after
         # each step from _first_kept on.
         self._first_kept = max(self._k_fault - 1, 1)
@@ -502,7 +538,7 @@ class Runs:
         its time is the trajectory's solver_failure_t.
         """
         scenario = replace(self._scenario, t_clear=t_clear)
-        k_clear = None if t_clear is None else round(t_clear / scenario.dt)
+        k_clear = scenario.k_clear
         fault_on, states = self._records, self._states
         # The step to fork at: a clearing step of 0 never applies the fault.
         k = None if k_clear is None else max(k_clear, 1) - 1
@@ -541,13 +577,13 @@ class Runs:
         """
         dt = self._scenario.dt
         theta_cg_ref = self.equilibrium.record.theta_cg
-        for k in range(len(records), round(self._scenario.t_end / dt) + 1):
+        for k in range(len(records), self._k_end + 1):
             if stop_at_first_trip and True in records[-1].tripped:
                 return
             on_fault = k >= self._k_fault and (k_clear is None or k < k_clear)
             phase = self.fault if on_fault else self.prefault
             try:
-                state = step(state, self.units, phase, dt, self.opts, theta_cg_ref)
+                state = step(state, self.units, phase, self.opts, theta_cg_ref)
             except (NonConvergence, ZeroVoltage):
                 n = len(self.fleet)
                 records.append(replace(

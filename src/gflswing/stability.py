@@ -3,8 +3,8 @@
 A run is stable when nothing tripped and every injection angle sits within
 a settle tolerance of its pre-fault value throughout the final observation
 window. The critical clearing time is bracketed by bisection on the
-clearing interval, assuming (and auditing) that stability is monotone in
-clearing time.
+clearing interval in whole steps, assuming (and auditing) that stability is
+monotone in clearing time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from gflswing.dynamics import (
     SolverOptions,
     Trajectory,
     simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
+    whole_steps,
 )
 from gflswing.network import GridModel
 
@@ -69,8 +70,13 @@ class StabilityVerdict:
 
 @dataclass(frozen=True, slots=True)
 class CctResult:
-    """Bisection outcome with its evaluation log (one entry per decided
-    clearing step) and monotonicity audit."""
+    """Bisection outcome with its evaluation log and monotonicity audit.
+
+    Every interval is a whole number of steps times dt. evaluation_log
+    holds one (interval, stable) entry per decided clearing step, in the
+    order decided; bracket_lo and bracket_hi are two of its intervals, the
+    last decided stable and unstable, and cct is their midpoint.
+    """
 
     cct: float
     bracket_lo: float
@@ -110,8 +116,11 @@ def classify(
     """Stable iff nothing tripped and all angles hold near pre-fault values
     for the final settle_window of the run.
 
-    Trajectories with a clearing time must extend past
-    t_clear + settle_window unless a trip already decided the verdict.
+    Works on record indices, record k being step k: settle_window is a
+    whole number of steps (see dynamics.whole_steps), and a run of
+    violations is a run of consecutive records. Trajectories with a clearing
+    time must extend a settle window past the clearing step unless a trip
+    already decided the verdict.
     """
     if not (settle_tol > 0.0 and settle_window > 0.0):
         raise ValueError("settle_tol and settle_window must be positive")
@@ -123,19 +132,19 @@ def classify(
 
     dt = traj.scenario.dt
     max_exc = 0.0
-    # Last instant each inverter violated the tolerance, if any, and the
-    # start of its final run of violations.
-    last_violation: list[float | None] = [None] * n
-    first_of_final_streak: list[float | None] = [None] * n
-    for rec in records:
+    # Last record in which each inverter violated the tolerance, if any, and
+    # the first of its final run of violations.
+    last_violation: list[int | None] = [None] * n
+    first_of_final_streak: list[int | None] = [None] * n
+    for k, rec in enumerate(records):
         for p in range(n):
             dev = abs(rec.theta_cg[p] - theta0[p])
             if dev > max_exc:
                 max_exc = dev
             if dev > settle_tol:
-                if last_violation[p] is None or rec.t > last_violation[p] + 1.5 * dt:
-                    first_of_final_streak[p] = rec.t
-                last_violation[p] = rec.t
+                if last_violation[p] != k - 1:
+                    first_of_final_streak[p] = k
+                last_violation[p] = k
 
     # Trip events decide the verdict outright.
     trips = _first_trips(traj)
@@ -149,21 +158,22 @@ def classify(
             max_angle_excursion=max_exc,
         )
 
-    t_last = records[-1].t
-    t_clear = traj.scenario.t_clear
-    if t_clear is not None and t_last < t_clear + settle_window - 1e-12:
+    k_last = len(records) - 1
+    window = whole_steps(settle_window, dt)
+    k_clear = traj.scenario.k_clear
+    if k_clear is not None and k_last < k_clear + window:
         raise ValueError(
-            f"trajectory ends at {t_last:.6g} s, before t_clear + settle_window "
-            f"= {t_clear + settle_window:.6g} s; cannot classify"
+            f"trajectory ends at {k_last * dt:.6g} s, before t_clear + settle_window "
+            f"= {(k_clear + window) * dt:.6g} s; cannot classify"
         )
-    if t_last < settle_window - 1e-12:
+    if k_last < window:
         raise ValueError("trajectory shorter than the settle window")
 
-    window_start = t_last - settle_window
+    window_start = k_last - window
     unsettled = [
         p
         for p in range(n)
-        if last_violation[p] is not None and last_violation[p] >= window_start - 1e-12
+        if last_violation[p] is not None and last_violation[p] >= window_start
     ]
     if unsettled:
         first = min(
@@ -173,13 +183,13 @@ def classify(
         return StabilityVerdict(
             stable=False,
             first_unstable=names[first],
-            t_unstable=first_of_final_streak[first],
+            t_unstable=first_of_final_streak[first] * dt,
             t_settled=None,
             max_angle_excursion=max_exc,
         )
 
     settled_at = max(
-        (lv + dt for lv in last_violation if lv is not None),
+        ((lv + 1) * dt for lv in last_violation if lv is not None),
         default=0.0,
     )
     return StabilityVerdict(
@@ -215,81 +225,91 @@ def find_cct(
     opts: SolverOptions | None = None,
     audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> CctResult:
-    """Bisect the clearing interval until the stable/unstable bracket is
-    narrower than resolution.
+    """Bisect the clearing interval, in whole steps, until the
+    stable/unstable bracket is no wider than resolution.
 
-    Requires a stable verdict at t_min and an unstable one at t_max
-    (BracketInvalid otherwise). Clearing snaps to the step grid, so each
-    clearing step is decided once and every interval on it reuses that
-    verdict; the deterministic simulator needs no confirmation runs.
+    t_min and t_max, with 0 < t_min < t_max <= t_end, are taken to the
+    nearest steps k_min and k_max (see dynamics.whole_steps), which need
+    0 < k_min < k_max. Requires a stable verdict at k_min and an unstable
+    one at k_max (BracketInvalid otherwise). The midpoint of a bracket
+    [lo, hi] is (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2;
+    a bracket cannot be narrower than one step, so a resolution below dt is
+    a ValueError. Each clearing interval is decided once, and the
+    deterministic simulator needs no confirmation runs.
 
     Every run branches from one uncleared fault-on run (see
     dynamics.Runs), and a trip decides a verdict, so each verdict run stops
     at its first trip. The loss order needs the whole cascade: bracket_hi's
-    run is stepped to t_end for it. audit_samples evenly spaced clearing
-    intervals audit the monotonicity assumption; a non-monotone verdict
-    sequence is reported through the result, not raised.
+    run is stepped to t_end for it. audit_samples clearing intervals
+    k_min + round((k_max - k_min) j / (audit_samples - 1)) audit the
+    monotonicity assumption; a non-monotone verdict sequence is reported
+    through the result, not raised.
     """
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    if not 0.0 < t_min < t_max:
-        raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
-    needed = base_scenario.t_fault + t_max + settle_window
-    if base_scenario.t_end < needed - 1e-12:
+    dt = base_scenario.dt
+    if not resolution >= dt:
+        raise ValueError(
+            f"resolution must be at least dt = {dt:.6g} s, got {resolution}: "
+            "a bracket cannot be narrower than one step"
+        )
+    if not 0.0 < t_min < t_max <= base_scenario.t_end:
+        raise ValueError(f"need 0 < t_min < t_max <= t_end, got {t_min}, {t_max}")
+    k_min, k_max = whole_steps(t_min, dt), whole_steps(t_max, dt)
+    if not 0 < k_min < k_max:
+        raise ValueError(f"need 0 < k_min < k_max, got steps {k_min} and {k_max} of dt")
+    k_needed = base_scenario.k_fault + k_max + whole_steps(settle_window, dt)
+    if base_scenario.k_end < k_needed:
         raise ValueError(
             f"t_end = {base_scenario.t_end:.6g} s does not cover "
-            f"t_fault + t_max + settle_window = {needed:.6g} s"
+            f"t_fault + t_max + settle_window = {k_needed * dt:.6g} s"
         )
 
     runs = Runs(fleet, grid, base_scenario, opts)
-    dt = base_scenario.dt
-    log: list[tuple[float, bool]] = []
-    cache: dict[int, bool] = {}  # clearing step -> stable
+    t_fault = base_scenario.t_fault
+    # Clearing interval in steps -> stable; in insertion order, the log.
+    verdicts: dict[int, bool] = {}
 
-    def run(interval: float) -> bool:
-        t_clear = base_scenario.t_fault + interval
-        k_clear = round(t_clear / dt)
-        if k_clear not in cache:
-            traj = runs.run(t_clear, stop_at_first_trip=True)
-            stable = classify(traj, settle_tol, settle_window).stable
-            log.append((interval, stable))
-            cache[k_clear] = stable
-        return cache[k_clear]
+    def stable(k: int) -> bool:
+        if k not in verdicts:
+            traj = runs.run(t_fault + k * dt, stop_at_first_trip=True)
+            verdicts[k] = classify(traj, settle_tol, settle_window).stable
+        return verdicts[k]
 
-    lo_stable, hi_stable = run(t_min), run(t_max)
+    lo_stable, hi_stable = stable(k_min), stable(k_max)
     if not lo_stable or hi_stable:
         raise BracketInvalid(lo_stable, hi_stable)
 
-    lo, hi = t_min, t_max
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if run(mid):
+    lo, hi = k_min, k_max
+    while (hi - lo) * dt > resolution:
+        mid = (lo + hi + 1) // 2
+        if stable(mid):
             lo = mid
         else:
             hi = mid
 
-    cascade = runs.run(base_scenario.t_fault + hi)
+    cascade = runs.run(t_fault + hi * dt)
     try:
         loss = tuple(name for name, _ in sync_loss_order(cascade))
     except EmptyOrder:
         loss = (classify(cascade, settle_tol, settle_window).first_unstable,)
 
-    audit: list[tuple[float, bool]] = []
-    k = max(2, audit_samples)
-    for j in range(k):
-        tau = t_max if j == k - 1 else t_min + (t_max - t_min) * j / (k - 1)
-        audit.append((tau, run(tau)))
+    samples = max(2, audit_samples)
+    audit = [
+        (k * dt, stable(k))
+        for k in (
+            k_min + round((k_max - k_min) * j / (samples - 1)) for j in range(samples)
+        )
+    ]
     transitions = sum(
         1 for a, b in zip(audit, audit[1:]) if a[1] != b[1]
     )
     monotonic = transitions <= 1
 
     return CctResult(
-        cct=0.5 * (lo + hi),
-        bracket_lo=lo,
-        bracket_hi=hi,
+        cct=(lo + hi) * dt / 2,
+        bracket_lo=lo * dt,
+        bracket_hi=hi * dt,
         loss_order=loss,
-        evaluation_log=tuple(log),
+        evaluation_log=tuple((k * dt, v) for k, v in verdicts.items()),
         audit=tuple(audit),
         monotonic=monotonic,
     )

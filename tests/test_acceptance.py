@@ -129,7 +129,7 @@ def test_criterion_03_termwise_complex_agreement():
             grid, v_pcc, aggregate_cd(zeq, s, th),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
-            UnitTable(fleet).series_q,
+            UnitTable(fleet, 1e-5).series_q,
             [s_p / v_mag for s_p in s],
         )
 
@@ -220,6 +220,8 @@ def test_criterion_07_bisection_soundness(table_config):
         assert res.monotonic, f"depth {depth}: audit saw multiple transitions"
         assert res.bracket_hi - res.bracket_lo <= settings.resolution + 1e-12
         assert res.bracket_lo < res.cct <= res.bracket_hi
+        log = dict(res.evaluation_log)
+        assert log[res.bracket_lo] is True and log[res.bracket_hi] is False
 
         # independent linear scan at 0.05 ms spacing across the boundary
         step_s = 5e-5

@@ -304,7 +304,7 @@ def test_bundled_config_provenance_hash_is_pinned(name):
 
 # cct.json of bundled table1.yaml: CCT, bracket, evaluation log, audit and loss
 # order. A change that only makes the search cheaper must leave it alone.
-TABLE1_CCT_JSON_SHA256 = "f2eab6a0605bdb75d0c0410cbf8bf7756064b5ab0ecb5f3074111fa024e304fd"
+TABLE1_CCT_JSON_SHA256 = "86e68672124f4cda72c488de0975fb11fa8e6ef93251952835d4ff090d1d8bb3"
 
 
 def test_bundled_cct_json_is_pinned(tmp_path):
@@ -333,7 +333,7 @@ def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
 COMPARE_SHA256 = {
     "trajectory_nonuniform.csv": "a7640dc5e0baacd6d64d49020d0053915822704a978e1fdd0419a0eb4b833c36",
     "trajectory_uniform.csv": "e52efe9e0d40f0670fe2410008f7080f9357be22867481bbc42e96cc2a2d4a70",
-    "comparison.json": "52c6e8d32764f734bc2013a33292372a6a5e4f790f43b51a1c0c1f4eb2c14f68",
+    "comparison.json": "c70379467a1d588af6c152672d0df04b353db14c500d3c4305d8bf962a0404ff",
 }
 
 
@@ -539,13 +539,15 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("t_end_s: 8.0e-3", "t_end_s: 4.0e-3",
      "scenario.t_end_s: 0.004 does not cover "
      "t_fault_s + cct.t_max_s + settle_window_s = 0.005"),
+    ("resolution_s: 1.0e-4", "resolution_s: 1.0e-5",
+     "stability.cct.resolution_s: must be >= scenario.dt_s = 2e-05, got 1e-05"),
     ("name: A", "name: 'A,1'", "fleet[0].name: must not contain commas or newlines"),
     ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
     ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
-        "cct_bracket", "t_end_coverage", "name_comma", "strict_min", "minimum"])
+        "cct_bracket", "t_end_coverage", "cct_resolution", "name_comma", "strict_min", "minimum"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")

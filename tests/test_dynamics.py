@@ -11,6 +11,7 @@ from gflswing.dynamics import (
     InverterConfig,
     SolverOptions,
     Runs,
+    UnitTable,
     simulate,
     step,
 )
@@ -67,7 +68,7 @@ def _assert_fixed_point(fleet, grid):
     run = _runs(fleet, grid)
     state = run.equilibrium
     assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
-    nxt = step(state, run.units, run.prefault, 1e-5, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.prefault, run.opts, state.record.theta_cg)
     before, after = state.record, nxt.record
     for p, cfg in enumerate(fleet):
         assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
@@ -108,7 +109,7 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     fleet = _pf_fleet()
     run = _runs(fleet, _small_grid(), SolverOptions(tol=1e-11))
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, 1e-5, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.fault, run.opts, state.record.theta_cg)
     rec = nxt.record
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
@@ -133,33 +134,29 @@ def test_direct_fault_on_step_equals_the_step_a_run_makes():
     scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
     run = Runs(fleet, _small_grid(), scenario, SolverOptions())
     direct = step(
-        run.equilibrium, run.units, run.fault, dt, run.opts,
-        run.equilibrium.record.theta_cg,
+        run.equilibrium, run.units, run.fault, run.opts, run.equilibrium.record.theta_cg,
     )
     traj = run.run(None)
     assert traj.solver_failure_t is None
     assert traj.records[1] == direct.record
     with pytest.raises(ValueError):
         step(
-            run.equilibrium, run.units, run.fault, dt, SolverOptions(),
+            run.equilibrium, run.units, run.fault, SolverOptions(),
             run.equilibrium.record.theta_cg,
         )
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5])
-def test_step_rejects_a_non_positive_dt(dt):
-    run = _runs(_small_fleet(), _small_grid())
+def test_unit_table_rejects_a_non_positive_dt(dt):
+    # step takes its dt from the unit table, which counts holdoffs in it.
     with pytest.raises(ValueError, match="dt must be positive"):
-        step(
-            run.equilibrium, run.units, run.prefault, dt, run.opts,
-            run.equilibrium.record.theta_cg,
-        )
+        UnitTable(_small_fleet(), dt)
 
 
 def test_fault_step_depresses_voltage():
     run = _runs(_small_fleet(), _small_grid())
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, 1e-5, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.fault, run.opts, state.record.theta_cg)
     assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
 
 
@@ -201,6 +198,38 @@ def test_records_are_uniformly_spaced(nofault_config):
     assert times[0] == 0.0
     for a, b in zip(times, times[1:]):
         assert b - a == pytest.approx(scen.dt, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["table1.yaml", "table1_uncleared.yaml"])
+def test_every_record_is_at_its_step_index_times_dt(name):
+    # Record k is at exactly k * dt: times come from the step index, not
+    # from adding dt k times.
+    cfg = load_config(bundled_config_path(name))
+    dt = cfg.scenario.dt
+    records = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).records
+    assert [rec.t for rec in records] == [k * dt for k in range(len(records))]
+
+
+def test_table1_is_first_order_in_dt(table_config):
+    # Halving dt halves the largest theta_cg difference at common records:
+    # 1.009e-5 rad between dt and dt/2, 5.05e-6 rad between dt/2 and dt/4.
+    cfg = table_config
+    runs = [
+        simulate(cfg.fleet, cfg.grid, replace(cfg.scenario, dt=cfg.scenario.dt / m), cfg.solver)
+        for m in (1, 2, 4)
+    ]
+
+    def largest_difference(coarse, fine):
+        return max(
+            abs(a - b)
+            for k, rec in enumerate(coarse.records)
+            for a, b in zip(rec.theta_cg, fine.records[2 * k].theta_cg)
+        )
+
+    d_half = largest_difference(runs[0], runs[1])
+    d_quarter = largest_difference(runs[1], runs[2])
+    assert 1.9 <= d_half / d_quarter <= 2.1
+    assert d_half < 2e-5
 
 
 def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
@@ -412,12 +441,14 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     assert len(solved) > len(projected)
 
 
-def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config):
+@pytest.mark.parametrize("dt", [1e-5, 7e-5])
+def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config, dt):
     # limited_since carries across steps: each unit trips exactly
-    # trip_holdoff after its limiting began, including Inv 1, which starts
-    # limiting only after the others have tripped.
+    # trip_holdoff, in whole steps, after its limiting began, including
+    # Inv 1, which starts limiting only after the others have tripped. At
+    # 7e-5 s the 1.5 ms holdoff is 21.43 steps, so the nearest, 21.
     cfg = table_config
-    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
+    scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None, dt=dt)
     records = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
     for p, unit in enumerate(cfg.fleet):
         k_limit = next(k for k, rec in enumerate(records) if rec.limited[p])

@@ -12,6 +12,7 @@ from gflswing.dynamics import (
     Trajectory,
     TrajectoryRecord,
     Runs,
+    UnitTable,
     simulate,
     step,
 )
@@ -198,11 +199,11 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
 
 def _clearing_steps(trajectories):
     """Clearing step of every trajectory, in order."""
-    return [round(traj.scenario.t_clear / traj.scenario.dt) for traj in trajectories]
+    return [traj.scenario.k_clear for traj in trajectories]
 
 
 def _step_of(scenario, interval):
-    return round((scenario.t_fault + interval) / scenario.dt)
+    return replace(scenario, t_clear=scenario.t_fault + interval).k_clear
 
 
 def _reference_cct(monkeypatch, cfg, scenario):
@@ -214,37 +215,43 @@ def _reference_cct(monkeypatch, cfg, scenario):
 
 
 def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
-    # 2 bracket + 7 bisection decisions, and the audit adds only 3.425 ms:
-    # its 1.275 ms and 2.35 ms intervals snap to bisection steps, and 0.2 ms
-    # and 4.5 ms are the bracket itself. One further run, to t_end, of
+    # 2 bracket + 7 bisection decisions, and the audit adds only 3.42 ms:
+    # its 1.28 ms and 2.35 ms intervals are bisection steps, and 0.2 ms and
+    # 4.5 ms are the bracket itself. One further run, to t_end, of
     # bracket_hi's clearing step gives the loss order.
     res, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
     steps = _clearing_steps(calls.decided)
     assert len(steps) == 10
     assert len(res.evaluation_log) == len(steps) == len(set(steps))
     assert len(res.audit) == 5
+    log = dict(res.evaluation_log)
+    assert log[res.bracket_lo] is True and log[res.bracket_hi] is False
     assert _clearing_steps(calls.ordered) == [_step_of(table_config.scenario, res.bracket_hi)]
 
 
 def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
     # The fault-on run stops at step 450, where Inv 4 trips the 1.5 ms
     # holdoff after the 3 ms fault. The 4 stable decisions (clearing steps
-    # 320, 428, 441 and 448) continue from its state before their clearing
-    # step to step 2,200; the 6 unstable ones clear after step 450 and step
-    # nothing. The loss-order run continues from step 450 to 2,200:
-    # 450 + 1,881 + 1,773 + 1,760 + 1,753 + 1,750 steps.
+    # 320, 428, 442 and 449) continue from its state before their clearing
+    # step to step 2,200; the 6 unstable ones (750, 535, 482, 455, 452 and
+    # 642) clear after step 450 and step nothing. The loss-order run
+    # continues from step 450 to 2,200:
+    # 450 + 1,881 + 1,773 + 1,759 + 1,752 + 1,750 steps.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
     for traj in calls.decided:
         assert not any(True in rec.tripped for rec in traj.records[:-1])
-    assert calls.steps == 9_367
+    assert _clearing_steps(calls.decided) == [
+        320, 750, 535, 428, 482, 455, 442, 449, 452, 642,
+    ]
+    assert calls.steps == 9_365
 
 
 def test_find_cct_voltage_solves_start_from_the_last_voltage(table_config, monkeypatch):
     # step seeds each voltage solve with the previous step's PCC voltage and
-    # starts Newton there: the reference search takes 18,655 iterations
-    # over its 9,386 solves, where solves started from v_th took 131,255.
+    # starts Newton there: the reference search takes 18,512 iterations
+    # over its 9,384 solves, where solves started from v_th took 131,255.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
-    assert calls.solves == 9_386
+    assert calls.solves == 9_384
     assert calls.iterations <= 19_000
 
 
@@ -286,18 +293,17 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     assert len(sync_loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
 
 
-def test_find_cct_resolution_below_dt_reuses_verdicts(monkeypatch):
+def test_find_cct_rejects_a_resolution_below_dt():
+    # No bracket is narrower than one step; at dt itself it is one step.
     scenario = _base_scenario()
-    resolution = scenario.dt / 4
-    res, calls = _counting_find_cct(
-        monkeypatch, _fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
-        resolution=resolution, settle_tol=0.02, settle_window=2e-3,
-    )
-    steps = _clearing_steps(calls.decided)
-    assert res.bracket_hi - res.bracket_lo <= resolution
-    assert len(steps) == len(set(steps)) == len(res.evaluation_log)
-    assert _clearing_steps(calls.ordered) == [_step_of(scenario, res.bracket_hi)]
-    assert res.monotonic
+    with pytest.raises(ValueError, match="resolution must be at least dt"):
+        find_cct(_fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
+                 resolution=scenario.dt / 4, settle_tol=0.02, settle_window=2e-3)
+    res = find_cct(_fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
+                   resolution=scenario.dt, settle_tol=0.02, settle_window=2e-3)
+    assert round((res.bracket_hi - res.bracket_lo) / scenario.dt) == 1
+    log = dict(res.evaluation_log)
+    assert log[res.bracket_lo] is True and log[res.bracket_hi] is False
 
 
 def test_find_cct_rejects_depthless_fault():
@@ -321,6 +327,12 @@ def test_find_cct_validates_bracket_and_coverage():
     with pytest.raises(ValueError):
         find_cct(fleet, _grid2(), short, t_min=2e-4, t_max=2e-3,
                  resolution=1e-4, settle_window=2e-3)
+    # t_min and t_max are taken to steps: they must round to distinct
+    # non-zero steps, and an infinite t_max has no step.
+    for t_min, t_max in ((5e-6, 2e-3), (2e-4, 2.05e-4), (2e-4, math.inf)):
+        with pytest.raises(ValueError):
+            find_cct(fleet, _grid2(), _base_scenario(), t_min=t_min, t_max=t_max,
+                     resolution=1e-4, settle_window=2e-3)
 
 
 def _steady_trajectory():
@@ -331,7 +343,7 @@ def _steady_trajectory():
 def _step_by(dt):
     run = Runs(_fleet2(), _grid2(), _base_scenario())
     return step(
-        run.equilibrium, run.units, run.prefault, dt, run.opts,
+        run.equilibrium, UnitTable(_fleet2(), dt), run.prefault, run.opts,
         run.equilibrium.record.theta_cg,
     )
 
