@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -498,34 +499,47 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # One trajectory.csv row: time, the PCC voltage, then seven cells per unit.
-_ROW_HEAD = "%.9e,%.9g,%.9g,%.9g"
+_ROW_T = "%.9e"
+_ROW_REST = ",%.9g,%.9g,%.9g"
 _ROW_UNIT = ",%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s"
 _UNIT_COLUMNS = (
     "theta_cg_rad", "theta_cg_deg", "i_mag_A", "i_q_A", "v_gq_V", "limited", "tripped",
 )
 _BOOL_CELL = ("false", "true")
+# Everything a row prints but t, in column order.
+_SAMPLE = operator.attrgetter(
+    "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+)
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Write traj as CSV, one row as soon as it is formatted.
 
     The file is the only copy of the text: no row list or joined string
-    is built, so memory does not grow with the number of steps.
+    is built, so memory does not grow with the number of steps. A record
+    that holds the same PCC and per-unit objects as the one before it, as
+    the equilibrium records before the fault do, reuses that row's cells
+    after t. Objects are compared by identity, not value: -0.0 == 0.0, but
+    the two print differently.
     """
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in traj.fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
-    row = _ROW_HEAD + _ROW_UNIT * len(traj.fleet) + "\n"
+    row = _ROW_REST + _ROW_UNIT * len(traj.fleet) + "\n"
     degrees = math.degrees
+    last = rest = None
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for rec in traj.records:
-            cells = [rec.t, rec.v_pcc_mag, rec.v_pcc_angle, degrees(rec.v_pcc_angle)]
-            for th, i, i_q, v_gq, lim, trip in zip(
-                rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
-            ):
-                cells += (th, degrees(th), i, i_q, v_gq, _BOOL_CELL[lim], _BOOL_CELL[trip])
-            f.write(row % tuple(cells))
+            sample = _SAMPLE(rec)
+            if last is None or not all(map(operator.is_, sample, last)):
+                v_mag, v_angle, *units = sample
+                cells = [v_mag, v_angle, degrees(v_angle)]
+                for th, i, i_q, v_gq, lim, trip in zip(*units):
+                    cells += (th, degrees(th), i, i_q, v_gq, _BOOL_CELL[lim], _BOOL_CELL[trip])
+                rest = row % tuple(cells)
+            last = sample
+            f.write(_ROW_T % rec.t + rest)
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:

@@ -125,6 +125,10 @@ class FaultScenario:
     dt: float
 
     def __post_init__(self) -> None:
+        for name in ("t_fault", "t_clear", "t_end", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.t_fault < self.t_end:
@@ -485,15 +489,21 @@ class Runs:
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
-    run on each step before it clears; every record is at k * dt. run
-    steps the fault-on run once, on demand, up to the step before the
-    requested clearing step, keeping its states from step k_fault - 1 on (no
-    run clears earlier), and continues from the state there. The fault-on
-    run stops at its first trip or solver failure: a later clearing
-    continues from its last state, which holds that trip, so a run that
-    stops at its first trip makes no step (after a failure it repeats only
-    the failed step). An uncleared run extends nothing: it continues from
-    the furthest state kept and keeps none of its own.
+    run on each step before it clears; every record is at k * dt. Before
+    the fault the fleet rests at its equilibrium: no unit is limited
+    (find_equilibrium raises otherwise), none can trip, and v_gq = 0 leaves
+    each PLL's integral and angle as they are. So records 0 to k_fault - 1
+    are the equilibrium record at t = k * dt, sharing its per-unit tuples,
+    and no step, voltage solve or q projection is made before the fault.
+    run steps the fault-on run once, on demand, from the equilibrium at
+    step k_fault - 1 (step 0 if the fault is at step 0) up to the step
+    before the requested clearing step, keeping its states (no run clears
+    earlier), and continues from the state there. The fault-on run stops
+    at its first trip or solver failure: a later clearing continues from
+    its last state, which holds that trip, so a run that stops at its first
+    trip makes no step (after a failure it repeats only the failed step).
+    An uncleared run extends nothing: it continues from the furthest state
+    kept and keeps none of its own.
 
     A Runs object grows as it is used and is not shared across threads.
     """
@@ -523,10 +533,21 @@ class Runs:
         self._k_fault = scenario.k_fault
         self._k_end = scenario.k_end
         # The fault-on run: its records from step 0 on and the state after
-        # each step from _first_kept on.
-        self._first_kept = max(self._k_fault - 1, 1)
-        self._records = [self.equilibrium.record]
-        self._states: list[SimState] = []
+        # each step from _first_kept on, beginning with the equilibrium there.
+        self._first_kept = first = max(self._k_fault - 1, 0)
+        eq = self.equilibrium
+        r = eq.record
+        dt = scenario.dt
+        self._records = [r] + [
+            TrajectoryRecord(
+                k * dt, r.v_pcc_mag, r.v_pcc_angle, r.theta_cg, r.i_mag, r.i_q,
+                r.v_gq, r.limited, r.tripped,
+            )
+            for k in range(1, first + 1)
+        ]
+        self._states = [
+            SimState(self._records[first], first, eq.theta, eq.integral, eq.limited_since)
+        ]
 
     def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
         """The run that clears the fault at t_clear (None: never), stepped to
@@ -543,16 +564,14 @@ class Runs:
         # The step to fork at: a clearing step of 0 never applies the fault.
         k = None if k_clear is None else max(k_clear, 1) - 1
         if k is not None and k >= len(fault_on):
-            start = states[-1] if states else self.equilibrium
-            for state in self._advance(None, fault_on, start, True):
-                if len(fault_on) > self._first_kept:
-                    states.append(state)
+            for state in self._advance(None, fault_on, states[-1], True):
+                states.append(state)
                 if len(fault_on) > k:
                     break
-        last = self._first_kept + len(states) - 1 if states else 0
+        last = self._first_kept + len(states) - 1
         k = last if k is None else min(k, last)
         records = fault_on[:k + 1]
-        state = states[k - self._first_kept] if k else self.equilibrium
+        state = states[k - self._first_kept]
         for state in self._advance(k_clear, records, state, stop_at_first_trip):
             pass
         # A failed step appends a record of no state.
@@ -603,8 +622,9 @@ def simulate(
 ) -> Trajectory:
     """Run pre-fault, fault-on and post-fault intervals and record every step.
 
-    The one run of a new Runs that clears at scenario.t_clear. A solver
-    failure mid-run ends the run there, with every remaining unit marked
-    tripped (see Runs.run).
+    The one run of a new Runs that clears at scenario.t_clear: the records
+    before the fault are the equilibrium's, and stepping begins at the
+    fault (see Runs). A solver failure mid-run ends the run there, with
+    every remaining unit marked tripped (see Runs.run).
     """
     return Runs(fleet, grid, scenario, opts).run(scenario.t_clear)

@@ -9,6 +9,7 @@ monotone in clearing time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Sequence
@@ -99,13 +100,20 @@ class FleetComparison:
 
 def _first_trips(traj: Trajectory) -> list[tuple[int, float]]:
     """(unit index, first trip time) of every unit that tripped, earliest
-    first; ties go to the larger apparent power rating."""
-    trip_time: dict[int, float] = {}
-    for rec in traj.records:
-        for p, tripped in enumerate(rec.tripped):
-            if tripped and p not in trip_time:
-                trip_time[p] = rec.t
-    return sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+    first; ties go to the larger apparent power rating.
+
+    A trip latches: a step only ever sets a unit's tripped flag, and a
+    solver failure's record trips every unit. So the last record names
+    every unit that tripped, and each one's flag is false up to its first
+    trip and true after it, which a bisection finds.
+    """
+    records = traj.records
+    trip_time = [
+        (p, records[bisect_left(records, True, key=lambda rec: rec.tripped[p])].t)
+        for p, tripped in enumerate(records[-1].tripped)
+        if tripped
+    ]
+    return sorted(trip_time, key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
 
 
 def classify(

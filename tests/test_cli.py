@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -316,8 +317,8 @@ def test_bundled_cct_json_is_pinned(tmp_path):
 # trajectory.csv of bundled runs. These catch what cct.json cannot, e.g. a
 # tripped unit's i_q, which is 0.0 * sin(...) = -0.0 and prints "-0".
 TRAJECTORY_CSV_SHA256 = {
-    "table1.yaml": "2dbb3292c5c43c423e7f02fff86edf3a04fbda3ab1650e169bc63e9dbbecc337",
-    "table1_uncleared.yaml": "86536f64fa2041c320c1b72fc7316736d2f99c4d84e31496d2441a7963526a59",
+    "table1.yaml": "9bca9cf35a787f63b47689aa95dcc8e34e29240ce3e92acf2d90a346a5a040a9",
+    "table1_uncleared.yaml": "c25962be5036d66a1dc4b4444425d8bb92cdcd82f67293b10d68c94743c2454a",
 }
 
 
@@ -331,8 +332,8 @@ def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
 # comparison.json and both replay CSVs of cmd_compare on bundled table1.yaml:
 # the trajectory writer's second caller.
 COMPARE_SHA256 = {
-    "trajectory_nonuniform.csv": "a7640dc5e0baacd6d64d49020d0053915822704a978e1fdd0419a0eb4b833c36",
-    "trajectory_uniform.csv": "e52efe9e0d40f0670fe2410008f7080f9357be22867481bbc42e96cc2a2d4a70",
+    "trajectory_nonuniform.csv": "4ecd1b3fd2f473cea02cd5b9184c44110753d27f2faa23327ed91a4e3ce9c8de",
+    "trajectory_uniform.csv": "cc58b5bb5e003ecfb661b91e3539bc301e122d756541f5488ae07e450cc4a254",
     "comparison.json": "c70379467a1d588af6c152672d0df04b353db14c500d3c4305d8bf962a0404ff",
 }
 
@@ -360,6 +361,34 @@ def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
     size = path.stat().st_size
     assert size > 500_000
     assert peak <= 0.25 * size, f"peak {peak} B for a {size} B file"
+
+
+_UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
+
+
+def test_trajectory_csv_of_shared_tuples_equals_that_of_copied_ones(table_config, tmp_path):
+    # The records before the fault share the equilibrium's tuples, and the
+    # writer formats them once. Record 100 is equal to its neighbours by
+    # value but holds -0.0 where they hold 0.0, and prints "-0".
+    cfg = table_config
+    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    records = list(traj.records)
+    rec = records[100]
+    records[100] = replace(rec, v_gq=tuple(-v for v in rec.v_gq))
+    assert records[100].v_gq == records[99].v_gq == records[101].v_gq
+    shared = replace(traj, records=tuple(records))
+    copied = replace(traj, records=tuple(
+        replace(r, **{f: tuple(list(getattr(r, f))) for f in _UNIT_FIELDS})
+        for r in records
+    ))
+    assert copied.records[99].theta_cg is not copied.records[100].theta_cg
+    cli._write_trajectory_csv(tmp_path / "shared.csv", shared)
+    cli._write_trajectory_csv(tmp_path / "copied.csv", copied)
+    text = (tmp_path / "shared.csv").read_bytes()
+    assert text == (tmp_path / "copied.csv").read_bytes()
+    rows = text.decode().splitlines()
+    assert rows[1 + 100].split(",")[8] == "-0"
+    assert rows[1 + 99].split(",")[8] == rows[1 + 101].split(",")[8] == "0"
 
 
 def _wide_fleet_yaml(units: int = 20, seed: int = 20) -> str:

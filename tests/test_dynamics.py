@@ -9,6 +9,7 @@ from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
+    SimState,
     SolverOptions,
     Runs,
     UnitTable,
@@ -234,7 +235,8 @@ def test_table1_is_first_order_in_dt(table_config):
 
 def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
     # The q projection serves every unit from one call, so a step costs
-    # O(n) rather than one O(n) projection per unit.
+    # O(n) rather than one O(n) projection per unit. Only steps from the
+    # fault on are made: steps 300 to 2,200.
     calls = 0
     original = dynamics.q_components
 
@@ -246,7 +248,7 @@ def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
     monkeypatch.setattr(dynamics, "q_components", counting)
     cfg = table_config
     traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    assert calls == len(traj.records) - 1
+    assert calls == len(traj.records) - cfg.scenario.k_fault == 1_901
 
 
 def test_default_tolerance_resolves_against_the_prefault_source(table_config):
@@ -381,14 +383,15 @@ def _count_steps(monkeypatch):
 
 
 def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, monkeypatch):
-    # A run clearing at step k shares steps 1 .. k - 1 with the fault-on
-    # run; once another run has stepped them, it steps only the rest.
+    # A run clearing at step k shares steps k_fault .. k - 1 with the
+    # fault-on run (the steps before k_fault are the equilibrium's); once
+    # another run has stepped them, it steps only the rest.
     cfg = table_config
     scen = cfg.scenario
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
     calls = _count_steps(monkeypatch)
     first = runs.run(scen.t_clear)
-    assert calls[0] == len(first.records) - 1
+    assert calls[0] == len(first.records) - scen.k_fault
     k_first = round(scen.t_clear / scen.dt)
     for t_clear in (scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min):
         before = calls[0]
@@ -397,25 +400,63 @@ def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, mo
         assert calls[0] - before == len(traj.records) - 1 - k_shared
 
 
+_UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
+
+
+@pytest.mark.parametrize("k_fault", [0, 1, 2, 300])
+def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
+    # Before the fault the fleet rests at its locked operating point: each
+    # record holds the equilibrium's own tuples at t = k * dt, with v_gq
+    # exactly 0.0. The first step is the fault's, made from that state.
+    cfg = table_config
+    dt = cfg.scenario.dt
+    scen = replace(cfg.scenario, t_fault=k_fault * dt, t_clear=None)
+    assert scen.k_fault == k_fault
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    records = runs.run(None).records
+    eq = runs.equilibrium
+    for k, rec in enumerate(records[:max(k_fault, 1)]):
+        assert rec.t == k * dt
+        assert all(getattr(rec, f) is getattr(eq.record, f) for f in _UNIT_FIELDS)
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in rec.v_gq)
+    k0 = max(k_fault - 1, 0)
+    start = SimState(records[k0], k0, eq.theta, eq.integral, eq.limited_since)
+    first = step(start, runs.units, runs.fault, runs.opts, eq.record.theta_cg)
+    assert records[k0 + 1] == first.record
+    assert records[k0 + 1].v_pcc_mag < eq.record.v_pcc_mag
+
+
+def test_an_uncleared_simulate_steps_only_from_the_fault_on(uncleared_config, monkeypatch):
+    # Steps k_fault to k_end: 300 to 2,200.
+    cfg = uncleared_config
+    scen = cfg.scenario
+    calls = _count_steps(monkeypatch)
+    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    assert len(traj.records) == scen.k_end + 1
+    assert calls[0] == scen.k_end - scen.k_fault + 1 == 1_901
+
+
 def test_an_uncleared_run_keeps_no_states(table_config, monkeypatch):
-    # The uncleared run steps from the equilibrium and keeps nothing, so a
-    # cleared run made after it steps its own fault-on prefix.
+    # The uncleared run steps from the equilibrium at step k_fault - 1 and
+    # keeps nothing, so a cleared run made after it steps its own fault-on
+    # prefix.
     cfg = table_config
     scen = cfg.scenario
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
     calls = _count_steps(monkeypatch)
     uncleared = runs.run(None)
-    assert calls[0] == len(uncleared.records) - 1
+    assert calls[0] == len(uncleared.records) - scen.k_fault
     before = calls[0]
     cleared = runs.run(scen.t_clear)
-    assert calls[0] - before == len(cleared.records) - 1
+    assert calls[0] - before == len(cleared.records) - scen.k_fault
     assert cleared == simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
 
 
 def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     # step sums (C, D) from its per-run table and hands it to solve_vpcc;
     # q_components takes the aggregate of the step's last solve. Limiter
-    # re-solves (Inv 4 limits from 3 ms) are included.
+    # re-solves (Inv 4 limits from 3 ms) are included. Steps 300 to 600 are
+    # made; the records before the fault are the equilibrium's.
     cfg = table_config
     scenario = replace(cfg.scenario, fault_depth=0.6, t_end=6e-3)
     run = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
@@ -436,7 +477,7 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
     monkeypatch.setattr(dynamics, "q_components", projecting)
     records = run.run(scenario.t_clear).records
-    assert len(projected) == len(records) - 1 == 600
+    assert len(projected) == len(records) - scenario.k_fault == 301
     assert all(projected)
     assert len(solved) > len(projected)
 

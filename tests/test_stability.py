@@ -140,12 +140,55 @@ def test_sync_loss_order_breaks_ties_by_rating():
     assert [name for name, _ in order] == ["B", "A"]
 
 
+def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
+    # As in a solver failure's record, which trips every unit.
+    fleet = _fleet2()
+    rows = [(k * 1e-3, (0.1, 0.2), (k >= 3, k == 5)) for k in range(6)]
+    traj = _synthetic(fleet, rows, t_clear=None)
+    assert sync_loss_order(traj) == [
+        ("A", pytest.approx(3e-3)), ("B", pytest.approx(5e-3)),
+    ]
+
+
 def test_sync_loss_order_empty_on_stable_run():
     fleet = _fleet2()
     rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
     with pytest.raises(EmptyOrder):
         sync_loss_order(traj)
+
+
+def _first_trips_by_scan(traj):
+    """Every record's every flag, scanned for each unit's first trip."""
+    trip_time = {}
+    for rec in traj.records:
+        for p, tripped in enumerate(rec.tripped):
+            if tripped and p not in trip_time:
+                trip_time[p] = rec.t
+    return sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+
+
+@pytest.mark.parametrize("depth, cleared_after, trips", [
+    (None, None, 1),  # table1_uncleared as bundled: Inv 4 at 4.5 ms
+    (0.6, 2e-3, 4),  # a cascade: four units at 4.5 ms, after clearing
+    (0.6, None, 5),  # four units at 4.5 ms, Inv 1 at 6.01 ms
+    (1.0, None, 5),  # ends in a solver failure at 4.51 ms
+    (None, 1e-3, 0),  # table1's clearing: nothing trips
+])
+def test_first_trips_from_the_trip_latch_equal_the_full_scan(
+    uncleared_config, depth, cleared_after, trips
+):
+    cfg = uncleared_config
+    scen = cfg.scenario
+    scen = replace(
+        scen,
+        fault_depth=scen.fault_depth if depth is None else depth,
+        t_clear=None if cleared_after is None else scen.t_fault + cleared_after,
+    )
+    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    found = stability._first_trips(traj)
+    assert len(found) == trips
+    assert found == _first_trips_by_scan(traj)
 
 
 def test_find_cct_brackets_the_trip_boundary():
@@ -230,28 +273,28 @@ def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
 
 
 def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
-    # The fault-on run stops at step 450, where Inv 4 trips the 1.5 ms
-    # holdoff after the 3 ms fault. The 4 stable decisions (clearing steps
-    # 320, 428, 442 and 449) continue from its state before their clearing
-    # step to step 2,200; the 6 unstable ones (750, 535, 482, 455, 452 and
-    # 642) clear after step 450 and step nothing. The loss-order run
-    # continues from step 450 to 2,200:
-    # 450 + 1,881 + 1,773 + 1,759 + 1,752 + 1,750 steps.
+    # The fault-on run steps from the equilibrium at step 299 and stops at
+    # step 450, where Inv 4 trips the 1.5 ms holdoff after the 3 ms fault.
+    # The 4 stable decisions (clearing steps 320, 428, 442 and 449)
+    # continue from its state before their clearing step to step 2,200; the
+    # 6 unstable ones (750, 535, 482, 455, 452 and 642) clear after step 450
+    # and step nothing. The loss-order run continues from step 450 to 2,200:
+    # 151 + 1,881 + 1,773 + 1,759 + 1,752 + 1,750 steps.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
     for traj in calls.decided:
         assert not any(True in rec.tripped for rec in traj.records[:-1])
     assert _clearing_steps(calls.decided) == [
         320, 750, 535, 428, 482, 455, 442, 449, 452, 642,
     ]
-    assert calls.steps == 9_365
+    assert calls.steps == 9_066
 
 
 def test_find_cct_voltage_solves_start_from_the_last_voltage(table_config, monkeypatch):
     # step seeds each voltage solve with the previous step's PCC voltage and
-    # starts Newton there: the reference search takes 18,512 iterations
-    # over its 9,384 solves, where solves started from v_th took 131,255.
+    # starts Newton there: the reference search takes 18,213 iterations
+    # over its 9,085 solves, where solves started from v_th took 131,255.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
-    assert calls.solves == 9_384
+    assert calls.solves == 9_085
     assert calls.iterations <= 19_000
 
 
@@ -388,6 +431,15 @@ NAN = math.nan
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+# An infinite time would ask for an unbounded number of steps, or for none.
+@pytest.mark.parametrize("field", ["t_fault", "t_clear", "t_end", "dt"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, NAN])
+def test_fault_scenario_rejects_non_finite_times(field, value):
+    times = {"t_fault": 1e-3, "t_clear": 2e-3, "t_end": 8e-3, "dt": 1e-5, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        FaultScenario(fault_depth=0.5, **times)
 
 
 def test_uniform_fleet_preserves_totals():
