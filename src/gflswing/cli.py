@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -196,8 +195,8 @@ def _section(raw: Any, table: dict, path: str) -> dict:
 def _name(value: Any, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
         raise ConfigError(f"{where}: required non-empty string")
-    if any(ch in value for ch in ",\n\r"):
-        raise ConfigError(f"{where}: must not contain commas or newlines")
+    if any(ch in value for ch in ",;\n\r"):
+        raise ConfigError(f"{where}: must not contain commas, semicolons or newlines")
     return value
 
 
@@ -472,14 +471,6 @@ def bundled_config_path(name: str = "table1.yaml") -> Path:
 # output formatting
 
 
-def _f9(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _b(x: bool) -> str:
-    return "true" if x else "false"
-
-
 def _canon(obj: Any) -> Any:
     """Round every float to 9 significant digits for stable serialization."""
     if isinstance(obj, bool):
@@ -506,40 +497,36 @@ _UNIT_COLUMNS = (
     "theta_cg_rad", "theta_cg_deg", "i_mag_A", "i_q_A", "v_gq_V", "limited", "tripped",
 )
 _BOOL_CELL = ("false", "true")
-# Everything a row prints but t, in column order.
-_SAMPLE = operator.attrgetter(
-    "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
-)
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """Write traj as CSV, one row as soon as it is formatted.
 
     The file is the only copy of the text: no row list or joined string
-    is built, so memory does not grow with the number of steps. A record
-    that holds the same PCC and per-unit objects as the one before it, as
-    the equilibrium records before the fault do, reuses that row's cells
-    after t. Objects are compared by identity, not value: -0.0 == 0.0, but
-    the two print differently.
+    is built, so memory does not grow with the number of steps. Row k's
+    t_s is k * dt. A record that is the one before it, as the equilibrium
+    record is at every step before the fault, reuses that row's cells
+    after t_s.
     """
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in traj.fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
     row = _ROW_REST + _ROW_UNIT * len(traj.fleet) + "\n"
     degrees = math.degrees
+    dt = traj.scenario.dt
     last = rest = None
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for rec in traj.records:
-            sample = _SAMPLE(rec)
-            if last is None or not all(map(operator.is_, sample, last)):
-                v_mag, v_angle, *units = sample
-                cells = [v_mag, v_angle, degrees(v_angle)]
-                for th, i, i_q, v_gq, lim, trip in zip(*units):
+        for k, rec in enumerate(traj.records):
+            if rec is not last:
+                cells = [rec.v_pcc_mag, rec.v_pcc_angle, degrees(rec.v_pcc_angle)]
+                for th, i, i_q, v_gq, lim, trip in zip(
+                    rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
+                ):
                     cells += (th, degrees(th), i, i_q, v_gq, _BOOL_CELL[lim], _BOOL_CELL[trip])
                 rest = row % tuple(cells)
-            last = sample
-            f.write(_ROW_T % rec.t + rest)
+                last = rec
+            f.write(_ROW_T % (k * dt) + rest)
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:
@@ -747,14 +734,7 @@ def _run_sweep_cell(args: tuple[RunConfig, dict[str, float], int]) -> dict[str, 
         fleet, scenario = _apply_cell(config, cell)
         if "clear_interval_s" in cell:
             traj = simulate(fleet, config.grid, scenario, config.solver)
-            verdict = classify(traj, config.settle_tol, config.settle_window)
-            row.update(
-                status="ok",
-                stable=verdict.stable,
-                first_unstable=verdict.first_unstable or "",
-                t_unstable_s=verdict.t_unstable,
-                max_angle_excursion_rad=verdict.max_angle_excursion,
-            )
+            row.update(_verdict_dict(classify(traj, config.settle_tol, config.settle_window)))
         else:
             settings = _require_cct(config)
             result = find_cct(
@@ -769,14 +749,8 @@ def _run_sweep_cell(args: tuple[RunConfig, dict[str, float], int]) -> dict[str, 
                 config.solver,
                 settings.audit_samples,
             )
-            row.update(
-                status="ok",
-                cct_s=result.cct,
-                bracket_lo_s=result.bracket_lo,
-                bracket_hi_s=result.bracket_hi,
-                monotonic=result.monotonic,
-                loss_order=";".join(result.loss_order),
-            )
+            row.update(_cct_dict(result))
+        row["status"] = "ok"
     except Exception as exc:
         row.update(status="error", error=f"{type(exc).__name__}: {exc}")
     return row
@@ -843,9 +817,11 @@ def cmd_sweep(
         if v is None:
             return ""
         if isinstance(v, bool):
-            return _b(v)
+            return _BOOL_CELL[v]
         if isinstance(v, float):
-            return _f9(v)
+            return f"{v:.9g}"
+        if isinstance(v, list):
+            return ";".join(v)
         return str(v)
 
     lines = [",".join(header)]

@@ -3,9 +3,11 @@
 Each grid-following inverter tracks the network through a synchronous
 reference frame PI loop driven by the q-axis component of its own
 generation voltage (PCC voltage plus the drop across its line and virtual
-impedance, projected into its own PLL frame). The simulation steps a fixed
-dt through pre-fault, fault-on and post-fault intervals, applying current
-limiting against each unit's dc-side ceiling and latching trips.
+impedance, projected into its own PLL frame). The fleet rests at its
+pre-fault equilibrium until the fault; from there the simulation steps a
+fixed dt through the fault-on and post-fault intervals, applying current
+limiting against each unit's dc-side ceiling and latching trips. Record k
+of a trajectory is at t = k * dt.
 
 Angles are accumulated unwrapped in the synchronous frame, so loss of
 synchronism shows up as unbounded drift instead of wrap-around.
@@ -161,6 +163,9 @@ class FaultScenario:
 class TrajectoryRecord:
     """One sample: PCC phasor plus per-inverter tuples in fleet order.
 
+    A record carries no time: record k of a trajectory is at
+    k * scenario.dt.
+
     i_q is the current component in quadrature with the solved PCC voltage
     (leading positive); v_gq is the q-axis generation voltage seen by each
     unit's own PLL (0.0 once tripped). i_mag equals i_max exactly while a
@@ -171,7 +176,6 @@ class TrajectoryRecord:
     object.__setattr__, a cost every step would pay.
     """
 
-    t: float
     v_pcc_mag: float
     v_pcc_angle: float
     theta_cg: tuple[float, ...]
@@ -192,8 +196,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("trajectory must contain at least one record")
-        if self.records[0].t != 0.0:
-            raise ValueError("trajectory must start at t = 0")
 
 
 @dataclass(slots=True)
@@ -359,7 +361,7 @@ def find_equilibrium(
     theta_cg = tuple(theta[p] + units.pf_angle[p] for p in range(n))
     i_mag = tuple(s / v_mag for s in units.s_rated)
     record = TrajectoryRecord(
-        0.0, v_mag, v_angle, theta_cg, i_mag,
+        v_mag, v_angle, theta_cg, i_mag,
         tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
         (0.0,) * n, flags_off, flags_off,
     )
@@ -377,7 +379,7 @@ def step(
 
     fleet and phase are per-run tables (see Runs), and opts.tol the
     tolerance resolved once for the run; an unresolved tol is a ValueError.
-    The new record is step k = state.k + 1, at t = k * dt.
+    The new record is record k = state.k + 1 of the run, at k * dt.
     Order per step: resolve limiter flags and solve the PCC voltage with the
     current injection angles, evaluate each live unit's q-axis generation
     voltage in its own PLL frame, update the PLLs, then latch trips (holdoff
@@ -469,7 +471,7 @@ def step(
     # i_q follows the injection angles that flowed during the step.
     v_angle = cmath.phase(v)
     record = TrajectoryRecord(
-        k * dt, v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
+        v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
         tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
         tuple(v_gq), tuple(limited), tuple(tripped_new),
     )
@@ -489,12 +491,12 @@ class Runs:
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
-    run on each step before it clears; every record is at k * dt. Before
-    the fault the fleet rests at its equilibrium: no unit is limited
-    (find_equilibrium raises otherwise), none can trip, and v_gq = 0 leaves
-    each PLL's integral and angle as they are. So records 0 to k_fault - 1
-    are the equilibrium record at t = k * dt, sharing its per-unit tuples,
-    and no step, voltage solve or q projection is made before the fault.
+    run on each step before it clears. Before the fault the fleet rests at
+    its equilibrium: no unit is limited (find_equilibrium raises
+    otherwise), none can trip, and v_gq = 0 leaves each PLL's integral and
+    angle as they are. So records 0 to k_fault - 1 are one object, the
+    equilibrium record, and no step, voltage solve or q projection is made
+    before the fault.
     run steps the fault-on run once, on demand, from the equilibrium at
     step k_fault - 1 (step 0 if the fault is at step 0) up to the step
     before the requested clearing step, keeping its states (no run clears
@@ -536,18 +538,8 @@ class Runs:
         # each step from _first_kept on, beginning with the equilibrium there.
         self._first_kept = first = max(self._k_fault - 1, 0)
         eq = self.equilibrium
-        r = eq.record
-        dt = scenario.dt
-        self._records = [r] + [
-            TrajectoryRecord(
-                k * dt, r.v_pcc_mag, r.v_pcc_angle, r.theta_cg, r.i_mag, r.i_q,
-                r.v_gq, r.limited, r.tripped,
-            )
-            for k in range(1, first + 1)
-        ]
-        self._states = [
-            SimState(self._records[first], first, eq.theta, eq.integral, eq.limited_since)
-        ]
+        self._records = [eq.record] * (first + 1)
+        self._states = [SimState(eq.record, first, eq.theta, eq.integral, eq.limited_since)]
 
     def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
         """The run that clears the fault at t_clear (None: never), stepped to
@@ -556,7 +548,7 @@ class Runs:
 
         A solver failure ends the run as instability onset: the failed
         step's record marks every unit tripped and injecting nothing, and
-        its time is the trajectory's solver_failure_t.
+        its index times dt is the trajectory's solver_failure_t.
         """
         scenario = replace(self._scenario, t_clear=t_clear)
         k_clear = scenario.k_clear
@@ -575,7 +567,7 @@ class Runs:
         for state in self._advance(k_clear, records, state, stop_at_first_trip):
             pass
         # A failed step appends a record of no state.
-        failure_t = None if records[-1] is state.record else records[-1].t
+        failure_t = None if records[-1] is state.record else (len(records) - 1) * scenario.dt
         return Trajectory(tuple(records), scenario, self.fleet, failure_t)
 
     def _advance(
@@ -594,7 +586,6 @@ class Runs:
         already ends with such a record, no step is made. A failed step
         appends the failure record that run describes and yields nothing.
         """
-        dt = self._scenario.dt
         theta_cg_ref = self.equilibrium.record.theta_cg
         for k in range(len(records), self._k_end + 1):
             if stop_at_first_trip and True in records[-1].tripped:
@@ -606,7 +597,7 @@ class Runs:
             except (NonConvergence, ZeroVoltage):
                 n = len(self.fleet)
                 records.append(replace(
-                    records[-1], t=k * dt, i_mag=(0.0,) * n, i_q=(0.0,) * n,
+                    records[-1], i_mag=(0.0,) * n, i_q=(0.0,) * n,
                     v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
                 ))
                 return
@@ -620,7 +611,7 @@ def simulate(
     scenario: FaultScenario,
     opts: SolverOptions | None = None,
 ) -> Trajectory:
-    """Run pre-fault, fault-on and post-fault intervals and record every step.
+    """Run scenario and record every step index from 0 to its last.
 
     The one run of a new Runs that clears at scenario.t_clear: the records
     before the fault are the equilibrium's, and stepping begins at the

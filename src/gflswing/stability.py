@@ -105,11 +105,12 @@ def _first_trips(traj: Trajectory) -> list[tuple[int, float]]:
     A trip latches: a step only ever sets a unit's tripped flag, and a
     solver failure's record trips every unit. So the last record names
     every unit that tripped, and each one's flag is false up to its first
-    trip and true after it, which a bisection finds.
+    trip and true after it, which a bisection finds; record k is at k * dt.
     """
     records = traj.records
+    dt = traj.scenario.dt
     trip_time = [
-        (p, records[bisect_left(records, True, key=lambda rec: rec.tripped[p])].t)
+        (p, bisect_left(records, True, key=lambda rec: rec.tripped[p]) * dt)
         for p, tripped in enumerate(records[-1].tripped)
         if tripped
     ]

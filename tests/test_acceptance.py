@@ -282,10 +282,11 @@ def test_criterion_09_dichotomy(table_config):
 
     traj_s, verdict_s = run(res.cct - 2 * settings.resolution)
     assert verdict_s.stable
+    dt = cfg.scenario.dt
     first = traj_s.records[0]
-    window_start = traj_s.records[-1].t - cfg.settle_window
-    for rec in traj_s.records:
-        if rec.t >= window_start:
+    window_start = (len(traj_s.records) - 1) * dt - cfg.settle_window
+    for k, rec in enumerate(traj_s.records):
+        if k * dt >= window_start:
             for p in range(len(cfg.fleet)):
                 assert abs(rec.theta_cg[p] - first.theta_cg[p]) <= cfg.settle_tol
 
@@ -295,8 +296,8 @@ def test_criterion_09_dichotomy(table_config):
     first_u = traj_u.records[0]
     late_violation = any(
         abs(rec.theta_cg[p] - first_u.theta_cg[p]) > cfg.settle_tol
-        for rec in traj_u.records
-        if rec.t >= traj_u.records[-1].t - cfg.settle_window
+        for k, rec in enumerate(traj_u.records)
+        if k * dt >= (len(traj_u.records) - 1) * dt - cfg.settle_window
         for p in range(len(cfg.fleet))
     )
     assert tripped_somewhere or late_violation

@@ -253,6 +253,16 @@ def test_readme_config_example_loads(tmp_path):
     assert len(cfg.fleet) == 1 and cfg.cct is not None and cfg.sweep_axes
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["verdict"].stable
+    assert len(namespace["t"]) == len(namespace["trajectory"].records)
+
+
 def test_provenance_hash_ignores_formatting(tmp_path):
     a = tmp_path / "a.yaml"
     b = tmp_path / "b.yaml"
@@ -570,13 +580,17 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
      "t_fault_s + cct.t_max_s + settle_window_s = 0.005"),
     ("resolution_s: 1.0e-4", "resolution_s: 1.0e-5",
      "stability.cct.resolution_s: must be >= scenario.dt_s = 2e-05, got 1e-05"),
-    ("name: A", "name: 'A,1'", "fleet[0].name: must not contain commas or newlines"),
+    ("name: A", "name: 'A,1'",
+     "fleet[0].name: must not contain commas, semicolons or newlines"),
+    ("name: A", "name: 'A;1'",
+     "fleet[0].name: must not contain commas, semicolons or newlines"),
     ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
     ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
-        "cct_bracket", "t_end_coverage", "cct_resolution", "name_comma", "strict_min", "minimum"])
+        "cct_bracket", "t_end_coverage", "cct_resolution", "name_comma", "name_semicolon",
+        "strict_min", "minimum"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")

@@ -1,17 +1,18 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from gflswing import dynamics
-from gflswing.cli import bundled_config_path, load_config
+from gflswing.cli import bundled_config_path, cmd_simulate, load_config
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     SimState,
     SolverOptions,
     Runs,
+    TrajectoryRecord,
     UnitTable,
     simulate,
     step,
@@ -191,24 +192,24 @@ def test_simulate_without_disturbance_holds_angles(nofault_config):
     assert worst < 1e-6
 
 
-def test_records_are_uniformly_spaced(nofault_config):
-    cfg = nofault_config
-    scen = replace(cfg.scenario, t_fault=0.5e-3, t_end=2e-3)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    times = [r.t for r in traj.records]
-    assert times[0] == 0.0
-    for a, b in zip(times, times[1:]):
-        assert b - a == pytest.approx(scen.dt, rel=1e-9)
+def test_trajectory_record_fields_are_pinned():
+    # A record carries no time: record k is at k * dt.
+    assert [f.name for f in fields(TrajectoryRecord)] == [
+        "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+    ]
 
 
 @pytest.mark.parametrize("name", ["table1.yaml", "table1_uncleared.yaml"])
-def test_every_record_is_at_its_step_index_times_dt(name):
-    # Record k is at exactly k * dt: times come from the step index, not
-    # from adding dt k times.
+def test_every_record_is_at_its_step_index_times_dt(name, tmp_path):
+    # Row k of trajectory.csv is at exactly k * dt: times come from the
+    # step index, not from adding dt k times.
     cfg = load_config(bundled_config_path(name))
     dt = cfg.scenario.dt
-    records = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).records
-    assert [rec.t for rec in records] == [k * dt for k in range(len(records))]
+    cmd_simulate(cfg, tmp_path)
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.scenario.k_end + 1
+    times = [row.split(",", 1)[0] for row in rows]
+    assert times == ["%.9e" % (k * dt) for k in range(len(rows))]
 
 
 def test_table1_is_first_order_in_dt(table_config):
@@ -297,10 +298,10 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     assert all(last.tripped)
     # largest unit goes first
     first_trip = {}
-    for rec in traj.records:
+    for k, rec in enumerate(traj.records):
         for p in range(5):
             if rec.tripped[p] and p not in first_trip:
-                first_trip[p] = rec.t
+                first_trip[p] = k * scen.dt
     inv4 = 3  # 12 kVA unit
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
 
@@ -400,14 +401,11 @@ def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, mo
         assert calls[0] - before == len(traj.records) - 1 - k_shared
 
 
-_UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
-
-
 @pytest.mark.parametrize("k_fault", [0, 1, 2, 300])
 def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     # Before the fault the fleet rests at its locked operating point: each
-    # record holds the equilibrium's own tuples at t = k * dt, with v_gq
-    # exactly 0.0. The first step is the fault's, made from that state.
+    # record is the equilibrium record itself, with v_gq exactly 0.0. The
+    # first step is the fault's, made from that state.
     cfg = table_config
     dt = cfg.scenario.dt
     scen = replace(cfg.scenario, t_fault=k_fault * dt, t_clear=None)
@@ -415,10 +413,9 @@ def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
     records = runs.run(None).records
     eq = runs.equilibrium
-    for k, rec in enumerate(records[:max(k_fault, 1)]):
-        assert rec.t == k * dt
-        assert all(getattr(rec, f) is getattr(eq.record, f) for f in _UNIT_FIELDS)
-        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in rec.v_gq)
+    for rec in records[:max(k_fault, 1)]:
+        assert rec is eq.record
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in eq.record.v_gq)
     k0 = max(k_fault - 1, 0)
     start = SimState(records[k0], k0, eq.theta, eq.integral, eq.limited_since)
     first = step(start, runs.units, runs.fault, runs.opts, eq.record.theta_cg)
@@ -540,7 +537,7 @@ def test_higher_xr_ratio_gives_steeper_reactive_current_rise():
     k0 = round(scen.t_fault / scen.dt)
     k1 = round(2e-3 / scen.dt)
     slope = [
-        (traj.records[k1].i_q[p] - traj.records[k0].i_q[p]) / (traj.records[k1].t - traj.records[k0].t)
+        (traj.records[k1].i_q[p] - traj.records[k0].i_q[p]) / (k1 * scen.dt - k0 * scen.dt)
         for p in range(2)
     ]
     assert slope[1] > slope[0] > 0.0

@@ -48,11 +48,11 @@ def _base_scenario():
 
 
 def _synthetic(fleet, rows, t_clear, dt=1e-3):
-    """Build a trajectory from (t, theta_cg tuple, tripped tuple) rows."""
+    """Build a trajectory from (theta_cg tuple, tripped tuple) rows, row k
+    at k * dt."""
     n = len(fleet)
     records = tuple(
         TrajectoryRecord(
-            t=t,
             v_pcc_mag=230.0,
             v_pcc_angle=0.0,
             theta_cg=theta,
@@ -62,9 +62,9 @@ def _synthetic(fleet, rows, t_clear, dt=1e-3):
             limited=(False,) * n,
             tripped=tripped,
         )
-        for t, theta, tripped in rows
+        for theta, tripped in rows
     )
-    t_end = rows[-1][0] if rows[-1][0] > 0 else dt
+    t_end = (len(rows) - 1) * dt or dt
     scenario = FaultScenario(t_fault=dt, t_clear=t_clear, fault_depth=0.5,
                              t_end=t_end, dt=dt)
     return Trajectory(records, scenario, tuple(fleet))
@@ -72,7 +72,7 @@ def _synthetic(fleet, rows, t_clear, dt=1e-3):
 
 def test_constant_trajectory_is_stable():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(9)]
+    rows = [((0.1, 0.2), (False, False))] * 9
     traj = _synthetic(fleet, rows, t_clear=2e-3)
     verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
     assert verdict.stable
@@ -85,9 +85,8 @@ def test_angle_past_pi_reads_unstable():
     fleet = _fleet2()
     rows = []
     for k in range(9):
-        t = k * 1e-3
         drift = 0.0 if k < 4 else (k - 3) * 1.1
-        rows.append((t, (0.1, 0.2 + drift), (False, drift > math.pi)))
+        rows.append(((0.1, 0.2 + drift), (False, drift > math.pi)))
     traj = _synthetic(fleet, rows, t_clear=2e-3)
     verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
     assert not verdict.stable
@@ -98,7 +97,7 @@ def test_angle_past_pi_reads_unstable():
 
 def test_non_settling_angle_reads_unstable_without_trip():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2 + (0.05 if k >= 5 else 0.0)), (False, False))
+    rows = [((0.1, 0.2 + (0.05 if k >= 5 else 0.0)), (False, False))
             for k in range(9)]
     traj = _synthetic(fleet, rows, t_clear=2e-3)
     verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
@@ -109,7 +108,7 @@ def test_non_settling_angle_reads_unstable_without_trip():
 
 def test_classify_rejects_short_trajectory():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(3)]
+    rows = [((0.1, 0.2), (False, False))] * 3
     traj = _synthetic(fleet, rows, t_clear=1.5e-3)
     with pytest.raises(ValueError):
         classify(traj, settle_tol=0.02, settle_window=5e-3)
@@ -117,7 +116,7 @@ def test_classify_rejects_short_trajectory():
 
 def test_classify_validates_parameters():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(9)]
+    rows = [((0.1, 0.2), (False, False))] * 9
     traj = _synthetic(fleet, rows, t_clear=2e-3)
     with pytest.raises(ValueError):
         classify(traj, settle_tol=0.0, settle_window=1e-3)
@@ -127,14 +126,14 @@ def test_classify_validates_parameters():
 
 def test_sync_loss_order_single_unit():
     fleet = _fleet2()[:1]
-    rows = [(k * 1e-3, (0.1,), (k >= 3,)) for k in range(6)]
+    rows = [((0.1,), (k >= 3,)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
     assert sync_loss_order(traj) == [("A", pytest.approx(3e-3))]
 
 
 def test_sync_loss_order_breaks_ties_by_rating():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (k >= 3, k >= 3)) for k in range(6)]
+    rows = [((0.1, 0.2), (k >= 3, k >= 3)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
     order = sync_loss_order(traj)
     assert [name for name, _ in order] == ["B", "A"]
@@ -143,7 +142,7 @@ def test_sync_loss_order_breaks_ties_by_rating():
 def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
     # As in a solver failure's record, which trips every unit.
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (k >= 3, k == 5)) for k in range(6)]
+    rows = [((0.1, 0.2), (k >= 3, k == 5)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
     assert sync_loss_order(traj) == [
         ("A", pytest.approx(3e-3)), ("B", pytest.approx(5e-3)),
@@ -152,7 +151,7 @@ def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
 
 def test_sync_loss_order_empty_on_stable_run():
     fleet = _fleet2()
-    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(6)]
+    rows = [((0.1, 0.2), (False, False))] * 6
     traj = _synthetic(fleet, rows, t_clear=None)
     with pytest.raises(EmptyOrder):
         sync_loss_order(traj)
@@ -161,10 +160,10 @@ def test_sync_loss_order_empty_on_stable_run():
 def _first_trips_by_scan(traj):
     """Every record's every flag, scanned for each unit's first trip."""
     trip_time = {}
-    for rec in traj.records:
+    for k, rec in enumerate(traj.records):
         for p, tripped in enumerate(rec.tripped):
             if tripped and p not in trip_time:
-                trip_time[p] = rec.t
+                trip_time[p] = k * traj.scenario.dt
     return sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
 
 
@@ -379,7 +378,7 @@ def test_find_cct_validates_bracket_and_coverage():
 
 
 def _steady_trajectory():
-    rows = [(k * 1e-3, (0.1, 0.2), (False, False)) for k in range(9)]
+    rows = [((0.1, 0.2), (False, False))] * 9
     return _synthetic(_fleet2(), rows, t_clear=2e-3)
 
 
