@@ -26,6 +26,7 @@ from gflswing.dynamics import (
     FaultScenario,
     InitializationFailure,
     InverterConfig,
+    Runs,
     SimState,
     SolverOptions,
     Trajectory,
@@ -35,6 +36,7 @@ from gflswing.dynamics import (
 from gflswing.stability import (
     BracketInvalid,
     CctResult,
+    CctSettings,
     EmptyOrder,
     FleetComparison,
     StabilityVerdict,
@@ -61,6 +63,7 @@ __all__ = [
     "FaultScenario",
     "InitializationFailure",
     "InverterConfig",
+    "Runs",
     "SimState",
     "SolverOptions",
     "Trajectory",
@@ -68,6 +71,7 @@ __all__ = [
     "simulate",
     "BracketInvalid",
     "CctResult",
+    "CctSettings",
     "EmptyOrder",
     "FleetComparison",
     "StabilityVerdict",

@@ -35,11 +35,11 @@ from gflswing.dynamics import (
     FaultScenario,
     InitializationFailure,
     InverterConfig,
+    Runs,
     SolverOptions,
     Trajectory,
     absolute_tol,
     simulate,
-    whole_steps,
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.stability import (
@@ -48,6 +48,7 @@ from gflswing.stability import (
     DEFAULT_SETTLE_WINDOW_S,
     BracketInvalid,
     CctResult,
+    CctSettings,
     StabilityVerdict,
     classify,
     compare_uniform,
@@ -57,7 +58,6 @@ from gflswing.stability import (
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "CctSettings",
     "load_config",
     "bundled_config_path",
     "cmd_simulate",
@@ -87,14 +87,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure with a field-addressed message."""
-
-
-@dataclass(frozen=True, slots=True)
-class CctSettings:
-    t_min: float
-    t_max: float
-    resolution: float
-    audit_samples: int
 
 
 @dataclass(frozen=True)
@@ -428,23 +420,11 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     cct = None
     if st["cct"] is not None:
         c = st["cct"]
-        if c["t_min_s"] >= c["t_max_s"]:
-            raise ConfigError("stability.cct: t_min_s must be strictly below t_max_s")
-        if c["resolution_s"] < scenario.dt:
-            raise ConfigError(
-                f"stability.cct.resolution_s: must be >= scenario.dt_s = {scenario.dt}, "
-                f"got {c['resolution_s']}"
-            )
         cct = CctSettings(c["t_min_s"], c["t_max_s"], c["resolution_s"], c["audit_samples"])
-        k_needed = (
-            scenario.k_fault + whole_steps(cct.t_max, scenario.dt)
-            + whole_steps(st["settle_window_s"], scenario.dt)
-        )
-        if scenario.k_end < k_needed:
-            raise ConfigError(
-                f"scenario.t_end_s: {scenario.t_end} does not cover "
-                f"t_fault_s + cct.t_max_s + settle_window_s = {k_needed * scenario.dt:.6g}"
-            )
+        try:
+            cct.steps(scenario, st["settle_window_s"])
+        except ValueError as exc:
+            raise ConfigError(f"stability.cct: {exc}") from exc
 
     axes = resolved["sweep"]["axes"] if resolved["sweep"] is not None else {}
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
@@ -608,19 +588,9 @@ def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = _require_cct(config)
+    runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     try:
-        result = find_cct(
-            config.fleet,
-            config.grid,
-            config.scenario,
-            settings.t_min,
-            settings.t_max,
-            settings.resolution,
-            config.settle_tol,
-            config.settle_window,
-            config.solver,
-            settings.audit_samples,
-        )
+        result = find_cct(runs, settings, config.settle_tol, config.settle_window)
     except BracketInvalid as exc:
         payload = {
             "command": "cct",
@@ -651,25 +621,13 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = _require_cct(config)
-    comparison = compare_uniform(
-        config.fleet,
-        config.grid,
-        config.scenario,
-        settings.t_min,
-        settings.t_max,
-        settings.resolution,
-        config.settle_tol,
-        config.settle_window,
-        config.solver,
-        settings.audit_samples,
-    )
-    # Both fleets replayed at the configured fleet's last stable clearing step.
-    scenario = replace(
-        config.scenario,
-        t_clear=config.scenario.t_fault + comparison.result_nonuniform.bracket_lo,
-    )
-    traj_nonuni = simulate(config.fleet, config.grid, scenario, config.solver)
-    traj_uni = simulate(comparison.uniform_fleet, config.grid, scenario, config.solver)
+    runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
+    comparison = compare_uniform(runs, settings, config.settle_tol, config.settle_window)
+    # Both fleets replayed, from their searches' runs, at the configured
+    # fleet's last stable clearing step.
+    t_clear = config.scenario.t_fault + comparison.result_nonuniform.bracket_lo
+    traj_nonuni = runs.run(t_clear)
+    traj_uni = comparison.uniform.run(t_clear)
     _write_trajectory_csv(out / "trajectory_nonuniform.csv", traj_nonuni)
     _write_trajectory_csv(out / "trajectory_uniform.csv", traj_uni)
     payload = {
@@ -690,7 +648,7 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
                 "pf_angle_rad": c.pf_angle,
                 "trip_holdoff_s": c.trip_holdoff,
             }
-            for c in comparison.uniform_fleet
+            for c in comparison.uniform.fleet
         ],
         "nonuniform": _cct_dict(comparison.result_nonuniform),
         "uniform": _cct_dict(comparison.result_uniform),
@@ -737,18 +695,8 @@ def _run_sweep_cell(args: tuple[RunConfig, dict[str, float], int]) -> dict[str, 
             row.update(_verdict_dict(classify(traj, config.settle_tol, config.settle_window)))
         else:
             settings = _require_cct(config)
-            result = find_cct(
-                fleet,
-                config.grid,
-                scenario,
-                settings.t_min,
-                settings.t_max,
-                settings.resolution,
-                config.settle_tol,
-                config.settle_window,
-                config.solver,
-                settings.audit_samples,
-            )
+            runs = Runs(fleet, config.grid, scenario, config.solver)
+            result = find_cct(runs, settings, config.settle_tol, config.settle_window)
             row.update(_cct_dict(result))
         row["status"] = "ok"
     except Exception as exc:
@@ -768,12 +716,9 @@ def _sweep_workers(n_cells: int) -> int:
     return max(1, min(limit, n_cells))
 
 
-def cmd_sweep(
-    config: RunConfig,
-    sweep_axes: dict[str, tuple[float, ...]] | None,
-    out_dir: str | Path,
-) -> int:
-    """Cartesian parameter sweep; one row per cell in sweep.csv.
+def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
+    """Cartesian parameter sweep over config.sweep_axes; one row per cell
+    in sweep.csv.
 
     Cells with a clear_interval_s axis run a single simulation and report
     the verdict; otherwise each cell runs a CCT bisection. Failures are
@@ -781,7 +726,7 @@ def cmd_sweep(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    axes = sweep_axes if sweep_axes is not None else (config.sweep_axes or {})
+    axes = config.sweep_axes or {}
     axis_names = [name for name in SWEEP_AXES if name in axes]
     if axis_names:
         cells = [
@@ -890,7 +835,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(config, args.out)
         if args.command == "sweep":
-            return cmd_sweep(config, config.sweep_axes, args.out)
+            return cmd_sweep(config, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, InitializationFailure, BracketInvalid, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -482,12 +482,13 @@ class Runs:
     """The runs of one fleet on one grid through one fault, one per clearing
     time, each branching from one uncleared fault-on run.
 
-    opts holds the tolerance resolved against the pre-fault source, as in
-    the config loader, for the equilibrium and every step. units is the
-    fleet's table of constants, prefault and fault the grid phases before
-    and during the fault, and equilibrium the locked pre-fault state, whose
-    injection angles are the reference of the divergence trip. run sets the
-    clearing time of scenario.
+    fleet, grid and scenario are as given; scenario's t_clear is not used,
+    as run sets the clearing time. opts holds the tolerance resolved
+    against the pre-fault source, as in the config loader, for the
+    equilibrium and every step. units is the fleet's table of constants,
+    prefault and fault the grid phases before and during the fault, and
+    equilibrium the locked pre-fault state, whose injection angles are the
+    reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
@@ -523,6 +524,8 @@ class Runs:
         if opts.tol is None:
             opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
         self.fleet = fleet = tuple(fleet)
+        self.grid = grid
+        self.scenario = scenario
         self.opts = opts
         self.units = units = UnitTable(fleet, scenario.dt)
         zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
@@ -531,7 +534,6 @@ class Runs:
         self.prefault = GridPhase(units, grid.prefault, zeq_pre)
         self.fault = GridPhase(units, fault_ten, zeq_fault)
         self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
-        self._scenario = scenario
         self._k_fault = scenario.k_fault
         self._k_end = scenario.k_end
         # The fault-on run: its records from step 0 on and the state after
@@ -550,7 +552,7 @@ class Runs:
         step's record marks every unit tripped and injecting nothing, and
         its index times dt is the trajectory's solver_failure_t.
         """
-        scenario = replace(self._scenario, t_clear=t_clear)
+        scenario = replace(self.scenario, t_clear=t_clear)
         k_clear = scenario.k_clear
         fault_on, states = self._records, self._states
         # The step to fork at: a clearing step of 0 never applies the fault.

@@ -18,15 +18,14 @@ from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     Runs,
-    SolverOptions,
     Trajectory,
     simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
     whole_steps,
 )
-from gflswing.network import GridModel
 
 __all__ = [
     "StabilityVerdict",
+    "CctSettings",
     "CctResult",
     "FleetComparison",
     "BracketInvalid",
@@ -70,6 +69,48 @@ class StabilityVerdict:
 
 
 @dataclass(frozen=True, slots=True)
+class CctSettings:
+    """A CCT search's clearing-interval bracket, the width to stop at and
+    the number of audit samples."""
+
+    t_min: float
+    t_max: float
+    resolution: float
+    audit_samples: int = DEFAULT_AUDIT_SAMPLES
+
+    def steps(self, scenario: FaultScenario, settle_window: float) -> tuple[int, int]:
+        """The bracket in whole steps of scenario.dt, (k_min, k_max): the
+        one bracket rule, which load_config and find_cct apply.
+
+        No bracket is narrower than one step, so resolution must be at least
+        dt. t_min and t_max, with 0 < t_min < t_max <= t_end, are taken to
+        the nearest steps (see dynamics.whole_steps), which need
+        0 < k_min < k_max, and t_end must cover t_fault + t_max +
+        settle_window. A bracket that breaks the rule is a ValueError.
+        """
+        dt = scenario.dt
+        if not self.resolution >= dt:
+            raise ValueError(
+                f"resolution must be at least dt = {dt:.6g} s, got {self.resolution}: "
+                "a bracket cannot be narrower than one step"
+            )
+        if not 0.0 < self.t_min < self.t_max <= scenario.t_end:
+            raise ValueError(
+                f"need 0 < t_min < t_max <= t_end, got {self.t_min}, {self.t_max}"
+            )
+        k_min, k_max = whole_steps(self.t_min, dt), whole_steps(self.t_max, dt)
+        if not 0 < k_min < k_max:
+            raise ValueError(f"need 0 < k_min < k_max, got steps {k_min} and {k_max} of dt")
+        k_needed = scenario.k_fault + k_max + whole_steps(settle_window, dt)
+        if scenario.k_end < k_needed:
+            raise ValueError(
+                f"t_end = {scenario.t_end:.6g} s does not cover "
+                f"t_fault + t_max + settle_window = {k_needed * dt:.6g} s"
+            )
+        return k_min, k_max
+
+
+@dataclass(frozen=True, slots=True)
 class CctResult:
     """Bisection outcome with its evaluation log and monotonicity audit.
 
@@ -93,7 +134,7 @@ class FleetComparison:
     cct_nonuniform: float
     cct_uniform: float
     delta: float
-    uniform_fleet: tuple[InverterConfig, ...]
+    uniform: Runs
     result_nonuniform: CctResult
     result_uniform: CctResult
 
@@ -223,57 +264,33 @@ def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
 
 
 def find_cct(
-    fleet: Sequence[InverterConfig],
-    grid: GridModel,
-    base_scenario: FaultScenario,
-    t_min: float,
-    t_max: float,
-    resolution: float,
+    runs: Runs,
+    cct: CctSettings,
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
-    opts: SolverOptions | None = None,
-    audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> CctResult:
-    """Bisect the clearing interval, in whole steps, until the
-    stable/unstable bracket is no wider than resolution.
+    """Bisect the clearing interval of runs, in whole steps, until the
+    stable/unstable bracket is no wider than cct.resolution.
 
-    t_min and t_max, with 0 < t_min < t_max <= t_end, are taken to the
-    nearest steps k_min and k_max (see dynamics.whole_steps), which need
-    0 < k_min < k_max. Requires a stable verdict at k_min and an unstable
-    one at k_max (BracketInvalid otherwise). The midpoint of a bracket
-    [lo, hi] is (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2;
-    a bracket cannot be narrower than one step, so a resolution below dt is
-    a ValueError. Each clearing interval is decided once, and the
-    deterministic simulator needs no confirmation runs.
+    Every run of the search is one of runs' (see dynamics.Runs), so the
+    caller can replay any clearing time from runs afterwards. cct.steps
+    gives the bracket's steps k_min and k_max (or raises ValueError).
+    Requires a stable verdict at k_min and an unstable one at k_max
+    (BracketInvalid otherwise). The midpoint of a bracket [lo, hi] is
+    (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2. Each
+    clearing interval is decided once, and the deterministic simulator
+    needs no confirmation runs.
 
-    Every run branches from one uncleared fault-on run (see
-    dynamics.Runs), and a trip decides a verdict, so each verdict run stops
-    at its first trip. The loss order needs the whole cascade: bracket_hi's
-    run is stepped to t_end for it. audit_samples clearing intervals
+    A trip decides a verdict, so each verdict run stops at its first trip.
+    The loss order needs the whole cascade: bracket_hi's run is stepped to
+    t_end for it. cct.audit_samples clearing intervals
     k_min + round((k_max - k_min) j / (audit_samples - 1)) audit the
     monotonicity assumption; a non-monotone verdict sequence is reported
     through the result, not raised.
     """
-    dt = base_scenario.dt
-    if not resolution >= dt:
-        raise ValueError(
-            f"resolution must be at least dt = {dt:.6g} s, got {resolution}: "
-            "a bracket cannot be narrower than one step"
-        )
-    if not 0.0 < t_min < t_max <= base_scenario.t_end:
-        raise ValueError(f"need 0 < t_min < t_max <= t_end, got {t_min}, {t_max}")
-    k_min, k_max = whole_steps(t_min, dt), whole_steps(t_max, dt)
-    if not 0 < k_min < k_max:
-        raise ValueError(f"need 0 < k_min < k_max, got steps {k_min} and {k_max} of dt")
-    k_needed = base_scenario.k_fault + k_max + whole_steps(settle_window, dt)
-    if base_scenario.k_end < k_needed:
-        raise ValueError(
-            f"t_end = {base_scenario.t_end:.6g} s does not cover "
-            f"t_fault + t_max + settle_window = {k_needed * dt:.6g} s"
-        )
-
-    runs = Runs(fleet, grid, base_scenario, opts)
-    t_fault = base_scenario.t_fault
+    k_min, k_max = cct.steps(runs.scenario, settle_window)
+    dt = runs.scenario.dt
+    t_fault = runs.scenario.t_fault
     # Clearing interval in steps -> stable; in insertion order, the log.
     verdicts: dict[int, bool] = {}
 
@@ -288,7 +305,7 @@ def find_cct(
         raise BracketInvalid(lo_stable, hi_stable)
 
     lo, hi = k_min, k_max
-    while (hi - lo) * dt > resolution:
+    while (hi - lo) * dt > cct.resolution:
         mid = (lo + hi + 1) // 2
         if stable(mid):
             lo = mid
@@ -301,7 +318,7 @@ def find_cct(
     except EmptyOrder:
         loss = (classify(cascade, settle_tol, settle_window).first_unstable,)
 
-    samples = max(2, audit_samples)
+    samples = max(2, cct.audit_samples)
     audit = [
         (k * dt, stable(k))
         for k in (
@@ -351,34 +368,24 @@ def uniform_fleet_of(fleet: Sequence[InverterConfig]) -> tuple[InverterConfig, .
 
 
 def compare_uniform(
-    fleet: Sequence[InverterConfig],
-    grid: GridModel,
-    base_scenario: FaultScenario,
-    t_min: float,
-    t_max: float,
-    resolution: float,
+    runs: Runs,
+    cct: CctSettings,
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
-    opts: SolverOptions | None = None,
-    audit_samples: int = DEFAULT_AUDIT_SAMPLES,
 ) -> FleetComparison:
-    """CCT of the fleet against its mean-built uniform counterpart."""
-    if len(fleet) < 2:
+    """CCT of runs' fleet against its mean-built uniform counterpart, whose
+    Runs, the result's uniform, shares runs' grid, scenario and solver
+    settings; either fleet replays from its Runs afterwards."""
+    if len(runs.fleet) < 2:
         raise ValueError("compare_uniform needs a fleet of at least two inverters")
-    uniform = uniform_fleet_of(fleet)
-    res_nonuni = find_cct(
-        fleet, grid, base_scenario, t_min, t_max, resolution,
-        settle_tol, settle_window, opts, audit_samples,
-    )
-    res_uni = find_cct(
-        uniform, grid, base_scenario, t_min, t_max, resolution,
-        settle_tol, settle_window, opts, audit_samples,
-    )
+    res_nonuni = find_cct(runs, cct, settle_tol, settle_window)
+    uniform = Runs(uniform_fleet_of(runs.fleet), runs.grid, runs.scenario, runs.opts)
+    res_uni = find_cct(uniform, cct, settle_tol, settle_window)
     return FleetComparison(
         cct_nonuniform=res_nonuni.cct,
         cct_uniform=res_uni.cct,
         delta=res_uni.cct - res_nonuni.cct,
-        uniform_fleet=uniform,
+        uniform=uniform,
         result_nonuniform=res_nonuni,
         result_uniform=res_uni,
     )

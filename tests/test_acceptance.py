@@ -214,9 +214,8 @@ def test_criterion_07_bisection_soundness(table_config):
     settings = cfg.cct
     for depth in (0.3, 0.5, 0.7):
         base = replace(cfg.scenario, fault_depth=depth)
-        res = find_cct(cfg.fleet, cfg.grid, base, settings.t_min, settings.t_max,
-                       settings.resolution, cfg.settle_tol, cfg.settle_window,
-                       cfg.solver, settings.audit_samples)
+        res = find_cct(Runs(cfg.fleet, cfg.grid, base, cfg.solver), settings,
+                       cfg.settle_tol, cfg.settle_window)
         assert res.monotonic, f"depth {depth}: audit saw multiple transitions"
         assert res.bracket_hi - res.bracket_lo <= settings.resolution + 1e-12
         assert res.bracket_lo < res.cct <= res.bracket_hi
@@ -252,18 +251,15 @@ def test_criterion_08_nonuniformity_penalty(table_config):
     settings = cfg.cct
     for depth in (0.30, 0.35, 0.40):
         base = replace(cfg.scenario, fault_depth=depth)
-        comp = compare_uniform(cfg.fleet, cfg.grid, base, settings.t_min,
-                               settings.t_max, settings.resolution,
-                               cfg.settle_tol, cfg.settle_window, cfg.solver,
-                               settings.audit_samples)
+        comp = compare_uniform(Runs(cfg.fleet, cfg.grid, base, cfg.solver), settings,
+                               cfg.settle_tol, cfg.settle_window)
         assert comp.delta > 0.0, (
             f"depth {depth}: uniform CCT {comp.cct_uniform} not above "
             f"non-uniform {comp.cct_nonuniform}"
         )
 
-    res = find_cct(cfg.fleet, cfg.grid, cfg.scenario, settings.t_min,
-                   settings.t_max, settings.resolution, cfg.settle_tol,
-                   cfg.settle_window, cfg.solver, settings.audit_samples)
+    res = find_cct(Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver), settings,
+                   cfg.settle_tol, cfg.settle_window)
     assert CCT_BAND[0] <= res.cct <= CCT_BAND[1]
 
 
@@ -271,9 +267,8 @@ def test_criterion_08_nonuniformity_penalty(table_config):
 def test_criterion_09_dichotomy(table_config):
     cfg = table_config
     settings = cfg.cct
-    res = find_cct(cfg.fleet, cfg.grid, cfg.scenario, settings.t_min,
-                   settings.t_max, settings.resolution, cfg.settle_tol,
-                   cfg.settle_window, cfg.solver, settings.audit_samples)
+    res = find_cct(Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver), settings,
+                   cfg.settle_tol, cfg.settle_window)
 
     def run(tau):
         scen = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + tau)
@@ -339,8 +334,7 @@ def test_criterion_11_performance(nofault_config, table_config, tmp_path, monkey
     intervals = tuple(4e-4 * (k + 1) for k in range(10))
     t0 = time.perf_counter()
     code = cmd_sweep(
-        table_config,
-        {"fault_depth": depths, "clear_interval_s": intervals},
+        replace(table_config, sweep_axes={"fault_depth": depths, "clear_interval_s": intervals}),
         tmp_path / "sweep",
     )
     sweep_elapsed = time.perf_counter() - t0

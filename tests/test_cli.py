@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from gflswing import cli
+from gflswing import cli, dynamics
 from gflswing.cli import (
     ConfigError,
     bundled_config_path,
@@ -261,6 +261,7 @@ def test_readme_library_example_runs():
     exec(compile(example, "README.md", "exec"), namespace)
     assert namespace["verdict"].stable
     assert len(namespace["t"]) == len(namespace["trajectory"].records)
+    assert namespace["cct"] == pytest.approx(1.505e-3)
 
 
 def test_provenance_hash_ignores_formatting(tmp_path):
@@ -355,6 +356,27 @@ def test_bundled_compare_outputs_are_pinned(table_config, tmp_path):
         for name in COMPARE_SHA256
     }
     assert digests == COMPARE_SHA256
+
+
+def test_compare_replays_from_its_searches_runs(table_config, tmp_path, monkeypatch):
+    # Each fleet's equilibrium is found once, for its search, and both
+    # replays fork from the fault-on run that search stepped: fresh replays
+    # took 4 equilibria and 32,390 steps.
+    calls = {"find_equilibrium": 0, "step": 0}
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    assert cmd_compare(table_config, tmp_path) == 0
+    assert calls == {"find_equilibrium": 2, "step": 32_092}
 
 
 def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
@@ -574,12 +596,17 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("fleet:\n", "  faulted: {v_th_volts: 300.0}\nfleet:\n",
      "grid.faulted.v_th_volts: fault-on voltage 300.0 exceeds pre-fault 230.0"),
     ("t_min_s: 2.0e-4", "t_min_s: 2.0e-3",
-     "stability.cct: t_min_s must be strictly below t_max_s"),
+     "stability.cct: need 0 < t_min < t_max <= t_end, got 0.002, 0.002"),
     ("t_end_s: 8.0e-3", "t_end_s: 4.0e-3",
-     "scenario.t_end_s: 0.004 does not cover "
-     "t_fault_s + cct.t_max_s + settle_window_s = 0.005"),
+     "stability.cct: t_end = 0.004 s does not cover "
+     "t_fault + t_max + settle_window = 0.005 s"),
     ("resolution_s: 1.0e-4", "resolution_s: 1.0e-5",
-     "stability.cct.resolution_s: must be >= scenario.dt_s = 2e-05, got 1e-05"),
+     "stability.cct: resolution must be at least dt = 2e-05 s, got 1e-05: "
+     "a bracket cannot be narrower than one step"),
+    ("t_min_s: 2.0e-4", "t_min_s: 5.0e-6",
+     "stability.cct: need 0 < k_min < k_max, got steps 0 and 100 of dt"),
+    ("t_min_s: 2.0e-4\n    t_max_s: 2.0e-3", "t_min_s: 2.4e-5\n    t_max_s: 2.8e-5",
+     "stability.cct: need 0 < k_min < k_max, got steps 1 and 1 of dt"),
     ("name: A", "name: 'A,1'",
      "fleet[0].name: must not contain commas, semicolons or newlines"),
     ("name: A", "name: 'A;1'",
@@ -589,8 +616,8 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
-        "cct_bracket", "t_end_coverage", "cct_resolution", "name_comma", "name_semicolon",
-        "strict_min", "minimum"])
+        "cct_bracket", "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
+        "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
@@ -654,7 +681,7 @@ def test_empty_sweep_equals_cct_command(small_config_path, tmp_path):
     expected = json.loads((cct_dir / "cct.json").read_text())["cct_s"]
 
     sweep_dir = tmp_path / "sweep"
-    assert cmd_sweep(cfg, None, sweep_dir) == 0
+    assert cmd_sweep(cfg, sweep_dir) == 0
     lines = (sweep_dir / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert len(lines) == 2
@@ -666,9 +693,8 @@ def test_empty_sweep_equals_cct_command(small_config_path, tmp_path):
 def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path):
     cfg = load_config(small_config_path)
     intervals = [2e-4, 5e-4, 8e-4, 1.1e-3, 1.4e-3]
-    axes = {"clear_interval_s": tuple(intervals)}
     out = tmp_path / "sweep"
-    assert cmd_sweep(cfg, axes, out) == 0
+    assert cmd_sweep(replace(cfg, sweep_axes={"clear_interval_s": tuple(intervals)}), out) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
@@ -691,7 +717,7 @@ def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path
 def test_depth_sweep_records_bracket_failures_and_continues(small_config_path, tmp_path):
     cfg = load_config(small_config_path)
     out = tmp_path / "sweep"
-    assert cmd_sweep(cfg, {"fault_depth": (0.0, 0.5)}, out) == 0
+    assert cmd_sweep(replace(cfg, sweep_axes={"fault_depth": (0.0, 0.5)}), out) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
@@ -702,12 +728,14 @@ def test_depth_sweep_records_bracket_failures_and_continues(small_config_path, t
 
 
 def test_parallel_sweep_output_matches_serial(small_config_path, tmp_path, monkeypatch):
-    cfg = load_config(small_config_path)
-    axes = {"clear_interval_s": (4e-4, 1.2e-3), "fault_depth": (0.4, 0.6)}
+    cfg = replace(
+        load_config(small_config_path),
+        sweep_axes={"clear_interval_s": (4e-4, 1.2e-3), "fault_depth": (0.4, 0.6)},
+    )
     monkeypatch.setenv("GFLSWING_THREADS", "1")
-    cmd_sweep(cfg, axes, tmp_path / "serial")
+    cmd_sweep(cfg, tmp_path / "serial")
     monkeypatch.setenv("GFLSWING_THREADS", "2")
-    cmd_sweep(cfg, axes, tmp_path / "parallel")
+    cmd_sweep(cfg, tmp_path / "parallel")
     for name in ("sweep.csv", "sweep.json"):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "parallel" / name
@@ -718,7 +746,7 @@ def test_sweep_worker_cap_env_validation(small_config_path, tmp_path, monkeypatc
     cfg = load_config(small_config_path)
     monkeypatch.setenv("GFLSWING_THREADS", "zebra")
     with pytest.raises(ConfigError):
-        cmd_sweep(cfg, None, tmp_path / "out")
+        cmd_sweep(cfg, tmp_path / "out")
 
 
 def test_main_validate_and_exit_codes(small_config_path, tmp_path):

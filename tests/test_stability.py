@@ -20,6 +20,7 @@ from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.pcc import solve_vpcc
 from gflswing.stability import (
     BracketInvalid,
+    CctSettings,
     EmptyOrder,
     classify,
     compare_uniform,
@@ -45,6 +46,10 @@ def _grid2():
 
 def _base_scenario():
     return FaultScenario(t_fault=1e-3, t_clear=None, fault_depth=0.5, t_end=8e-3, dt=2e-5)
+
+
+def _runs2(scenario=None):
+    return Runs(_fleet2(), _grid2(), scenario or _base_scenario())
 
 
 def _synthetic(fleet, rows, t_clear, dt=1e-3):
@@ -191,9 +196,8 @@ def test_first_trips_from_the_trip_latch_equal_the_full_scan(
 
 
 def test_find_cct_brackets_the_trip_boundary():
-    fleet = _fleet2()
-    res = find_cct(fleet, _grid2(), _base_scenario(), t_min=2e-4, t_max=2e-3,
-                   resolution=1e-4, settle_tol=0.02, settle_window=2e-3)
+    res = find_cct(_runs2(), CctSettings(t_min=2e-4, t_max=2e-3, resolution=1e-4),
+                   settle_tol=0.02, settle_window=2e-3)
     assert res.bracket_hi - res.bracket_lo <= 1e-4 + 1e-12
     assert res.bracket_lo < res.cct <= res.bracket_hi
     # holdoff of 0.8 ms sets the boundary: clearing inside it stays stable
@@ -204,12 +208,14 @@ def test_find_cct_brackets_the_trip_boundary():
     assert dict(res.evaluation_log)  # non-empty log of (interval, verdict)
 
 
-def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
-    """find_cct with its decisions and its loss-order run recorded: (result,
-    calls), where calls.decided holds every trajectory it classifies, in
-    order, calls.ordered every trajectory it takes the loss order from, and
+def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs):
+    """find_cct on a new Runs of fleet, grid, scenario and opts, with its
+    decisions and its loss-order run recorded: (result, calls), where
+    calls.decided holds every trajectory it classifies, in order,
+    calls.ordered every trajectory it takes the loss order from, and
     calls.steps counts dynamics.step calls, calls.solves the voltage solves
-    and calls.iterations the iterations they took."""
+    (the equilibrium's among them) and calls.iterations the iterations they
+    took."""
     calls = SimpleNamespace(decided=[], ordered=[], steps=0, solves=0, iterations=0)
     step = dynamics.step
     solve_vpcc = dynamics.solve_vpcc
@@ -236,7 +242,9 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, *args, **kwargs):
     monkeypatch.setattr(stability, "sync_loss_order", ordering)
     monkeypatch.setattr(dynamics, "step", stepping)
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
-    return find_cct(fleet, grid, scenario, *args, **kwargs), calls
+    # Built after the patches, so that the equilibrium's solves count.
+    runs = Runs(fleet, grid, scenario, opts)
+    return find_cct(runs, *args, **kwargs), calls
 
 
 def _clearing_steps(trajectories):
@@ -249,10 +257,9 @@ def _step_of(scenario, interval):
 
 
 def _reference_cct(monkeypatch, cfg, scenario):
-    c = cfg.cct
     return _counting_find_cct(
-        monkeypatch, cfg.fleet, cfg.grid, scenario, c.t_min, c.t_max, c.resolution,
-        cfg.settle_tol, cfg.settle_window, cfg.solver, c.audit_samples,
+        monkeypatch, cfg.fleet, cfg.grid, scenario, cfg.solver, cfg.cct,
+        cfg.settle_tol, cfg.settle_window,
     )
 
 
@@ -339,42 +346,39 @@ def test_find_cct_rejects_a_resolution_below_dt():
     # No bracket is narrower than one step; at dt itself it is one step.
     scenario = _base_scenario()
     with pytest.raises(ValueError, match="resolution must be at least dt"):
-        find_cct(_fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
-                 resolution=scenario.dt / 4, settle_tol=0.02, settle_window=2e-3)
-    res = find_cct(_fleet2(), _grid2(), scenario, t_min=2e-4, t_max=2e-3,
-                   resolution=scenario.dt, settle_tol=0.02, settle_window=2e-3)
+        find_cct(_runs2(), CctSettings(2e-4, 2e-3, resolution=scenario.dt / 4),
+                 settle_tol=0.02, settle_window=2e-3)
+    res = find_cct(_runs2(), CctSettings(2e-4, 2e-3, resolution=scenario.dt),
+                   settle_tol=0.02, settle_window=2e-3)
     assert round((res.bracket_hi - res.bracket_lo) / scenario.dt) == 1
     log = dict(res.evaluation_log)
     assert log[res.bracket_lo] is True and log[res.bracket_hi] is False
 
 
 def test_find_cct_rejects_depthless_fault():
-    fleet = _fleet2()
     scenario = replace(_base_scenario(), fault_depth=0.0)
     with pytest.raises(BracketInvalid) as err:
-        find_cct(fleet, _grid2(), scenario, t_min=2e-4, t_max=2e-3,
-                 resolution=1e-4, settle_tol=0.02, settle_window=2e-3)
+        find_cct(_runs2(scenario), CctSettings(2e-4, 2e-3, 1e-4),
+                 settle_tol=0.02, settle_window=2e-3)
     assert err.value.lo_stable and err.value.hi_stable
 
 
 def test_find_cct_validates_bracket_and_coverage():
-    fleet = _fleet2()
+    runs = _runs2()
     with pytest.raises(ValueError):
-        find_cct(fleet, _grid2(), _base_scenario(), t_min=2e-3, t_max=2e-4,
-                 resolution=1e-4)
+        find_cct(runs, CctSettings(t_min=2e-3, t_max=2e-4, resolution=1e-4))
     with pytest.raises(ValueError):
-        find_cct(fleet, _grid2(), _base_scenario(), t_min=2e-4, t_max=2e-3,
-                 resolution=-1.0)
+        find_cct(runs, CctSettings(t_min=2e-4, t_max=2e-3, resolution=-1.0))
     short = replace(_base_scenario(), t_end=3e-3)
     with pytest.raises(ValueError):
-        find_cct(fleet, _grid2(), short, t_min=2e-4, t_max=2e-3,
-                 resolution=1e-4, settle_window=2e-3)
+        find_cct(_runs2(short), CctSettings(t_min=2e-4, t_max=2e-3, resolution=1e-4),
+                 settle_window=2e-3)
     # t_min and t_max are taken to steps: they must round to distinct
     # non-zero steps, and an infinite t_max has no step.
     for t_min, t_max in ((5e-6, 2e-3), (2e-4, 2.05e-4), (2e-4, math.inf)):
         with pytest.raises(ValueError):
-            find_cct(fleet, _grid2(), _base_scenario(), t_min=t_min, t_max=t_max,
-                     resolution=1e-4, settle_window=2e-3)
+            find_cct(runs, CctSettings(t_min=t_min, t_max=t_max, resolution=1e-4),
+                     settle_window=2e-3)
 
 
 def _steady_trajectory():
@@ -396,8 +400,7 @@ NAN = math.nan
 # A check written as x <= 0 lets NaN through: every comparison with NaN is
 # false. Each of these calls must raise rather than run on a NaN.
 @pytest.mark.parametrize("call", [
-    lambda: find_cct(_fleet2(), _grid2(), _base_scenario(), t_min=2e-4, t_max=2e-3,
-                     resolution=NAN),
+    lambda: find_cct(_runs2(), CctSettings(t_min=2e-4, t_max=2e-3, resolution=NAN)),
     lambda: classify(_steady_trajectory(), settle_tol=NAN, settle_window=2e-3),
     lambda: classify(_steady_trajectory(), settle_tol=0.02, settle_window=NAN),
     lambda: FaultScenario(1e-3, None, 0.5, 8e-3, NAN),
@@ -457,17 +460,17 @@ def test_uniform_fleet_preserves_totals():
 
 
 def test_self_comparison_has_zero_delta():
-    fleet = uniform_fleet_of(_fleet2())
-    comp = compare_uniform(fleet, _grid2(), _base_scenario(), t_min=2e-4,
-                           t_max=2e-3, resolution=1e-4, settle_tol=0.02,
-                           settle_window=2e-3)
+    runs = Runs(uniform_fleet_of(_fleet2()), _grid2(), _base_scenario())
+    comp = compare_uniform(runs, CctSettings(t_min=2e-4, t_max=2e-3, resolution=1e-4),
+                           settle_tol=0.02, settle_window=2e-3)
     assert comp.delta == 0.0
     assert comp.cct_uniform == comp.cct_nonuniform
 
 
 def test_compare_uniform_requires_two_units():
-    with pytest.raises(ValueError):
-        compare_uniform(_fleet2()[:1], _grid2(), _base_scenario(), 2e-4, 2e-3, 1e-4)
+    runs = Runs(_fleet2()[:1], _grid2(), _base_scenario())
+    with pytest.raises(ValueError, match="at least two inverters"):
+        compare_uniform(runs, CctSettings(2e-4, 2e-3, 1e-4))
 
 
 def test_nonuniform_fleet_spreads_divergence_times(table_config):

@@ -1,6 +1,7 @@
 """The names importers and the benchmark tracer look up in the package, and
 the benchmark inputs the config loader must keep reading the same way."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gflswing import dynamics
-from gflswing.cli import load_config
+from gflswing.cli import bundled_config_path, load_config
 
 MODULES = (
     "gflswing",
@@ -46,6 +47,31 @@ def test_every_traced_attribute_resolves():
         (module, attr)
         for module, attr in targets
         if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+
+
+def test_every_config_attribute_the_benchmark_reads_resolves():
+    # perfbench/worker.py reads fields of a loaded config and of its CCT
+    # settings; a rename must fail here, not only in the benchmark.
+    tree = ast.parse((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
+    reads = {"config": set(), "config.cct": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "config":
+                reads["config"].add(node.attr)
+            elif (isinstance(owner, ast.Attribute) and owner.attr == "cct"
+                  and isinstance(owner.value, ast.Name) and owner.value.id == "config"):
+                reads["config.cct"].add(node.attr)
+    assert reads["config"] and reads["config.cct"]
+    config = load_config(bundled_config_path("table1.yaml"))
+    owners = {"config": config, "config.cct": config.cct}
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attrs in reads.items()
+        for attr in sorted(attrs)
+        if not hasattr(owners[owner], attr)
     ]
     assert missing == []
 
