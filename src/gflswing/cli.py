@@ -12,7 +12,6 @@ Exit codes: 0 stable / success, 2 unstable, 1 error.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import hashlib
 import itertools
@@ -21,13 +20,14 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import yaml
+
+if TYPE_CHECKING:
+    import argparse
 
 from gflswing.dynamics import (
     DEFAULT_TOL_REL,
@@ -444,6 +444,8 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
 
 def bundled_config_path(name: str = "table1.yaml") -> Path:
     """Filesystem path of a bundled reference configuration."""
+    from importlib import resources
+
     return Path(str(resources.files("gflswing").joinpath("data").joinpath(name)))
 
 
@@ -739,6 +741,10 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
     payloads = [(config, cell, k) for k, cell in enumerate(cells)]
     workers = _sweep_workers(len(cells))
     if workers > 1:
+        # Imported here: the pool's modules (multiprocessing, pickle,
+        # subprocess, ...) cost every other command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, payloads))
     else:
@@ -796,6 +802,8 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gflswing",
         description=(

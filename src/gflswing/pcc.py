@@ -29,7 +29,6 @@ the equivalent impedances come from network.equivalent_impedance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,9 +89,12 @@ def solve_vpcc(
     and D = sum_i z_eq_i i_i e^{j theta_i} over the fixed-current ones.
     Newton's method on the residual with its closed-form 2-D Jacobian,
     halving each step that would raise the residual, from seed, or from
-    v_th when no seed is given. Raises NonConvergence if the residual stays
-    above tol within max_iter iterations and ZeroVoltage if |v| (the
-    seed's included) falls below ZERO_VOLTAGE_FRACTION * |v_th|.
+    v_th when no seed is given. The halving test's residual of an accepted
+    trial is the next iteration's residual; it is recomputed only after six
+    halvings all fail and the smallest step is taken anyway. Raises
+    NonConvergence if the residual stays above tol within max_iter
+    iterations and ZeroVoltage if |v| (the seed's included) falls below
+    ZERO_VOLTAGE_FRACTION * |v_th|.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -119,21 +121,25 @@ def solve_vpcc(
 
     w = v_th + d
     floor = ZERO_VOLTAGE_FRACTION * v_th_mag
-    residual = math.inf
 
-    # Newton on F(v) = v - w - C/|v| with its closed-form Jacobian.
+    # Newton on F(v) = v - w - C/|v| with its closed-form Jacobian. An
+    # accepted trial carries its |v|, F and residual into the next iteration.
     v = v_th if seed is None else seed
+    trial = None
     for iterations in range(1, max_iter + 1):
-        x, y = v.real, v.imag
-        r = abs(v)
-        if r < floor:
-            raise ZeroVoltage(
-                f"voltage magnitude {r:.3e} V collapsed below {floor:.3e} V"
-            )
-        f = v - w - c / r
-        residual = abs(f)
+        if trial is not None:
+            r, f, residual = trial
+        else:
+            r = abs(v)
+            if r < floor:
+                raise ZeroVoltage(
+                    f"voltage magnitude {r:.3e} V collapsed below {floor:.3e} V"
+                )
+            f = v - w - c / r
+            residual = abs(f)
         if residual <= tol:
             return PccSolution(v, residual, iterations)
+        x, y = v.real, v.imag
         r3 = r * r * r
         j11 = 1.0 + c.real * x / r3
         j12 = c.real * y / r3
@@ -150,12 +156,15 @@ def solve_vpcc(
         for _ in range(6):
             v_new = v - alpha * step
             r_new = abs(v_new)
-            if r_new >= floor and abs(v_new - w - c / r_new) < residual:
-                break
+            if r_new >= floor:
+                f_new = v_new - w - c / r_new
+                res_new = abs(f_new)
+                if res_new < residual:
+                    v, trial = v_new, (r_new, f_new, res_new)
+                    break
             alpha *= 0.5
         else:
-            v_new = v - alpha * step
-        v = v_new
+            v, trial = v - alpha * step, None
 
     raise NonConvergence(residual, iterations)
 

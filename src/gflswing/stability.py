@@ -9,9 +9,9 @@ monotone in clearing time.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from statistics import fmean
 from typing import Sequence
 
 from gflswing.dynamics import (
@@ -351,18 +351,23 @@ def uniform_fleet_of(fleet: Sequence[InverterConfig]) -> tuple[InverterConfig, .
     n = len(fleet)
     if n == 0:
         raise ValueError("fleet must be non-empty")
+
+    def mean_of(values) -> float:
+        # Exactly statistics.fmean, without importing statistics.
+        return math.fsum(values) / n
+
     mean = InverterConfig(
         name="Uni",
-        s_rated=fmean(c.s_rated for c in fleet),
+        s_rated=mean_of(c.s_rated for c in fleet),
         z_line=complex(
-            fmean(c.z_line.real for c in fleet), fmean(c.z_line.imag for c in fleet)
+            mean_of(c.z_line.real for c in fleet), mean_of(c.z_line.imag for c in fleet)
         ),
-        r_virtual=fmean(c.r_virtual for c in fleet),
-        kp=fmean(c.kp for c in fleet),
-        ki=fmean(c.ki for c in fleet),
-        i_max=fmean(c.i_max for c in fleet),
-        pf_angle=fmean(c.pf_angle for c in fleet),
-        trip_holdoff=fmean(c.trip_holdoff for c in fleet),
+        r_virtual=mean_of(c.r_virtual for c in fleet),
+        kp=mean_of(c.kp for c in fleet),
+        ki=mean_of(c.ki for c in fleet),
+        i_max=mean_of(c.i_max for c in fleet),
+        pf_angle=mean_of(c.pf_angle for c in fleet),
+        trip_holdoff=mean_of(c.trip_holdoff for c in fleet),
     )
     return tuple(replace(mean, name=f"Uni {p + 1}") for p in range(n))
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import statistics
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -457,6 +459,34 @@ def test_uniform_fleet_preserves_totals():
     assert all(c.kp == pytest.approx(4.5e-3) for c in uni)
     assert all(c.i_max == pytest.approx(50.0) for c in uni)
     assert len({c.name for c in uni}) == 2
+
+
+def _random_fleet(seed, n):
+    rng = random.Random(seed)
+    return tuple(
+        InverterConfig(
+            f"R{p}", rng.uniform(1e3, 5e4), complex(rng.uniform(0.01, 1.0), rng.uniform(1e-3, 0.5)),
+            rng.uniform(0.0, 0.3), rng.uniform(1e-3, 1e-2), rng.uniform(100.0, 400.0),
+            rng.uniform(10.0, 200.0), pf_angle=rng.uniform(-0.5, 0.5),
+            trip_holdoff=rng.uniform(1e-4, 1e-2),
+        )
+        for p in range(n)
+    )
+
+
+def _averaged_fields(c):
+    return (c.s_rated, c.z_line.real, c.z_line.imag, c.r_virtual, c.kp, c.ki, c.i_max,
+            c.pf_angle, c.trip_holdoff)
+
+
+@pytest.mark.parametrize("fleet_name", ["table1", "random"])
+def test_uniform_fleet_means_equal_statistics_fmean(fleet_name, table_config):
+    # statistics is the oracle only: the package computes the means itself.
+    fleet = table_config.fleet if fleet_name == "table1" else _random_fleet(2020, 17)
+    expected = [statistics.fmean(column).hex() for column in zip(*map(_averaged_fields, fleet))]
+    uni = uniform_fleet_of(fleet)
+    assert len(uni) == len(fleet)
+    assert all([v.hex() for v in _averaged_fields(c)] == expected for c in uni)
 
 
 def test_self_comparison_has_zero_delta():

@@ -5,10 +5,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gflswing
 from gflswing import dynamics
 from gflswing.cli import bundled_config_path, load_config
 
@@ -129,3 +134,31 @@ def test_perfbench_inputs_load_with_pinned_hashes(workload, seed, tmp_path):
         path.write_text(text, encoding="utf-8")
         hashes.append(load_config(path).sha256)
     assert tuple(hashes) == PERFBENCH_INPUT_SHA256[workload, seed]
+
+
+# Modules that only sweep's process pool, main's argument parser or a
+# statistics call would load; a simulate or cct run must not pay for them.
+_START_UP_EXCLUDED = ("concurrent.futures.process", "multiprocessing", "argparse", "statistics")
+
+_COMMANDS_IN_A_FRESH_INTERPRETER = """
+import json, sys
+before = set(sys.modules)
+import gflswing.cli as cli
+config = cli.load_config(sys.argv[1])
+cli.cmd_simulate(config, sys.argv[2] + "/simulate")
+cli.cmd_cct(config, sys.argv[2] + "/cct")
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_simulate_and_cct_import_no_pool_parser_or_statistics(tmp_path):
+    src = Path(gflswing.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_IN_A_FRESH_INTERPRETER,
+         str(bundled_config_path("table1.yaml")), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    imported = json.loads(proc.stdout.splitlines()[-1])
+    assert "gflswing.cli" in imported
+    assert [m for m in _START_UP_EXCLUDED if m in imported] == []
