@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import yaml
 
@@ -37,9 +37,9 @@ from gflswing.dynamics import (
     InverterConfig,
     Runs,
     SolverOptions,
-    Trajectory,
+    TrajectoryRecord,
     absolute_tol,
-    simulate,
+    simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.stability import (
@@ -49,8 +49,9 @@ from gflswing.stability import (
     BracketInvalid,
     CctResult,
     CctSettings,
+    RunFold,
     StabilityVerdict,
-    classify,
+    classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
     compare_uniform,
     find_cct,
 )
@@ -408,7 +409,10 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
             sc["t_fault_s"], sc["t_clear_s"], sc["fault_depth"], sc["t_end_s"], sc["dt_s"]
         )
     except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+        # FaultScenario's errors begin with the field, a time but for fault_depth.
+        field = str(exc).split(" ", 1)[0]
+        key = field if field == "fault_depth" else f"{field}_s"
+        raise ConfigError(f"scenario.{key}: {exc}") from exc
 
     so = resolved["solver"]
     solver = SolverOptions(
@@ -481,25 +485,28 @@ _UNIT_COLUMNS = (
 _BOOL_CELL = ("false", "true")
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """Write traj as CSV, one row as soon as it is formatted.
+def _trajectory_csv(
+    path: Path, fleet: Sequence[InverterConfig], dt: float,
+    records: Iterable[TrajectoryRecord],
+) -> Iterator[TrajectoryRecord]:
+    """Write records, record k at k * dt, as CSV to path, yielding each
+    record once its row is written; the file is complete when the records
+    are exhausted.
 
     The file is the only copy of the text: no row list or joined string
-    is built, so memory does not grow with the number of steps. Row k's
-    t_s is k * dt. A record that is the one before it, as the equilibrium
-    record is at every step before the fault, reuses that row's cells
-    after t_s.
+    is built, and no record is kept. A record that is the one before it,
+    as the equilibrium record is at every step before the fault, reuses
+    that row's cells after t_s.
     """
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
-    for cfg in traj.fleet:
+    for cfg in fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
-    row = _ROW_REST + _ROW_UNIT * len(traj.fleet) + "\n"
+    row = _ROW_REST + _ROW_UNIT * len(fleet) + "\n"
     degrees = math.degrees
-    dt = traj.scenario.dt
     last = rest = None
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for k, rec in enumerate(traj.records):
+        for k, rec in enumerate(records):
             if rec is not last:
                 cells = [rec.v_pcc_mag, rec.v_pcc_angle, degrees(rec.v_pcc_angle)]
                 for th, i, i_q, v_gq, lim, trip in zip(
@@ -509,6 +516,7 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
                 rest = row % tuple(cells)
                 last = rec
             f.write(_ROW_T % (k * dt) + rest)
+            yield rec
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:
@@ -558,19 +566,23 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     """Run one scenario; write trajectory.csv and summary.json.
 
-    Returns 0 when the verdict is stable and 2 when it is unstable.
+    The run is streamed: each record is written and folded into the
+    verdict as it is stepped, and none is kept. Returns 0 when the verdict
+    is stable and 2 when it is unstable.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = simulate(config.fleet, config.grid, config.scenario, config.solver)
-    verdict = classify(traj, config.settle_tol, config.settle_window)
-    _write_trajectory_csv(out / "trajectory.csv", traj)
+    scenario = config.scenario
+    run = Runs(config.fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
+    rows = _trajectory_csv(out / "trajectory.csv", run.fleet, scenario.dt, run)
+    fold = RunFold(rows, run.fleet, run.scenario, config.settle_tol)
+    verdict = fold.verdict(config.settle_window)
     summary = {
         "command": "simulate",
         "verdict": _verdict_dict(verdict),
         "scenario": config.resolved["scenario"],
         "fleet": config.resolved["fleet"],
-        "solver_failure_t_s": traj.solver_failure_t,
+        "solver_failure_t_s": run.solver_failure_t,
         "outputs": {"trajectory_csv": "trajectory.csv"},
         "provenance": _provenance(config),
     }
@@ -626,12 +638,13 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     comparison = compare_uniform(runs, settings, config.settle_tol, config.settle_window)
     # Both fleets replayed, from their searches' runs, at the configured
-    # fleet's last stable clearing step.
+    # fleet's last stable clearing step, and streamed to their files.
     t_clear = config.scenario.t_fault + comparison.result_nonuniform.bracket_lo
-    traj_nonuni = runs.run(t_clear)
-    traj_uni = comparison.uniform.run(t_clear)
-    _write_trajectory_csv(out / "trajectory_nonuniform.csv", traj_nonuni)
-    _write_trajectory_csv(out / "trajectory_uniform.csv", traj_uni)
+    dt = config.scenario.dt
+    for name, fleet_runs in (("nonuniform", runs), ("uniform", comparison.uniform)):
+        run = fleet_runs.stream(t_clear)
+        for _ in _trajectory_csv(out / f"trajectory_{name}.csv", run.fleet, dt, run):
+            pass
     payload = {
         "command": "compare",
         "cct_nonuniform_s": comparison.cct_nonuniform,
@@ -693,8 +706,9 @@ def _run_sweep_cell(args: tuple[RunConfig, dict[str, float], int]) -> dict[str, 
     try:
         fleet, scenario = _apply_cell(config, cell)
         if "clear_interval_s" in cell:
-            traj = simulate(fleet, config.grid, scenario, config.solver)
-            row.update(_verdict_dict(classify(traj, config.settle_tol, config.settle_window)))
+            run = Runs(fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
+            fold = RunFold(run, run.fleet, run.scenario, config.settle_tol)
+            row.update(_verdict_dict(fold.verdict(config.settle_window)))
         else:
             settings = _require_cct(config)
             runs = Runs(fleet, config.grid, scenario, config.solver)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from gflswing.network import (
@@ -39,6 +40,7 @@ __all__ = [
     "UnitTable",
     "GridPhase",
     "Runs",
+    "RunStream",
     "whole_steps",
     "find_equilibrium",
     "step",
@@ -117,7 +119,10 @@ class FaultScenario:
     k_fault, k_clear and k_end are the steps of the three events (see
     whole_steps). The fault is applied at step k_fault and cleared
     t_clear - t_fault, in whole steps, later, so a fault of k steps lasts
-    exactly k steps wherever t_fault falls.
+    exactly k steps wherever t_fault falls. A cleared fault lasts at least
+    one step: t_clear - t_fault must be more than half a step, or the
+    fault would last none and the run would report a faulted config as
+    one that never saw the fault.
     """
 
     t_fault: float
@@ -140,6 +145,12 @@ class FaultScenario:
         if self.t_clear is not None and not self.t_fault < self.t_clear <= self.t_end:
             raise ValueError(
                 f"t_clear must satisfy t_fault < t_clear <= t_end, got {self.t_clear}"
+            )
+        if self.t_clear is not None and whole_steps(self.t_clear - self.t_fault, self.dt) < 1:
+            raise ValueError(
+                f"t_clear must lie more than half a step (dt = {self.dt:.6g} s) after "
+                f"t_fault, got t_clear - t_fault = {self.t_clear - self.t_fault:.6g} s: "
+                "the fault would last no step"
             )
         if not 0.0 <= self.fault_depth <= 1.0:
             raise ValueError(f"fault_depth must lie in [0, 1], got {self.fault_depth}")
@@ -188,6 +199,9 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, slots=True)
 class Trajectory:
+    """A run with every record kept: what Runs.run and simulate return,
+    the records of the run's stream (see Runs.stream)."""
+
     records: tuple[TrajectoryRecord, ...]
     scenario: FaultScenario
     fleet: tuple[InverterConfig, ...]
@@ -478,13 +492,35 @@ def step(
     return SimState(record, k, tuple(theta), tuple(integral), tuple(limited_since))
 
 
+class RunStream:
+    """One run of a Runs as a stream of its records (see Runs.stream).
+
+    Iterating it steps the run and yields records 0 to the last in order,
+    once; the stream keeps none of them. scenario is the Runs' scenario
+    with the run's clearing time, and fleet the Runs' fleet.
+    solver_failure_t is None until the stream is exhausted; then it is the
+    time of the run's failure record, if a step failed (see Runs.stream).
+    """
+
+    __slots__ = ("scenario", "fleet", "solver_failure_t", "_records")
+
+    def __init__(self, scenario: FaultScenario, fleet: tuple[InverterConfig, ...]) -> None:
+        self.scenario = scenario
+        self.fleet = fleet
+        self.solver_failure_t: float | None = None
+        self._records: Iterator[TrajectoryRecord] = iter(())
+
+    def __iter__(self) -> Iterator[TrajectoryRecord]:
+        return self._records
+
+
 class Runs:
     """The runs of one fleet on one grid through one fault, one per clearing
     time, each branching from one uncleared fault-on run.
 
     fleet, grid and scenario are as given; scenario's t_clear is not used,
-    as run sets the clearing time. opts holds the tolerance resolved
-    against the pre-fault source, as in the config loader, for the
+    as stream and run set the clearing time. opts holds the tolerance
+    resolved against the pre-fault source, as in the config loader, for the
     equilibrium and every step. units is the fleet's table of constants,
     prefault and fault the grid phases before and during the fault, and
     equilibrium the locked pre-fault state, whose injection angles are the
@@ -498,15 +534,15 @@ class Runs:
     angle as they are. So records 0 to k_fault - 1 are one object, the
     equilibrium record, and no step, voltage solve or q projection is made
     before the fault.
-    run steps the fault-on run once, on demand, from the equilibrium at
+    A run steps the fault-on run once, on demand, from the equilibrium at
     step k_fault - 1 (step 0 if the fault is at step 0) up to the step
-    before the requested clearing step, keeping its states (no run clears
-    earlier), and continues from the state there. The fault-on run stops
-    at its first trip or solver failure: a later clearing continues from
-    its last state, which holds that trip, so a run that stops at its first
-    trip makes no step (after a failure it repeats only the failed step).
-    An uncleared run extends nothing: it continues from the furthest state
-    kept and keeps none of its own.
+    before its clearing step, keeping the state after each of those steps
+    (no run clears earlier), and continues from the state there. The
+    fault-on run stops at its first trip or solver failure: a later
+    clearing continues from its last state, which holds that trip, so a
+    run that stops at its first trip makes no step (after a failure it
+    repeats only the failed step). An uncleared run extends nothing: it
+    continues from the furthest state kept and keeps none of its own.
 
     A Runs object grows as it is used and is not shared across threads.
     """
@@ -536,74 +572,84 @@ class Runs:
         self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
         self._k_fault = scenario.k_fault
         self._k_end = scenario.k_end
-        # The fault-on run: its records from step 0 on and the state after
-        # each step from _first_kept on, beginning with the equilibrium there.
+        # The fault-on run's state after each step from _first_kept on,
+        # beginning with the equilibrium there; its records before are the
+        # equilibrium's.
         self._first_kept = first = max(self._k_fault - 1, 0)
         eq = self.equilibrium
-        self._records = [eq.record] * (first + 1)
         self._states = [SimState(eq.record, first, eq.theta, eq.integral, eq.limited_since)]
 
-    def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
-        """The run that clears the fault at t_clear (None: never), stepped to
-        the scenario's end or, with stop_at_first_trip, to the first record
-        in which any unit is tripped.
+    def stream(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> RunStream:
+        """The run that clears the fault at t_clear (None: never), as a
+        stream of its records, stepped as they are read: records 0 to
+        k_fault - 1 are the shared equilibrium record, then come the shared
+        fault-on records up to the step before clearing, then the record of
+        each step to the scenario's end or, with stop_at_first_trip, to the
+        first record in which any unit is tripped.
 
         A solver failure ends the run as instability onset: the failed
-        step's record marks every unit tripped and injecting nothing, and
-        its index times dt is the trajectory's solver_failure_t.
+        step's record, the stream's last, marks every unit tripped and
+        injecting nothing, and its index times dt is the stream's
+        solver_failure_t.
         """
-        scenario = replace(self.scenario, t_clear=t_clear)
-        k_clear = scenario.k_clear
-        fault_on, states = self._records, self._states
-        # The step to fork at: a clearing step of 0 never applies the fault.
-        k = None if k_clear is None else max(k_clear, 1) - 1
-        if k is not None and k >= len(fault_on):
-            for state in self._advance(None, fault_on, states[-1], True):
-                states.append(state)
-                if len(fault_on) > k:
-                    break
-        last = self._first_kept + len(states) - 1
-        k = last if k is None else min(k, last)
-        records = fault_on[:k + 1]
-        state = states[k - self._first_kept]
-        for state in self._advance(k_clear, records, state, stop_at_first_trip):
-            pass
-        # A failed step appends a record of no state.
-        failure_t = None if records[-1] is state.record else (len(records) - 1) * scenario.dt
-        return Trajectory(tuple(records), scenario, self.fleet, failure_t)
+        run = RunStream(replace(self.scenario, t_clear=t_clear), self.fleet)
+        run._records = self._records(run, stop_at_first_trip)
+        return run
+
+    def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
+        """The stream of t_clear's run (see stream) with every record kept."""
+        run = self.stream(t_clear, stop_at_first_trip=stop_at_first_trip)
+        records = tuple(run)
+        return Trajectory(records, run.scenario, self.fleet, run.solver_failure_t)
+
+    def _records(self, run: RunStream, stop_at_first_trip: bool) -> Iterator[TrajectoryRecord]:
+        k_clear = run.scenario.k_clear
+        states, first = self._states, self._first_kept
+        # The fault-on run is stepped to the step before clearing, unless it
+        # stopped at a trip or a failed step first; the run forks there.
+        if k_clear is not None and k_clear - 1 >= first + len(states):
+            try:
+                for state in self._advance(None, states[-1], True):
+                    states.append(state)
+                    if state.k == k_clear - 1:
+                        break
+            except (NonConvergence, ZeroVoltage):
+                pass  # a run forked after it repeats the failed step
+        k = first + len(states) - 1
+        if k_clear is not None:
+            k = min(k, k_clear - 1)
+        yield from repeat(self.equilibrium.record, first)
+        for state in states[:k - first + 1]:
+            yield state.record
+        try:
+            for state in self._advance(k_clear, state, stop_at_first_trip):
+                yield state.record
+        except (NonConvergence, ZeroVoltage):
+            run.solver_failure_t = (state.k + 1) * run.scenario.dt
+            n = len(self.fleet)
+            yield replace(
+                state.record, i_mag=(0.0,) * n, i_q=(0.0,) * n,
+                v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
+            )
 
     def _advance(
-        self,
-        k_clear: int | None,
-        records: list[TrajectoryRecord],
-        state: SimState,
-        stop_at_first_trip: bool,
+        self, k_clear: int | None, state: SimState, stop_at_first_trip: bool
     ) -> Iterator[SimState]:
-        """Step on from state, the state after step len(records) - 1, to the
-        scenario's last step, appending each step's record to records and
-        yielding the state after it; k_clear is the clearing step.
+        """The state after each step from state on to the scenario's last
+        step; k_clear is the clearing step.
 
-        Stepping ends at a solver failure or, when stop_at_first_trip is
-        set, at the first record in which any unit is tripped; if records
-        already ends with such a record, no step is made. A failed step
-        appends the failure record that run describes and yields nothing.
+        Stepping ends, with no further step, at a state in which any unit is
+        tripped when stop_at_first_trip is set. A failed step raises what
+        step raises (NonConvergence or ZeroVoltage).
         """
         theta_cg_ref = self.equilibrium.record.theta_cg
-        for k in range(len(records), self._k_end + 1):
-            if stop_at_first_trip and True in records[-1].tripped:
+        while state.k < self._k_end:
+            if stop_at_first_trip and True in state.record.tripped:
                 return
+            k = state.k + 1
             on_fault = k >= self._k_fault and (k_clear is None or k < k_clear)
-            phase = self.fault if on_fault else self.prefault
-            try:
-                state = step(state, self.units, phase, self.opts, theta_cg_ref)
-            except (NonConvergence, ZeroVoltage):
-                n = len(self.fleet)
-                records.append(replace(
-                    records[-1], i_mag=(0.0,) * n, i_q=(0.0,) * n,
-                    v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
-                ))
-                return
-            records.append(state.record)
+            state = step(state, self.units, self.fault if on_fault else self.prefault,
+                         self.opts, theta_cg_ref)
             yield state
 
 
@@ -615,9 +661,10 @@ def simulate(
 ) -> Trajectory:
     """Run scenario and record every step index from 0 to its last.
 
-    The one run of a new Runs that clears at scenario.t_clear: the records
-    before the fault are the equilibrium's, and stepping begins at the
-    fault (see Runs). A solver failure mid-run ends the run there, with
-    every remaining unit marked tripped (see Runs.run).
+    The one run of a new Runs that clears at scenario.t_clear, with every
+    record kept: the records before the fault are the equilibrium's, and
+    stepping begins at the fault (see Runs). A solver failure mid-run ends
+    the run there, with every remaining unit marked tripped (see
+    Runs.stream).
     """
     return Runs(fleet, grid, scenario, opts).run(scenario.t_clear)

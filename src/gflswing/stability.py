@@ -10,15 +10,16 @@ monotone in clearing time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     Runs,
     Trajectory,
+    TrajectoryRecord,
     simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
     whole_steps,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "FleetComparison",
     "BracketInvalid",
     "EmptyOrder",
+    "RunFold",
     "classify",
     "sync_loss_order",
     "find_cct",
@@ -139,23 +141,141 @@ class FleetComparison:
     result_uniform: CctResult
 
 
-def _first_trips(traj: Trajectory) -> list[tuple[int, float]]:
-    """(unit index, first trip time) of every unit that tripped, earliest
-    first; ties go to the larger apparent power rating.
+class RunFold:
+    """What a verdict and a loss order read of one run, taken in one pass
+    over its records: each record is read as it arrives and none is kept,
+    so records may be a stream (see dynamics.Runs.stream).
 
-    A trip latches: a step only ever sets a unit's tripped flag, and a
-    solver failure's record trips every unit. So the last record names
-    every unit that tripped, and each one's flag is false up to its first
-    trip and true after it, which a bisection finds; record k is at k * dt.
+    records are the run's, record k being step k, at k * scenario.dt;
+    fleet names and rates its units in order, and scenario.k_clear is the
+    run's clearing step. Per unit the pass keeps the largest angle
+    excursion from record 0, the last record in which the excursion exceeds
+    settle_tol and the first of that final run of such records, and the
+    first record in which the unit is tripped. A settle_tol of math.inf
+    counts no excursion, for a pass that reads trips only.
     """
-    records = traj.records
-    dt = traj.scenario.dt
-    trip_time = [
-        (p, bisect_left(records, True, key=lambda rec: rec.tripped[p]) * dt)
-        for p, tripped in enumerate(records[-1].tripped)
-        if tripped
-    ]
-    return sorted(trip_time, key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+
+    __slots__ = (
+        "fleet", "scenario", "k_last", "max_excursion",
+        "last_violation", "streak_start", "first_trip",
+    )
+
+    def __init__(
+        self,
+        records: Iterable[TrajectoryRecord],
+        fleet: Sequence[InverterConfig],
+        scenario: FaultScenario,
+        settle_tol: float,
+    ) -> None:
+        if not settle_tol > 0.0:
+            raise ValueError(f"settle_tol must be positive, got {settle_tol}")
+        self.fleet = fleet
+        self.scenario = scenario
+        records = iter(records)
+        first = next(records, None)
+        if first is None:
+            raise ValueError("no records: a run has at least one, and a stream is read once")
+        theta0 = first.theta_cg
+        n = len(theta0)
+        max_exc = 0.0
+        last_violation: list[int | None] = [None] * n
+        streak_start: list[int | None] = [None] * n
+        first_trip: list[int | None] = [None] * n
+        untripped = n
+        for k, rec in enumerate(chain((first,), records)):
+            theta = rec.theta_cg
+            for p in range(n):
+                dev = abs(theta[p] - theta0[p])
+                if dev > max_exc:
+                    max_exc = dev
+                if dev > settle_tol:
+                    if last_violation[p] != k - 1:
+                        streak_start[p] = k
+                    last_violation[p] = k
+            if untripped and True in rec.tripped:
+                for p, tripped in enumerate(rec.tripped):
+                    if tripped and first_trip[p] is None:
+                        first_trip[p] = k
+                        untripped -= 1
+        self.k_last = k
+        self.max_excursion = max_exc
+        self.last_violation = last_violation
+        self.streak_start = streak_start
+        self.first_trip = first_trip
+
+    def loss_order(self) -> list[tuple[str, float]]:
+        """(name, first trip time) of every unit that tripped, earliest
+        first; ties go to the larger apparent power rating."""
+        fleet, dt = self.fleet, self.scenario.dt
+        order = sorted(
+            ((k, -fleet[p].s_rated, p) for p, k in enumerate(self.first_trip) if k is not None)
+        )
+        return [(fleet[p].name, k * dt) for k, _, p in order]
+
+    def verdict(self, settle_window: float) -> StabilityVerdict:
+        """Stable iff nothing tripped and no angle left settle_tol of its
+        pre-fault value in the run's final settle_window.
+
+        settle_window is a whole number of steps (see dynamics.whole_steps),
+        and a run of violations is a run of consecutive records. A run with
+        a clearing time must extend a settle window past the clearing step
+        unless a trip already decided the verdict.
+        """
+        if not settle_window > 0.0:
+            raise ValueError(f"settle_window must be positive, got {settle_window}")
+        trips = self.loss_order()
+        if trips:
+            name, t_first = trips[0]
+            return StabilityVerdict(
+                stable=False,
+                first_unstable=name,
+                t_unstable=t_first,
+                t_settled=None,
+                max_angle_excursion=self.max_excursion,
+            )
+
+        dt = self.scenario.dt
+        k_last = self.k_last
+        window = whole_steps(settle_window, dt)
+        k_clear = self.scenario.k_clear
+        if k_clear is not None and k_last < k_clear + window:
+            raise ValueError(
+                f"trajectory ends at {k_last * dt:.6g} s, before t_clear + settle_window "
+                f"= {(k_clear + window) * dt:.6g} s; cannot classify"
+            )
+        if k_last < window:
+            raise ValueError("trajectory shorter than the settle window")
+
+        window_start = k_last - window
+        unsettled = [
+            p
+            for p, lv in enumerate(self.last_violation)
+            if lv is not None and lv >= window_start
+        ]
+        if unsettled:
+            first = min(
+                unsettled,
+                key=lambda p: (self.streak_start[p], -self.fleet[p].s_rated),
+            )
+            return StabilityVerdict(
+                stable=False,
+                first_unstable=self.fleet[first].name,
+                t_unstable=self.streak_start[first] * dt,
+                t_settled=None,
+                max_angle_excursion=self.max_excursion,
+            )
+
+        settled_at = max(
+            ((lv + 1) * dt for lv in self.last_violation if lv is not None),
+            default=0.0,
+        )
+        return StabilityVerdict(
+            stable=True,
+            first_unstable=None,
+            t_unstable=None,
+            t_settled=settled_at,
+            max_angle_excursion=self.max_excursion,
+        )
 
 
 def classify(
@@ -164,91 +284,8 @@ def classify(
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
 ) -> StabilityVerdict:
     """Stable iff nothing tripped and all angles hold near pre-fault values
-    for the final settle_window of the run.
-
-    Works on record indices, record k being step k: settle_window is a
-    whole number of steps (see dynamics.whole_steps), and a run of
-    violations is a run of consecutive records. Trajectories with a clearing
-    time must extend a settle window past the clearing step unless a trip
-    already decided the verdict.
-    """
-    if not (settle_tol > 0.0 and settle_window > 0.0):
-        raise ValueError("settle_tol and settle_window must be positive")
-    records = traj.records
-    theta0 = records[0].theta_cg
-    n = len(theta0)
-    names = [cfg.name for cfg in traj.fleet]
-    s_rated = [cfg.s_rated for cfg in traj.fleet]
-
-    dt = traj.scenario.dt
-    max_exc = 0.0
-    # Last record in which each inverter violated the tolerance, if any, and
-    # the first of its final run of violations.
-    last_violation: list[int | None] = [None] * n
-    first_of_final_streak: list[int | None] = [None] * n
-    for k, rec in enumerate(records):
-        for p in range(n):
-            dev = abs(rec.theta_cg[p] - theta0[p])
-            if dev > max_exc:
-                max_exc = dev
-            if dev > settle_tol:
-                if last_violation[p] != k - 1:
-                    first_of_final_streak[p] = k
-                last_violation[p] = k
-
-    # Trip events decide the verdict outright.
-    trips = _first_trips(traj)
-    if trips:
-        first, t_first = trips[0]
-        return StabilityVerdict(
-            stable=False,
-            first_unstable=names[first],
-            t_unstable=t_first,
-            t_settled=None,
-            max_angle_excursion=max_exc,
-        )
-
-    k_last = len(records) - 1
-    window = whole_steps(settle_window, dt)
-    k_clear = traj.scenario.k_clear
-    if k_clear is not None and k_last < k_clear + window:
-        raise ValueError(
-            f"trajectory ends at {k_last * dt:.6g} s, before t_clear + settle_window "
-            f"= {(k_clear + window) * dt:.6g} s; cannot classify"
-        )
-    if k_last < window:
-        raise ValueError("trajectory shorter than the settle window")
-
-    window_start = k_last - window
-    unsettled = [
-        p
-        for p in range(n)
-        if last_violation[p] is not None and last_violation[p] >= window_start
-    ]
-    if unsettled:
-        first = min(
-            unsettled,
-            key=lambda p: (first_of_final_streak[p], -s_rated[p]),
-        )
-        return StabilityVerdict(
-            stable=False,
-            first_unstable=names[first],
-            t_unstable=first_of_final_streak[first] * dt,
-            t_settled=None,
-            max_angle_excursion=max_exc,
-        )
-
-    settled_at = max(
-        ((lv + 1) * dt for lv in last_violation if lv is not None),
-        default=0.0,
-    )
-    return StabilityVerdict(
-        stable=True,
-        first_unstable=None,
-        t_unstable=None,
-        t_settled=settled_at,
-        max_angle_excursion=max_exc,
-    )
+    for the final settle_window of the run: RunFold's verdict of traj."""
+    return RunFold(traj.records, traj.fleet, traj.scenario, settle_tol).verdict(settle_window)
 
 
 def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
@@ -257,10 +294,10 @@ def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
     Ties are broken by the larger apparent power rating first. Raises
     EmptyOrder for a trajectory without any trip event.
     """
-    trips = _first_trips(traj)
-    if not trips:
+    order = RunFold(traj.records, traj.fleet, traj.scenario, math.inf).loss_order()
+    if not order:
         raise EmptyOrder("no inverter lost synchronism in this trajectory")
-    return [(traj.fleet[p].name, t) for p, t in trips]
+    return order
 
 
 def find_cct(
@@ -272,18 +309,20 @@ def find_cct(
     """Bisect the clearing interval of runs, in whole steps, until the
     stable/unstable bracket is no wider than cct.resolution.
 
-    Every run of the search is one of runs' (see dynamics.Runs), so the
-    caller can replay any clearing time from runs afterwards. cct.steps
-    gives the bracket's steps k_min and k_max (or raises ValueError).
-    Requires a stable verdict at k_min and an unstable one at k_max
-    (BracketInvalid otherwise). The midpoint of a bracket [lo, hi] is
-    (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2. Each
-    clearing interval is decided once, and the deterministic simulator
+    Every run of the search is one of runs' streams (see dynamics.Runs),
+    folded as it is stepped (see RunFold), so the search holds no
+    trajectory and the caller can replay any clearing time from runs
+    afterwards. cct.steps gives the bracket's steps k_min and k_max (or
+    raises ValueError). Requires a stable verdict at k_min and an unstable
+    one at k_max (BracketInvalid otherwise). The midpoint of a bracket
+    [lo, hi] is (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2.
+    Each clearing interval is decided once, and the deterministic simulator
     needs no confirmation runs.
 
     A trip decides a verdict, so each verdict run stops at its first trip.
     The loss order needs the whole cascade: bracket_hi's run is stepped to
-    t_end for it. cct.audit_samples clearing intervals
+    t_end for it, and if nothing trips there it is the unit that did not
+    settle, from the same pass. cct.audit_samples clearing intervals
     k_min + round((k_max - k_min) j / (audit_samples - 1)) audit the
     monotonicity assumption; a non-monotone verdict sequence is reported
     through the result, not raised.
@@ -294,10 +333,13 @@ def find_cct(
     # Clearing interval in steps -> stable; in insertion order, the log.
     verdicts: dict[int, bool] = {}
 
+    def fold(k: int, stop_at_first_trip: bool) -> RunFold:
+        run = runs.stream(t_fault + k * dt, stop_at_first_trip=stop_at_first_trip)
+        return RunFold(run, runs.fleet, run.scenario, settle_tol)
+
     def stable(k: int) -> bool:
         if k not in verdicts:
-            traj = runs.run(t_fault + k * dt, stop_at_first_trip=True)
-            verdicts[k] = classify(traj, settle_tol, settle_window).stable
+            verdicts[k] = fold(k, True).verdict(settle_window).stable
         return verdicts[k]
 
     lo_stable, hi_stable = stable(k_min), stable(k_max)
@@ -312,11 +354,10 @@ def find_cct(
         else:
             hi = mid
 
-    cascade = runs.run(t_fault + hi * dt)
-    try:
-        loss = tuple(name for name, _ in sync_loss_order(cascade))
-    except EmptyOrder:
-        loss = (classify(cascade, settle_tol, settle_window).first_unstable,)
+    cascade = fold(hi, False)
+    loss = tuple(name for name, _ in cascade.loss_order())
+    if not loss:
+        loss = (cascade.verdict(settle_window).first_unstable,)
 
     samples = max(2, cct.audit_samples)
     audit = [

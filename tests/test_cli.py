@@ -21,6 +21,7 @@ from gflswing.cli import (
     main,
 )
 from gflswing.dynamics import simulate
+from gflswing.stability import classify
 
 SMALL_CONFIG = """\
 grid:
@@ -379,6 +380,11 @@ def test_compare_replays_from_its_searches_runs(table_config, tmp_path, monkeypa
     assert calls == {"find_equilibrium": 2, "step": 32_092}
 
 
+def _write_trajectory_csv(path, traj):
+    for _ in cli._trajectory_csv(path, traj.fleet, traj.scenario.dt, traj.records):
+        pass
+
+
 def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
     # Holding the rows, their join and its encoding costs about 3x the file.
     traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
@@ -386,7 +392,7 @@ def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
     path = tmp_path / "trajectory.csv"
     tracemalloc.start()
     try:
-        cli._write_trajectory_csv(path, traj)
+        _write_trajectory_csv(path, traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,6 +402,61 @@ def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
 
 
 _UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
+
+
+def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
+    uncleared_config, tmp_path
+):
+    # table1_uncleared at depth 1.0: every unit has tripped by 4.5 ms and
+    # the source-less node fails to solve at step 451. The streamed command
+    # writes what simulate() and classify() of the whole run give.
+    cfg = replace(uncleared_config,
+                  scenario=replace(uncleared_config.scenario, fault_depth=1.0))
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert cmd_simulate(cfg, out) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["solver_failure_t_s"] == 4.51e-3
+    assert summary["verdict"]["stable"] is False
+
+    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    verdict = classify(traj, cfg.settle_tol, cfg.settle_window)
+    ref.mkdir()
+    _write_trajectory_csv(ref / "trajectory.csv", traj)
+    cli._write_json(ref / "summary.json", {
+        **summary,
+        "verdict": cli._verdict_dict(verdict),
+        "solver_failure_t_s": traj.solver_failure_t,
+    })
+    for name in ("trajectory.csv", "summary.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def _traced_peak(command, config, out):
+    tracemalloc.start()
+    try:
+        assert command(config, out) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", [cmd_simulate, cmd_cct], ids=["simulate", "cct"])
+def test_command_memory_does_not_grow_with_the_run_length(table_config, command, tmp_path):
+    # Commands stream each run, so a run ten times longer holds no more:
+    # the peak at t_end 220 ms is 1.00x that at 22 ms for both commands,
+    # where keeping every record gave 15.5x (simulate) and 18.2x (cct). At
+    # dt 100 us, as tracemalloc slows each step about tenfold; the first
+    # run warms what every command allocates once.
+    dt = 1e-4
+    cfg = replace(table_config, cct=replace(table_config.cct, resolution=dt))
+
+    def at(t_end):
+        return replace(cfg, scenario=replace(cfg.scenario, dt=dt, t_end=t_end))
+
+    _traced_peak(command, at(22e-3), tmp_path / "warm")
+    short = _traced_peak(command, at(22e-3), tmp_path / "short")
+    long = _traced_peak(command, at(220e-3), tmp_path / "long")
+    assert long <= 1.1 * short, f"{long} B at 220 ms, {short} B at 22 ms"
 
 
 def test_trajectory_csv_of_shared_tuples_equals_that_of_copied_ones(table_config, tmp_path):
@@ -414,8 +475,8 @@ def test_trajectory_csv_of_shared_tuples_equals_that_of_copied_ones(table_config
         for r in records
     ))
     assert copied.records[99].theta_cg is not copied.records[100].theta_cg
-    cli._write_trajectory_csv(tmp_path / "shared.csv", shared)
-    cli._write_trajectory_csv(tmp_path / "copied.csv", copied)
+    _write_trajectory_csv(tmp_path / "shared.csv", shared)
+    _write_trajectory_csv(tmp_path / "copied.csv", copied)
     text = (tmp_path / "shared.csv").read_bytes()
     assert text == (tmp_path / "copied.csv").read_bytes()
     rows = text.decode().splitlines()
@@ -614,10 +675,16 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
     ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
+    ("t_clear_s: null", "t_clear_s: 1.008e-3",
+     "scenario.t_clear_s: t_clear must lie more than half a step (dt = 2e-05 s) after "
+     "t_fault, got t_clear - t_fault = 8e-06 s: the fault would last no step"),
+    ("t_end_s: 8.0e-3", "t_end_s: 1.0e-3",
+     "scenario.t_fault_s: t_fault must satisfy 0 <= t_fault < t_end, got 0.001"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
         "cct_bracket", "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
-        "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum"])
+        "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum",
+        "fault_of_no_step", "fault_after_end"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
@@ -712,6 +779,22 @@ def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path
         verdict = classify(simulate(cfg.fleet, cfg.grid, scen, cfg.solver),
                            cfg.settle_tol, cfg.settle_window)
         assert (row["stable"] == "true") == verdict.stable
+
+
+def test_clearing_time_sweep_reports_a_fault_of_no_step_as_an_error_row(
+    small_config_path, tmp_path
+):
+    # 0.4 dt rounds to no step under the fault; 0.6 dt to one.
+    cfg = load_config(small_config_path)
+    dt = cfg.scenario.dt
+    axes = {"clear_interval_s": (0.4 * dt, 0.6 * dt)}
+    assert cmd_sweep(replace(cfg, sweep_axes=axes), tmp_path) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert rows[0]["status"] == "error"
+    assert rows[0]["error"].startswith("ValueError: t_clear must lie more than half a step")
+    assert rows[1]["status"] == "ok" and rows[1]["stable"] == "true"
 
 
 def test_depth_sweep_records_bracket_failures_and_continues(small_config_path, tmp_path):

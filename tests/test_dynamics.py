@@ -66,6 +66,25 @@ def test_fault_scenario_validation():
         FaultScenario(1e-3, None, 1.5, 1e-2, 1e-5)
 
 
+def test_a_fault_of_half_a_step_or_less_is_rejected(table_config):
+    # t_clear - t_fault rounds to 0 steps: the fault would last no step, and
+    # the run would read as one that never saw it (0.4 dt gave a largest
+    # excursion of 7.8e-15 rad). 0.6 dt rounds to one step under the fault.
+    cfg = table_config
+    scen = cfg.scenario
+    for short in (0.4, 0.5):
+        with pytest.raises(ValueError, match="more than half a step"):
+            replace(scen, t_clear=scen.t_fault + short * scen.dt)
+    once = replace(scen, t_clear=scen.t_fault + 0.6 * scen.dt)
+    assert once.k_clear == once.k_fault + 1
+    traj = simulate(cfg.fleet, cfg.grid, once, cfg.solver)
+    k = once.k_fault
+    eq = traj.records[0]
+    assert traj.records[k].v_pcc_mag < 0.8 * eq.v_pcc_mag
+    assert traj.records[k + 1].v_pcc_mag > 0.9 * eq.v_pcc_mag
+    assert classify(traj).max_angle_excursion > 1e-6
+
+
 def _assert_fixed_point(fleet, grid):
     run = _runs(fleet, grid)
     state = run.equilibrium

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gflswing import dynamics, stability
+from gflswing import dynamics
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -24,6 +24,7 @@ from gflswing.stability import (
     BracketInvalid,
     CctSettings,
     EmptyOrder,
+    RunFold,
     classify,
     compare_uniform,
     find_cct,
@@ -116,7 +117,7 @@ def test_non_settling_angle_reads_unstable_without_trip():
 def test_classify_rejects_short_trajectory():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 3
-    traj = _synthetic(fleet, rows, t_clear=1.5e-3)
+    traj = _synthetic(fleet, rows, t_clear=2e-3)
     with pytest.raises(ValueError):
         classify(traj, settle_tol=0.02, settle_window=5e-3)
 
@@ -171,7 +172,8 @@ def _first_trips_by_scan(traj):
         for p, tripped in enumerate(rec.tripped):
             if tripped and p not in trip_time:
                 trip_time[p] = k * traj.scenario.dt
-    return sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+    order = sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
+    return [(traj.fleet[p].name, t) for p, t in order]
 
 
 @pytest.mark.parametrize("depth, cleared_after, trips", [
@@ -181,7 +183,7 @@ def _first_trips_by_scan(traj):
     (1.0, None, 5),  # ends in a solver failure at 4.51 ms
     (None, 1e-3, 0),  # table1's clearing: nothing trips
 ])
-def test_first_trips_from_the_trip_latch_equal_the_full_scan(
+def test_loss_order_of_the_fold_equals_the_full_scan(
     uncleared_config, depth, cleared_after, trips
 ):
     cfg = uncleared_config
@@ -192,9 +194,19 @@ def test_first_trips_from_the_trip_latch_equal_the_full_scan(
         t_clear=None if cleared_after is None else scen.t_fault + cleared_after,
     )
     traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    found = stability._first_trips(traj)
+    found = RunFold(traj.records, traj.fleet, traj.scenario, cfg.settle_tol).loss_order()
     assert len(found) == trips
     assert found == _first_trips_by_scan(traj)
+
+
+def test_a_stream_is_folded_once(table_config):
+    cfg = table_config
+    run = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).stream(cfg.scenario.t_clear)
+    verdict = RunFold(run, run.fleet, run.scenario, cfg.settle_tol).verdict(cfg.settle_window)
+    assert verdict == classify(simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver),
+                               cfg.settle_tol, cfg.settle_window)
+    with pytest.raises(ValueError, match="a stream is read once"):
+        RunFold(run, run.fleet, run.scenario, cfg.settle_tol)
 
 
 def test_find_cct_brackets_the_trip_boundary():
@@ -211,24 +223,16 @@ def test_find_cct_brackets_the_trip_boundary():
 
 
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs):
-    """find_cct on a new Runs of fleet, grid, scenario and opts, with its
-    decisions and its loss-order run recorded: (result, calls), where
-    calls.decided holds every trajectory it classifies, in order,
-    calls.ordered every trajectory it takes the loss order from, and
-    calls.steps counts dynamics.step calls, calls.solves the voltage solves
-    (the equilibrium's among them) and calls.iterations the iterations they
-    took."""
+    """find_cct on a new Runs of fleet, grid, scenario and opts, with the
+    runs it streams recorded: (result, calls), where calls.decided holds,
+    in order, the trajectory of every run it streams to decide a verdict
+    (stopped at its first trip), calls.ordered that of every run it streams
+    to its end for the loss order, and calls.steps counts dynamics.step
+    calls, calls.solves the voltage solves (the equilibrium's among them)
+    and calls.iterations the iterations they took."""
     calls = SimpleNamespace(decided=[], ordered=[], steps=0, solves=0, iterations=0)
     step = dynamics.step
     solve_vpcc = dynamics.solve_vpcc
-
-    def classifying(traj, *a, **kw):
-        calls.decided.append(traj)
-        return classify(traj, *a, **kw)
-
-    def ordering(traj):
-        calls.ordered.append(traj)
-        return sync_loss_order(traj)
 
     def stepping(*a, **kw):
         calls.steps += 1
@@ -240,13 +244,37 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
         calls.iterations += sol.iterations
         return sol
 
-    monkeypatch.setattr(stability, "classify", classifying)
-    monkeypatch.setattr(stability, "sync_loss_order", ordering)
     monkeypatch.setattr(dynamics, "step", stepping)
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
     # Built after the patches, so that the equilibrium's solves count.
     runs = Runs(fleet, grid, scenario, opts)
-    return find_cct(runs, *args, **kwargs), calls
+    streamed = []
+    stream = runs.stream
+
+    def recording(t_clear, *, stop_at_first_trip=False):
+        recorded = _Recorded(stream(t_clear, stop_at_first_trip=stop_at_first_trip))
+        streamed.append((stop_at_first_trip, recorded))
+        return recorded
+
+    monkeypatch.setattr(runs, "stream", recording)
+    result = find_cct(runs, *args, **kwargs)
+    for decided, recorded in streamed:
+        run = recorded.run
+        traj = Trajectory(tuple(recorded.kept), run.scenario, runs.fleet, run.solver_failure_t)
+        (calls.decided if decided else calls.ordered).append(traj)
+    return result, calls
+
+
+class _Recorded:
+    """A run stream that keeps each record it yields."""
+
+    def __init__(self, run):
+        self.run, self.scenario, self.kept = run, run.scenario, []
+
+    def __iter__(self):
+        for rec in self.run:
+            self.kept.append(rec)
+            yield rec
 
 
 def _clearing_steps(trajectories):
@@ -342,6 +370,27 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     assert res.loss_order == tuple(name for name, _ in order)
     at_max = replace(scenario, t_clear=scenario.t_fault + cfg.cct.t_max)
     assert len(sync_loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
+
+
+def test_find_cct_loss_order_without_a_trip_names_the_unit_that_did_not_settle(
+    table_config,
+):
+    # With ceilings no unit reaches and a 10 s holdoff nothing trips; under
+    # a 0.01 rad settle tolerance clearing after 1 ms leaves the fleet
+    # swinging through table1's 13 ms settle window. bracket_hi's run is
+    # unstable only because it does not settle, so its loss order is the
+    # unit its verdict names.
+    cfg = table_config
+    fleet = tuple(replace(c, i_max=1000.0, trip_holdoff=10.0) for c in cfg.fleet)
+    res = find_cct(Runs(fleet, cfg.grid, cfg.scenario, cfg.solver), cfg.cct,
+                   settle_tol=0.01, settle_window=cfg.settle_window)
+    at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
+    full = simulate(fleet, cfg.grid, at_hi, cfg.solver)
+    with pytest.raises(EmptyOrder):
+        sync_loss_order(full)
+    verdict = classify(full, 0.01, cfg.settle_window)
+    assert not verdict.stable
+    assert res.loss_order == (verdict.first_unstable,) == ("Inv 4",)
 
 
 def test_find_cct_rejects_a_resolution_below_dt():
