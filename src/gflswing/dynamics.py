@@ -496,10 +496,11 @@ class RunStream:
     """One run of a Runs as a stream of its records (see Runs.stream).
 
     Iterating it steps the run and yields records 0 to the last in order,
-    once; the stream keeps none of them. scenario is the Runs' scenario
-    with the run's clearing time, and fleet the Runs' fleet.
-    solver_failure_t is None until the stream is exhausted; then it is the
-    time of the run's failure record, if a step failed (see Runs.stream).
+    once; the stream keeps none of them, and makes no step past the record
+    its reader stopped at. scenario is the Runs' scenario with the run's
+    clearing time, and fleet the Runs' fleet. solver_failure_t is None
+    until the stream is exhausted; then it is the time of the run's failure
+    record, if a step failed (see Runs.stream).
     """
 
     __slots__ = ("scenario", "fleet", "solver_failure_t", "_records")
@@ -534,15 +535,15 @@ class Runs:
     angle as they are. So records 0 to k_fault - 1 are one object, the
     equilibrium record, and no step, voltage solve or q projection is made
     before the fault.
-    A run steps the fault-on run once, on demand, from the equilibrium at
-    step k_fault - 1 (step 0 if the fault is at step 0) up to the step
-    before its clearing step, keeping the state after each of those steps
-    (no run clears earlier), and continues from the state there. The
-    fault-on run stops at its first trip or solver failure: a later
-    clearing continues from its last state, which holds that trip, so a
-    run that stops at its first trip makes no step (after a failure it
-    repeats only the failed step). An uncleared run extends nothing: it
-    continues from the furthest state kept and keeps none of its own.
+    The fault-on run is kept as its states from step k_fault - 1 (step 0
+    if the fault is at step 0), beginning with the equilibrium there, and
+    grows only as runs are read. A cleared run reads its kept states up to
+    the step before its clearing step, stepping and keeping each one that
+    is not kept yet, and steps its own states from there, keeping none. So
+    each fault-on step is made once, and only when a run reads past it: a
+    reader that stops at a record makes no later step. An uncleared run
+    reads the kept states and steps on from the last, keeping none of its
+    own. A failed step is not kept, so a later run repeats it.
 
     A Runs object grows as it is used and is not shared across threads.
     """
@@ -570,22 +571,20 @@ class Runs:
         self.prefault = GridPhase(units, grid.prefault, zeq_pre)
         self.fault = GridPhase(units, fault_ten, zeq_fault)
         self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
-        self._k_fault = scenario.k_fault
-        self._k_end = scenario.k_end
         # The fault-on run's state after each step from _first_kept on,
         # beginning with the equilibrium there; its records before are the
         # equilibrium's.
-        self._first_kept = first = max(self._k_fault - 1, 0)
+        self._first_kept = first = max(scenario.k_fault - 1, 0)
         eq = self.equilibrium
         self._states = [SimState(eq.record, first, eq.theta, eq.integral, eq.limited_since)]
 
-    def stream(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> RunStream:
+    def stream(self, t_clear: float | None) -> RunStream:
         """The run that clears the fault at t_clear (None: never), as a
         stream of its records, stepped as they are read: records 0 to
         k_fault - 1 are the shared equilibrium record, then come the shared
         fault-on records up to the step before clearing, then the record of
-        each step to the scenario's end or, with stop_at_first_trip, to the
-        first record in which any unit is tripped.
+        each step to the scenario's end. A reader may stop at any record;
+        nothing past it is stepped.
 
         A solver failure ends the run as instability onset: the failed
         step's record, the stream's last, marks every unit tripped and
@@ -593,36 +592,34 @@ class Runs:
         solver_failure_t.
         """
         run = RunStream(replace(self.scenario, t_clear=t_clear), self.fleet)
-        run._records = self._records(run, stop_at_first_trip)
+        run._records = self._records(run)
         return run
 
-    def run(self, t_clear: float | None, *, stop_at_first_trip: bool = False) -> Trajectory:
+    def run(self, t_clear: float | None) -> Trajectory:
         """The stream of t_clear's run (see stream) with every record kept."""
-        run = self.stream(t_clear, stop_at_first_trip=stop_at_first_trip)
+        run = self.stream(t_clear)
         records = tuple(run)
         return Trajectory(records, run.scenario, self.fleet, run.solver_failure_t)
 
-    def _records(self, run: RunStream, stop_at_first_trip: bool) -> Iterator[TrajectoryRecord]:
+    def _records(self, run: RunStream) -> Iterator[TrajectoryRecord]:
         k_clear = run.scenario.k_clear
+        k_end = self.scenario.k_end
         states, first = self._states, self._first_kept
-        # The fault-on run is stepped to the step before clearing, unless it
-        # stopped at a trip or a failed step first; the run forks there.
-        if k_clear is not None and k_clear - 1 >= first + len(states):
-            try:
-                for state in self._advance(None, states[-1], True):
-                    states.append(state)
-                    if state.k == k_clear - 1:
-                        break
-            except (NonConvergence, ZeroVoltage):
-                pass  # a run forked after it repeats the failed step
-        k = first + len(states) - 1
-        if k_clear is not None:
-            k = min(k, k_clear - 1)
+        theta_cg_ref = self.equilibrium.record.theta_cg
         yield from repeat(self.equilibrium.record, first)
-        for state in states[:k - first + 1]:
-            yield state.record
+        state = states[0]
+        yield state.record
         try:
-            for state in self._advance(k_clear, state, stop_at_first_trip):
+            while state.k < k_end:
+                k = state.k + 1
+                if k_clear is not None and k >= k_clear:
+                    state = step(state, self.units, self.prefault, self.opts, theta_cg_ref)
+                elif k - first < len(states):
+                    state = states[k - first]
+                else:
+                    state = step(state, self.units, self.fault, self.opts, theta_cg_ref)
+                    if k_clear is not None:
+                        states.append(state)
                 yield state.record
         except (NonConvergence, ZeroVoltage):
             run.solver_failure_t = (state.k + 1) * run.scenario.dt
@@ -631,26 +628,6 @@ class Runs:
                 state.record, i_mag=(0.0,) * n, i_q=(0.0,) * n,
                 v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
             )
-
-    def _advance(
-        self, k_clear: int | None, state: SimState, stop_at_first_trip: bool
-    ) -> Iterator[SimState]:
-        """The state after each step from state on to the scenario's last
-        step; k_clear is the clearing step.
-
-        Stepping ends, with no further step, at a state in which any unit is
-        tripped when stop_at_first_trip is set. A failed step raises what
-        step raises (NonConvergence or ZeroVoltage).
-        """
-        theta_cg_ref = self.equilibrium.record.theta_cg
-        while state.k < self._k_end:
-            if stop_at_first_trip and True in state.record.tripped:
-                return
-            k = state.k + 1
-            on_fault = k >= self._k_fault and (k_clear is None or k < k_clear)
-            state = step(state, self.units, self.fault if on_fault else self.prefault,
-                         self.opts, theta_cg_ref)
-            yield state
 
 
 def simulate(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from gflswing.dynamics import (
     FaultScenario,
@@ -80,15 +80,19 @@ class CctSettings:
     resolution: float
     audit_samples: int = DEFAULT_AUDIT_SAMPLES
 
-    def steps(self, scenario: FaultScenario, settle_window: float) -> tuple[int, int]:
-        """The bracket in whole steps of scenario.dt, (k_min, k_max): the
-        one bracket rule, which load_config and find_cct apply.
+    def steps(self, scenario: FaultScenario, settle_window: float) -> tuple[int, int, int]:
+        """The bracket and the width to stop at in whole steps of
+        scenario.dt, (k_min, k_max, k_resolution): the one bracket rule,
+        which load_config and find_cct apply.
 
         No bracket is narrower than one step, so resolution must be at least
-        dt. t_min and t_max, with 0 < t_min < t_max <= t_end, are taken to
-        the nearest steps (see dynamics.whole_steps), which need
-        0 < k_min < k_max, and t_end must cover t_fault + t_max +
-        settle_window. A bracket that breaks the rule is a ValueError.
+        dt. k_resolution is the most whole steps that resolution spans: a
+        resolution that is n dt within rounding gives n, and one between
+        whole steps gives the step below it, never a wider bracket. t_min
+        and t_max, with 0 < t_min < t_max <= t_end, are taken to the nearest
+        steps (see dynamics.whole_steps), which need 0 < k_min < k_max, and
+        t_end must cover t_fault + t_max + settle_window. A bracket that
+        breaks the rule is a ValueError.
         """
         dt = scenario.dt
         if not self.resolution >= dt:
@@ -109,7 +113,7 @@ class CctSettings:
                 f"t_end = {scenario.t_end:.6g} s does not cover "
                 f"t_fault + t_max + settle_window = {k_needed * dt:.6g} s"
             )
-        return k_min, k_max
+        return k_min, k_max, math.floor(self.resolution / dt * (1 + 1e-9))
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,6 +304,15 @@ def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
     return order
 
 
+def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRecord]:
+    """records up to and including the first in which any unit is tripped;
+    records past it are not read, so a stream makes no step past it."""
+    for rec in records:
+        yield rec
+        if True in rec.tripped:
+            return
+
+
 def find_cct(
     runs: Runs,
     cct: CctSettings,
@@ -312,34 +325,36 @@ def find_cct(
     Every run of the search is one of runs' streams (see dynamics.Runs),
     folded as it is stepped (see RunFold), so the search holds no
     trajectory and the caller can replay any clearing time from runs
-    afterwards. cct.steps gives the bracket's steps k_min and k_max (or
-    raises ValueError). Requires a stable verdict at k_min and an unstable
-    one at k_max (BracketInvalid otherwise). The midpoint of a bracket
-    [lo, hi] is (lo + hi + 1) // 2, strictly inside it while hi - lo >= 2.
-    Each clearing interval is decided once, and the deterministic simulator
-    needs no confirmation runs.
+    afterwards. cct.steps gives the bracket's steps k_min and k_max and the
+    width to stop at, in whole steps (or raises ValueError). Requires a
+    stable verdict at k_min and an unstable one at k_max (BracketInvalid
+    otherwise). The midpoint of a bracket [lo, hi] is (lo + hi + 1) // 2,
+    strictly inside it while hi - lo >= 2. Each clearing interval is
+    decided once, and the deterministic simulator needs no confirmation
+    runs.
 
-    A trip decides a verdict, so each verdict run stops at its first trip.
-    The loss order needs the whole cascade: bracket_hi's run is stepped to
-    t_end for it, and if nothing trips there it is the unit that did not
-    settle, from the same pass. cct.audit_samples clearing intervals
+    A trip decides a verdict, so each verdict reads its stream up to its
+    first tripped record, and no step past it is made. The loss order
+    needs the whole cascade: bracket_hi's run is read to t_end for it, and
+    if nothing trips there it is the unit that did not settle, from the
+    same pass. cct.audit_samples clearing intervals
     k_min + round((k_max - k_min) j / (audit_samples - 1)) audit the
     monotonicity assumption; a non-monotone verdict sequence is reported
-    through the result, not raised.
+    through the result, not raised. The audit sees only its samples: an
+    unstable island narrower than their spacing, between two stable
+    samples, leaves monotonic True.
     """
-    k_min, k_max = cct.steps(runs.scenario, settle_window)
+    k_min, k_max, k_resolution = cct.steps(runs.scenario, settle_window)
     dt = runs.scenario.dt
     t_fault = runs.scenario.t_fault
     # Clearing interval in steps -> stable; in insertion order, the log.
     verdicts: dict[int, bool] = {}
 
-    def fold(k: int, stop_at_first_trip: bool) -> RunFold:
-        run = runs.stream(t_fault + k * dt, stop_at_first_trip=stop_at_first_trip)
-        return RunFold(run, runs.fleet, run.scenario, settle_tol)
-
     def stable(k: int) -> bool:
         if k not in verdicts:
-            verdicts[k] = fold(k, True).verdict(settle_window).stable
+            run = runs.stream(t_fault + k * dt)
+            fold = RunFold(_to_first_trip(run), runs.fleet, run.scenario, settle_tol)
+            verdicts[k] = fold.verdict(settle_window).stable
         return verdicts[k]
 
     lo_stable, hi_stable = stable(k_min), stable(k_max)
@@ -347,14 +362,15 @@ def find_cct(
         raise BracketInvalid(lo_stable, hi_stable)
 
     lo, hi = k_min, k_max
-    while (hi - lo) * dt > cct.resolution:
+    while hi - lo > k_resolution:
         mid = (lo + hi + 1) // 2
         if stable(mid):
             lo = mid
         else:
             hi = mid
 
-    cascade = fold(hi, False)
+    run = runs.stream(t_fault + hi * dt)
+    cascade = RunFold(run, runs.fleet, run.scenario, settle_tol)
     loss = tuple(name for name, _ in cascade.loss_order())
     if not loss:
         loss = (cascade.verdict(settle_window).first_unstable,)

@@ -175,6 +175,26 @@ def test_criterion_05_loss_order(table_config):
     assert order_full[0][0] == "Inv 4"
 
 
+@pytest.mark.parametrize("equalized", [True, False], ids=["equalized", "configured"])
+def test_criterion_05_first_four_trips_share_one_step(table_config, equalized):
+    # At depth 0.6 uncleared, Inv 4, 5, 2 and 3 trip at step 450 (4.5 ms) in
+    # criterion 5's equalized fleet and in the configured one alike, so
+    # their order is the loss order's tie-break by rating; Inv 1 trips alone
+    # at step 601 (6.01 ms).
+    cfg = table_config
+    deep = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
+    fleet = cfg.fleet
+    if equalized:
+        fleet = tuple(replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
+                      for c in fleet)
+    order = sync_loss_order(simulate(fleet, cfg.grid, deep, cfg.solver))
+    assert [(name, round(t / deep.dt)) for name, t in order] == [
+        ("Inv 4", 450), ("Inv 5", 450), ("Inv 2", 450), ("Inv 3", 450), ("Inv 1", 601),
+    ]
+    rating = {c.name: c.s_rated for c in fleet}
+    assert [rating[name] for name, _ in order[:4]] == [12000.0, 10000.0, 9000.0, 8000.0]
+
+
 @criterion(6, "limited units plateau at their ceiling with rising reactive current", 5.0)
 def test_criterion_06_current_plateau(table_config):
     cfg = table_config

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import fields, replace
+from itertools import islice
 
 import pytest
 
@@ -24,7 +25,7 @@ from gflswing.network import (
     faulted_grid,
 )
 from gflswing.pcc import solve_vpcc
-from gflswing.stability import classify
+from gflswing.stability import _to_first_trip, classify
 from helpers_oracles import aggregate_cd
 
 
@@ -326,10 +327,15 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
 
 
 def _decision_run(cfg, scenario):
-    """The run of scenario, stopped at its first trip, continued from the
-    uncleared fault-on run."""
+    """The records of scenario's run read to its first trip, as find_cct's
+    decisions read them: continued from the uncleared fault-on run."""
     runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
-    return runs.run(scenario.t_clear, stop_at_first_trip=True)
+    return tuple(_to_first_trip(runs.stream(scenario.t_clear)))
+
+
+def _cut_at_first_trip(records):
+    k_trip = next((k for k, rec in enumerate(records) if True in rec.tripped), len(records) - 1)
+    return records[:k_trip + 1]
 
 
 def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
@@ -337,10 +343,9 @@ def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
     full = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
-    cut = _decision_run(cfg, scen).records
-    k_trip = next(k for k, rec in enumerate(full) if True in rec.tripped)
-    assert k_trip < len(full) - 1
-    assert cut == full[:k_trip + 1]
+    cut = _decision_run(cfg, scen)
+    assert len(cut) < len(full)
+    assert cut == _cut_at_first_trip(full)
 
 
 def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
@@ -348,29 +353,31 @@ def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
     # run's state one step before clearing.
     cfg = table_config
     cut = _decision_run(cfg, cfg.scenario)
-    assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).records
 
 
 def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, monkeypatch):
-    # A run continued from a state that already holds a trip is decided.
+    # A reader that stops at the first trip, step 450, leaves the fault-on
+    # run kept to it, since the run clears at step 500; a second stream of
+    # that clearing time read to the same record makes no step.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
-    cut = runs.run(scen.t_clear, stop_at_first_trip=True)
+    cut = tuple(_to_first_trip(runs.stream(scen.t_clear)))
+    assert len(cut) - 1 == 450 < scen.k_clear
 
     def no_step(*args, **kwargs):
-        raise AssertionError("stepped on from a tripped record")
+        raise AssertionError("stepped past the record a reader stopped at")
 
     monkeypatch.setattr(dynamics, "step", no_step)
-    again = runs.run(scen.t_clear, stop_at_first_trip=True)
-    assert again.solver_failure_t is None
-    assert again.records == cut.records
+    again = runs.stream(scen.t_clear)
+    assert tuple(islice(again, len(cut))) == cut
 
 
 @pytest.mark.parametrize("depth", [0.3, 0.6, 1.0])
 def test_runs_in_any_order_equal_simulate(table_config, depth):
-    # The fault-on run is stepped on demand, so the order of requests must
-    # not matter: t_max's clearing first, then t_min's, then none, then
+    # The fault-on run is stepped as it is read, so the order of requests
+    # must not matter: t_max's clearing first, then t_min's, then none, then
     # table1's own. At each depth the fault-on run trips at step 450,
     # between t_min's clearing step and t_max's; at depth 1.0 the uncleared
     # run then fails to solve at step 451 (see the pinned deep-fault verdicts).
@@ -382,12 +389,8 @@ def test_runs_in_any_order_equal_simulate(table_config, depth):
     ):
         full = simulate(cfg.fleet, cfg.grid, replace(scen, t_clear=t_clear), cfg.solver)
         assert runs.run(t_clear) == full
-        cut = runs.run(t_clear, stop_at_first_trip=True).records
-        k_trip = next(
-            (k for k, rec in enumerate(full.records) if True in rec.tripped),
-            len(full.records) - 1,
-        )
-        assert cut == full.records[:k_trip + 1]
+        cut = tuple(_to_first_trip(runs.stream(t_clear)))
+        assert cut == _cut_at_first_trip(full.records)
 
 
 def _count_steps(monkeypatch):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gflswing import dynamics
+from gflswing import dynamics, stability
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
@@ -225,14 +225,16 @@ def test_find_cct_brackets_the_trip_boundary():
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs):
     """find_cct on a new Runs of fleet, grid, scenario and opts, with the
     runs it streams recorded: (result, calls), where calls.decided holds,
-    in order, the trajectory of every run it streams to decide a verdict
-    (stopped at its first trip), calls.ordered that of every run it streams
-    to its end for the loss order, and calls.steps counts dynamics.step
-    calls, calls.solves the voltage solves (the equilibrium's among them)
-    and calls.iterations the iterations they took."""
+    in order, the trajectory of every run it reads to decide a verdict
+    (through _to_first_trip, so to its first trip), calls.ordered that of
+    every run it reads otherwise, to its end, for the loss order, and
+    calls.steps counts dynamics.step calls, calls.solves the voltage
+    solves (the equilibrium's among them) and calls.iterations the
+    iterations they took."""
     calls = SimpleNamespace(decided=[], ordered=[], steps=0, solves=0, iterations=0)
     step = dynamics.step
     solve_vpcc = dynamics.solve_vpcc
+    to_first_trip = stability._to_first_trip
 
     def stepping(*a, **kw):
         calls.steps += 1
@@ -244,32 +246,38 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
         calls.iterations += sol.iterations
         return sol
 
+    def deciding(records):
+        records.decided = True
+        return to_first_trip(records)
+
     monkeypatch.setattr(dynamics, "step", stepping)
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
+    monkeypatch.setattr(stability, "_to_first_trip", deciding)
     # Built after the patches, so that the equilibrium's solves count.
     runs = Runs(fleet, grid, scenario, opts)
     streamed = []
     stream = runs.stream
 
-    def recording(t_clear, *, stop_at_first_trip=False):
-        recorded = _Recorded(stream(t_clear, stop_at_first_trip=stop_at_first_trip))
-        streamed.append((stop_at_first_trip, recorded))
+    def recording(t_clear):
+        recorded = _Recorded(stream(t_clear))
+        streamed.append(recorded)
         return recorded
 
     monkeypatch.setattr(runs, "stream", recording)
     result = find_cct(runs, *args, **kwargs)
-    for decided, recorded in streamed:
+    for recorded in streamed:
         run = recorded.run
         traj = Trajectory(tuple(recorded.kept), run.scenario, runs.fleet, run.solver_failure_t)
-        (calls.decided if decided else calls.ordered).append(traj)
+        (calls.decided if recorded.decided else calls.ordered).append(traj)
     return result, calls
 
 
 class _Recorded:
-    """A run stream that keeps each record it yields."""
+    """A run stream that keeps each record it yields; decided is set when
+    it is read to decide a verdict."""
 
     def __init__(self, run):
-        self.run, self.scenario, self.kept = run, run.scenario, []
+        self.run, self.scenario, self.kept, self.decided = run, run.scenario, [], False
 
     def __iter__(self):
         for rec in self.run:
@@ -309,13 +317,14 @@ def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
 
 
 def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
-    # The fault-on run steps from the equilibrium at step 299 and stops at
-    # step 450, where Inv 4 trips the 1.5 ms holdoff after the 3 ms fault.
-    # The 4 stable decisions (clearing steps 320, 428, 442 and 449)
-    # continue from its state before their clearing step to step 2,200; the
-    # 6 unstable ones (750, 535, 482, 455, 452 and 642) clear after step 450
-    # and step nothing. The loss-order run continues from step 450 to 2,200:
-    # 151 + 1,881 + 1,773 + 1,759 + 1,752 + 1,750 steps.
+    # The fault-on run is stepped from the equilibrium at step 299 as the
+    # decisions read it, and none reads it past step 450, where Inv 4 trips
+    # the 1.5 ms holdoff after the 3 ms fault. The 4 stable decisions
+    # (clearing steps 320, 428, 442 and 449) continue from its state before
+    # their clearing step to step 2,200; the 6 unstable ones (750, 535, 482,
+    # 455, 452 and 642) clear after step 450 and step nothing. The
+    # loss-order run continues from step 450 to 2,200: 151 + 1,881 + 1,773
+    # + 1,759 + 1,752 + 1,750 steps.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
     for traj in calls.decided:
         assert not any(True in rec.tripped for rec in traj.records[:-1])
@@ -404,6 +413,33 @@ def test_find_cct_rejects_a_resolution_below_dt():
     assert round((res.bracket_hi - res.bracket_lo) / scenario.dt) == 1
     log = dict(res.evaluation_log)
     assert log[res.bracket_lo] is True and log[res.bracket_hi] is False
+
+
+@pytest.mark.parametrize("resolution, k_resolution", [
+    (3e-5, 3), (3.5e-5, 3), (5e-5, 5),
+])
+def test_cct_resolution_is_the_whole_steps_it_spans(table_config, resolution, k_resolution):
+    # 3 * 1e-5 > 3e-5 in floating point, yet 3e-5 spans three steps of
+    # 1e-5; a resolution between whole steps takes the step below it.
+    cfg = table_config
+    settings = replace(cfg.cct, resolution=resolution)
+    assert settings.steps(cfg.scenario, cfg.settle_window)[2] == k_resolution
+
+
+@pytest.mark.parametrize("dt, resolution, lo, hi, decisions", [
+    (1e-5, 3e-5, 149, 152, 10), (1e-4, 3e-4, 13, 16, 7),
+])
+def test_find_cct_stops_at_a_bracket_of_three_whole_steps(
+    table_config, dt, resolution, lo, hi, decisions
+):
+    # A resolution of three steps stops the bisection at a bracket three
+    # steps wide, not after one more decision.
+    cfg = table_config
+    scenario = replace(cfg.scenario, dt=dt)
+    res = find_cct(Runs(cfg.fleet, cfg.grid, scenario, cfg.solver),
+                   replace(cfg.cct, resolution=resolution), cfg.settle_tol, cfg.settle_window)
+    assert (round(res.bracket_lo / dt), round(res.bracket_hi / dt)) == (lo, hi)
+    assert len(res.evaluation_log) == decisions
 
 
 def test_find_cct_rejects_depthless_fault():
