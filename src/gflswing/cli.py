@@ -78,7 +78,20 @@ log = logging.getLogger("gflswing")
 
 DEFAULT_I_MAX_HEADROOM = 1.2
 DEFAULT_FREQUENCY_HZ = 60.0
-SWEEP_AXES = ("fault_depth", "clear_interval_s", "s_scale", "xr_scale")
+# Each sweep axis, in sweep.csv's column order, and how a cell's value
+# changes the cell's (fleet, scenario). clear_interval_s is None: it picks
+# a run of the cell's Runs (see cmd_sweep) and does not change the Runs.
+SWEEP_AXES = {
+    "fault_depth": lambda fleet, scenario, v: (fleet, replace(scenario, fault_depth=v)),
+    "clear_interval_s": None,
+    "s_scale": lambda fleet, scenario, v: (
+        tuple(replace(c, s_rated=c.s_rated * v) for c in fleet), scenario
+    ),
+    "xr_scale": lambda fleet, scenario, v: (
+        tuple(replace(c, z_line=complex(c.z_line.real, c.z_line.imag * v)) for c in fleet),
+        scenario,
+    ),
+}
 THREADS_ENV = "GFLSWING_THREADS"
 
 # libyaml's parser with PyYAML's safe constructor and resolver; the
@@ -682,87 +695,86 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
 # sweep
 
 
-def _apply_cell(config: RunConfig, cell: dict[str, float]):
-    fleet = config.fleet
-    scenario = config.scenario
-    if "s_scale" in cell:
-        fleet = tuple(replace(c, s_rated=c.s_rated * cell["s_scale"]) for c in fleet)
-    if "xr_scale" in cell:
-        fleet = tuple(
-            replace(c, z_line=complex(c.z_line.real, c.z_line.imag * cell["xr_scale"]))
-            for c in fleet
-        )
-    if "fault_depth" in cell:
-        scenario = replace(scenario, fault_depth=cell["fault_depth"])
-    if "clear_interval_s" in cell:
-        scenario = replace(scenario, t_clear=scenario.t_fault + cell["clear_interval_s"])
-    return fleet, scenario
-
-
-def _run_sweep_cell(args: tuple[RunConfig, dict[str, float], int]) -> dict[str, Any]:
-    config, cell, index = args
-    row: dict[str, Any] = {"cell": index}
-    row.update(cell)
-    try:
-        fleet, scenario = _apply_cell(config, cell)
-        if "clear_interval_s" in cell:
-            run = Runs(fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
-            fold = RunFold(run, run.fleet, run.scenario, config.settle_tol)
-            row.update(_verdict_dict(fold.verdict(config.settle_window)))
-        else:
-            settings = _require_cct(config)
-            runs = Runs(fleet, config.grid, scenario, config.solver)
-            result = find_cct(runs, settings, config.settle_tol, config.settle_window)
-            row.update(_cct_dict(result))
-        row["status"] = "ok"
-    except Exception as exc:
-        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-    return row
-
-
-def _sweep_workers(n_cells: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
+def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]]) -> list[dict]:
+    """The rows of (index, cell) pairs that differ only in clear_interval_s,
+    read from one Runs: a verdict of each clearing interval's run, or else a
+    CCT search. A failure is the cell's error row; a Runs that fails to
+    build is built again for the next cell."""
+    config, cells = args
+    rows = []
+    runs = None
+    for index, cell in cells:
+        row: dict[str, Any] = {"cell": index, **cell}
         try:
-            limit = max(1, int(cap))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {cap!r}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, n_cells))
+            if runs is None:
+                fleet, scenario = config.fleet, config.scenario
+                for axis, value in cell.items():
+                    if SWEEP_AXES[axis] is not None:
+                        fleet, scenario = SWEEP_AXES[axis](fleet, scenario, value)
+                settings = config.cct if "clear_interval_s" in cell else _require_cct(config)
+                runs = Runs(fleet, config.grid, scenario, config.solver)
+            if "clear_interval_s" in cell:
+                run = runs.stream(runs.scenario.t_fault + cell["clear_interval_s"])
+                fold = RunFold(run, run.fleet, run.scenario, config.settle_tol)
+                row.update(_verdict_dict(fold.verdict(config.settle_window)))
+            else:
+                result = find_cct(runs, settings, config.settle_tol, config.settle_window)
+                row.update(_cct_dict(result))
+            row["status"] = "ok"
+        except Exception as exc:
+            row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+    return rows
+
+
+def _worker_cap() -> int:
+    cap = os.environ.get(THREADS_ENV)
+    if cap is None:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(cap))
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {cap!r}")
 
 
 def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
     """Cartesian parameter sweep over config.sweep_axes; one row per cell
     in sweep.csv.
 
-    Cells with a clear_interval_s axis run a single simulation and report
-    the verdict; otherwise each cell runs a CCT bisection. Failures are
-    recorded as error strings and the sweep continues.
+    Cells with a clear_interval_s axis report the verdict of one run;
+    otherwise each cell runs a CCT bisection. Cells that differ only in
+    clear_interval_s share one Runs. With fewer such groups than workers,
+    each group's cells are dealt round-robin into tasks that fill the
+    workers, each with its own Runs. Failures are recorded as error
+    strings and the sweep continues.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axes = config.sweep_axes or {}
     axis_names = [name for name in SWEEP_AXES if name in axes]
-    if axis_names:
-        cells = [
-            dict(zip(axis_names, combo))
-            for combo in itertools.product(*(axes[name] for name in axis_names))
-        ]
-    else:
-        cells = [{}]
+    # Cells in product order, grouped by their positions on the Runs' axes.
+    groups: dict[tuple[int, ...], list[tuple[int, dict[str, float]]]] = {}
+    positions = itertools.product(*(range(len(axes[name])) for name in axis_names))
+    for k, position in enumerate(positions):
+        key = tuple(j for name, j in zip(axis_names, position) if SWEEP_AXES[name])
+        cell = {name: axes[name][j] for name, j in zip(axis_names, position)}
+        groups.setdefault(key, []).append((k, cell))
 
-    payloads = [(config, cell, k) for k, cell in enumerate(cells)]
-    workers = _sweep_workers(len(cells))
+    cap = _worker_cap()
+    split = math.ceil(cap / len(groups))
+    tasks = [(config, cells[j::split])
+             for cells in groups.values() for j in range(min(split, len(cells)))]
+    workers = min(cap, len(tasks))
     if workers > 1:
         # Imported here: the pool's modules (multiprocessing, pickle,
         # subprocess, ...) cost every other command's start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_cell, payloads))
+            task_rows = list(pool.map(_run_sweep_cells, tasks))
     else:
-        rows = [_run_sweep_cell(p) for p in payloads]
+        task_rows = [_run_sweep_cells(task) for task in tasks]
+    rows = sorted(itertools.chain.from_iterable(task_rows), key=lambda row: row["cell"])
 
     verdict_mode = "clear_interval_s" in axis_names
     if verdict_mode:
@@ -815,6 +827,11 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
 # entry point
 
 
+# Each command and what it runs; every command but validate writes to --out.
+_COMMANDS = {"simulate": cmd_simulate, "cct": cmd_cct, "compare": cmd_compare,
+             "sweep": cmd_sweep, "validate": cmd_validate}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -826,16 +843,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (
-        ("simulate", True),
-        ("cct", True),
-        ("compare", True),
-        ("sweep", True),
-        ("validate", False),
-    ):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the YAML run configuration")
-        if needs_out:
+        if name != "validate":
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--dt", type=float, default=None, help="override scenario dt_s")
         p.add_argument("--log-level", default="WARNING",
@@ -850,15 +861,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = load_config(args.config, dt_override=args.dt)
         if args.command == "validate":
             return cmd_validate(config)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.out)
-        if args.command == "cct":
-            return cmd_cct(config, args.out)
-        if args.command == "compare":
-            return cmd_compare(config, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](config, args.out)
     except (ConfigError, InitializationFailure, BracketInvalid, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -122,7 +122,8 @@ class FaultScenario:
     exactly k steps wherever t_fault falls. A cleared fault lasts at least
     one step: t_clear - t_fault must be more than half a step, or the
     fault would last none and the run would report a faulted config as
-    one that never saw the fault.
+    one that never saw the fault. A cleared fault starts after step 0,
+    which no step makes, or it would act one step short.
     """
 
     t_fault: float
@@ -151,6 +152,11 @@ class FaultScenario:
                 f"t_clear must lie more than half a step (dt = {self.dt:.6g} s) after "
                 f"t_fault, got t_clear - t_fault = {self.t_clear - self.t_fault:.6g} s: "
                 "the fault would last no step"
+            )
+        if self.t_clear is not None and whole_steps(self.t_fault, self.dt) < 1:
+            raise ValueError(
+                f"t_fault must lie more than half a step (dt = {self.dt:.6g} s) after 0 when "
+                f"the fault is cleared, got {self.t_fault:.6g} s: no step makes record 0"
             )
         if not 0.0 <= self.fault_depth <= 1.0:
             raise ValueError(f"fault_depth must lie in [0, 1], got {self.fault_depth}")

@@ -678,13 +678,16 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("t_clear_s: null", "t_clear_s: 1.008e-3",
      "scenario.t_clear_s: t_clear must lie more than half a step (dt = 2e-05 s) after "
      "t_fault, got t_clear - t_fault = 8e-06 s: the fault would last no step"),
+    ("t_fault_s: 1.0e-3\n  t_clear_s: null", "t_fault_s: 0.0\n  t_clear_s: 1.0e-3",
+     "scenario.t_fault_s: t_fault must lie more than half a step (dt = 2e-05 s) after 0 "
+     "when the fault is cleared, got 0 s: no step makes record 0"),
     ("t_end_s: 8.0e-3", "t_end_s: 1.0e-3",
      "scenario.t_fault_s: t_fault must satisfy 0 <= t_fault < t_end, got 0.001"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
         "cct_bracket", "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
         "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum",
-        "fault_of_no_step", "fault_after_end"])
+        "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")
@@ -825,6 +828,63 @@ def test_parallel_sweep_output_matches_serial(small_config_path, tmp_path, monke
         ).read_bytes()
 
 
+def test_split_group_sweep_output_matches_serial(small_config_path, tmp_path, monkeypatch):
+    # One group of clearing intervals and two workers: the group's cells are
+    # dealt into two tasks, each with its own Runs.
+    cfg = replace(
+        load_config(small_config_path),
+        sweep_axes={"clear_interval_s": (2e-4, 5e-4, 8e-4, 1.1e-3, 1.4e-3)},
+    )
+    monkeypatch.setenv("GFLSWING_THREADS", "1")
+    cmd_sweep(cfg, tmp_path / "serial")
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    cmd_sweep(cfg, tmp_path / "parallel")
+    for name in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "parallel" / name
+        ).read_bytes()
+
+
+def test_sweep_cells_of_one_fleet_and_fault_share_one_runs(table_config, tmp_path, monkeypatch):
+    # Criterion 11's 10 x 10 grid: one Runs per depth, so 10 equilibria, and
+    # each depth's fault-on steps are made once: 17,210 steps a depth. A Runs
+    # per cell made 100 equilibria and 190,100 steps.
+    calls = {"step": 0, "find_equilibrium": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    depths = tuple(0.25 + 0.05 * k for k in range(10))
+    intervals = tuple(4e-4 * (k + 1) for k in range(10))
+    axes = {"fault_depth": depths, "clear_interval_s": intervals}
+    assert cmd_sweep(replace(table_config, sweep_axes=axes), tmp_path) == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 101
+    assert calls == {"step": 172_100, "find_equilibrium": 10}
+
+
+def test_a_group_that_fails_to_build_gives_each_of_its_cells_the_error(table_config, tmp_path):
+    # At s_scale 1.5 no equilibrium exists; the group's Runs is built again
+    # for its second cell and fails the same way.
+    axes = {"s_scale": (1.0, 1.5), "clear_interval_s": (4e-4, 8e-4)}
+    assert cmd_sweep(replace(table_config, sweep_axes=axes), tmp_path) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert [row["s_scale"] for row in rows] == ["1", "1.5", "1", "1.5"]
+    for row in rows:
+        if row["s_scale"] == "1":
+            assert row["status"] == "ok" and row["error"] == ""
+        else:
+            assert row["status"] == "error"
+            assert row["error"].startswith(
+                "InitializationFailure: Inv 4: rated current 66.18 A exceeds "
+            )
+
+
 def test_sweep_worker_cap_env_validation(small_config_path, tmp_path, monkeypatch):
     cfg = load_config(small_config_path)
     monkeypatch.setenv("GFLSWING_THREADS", "zebra")
@@ -842,6 +902,26 @@ def test_main_validate_and_exit_codes(small_config_path, tmp_path):
     ])
     assert code == 0
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, code, outputs", [
+    ("simulate", 2, ["summary.json", "trajectory.csv"]),
+    ("cct", 0, ["cct.json"]),
+    ("compare", 0, ["comparison.json", "trajectory_nonuniform.csv", "trajectory_uniform.csv"]),
+    ("sweep", 0, ["sweep.csv", "sweep.json"]),
+    ("validate", 0, None),
+])
+def test_main_runs_each_command(small_config_path, tmp_path, capsys, command, code, outputs):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(small_config_path)]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    assert main(argv) == code
+    if command == "validate":
+        assert not out.exists()
+        assert capsys.readouterr().out.startswith("config OK: 2 inverters")
+    else:
+        assert sorted(p.name for p in out.iterdir()) == outputs
 
 
 def test_main_dt_override_changes_effective_config(small_config_path):

@@ -86,6 +86,21 @@ def test_a_fault_of_half_a_step_or_less_is_rejected(table_config):
     assert classify(traj).max_angle_excursion > 1e-6
 
 
+def test_a_cleared_fault_at_step_0_is_rejected(table_config):
+    # Record 0 is the equilibrium and no step makes it, so a cleared fault at
+    # step 0 would act one step short: a one-step fault at t_fault = 0 left
+    # the lowest PCC voltage at 259.06 V, against 136.49 V at t_fault = dt.
+    scen = replace(table_config.scenario, fault_depth=0.6, t_clear=None)
+    dt = scen.dt
+    for t_fault in (0.0, 0.5 * dt):
+        with pytest.raises(ValueError, match=r"^t_fault must lie more than half a step"):
+            replace(scen, t_fault=t_fault, t_clear=t_fault + dt)
+        assert replace(scen, t_fault=t_fault).k_fault == 0  # uncleared stays valid
+    once = replace(scen, t_fault=dt, t_clear=2 * dt)
+    traj = simulate(table_config.fleet, table_config.grid, once, table_config.solver)
+    assert min(rec.v_pcc_mag for rec in traj.records) < 0.6 * traj.records[0].v_pcc_mag
+
+
 def _assert_fixed_point(fleet, grid):
     run = _runs(fleet, grid)
     state = run.equilibrium
