@@ -728,8 +728,12 @@ def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]])
 
 
 def _worker_cap() -> int:
+    """THREADS_ENV if set, else the CPUs this process may run on: its
+    affinity set where the platform has one, not the host's CPU count."""
     cap = os.environ.get(THREADS_ENV)
     if cap is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     try:
         return max(1, int(cap))

@@ -18,7 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import repeat
+from operator import add, gt, mul
 from typing import Iterator, Sequence
 
 from gflswing.network import (
@@ -223,8 +225,9 @@ class SimState:
     """The last recorded sample and its step index k, plus what each unit
     carries between steps: its PLL angle (theta, constant at lock), PI
     integral and the step at which its current limiting began (None while
-    unlimited). Read-only and not frozen, like TrajectoryRecord: forked
-    runs share kept states."""
+    unlimited). record.theta_cg is theta plus each unit's pf_angle, or
+    theta itself when the fleet is aligned (see UnitTable). Read-only and
+    not frozen, like TrajectoryRecord: forked runs share kept states."""
 
     record: TrajectoryRecord
     k: int
@@ -257,13 +260,17 @@ class UnitTable:
     trip_holdoff in whole steps of dt (see whole_steps): a unit trips when
     it has been limited for that many steps. series_q is
     Im(z_total e^{j pf_angle}), the q-axis drop per ampere across the
-    unit's series impedance in its own PLL frame.
+    unit's series impedance in its own PLL frame. aligned is True when every
+    pf_angle is 0: each unit injects at its PLL angle, and a state's
+    injection angles are its PLL angles, one tuple.
 
     UnitTable and GridPhase are plain slotted classes, not dataclasses: a
     dataclass takes about 1 ms to define, which every import would pay.
     """
 
-    __slots__ = ("dt", "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q")
+    __slots__ = (
+        "dt", "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned",
+    )
 
     def __init__(self, fleet: Sequence[InverterConfig], dt: float) -> None:
         if not dt > 0.0:
@@ -278,6 +285,7 @@ class UnitTable:
         self.series_q = tuple(
             (cfg.z_total() * cmath.exp(1j * cfg.pf_angle)).imag for cfg in fleet
         )
+        self.aligned = not any(self.pf_angle)
 
     def __len__(self) -> int:
         return len(self.s_rated)
@@ -307,6 +315,8 @@ def _aggregate(
 ) -> tuple[complex, complex]:
     """(C, D) of the fleet at injection phasors e: limited units enter D at
     i_max, other live units C at s_rated, tripped units neither."""
+    if True not in limited and True not in tripped:
+        return reduce(add, map(mul, phase.zs, e), 0j), 0j
     c = d = 0j
     for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
         if trip:
@@ -378,14 +388,15 @@ def find_equilibrium(
 
     v_mag = abs(v)
     v_angle = cmath.phase(v)
-    theta_cg = tuple(theta[p] + units.pf_angle[p] for p in range(n))
+    theta = tuple(theta)
+    theta_cg = theta if units.aligned else tuple(map(add, theta, units.pf_angle))
     i_mag = tuple(s / v_mag for s in units.s_rated)
     record = TrajectoryRecord(
         v_mag, v_angle, theta_cg, i_mag,
         tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
         (0.0,) * n, flags_off, flags_off,
     )
-    return SimState(record, 0, tuple(theta), (0.0,) * n, (None,) * n)
+    return SimState(record, 0, theta, (0.0,) * n, (None,) * n)
 
 
 def step(
@@ -406,10 +417,18 @@ def step(
     expiry, once a unit has been limited for fleet.holdoff steps, or angle
     divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
     Tripped units are frozen and inject nothing from the following step.
-    One cos and one sin of each injection angle serve every voltage solve
-    of the step; the q projection takes them of each PLL angle. The first
-    voltage solve is seeded with the previous record's PCC voltage and each
-    limiter re-solve with the last solution.
+    The first voltage solve is seeded with the previous record's PCC voltage
+    and each limiter re-solve with the last solution.
+
+    Trig per step, n units: one cos and one sin of each injection angle
+    serve every voltage solve and, when fleet.aligned (each PLL frame is its
+    injection angle), the q projection too; otherwise the projection takes
+    one cos and one sin of each PLL angle. One sin of each injection angle
+    less the PCC voltage angle gives the quadrature currents: 3n calls when
+    aligned, 5n otherwise. Each rated current s / |v| is divided once per
+    voltage solve. The aggregate sums the fleet in one pass while no unit
+    is limited or tripped, and the limiter and trip flags are built unit by
+    unit only while some unit is limited or past the divergence bound.
     """
     tol = opts.tol
     if tol is None:
@@ -419,83 +438,105 @@ def step(
     rec = state.record
     k = state.k + 1
     grid = phase.grid
-    s_rated = fleet.s_rated
     i_max = fleet.i_max
 
     tripped = rec.tripped
+    any_tripped = True in tripped
+    # A tripped unit's rated current reads 0, so it never limits and
+    # injects nothing.
+    s_rated = fleet.s_rated
+    if any_tripped:
+        s_rated = tuple([0.0 if t else s for t, s in zip(tripped, s_rated)])
     theta_cg_old = rec.theta_cg
     cos_cg = list(map(math.cos, theta_cg_old))
     sin_cg = list(map(math.sin, theta_cg_old))
     e = list(map(complex, cos_cg, sin_cg))
 
-    limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
     if grid.v_th == 0.0:
         # Collapsed source: every live unit saturates at once.
-        limited = [not t for t in tripped]
+        limited = tuple([not t for t in tripped])
+    elif any_tripped:
+        limited = tuple([lim and not t for lim, t in zip(rec.limited, tripped)])
+    else:
+        limited = rec.limited
     agg = _aggregate(phase, e, tripped, limited)
     sol = solve_vpcc(
         grid, agg, tol, opts.max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
-    for _ in range(n + 1):
+    # Up to n + 1 limiter re-solves; the last solution's flags are not checked.
+    for resolves in range(n + 2):
         v_mag = abs(sol.v_pcc)
         if v_mag == 0.0:
             raise ZeroVoltage("PCC voltage collapsed to zero during a step")
-        want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
-        if want == limited:
+        i_rated = tuple([s / v_mag for s in s_rated])
+        want = tuple(map(gt, i_rated, i_max))
+        if want == limited or resolves > n:
             break
         limited = want
         agg = _aggregate(phase, e, tripped, limited)
         sol = solve_vpcc(grid, agg, tol, opts.max_iter, sol.v_pcc)
 
     v = sol.v_pcc
-    v_mag = abs(v)
-    if v_mag == 0.0:
-        raise ZeroVoltage("PCC voltage collapsed to zero during a step")
-    i_mag = [
-        0.0 if t else (i if lim else s / v_mag)
-        for t, lim, s, i in zip(tripped, limited, s_rated, i_max)
-    ]
-    _, v_gq_all = q_components(
-        grid, v, agg,
-        list(map(math.cos, state.theta)), list(map(math.sin, state.theta)),
-        fleet.series_q, i_mag,
-    )
+    any_limited = True in limited
+    if any_limited:
+        i_mag = tuple([m if lim else i for lim, i, m in zip(limited, i_rated, i_max)])
+    else:
+        i_mag = i_rated
+    if fleet.aligned:
+        cos_th, sin_th = cos_cg, sin_cg
+    else:
+        cos_th = list(map(math.cos, state.theta))
+        sin_th = list(map(math.sin, state.theta))
+    _, v_gq = q_components(grid, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
 
-    theta = list(state.theta)
-    integral = list(state.integral)
-    limited_since = list(state.limited_since)
-    theta_cg = list(theta_cg_old)
-    v_gq = [0.0] * n
-    tripped_new = list(tripped)
-    kp, ki, pf_angle, holdoff = fleet.kp, fleet.ki, fleet.pf_angle, fleet.holdoff
-    for p in range(n):
-        if tripped[p]:
-            limited_since[p] = None
-            continue
-
-        v_q = v_gq[p] = v_gq_all[p]
-        integral[p] = integral_p = integral[p] + v_q * dt
-        theta[p] += (kp[p] * v_q + ki[p] * integral_p) * dt
-        theta_cg[p] = theta_cg_p = theta[p] + pf_angle[p]
-
-        if limited[p]:
-            since = limited_since[p] = limited_since[p] if rec.limited[p] else k
-            if k - since >= holdoff[p]:
-                tripped_new[p] = True
-        else:
-            limited_since[p] = None
-        if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
-            tripped_new[p] = True
-
-    # i_q follows the injection angles that flowed during the step.
+    # One pass over the units: the PI update of each PLL with its divergence
+    # check, and the quadrature current, which follows the injection angle
+    # that flowed during the step. A tripped unit's PLL entries are then put
+    # back; its trip needs no check, so its flag may raise diverged in vain.
     v_angle = cmath.phase(v)
+    theta, integral, i_q = [], [], []
+    diverged = False
+    for th, ig, q, a, b, pf, ref, th_cg, i in zip(
+        state.theta, state.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle,
+        theta_cg_ref, theta_cg_old, i_mag,
+    ):
+        ig += q * dt
+        th += (a * q + b * ig) * dt
+        integral.append(ig)
+        theta.append(th)
+        if abs(th + pf - ref) > DIVERGENCE_BOUND_RAD:
+            diverged = True
+        i_q.append(i * math.sin(th_cg - v_angle))
+    if any_tripped:
+        v_gq = list(v_gq)
+        for p, t in enumerate(tripped):
+            if t:
+                v_gq[p] = 0.0
+                integral[p] = state.integral[p]
+                theta[p] = state.theta[p]
+        v_gq = tuple(v_gq)
+    theta = tuple(theta)
+    theta_cg = theta if fleet.aligned else tuple(map(add, theta, fleet.pf_angle))
+
+    if diverged or any_limited:
+        limited_since = tuple([
+            (since if old else k) if lim else None
+            for lim, old, since in zip(limited, rec.limited, state.limited_since)
+        ])
+        tripped = tuple([
+            t or (lim and k - since >= hold) or abs(th - ref) > DIVERGENCE_BOUND_RAD
+            for t, lim, since, hold, th, ref in zip(
+                tripped, limited, limited_since, fleet.holdoff, theta_cg, theta_cg_ref
+            )
+        ])
+    else:
+        limited_since = (None,) * n
+
     record = TrajectoryRecord(
-        v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
-        tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
-        tuple(v_gq), tuple(limited), tuple(tripped_new),
+        v_mag, v_angle, theta_cg, i_mag, tuple(i_q), v_gq, limited, tripped,
     )
-    return SimState(record, k, tuple(theta), tuple(integral), tuple(limited_since))
+    return SimState(record, k, theta, tuple(integral), limited_since)
 
 
 class RunStream:
@@ -503,10 +544,14 @@ class RunStream:
 
     Iterating it steps the run and yields records 0 to the last in order,
     once; the stream keeps none of them, and makes no step past the record
-    its reader stopped at. scenario is the Runs' scenario with the run's
-    clearing time, and fleet the Runs' fleet. solver_failure_t is None
-    until the stream is exhausted; then it is the time of the run's failure
-    record, if a step failed (see Runs.stream).
+    its reader stopped at. The first iter() hands the records to its
+    reader, and a later one yields none. So the stream holds no reference
+    to the iterator, which holds one to the stream, and a reader that stops
+    early frees the run's last state as it drops the iterator, not at the
+    next cyclic garbage collection. scenario is the Runs' scenario with the
+    run's clearing time, and fleet the Runs' fleet. solver_failure_t is
+    None until the stream is exhausted; then it is the time of the run's
+    failure record, if a step failed (see Runs.stream).
     """
 
     __slots__ = ("scenario", "fleet", "solver_failure_t", "_records")
@@ -518,7 +563,8 @@ class RunStream:
         self._records: Iterator[TrajectoryRecord] = iter(())
 
     def __iter__(self) -> Iterator[TrajectoryRecord]:
-        return self._records
+        records, self._records = self._records, iter(())
+        return records
 
 
 class Runs:

@@ -201,6 +201,9 @@ def q_components(
     c, d = agg
     total = grid.v_th + d + c / v_mag
     re, im = total.real, total.imag
-    v_pcc_q = tuple([im * cr - re * sr for cr, sr in zip(cos_ref, sin_ref)])
-    v_gq = tuple([q + b * i for q, b, i in zip(v_pcc_q, series_q, i_mag)])
-    return v_pcc_q, v_gq
+    v_pcc_q, v_gq = [], []
+    for cr, sr, b, i in zip(cos_ref, sin_ref, series_q, i_mag):
+        q = im * cr - re * sr
+        v_pcc_q.append(q)
+        v_gq.append(q + b * i)
+    return tuple(v_pcc_q), tuple(v_gq)

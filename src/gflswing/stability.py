@@ -186,13 +186,21 @@ class RunFold:
         streak_start: list[int | None] = [None] * n
         first_trip: list[int | None] = [None] * n
         untripped = n
+        calm = None
         for k, rec in enumerate(chain((first,), records)):
+            if rec is calm:
+                # The record before, again, with no unit past settle_tol (a
+                # run repeats its equilibrium record up to the fault): it
+                # changes nothing.
+                continue
+            calm = rec
             theta = rec.theta_cg
             for p in range(n):
                 dev = abs(theta[p] - theta0[p])
                 if dev > max_exc:
                     max_exc = dev
                 if dev > settle_tol:
+                    calm = None
                     if last_violation[p] != k - 1:
                         streak_start[p] = k
                     last_violation[p] = k

@@ -2,7 +2,9 @@
 
 Everything here re-derives expected values from the defining equations with
 code paths separate from the package: exact rational complex arithmetic,
-finite-difference Newton and grid-search refinement.
+finite-difference Newton and grid-search refinement. The per-unit step and
+fold at the end share the package's voltage solve, q projection and record
+types, and differ from it only in doing each unit's work one unit at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from gflswing.dynamics import DIVERGENCE_BOUND_RAD, SimState, TrajectoryRecord
+from gflswing.pcc import ZeroVoltage, q_components, solve_vpcc
 
 
 # -- exact rational complex arithmetic (pairs of Fractions) -----------------
@@ -146,3 +151,134 @@ def aggregate_cd(zeq, s, theta, i_fixed=None) -> tuple[complex, complex]:
         else:
             c += zeq[k] * s[k] * unit
     return c, d
+
+
+# -- the per-unit step and fold, written one unit at a time -----------------
+#
+# dynamics.step and stability.RunFold do each unit's arithmetic once per step
+# or record, with shared trig and whole-fleet passes. These references do the
+# same arithmetic one unit at a time, branching on every flag, with the
+# injection and PLL frames each taking their own cos and sin; their outputs
+# must equal the package's bit for bit.
+
+def _reference_aggregate(phase, e, tripped, limited) -> tuple[complex, complex]:
+    c = d = 0j
+    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
+        if trip:
+            continue
+        if lim:
+            d += zi * e_p
+        else:
+            c += zs * e_p
+    return c, d
+
+
+def reference_step(state, fleet, phase, opts, theta_cg_ref):
+    """dynamics.step, one unit at a time (see dynamics.step for the order)."""
+    tol = opts.tol
+    if tol is None:
+        raise ValueError("step needs a resolved tolerance; Runs resolves one")
+    n = len(fleet)
+    dt = fleet.dt
+    rec = state.record
+    k = state.k + 1
+    grid = phase.grid
+    s_rated = fleet.s_rated
+    i_max = fleet.i_max
+
+    tripped = rec.tripped
+    theta_cg_old = rec.theta_cg
+    cos_cg = list(map(math.cos, theta_cg_old))
+    sin_cg = list(map(math.sin, theta_cg_old))
+    e = list(map(complex, cos_cg, sin_cg))
+
+    limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
+    if grid.v_th == 0.0:
+        limited = [not t for t in tripped]
+    agg = _reference_aggregate(phase, e, tripped, limited)
+    sol = solve_vpcc(
+        grid, agg, tol, opts.max_iter,
+        cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
+    )
+    for _ in range(n + 1):
+        v_mag = abs(sol.v_pcc)
+        if v_mag == 0.0:
+            raise ZeroVoltage("PCC voltage collapsed to zero during a step")
+        want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
+        if want == limited:
+            break
+        limited = want
+        agg = _reference_aggregate(phase, e, tripped, limited)
+        sol = solve_vpcc(grid, agg, tol, opts.max_iter, sol.v_pcc)
+
+    v = sol.v_pcc
+    v_mag = abs(v)
+    if v_mag == 0.0:
+        raise ZeroVoltage("PCC voltage collapsed to zero during a step")
+    i_mag = [
+        0.0 if t else (i if lim else s / v_mag)
+        for t, lim, s, i in zip(tripped, limited, s_rated, i_max)
+    ]
+    _, v_gq_all = q_components(
+        grid, v, agg,
+        list(map(math.cos, state.theta)), list(map(math.sin, state.theta)),
+        fleet.series_q, i_mag,
+    )
+
+    theta = list(state.theta)
+    integral = list(state.integral)
+    limited_since = list(state.limited_since)
+    theta_cg = list(theta_cg_old)
+    v_gq = [0.0] * n
+    tripped_new = list(tripped)
+    kp, ki, pf_angle, holdoff = fleet.kp, fleet.ki, fleet.pf_angle, fleet.holdoff
+    for p in range(n):
+        if tripped[p]:
+            limited_since[p] = None
+            continue
+
+        v_q = v_gq[p] = v_gq_all[p]
+        integral[p] = integral_p = integral[p] + v_q * dt
+        theta[p] += (kp[p] * v_q + ki[p] * integral_p) * dt
+        theta_cg[p] = theta_cg_p = theta[p] + pf_angle[p]
+
+        if limited[p]:
+            since = limited_since[p] = limited_since[p] if rec.limited[p] else k
+            if k - since >= holdoff[p]:
+                tripped_new[p] = True
+        else:
+            limited_since[p] = None
+        if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
+            tripped_new[p] = True
+
+    v_angle = cmath.phase(v)
+    record = TrajectoryRecord(
+        v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
+        tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
+        tuple(v_gq), tuple(limited), tuple(tripped_new),
+    )
+    return SimState(record, k, tuple(theta), tuple(integral), tuple(limited_since))
+
+
+def reference_fold(records, settle_tol):
+    """stability.RunFold's pass, one unit of one record at a time:
+    (k_last, max_excursion, last_violation, streak_start, first_trip)."""
+    records = list(records)
+    theta0 = records[0].theta_cg
+    n = len(theta0)
+    max_exc = 0.0
+    last_violation = [None] * n
+    streak_start = [None] * n
+    first_trip = [None] * n
+    for k, rec in enumerate(records):
+        for p in range(n):
+            dev = abs(rec.theta_cg[p] - theta0[p])
+            if dev > max_exc:
+                max_exc = dev
+            if dev > settle_tol:
+                if last_violation[p] != k - 1:
+                    streak_start[p] = k
+                last_violation[p] = k
+            if rec.tripped[p] and first_trip[p] is None:
+                first_trip[p] = k
+    return k, max_exc, last_violation, streak_start, first_trip

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -890,6 +891,22 @@ def test_sweep_worker_cap_env_validation(small_config_path, tmp_path, monkeypatc
     monkeypatch.setenv("GFLSWING_THREADS", "zebra")
     with pytest.raises(ConfigError):
         cmd_sweep(cfg, tmp_path / "out")
+
+
+def test_sweep_worker_cap_is_the_cpus_the_process_may_run_on(monkeypatch):
+    # Checked without starting a worker: the affinity set, not the host's
+    # CPU count, and the CPU count where the platform has no affinity.
+    monkeypatch.delenv("GFLSWING_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._worker_cap() == 3
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    assert cli._worker_cap() == 2
+    monkeypatch.delenv("GFLSWING_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._worker_cap() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_cap() == 1
 
 
 def test_main_validate_and_exit_codes(small_config_path, tmp_path):
