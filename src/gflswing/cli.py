@@ -38,7 +38,6 @@ from gflswing.dynamics import (
     Runs,
     SolverOptions,
     TrajectoryRecord,
-    absolute_tol,
     simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
@@ -128,10 +127,14 @@ class RunConfig:
 #   an int                      a whole number of at least that;
 #   a table                     a mapping checked by that table;
 #   a function (value, path)    which checks value and returns its echo.
+# A row whose default is RETIRED is a removed feature's key, with the rule
+# (the one value that older configs give, what was removed): that value
+# loads and hashes as if omitted, and any other, null included, is an error.
 # _section checks one mapping against its table; what it returns is the
 # resolved echo, and a key missing from the table is rejected as unknown.
 
 REQUIRED = object()
+RETIRED = object()
 
 _ANY = (None, False, None)
 _NONNEGATIVE = (0.0, False, None)
@@ -179,6 +182,13 @@ def _section(raw: Any, table: dict, path: str) -> dict:
     echo = {}
     for key, (default, rule) in table.items():
         where = prefix + key
+        if default is RETIRED:
+            kept, what = rule
+            if key in raw and (type(raw[key]) is not type(kept) or raw[key] != kept):
+                raise ConfigError(
+                    f"{where}: {what} was removed; omit the key or set it to {json.dumps(kept)}"
+                )
+            continue
         value = raw.get(key)
         if value is None:
             value = default
@@ -268,6 +278,8 @@ _CONFIG = {
     "solver": ({}, {
         "tol_rel": (DEFAULT_TOL_REL, _POSITIVE),
         "max_iter": (SolverOptions().max_iter, 1),
+        "lag_mode": (RETIRED, (False, "the one-step-lag model")),
+        "damping": (RETIRED, (0.7, "the damped fixed-point solve")),
     }),
     "stability": ({}, {
         "settle_tol_rad": (DEFAULT_SETTLE_TOL_RAD, _POSITIVE),
@@ -280,14 +292,6 @@ _CONFIG = {
         }),
     }),
     "sweep": (None, {"axes": ({}, _axes)}),
-}
-
-# Solver keys of removed features, {key: (the one value that still loads,
-# what was removed)}. Configs written before a removal give that value; it
-# loads and hashes as if the key were omitted.
-_RETIRED_SOLVER = {
-    "lag_mode": (False, "the one-step-lag model"),
-    "damping": (0.7, "the damped fixed-point solve"),
 }
 
 
@@ -340,7 +344,8 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     message. The section tables above are the schema: a key that they lack,
     a key given twice and a section that is not a mapping are errors.
     Defaults (i_max, trip holdoff, solver and stability settings) are
-    resolved into the returned config and its provenance hash.
+    resolved into the returned config and its provenance hash; the solver
+    tolerance stays relative until a Runs resolves it (see dynamics.Runs).
     """
     path = Path(path)
     if not path.exists():
@@ -353,15 +358,6 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         raise ConfigError(f"config parse error{where}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a mapping of sections")
-    raw_solver = raw.get("solver")
-    for key, (kept, what) in _RETIRED_SOLVER.items():
-        if isinstance(raw_solver, dict) and key in raw_solver:
-            value = raw_solver.pop(key)
-            if type(value) is not type(kept) or value != kept:
-                raise ConfigError(
-                    f"solver.{key}: {what} was removed; "
-                    f"omit the key or set it to {json.dumps(kept)}"
-                )
     resolved = _section(raw, _CONFIG, "")
 
     # Defaults that depend on other keys, and checks across keys.
@@ -428,10 +424,7 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         raise ConfigError(f"scenario.{key}: {exc}") from exc
 
     so = resolved["solver"]
-    solver = SolverOptions(
-        tol=absolute_tol(so["tol_rel"], abs(grid.prefault.v_th)),
-        max_iter=so["max_iter"],
-    )
+    solver = SolverOptions(so["tol_rel"], so["max_iter"])
 
     st = resolved["stability"]
     cct = None

@@ -54,7 +54,7 @@ __all__ = [
 # declared out of synchronism and tripped.
 DIVERGENCE_BOUND_RAD = math.pi
 
-# Solver residual tolerance relative to max(|v_th|, 1 V) when none is given.
+# Solver residual tolerance relative to max(|v_th pre-fault|, 1 V).
 DEFAULT_TOL_REL = 1e-9
 DEFAULT_TRIP_HOLDOFF_S = 5e-4
 
@@ -94,20 +94,18 @@ class InverterConfig:
     trip_holdoff: float = DEFAULT_TRIP_HOLDOFF_S
 
     def __post_init__(self) -> None:
-        if not self.s_rated > 0.0:
-            raise ValueError(f"{self.name}: s_rated must be positive, got {self.s_rated}")
-        if not self.i_max > 0.0:
-            raise ValueError(f"{self.name}: i_max must be positive, got {self.i_max}")
-        if not (self.kp >= 0.0 and self.ki >= 0.0):
-            raise ValueError(f"{self.name}: PLL gains must be non-negative")
+        for field in ("s_rated", "i_max"):
+            value = getattr(self, field)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self.name}: {field} must be finite and > 0, got {value}")
+        for field in ("kp", "ki", "r_virtual", "trip_holdoff"):
+            value = getattr(self, field)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{self.name}: {field} must be finite and >= 0, got {value}")
         if not cmath.isfinite(self.z_line):
             raise ValueError(f"{self.name}: z_line must be finite, got {self.z_line}")
-        if not self.r_virtual >= 0.0:
-            raise ValueError(f"{self.name}: r_virtual must be non-negative")
         if not math.isfinite(self.pf_angle):
             raise ValueError(f"{self.name}: pf_angle must be finite, got {self.pf_angle}")
-        if not self.trip_holdoff >= 0.0:
-            raise ValueError(f"{self.name}: trip_holdoff must be non-negative")
 
     def z_total(self) -> complex:
         """Series line plus virtual impedance."""
@@ -238,44 +236,55 @@ class SimState:
 
 @dataclass(frozen=True, slots=True)
 class SolverOptions:
-    """Voltage solver settings; tol = None means absolute_tol(DEFAULT_TOL_REL, |v_th|).
+    """The voltage solver settings, as the config's solver section gives them.
 
-    Every solve is Newton within max_iter iterations (see pcc.solve_vpcc):
-    step seeds it with the last voltage, find_equilibrium starts it at v_th."""
+    tol_rel is the residual tolerance relative to the pre-fault |v_th|, at
+    least 1 V; a Runs resolves it to volts once, for every solve of its runs
+    (see Runs). Every solve is Newton within max_iter iterations (see
+    pcc.solve_vpcc)."""
 
-    tol: float | None = None
+    tol_rel: float = DEFAULT_TOL_REL
     max_iter: int = 100
 
-
-def absolute_tol(tol_rel: float, v_th_mag: float) -> float:
-    """Residual tolerance in volts: tol_rel times max(|v_th|, 1 V)."""
-    return tol_rel * max(v_th_mag, 1.0)
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol_rel < math.inf:
+            raise ValueError(f"tol_rel must be positive and finite, got {self.tol_rel}")
+        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be a whole number >= 1, got {self.max_iter!r}")
 
 
 class UnitTable:
     """The constants of each unit of fleet that step reads, in fleet order,
-    and the step dt they are counted in.
+    the step dt they are counted in, and the run's voltage-solve settings.
 
-    s_rated, i_max, kp, ki and pf_angle come from the configs. holdoff is
-    trip_holdoff in whole steps of dt (see whole_steps): a unit trips when
-    it has been limited for that many steps. series_q is
+    names, s_rated, i_max, kp, ki and pf_angle come from the configs.
+    holdoff is trip_holdoff in whole steps of dt (see whole_steps): a unit
+    trips when it has been limited for that many steps. series_q is
     Im(z_total e^{j pf_angle}), the q-axis drop per ampere across the
     unit's series impedance in its own PLL frame. aligned is True when every
     pf_angle is 0: each unit injects at its PLL angle, and a state's
-    injection angles are its PLL angles, one tuple.
+    injection angles are its PLL angles, one tuple. Every voltage solve of
+    the run stops at tol, the residual in volts that Runs resolves, within
+    max_iter iterations.
 
     UnitTable and GridPhase are plain slotted classes, not dataclasses: a
     dataclass takes about 1 ms to define, which every import would pay.
     """
 
     __slots__ = (
-        "dt", "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned",
+        "names", "dt", "tol", "max_iter",
+        "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned",
     )
 
-    def __init__(self, fleet: Sequence[InverterConfig], dt: float) -> None:
+    def __init__(
+        self, fleet: Sequence[InverterConfig], dt: float, tol: float, max_iter: int
+    ) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
+        self.names = tuple(cfg.name for cfg in fleet)
         self.dt = dt
+        self.tol = tol
+        self.max_iter = max_iter
         self.s_rated = tuple(cfg.s_rated for cfg in fleet)
         self.i_max = tuple(cfg.i_max for cfg in fleet)
         self.kp = tuple(cfg.kp for cfg in fleet)
@@ -328,19 +337,13 @@ def _aggregate(
     return c, d
 
 
-def find_equilibrium(
-    fleet: Sequence[InverterConfig],
-    units: UnitTable,
-    prefault: GridPhase,
-    opts: SolverOptions,
-) -> SimState:
+def find_equilibrium(units: UnitTable, prefault: GridPhase) -> SimState:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
-    units and prefault are the run's tables (see Runs), and opts.tol the
-    tolerance resolved once for the run; fleet names the units in
-    errors. Alternates the PCC voltage solve with per-inverter re-locking of
-    the injection angle until both are self-consistent. At lock, v_gq = 0 in
-    the unit's frame theta gives
+    units and prefault are the run's tables (see Runs); units names the
+    units in errors. Alternates the PCC voltage solve, started at v_th, with
+    per-inverter re-locking of the injection angle until both are
+    self-consistent. At lock, v_gq = 0 in the unit's frame theta gives
 
         |v_pcc| sin(theta - angle(v_pcc)) = Im(z_series i e^{j pf_angle}).
 
@@ -359,24 +362,24 @@ def find_equilibrium(
         e = [complex(math.cos(th), math.sin(th)) for th in theta_cg]
         agg = _aggregate(prefault, e, flags_off, flags_off)
         try:
-            sol = solve_vpcc(grid, agg, opts.tol, opts.max_iter)
+            sol = solve_vpcc(grid, agg, units.tol, units.max_iter)
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
         v_mag = abs(v)
         v_angle = cmath.phase(v)
         max_delta = 0.0
-        for p, cfg in enumerate(fleet):
+        for p, name in enumerate(units.names):
             i_p = units.s_rated[p] / v_mag
             if i_p > units.i_max[p]:
                 raise InitializationFailure(
-                    f"{cfg.name}: rated current {i_p:.2f} A exceeds the "
+                    f"{name}: rated current {i_p:.2f} A exceeds the "
                     f"{units.i_max[p]:.2f} A ceiling at the pre-fault voltage"
                 )
             b = units.series_q[p] * i_p / v_mag
             if abs(b) > 1.0:
                 raise InitializationFailure(
-                    f"{cfg.name}: no locked injection angle exists (|{b:.3f}| > 1)"
+                    f"{name}: no locked injection angle exists (|{b:.3f}| > 1)"
                 )
             new_theta = v_angle + math.asin(b)
             max_delta = max(max_delta, abs(new_theta - theta[p]))
@@ -403,22 +406,21 @@ def step(
     state: SimState,
     fleet: UnitTable,
     phase: GridPhase,
-    opts: SolverOptions,
     theta_cg_ref: Sequence[float],
 ) -> SimState:
     """Advance the fleet by one step of fleet.dt under the given grid phase.
 
-    fleet and phase are per-run tables (see Runs), and opts.tol the
-    tolerance resolved once for the run; an unresolved tol is a ValueError.
-    The new record is record k = state.k + 1 of the run, at k * dt.
-    Order per step: resolve limiter flags and solve the PCC voltage with the
-    current injection angles, evaluate each live unit's q-axis generation
-    voltage in its own PLL frame, update the PLLs, then latch trips (holdoff
-    expiry, once a unit has been limited for fleet.holdoff steps, or angle
-    divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref).
-    Tripped units are frozen and inject nothing from the following step.
-    The first voltage solve is seeded with the previous record's PCC voltage
-    and each limiter re-solve with the last solution.
+    fleet and phase are per-run tables (see Runs); every voltage solve
+    stops at fleet.tol within fleet.max_iter iterations. The new record is
+    record k = state.k + 1 of the run, at k * dt. Order per step: resolve
+    limiter flags and solve the PCC voltage with the current injection
+    angles, evaluate each live unit's q-axis generation voltage in its own
+    PLL frame, update the PLLs, then latch trips (holdoff expiry, once a
+    unit has been limited for fleet.holdoff steps, or angle divergence past
+    DIVERGENCE_BOUND_RAD from theta_cg_ref). Tripped units are frozen and
+    inject nothing from the following step. The first voltage solve is
+    seeded with the previous record's PCC voltage and each limiter re-solve
+    with the last solution.
 
     Trig per step, n units: one cos and one sin of each injection angle
     serve every voltage solve and, when fleet.aligned (each PLL frame is its
@@ -430,9 +432,6 @@ def step(
     is limited or tripped, and the limiter and trip flags are built unit by
     unit only while some unit is limited or past the divergence bound.
     """
-    tol = opts.tol
-    if tol is None:
-        raise ValueError("step needs a resolved tolerance; Runs resolves one")
     n = len(fleet)
     dt = fleet.dt
     rec = state.record
@@ -461,7 +460,7 @@ def step(
         limited = rec.limited
     agg = _aggregate(phase, e, tripped, limited)
     sol = solve_vpcc(
-        grid, agg, tol, opts.max_iter,
+        grid, agg, fleet.tol, fleet.max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
     # Up to n + 1 limiter re-solves; the last solution's flags are not checked.
@@ -475,7 +474,7 @@ def step(
             break
         limited = want
         agg = _aggregate(phase, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, tol, opts.max_iter, sol.v_pcc)
+        sol = solve_vpcc(grid, agg, fleet.tol, fleet.max_iter, sol.v_pcc)
 
     v = sol.v_pcc
     any_limited = True in limited
@@ -571,13 +570,14 @@ class Runs:
     """The runs of one fleet on one grid through one fault, one per clearing
     time, each branching from one uncleared fault-on run.
 
-    fleet, grid and scenario are as given; scenario's t_clear is not used,
-    as stream and run set the clearing time. opts holds the tolerance
-    resolved against the pre-fault source, as in the config loader, for the
-    equilibrium and every step. units is the fleet's table of constants,
-    prefault and fault the grid phases before and during the fault, and
-    equilibrium the locked pre-fault state, whose injection angles are the
-    reference of the divergence trip.
+    fleet, grid, scenario and opts are as given (opts None: SolverOptions());
+    scenario's t_clear is not used, as stream and run set the clearing
+    time. units is the fleet's table of constants and of the run's solve
+    settings, for the equilibrium and every step: its tol is opts.tol_rel
+    times max(|v_th|, 1 V) of the pre-fault source, the one place the
+    tolerance is resolved. prefault and fault are the grid phases before
+    and during the fault, and equilibrium the locked pre-fault state, whose
+    injection angles are the reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
@@ -609,20 +609,18 @@ class Runs:
     ) -> None:
         if not fleet:
             raise ValueError("fleet must be non-empty")
-        opts = opts or SolverOptions()
-        if opts.tol is None:
-            opts = replace(opts, tol=absolute_tol(DEFAULT_TOL_REL, abs(grid.prefault.v_th)))
         self.fleet = fleet = tuple(fleet)
         self.grid = grid
         self.scenario = scenario
-        self.opts = opts
-        self.units = units = UnitTable(fleet, scenario.dt)
+        self.opts = opts = opts or SolverOptions()
+        tol = opts.tol_rel * max(abs(grid.prefault.v_th), 1.0)
+        self.units = units = UnitTable(fleet, scenario.dt, tol, opts.max_iter)
         zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
         fault_ten = faulted_grid(grid, scenario.fault_depth)
         zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
         self.prefault = GridPhase(units, grid.prefault, zeq_pre)
         self.fault = GridPhase(units, fault_ten, zeq_fault)
-        self.equilibrium = find_equilibrium(fleet, units, self.prefault, opts)
+        self.equilibrium = find_equilibrium(units, self.prefault)
         # The fault-on run's state after each step from _first_kept on,
         # beginning with the equilibrium there; its records before are the
         # equilibrium's.
@@ -665,11 +663,11 @@ class Runs:
             while state.k < k_end:
                 k = state.k + 1
                 if k_clear is not None and k >= k_clear:
-                    state = step(state, self.units, self.prefault, self.opts, theta_cg_ref)
+                    state = step(state, self.units, self.prefault, theta_cg_ref)
                 elif k - first < len(states):
                     state = states[k - first]
                 else:
-                    state = step(state, self.units, self.fault, self.opts, theta_cg_ref)
+                    state = step(state, self.units, self.fault, theta_cg_ref)
                     if k_clear is not None:
                         states.append(state)
                 yield state.record

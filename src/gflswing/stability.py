@@ -86,7 +86,8 @@ class CctSettings:
         which load_config and find_cct apply.
 
         No bracket is narrower than one step, so resolution must be at least
-        dt. k_resolution is the most whole steps that resolution spans: a
+        dt; it must be finite, and so must the positive settle_window.
+        k_resolution is the most whole steps that resolution spans: a
         resolution that is n dt within rounding gives n, and one between
         whole steps gives the step below it, never a wider bracket. t_min
         and t_max, with 0 < t_min < t_max <= t_end, are taken to the nearest
@@ -100,6 +101,10 @@ class CctSettings:
                 f"resolution must be at least dt = {dt:.6g} s, got {self.resolution}: "
                 "a bracket cannot be narrower than one step"
             )
+        if self.resolution == math.inf:
+            raise ValueError("resolution must be finite, got inf")
+        if not 0.0 < settle_window < math.inf:
+            raise ValueError(f"settle_window must be positive and finite, got {settle_window}")
         if not 0.0 < self.t_min < self.t_max <= scenario.t_end:
             raise ValueError(
                 f"need 0 < t_min < t_max <= t_end, got {self.t_min}, {self.t_max}"
@@ -233,8 +238,8 @@ class RunFold:
         a clearing time must extend a settle window past the clearing step
         unless a trip already decided the verdict.
         """
-        if not settle_window > 0.0:
-            raise ValueError(f"settle_window must be positive, got {settle_window}")
+        if not 0.0 < settle_window < math.inf:
+            raise ValueError(f"settle_window must be positive and finite, got {settle_window}")
         trips = self.loss_order()
         if trips:
             name, t_first = trips[0]

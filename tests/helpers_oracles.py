@@ -173,11 +173,9 @@ def _reference_aggregate(phase, e, tripped, limited) -> tuple[complex, complex]:
     return c, d
 
 
-def reference_step(state, fleet, phase, opts, theta_cg_ref):
-    """dynamics.step, one unit at a time (see dynamics.step for the order)."""
-    tol = opts.tol
-    if tol is None:
-        raise ValueError("step needs a resolved tolerance; Runs resolves one")
+def reference_step(state, fleet, phase, tol, max_iter, theta_cg_ref):
+    """dynamics.step, one unit at a time (see dynamics.step for the order),
+    each voltage solve stopping at tol within max_iter iterations."""
     n = len(fleet)
     dt = fleet.dt
     rec = state.record
@@ -197,7 +195,7 @@ def reference_step(state, fleet, phase, opts, theta_cg_ref):
         limited = [not t for t in tripped]
     agg = _reference_aggregate(phase, e, tripped, limited)
     sol = solve_vpcc(
-        grid, agg, tol, opts.max_iter,
+        grid, agg, tol, max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
     for _ in range(n + 1):
@@ -209,7 +207,7 @@ def reference_step(state, fleet, phase, opts, theta_cg_ref):
             break
         limited = want
         agg = _reference_aggregate(phase, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, tol, opts.max_iter, sol.v_pcc)
+        sol = solve_vpcc(grid, agg, tol, max_iter, sol.v_pcc)
 
     v = sol.v_pcc
     v_mag = abs(v)

@@ -129,7 +129,7 @@ def test_criterion_03_termwise_complex_agreement():
             grid, v_pcc, aggregate_cd(zeq, s, th),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
-            UnitTable(fleet, 1e-5).series_q,
+            UnitTable(fleet, 1e-5, 230e-9, 100).series_q,
             [s_p / v_mag for s_p in s],
         )
 
@@ -322,12 +322,12 @@ def test_criterion_09_dichotomy(table_config):
 def test_criterion_10_trip_cascade(table_config):
     cfg = table_config
     scenario = replace(cfg.scenario, fault_depth=0.4)
-    eq = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver).equilibrium
-    theta = eq.record.theta_cg
+    runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
+    theta = runs.equilibrium.record.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)
-    tol = cfg.solver.tol
+    tol = runs.units.tol
 
     with_all = solve_vpcc(fault, aggregate_cd(zeq_f, s_all, theta), tol, 100)
     without_first = solve_vpcc(

@@ -105,7 +105,7 @@ def _assert_fixed_point(fleet, grid):
     run = _runs(fleet, grid)
     state = run.equilibrium
     assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
-    nxt = step(state, run.units, run.prefault, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.prefault, state.record.theta_cg)
     before, after = state.record, nxt.record
     for p, cfg in enumerate(fleet):
         assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
@@ -144,9 +144,9 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     # an unlimited unit (A) and a limited one (B). The tight tolerance keeps
     # the solve residual far below that bound.
     fleet = _pf_fleet()
-    run = _runs(fleet, _small_grid(), SolverOptions(tol=1e-11))
+    run = _runs(fleet, _small_grid(), SolverOptions(tol_rel=1e-11 / 230.0))
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.fault, state.record.theta_cg)
     rec = nxt.record
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
@@ -164,36 +164,29 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
 
 
 def test_direct_fault_on_step_equals_the_step_a_run_makes():
-    # step solves to the run's tolerance, resolved once against the
-    # pre-fault source; it resolves none of its own.
+    # step solves to the tolerance in the run's unit table, resolved once
+    # against the pre-fault source; it resolves none of its own.
     fleet = _small_fleet()
     dt = 1e-5
     scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
     run = Runs(fleet, _small_grid(), scenario, SolverOptions())
-    direct = step(
-        run.equilibrium, run.units, run.fault, run.opts, run.equilibrium.record.theta_cg,
-    )
+    direct = step(run.equilibrium, run.units, run.fault, run.equilibrium.record.theta_cg)
     traj = run.run(None)
     assert traj.solver_failure_t is None
     assert traj.records[1] == direct.record
-    with pytest.raises(ValueError):
-        step(
-            run.equilibrium, run.units, run.fault, SolverOptions(),
-            run.equilibrium.record.theta_cg,
-        )
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5])
 def test_unit_table_rejects_a_non_positive_dt(dt):
     # step takes its dt from the unit table, which counts holdoffs in it.
     with pytest.raises(ValueError, match="dt must be positive"):
-        UnitTable(_small_fleet(), dt)
+        UnitTable(_small_fleet(), dt, 230e-9, 100)
 
 
 def test_fault_step_depresses_voltage():
     run = _runs(_small_fleet(), _small_grid())
     state = run.equilibrium
-    nxt = step(state, run.units, run.fault, run.opts, state.record.theta_cg)
+    nxt = step(state, run.units, run.fault, state.record.theta_cg)
     assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
 
 
@@ -294,6 +287,16 @@ def test_default_tolerance_resolves_against_the_prefault_source(table_config):
     default = simulate(cfg.fleet, cfg.grid, cfg.scenario, SolverOptions())
     loaded = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     assert default.records == loaded.records
+
+
+def test_runs_alone_resolves_the_tolerance(table_config):
+    # The loader keeps the solver section as given, and a Runs resolves it
+    # once: tol_rel 1e-9 of table1's 230 V pre-fault source.
+    cfg = table_config
+    assert cfg.solver == SolverOptions()
+    for opts in (cfg.solver, SolverOptions()):
+        units = Runs(cfg.fleet, cfg.grid, cfg.scenario, opts).units
+        assert (units.tol, units.max_iter) == (1e-9 * 230.0, 100)
 
 
 @pytest.mark.parametrize("name", ["table1.yaml", "table1_uncleared.yaml"])
@@ -455,7 +458,7 @@ def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in eq.record.v_gq)
     k0 = max(k_fault - 1, 0)
     start = SimState(records[k0], k0, eq.theta, eq.integral, eq.limited_since)
-    first = step(start, runs.units, runs.fault, runs.opts, eq.record.theta_cg)
+    first = step(start, runs.units, runs.fault, eq.record.theta_cg)
     assert records[k0 + 1] == first.record
     assert records[k0 + 1].v_pcc_mag < eq.record.v_pcc_mag
 

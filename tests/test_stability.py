@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import pytest
 
 from gflswing import dynamics, stability
+from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
+    SolverOptions,
     Trajectory,
     TrajectoryRecord,
     Runs,
@@ -476,16 +478,31 @@ def _steady_trajectory():
 def _step_by(dt):
     run = Runs(_fleet2(), _grid2(), _base_scenario())
     return step(
-        run.equilibrium, UnitTable(_fleet2(), dt), run.prefault, run.opts,
-        run.equilibrium.record.theta_cg,
+        run.equilibrium, UnitTable(_fleet2(), dt, run.units.tol, run.units.max_iter),
+        run.prefault, run.equilibrium.record.theta_cg,
     )
 
 
 NAN = math.nan
+INF = math.inf
+_UNIT_X = dict(name="X", s_rated=100.0, z_line=complex(0.1, 0.0), r_virtual=0.0,
+               kp=1e-3, ki=100.0, i_max=10.0)
+# The InverterConfig fields bounded only from below, where a check written
+# as x > 0 or x >= 0 would let +inf through.
+_BOUNDED_BELOW = ("s_rated", "r_virtual", "kp", "ki", "i_max", "trip_holdoff")
+
+
+def _unit_with(field, value):
+    return lambda: InverterConfig(**{**_UNIT_X, field: value})
+
+
+def _table1():
+    return load_config(bundled_config_path())
 
 
 # A check written as x <= 0 lets NaN through: every comparison with NaN is
-# false. Each of these calls must raise rather than run on a NaN.
+# false. Each of these calls must raise rather than run on a NaN, and on
+# +-inf where a check written as x > 0 would let it through.
 @pytest.mark.parametrize("call", [
     lambda: find_cct(_runs2(), CctSettings(t_min=2e-4, t_max=2e-3, resolution=NAN)),
     lambda: classify(_steady_trajectory(), settle_tol=NAN, settle_window=2e-3),
@@ -511,15 +528,36 @@ NAN = math.nan
     lambda: TheveninEquivalent(NAN, complex(0.2, 0.1)),
     lambda: TheveninEquivalent(230.0, complex(0.2, NAN)),
     lambda: GridModel(_grid2().prefault, complex(NAN, 0.05)),
+    *(_unit_with(field, sign * INF) for field in _BOUNDED_BELOW for sign in (1, -1)),
+    lambda: classify(_steady_trajectory(), 0.02, INF),
+    lambda: _table1().cct.steps(_table1().scenario, INF),
+    lambda: CctSettings(2e-4, 4.5e-3, INF).steps(_table1().scenario, 1e-3),
+    lambda: SolverOptions(tol_rel=NAN),
+    lambda: SolverOptions(tol_rel=INF),
+    lambda: SolverOptions(tol_rel=0.0),
+    lambda: SolverOptions(max_iter=0),
+    lambda: SolverOptions(max_iter=2.5),
 ], ids=["find_cct_resolution", "classify_settle_tol", "classify_settle_window",
         "scenario_dt", "step_dt", "s_rated", "r_virtual", "kp", "ki", "i_max",
         "trip_holdoff", "line_resistance", "line_inductance", "frequency",
         "thevenin_resistance", "solve_vpcc_tol", "z_line_resistance",
         "z_line_reactance", "pf_angle", "thevenin_voltage", "thevenin_reactance",
-        "load_impedance"])
+        "load_impedance",
+        *(f"{field}_{sign}inf" for field in _BOUNDED_BELOW for sign in "+-"),
+        "classify_settle_window_inf", "cct_steps_settle_window_inf",
+        "cct_steps_resolution_inf", "solver_tol_rel", "solver_tol_rel_inf",
+        "solver_tol_rel_zero", "solver_max_iter_zero",
+        "solver_max_iter_fraction"])
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("field", _BOUNDED_BELOW)
+@pytest.mark.parametrize("value", [INF, -INF, NAN])
+def test_inverter_config_names_the_field_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^X: {field} must be"):
+        _unit_with(field, value)()
 
 
 # An infinite time would ask for an unbounded number of steps, or for none.

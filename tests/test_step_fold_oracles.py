@@ -81,13 +81,13 @@ class _Walk:
         for k in range(state.k + 1, scenario.k_end + 1):
             phase = runs.prefault if k_clear is not None and k >= k_clear else runs.fault
             try:
-                expected = reference_step(state, runs.units, phase, runs.opts, ref)
+                expected = reference_step(state, runs.units, phase, runs.units.tol, runs.units.max_iter, ref)
             except (NonConvergence, ZeroVoltage) as exc:
                 with pytest.raises(type(exc)):
-                    step(state, runs.units, phase, runs.opts, ref)
+                    step(state, runs.units, phase, ref)
                 self.failure = k
                 break
-            state = step(state, runs.units, phase, runs.opts, ref)
+            state = step(state, runs.units, phase, ref)
             assert _state_bits(state) == _state_bits(expected), f"step {k}"
             self.states.append(state)
         monkeypatch.undo()
@@ -214,17 +214,21 @@ def test_step_from_a_state_with_a_tripped_unit_and_a_limited_one(table_config):
                   limited=(False, True, False, True, False))
     state = SimState(rec, 300, eq.theta, eq.integral, (None, None, None, 298, None))
     for phase in (runs.fault, runs.prefault):
-        got = step(state, runs.units, phase, runs.opts, eq.record.theta_cg)
-        expected = reference_step(state, runs.units, phase, runs.opts, eq.record.theta_cg)
+        got = step(state, runs.units, phase, eq.record.theta_cg)
+        expected = reference_step(
+            state, runs.units, phase, runs.units.tol, runs.units.max_iter, eq.record.theta_cg
+        )
         assert _state_bits(got) == _state_bits(expected)
         assert got.record.tripped[1] and got.record.i_mag[1] == 0.0
 
 
 def test_aligned_is_every_pf_angle_zero(table_config):
     fleet = table_config.fleet
-    assert UnitTable(fleet, 1e-5).aligned
-    assert UnitTable(fleet[:-1] + (replace(fleet[-1], pf_angle=-0.0),), 1e-5).aligned
-    assert not UnitTable(fleet[:-1] + (replace(fleet[-1], pf_angle=1e-12),), 1e-5).aligned
+    assert UnitTable(fleet, 1e-5, 230e-9, 100).aligned
+    assert UnitTable(fleet[:-1] + (replace(fleet[-1], pf_angle=-0.0),), 1e-5, 230e-9, 100).aligned
+    assert not UnitTable(
+        fleet[:-1] + (replace(fleet[-1], pf_angle=1e-12),), 1e-5, 230e-9, 100
+    ).aligned
 
 
 def _record(theta, tripped=None):
