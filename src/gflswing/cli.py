@@ -17,12 +17,15 @@ import hashlib
 import itertools
 import json
 import logging
+import marshal
 import math
+import operator
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import yaml
 
@@ -489,6 +492,28 @@ _UNIT_COLUMNS = (
     "theta_cg_rad", "theta_cg_deg", "i_mag_A", "i_q_A", "v_gq_V", "limited", "tripped",
 )
 _BOOL_CELL = ("false", "true")
+# The record fields a row is formatted from, in the order _row_cells reads them.
+_RECORD_FIELDS = operator.attrgetter(
+    "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+)
+# Records per frame sent to the writer process (8 to 64 measured alike).
+_FRAME_RECORDS = 16
+
+
+def _row_cells(units: int) -> Callable[[tuple], str]:
+    """The formatter of a row's cells after t_s, newline included, from a
+    record's _RECORD_FIELDS tuple."""
+    row = _ROW_REST + _ROW_UNIT * units + "\n"
+    degrees = math.degrees
+
+    def cells_of(fields: tuple) -> str:
+        v_mag, v_angle, theta_cg, i_mag, i_q, v_gq, limited, tripped = fields
+        cells = [v_mag, v_angle, degrees(v_angle)]
+        for th, i, iq, vq, lim, trip in zip(theta_cg, i_mag, i_q, v_gq, limited, tripped):
+            cells += (th, degrees(th), i, iq, vq, _BOOL_CELL[lim], _BOOL_CELL[trip])
+        return row % tuple(cells)
+
+    return cells_of
 
 
 def _trajectory_csv(
@@ -496,33 +521,133 @@ def _trajectory_csv(
     records: Iterable[TrajectoryRecord],
 ) -> Iterator[TrajectoryRecord]:
     """Write records, record k at k * dt, as CSV to path, yielding each
-    record once its row is written; the file is complete when the records
-    are exhausted.
+    record once its row is written or sent to the writer process; the
+    file is complete when the records are exhausted.
 
-    The file is the only copy of the text: no row list or joined string
-    is built, and no record is kept. A record that is the one before it,
-    as the equilibrium record is at every step before the fault, reuses
-    that row's cells after t_s.
+    The file is opened before the first record is read. Where os.fork
+    exists, _worker_cap() allows a second process and no other thread
+    runs (a forked child would inherit its locks held), the rows are
+    written by a writer process (see _forked_rows), else here. The file
+    is the only copy of the text: no row list or joined string is built,
+    and no record is kept. A record that is the one before it, as the
+    equilibrium record is at every step before the fault, reuses that
+    row's cells after t_s.
     """
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
-    row = _ROW_REST + _ROW_UNIT * len(fleet) + "\n"
-    degrees = math.degrees
-    last = rest = None
+    cells_of = _row_cells(len(fleet))
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
+        if hasattr(os, "fork") and _worker_cap() > 1 and threading.active_count() == 1:
+            yield from _forked_rows(path, f, cells_of, dt, records)
+            return
+        last = cells = None
         for k, rec in enumerate(records):
             if rec is not last:
-                cells = [rec.v_pcc_mag, rec.v_pcc_angle, degrees(rec.v_pcc_angle)]
-                for th, i, i_q, v_gq, lim, trip in zip(
-                    rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq, rec.limited, rec.tripped
-                ):
-                    cells += (th, degrees(th), i, i_q, v_gq, _BOOL_CELL[lim], _BOOL_CELL[trip])
-                rest = row % tuple(cells)
+                cells = cells_of(_RECORD_FIELDS(rec))
                 last = rec
-            f.write(_ROW_T % (k * dt) + rest)
+            f.write(_ROW_T % (k * dt) + cells)
             yield rec
+
+
+def _forked_rows(
+    path: Path, f: TextIO, cells_of: Callable[[tuple], str], dt: float,
+    records: Iterable[TrajectoryRecord],
+) -> Iterator[TrajectoryRecord]:
+    """Yield each record, while a forked writer process formats its row
+    and writes it to f, the file both share.
+
+    Records go to the writer through a pipe, in marshal frames of
+    _FRAME_RECORDS _RECORD_FIELDS tuples, each frame after its 4-byte
+    length; a record that is the one before it goes as None. The writer
+    is waited for before this returns or raises, so the file is complete
+    when the records are exhausted; a writer that fails raises OSError
+    naming path.
+
+    While the writer runs, this process keeps to the lowest of its usable
+    CPUs and the writer to the others: left to the scheduler, the two
+    were seen to share one CPU for a whole run while the other idled.
+    """
+    f.flush()  # the header, written once, by this process
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(write_fd)
+        _writer_process(path, f, cells_of, dt, read_fd, cpus[1:])
+    os.close(read_fd)
+    frame: list[tuple | None] = []
+    try:
+        if cpus[1:]:
+            os.sched_setaffinity(0, cpus[:1])
+        last = None
+        for rec in records:
+            frame.append(None if rec is last else _RECORD_FIELDS(rec))
+            last = rec
+            if len(frame) == _FRAME_RECORDS:
+                if not _send_frame(write_fd, frame):
+                    break
+                frame.clear()
+            yield rec
+    finally:
+        # Every record read gets its row, also when the stream raised.
+        _send_frame(write_fd, frame)
+        os.close(write_fd)
+        status = os.waitpid(pid, 0)[1]
+        if cpus[1:]:
+            os.sched_setaffinity(0, cpus)
+    if status:
+        raise OSError(
+            f"{path}: the trajectory writer process failed "
+            f"(exit code {os.waitstatus_to_exitcode(status)})"
+        )
+
+
+def _send_frame(fd: int, frame: list) -> bool:
+    """Send frame to the writer process; False if it has exited, which it
+    does before the pipe is closed only when it fails."""
+    data = marshal.dumps(frame)
+    view = memoryview(len(data).to_bytes(4, "little") + data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _writer_process(
+    path: Path, f: TextIO, cells_of: Callable[[tuple], str], dt: float, read_fd: int,
+    cpus: list[int],
+) -> NoReturn:
+    """The forked writer, on cpus unless that is empty: a row for each
+    record of each frame read from read_fd until the parent closes the
+    pipe, then exit, 0 once every row is flushed to f."""
+    code = 1
+    try:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        source = open(read_fd, "rb")
+        k = 0
+        cells = None
+        while head := source.read(4):
+            for fields in marshal.loads(source.read(int.from_bytes(head, "little"))):
+                if fields is not None:
+                    cells = cells_of(fields)
+                f.write(_ROW_T % (k * dt) + cells)
+                k += 1
+        f.flush()
+        code = 0
+    except Exception as exc:
+        os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:

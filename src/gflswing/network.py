@@ -34,12 +34,12 @@ MIN_PARALLEL_SUM_OHM = 1e-12
 
 def line_impedance(r: float, l: float, f: float) -> complex:
     """Series line impedance of a resistance r (ohm) and inductance l (H) at f (Hz)."""
-    if not f > 0.0:
-        raise ValueError(f"frequency must be positive, got {f}")
-    if not r >= 0.0:
-        raise ValueError(f"line resistance must be non-negative, got {r}")
-    if not l >= 0.0:
-        raise ValueError(f"line inductance must be non-negative, got {l}")
+    if not 0.0 < f < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {f}")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"line resistance must be non-negative and finite, got {r}")
+    if not 0.0 <= l < math.inf:
+        raise ValueError(f"line inductance must be non-negative and finite, got {l}")
     return complex(r, 2.0 * math.pi * f * l)
 
 

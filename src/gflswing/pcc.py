@@ -29,6 +29,7 @@ the equivalent impedances come from network.equivalent_impedance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,8 +97,8 @@ def solve_vpcc(
     iterations and ZeroVoltage if |v| (the seed's included) falls below
     ZERO_VOLTAGE_FRACTION * |v_th|.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 

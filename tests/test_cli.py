@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -335,11 +336,18 @@ TRAJECTORY_CSV_SHA256 = {
 }
 
 
+# GFLSWING_THREADS 1 writes trajectory CSVs in process, 2 from a forked
+# writer process; both must write the same bytes.
+WRITER_THREADS = ("1", "2")
+
+
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_CSV_SHA256))
-def test_bundled_trajectory_csv_is_pinned(name, tmp_path):
-    cmd_simulate(load_config(bundled_config_path(name)), tmp_path)
-    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
-    assert digest == TRAJECTORY_CSV_SHA256[name]
+def test_bundled_trajectory_csv_is_pinned(name, tmp_path, monkeypatch):
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        cmd_simulate(load_config(bundled_config_path(name)), tmp_path / threads)
+        digest = hashlib.sha256((tmp_path / threads / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == TRAJECTORY_CSV_SHA256[name], f"GFLSWING_THREADS={threads}"
 
 
 # comparison.json and both replay CSVs of cmd_compare on bundled table1.yaml:
@@ -351,13 +359,16 @@ COMPARE_SHA256 = {
 }
 
 
-def test_bundled_compare_outputs_are_pinned(table_config, tmp_path):
-    assert cmd_compare(table_config, tmp_path) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in COMPARE_SHA256
-    }
-    assert digests == COMPARE_SHA256
+def test_bundled_compare_outputs_are_pinned(table_config, tmp_path, monkeypatch):
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        out = tmp_path / threads
+        assert cmd_compare(table_config, out) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in COMPARE_SHA256
+        }
+        assert digests == COMPARE_SHA256, f"GFLSWING_THREADS={threads}"
 
 
 def test_compare_replays_from_its_searches_runs(table_config, tmp_path, monkeypatch):
@@ -406,30 +417,142 @@ _UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
 
 
 def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
-    uncleared_config, tmp_path
+    uncleared_config, tmp_path, monkeypatch
 ):
     # table1_uncleared at depth 1.0: every unit has tripped by 4.5 ms and
     # the source-less node fails to solve at step 451. The streamed command
-    # writes what simulate() and classify() of the whole run give.
+    # writes what simulate() and classify() of the whole run give, through
+    # either writer path.
     cfg = replace(uncleared_config,
                   scenario=replace(uncleared_config.scenario, fault_depth=1.0))
-    out, ref = tmp_path / "out", tmp_path / "ref"
-    assert cmd_simulate(cfg, out) == 2
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["solver_failure_t_s"] == 4.51e-3
-    assert summary["verdict"]["stable"] is False
-
+    ref = tmp_path / "ref"
     traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     verdict = classify(traj, cfg.settle_tol, cfg.settle_window)
     ref.mkdir()
     _write_trajectory_csv(ref / "trajectory.csv", traj)
-    cli._write_json(ref / "summary.json", {
-        **summary,
-        "verdict": cli._verdict_dict(verdict),
-        "solver_failure_t_s": traj.solver_failure_t,
-    })
-    for name in ("trajectory.csv", "summary.json"):
-        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        out = tmp_path / threads
+        assert cmd_simulate(cfg, out) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solver_failure_t_s"] == 4.51e-3
+        assert summary["verdict"]["stable"] is False
+        cli._write_json(ref / "summary.json", {
+            **summary,
+            "verdict": cli._verdict_dict(verdict),
+            "solver_failure_t_s": traj.solver_failure_t,
+        })
+        for name in ("trajectory.csv", "summary.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, threads)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trajectory_writer_process_is_waited_for(table_config, tmp_path, monkeypatch):
+    # The writer process has written the whole file, and exited, by the
+    # time the command writes summary.json and returns.
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    forks, written = [], []
+    fork, write_json = os.fork, cli._write_json
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    def recording(path, payload):
+        written.append((tmp_path / "trajectory.csv").read_bytes())
+        write_json(path, payload)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_write_json", recording)
+    assert cmd_simulate(table_config, tmp_path) == 0
+    _assert_no_child_left()
+    assert forks == [1]
+    digest = hashlib.sha256(written[0]).hexdigest()
+    assert digest == TRAJECTORY_CSV_SHA256["table1.yaml"]
+
+
+def test_trajectory_csv_is_written_in_process_while_another_thread_runs(
+    table_config, tmp_path, monkeypatch
+):
+    # A forked child would inherit the other thread's held locks.
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked while another thread ran"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cmd_simulate(table_config, tmp_path) == 0
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_CSV_SHA256["table1.yaml"]
+
+
+def test_trajectory_rows_up_to_a_failed_step_are_written_and_the_writer_waited_for(
+    table_config, tmp_path, monkeypatch
+):
+    # A step that raises ends the command with its error; both writer paths
+    # have then written the row of every record read before it, and no
+    # writer process is left.
+    original = dynamics.step
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 100:
+            raise RuntimeError("step 100 failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", failing)
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        calls[0] = 0
+        with pytest.raises(RuntimeError, match="step 100 failed"):
+            cmd_simulate(table_config, tmp_path / threads)
+        _assert_no_child_left()
+    rows = (tmp_path / "1" / "trajectory.csv").read_bytes()
+    assert (tmp_path / "2" / "trajectory.csv").read_bytes() == rows
+    # The records before the fault, then 99 steps.
+    assert rows.count(b"\n") == 1 + table_config.scenario.k_fault + 99
+
+
+def test_a_failing_trajectory_writer_process_raises_naming_the_csv(
+    table_config, tmp_path, monkeypatch, capfd
+):
+    # A record the writer cannot format (a limited flag of 2) fails the
+    # writer process, and the parent raises an OSError naming the file.
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
+                    table_config.solver)
+    records = list(traj.records)
+    records[200] = replace(records[200], limited=(2,) * len(table_config.fleet))
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(OSError, match=str(path)):
+        for _ in cli._trajectory_csv(path, traj.fleet, traj.scenario.dt, records):
+            pass
+    _assert_no_child_left()
+    assert "IndexError" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("threads", WRITER_THREADS)
+def test_an_unopenable_trajectory_csv_raises_before_any_step(
+    table_config, tmp_path, monkeypatch, threads
+):
+    monkeypatch.setenv("GFLSWING_THREADS", threads)
+    steps = []
+    original = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: steps.append(1) or original(*a, **k))
+    (tmp_path / "trajectory.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cmd_simulate(table_config, tmp_path)
+    assert steps == []
+    _assert_no_child_left()
 
 
 def _traced_peak(command, config, out):

@@ -1,5 +1,6 @@
 """Complex line impedances and parallel combinations (gflswing.network)."""
 
+import math
 import random
 
 import pytest
@@ -44,6 +45,17 @@ def test_line_impedance_rejects_bad_inputs():
         line_impedance(-0.1, 1e-6, 60.0)
     with pytest.raises(ValueError):
         line_impedance(0.1, -1e-6, 60.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position, name", [
+    (0, "line resistance"), (1, "line inductance"), (2, "frequency"),
+])
+def test_line_impedance_names_a_non_finite_input(position, name, value):
+    args = [0.1, 1e-6, 60.0]
+    args[position] = value
+    with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
+        line_impedance(*args)
 
 
 def test_parallel_equal_pair_halves():

@@ -537,6 +537,7 @@ def _table1():
     lambda: SolverOptions(tol_rel=0.0),
     lambda: SolverOptions(max_iter=0),
     lambda: SolverOptions(max_iter=2.5),
+    lambda: solve_vpcc(_grid2().prefault, (1000.0 + 0j, 0j), INF, 10),
 ], ids=["find_cct_resolution", "classify_settle_tol", "classify_settle_window",
         "scenario_dt", "step_dt", "s_rated", "r_virtual", "kp", "ki", "i_max",
         "trip_holdoff", "line_resistance", "line_inductance", "frequency",
@@ -547,7 +548,7 @@ def _table1():
         "classify_settle_window_inf", "cct_steps_settle_window_inf",
         "cct_steps_resolution_inf", "solver_tol_rel", "solver_tol_rel_inf",
         "solver_tol_rel_zero", "solver_max_iter_zero",
-        "solver_max_iter_fraction"])
+        "solver_max_iter_fraction", "solve_vpcc_tol_inf"])
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
