@@ -37,13 +37,11 @@ from gflswing.stability import (
     BracketInvalid,
     CctResult,
     CctSettings,
-    EmptyOrder,
     FleetComparison,
     StabilityVerdict,
     classify,
     compare_uniform,
     find_cct,
-    sync_loss_order,
 )
 
 __version__ = "0.1.0"
@@ -72,12 +70,10 @@ __all__ = [
     "BracketInvalid",
     "CctResult",
     "CctSettings",
-    "EmptyOrder",
     "FleetComparison",
     "StabilityVerdict",
     "classify",
     "compare_uniform",
     "find_cct",
-    "sync_loss_order",
     "__version__",
 ]

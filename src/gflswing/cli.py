@@ -13,6 +13,7 @@ Exit codes: 0 stable / success, 2 unstable, 1 error.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
 import itertools
 import json
@@ -25,7 +26,7 @@ import sys
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import yaml
 
@@ -492,28 +493,12 @@ _UNIT_COLUMNS = (
     "theta_cg_rad", "theta_cg_deg", "i_mag_A", "i_q_A", "v_gq_V", "limited", "tripped",
 )
 _BOOL_CELL = ("false", "true")
-# The record fields a row is formatted from, in the order _row_cells reads them.
+# The record fields a row is formatted from, in the order _frame_writer reads them.
 _RECORD_FIELDS = operator.attrgetter(
     "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
 )
-# Records per frame sent to the writer process (8 to 64 measured alike).
+# Records per frame handed to the frame writer (8 to 64 measured alike).
 _FRAME_RECORDS = 16
-
-
-def _row_cells(units: int) -> Callable[[tuple], str]:
-    """The formatter of a row's cells after t_s, newline included, from a
-    record's _RECORD_FIELDS tuple."""
-    row = _ROW_REST + _ROW_UNIT * units + "\n"
-    degrees = math.degrees
-
-    def cells_of(fields: tuple) -> str:
-        v_mag, v_angle, theta_cg, i_mag, i_q, v_gq, limited, tripped = fields
-        cells = [v_mag, v_angle, degrees(v_angle)]
-        for th, i, iq, vq, lim, trip in zip(theta_cg, i_mag, i_q, v_gq, limited, tripped):
-            cells += (th, degrees(th), i, iq, vq, _BOOL_CELL[lim], _BOOL_CELL[trip])
-        return row % tuple(cells)
-
-    return cells_of
 
 
 def _trajectory_csv(
@@ -521,49 +506,81 @@ def _trajectory_csv(
     records: Iterable[TrajectoryRecord],
 ) -> Iterator[TrajectoryRecord]:
     """Write records, record k at k * dt, as CSV to path, yielding each
-    record once its row is written or sent to the writer process; the
-    file is complete when the records are exhausted.
+    record as it is read; the file is complete when the records are
+    exhausted.
 
-    The file is opened before the first record is read. Where os.fork
-    exists, _worker_cap() allows a second process and no other thread
-    runs (a forked child would inherit its locks held), the rows are
-    written by a writer process (see _forked_rows), else here. The file
-    is the only copy of the text: no row list or joined string is built,
-    and no record is kept. A record that is the one before it, as the
-    equilibrium record is at every step before the fault, reuses that
-    row's cells after t_s.
+    Records go to one frame writer (see _frame_writer) _FRAME_RECORDS at a
+    time, each as its _RECORD_FIELDS tuple, or as None if it is the record
+    before it, as the equilibrium record is at every step before the
+    fault. The frame writer runs here, or in a writer process (see
+    _forked_writer) where os.fork exists, _worker_cap() allows a second
+    process and no other thread runs (a forked child would inherit its
+    locks held); both paths write the same bytes. The path is chosen, and
+    the file opened, before the first record is read. No row list or
+    joined string is built, and no record is kept past its frame.
     """
+    forked = hasattr(os, "fork") and _worker_cap() > 1 and threading.active_count() == 1
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
-    cells_of = _row_cells(len(fleet))
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        if hasattr(os, "fork") and _worker_cap() > 1 and threading.active_count() == 1:
-            yield from _forked_rows(path, f, cells_of, dt, records)
-            return
-        last = cells = None
-        for k, rec in enumerate(records):
-            if rec is not last:
-                cells = cells_of(_RECORD_FIELDS(rec))
-                last = rec
+        write = _frame_writer(f, len(fleet), dt)
+        sink = _forked_writer(path, f, write) if forked else contextlib.nullcontext(write)
+        with sink as send:
+            last = None
+            frame: list[tuple | None] = []
+            try:
+                for rec in records:
+                    frame.append(None if rec is last else _RECORD_FIELDS(rec))
+                    last = rec
+                    if len(frame) == _FRAME_RECORDS:
+                        send(frame)
+                        frame.clear()
+                    yield rec
+            finally:
+                # Every record read gets its row, also when the stream
+                # raised; a writer process that has failed raises after it
+                # is waited for.
+                with contextlib.suppress(BrokenPipeError):
+                    send(frame)
+
+
+def _frame_writer(f: TextIO, units: int, dt: float) -> Callable[[list], None]:
+    """The writer to f of one frame's rows, row k at k * dt, k counted
+    on across frames; a None in the frame reuses the row before's cells
+    after t_s."""
+    row = _ROW_REST + _ROW_UNIT * units + "\n"
+    degrees = math.degrees
+    k = 0
+    cells = ""
+
+    def write(frame: list) -> None:
+        nonlocal k, cells
+        for fields in frame:
+            if fields is not None:
+                v_mag, v_angle, theta_cg, i_mag, i_q, v_gq, limited, tripped = fields
+                values = [v_mag, v_angle, degrees(v_angle)]
+                for th, i, iq, vq, lim, trip in zip(theta_cg, i_mag, i_q, v_gq, limited, tripped):
+                    values += (th, degrees(th), i, iq, vq, _BOOL_CELL[lim], _BOOL_CELL[trip])
+                cells = row % tuple(values)
             f.write(_ROW_T % (k * dt) + cells)
-            yield rec
+            k += 1
+
+    return write
 
 
-def _forked_rows(
-    path: Path, f: TextIO, cells_of: Callable[[tuple], str], dt: float,
-    records: Iterable[TrajectoryRecord],
-) -> Iterator[TrajectoryRecord]:
-    """Yield each record, while a forked writer process formats its row
-    and writes it to f, the file both share.
+@contextlib.contextmanager
+def _forked_writer(
+    path: Path, f: TextIO, write: Callable[[list], None],
+) -> Iterator[Callable[[list], None]]:
+    """Yield a sender of frames to a forked writer process, which hands
+    each frame it reads to write, into f, the file both share.
 
-    Records go to the writer through a pipe, in marshal frames of
-    _FRAME_RECORDS _RECORD_FIELDS tuples, each frame after its 4-byte
-    length; a record that is the one before it goes as None. The writer
-    is waited for before this returns or raises, so the file is complete
-    when the records are exhausted; a writer that fails raises OSError
-    naming path.
+    Frames go through a pipe in marshal, each after its 4-byte length. The
+    writer is waited for before this returns or raises, so the file is
+    complete when this returns; a writer that fails raises OSError naming
+    path, and a frame sent after it failed raises BrokenPipeError.
 
     While the writer runs, this process keeps to the lowest of its usable
     CPUs and the writer to the others: left to the scheduler, the two
@@ -579,25 +596,37 @@ def _forked_rows(
         os.close(write_fd)
         raise
     if pid == 0:
-        os.close(write_fd)
-        _writer_process(path, f, cells_of, dt, read_fd, cpus[1:])
+        # The writer: every frame until the parent closes the pipe, then
+        # exit, 0 once every row is flushed to f.
+        code = 1
+        try:
+            os.close(write_fd)
+            if cpus[1:]:
+                os.sched_setaffinity(0, cpus[1:])
+            source = open(read_fd, "rb")
+            while head := source.read(4):
+                write(marshal.loads(source.read(int.from_bytes(head, "little"))))
+            f.flush()
+            code = 0
+        except Exception as exc:
+            os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+        finally:
+            os._exit(code)
     os.close(read_fd)
-    frame: list[tuple | None] = []
+
+    def send(frame: list) -> None:
+        data = marshal.dumps(frame)
+        view = memoryview(len(data).to_bytes(4, "little") + data)
+        while view:
+            view = view[os.write(write_fd, view):]
+
     try:
         if cpus[1:]:
             os.sched_setaffinity(0, cpus[:1])
-        last = None
-        for rec in records:
-            frame.append(None if rec is last else _RECORD_FIELDS(rec))
-            last = rec
-            if len(frame) == _FRAME_RECORDS:
-                if not _send_frame(write_fd, frame):
-                    break
-                frame.clear()
-            yield rec
+        yield send
+    except BrokenPipeError:
+        pass  # the writer exits before the pipe is closed only when it fails
     finally:
-        # Every record read gets its row, also when the stream raised.
-        _send_frame(write_fd, frame)
         os.close(write_fd)
         status = os.waitpid(pid, 0)[1]
         if cpus[1:]:
@@ -607,47 +636,6 @@ def _forked_rows(
             f"{path}: the trajectory writer process failed "
             f"(exit code {os.waitstatus_to_exitcode(status)})"
         )
-
-
-def _send_frame(fd: int, frame: list) -> bool:
-    """Send frame to the writer process; False if it has exited, which it
-    does before the pipe is closed only when it fails."""
-    data = marshal.dumps(frame)
-    view = memoryview(len(data).to_bytes(4, "little") + data)
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _writer_process(
-    path: Path, f: TextIO, cells_of: Callable[[tuple], str], dt: float, read_fd: int,
-    cpus: list[int],
-) -> NoReturn:
-    """The forked writer, on cpus unless that is empty: a row for each
-    record of each frame read from read_fd until the parent closes the
-    pipe, then exit, 0 once every row is flushed to f."""
-    code = 1
-    try:
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-        source = open(read_fd, "rb")
-        k = 0
-        cells = None
-        while head := source.read(4):
-            for fields in marshal.loads(source.read(int.from_bytes(head, "little"))):
-                if fields is not None:
-                    cells = cells_of(fields)
-                f.write(_ROW_T % (k * dt) + cells)
-                k += 1
-        f.flush()
-        code = 0
-    except Exception as exc:
-        os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
-    finally:
-        os._exit(code)
 
 
 def _verdict_dict(v: StabilityVerdict) -> dict:
@@ -697,9 +685,9 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     """Run one scenario; write trajectory.csv and summary.json.
 
-    The run is streamed: each record is written and folded into the
-    verdict as it is stepped, and none is kept. Returns 0 when the verdict
-    is stable and 2 when it is unstable.
+    The run is streamed: each record is folded into the verdict as it is
+    stepped, its row is written with its frame, and none is kept. Returns
+    0 when the verdict is stable and 2 when it is unstable.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -30,10 +30,8 @@ __all__ = [
     "CctResult",
     "FleetComparison",
     "BracketInvalid",
-    "EmptyOrder",
     "RunFold",
     "classify",
-    "sync_loss_order",
     "find_cct",
     "compare_uniform",
     "uniform_fleet_of",
@@ -55,10 +53,6 @@ class BracketInvalid(RuntimeError):
         )
         self.lo_stable = lo_stable
         self.hi_stable = hi_stable
-
-
-class EmptyOrder(RuntimeError):
-    """No inverter lost synchronism in the trajectory."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,18 +297,6 @@ def classify(
     """Stable iff nothing tripped and all angles hold near pre-fault values
     for the final settle_window of the run: RunFold's verdict of traj."""
     return RunFold(traj.records, traj.fleet, traj.scenario, settle_tol).verdict(settle_window)
-
-
-def sync_loss_order(traj: Trajectory) -> list[tuple[str, float]]:
-    """Inverters ordered by divergence (trip) time, earliest first.
-
-    Ties are broken by the larger apparent power rating first. Raises
-    EmptyOrder for a trajectory without any trip event.
-    """
-    order = RunFold(traj.records, traj.fleet, traj.scenario, math.inf).loss_order()
-    if not order:
-        raise EmptyOrder("no inverter lost synchronism in this trajectory")
-    return order
 
 
 def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRecord]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from gflswing.dynamics import DIVERGENCE_BOUND_RAD, SimState, TrajectoryRecord
 from gflswing.pcc import ZeroVoltage, q_components, solve_vpcc
+from gflswing.stability import RunFold
 
 
 # -- exact rational complex arithmetic (pairs of Fractions) -----------------
@@ -280,3 +281,9 @@ def reference_fold(records, settle_tol):
             if rec.tripped[p] and first_trip[p] is None:
                 first_trip[p] = k
     return k, max_exc, last_violation, streak_start, first_trip
+
+
+def loss_order(traj):
+    """(name, first trip time) of every unit that tripped in a materialized
+    run, earliest first: RunFold's loss order, reading trips only."""
+    return RunFold(traj.records, traj.fleet, traj.scenario, math.inf).loss_order()

@@ -26,8 +26,8 @@ from gflswing.network import (
     line_impedance,
 )
 from gflswing.pcc import q_components, solve_vpcc
-from gflswing.stability import classify, compare_uniform, find_cct, sync_loss_order
-from helpers_oracles import aggregate_cd, newton_fd_vpcc
+from gflswing.stability import classify, compare_uniform, find_cct
+from helpers_oracles import aggregate_cd, loss_order, newton_fd_vpcc
 
 XR_TABLE = [
     (0.15, 40.0, 0.1005),
@@ -168,10 +168,10 @@ def test_criterion_05_loss_order(table_config):
         replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
         for c in cfg.fleet
     )
-    order = sync_loss_order(simulate(equalized, cfg.grid, deep, cfg.solver))
+    order = loss_order(simulate(equalized, cfg.grid, deep, cfg.solver))
     assert [name for name, _ in order] == ["Inv 4", "Inv 5", "Inv 2", "Inv 3", "Inv 1"]
 
-    order_full = sync_loss_order(simulate(cfg.fleet, cfg.grid, deep, cfg.solver))
+    order_full = loss_order(simulate(cfg.fleet, cfg.grid, deep, cfg.solver))
     assert order_full[0][0] == "Inv 4"
 
 
@@ -187,7 +187,7 @@ def test_criterion_05_first_four_trips_share_one_step(table_config, equalized):
     if equalized:
         fleet = tuple(replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
                       for c in fleet)
-    order = sync_loss_order(simulate(fleet, cfg.grid, deep, cfg.solver))
+    order = loss_order(simulate(fleet, cfg.grid, deep, cfg.solver))
     assert [(name, round(t / deep.dt)) for name, t in order] == [
         ("Inv 4", 450), ("Inv 5", 450), ("Inv 2", 450), ("Inv 3", 450), ("Inv 1", 601),
     ]

