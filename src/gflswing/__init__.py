@@ -27,7 +27,6 @@ from gflswing.dynamics import (
     InitializationFailure,
     InverterConfig,
     Runs,
-    SimState,
     SolverOptions,
     Trajectory,
     TrajectoryRecord,
@@ -62,7 +61,6 @@ __all__ = [
     "InitializationFailure",
     "InverterConfig",
     "Runs",
-    "SimState",
     "SolverOptions",
     "Trajectory",
     "TrajectoryRecord",

@@ -751,6 +751,7 @@ def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
 
 def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     """Uniform-vs-configured fleet CCT comparison with both trajectories."""
+    _worker_cap()  # a bad THREADS_ENV fails here, not after both searches
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = _require_cct(config)

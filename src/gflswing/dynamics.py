@@ -36,7 +36,6 @@ __all__ = [
     "FaultScenario",
     "TrajectoryRecord",
     "Trajectory",
-    "SimState",
     "SolverOptions",
     "InitializationFailure",
     "UnitTable",
@@ -178,7 +177,8 @@ class FaultScenario:
 
 @dataclass(slots=True)
 class TrajectoryRecord:
-    """One sample: PCC phasor plus per-inverter tuples in fleet order.
+    """One sample: PCC phasor plus per-inverter tuples in fleet order, and
+    what each unit carries to the next step.
 
     A record carries no time: record k of a trajectory is at
     k * scenario.dt.
@@ -186,7 +186,12 @@ class TrajectoryRecord:
     i_q is the current component in quadrature with the solved PCC voltage
     (leading positive); v_gq is the q-axis generation voltage seen by each
     unit's own PLL (0.0 once tripped). i_mag equals i_max exactly while a
-    unit is limited and 0 after it trips.
+    unit is limited and 0 after it trips. theta is each unit's PLL angle
+    (constant at lock) and theta_cg its injection angle, theta plus its
+    pf_angle, or theta itself when the fleet is aligned (see UnitTable).
+    integral is each PLL's PI integral, and limited_steps the steps since
+    each unit's limiting began: 0 on its first limited record, and while
+    it is unlimited.
 
     Read-only by contract, as forked runs share earlier records; not
     frozen, since a frozen dataclass sets each field through
@@ -201,6 +206,9 @@ class TrajectoryRecord:
     v_gq: tuple[float, ...]
     limited: tuple[bool, ...]
     tripped: tuple[bool, ...]
+    theta: tuple[float, ...]
+    integral: tuple[float, ...]
+    limited_steps: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,22 +224,6 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("trajectory must contain at least one record")
-
-
-@dataclass(slots=True)
-class SimState:
-    """The last recorded sample and its step index k, plus what each unit
-    carries between steps: its PLL angle (theta, constant at lock), PI
-    integral and the step at which its current limiting began (None while
-    unlimited). record.theta_cg is theta plus each unit's pf_angle, or
-    theta itself when the fleet is aligned (see UnitTable). Read-only and
-    not frozen, like TrajectoryRecord: forked runs share kept states."""
-
-    record: TrajectoryRecord
-    k: int
-    theta: tuple[float, ...]
-    integral: tuple[float, ...]
-    limited_since: tuple[int | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +254,7 @@ class UnitTable:
     trips when it has been limited for that many steps. series_q is
     Im(z_total e^{j pf_angle}), the q-axis drop per ampere across the
     unit's series impedance in its own PLL frame. aligned is True when every
-    pf_angle is 0: each unit injects at its PLL angle, and a state's
+    pf_angle is 0: each unit injects at its PLL angle, and a record's
     injection angles are its PLL angles, one tuple. Every voltage solve of
     the run stops at tol, the residual in volts that Runs resolves, within
     max_iter iterations.
@@ -337,7 +329,7 @@ def _aggregate(
     return c, d
 
 
-def find_equilibrium(units: UnitTable, prefault: GridPhase) -> SimState:
+def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
     units and prefault are the run's tables (see Runs); units names the
@@ -394,30 +386,31 @@ def find_equilibrium(units: UnitTable, prefault: GridPhase) -> SimState:
     theta = tuple(theta)
     theta_cg = theta if units.aligned else tuple(map(add, theta, units.pf_angle))
     i_mag = tuple(s / v_mag for s in units.s_rated)
-    record = TrajectoryRecord(
+    zeros = (0.0,) * n
+    return TrajectoryRecord(
         v_mag, v_angle, theta_cg, i_mag,
         tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
-        (0.0,) * n, flags_off, flags_off,
+        zeros, flags_off, flags_off, theta, zeros, (0,) * n,
     )
-    return SimState(record, 0, theta, (0.0,) * n, (None,) * n)
 
 
 def step(
-    state: SimState,
+    rec: TrajectoryRecord,
     fleet: UnitTable,
     phase: GridPhase,
     theta_cg_ref: Sequence[float],
-) -> SimState:
-    """Advance the fleet by one step of fleet.dt under the given grid phase.
+) -> TrajectoryRecord:
+    """The record after rec: the fleet advanced by one step of fleet.dt
+    under the given grid phase.
 
     fleet and phase are per-run tables (see Runs); every voltage solve
-    stops at fleet.tol within fleet.max_iter iterations. The new record is
-    record k = state.k + 1 of the run, at k * dt. Order per step: resolve
-    limiter flags and solve the PCC voltage with the current injection
-    angles, evaluate each live unit's q-axis generation voltage in its own
-    PLL frame, update the PLLs, then latch trips (holdoff expiry, once a
-    unit has been limited for fleet.holdoff steps, or angle divergence past
-    DIVERGENCE_BOUND_RAD from theta_cg_ref). Tripped units are frozen and
+    stops at fleet.tol within fleet.max_iter iterations. rec carries all
+    a step reads besides them, so a step needs no step index. Order per
+    step: resolve limiter flags and solve the PCC voltage with the current
+    injection angles, evaluate each live unit's q-axis generation voltage
+    in its own PLL frame, update the PLLs, then latch trips (holdoff
+    expiry, once a unit's limited_steps reach fleet.holdoff, or angle
+    divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref). Tripped units are frozen and
     inject nothing from the following step. The first voltage solve is
     seeded with the previous record's PCC voltage and each limiter re-solve
     with the last solution.
@@ -434,8 +427,6 @@ def step(
     """
     n = len(fleet)
     dt = fleet.dt
-    rec = state.record
-    k = state.k + 1
     grid = phase.grid
     i_max = fleet.i_max
 
@@ -485,8 +476,8 @@ def step(
     if fleet.aligned:
         cos_th, sin_th = cos_cg, sin_cg
     else:
-        cos_th = list(map(math.cos, state.theta))
-        sin_th = list(map(math.sin, state.theta))
+        cos_th = list(map(math.cos, rec.theta))
+        sin_th = list(map(math.sin, rec.theta))
     _, v_gq = q_components(grid, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
 
     # One pass over the units: the PI update of each PLL with its divergence
@@ -497,7 +488,7 @@ def step(
     theta, integral, i_q = [], [], []
     diverged = False
     for th, ig, q, a, b, pf, ref, th_cg, i in zip(
-        state.theta, state.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle,
+        rec.theta, rec.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle,
         theta_cg_ref, theta_cg_old, i_mag,
     ):
         ig += q * dt
@@ -512,30 +503,31 @@ def step(
         for p, t in enumerate(tripped):
             if t:
                 v_gq[p] = 0.0
-                integral[p] = state.integral[p]
-                theta[p] = state.theta[p]
+                integral[p] = rec.integral[p]
+                theta[p] = rec.theta[p]
         v_gq = tuple(v_gq)
     theta = tuple(theta)
     theta_cg = theta if fleet.aligned else tuple(map(add, theta, fleet.pf_angle))
 
     if diverged or any_limited:
-        limited_since = tuple([
-            (since if old else k) if lim else None
-            for lim, old, since in zip(limited, rec.limited, state.limited_since)
+        limited_steps = tuple([
+            steps + 1 if lim and old else 0
+            for lim, old, steps in zip(limited, rec.limited, rec.limited_steps)
         ])
         tripped = tuple([
-            t or (lim and k - since >= hold) or abs(th - ref) > DIVERGENCE_BOUND_RAD
-            for t, lim, since, hold, th, ref in zip(
-                tripped, limited, limited_since, fleet.holdoff, theta_cg, theta_cg_ref
+            t or (lim and steps >= hold) or abs(th - ref) > DIVERGENCE_BOUND_RAD
+            for t, lim, steps, hold, th, ref in zip(
+                tripped, limited, limited_steps, fleet.holdoff, theta_cg, theta_cg_ref
             )
         ])
     else:
-        limited_since = (None,) * n
+        # All 0: rec's own while it limited no unit, so records share one.
+        limited_steps = (0,) * n if True in rec.limited else rec.limited_steps
 
-    record = TrajectoryRecord(
+    return TrajectoryRecord(
         v_mag, v_angle, theta_cg, i_mag, tuple(i_q), v_gq, limited, tripped,
+        theta, tuple(integral), limited_steps,
     )
-    return SimState(record, k, theta, tuple(integral), limited_since)
 
 
 class RunStream:
@@ -546,7 +538,7 @@ class RunStream:
     its reader stopped at. The first iter() hands the records to its
     reader, and a later one yields none. So the stream holds no reference
     to the iterator, which holds one to the stream, and a reader that stops
-    early frees the run's last state as it drops the iterator, not at the
+    early frees the run's last record as it drops the iterator, not at the
     next cyclic garbage collection. scenario is the Runs' scenario with the
     run's clearing time, and fleet the Runs' fleet. solver_failure_t is
     None until the stream is exhausted; then it is the time of the run's
@@ -576,7 +568,7 @@ class Runs:
     settings, for the equilibrium and every step: its tol is opts.tol_rel
     times max(|v_th|, 1 V) of the pre-fault source, the one place the
     tolerance is resolved. prefault and fault are the grid phases before
-    and during the fault, and equilibrium the locked pre-fault state, whose
+    and during the fault, and equilibrium the locked pre-fault record, whose
     injection angles are the reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
@@ -587,15 +579,17 @@ class Runs:
     angle as they are. So records 0 to k_fault - 1 are one object, the
     equilibrium record, and no step, voltage solve or q projection is made
     before the fault.
-    The fault-on run is kept as its states from step k_fault - 1 (step 0
+    The fault-on run is kept as its records from step k_fault - 1 (step 0
     if the fault is at step 0), beginning with the equilibrium there, and
-    grows only as runs are read. A cleared run reads its kept states up to
-    the step before its clearing step, stepping and keeping each one that
-    is not kept yet, and steps its own states from there, keeping none. So
-    each fault-on step is made once, and only when a run reads past it: a
-    reader that stops at a record makes no later step. An uncleared run
-    reads the kept states and steps on from the last, keeping none of its
-    own. A failed step is not kept, so a later run repeats it.
+    grows only as runs are read. A cleared run reads its kept records up
+    to the step before its clearing step, stepping and keeping each one
+    that is not kept yet, and steps its own records from there, keeping
+    none. So each fault-on step is made once, and only when a run reads
+    past it: a reader that stops at a record makes no later step. An
+    uncleared run reads the kept records and steps on from the last,
+    keeping none of its own. A failed step is not kept, so a later run
+    repeats it. A record carries no step index: the run counts k as it
+    reads and steps (see step).
 
     A Runs object grows as it is used and is not shared across threads.
     """
@@ -621,12 +615,11 @@ class Runs:
         self.prefault = GridPhase(units, grid.prefault, zeq_pre)
         self.fault = GridPhase(units, fault_ten, zeq_fault)
         self.equilibrium = find_equilibrium(units, self.prefault)
-        # The fault-on run's state after each step from _first_kept on,
+        # The fault-on run's record of each step from _first_kept on,
         # beginning with the equilibrium there; its records before are the
-        # equilibrium's.
-        self._first_kept = first = max(scenario.k_fault - 1, 0)
-        eq = self.equilibrium
-        self._states = [SimState(eq.record, first, eq.theta, eq.integral, eq.limited_since)]
+        # equilibrium too.
+        self._first_kept = max(scenario.k_fault - 1, 0)
+        self._states = [self.equilibrium]
 
     def stream(self, t_clear: float | None) -> RunStream:
         """The run that clears the fault at t_clear (None: never), as a
@@ -655,28 +648,27 @@ class Runs:
         k_clear = run.scenario.k_clear
         k_end = self.scenario.k_end
         states, first = self._states, self._first_kept
-        theta_cg_ref = self.equilibrium.record.theta_cg
-        yield from repeat(self.equilibrium.record, first)
-        state = states[0]
-        yield state.record
+        rec = self.equilibrium
+        theta_cg_ref = rec.theta_cg
+        yield from repeat(rec, first + 1)
         try:
-            while state.k < k_end:
-                k = state.k + 1
+            for k in range(first + 1, k_end + 1):
                 if k_clear is not None and k >= k_clear:
-                    state = step(state, self.units, self.prefault, theta_cg_ref)
+                    rec = step(rec, self.units, self.prefault, theta_cg_ref)
                 elif k - first < len(states):
-                    state = states[k - first]
+                    rec = states[k - first]
                 else:
-                    state = step(state, self.units, self.fault, theta_cg_ref)
+                    rec = step(rec, self.units, self.fault, theta_cg_ref)
                     if k_clear is not None:
-                        states.append(state)
-                yield state.record
+                        states.append(rec)
+                yield rec
         except (NonConvergence, ZeroVoltage):
-            run.solver_failure_t = (state.k + 1) * run.scenario.dt
+            run.solver_failure_t = k * run.scenario.dt
             n = len(self.fleet)
             yield replace(
-                state.record, i_mag=(0.0,) * n, i_q=(0.0,) * n,
+                rec, i_mag=(0.0,) * n, i_q=(0.0,) * n,
                 v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
+                limited_steps=(0,) * n,
             )
 
 

@@ -16,3 +16,8 @@ def nofault_config():
 @pytest.fixture(scope="session")
 def uncleared_config():
     return load_config(bundled_config_path("table1_uncleared.yaml"))
+
+
+@pytest.fixture(scope="session")
+def sync_config():
+    return load_config(bundled_config_path("table1_sync.yaml"))

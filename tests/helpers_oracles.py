@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gflswing.dynamics import DIVERGENCE_BOUND_RAD, SimState, TrajectoryRecord
+from gflswing.dynamics import DIVERGENCE_BOUND_RAD, TrajectoryRecord
 from gflswing.pcc import ZeroVoltage, q_components, solve_vpcc
 from gflswing.stability import RunFold
 
@@ -174,13 +174,11 @@ def _reference_aggregate(phase, e, tripped, limited) -> tuple[complex, complex]:
     return c, d
 
 
-def reference_step(state, fleet, phase, tol, max_iter, theta_cg_ref):
+def reference_step(rec, fleet, phase, tol, max_iter, theta_cg_ref):
     """dynamics.step, one unit at a time (see dynamics.step for the order),
     each voltage solve stopping at tol within max_iter iterations."""
     n = len(fleet)
     dt = fleet.dt
-    rec = state.record
-    k = state.k + 1
     grid = phase.grid
     s_rated = fleet.s_rated
     i_max = fleet.i_max
@@ -220,20 +218,20 @@ def reference_step(state, fleet, phase, tol, max_iter, theta_cg_ref):
     ]
     _, v_gq_all = q_components(
         grid, v, agg,
-        list(map(math.cos, state.theta)), list(map(math.sin, state.theta)),
+        list(map(math.cos, rec.theta)), list(map(math.sin, rec.theta)),
         fleet.series_q, i_mag,
     )
 
-    theta = list(state.theta)
-    integral = list(state.integral)
-    limited_since = list(state.limited_since)
+    theta = list(rec.theta)
+    integral = list(rec.integral)
+    limited_steps = list(rec.limited_steps)
     theta_cg = list(theta_cg_old)
     v_gq = [0.0] * n
     tripped_new = list(tripped)
     kp, ki, pf_angle, holdoff = fleet.kp, fleet.ki, fleet.pf_angle, fleet.holdoff
     for p in range(n):
         if tripped[p]:
-            limited_since[p] = None
+            limited_steps[p] = 0
             continue
 
         v_q = v_gq[p] = v_gq_all[p]
@@ -242,21 +240,21 @@ def reference_step(state, fleet, phase, tol, max_iter, theta_cg_ref):
         theta_cg[p] = theta_cg_p = theta[p] + pf_angle[p]
 
         if limited[p]:
-            since = limited_since[p] = limited_since[p] if rec.limited[p] else k
-            if k - since >= holdoff[p]:
+            steps = limited_steps[p] = limited_steps[p] + 1 if rec.limited[p] else 0
+            if steps >= holdoff[p]:
                 tripped_new[p] = True
         else:
-            limited_since[p] = None
+            limited_steps[p] = 0
         if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
             tripped_new[p] = True
 
     v_angle = cmath.phase(v)
-    record = TrajectoryRecord(
+    return TrajectoryRecord(
         v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
         tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
         tuple(v_gq), tuple(limited), tuple(tripped_new),
+        tuple(theta), tuple(integral), tuple(limited_steps),
     )
-    return SimState(record, k, tuple(theta), tuple(integral), tuple(limited_since))
 
 
 def reference_fold(records, settle_tol):

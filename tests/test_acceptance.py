@@ -323,7 +323,7 @@ def test_criterion_10_trip_cascade(table_config):
     cfg = table_config
     scenario = replace(cfg.scenario, fault_depth=0.4)
     runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
-    theta = runs.equilibrium.record.theta_cg
+    theta = runs.equilibrium.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
     zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
     s_all = tuple(c.s_rated for c in cfg.fleet)

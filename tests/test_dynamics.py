@@ -10,7 +10,6 @@ from gflswing.cli import bundled_config_path, cmd_simulate, load_config
 from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
-    SimState,
     SolverOptions,
     Runs,
     TrajectoryRecord,
@@ -103,13 +102,12 @@ def test_a_cleared_fault_at_step_0_is_rejected(table_config):
 
 def _assert_fixed_point(fleet, grid):
     run = _runs(fleet, grid)
-    state = run.equilibrium
-    assert all(v_gq == 0.0 for v_gq in state.record.v_gq)
-    nxt = step(state, run.units, run.prefault, state.record.theta_cg)
-    before, after = state.record, nxt.record
+    before = run.equilibrium
+    assert all(v_gq == 0.0 for v_gq in before.v_gq)
+    after = step(before, run.units, run.prefault, before.theta_cg)
     for p, cfg in enumerate(fleet):
         assert after.theta_cg[p] == pytest.approx(before.theta_cg[p], abs=1e-9)
-        omega_dev = cfg.kp * after.v_gq[p] + cfg.ki * nxt.integral[p]
+        omega_dev = cfg.kp * after.v_gq[p] + cfg.ki * after.integral[p]
         assert abs(omega_dev) < 1e-6
         assert not after.limited[p] and not after.tripped[p]
     assert after.v_pcc_mag == pytest.approx(before.v_pcc_mag, rel=1e-9)
@@ -145,21 +143,20 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     # the solve residual far below that bound.
     fleet = _pf_fleet()
     run = _runs(fleet, _small_grid(), SolverOptions(tol_rel=1e-11 / 230.0))
-    state = run.equilibrium
-    nxt = step(state, run.units, run.fault, state.record.theta_cg)
-    rec = nxt.record
+    eq = run.equilibrium
+    rec = step(eq, run.units, run.fault, eq.theta_cg)
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
     scale = max(abs(v_pcc), abs(run.fault.grid.v_th))
     for p, cfg in enumerate(fleet):
-        full = v_pcc + cfg.z_total() * rec.i_mag[p] * cmath.exp(1j * state.record.theta_cg[p])
-        oracle = (full * cmath.exp(-1j * state.theta[p])).imag
+        full = v_pcc + cfg.z_total() * rec.i_mag[p] * cmath.exp(1j * eq.theta_cg[p])
+        oracle = (full * cmath.exp(-1j * eq.theta[p])).imag
         assert abs(rec.v_gq[p] - oracle) <= 1e-9 * max(abs(full), scale)
         assert abs(oracle) > 1e-3  # the fault moved every unit off lock
         # The PLLs take the PI update from that v_gq, bit for bit.
-        integral = state.integral[p] + rec.v_gq[p] * 1e-5
-        theta = state.theta[p] + (cfg.kp * rec.v_gq[p] + cfg.ki * integral) * 1e-5
-        assert (nxt.theta[p], nxt.integral[p]) == (theta, integral)
+        integral = eq.integral[p] + rec.v_gq[p] * 1e-5
+        theta = eq.theta[p] + (cfg.kp * rec.v_gq[p] + cfg.ki * integral) * 1e-5
+        assert (rec.theta[p], rec.integral[p]) == (theta, integral)
         assert rec.theta_cg[p] == theta + cfg.pf_angle
 
 
@@ -170,10 +167,10 @@ def test_direct_fault_on_step_equals_the_step_a_run_makes():
     dt = 1e-5
     scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
     run = Runs(fleet, _small_grid(), scenario, SolverOptions())
-    direct = step(run.equilibrium, run.units, run.fault, run.equilibrium.record.theta_cg)
+    direct = step(run.equilibrium, run.units, run.fault, run.equilibrium.theta_cg)
     traj = run.run(None)
     assert traj.solver_failure_t is None
-    assert traj.records[1] == direct.record
+    assert traj.records[1] == direct
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5])
@@ -185,9 +182,8 @@ def test_unit_table_rejects_a_non_positive_dt(dt):
 
 def test_fault_step_depresses_voltage():
     run = _runs(_small_fleet(), _small_grid())
-    state = run.equilibrium
-    nxt = step(state, run.units, run.fault, state.record.theta_cg)
-    assert nxt.record.v_pcc_mag < state.record.v_pcc_mag
+    eq = run.equilibrium
+    assert step(eq, run.units, run.fault, eq.theta_cg).v_pcc_mag < eq.v_pcc_mag
 
 
 def test_removing_one_injection_lowers_voltage_and_raises_currents():
@@ -221,9 +217,11 @@ def test_simulate_without_disturbance_holds_angles(nofault_config):
 
 
 def test_trajectory_record_fields_are_pinned():
-    # A record carries no time: record k is at k * dt.
+    # A record carries no time: record k is at k * dt. It carries what the
+    # next step reads, and no step index.
     assert [f.name for f in fields(TrajectoryRecord)] == [
         "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+        "theta", "integral", "limited_steps",
     ]
 
 
@@ -445,7 +443,7 @@ def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, mo
 def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     # Before the fault the fleet rests at its locked operating point: each
     # record is the equilibrium record itself, with v_gq exactly 0.0. The
-    # first step is the fault's, made from that state.
+    # first step is the fault's, made from that record.
     cfg = table_config
     dt = cfg.scenario.dt
     scen = replace(cfg.scenario, t_fault=k_fault * dt, t_clear=None)
@@ -454,13 +452,12 @@ def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     records = runs.run(None).records
     eq = runs.equilibrium
     for rec in records[:max(k_fault, 1)]:
-        assert rec is eq.record
-    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in eq.record.v_gq)
+        assert rec is eq
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in eq.v_gq)
     k0 = max(k_fault - 1, 0)
-    start = SimState(records[k0], k0, eq.theta, eq.integral, eq.limited_since)
-    first = step(start, runs.units, runs.fault, eq.record.theta_cg)
-    assert records[k0 + 1] == first.record
-    assert records[k0 + 1].v_pcc_mag < eq.record.v_pcc_mag
+    assert records[k0] is eq
+    assert records[k0 + 1] == step(eq, runs.units, runs.fault, eq.theta_cg)
+    assert records[k0 + 1].v_pcc_mag < eq.v_pcc_mag
 
 
 def test_an_uncleared_simulate_steps_only_from_the_fault_on(uncleared_config, monkeypatch):
@@ -521,10 +518,11 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
 
 @pytest.mark.parametrize("dt", [1e-5, 7e-5])
 def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config, dt):
-    # limited_since carries across steps: each unit trips exactly
-    # trip_holdoff, in whole steps, after its limiting began, including
-    # Inv 1, which starts limiting only after the others have tripped. At
-    # 7e-5 s the 1.5 ms holdoff is 21.43 steps, so the nearest, 21.
+    # Each record's limited_steps counts on from the one before it, so each
+    # unit trips exactly trip_holdoff, in whole steps, after its limiting
+    # began, including Inv 1, which starts limiting only after the others
+    # have tripped. At 7e-5 s the 1.5 ms holdoff is 21.43 steps, so the
+    # nearest, 21.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None, dt=dt)
     records = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
@@ -533,6 +531,8 @@ def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config, dt):
         k_trip = next(k for k, rec in enumerate(records) if rec.tripped[p])
         assert k_trip - k_limit == round(unit.trip_holdoff / scen.dt)
         assert all(rec.limited[p] for rec in records[k_limit:k_trip + 1])
+        assert [rec.limited_steps[p] for rec in records[k_limit - 1:k_trip + 2]] == [
+            0, *range(k_trip - k_limit + 1), 0]
 
 
 def test_cleared_early_returns_to_prefault(table_config):

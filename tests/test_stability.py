@@ -70,6 +70,9 @@ def _synthetic(fleet, rows, t_clear, dt=1e-3):
             v_gq=(0.0,) * n,
             limited=(False,) * n,
             tripped=tripped,
+            theta=theta,
+            integral=(0.0,) * n,
+            limited_steps=(0,) * n,
         )
         for theta, tripped in rows
     )
@@ -476,7 +479,7 @@ def _step_by(dt):
     run = Runs(_fleet2(), _grid2(), _base_scenario())
     return step(
         run.equilibrium, UnitTable(_fleet2(), dt, run.units.tol, run.units.max_iter),
-        run.prefault, run.equilibrium.record.theta_cg,
+        run.prefault, run.equilibrium.theta_cg,
     )
 
 
@@ -636,3 +639,58 @@ def test_nonuniform_fleet_spreads_divergence_times(table_config):
     spread_mixed = max(times_mixed) - min(times_mixed)
     spread_uni = max(times_uni) - min(times_uni)
     assert spread_mixed > spread_uni
+
+
+# table1_sync's verdicts on a 0.1 ms grid of clearing intervals from 38.0 to
+# 42.9 ms (S stable, U unstable): the first unstable interval is 40.1 ms,
+# and 40.3-40.7 and 41.0-41.7 ms are stable islands above it.
+SYNC_VERDICTS = "SSSSSSSSSSSSSSSSSSSSSUUSSSSSUUSSSSSSSSUUUUUUUUUUUU"
+
+
+def test_table1_sync_verdicts_near_the_boundary_are_pinned(sync_config):
+    # Every unstable run of the grid is decided by a trip of Inv 5 past the
+    # divergence bound, at 173.8 to 301.3 ms, well before the runs' 600 ms
+    # end: the 10 s holdoff cannot expire in the run, so no verdict
+    # here rests on the holdoff timer or on where the run stops.
+    cfg = sync_config
+    scen = cfg.scenario
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    assert min(runs.units.holdoff) > scen.k_end
+    theta_ref = runs.equilibrium.theta_cg
+    verdicts, trip_times = "", []
+    for k in range(380, 430):
+        tripping = []
+
+        def watched(run):
+            for rec in run:
+                if not tripping and True in rec.tripped:
+                    tripping.append(rec)
+                yield rec
+
+        run = runs.stream(scen.t_fault + k * scen.dt)
+        fold = RunFold(watched(run), run.fleet, run.scenario, cfg.settle_tol)
+        verdict = fold.verdict(cfg.settle_window)
+        verdicts += "S" if verdict.stable else "U"
+        if not verdict.stable:
+            (name, t_trip), *_ = fold.loss_order()
+            assert name == verdict.first_unstable == "Inv 5"
+            p = [c.name for c in cfg.fleet].index(name)
+            assert abs(tripping[0].theta_cg[p] - theta_ref[p]) > dynamics.DIVERGENCE_BOUND_RAD
+            trip_times.append(t_trip)
+    assert verdicts == SYNC_VERDICTS
+    assert len(trip_times) == 16
+    assert 0.1737 < min(trip_times) and max(trip_times) < 0.3014
+    assert scen.t_end - max(trip_times) > 0.29
+
+
+def test_table1_sync_cct_search_is_pinned(sync_config):
+    # The bisection on [30, 57] ms at 0.25 ms meets the transition at the
+    # first unstable interval, 40.1 ms, and its five audit samples, 6.75 ms
+    # apart, cannot see the islands above it.
+    cfg = sync_config
+    dt = cfg.scenario.dt
+    res = find_cct(Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver), cfg.cct,
+                   cfg.settle_tol, cfg.settle_window)
+    assert (round(res.bracket_lo / dt), round(res.bracket_hi / dt)) == (400, 402)
+    assert res.loss_order == ("Inv 5",)
+    assert res.monotonic

@@ -1,5 +1,5 @@
 """dynamics.step and stability.RunFold against their one-unit-at-a-time
-references in helpers_oracles: every state a step makes and every fold's
+references in helpers_oracles: every record a step makes and every fold's
 state are equal bit for bit, on seeded fleets through every branch of the
 step (power-factor angles, limiter entry and exit, holdoff and divergence
 trips, tripped units, a collapsed source) and on synthetic records."""
@@ -14,7 +14,6 @@ from gflswing import dynamics
 from gflswing.dynamics import (
     DIVERGENCE_BOUND_RAD,
     Runs,
-    SimState,
     TrajectoryRecord,
     UnitTable,
     step,
@@ -35,12 +34,8 @@ def _bits(value):
     return value
 
 
-def _state_bits(state: SimState):
-    rec = state.record
-    return (
-        tuple(_bits(getattr(rec, f.name)) for f in fields(TrajectoryRecord)),
-        state.k, _bits(state.theta), _bits(state.integral), state.limited_since,
-    )
+def _record_bits(rec: TrajectoryRecord):
+    return tuple(_bits(getattr(rec, f.name)) for f in fields(TrajectoryRecord))
 
 
 def _jittered(fleet, seed, share=0.1, pf=0.0):
@@ -60,8 +55,9 @@ def _jittered(fleet, seed, share=0.1, pf=0.0):
 
 
 class _Walk:
-    """Every state of one run made by step and checked against
-    reference_step from the same state, with what the run went through."""
+    """Every record of one run from step k0 on, each made by step and
+    checked against reference_step from the same record, with what the run
+    went through."""
 
     def __init__(self, runs: Runs, t_clear, monkeypatch):
         solves = [0]
@@ -74,26 +70,26 @@ class _Walk:
         monkeypatch.setattr(dynamics, "solve_vpcc", counting)
         scenario = replace(runs.scenario, t_clear=t_clear)
         k_clear = scenario.k_clear
-        eq = runs.equilibrium
-        state = replace(eq, k=max(scenario.k_fault - 1, 0))
-        ref = eq.record.theta_cg
-        self.states, self.failure = [state], None
-        for k in range(state.k + 1, scenario.k_end + 1):
+        rec = runs.equilibrium
+        ref = rec.theta_cg
+        self.k0 = max(scenario.k_fault - 1, 0)
+        self.records, self.failure = [rec], None
+        for k in range(self.k0 + 1, scenario.k_end + 1):
             phase = runs.prefault if k_clear is not None and k >= k_clear else runs.fault
             try:
-                expected = reference_step(state, runs.units, phase, runs.units.tol, runs.units.max_iter, ref)
+                expected = reference_step(rec, runs.units, phase, runs.units.tol, runs.units.max_iter, ref)
             except (NonConvergence, ZeroVoltage) as exc:
                 with pytest.raises(type(exc)):
-                    step(state, runs.units, phase, ref)
+                    step(rec, runs.units, phase, ref)
                 self.failure = k
                 break
-            state = step(state, runs.units, phase, ref)
-            assert _state_bits(state) == _state_bits(expected), f"step {k}"
-            self.states.append(state)
+            rec = step(rec, runs.units, phase, ref)
+            assert _record_bits(rec) == _record_bits(expected), f"step {k}"
+            self.records.append(rec)
         monkeypatch.undo()
-        self.steps = len(self.states) - 1
+        records = self.records
+        self.steps = len(records) - 1
         self.solves = solves[0]
-        records = [s.record for s in self.states]
         self.limit_entries = sum(
             1 for a, b in zip(records, records[1:])
             for was, now in zip(a.limited, b.limited) if now and not was
@@ -113,9 +109,9 @@ class _Walk:
                         self.divergence_trips += 1
                     else:
                         self.holdoff_trips += 1
-        # Steps made from a state with a tripped unit and a live one.
+        # Steps made from a record with a tripped unit and a live one.
         self.steps_with_tripped = sum(
-            1 for s in self.states[:-1] if True in s.record.tripped and False in s.record.tripped
+            1 for r in records[:-1] if True in r.tripped and False in r.tripped
         )
 
 
@@ -186,8 +182,8 @@ def test_a_divergence_trip_and_the_units_after_it(table_config, pf, k_trip, trip
     assert walk.failure is None
     assert walk.divergence_trips and not walk.holdoff_trips and not walk.limit_entries
     assert walk.steps_with_tripped
-    first = next(s for s in walk.states if True in s.record.tripped)
-    assert (first.k, first.record.tripped) == (k_trip, tripped)
+    i, first = next((i, r) for i, r in enumerate(walk.records) if True in r.tripped)
+    assert (walk.k0 + i, first.tripped) == (k_trip, tripped)
     _assert_folds_match(runs.run(None).records, fleet, runs.scenario)
 
 
@@ -200,26 +196,25 @@ def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):
     assert runs.fault.grid.v_th == 0.0
     walk = _Walk(runs, None, monkeypatch)
     assert walk.failure == 451
-    assert all(walk.states[1].record.limited)
+    assert all(walk.records[1].limited)
     assert walk.holdoff_trips == 5
 
 
 def test_step_from_a_state_with_a_tripped_unit_and_a_limited_one(table_config):
-    # A hand-made state: Inv 2 tripped, Inv 4 limited since two steps ago,
+    # A hand-made record: Inv 2 tripped, Inv 4 limited since two steps ago,
     # under the fault and after it.
     cfg = table_config
     runs = _runs(cfg, fault_depth=0.6)
     eq = runs.equilibrium
-    rec = replace(eq.record, tripped=(False, True, False, False, False),
-                  limited=(False, True, False, True, False))
-    state = SimState(rec, 300, eq.theta, eq.integral, (None, None, None, 298, None))
+    rec = replace(eq, tripped=(False, True, False, False, False),
+                  limited=(False, True, False, True, False), limited_steps=(0, 0, 0, 2, 0))
     for phase in (runs.fault, runs.prefault):
-        got = step(state, runs.units, phase, eq.record.theta_cg)
+        got = step(rec, runs.units, phase, eq.theta_cg)
         expected = reference_step(
-            state, runs.units, phase, runs.units.tol, runs.units.max_iter, eq.record.theta_cg
+            rec, runs.units, phase, runs.units.tol, runs.units.max_iter, eq.theta_cg
         )
-        assert _state_bits(got) == _state_bits(expected)
-        assert got.record.tripped[1] and got.record.i_mag[1] == 0.0
+        assert _record_bits(got) == _record_bits(expected)
+        assert got.tripped[1] and got.i_mag[1] == 0.0
 
 
 def test_aligned_is_every_pf_angle_zero(table_config):
@@ -235,7 +230,8 @@ def _record(theta, tripped=None):
     n = len(theta)
     zeros = (0.0,) * n
     return TrajectoryRecord(230.0, 0.0, tuple(theta), zeros, zeros, zeros,
-                            (False,) * n, tuple(tripped or (False,) * n))
+                            (False,) * n, tuple(tripped or (False,) * n),
+                            tuple(theta), zeros, (0,) * n)
 
 
 def test_synthetic_records_fold_as_one_unit_at_a_time(table_config):
