@@ -54,6 +54,7 @@ from gflswing.stability import (
     CctSettings,
     RunFold,
     StabilityVerdict,
+    _cpu_split,
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
     compare_uniform,
     find_cct,
@@ -513,11 +514,10 @@ def _trajectory_csv(
     time, each as its _RECORD_FIELDS tuple, or as None if it is the record
     before it, as the equilibrium record is at every step before the
     fault. The frame writer runs here, or in a writer process (see
-    _forked_writer) where os.fork exists, _worker_cap() allows a second
-    process and no other thread runs (a forked child would inherit its
-    locks held); both paths write the same bytes. The path is chosen, and
-    the file opened, before the first record is read. No row list or
-    joined string is built, and no record is kept past its frame.
+    _forked_writer) where _may_fork(); both paths write the same bytes.
+    The path is chosen, and the file opened, before the first record is
+    read. No row list or joined string is built, and no record is kept
+    past its frame.
     """
     forked = hasattr(os, "fork") and _worker_cap() > 1 and threading.active_count() == 1
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
@@ -580,57 +580,51 @@ def _forked_writer(
     Frames go through a pipe in marshal, each after its 4-byte length. The
     writer is waited for before this returns or raises, so the file is
     complete when this returns; a writer that fails raises OSError naming
-    path, and a frame sent after it failed raises BrokenPipeError.
-
-    While the writer runs, this process keeps to the lowest of its usable
-    CPUs and the writer to the others: left to the scheduler, the two
-    were seen to share one CPU for a whole run while the other idled.
+    path, and a frame sent after it failed raises BrokenPipeError. While
+    the writer runs, the CPUs are split between the two (see
+    stability._cpu_split).
     """
     f.flush()  # the header, written once, by this process
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # The writer: every frame until the parent closes the pipe, then
-        # exit, 0 once every row is flushed to f.
-        code = 1
+    with _cpu_split() as others:
+        read_fd, write_fd = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
             os.close(write_fd)
-            if cpus[1:]:
-                os.sched_setaffinity(0, cpus[1:])
-            source = open(read_fd, "rb")
-            while head := source.read(4):
-                write(marshal.loads(source.read(int.from_bytes(head, "little"))))
-            f.flush()
-            code = 0
-        except Exception as exc:
-            os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+            raise
+        if pid == 0:
+            # The writer: every frame until the parent closes the pipe, then
+            # exit, 0 once every row is flushed to f.
+            code = 1
+            try:
+                os.close(write_fd)
+                if others:
+                    os.sched_setaffinity(0, others)
+                source = open(read_fd, "rb")
+                while head := source.read(4):
+                    write(marshal.loads(source.read(int.from_bytes(head, "little"))))
+                f.flush()
+                code = 0
+            except Exception as exc:
+                os.write(2, f"error: writing {path}: {type(exc).__name__}: {exc}\n".encode())
+            finally:
+                os._exit(code)
+        os.close(read_fd)
+
+        def send(frame: list) -> None:
+            data = marshal.dumps(frame)
+            view = memoryview(len(data).to_bytes(4, "little") + data)
+            while view:
+                view = view[os.write(write_fd, view):]
+
+        try:
+            yield send
+        except BrokenPipeError:
+            pass  # the writer exits before the pipe is closed only when it fails
         finally:
-            os._exit(code)
-    os.close(read_fd)
-
-    def send(frame: list) -> None:
-        data = marshal.dumps(frame)
-        view = memoryview(len(data).to_bytes(4, "little") + data)
-        while view:
-            view = view[os.write(write_fd, view):]
-
-    try:
-        if cpus[1:]:
-            os.sched_setaffinity(0, cpus[:1])
-        yield send
-    except BrokenPipeError:
-        pass  # the writer exits before the pipe is closed only when it fails
-    finally:
-        os.close(write_fd)
-        status = os.waitpid(pid, 0)[1]
-        if cpus[1:]:
-            os.sched_setaffinity(0, cpus)
+            os.close(write_fd)
+            status = os.waitpid(pid, 0)[1]
     if status:
         raise OSError(
             f"{path}: the trajectory writer process failed "
@@ -717,13 +711,15 @@ def _require_cct(config: RunConfig) -> CctSettings:
 
 
 def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
-    """Bisect the critical clearing time; write cct.json."""
+    """Bisect the critical clearing time, deciding clearing steps in forked
+    processes too where _may_fork(); write cct.json."""
+    fork = _may_fork()  # a bad THREADS_ENV fails here, before any step
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = _require_cct(config)
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     try:
-        result = find_cct(runs, settings, config.settle_tol, config.settle_window)
+        result = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
     except BracketInvalid as exc:
         payload = {
             "command": "cct",
@@ -750,13 +746,14 @@ def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
 
 
 def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
-    """Uniform-vs-configured fleet CCT comparison with both trajectories."""
-    _worker_cap()  # a bad THREADS_ENV fails here, not after both searches
+    """Uniform-vs-configured fleet CCT comparison with both trajectories;
+    the searches fork as cmd_cct's does."""
+    fork = _may_fork()  # a bad THREADS_ENV fails here, not after both searches
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = _require_cct(config)
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
-    comparison = compare_uniform(runs, settings, config.settle_tol, config.settle_window)
+    comparison = compare_uniform(runs, settings, config.settle_tol, config.settle_window, fork)
     # Both fleets replayed, from their searches' runs, at the configured
     # fleet's last stable clearing step, and streamed to their files.
     t_clear = config.scenario.t_fault + comparison.result_nonuniform.bracket_lo
@@ -846,6 +843,13 @@ def _worker_cap() -> int:
         return max(1, int(cap))
     except ValueError:
         raise ConfigError(f"{THREADS_ENV}: expected an integer, got {cap!r}")
+
+
+def _may_fork() -> bool:
+    """Whether a command may fork a child process: _worker_cap() allows a
+    second process (a bad THREADS_ENV raises here), os.fork exists and no
+    other thread runs (a forked child would inherit its locks held)."""
+    return _worker_cap() > 1 and hasattr(os, "fork") and threading.active_count() == 1
 
 
 def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:

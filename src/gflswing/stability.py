@@ -9,10 +9,12 @@ monotone in clearing time.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from gflswing.dynamics import (
     FaultScenario,
@@ -308,11 +310,98 @@ def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRe
             return
 
 
+@contextlib.contextmanager
+def _cpu_split() -> Iterator[list[int]]:
+    """Keep this process to the lowest CPU of its affinity set for the
+    block, restoring the set after it, and yield the others, for forked
+    children: left to the scheduler, parent and child were seen to share
+    one CPU while the other idled."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if cpus[1:]:
+        os.sched_setaffinity(0, cpus[:1])
+    try:
+        yield cpus[1:]
+    finally:
+        if cpus[1:]:
+            os.sched_setaffinity(0, cpus)
+
+
+class _Decisions:
+    """One search's verdicts, each clearing step decided once: here by
+    decide, or by the forked child it is assigned to, which decides its
+    steps in order from this process's state at the fork (copy-on-write)
+    and writes one byte per verdict to a pipe. A child's steps are asked
+    for in that order; a step whose byte does not come is decided here, so
+    its exception is raised here. With others None nothing is assigned,
+    else children keep to the CPUs in others. verdicts is in the order
+    stable was first asked for each step; close kills and reaps every child.
+    """
+
+    def __init__(self, decide: Callable[[int], bool], others: list[int] | None) -> None:
+        self.decide, self.others = decide, others
+        self.verdicts: dict[int, bool] = {}
+        self.children: dict[int, tuple[int, int]] = {}  # step -> (pid, pipe)
+
+    def stable(self, k: int) -> bool:
+        if k not in self.verdicts:
+            child = self.children.get(k)
+            byte = child and os.read(child[1], 1)
+            self.children.pop(k, None)  # after the read: close ends the child if it raises
+            if child and (not byte or child not in self.children.values()):
+                self._end(child)
+            self.verdicts[k] = byte == b"\x01" if byte else self.decide(k)
+        return self.verdicts[k]
+
+    def assign(self, steps: Iterable[int]) -> bool:
+        """Fork a child to decide those of steps not decided or assigned
+        yet, in order; whether one was forked."""
+        steps = [k for k in dict.fromkeys(steps)
+                 if k not in self.verdicts and k not in self.children]
+        if self.others is None or not steps:
+            return False
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return False
+        if pid == 0:
+            try:
+                if self.others:
+                    os.sched_setaffinity(0, self.others)
+                for k in steps:
+                    os.write(write_fd, b"\x01" if self.decide(k) else b"\x00")
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self.children.update(dict.fromkeys(steps, (pid, read_fd)))
+        return True
+
+    def drop(self, k: int) -> None:
+        """End the child k is assigned to, if any."""
+        if k in self.children:
+            self._end(self.children[k])
+
+    def close(self) -> None:
+        for child in set(self.children.values()):
+            self._end(child)
+
+    def _end(self, child: tuple[int, int]) -> None:
+        import signal  # here, on the fork path only: it costs start-up
+
+        os.kill(child[0], signal.SIGKILL)
+        os.waitpid(child[0], 0)
+        os.close(child[1])
+        self.children = {k: c for k, c in self.children.items() if c != child}
+
+
 def find_cct(
     runs: Runs,
     cct: CctSettings,
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
+    fork: bool = False,
 ) -> CctResult:
     """Bisect the clearing interval of runs, in whole steps, until the
     stable/unstable bracket is no wider than cct.resolution.
@@ -338,58 +427,69 @@ def find_cct(
     through the result, not raised. The audit sees only its samples: an
     unstable island narrower than their spacing, between two stable
     samples, leaves monotonic True.
+
+    With fork, children decide steps too (see _Decisions and _cpu_split):
+    k_min, while this process decides k_max and bisects; at each level
+    whose midpoint m this process decides, (m + hi + 1) // 2, the next
+    midpoint if m is stable (killed if not); and, while the cascade is read,
+    the audit samples still undecided. Which steps go to children depends
+    on verdicts only; the result and any exception are as without fork.
     """
     k_min, k_max, k_resolution = cct.steps(runs.scenario, settle_window)
     dt = runs.scenario.dt
     t_fault = runs.scenario.t_fault
-    # Clearing interval in steps -> stable; in insertion order, the log.
-    verdicts: dict[int, bool] = {}
+    n = max(2, cct.audit_samples)
+    audit_steps = [k_min + round((k_max - k_min) * j / (n - 1)) for j in range(n)]
 
-    def stable(k: int) -> bool:
-        if k not in verdicts:
-            run = runs.stream(t_fault + k * dt)
-            fold = RunFold(_to_first_trip(run), runs.fleet, run.scenario, settle_tol)
-            verdicts[k] = fold.verdict(settle_window).stable
-        return verdicts[k]
+    def decide(k: int) -> bool:
+        run = runs.stream(t_fault + k * dt)
+        fold = RunFold(_to_first_trip(run), runs.fleet, run.scenario, settle_tol)
+        return fold.verdict(settle_window).stable
 
-    lo_stable, hi_stable = stable(k_min), stable(k_max)
-    if not lo_stable or hi_stable:
-        raise BracketInvalid(lo_stable, hi_stable)
+    with (_cpu_split() if fork else contextlib.nullcontext()) as others, \
+            contextlib.closing(_Decisions(decide, others)) as decisions:
+        stable, verdicts = decisions.stable, decisions.verdicts
+        lo_stable = None if decisions.assign([k_min]) else stable(k_min)
+        try:
+            hi_stable = stable(k_max)
+            lo, hi = k_min, k_max
+            while lo_stable is not False and not hi_stable and hi - lo > k_resolution:
+                mid = (lo + hi + 1) // 2
+                ahead = (mid + hi + 1) // 2
+                if mid not in decisions.children and hi - mid > k_resolution:
+                    decisions.assign([ahead])
+                if stable(mid):
+                    lo = mid
+                else:
+                    hi = mid
+                    decisions.drop(ahead)
+        except Exception:  # k_min's exception, then an invalid bracket, come first
+            if not stable(k_min) and k_max in verdicts:
+                raise BracketInvalid(False, verdicts[k_max]) from None
+            raise
+        lo_stable = stable(k_min)
+        if not lo_stable or hi_stable:
+            raise BracketInvalid(lo_stable, hi_stable)
 
-    lo, hi = k_min, k_max
-    while hi - lo > k_resolution:
-        mid = (lo + hi + 1) // 2
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+        decisions.assign(audit_steps)
+        run = runs.stream(t_fault + hi * dt)
+        cascade = RunFold(run, runs.fleet, run.scenario, settle_tol)
+        loss = tuple(name for name, _ in cascade.loss_order())
+        if not loss:
+            loss = (cascade.verdict(settle_window).first_unstable,)
+        audit = [(k * dt, stable(k)) for k in audit_steps]
 
-    run = runs.stream(t_fault + hi * dt)
-    cascade = RunFold(run, runs.fleet, run.scenario, settle_tol)
-    loss = tuple(name for name, _ in cascade.loss_order())
-    if not loss:
-        loss = (cascade.verdict(settle_window).first_unstable,)
-
-    samples = max(2, cct.audit_samples)
-    audit = [
-        (k * dt, stable(k))
-        for k in (
-            k_min + round((k_max - k_min) * j / (samples - 1)) for j in range(samples)
-        )
-    ]
-    transitions = sum(
-        1 for a, b in zip(audit, audit[1:]) if a[1] != b[1]
-    )
-    monotonic = transitions <= 1
+    # k_min first, where it is decided without fork.
+    log = [k_min, *(k for k in verdicts if k != k_min)]
 
     return CctResult(
         cct=(lo + hi) * dt / 2,
         bracket_lo=lo * dt,
         bracket_hi=hi * dt,
         loss_order=loss,
-        evaluation_log=tuple((k * dt, v) for k, v in verdicts.items()),
+        evaluation_log=tuple((k * dt, verdicts[k]) for k in log),
         audit=tuple(audit),
-        monotonic=monotonic,
+        monotonic=sum(a[1] != b[1] for a, b in zip(audit, audit[1:])) <= 1,
     )
 
 
@@ -429,15 +529,17 @@ def compare_uniform(
     cct: CctSettings,
     settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
     settle_window: float = DEFAULT_SETTLE_WINDOW_S,
+    fork: bool = False,
 ) -> FleetComparison:
     """CCT of runs' fleet against its mean-built uniform counterpart, whose
     Runs, the result's uniform, shares runs' grid, scenario and solver
-    settings; either fleet replays from its Runs afterwards."""
+    settings; either fleet replays from its Runs afterwards. Each search
+    forks as find_cct does with fork."""
     if len(runs.fleet) < 2:
         raise ValueError("compare_uniform needs a fleet of at least two inverters")
-    res_nonuni = find_cct(runs, cct, settle_tol, settle_window)
+    res_nonuni = find_cct(runs, cct, settle_tol, settle_window, fork)
     uniform = Runs(uniform_fleet_of(runs.fleet), runs.grid, runs.scenario, runs.opts)
-    res_uni = find_cct(uniform, cct, settle_tol, settle_window)
+    res_uni = find_cct(uniform, cct, settle_tol, settle_window, fork)
     return FleetComparison(
         cct_nonuniform=res_nonuni.cct,
         cct_uniform=res_uni.cct,

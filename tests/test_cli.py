@@ -329,10 +329,19 @@ def test_bundled_config_provenance_hash_is_pinned(name):
 TABLE1_CCT_JSON_SHA256 = "86e68672124f4cda72c488de0975fb11fa8e6ef93251952835d4ff090d1d8bb3"
 
 
-def test_bundled_cct_json_is_pinned(tmp_path):
-    assert cmd_cct(load_config(bundled_config_path()), tmp_path) == 0
-    digest = hashlib.sha256((tmp_path / "cct.json").read_bytes()).hexdigest()
-    assert digest == TABLE1_CCT_JSON_SHA256
+# GFLSWING_THREADS 1 writes trajectory CSVs and decides CCT clearing steps
+# in process, 2 forks a writer process and deciding processes; both must
+# write the same bytes.
+WRITER_THREADS = ("1", "2")
+
+
+def test_bundled_cct_json_is_pinned(tmp_path, monkeypatch):
+    for threads in WRITER_THREADS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        assert cmd_cct(load_config(bundled_config_path()), tmp_path / threads) == 0
+        _assert_no_child_left()
+        digest = hashlib.sha256((tmp_path / threads / "cct.json").read_bytes()).hexdigest()
+        assert digest == TABLE1_CCT_JSON_SHA256, f"GFLSWING_THREADS={threads}"
 
 
 # trajectory.csv of bundled runs. These catch what cct.json cannot, e.g. a
@@ -341,11 +350,6 @@ TRAJECTORY_CSV_SHA256 = {
     "table1.yaml": "9bca9cf35a787f63b47689aa95dcc8e34e29240ce3e92acf2d90a346a5a040a9",
     "table1_uncleared.yaml": "c25962be5036d66a1dc4b4444425d8bb92cdcd82f67293b10d68c94743c2454a",
 }
-
-
-# GFLSWING_THREADS 1 writes trajectory CSVs in process, 2 from a forked
-# writer process; both must write the same bytes.
-WRITER_THREADS = ("1", "2")
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_CSV_SHA256))
@@ -371,6 +375,7 @@ def test_bundled_compare_outputs_are_pinned(table_config, tmp_path, monkeypatch)
         monkeypatch.setenv("GFLSWING_THREADS", threads)
         out = tmp_path / threads
         assert cmd_compare(table_config, out) == 0
+        _assert_no_child_left()
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in COMPARE_SHA256
@@ -648,6 +653,19 @@ def test_a_bad_thread_count_fails_simulate_before_its_csv_is_opened(
     with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
         cmd_simulate(load_config(small_config_path), tmp_path)
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_a_bad_thread_count_fails_cct_before_any_step(small_config_path, tmp_path, monkeypatch):
+    steps = []
+    original = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: steps.append(1) or original(*a, **k))
+    monkeypatch.setenv("GFLSWING_THREADS", "zebra")
+    with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
+        cmd_cct(load_config(small_config_path), tmp_path / "out")
+    out = tmp_path / "main"
+    assert main(["cct", "--config", str(small_config_path), "--out", str(out)]) == 1
+    assert steps == []
+    assert not (tmp_path / "out").exists() and not (out / "cct.json").exists()
 
 
 def test_a_bad_thread_count_fails_compare_before_either_search(
