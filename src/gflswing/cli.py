@@ -55,6 +55,7 @@ from gflswing.stability import (
     RunFold,
     StabilityVerdict,
     _cpu_split,
+    _fork_piped,
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
     compare_uniform,
     find_cct,
@@ -519,7 +520,7 @@ def _trajectory_csv(
     read. No row list or joined string is built, and no record is kept
     past its frame.
     """
-    forked = hasattr(os, "fork") and _worker_cap() > 1 and threading.active_count() == 1
+    forked = _may_fork()
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
@@ -575,7 +576,8 @@ def _forked_writer(
     path: Path, f: TextIO, write: Callable[[list], None],
 ) -> Iterator[Callable[[list], None]]:
     """Yield a sender of frames to a forked writer process, which hands
-    each frame it reads to write, into f, the file both share.
+    each frame it reads to write, into f, the file both share; or write
+    itself if a pipe or the fork fails (see stability._fork_piped).
 
     Frames go through a pipe in marshal, each after its 4-byte length. The
     writer is waited for before this returns or raises, so the file is
@@ -586,13 +588,10 @@ def _forked_writer(
     """
     f.flush()  # the header, written once, by this process
     with _cpu_split() as others:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
+        if (forked := _fork_piped(1)) is None:
+            yield write  # no writer process: this one writes the frames
+            return
+        pid, ((read_fd, write_fd),) = forked
         if pid == 0:
             # The writer: every frame until the parent closes the pipe, then
             # exit, 0 once every row is flushed to f.

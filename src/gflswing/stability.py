@@ -326,74 +326,95 @@ def _cpu_split() -> Iterator[list[int]]:
             os.sched_setaffinity(0, cpus)
 
 
+def _fork_piped(count: int) -> tuple[int, list[tuple[int, int]]] | None:
+    """(os.fork(), count new pipes), or None, closing them, if either fails."""
+    pipes: list[tuple[int, int]] = []
+    try:
+        for _ in range(count):
+            pipes.append(os.pipe())
+        return os.fork(), pipes
+    except OSError:
+        for fd in chain.from_iterable(pipes):
+            os.close(fd)
+        return None
+
+
 class _Decisions:
     """One search's verdicts, each clearing step decided once: here by
-    decide, or by the forked child it is assigned to, which decides its
-    steps in order from this process's state at the fork (copy-on-write)
-    and writes one byte per verdict to a pipe. A child's steps are asked
-    for in that order; a step whose byte does not come is decided here, so
-    its exception is raised here. With others None nothing is assigned,
-    else children keep to the CPUs in others. verdicts is in the order
-    stable was first asked for each step; close kills and reaps every child.
-    """
+    decide, or by a forked decider, which reads steps from a pipe, decides
+    them in order from this process's state at its fork (copy-on-write)
+    and writes one byte per verdict to another. A step whose byte does not
+    come is decided here, so its exception is raised here. With others
+    None nothing is assigned, else up to max(1, len(others)) deciders keep
+    to the CPUs in others. verdicts is in the order stable was first asked
+    for each step; close kills and reaps every decider."""
 
     def __init__(self, decide: Callable[[int], bool], others: list[int] | None) -> None:
         self.decide, self.others = decide, others
+        self.cap = 0 if others is None else max(1, len(others))
         self.verdicts: dict[int, bool] = {}
-        self.children: dict[int, tuple[int, int]] = {}  # step -> (pid, pipe)
+        self.replies: dict[int, bool] = {}  # read before their steps were asked for
+        # (pid, request fd, reply fd) -> its unanswered steps, in order
+        self.deciders: dict[tuple[int, int, int], list[int]] = {}
+
+    def assigned(self, k: int) -> bool:
+        return k in self.replies or any(k in steps for steps in self.deciders.values())
 
     def stable(self, k: int) -> bool:
         if k not in self.verdicts:
-            child = self.children.get(k)
-            byte = child and os.read(child[1], 1)
-            self.children.pop(k, None)  # after the read: close ends the child if it raises
-            if child and (not byte or child not in self.children.values()):
-                self._end(child)
-            self.verdicts[k] = byte == b"\x01" if byte else self.decide(k)
+            for decider, unanswered in list(self.deciders.items()):
+                while k in unanswered:
+                    if byte := os.read(decider[2], 1):
+                        self.replies[unanswered.pop(0)] = byte == b"\x01"
+                    else:  # the decider failed: its steps are decided here
+                        self._end(decider)
+            self.verdicts[k] = self.replies.pop(k) if k in self.replies else self.decide(k)
         return self.verdicts[k]
 
     def assign(self, steps: Iterable[int]) -> bool:
-        """Fork a child to decide those of steps not decided or assigned
-        yet, in order; whether one was forked."""
-        steps = [k for k in dict.fromkeys(steps)
-                 if k not in self.verdicts and k not in self.children]
-        if self.others is None or not steps:
+        """Send the steps not decided or assigned yet, in order, to an idle
+        decider, else a new one up to cap, else the least loaded; whether
+        they were sent."""
+        steps = [k for k in dict.fromkeys(steps) if k not in self.verdicts and not self.assigned(k)]
+        deciders = self.deciders
+        decider = min(deciders, key=lambda d: len(deciders[d]), default=None)
+        if steps and len(deciders) < self.cap and (decider is None or deciders[decider]) \
+                and (forked := _fork_piped(2)):
+            pid, ((requests, request_fd), (reply_fd, replies)) = forked
+            if pid == 0:
+                try:
+                    os.close(request_fd)  # so that a decider whose parent died reads EOF
+                    if self.others:
+                        os.sched_setaffinity(0, self.others)
+                    for line in open(requests, "rb"):
+                        os.write(replies, b"\x01" if self.decide(int(line)) else b"\x00")
+                finally:
+                    os._exit(0)
+            os.close(requests)
+            os.close(replies)
+            deciders[decider := (pid, request_fd, reply_fd)] = []
+        if decider is None or not steps:
             return False
-        read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            os.write(decider[1], "".join(f"{k}\n" for k in steps).encode())
+        except BrokenPipeError:  # the decider failed: these steps are decided here
+            self._end(decider)
             return False
-        if pid == 0:
-            try:
-                if self.others:
-                    os.sched_setaffinity(0, self.others)
-                for k in steps:
-                    os.write(write_fd, b"\x01" if self.decide(k) else b"\x00")
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        self.children.update(dict.fromkeys(steps, (pid, read_fd)))
+        deciders[decider] += steps
         return True
 
-    def drop(self, k: int) -> None:
-        """End the child k is assigned to, if any."""
-        if k in self.children:
-            self._end(self.children[k])
-
     def close(self) -> None:
-        for child in set(self.children.values()):
-            self._end(child)
+        while self.deciders:
+            self._end(next(iter(self.deciders)))
 
-    def _end(self, child: tuple[int, int]) -> None:
+    def _end(self, decider: tuple[int, int, int]) -> None:
         import signal  # here, on the fork path only: it costs start-up
 
-        os.kill(child[0], signal.SIGKILL)
-        os.waitpid(child[0], 0)
-        os.close(child[1])
-        self.children = {k: c for k, c in self.children.items() if c != child}
+        os.kill(decider[0], signal.SIGKILL)
+        os.waitpid(decider[0], 0)
+        os.close(decider[1])
+        os.close(decider[2])
+        self.deciders.pop(decider).clear()  # no step waits for it now
 
 
 def find_cct(
@@ -428,12 +449,13 @@ def find_cct(
     unstable island narrower than their spacing, between two stable
     samples, leaves monotonic True.
 
-    With fork, children decide steps too (see _Decisions and _cpu_split):
+    With fork, deciders decide steps too (see _Decisions and _cpu_split):
     k_min, while this process decides k_max and bisects; at each level
     whose midpoint m this process decides, (m + hi + 1) // 2, the next
-    midpoint if m is stable (killed if not); and, while the cascade is read,
-    the audit samples still undecided. Which steps go to children depends
-    on verdicts only; the result and any exception are as without fork.
+    midpoint if m is stable (decided all the same, unread, if not); and,
+    while the cascade is read, the audit samples still undecided. Which
+    steps go to deciders depends on verdicts only; the result and any
+    exception are as without fork.
     """
     k_min, k_max, k_resolution = cct.steps(runs.scenario, settle_window)
     dt = runs.scenario.dt
@@ -456,13 +478,12 @@ def find_cct(
             while lo_stable is not False and not hi_stable and hi - lo > k_resolution:
                 mid = (lo + hi + 1) // 2
                 ahead = (mid + hi + 1) // 2
-                if mid not in decisions.children and hi - mid > k_resolution:
+                if not decisions.assigned(mid) and hi - mid > k_resolution:
                     decisions.assign([ahead])
                 if stable(mid):
                     lo = mid
                 else:
                     hi = mid
-                    decisions.drop(ahead)
         except Exception:  # k_min's exception, then an invalid bracket, come first
             if not stable(k_min) and k_max in verdicts:
                 raise BracketInvalid(False, verdicts[k_max]) from None

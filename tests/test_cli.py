@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -577,6 +578,29 @@ def test_a_stream_error_after_the_writer_failed_is_the_error_raised(
             pass
     _assert_no_child_left()
     assert "IndexError" in capfd.readouterr().err
+
+
+def test_simulate_and_compare_write_in_process_when_no_process_can_be_forked(
+    table_config, tmp_path, monkeypatch
+):
+    # os.fork failing with EAGAIN (no process to spare) leaves the trajectory
+    # writer and the CCT decisions in process, with the same outputs.
+    monkeypatch.setenv("GFLSWING_THREADS", "2")
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cmd_simulate(table_config, tmp_path / "simulate") == 0
+    digest = hashlib.sha256((tmp_path / "simulate" / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_CSV_SHA256["table1.yaml"]
+    assert cmd_compare(table_config, tmp_path / "compare") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "compare" / name).read_bytes()).hexdigest()
+        for name in COMPARE_SHA256
+    }
+    assert digests == COMPARE_SHA256
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("threads", WRITER_THREADS)

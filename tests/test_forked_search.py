@@ -1,16 +1,22 @@
-"""find_cct with fork: clearing steps decided by forked children give the
+"""find_cct with fork: clearing steps decided by forked deciders give the
 result, the exception and the parent's work of the search without fork, and
-no child outlives the search."""
+no decider outlives the search."""
 
+import errno
 import os
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 from gflswing import dynamics
 from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import Runs
-from gflswing.stability import BracketInvalid, RunFold, find_cct, uniform_fleet_of
+from gflswing.stability import (
+    BracketInvalid, RunFold, _fork_piped, find_cct, uniform_fleet_of,
+)
 from test_cli import SMALL_CONFIG, _assert_no_child_left
 
 
@@ -24,6 +30,37 @@ def small_config(tmp_path):
     path = tmp_path / "small.yaml"
     path.write_text(SMALL_CONFIG, encoding="utf-8")
     return load_config(path)
+
+
+@contextmanager
+def _one_spare_cpu():
+    """Keep this process to two CPUs of its affinity set, so that a search
+    has one spare CPU and so one decider; the set is restored after."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs and CPU affinity")
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(before)[:2])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+@contextmanager
+def _failing_after(seconds):
+    """Raise TimeoutError in this process if the block runs longer, rather
+    than hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()
@@ -170,10 +207,11 @@ def test_an_invalid_bracket_comes_before_a_failing_midpoint(
 def test_the_parent_of_a_forked_search_makes_a_pinned_number_of_steps(
     table_config, monkeypatch, forks
 ):
-    # Which steps go to children depends on verdicts only, so the parent's
-    # share of table1's 9,066 steps repeats: 5,433. Children decide k_min
+    # Which steps go to deciders depends on verdicts only, so the parent's
+    # share of table1's 9,066 steps repeats: 5,433. Deciders decide k_min
     # (20), the speculated midpoints 182 and 149 and the audit's one new
-    # sample, 342; the speculations on 343 and 169 are killed.
+    # sample, 342, and also the speculations on 343 and 169, above an
+    # unstable midpoint, which the parent never asks for.
     steps = [0]
     step = dynamics.step
 
@@ -197,3 +235,67 @@ def test_the_cpu_split_is_restored_after_a_forked_search(table_config):
     before = os.sched_getaffinity(0)
     _search(table_config, True)
     assert os.sched_getaffinity(0) == before
+
+
+def test_a_search_with_one_spare_cpu_forks_one_decider(table_config, forks):
+    # Six step lists are handed out (k_min, 343, 182, 169, 149 and the audit
+    # sample 342), all to one long-lived decider.
+    with _one_spare_cpu():
+        assert _search(table_config, True) == _search(table_config, False)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_a_decider_that_fails_with_steps_queued_leaves_the_sequential_result(
+    table_config, monkeypatch, forks
+):
+    # The one decider fails at k_min (20) only once the parent decides 128,
+    # and so after the speculations on 343 and 182 are queued behind k_min.
+    # Its unanswered steps go back to the parent, which decides 182 itself
+    # and forks a second decider for the speculation on 169: no reply is
+    # awaited that cannot come.
+    expected = _search(table_config, False)
+    parent, k_fault = os.getpid(), table_config.scenario.k_fault
+    gate_r, gate_w = os.pipe()
+    verdict = RunFold.verdict
+
+    def failing_at_k_min_in_a_decider(self, settle_window):
+        if self.scenario.k_clear == k_fault + 128 and os.getpid() == parent:
+            os.write(gate_w, b"x")
+        if self.scenario.k_clear == k_fault + 20 and os.getpid() != parent:
+            os.read(gate_r, 1)
+            raise RuntimeError("a decider failed at k_min")
+        return verdict(self, settle_window)
+
+    monkeypatch.setattr(RunFold, "verdict", failing_at_k_min_in_a_decider)
+    try:
+        with _one_spare_cpu(), _failing_after(60):
+            assert _search(table_config, True) == expected
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["fork", "second pipe"])
+def test_a_fork_that_cannot_be_made_leaves_no_pipe_open(monkeypatch, failing):
+    opened = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        if failing == "second pipe" and opened:
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.append(pipe())
+        return opened[-1]
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _fork_piped(2) is None
+    assert opened
+    for fd in chain.from_iterable(opened):
+        with pytest.raises(OSError):
+            os.fstat(fd)

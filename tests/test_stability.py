@@ -694,3 +694,26 @@ def test_table1_sync_cct_search_is_pinned(sync_config):
     assert (round(res.bracket_lo / dt), round(res.bracket_hi / dt)) == (400, 402)
     assert res.loss_order == ("Inv 5",)
     assert res.monotonic
+
+
+# Halving dt and doubling t_end leave table1_sync's first unstable clearing
+# interval on the 0.1 ms grid from 38.0 ms within one grid point of 40.1 ms.
+# Measured on that grid up to 43.0 ms, it is 40.1 ms at dt 50 us (one more
+# unstable point, 41.6 ms, above it) and at t_end 1.2 s (the same verdicts
+# as at 600 ms). Each stable run here is 12,000 steps, so the tests scan
+# 39.5 to 40.2 ms only: about 2 s each.
+@pytest.mark.parametrize("change", [{"dt": 5e-5}, {"t_end": 1.2}], ids=["dt_50us", "t_end_1.2s"])
+def test_table1_sync_first_unstable_interval_holds_at_half_dt_and_double_t_end(
+    sync_config, change
+):
+    cfg = sync_config
+    scen = replace(cfg.scenario, **change)
+    runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+
+    def stable(tenths):
+        run = runs.stream(scen.t_fault + tenths * 1e-4)
+        fold = RunFold(run, run.fleet, run.scenario, cfg.settle_tol)
+        return fold.verdict(cfg.settle_window).stable
+
+    first = next((tenths for tenths in range(395, 403) if not stable(tenths)), None)
+    assert first in (400, 401, 402), first  # in tenths of a ms
