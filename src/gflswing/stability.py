@@ -341,45 +341,40 @@ def _fork_piped(count: int) -> tuple[int, list[tuple[int, int]]] | None:
 
 class _Decisions:
     """One search's verdicts, each clearing step decided once: here by
-    decide, or by a forked decider, which reads steps from a pipe, decides
-    them in order from this process's state at its fork (copy-on-write)
-    and writes one byte per verdict to another. A step whose byte does not
-    come is decided here, so its exception is raised here. With others
-    None nothing is assigned, else up to max(1, len(others)) deciders keep
-    to the CPUs in others. verdicts is in the order stable was first asked
-    for each step; close kills and reaps every decider."""
+    decide, or by the search's one forked decider, which reads steps from
+    a pipe, decides them in order from this process's state at its fork
+    (copy-on-write), keeping to the CPUs in others, and writes one byte per
+    verdict to another. A step whose byte does not come is decided here, so
+    its exception is raised here. With others None nothing is assigned.
+    verdicts is in the order stable was first asked for each step."""
 
     def __init__(self, decide: Callable[[int], bool], others: list[int] | None) -> None:
         self.decide, self.others = decide, others
-        self.cap = 0 if others is None else max(1, len(others))
         self.verdicts: dict[int, bool] = {}
         self.replies: dict[int, bool] = {}  # read before their steps were asked for
-        # (pid, request fd, reply fd) -> its unanswered steps, in order
-        self.deciders: dict[tuple[int, int, int], list[int]] = {}
-
-    def assigned(self, k: int) -> bool:
-        return k in self.replies or any(k in steps for steps in self.deciders.values())
+        self.unanswered: list[int] = []  # steps sent to the decider, in order
+        self.decider: tuple[int, int, int] | None = None  # pid, request fd, reply fd
 
     def stable(self, k: int) -> bool:
         if k not in self.verdicts:
-            for decider, unanswered in list(self.deciders.items()):
-                while k in unanswered:
-                    if byte := os.read(decider[2], 1):
-                        self.replies[unanswered.pop(0)] = byte == b"\x01"
-                    else:  # the decider failed: its steps are decided here
-                        self._end(decider)
+            while k in self.unanswered:
+                if byte := os.read(self.decider[2], 1):
+                    self.replies[self.unanswered.pop(0)] = byte == b"\x01"
+                else:  # the decider failed: its steps are decided here
+                    self.close()
             self.verdicts[k] = self.replies.pop(k) if k in self.replies else self.decide(k)
         return self.verdicts[k]
 
     def assign(self, steps: Iterable[int]) -> bool:
-        """Send the steps not decided or assigned yet, in order, to an idle
-        decider, else a new one up to cap, else the least loaded; whether
-        they were sent."""
-        steps = [k for k in dict.fromkeys(steps) if k not in self.verdicts and not self.assigned(k)]
-        deciders = self.deciders
-        decider = min(deciders, key=lambda d: len(deciders[d]), default=None)
-        if steps and len(deciders) < self.cap and (decider is None or deciders[decider]) \
-                and (forked := _fork_piped(2)):
+        """Send the steps not decided or assigned yet, in order, to the
+        decider, forked at the first; whether they were assigned."""
+        sent = self.replies.keys() | self.unanswered
+        steps = [k for k in dict.fromkeys(steps) if k not in self.verdicts and k not in sent]
+        if self.others is None or not steps:
+            return False
+        if self.decider is None:
+            if not (forked := _fork_piped(2)):
+                return False
             pid, ((requests, request_fd), (reply_fd, replies)) = forked
             if pid == 0:
                 try:
@@ -392,29 +387,25 @@ class _Decisions:
                     os._exit(0)
             os.close(requests)
             os.close(replies)
-            deciders[decider := (pid, request_fd, reply_fd)] = []
-        if decider is None or not steps:
-            return False
-        try:
-            os.write(decider[1], "".join(f"{k}\n" for k in steps).encode())
-        except BrokenPipeError:  # the decider failed: these steps are decided here
-            self._end(decider)
-            return False
-        deciders[decider] += steps
+            self.decider = (pid, request_fd, reply_fd)
+        request = memoryview("".join(f"{k}\n" for k in steps).encode())
+        with contextlib.suppress(BrokenPipeError):  # a failed decider: stable reads EOF
+            while request:  # os.write may write part of it
+                request = request[os.write(self.decider[1], request):]
+        self.unanswered += steps
         return True
 
     def close(self) -> None:
-        while self.deciders:
-            self._end(next(iter(self.deciders)))
+        """Kill and reap the decider, if any; no step waits for it after."""
+        if self.decider:
+            import signal  # here, on the fork path only: it costs start-up
 
-    def _end(self, decider: tuple[int, int, int]) -> None:
-        import signal  # here, on the fork path only: it costs start-up
-
-        os.kill(decider[0], signal.SIGKILL)
-        os.waitpid(decider[0], 0)
-        os.close(decider[1])
-        os.close(decider[2])
-        self.deciders.pop(decider).clear()  # no step waits for it now
+            pid, request_fd, reply_fd = self.decider
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(request_fd)
+            os.close(reply_fd)
+        self.decider, self.unanswered = None, []
 
 
 def find_cct(
@@ -449,13 +440,12 @@ def find_cct(
     unstable island narrower than their spacing, between two stable
     samples, leaves monotonic True.
 
-    With fork, deciders decide steps too (see _Decisions and _cpu_split):
+    With fork, a decider decides steps too (see _Decisions and _cpu_split):
     k_min, while this process decides k_max and bisects; at each level
     whose midpoint m this process decides, (m + hi + 1) // 2, the next
-    midpoint if m is stable (decided all the same, unread, if not); and,
-    while the cascade is read, the audit samples still undecided. Which
-    steps go to deciders depends on verdicts only; the result and any
-    exception are as without fork.
+    midpoint if m is stable (unread if not); and, while the cascade is read,
+    the audit samples still undecided. Which steps it gets depends on
+    verdicts only; the result and any exception are as without fork.
     """
     k_min, k_max, k_resolution = cct.steps(runs.scenario, settle_window)
     dt = runs.scenario.dt
@@ -478,7 +468,7 @@ def find_cct(
             while lo_stable is not False and not hi_stable and hi - lo > k_resolution:
                 mid = (lo + hi + 1) // 2
                 ahead = (mid + hi + 1) // 2
-                if not decisions.assigned(mid) and hi - mid > k_resolution:
+                if mid not in decisions.unanswered and hi - mid > k_resolution:
                     decisions.assign([ahead])
                 if stable(mid):
                     lo = mid

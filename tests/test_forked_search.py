@@ -35,7 +35,7 @@ def small_config(tmp_path):
 @contextmanager
 def _one_spare_cpu():
     """Keep this process to two CPUs of its affinity set, so that a search
-    has one spare CPU and so one decider; the set is restored after."""
+    has one spare CPU; the set is restored after."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs two CPUs and CPU affinity")
     before = os.sched_getaffinity(0)
@@ -48,18 +48,19 @@ def _one_spare_cpu():
 
 @contextmanager
 def _failing_after(seconds):
-    """Raise TimeoutError in this process if the block runs longer, rather
-    than hang."""
+    """Raise TimeoutError in this process if the block runs longer, and
+    again every 5 s after, rather than hang: a search that waits in its
+    exception handler for a reply that cannot come is ended too."""
 
     def expire(signum, frame):
         raise TimeoutError(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 5)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -81,9 +82,10 @@ def forks(monkeypatch):
 
 @pytest.mark.parametrize("name", ["table1.yaml", "table1_sync.yaml"])
 def test_forked_search_of_a_bundled_config_equals_the_sequential_one(name, forks):
+    # One decider per search, on any number of CPUs.
     cfg = load_config(bundled_config_path(name))
     assert _search(cfg, True) == _search(cfg, False)
-    assert forks
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -207,8 +209,8 @@ def test_an_invalid_bracket_comes_before_a_failing_midpoint(
 def test_the_parent_of_a_forked_search_makes_a_pinned_number_of_steps(
     table_config, monkeypatch, forks
 ):
-    # Which steps go to deciders depends on verdicts only, so the parent's
-    # share of table1's 9,066 steps repeats: 5,433. Deciders decide k_min
+    # Which steps go to the decider depends on verdicts only, so the parent's
+    # share of table1's 9,066 steps repeats: 5,433. The decider decides k_min
     # (20), the speculated midpoints 182 and 149 and the audit's one new
     # sample, 342, and also the speculations on 343 and 169, above an
     # unstable midpoint, which the parent never asks for.
@@ -249,7 +251,7 @@ def test_a_search_with_one_spare_cpu_forks_one_decider(table_config, forks):
 def test_a_decider_that_fails_with_steps_queued_leaves_the_sequential_result(
     table_config, monkeypatch, forks
 ):
-    # The one decider fails at k_min (20) only once the parent decides 128,
+    # The decider fails at k_min (20) only once the parent decides 128,
     # and so after the speculations on 343 and 182 are queued behind k_min.
     # Its unanswered steps go back to the parent, which decides 182 itself
     # and forks a second decider for the speculation on 169: no reply is
@@ -275,6 +277,20 @@ def test_a_decider_that_fails_with_steps_queued_leaves_the_sequential_result(
         os.close(gate_r)
         os.close(gate_w)
     assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_a_request_written_a_byte_at_a_time_leaves_the_sequential_result(
+    table_config, monkeypatch
+):
+    # os.write may write only part of what it is given; the rest of a step
+    # list must still reach the decider (the audit's list is the longest).
+    cct = replace(table_config.cct, audit_samples=40)
+    expected = _search(table_config, False, cct=cct)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:1])))
+    with _failing_after(20):
+        assert _search(table_config, True, cct=cct) == expected
     _assert_no_child_left()
 
 

@@ -696,12 +696,14 @@ def test_table1_sync_cct_search_is_pinned(sync_config):
     assert res.monotonic
 
 
-# Halving dt and doubling t_end leave table1_sync's first unstable clearing
-# interval on the 0.1 ms grid from 38.0 ms within one grid point of 40.1 ms.
-# Measured on that grid up to 43.0 ms, it is 40.1 ms at dt 50 us (one more
-# unstable point, 41.6 ms, above it) and at t_end 1.2 s (the same verdicts
-# as at 600 ms). Each stable run here is 12,000 steps, so the tests scan
-# 39.5 to 40.2 ms only: about 2 s each.
+# Halving dt and doubling t_end keep table1_sync's transition near 40.1 ms:
+# on the 0.1 ms grid, 39.5 to 39.9 ms stay stable and the first unstable
+# point from 39.5 ms is within one grid point of 40.1 ms. Measured once on
+# the whole grid from 38.0 to 43.0 ms, the first unstable point is 40.1 ms
+# at dt 50 us (one more unstable point, 41.6 ms, above it) and at t_end
+# 1.2 s (the same verdicts as at 600 ms). Each stable run here is 12,000
+# steps, so the tests scan 39.5 to 40.2 ms only, about 2 s each: an unstable
+# point below 39.5 ms would not show here.
 @pytest.mark.parametrize("change", [{"dt": 5e-5}, {"t_end": 1.2}], ids=["dt_50us", "t_end_1.2s"])
 def test_table1_sync_first_unstable_interval_holds_at_half_dt_and_double_t_end(
     sync_config, change
