@@ -122,9 +122,9 @@ class CctResult:
     """Bisection outcome with its evaluation log and monotonicity audit.
 
     Every interval is a whole number of steps times dt. evaluation_log
-    holds one (interval, stable) entry per decided clearing step, in the
-    order decided; bracket_lo and bracket_hi are two of its intervals, the
-    last decided stable and unstable, and cct is their midpoint.
+    holds one (interval, stable) entry per decided clearing step, in
+    asking order with k_min's moved first; bracket_lo and bracket_hi, two
+    of its intervals, end the bisection, and cct is their midpoint.
     """
 
     cct: float
@@ -365,16 +365,16 @@ class _Decisions:
             self.verdicts[k] = self.replies.pop(k) if k in self.replies else self.decide(k)
         return self.verdicts[k]
 
-    def assign(self, steps: Iterable[int]) -> bool:
+    def assign(self, steps: Iterable[int]) -> None:
         """Send the steps not decided or assigned yet, in order, to the
-        decider, forked at the first; whether they were assigned."""
+        decider, forked at the first."""
         sent = self.replies.keys() | self.unanswered
         steps = [k for k in dict.fromkeys(steps) if k not in self.verdicts and k not in sent]
         if self.others is None or not steps:
-            return False
+            return
         if self.decider is None:
             if not (forked := _fork_piped(2)):
-                return False
+                return
             pid, ((requests, request_fd), (reply_fd, replies)) = forked
             if pid == 0:
                 try:
@@ -393,7 +393,6 @@ class _Decisions:
             while request:  # os.write may write part of it
                 request = request[os.write(self.decider[1], request):]
         self.unanswered += steps
-        return True
 
     def close(self) -> None:
         """Kill and reap the decider, if any; no step waits for it after."""
@@ -422,12 +421,13 @@ def find_cct(
     folded as it is stepped (see RunFold), so the search holds no
     trajectory and the caller can replay any clearing time from runs
     afterwards. cct.steps gives the bracket's steps k_min and k_max and the
-    width to stop at, in whole steps (or raises ValueError). Requires a
-    stable verdict at k_min and an unstable one at k_max (BracketInvalid
-    otherwise). The midpoint of a bracket [lo, hi] is (lo + hi + 1) // 2,
-    strictly inside it while hi - lo >= 2. Each clearing interval is
-    decided once, and the deterministic simulator needs no confirmation
-    runs.
+    width to stop at, in whole steps (or raises ValueError). Verdicts are
+    asked for in one order: k_max, the bisection's midpoints, k_min, the
+    audit samples; each clearing interval is decided once, and an exception
+    reaches the caller from the first asked step whose verdict raises. The
+    midpoint of a bracket [lo, hi] is (lo + hi + 1) // 2, strictly inside it
+    while hi - lo >= 2. A stable k_min and an unstable k_max are required:
+    BracketInvalid follows the bisection that k_max's verdict allowed.
 
     A trip decides a verdict, so each verdict reads its stream up to its
     first tripped record, and no step past it is made. The loss order
@@ -440,16 +440,16 @@ def find_cct(
     unstable island narrower than their spacing, between two stable
     samples, leaves monotonic True.
 
-    With fork, a decider decides steps too (see _Decisions and _cpu_split):
-    k_min, while this process decides k_max and bisects; at each level
-    whose midpoint m this process decides, (m + hi + 1) // 2, the next
-    midpoint if m is stable (unread if not); and, while the cascade is read,
-    the audit samples still undecided. Which steps it gets depends on
-    verdicts only; the result and any exception are as without fork.
+    With fork, a decider forked once k_max is decided (see _Decisions and
+    _cpu_split) inherits the fault-on run stepped so far. It decides k_min
+    while this process bisects; at each level whose midpoint m this process
+    decides, (m + hi + 1) // 2, the next midpoint if m is stable (unread if
+    not); and, while the cascade is read, the undecided audit samples. Which
+    steps it gets depends on verdicts only. Fork changes which process
+    decides a step, so the result and any exception are as without it.
     """
     k_min, k_max, k_resolution = cct.steps(runs.scenario, settle_window)
-    dt = runs.scenario.dt
-    t_fault = runs.scenario.t_fault
+    dt, t_fault = runs.scenario.dt, runs.scenario.t_fault
     n = max(2, cct.audit_samples)
     audit_steps = [k_min + round((k_max - k_min) * j / (n - 1)) for j in range(n)]
 
@@ -461,25 +461,18 @@ def find_cct(
     with (_cpu_split() if fork else contextlib.nullcontext()) as others, \
             contextlib.closing(_Decisions(decide, others)) as decisions:
         stable, verdicts = decisions.stable, decisions.verdicts
-        lo_stable = None if decisions.assign([k_min]) else stable(k_min)
-        try:
-            hi_stable = stable(k_max)
-            lo, hi = k_min, k_max
-            while lo_stable is not False and not hi_stable and hi - lo > k_resolution:
-                mid = (lo + hi + 1) // 2
-                ahead = (mid + hi + 1) // 2
-                if mid not in decisions.unanswered and hi - mid > k_resolution:
-                    decisions.assign([ahead])
-                if stable(mid):
-                    lo = mid
-                else:
-                    hi = mid
-        except Exception:  # k_min's exception, then an invalid bracket, come first
-            if not stable(k_min) and k_max in verdicts:
-                raise BracketInvalid(False, verdicts[k_max]) from None
-            raise
-        lo_stable = stable(k_min)
-        if not lo_stable or hi_stable:
+        hi_stable = stable(k_max)
+        decisions.assign([k_min])
+        lo, hi = k_min, k_max
+        while not hi_stable and hi - lo > k_resolution:
+            mid = (lo + hi + 1) // 2
+            if mid not in decisions.unanswered and hi - mid > k_resolution:
+                decisions.assign([(mid + hi + 1) // 2])
+            if stable(mid):
+                lo = mid
+            else:
+                hi = mid
+        if not (lo_stable := stable(k_min)) or hi_stable:
             raise BracketInvalid(lo_stable, hi_stable)
 
         decisions.assign(audit_steps)
@@ -490,7 +483,7 @@ def find_cct(
             loss = (cascade.verdict(settle_window).first_unstable,)
         audit = [(k * dt, stable(k)) for k in audit_steps]
 
-    # k_min first, where it is decided without fork.
+    # k_min first, as decided before the two modes shared one order: cct.json stays as it was.
     log = [k_min, *(k for k in verdicts if k != k_min)]
 
     return CctResult(

@@ -11,7 +11,7 @@ from itertools import chain
 
 import pytest
 
-from gflswing import dynamics
+from gflswing import dynamics, stability
 from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import Runs
 from gflswing.stability import (
@@ -114,11 +114,11 @@ def test_forked_search_at_another_fault_depth_equals_the_sequential_one(
 
 
 @pytest.mark.parametrize("depth, t_min, lo_stable, hi_stable", [
-    # No fault: stable at both ends. The child decides t_min while the
-    # parent finds t_max stable.
+    # No fault: stable at both ends. t_max is stable, so nothing is
+    # bisected, and the decider decides t_min.
     (0.0, 2e-4, True, True),
-    # Both ends past table1's 1.505 ms CCT: the parent bisects as if the
-    # bracket were valid until the child's unstable t_min arrives.
+    # Both ends past table1's 1.505 ms CCT: the unstable t_max lets the
+    # search bisect before t_min's unstable verdict is read.
     (0.5, 2e-3, False, False),
 ])
 def test_forked_search_raises_the_sequential_invalid_bracket(
@@ -135,6 +135,36 @@ def test_forked_search_raises_the_sequential_invalid_bracket(
     assert raised[0] == raised[1]
     assert raised[0][:2] == (lo_stable, hi_stable)
     assert forks
+
+
+@pytest.mark.parametrize("name, t_min", [
+    ("table1.yaml", None), ("table1_sync.yaml", None), ("small", None), ("table1.yaml", 2e-3),
+], ids=["table1", "table1_sync", "small", "invalid bracket"])
+def test_both_modes_ask_for_the_same_steps_in_the_same_order(
+    name, t_min, small_config, monkeypatch
+):
+    # k_max, the bisection's midpoints, k_min, then the audit samples: fork
+    # changes which process decides a step, not the order of the asking.
+    cfg = small_config if name == "small" else load_config(bundled_config_path(name))
+    cct = replace(cfg.cct, t_min=t_min) if t_min else None
+    asked = []
+    stable = stability._Decisions.stable
+
+    def recording(self, k):
+        asked[-1].append(k)
+        return stable(self, k)
+
+    monkeypatch.setattr(stability._Decisions, "stable", recording)
+    for fork in (False, True):
+        asked.append([])
+        try:
+            _search(cfg, fork, cct=cct)
+        except BracketInvalid:
+            assert t_min
+        _assert_no_child_left()
+    assert asked[0] == asked[1]
+    k_min, k_max, _ = (cct or cfg.cct).steps(cfg.scenario, cfg.settle_window)
+    assert asked[0][0] == k_max and k_min in asked[0]
 
 
 def test_a_verdict_that_fails_in_a_child_is_decided_by_the_parent(
@@ -161,11 +191,12 @@ def test_a_verdict_that_fails_in_a_child_is_decided_by_the_parent(
 def test_a_failing_decision_raises_as_in_the_sequential_search(
     table_config, monkeypatch, k_clear, forks
 ):
-    # table1's search decides clearing steps 20 (k_min, in a child when
-    # forked), 450 (k_max, in the parent), 235, 128, 182 (in a child
-    # speculating that 128 is stable), 155, 142, 149 and 152. A verdict of
-    # one step that raises in every process reaches the caller from the
-    # parent, as it does without fork.
+    # table1's search asks for clearing steps 450 (k_max, in the parent),
+    # 235, 128, 182 (in the decider, speculating that 128 is stable), 155,
+    # 142, 149, 152 and 20 (k_min, in the decider). A verdict of one step
+    # that raises in every process reaches the caller from the parent, as
+    # it does without fork; the decider is forked only once k_max is
+    # decided, so none is forked when k_max's verdict raises.
     k_fault = table_config.scenario.k_fault
     verdict = RunFold.verdict
 
@@ -179,15 +210,16 @@ def test_a_failing_decision_raises_as_in_the_sequential_search(
         with pytest.raises(RuntimeError, match=f"no verdict at step {k_clear}$"):
             _search(table_config, fork)
         _assert_no_child_left()
-    assert forks
+    assert bool(forks) == (k_clear != 450)
 
 
-def test_an_invalid_bracket_comes_before_a_failing_midpoint(
+def test_a_failing_midpoint_of_an_invalid_bracket_raises_in_both_modes(
     table_config, monkeypatch, forks
 ):
-    # On [2, 4.5] ms both ends are unstable. Without fork the search stops
-    # at the invalid bracket; with fork the parent bisects while the child
-    # decides t_min, and the first midpoint, step 325, raises there.
+    # On [2, 4.5] ms both ends are unstable, but t_min's verdict is asked
+    # for after the bisection that t_max's allows: with and without fork
+    # the first midpoint, step 325, raises before the bracket is found
+    # invalid.
     cct = replace(table_config.cct, t_min=2e-3)
     k_fault = table_config.scenario.k_fault
     verdict = RunFold.verdict
@@ -198,11 +230,13 @@ def test_an_invalid_bracket_comes_before_a_failing_midpoint(
         return verdict(self, settle_window)
 
     monkeypatch.setattr(RunFold, "verdict", failing_at_the_midpoint)
+    raised = []
     for fork in (False, True):
-        with pytest.raises(BracketInvalid) as err:
+        with pytest.raises(RuntimeError) as err:
             _search(table_config, fork, cct=cct)
-        assert (err.value.lo_stable, err.value.hi_stable) == (False, False)
+        raised.append((type(err.value), str(err.value)))
         _assert_no_child_left()
+    assert raised == [(RuntimeError, "no verdict at step 325")] * 2
     assert forks
 
 
@@ -229,6 +263,30 @@ def test_the_parent_of_a_forked_search_makes_a_pinned_number_of_steps(
         counts.append(steps[0])
     assert counts == [5_433, 5_433]
     _assert_no_child_left()
+
+
+def test_a_forked_search_makes_the_sequential_number_of_steps_in_all(
+    table_config, monkeypatch
+):
+    # The decider is forked once k_max's run has stepped the fault-on run
+    # to Inv 4's trip at step 450 and inherits it, so the steps of the
+    # parent and the decider add up to the 9,066 of the sequential search.
+    # Each step, in either process, writes one byte to a pipe.
+    read_fd, write_fd = os.pipe()
+    step = dynamics.step
+
+    def counting(*args):
+        os.write(write_fd, b"x")
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "step", counting)
+    try:
+        _search(table_config, True)
+    finally:
+        os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as steps:
+        _assert_no_child_left()  # so that no decider holds the pipe open
+        assert len(steps.read()) == 9_066
 
 
 def test_the_cpu_split_is_restored_after_a_forked_search(table_config):

@@ -322,17 +322,18 @@ def test_find_cct_simulates_each_clearing_step_once(table_config, monkeypatch):
 def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypatch):
     # The fault-on run is stepped from the equilibrium at step 299 as the
     # decisions read it, and none reads it past step 450, where Inv 4 trips
-    # the 1.5 ms holdoff after the 3 ms fault. The 4 stable decisions
-    # (clearing steps 320, 428, 442 and 449) continue from its state before
-    # their clearing step to step 2,200; the 6 unstable ones (750, 535, 482,
-    # 455, 452 and 642) clear after step 450 and step nothing. The
-    # loss-order run continues from step 450 to 2,200: 151 + 1,881 + 1,773
-    # + 1,759 + 1,752 + 1,750 steps.
+    # the 1.5 ms holdoff after the 3 ms fault: k_max's decision (750) reads
+    # it all, first. The 4 stable decisions (clearing steps 428, 442, 449
+    # and k_min's 320, asked for after the bisection) continue from its
+    # state before their clearing step to step 2,200; the 6 unstable ones
+    # (750, 535, 482, 455, 452 and 642) clear after step 450 and step
+    # nothing more. The loss-order run continues from step 450 to 2,200:
+    # 151 + 1,773 + 1,759 + 1,752 + 1,881 + 1,750 steps.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
     for traj in calls.decided:
         assert not any(True in rec.tripped for rec in traj.records[:-1])
     assert _clearing_steps(calls.decided) == [
-        320, 750, 535, 428, 482, 455, 442, 449, 452, 642,
+        750, 535, 428, 482, 455, 442, 449, 452, 320, 642,
     ]
     assert calls.steps == 9_066
 
@@ -450,6 +451,36 @@ def test_find_cct_rejects_depthless_fault():
         find_cct(_runs2(scenario), CctSettings(2e-4, 2e-3, 1e-4),
                  settle_tol=0.02, settle_window=2e-3)
     assert err.value.lo_stable and err.value.hi_stable
+
+
+def test_find_cct_reports_an_invalid_bracket_after_the_bisection_it_allowed(
+    table_config, monkeypatch
+):
+    # On [2, 4.5] ms both ends are past table1's 1.505 ms CCT. The unstable
+    # t_max lets the search bisect down to the resolution (325, 263, 232,
+    # 216, 208, 204) before t_min's unstable verdict is read: 8 verdicts.
+    # Every one of them clears after Inv 4 trips at step 450 and reads the
+    # fault-on run's tripped states, so the search makes its 151 steps only.
+    cfg = table_config
+    steps, verdicts = [0], []
+    step, verdict = dynamics.step, RunFold.verdict
+
+    def stepping(*args):
+        steps[0] += 1
+        return step(*args)
+
+    def deciding(self, settle_window):
+        verdicts.append(self.scenario.k_clear - cfg.scenario.k_fault)
+        return verdict(self, settle_window)
+
+    monkeypatch.setattr(dynamics, "step", stepping)
+    monkeypatch.setattr(RunFold, "verdict", deciding)
+    runs = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    with pytest.raises(BracketInvalid) as err:
+        find_cct(runs, replace(cfg.cct, t_min=2e-3), cfg.settle_tol, cfg.settle_window)
+    assert (err.value.lo_stable, err.value.hi_stable) == (False, False)
+    assert verdicts == [450, 325, 263, 232, 216, 208, 204, 200]
+    assert steps[0] == 151
 
 
 def test_find_cct_validates_bracket_and_coverage():
