@@ -28,9 +28,7 @@ from gflswing.dynamics import (
     InverterConfig,
     Runs,
     SolverOptions,
-    Trajectory,
     TrajectoryRecord,
-    simulate,
 )
 from gflswing.stability import (
     BracketInvalid,
@@ -38,7 +36,6 @@ from gflswing.stability import (
     CctSettings,
     FleetComparison,
     StabilityVerdict,
-    classify,
     compare_uniform,
     find_cct,
 )
@@ -62,15 +59,12 @@ __all__ = [
     "InverterConfig",
     "Runs",
     "SolverOptions",
-    "Trajectory",
     "TrajectoryRecord",
-    "simulate",
     "BracketInvalid",
     "CctResult",
     "CctSettings",
     "FleetComparison",
     "StabilityVerdict",
-    "classify",
     "compare_uniform",
     "find_cct",
     "__version__",

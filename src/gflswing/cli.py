@@ -42,7 +42,6 @@ from gflswing.dynamics import (
     Runs,
     SolverOptions,
     TrajectoryRecord,
-    simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
 from gflswing.stability import (
@@ -59,6 +58,7 @@ from gflswing.stability import (
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
     compare_uniform,
     find_cct,
+    simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
 )
 
 __all__ = [
@@ -74,10 +74,7 @@ __all__ = [
     "main",
 ]
 
-try:
-    from gflswing import __version__ as TOOL_VERSION
-except ImportError:  # pragma: no cover
-    TOOL_VERSION = "unknown"
+from gflswing import __version__ as TOOL_VERSION
 
 log = logging.getLogger("gflswing")
 

@@ -35,7 +35,6 @@ __all__ = [
     "InverterConfig",
     "FaultScenario",
     "TrajectoryRecord",
-    "Trajectory",
     "SolverOptions",
     "InitializationFailure",
     "UnitTable",
@@ -45,7 +44,6 @@ __all__ = [
     "whole_steps",
     "find_equilibrium",
     "step",
-    "simulate",
     "DIVERGENCE_BOUND_RAD",
 ]
 
@@ -209,21 +207,6 @@ class TrajectoryRecord:
     theta: tuple[float, ...]
     integral: tuple[float, ...]
     limited_steps: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Trajectory:
-    """A run with every record kept: what Runs.run and simulate return,
-    the records of the run's stream (see Runs.stream)."""
-
-    records: tuple[TrajectoryRecord, ...]
-    scenario: FaultScenario
-    fleet: tuple[InverterConfig, ...]
-    solver_failure_t: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise ValueError("trajectory must contain at least one record")
 
 
 @dataclass(frozen=True, slots=True)
@@ -563,8 +546,8 @@ class Runs:
     time, each branching from one uncleared fault-on run.
 
     fleet, grid, scenario and opts are as given (opts None: SolverOptions());
-    scenario's t_clear is not used, as stream and run set the clearing
-    time. units is the fleet's table of constants and of the run's solve
+    scenario's t_clear is not used, as stream sets the clearing time.
+    units is the fleet's table of constants and of the run's solve
     settings, for the equilibrium and every step: its tol is opts.tol_rel
     times max(|v_th|, 1 V) of the pre-fault source, the one place the
     tolerance is resolved. prefault and fault are the grid phases before
@@ -638,12 +621,6 @@ class Runs:
         run._records = self._records(run)
         return run
 
-    def run(self, t_clear: float | None) -> Trajectory:
-        """The stream of t_clear's run (see stream) with every record kept."""
-        run = self.stream(t_clear)
-        records = tuple(run)
-        return Trajectory(records, run.scenario, self.fleet, run.solver_failure_t)
-
     def _records(self, run: RunStream) -> Iterator[TrajectoryRecord]:
         k_clear = run.scenario.k_clear
         k_end = self.scenario.k_end
@@ -670,20 +647,3 @@ class Runs:
                 v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
                 limited_steps=(0,) * n,
             )
-
-
-def simulate(
-    fleet: Sequence[InverterConfig],
-    grid: GridModel,
-    scenario: FaultScenario,
-    opts: SolverOptions | None = None,
-) -> Trajectory:
-    """Run scenario and record every step index from 0 to its last.
-
-    The one run of a new Runs that clears at scenario.t_clear, with every
-    record kept: the records before the fault are the equilibrium's, and
-    stepping begins at the fault (see Runs). A solver failure mid-run ends
-    the run there, with every remaining unit marked tripped (see
-    Runs.stream).
-    """
-    return Runs(fleet, grid, scenario, opts).run(scenario.t_clear)

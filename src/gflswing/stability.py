@@ -20,11 +20,11 @@ from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     Runs,
-    Trajectory,
+    SolverOptions,  # annotates the adapter block only
     TrajectoryRecord,
-    simulate,  # noqa: F401  perfbench/tracer.py wraps stability.simulate
     whole_steps,
 )
+from gflswing.network import GridModel  # annotates the adapter block only
 
 __all__ = [
     "StabilityVerdict",
@@ -33,7 +33,6 @@ __all__ = [
     "FleetComparison",
     "BracketInvalid",
     "RunFold",
-    "classify",
     "find_cct",
     "compare_uniform",
     "uniform_fleet_of",
@@ -291,16 +290,6 @@ class RunFold:
         )
 
 
-def classify(
-    traj: Trajectory,
-    settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
-    settle_window: float = DEFAULT_SETTLE_WINDOW_S,
-) -> StabilityVerdict:
-    """Stable iff nothing tripped and all angles hold near pre-fault values
-    for the final settle_window of the run: RunFold's verdict of traj."""
-    return RunFold(traj.records, traj.fleet, traj.scenario, settle_tol).verdict(settle_window)
-
-
 def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRecord]:
     """records up to and including the first in which any unit is tripped;
     records past it are not read, so a stream makes no step past it."""
@@ -552,3 +541,38 @@ def compare_uniform(
         result_nonuniform=res_nonuni,
         result_uniform=res_uni,
     )
+
+
+# perfbench's adapter, which no command calls: perfbench/worker.py calls
+# cli.simulate and cli.classify, and perfbench/tracer.py wraps those two and
+# stability.simulate and stability.classify (reading simulate's scenario as
+# its third argument). The commands and the tests stream a run and fold it
+# (see Runs.stream and RunFold).
+@dataclass(frozen=True, slots=True)
+class Trajectory:
+    """A run with every record kept."""
+
+    records: tuple[TrajectoryRecord, ...]
+    scenario: FaultScenario
+    fleet: tuple[InverterConfig, ...]
+    solver_failure_t: float | None = None
+
+
+def simulate(
+    fleet: Sequence[InverterConfig],
+    grid: GridModel,
+    scenario: FaultScenario,
+    opts: SolverOptions | None = None,
+) -> Trajectory:
+    """The run of a new Runs that clears at scenario.t_clear, every record kept."""
+    run = Runs(fleet, grid, scenario, opts).stream(scenario.t_clear)
+    return Trajectory(tuple(run), run.scenario, run.fleet, run.solver_failure_t)
+
+
+def classify(
+    traj: Trajectory,
+    settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
+    settle_window: float = DEFAULT_SETTLE_WINDOW_S,
+) -> StabilityVerdict:
+    """RunFold's verdict of traj."""
+    return RunFold(traj.records, traj.fleet, traj.scenario, settle_tol).verdict(settle_window)

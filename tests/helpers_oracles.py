@@ -5,6 +5,8 @@ code paths separate from the package: exact rational complex arithmetic,
 finite-difference Newton and grid-search refinement. The per-unit step and
 fold at the end share the package's voltage solve, q projection and record
 types, and differ from it only in doing each unit's work one unit at a time.
+records_of and loss_order read the package's own runs, for tests that look
+at every record or at the trips of a run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gflswing.dynamics import DIVERGENCE_BOUND_RAD, TrajectoryRecord
+from gflswing.dynamics import DIVERGENCE_BOUND_RAD, Runs, TrajectoryRecord
 from gflswing.pcc import ZeroVoltage, q_components, solve_vpcc
 from gflswing.stability import RunFold
 
@@ -281,7 +283,14 @@ def reference_fold(records, settle_tol):
     return k, max_exc, last_violation, streak_start, first_trip
 
 
-def loss_order(traj):
-    """(name, first trip time) of every unit that tripped in a materialized
-    run, earliest first: RunFold's loss order, reading trips only."""
-    return RunFold(traj.records, traj.fleet, traj.scenario, math.inf).loss_order()
+def records_of(fleet, grid, scenario, opts=None) -> tuple[TrajectoryRecord, ...]:
+    """Every record of scenario's run, kept: a new Runs' stream that clears
+    at scenario.t_clear, read to its end."""
+    return tuple(Runs(fleet, grid, scenario, opts).stream(scenario.t_clear))
+
+
+def loss_order(run):
+    """(name, first trip time) of every unit that tripped in run, a stream
+    (see Runs.stream), earliest first: RunFold's loss order, reading trips
+    only."""
+    return RunFold(run, run.fleet, run.scenario, math.inf).loss_order()

@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from gflswing.cli import cmd_sweep
-from gflswing.dynamics import InverterConfig, Runs, UnitTable, simulate
+from gflswing.dynamics import InverterConfig, Runs, UnitTable
 from gflswing.network import (
     TheveninEquivalent,
     equivalent_impedance,
@@ -26,8 +26,8 @@ from gflswing.network import (
     line_impedance,
 )
 from gflswing.pcc import q_components, solve_vpcc
-from gflswing.stability import classify, compare_uniform, find_cct
-from helpers_oracles import aggregate_cd, loss_order, newton_fd_vpcc
+from gflswing.stability import RunFold, compare_uniform, find_cct
+from helpers_oracles import aggregate_cd, loss_order, newton_fd_vpcc, records_of
 
 XR_TABLE = [
     (0.15, 40.0, 0.1005),
@@ -149,11 +149,11 @@ def test_criterion_04_equilibrium_stationarity(nofault_config):
     cfg = nofault_config
     assert cfg.scenario.t_end == pytest.approx(20e-3)
     assert cfg.scenario.dt == pytest.approx(1e-5)
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    first = traj.records[0]
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    first = records[0]
     worst = max(
         abs(rec.theta_cg[p] - first.theta_cg[p])
-        for rec in traj.records
+        for rec in records
         for p in range(len(cfg.fleet))
     )
     assert worst < 1e-6
@@ -168,10 +168,10 @@ def test_criterion_05_loss_order(table_config):
         replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
         for c in cfg.fleet
     )
-    order = loss_order(simulate(equalized, cfg.grid, deep, cfg.solver))
+    order = loss_order(Runs(equalized, cfg.grid, deep, cfg.solver).stream(None))
     assert [name for name, _ in order] == ["Inv 4", "Inv 5", "Inv 2", "Inv 3", "Inv 1"]
 
-    order_full = loss_order(simulate(cfg.fleet, cfg.grid, deep, cfg.solver))
+    order_full = loss_order(Runs(cfg.fleet, cfg.grid, deep, cfg.solver).stream(None))
     assert order_full[0][0] == "Inv 4"
 
 
@@ -187,7 +187,7 @@ def test_criterion_05_first_four_trips_share_one_step(table_config, equalized):
     if equalized:
         fleet = tuple(replace(c, z_line=complex(c.z_line.real, c.z_line.real * 0.08))
                       for c in fleet)
-    order = loss_order(simulate(fleet, cfg.grid, deep, cfg.solver))
+    order = loss_order(Runs(fleet, cfg.grid, deep, cfg.solver).stream(None))
     assert [(name, round(t / deep.dt)) for name, t in order] == [
         ("Inv 4", 450), ("Inv 5", 450), ("Inv 2", 450), ("Inv 3", 450), ("Inv 1", 601),
     ]
@@ -203,11 +203,11 @@ def test_criterion_06_current_plateau(table_config):
     # its fault-inception current, so the sagging voltage crosses it mid-run.
     fleet = list(cfg.fleet)
     fleet[2] = replace(fleet[2], i_max=50.77)
-    traj = simulate(fleet, cfg.grid, scen, cfg.solver)
+    records = records_of(fleet, cfg.grid, scen, cfg.solver)
 
     k_fault = round(scen.t_fault / scen.dt)
     saw_limited = 0
-    for rec in traj.records:
+    for rec in records:
         for p, cfg_p in enumerate(fleet):
             if rec.limited[p] and not rec.tripped[p]:
                 saw_limited += 1
@@ -215,14 +215,14 @@ def test_criterion_06_current_plateau(table_config):
     assert saw_limited > 0
 
     engage_idx = {}
-    for idx, rec in enumerate(traj.records):
+    for idx, rec in enumerate(records):
         for p in range(len(fleet)):
             if rec.limited[p] and p not in engage_idx:
                 engage_idx[p] = idx
     # the staged unit engages strictly after fault inception
     assert engage_idx[2] > k_fault + 10
     for p, idx in engage_idx.items():
-        window = [rec.i_q[p] for rec in traj.records[k_fault:idx + 1]]
+        window = [rec.i_q[p] for rec in records[k_fault:idx + 1]]
         assert all(b >= a - 1e-12 for a, b in zip(window, window[1:])), (
             f"unit {p} reactive current dipped before its limit engaged"
         )
@@ -251,8 +251,8 @@ def test_criterion_07_bisection_soundness(table_config):
             if tau > settings.t_max:
                 break
             scen = replace(base, t_clear=base.t_fault + tau)
-            verdict = classify(simulate(cfg.fleet, cfg.grid, scen, cfg.solver),
-                               cfg.settle_tol, cfg.settle_window)
+            run = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
+            verdict = RunFold(run, cfg.fleet, scen, cfg.settle_tol).verdict(cfg.settle_window)
             taus.append(tau)
             verdicts.append(verdict.stable)
         transitions = [k for k in range(1, len(verdicts)) if verdicts[k] != verdicts[k - 1]]
@@ -292,27 +292,28 @@ def test_criterion_09_dichotomy(table_config):
 
     def run(tau):
         scen = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + tau)
-        traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-        return traj, classify(traj, cfg.settle_tol, cfg.settle_window)
+        records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
+        fold = RunFold(records, cfg.fleet, scen, cfg.settle_tol)
+        return records, fold.verdict(cfg.settle_window)
 
-    traj_s, verdict_s = run(res.cct - 2 * settings.resolution)
+    records_s, verdict_s = run(res.cct - 2 * settings.resolution)
     assert verdict_s.stable
     dt = cfg.scenario.dt
-    first = traj_s.records[0]
-    window_start = (len(traj_s.records) - 1) * dt - cfg.settle_window
-    for k, rec in enumerate(traj_s.records):
+    first = records_s[0]
+    window_start = (len(records_s) - 1) * dt - cfg.settle_window
+    for k, rec in enumerate(records_s):
         if k * dt >= window_start:
             for p in range(len(cfg.fleet)):
                 assert abs(rec.theta_cg[p] - first.theta_cg[p]) <= cfg.settle_tol
 
-    traj_u, verdict_u = run(res.cct + 2 * settings.resolution)
+    records_u, verdict_u = run(res.cct + 2 * settings.resolution)
     assert not verdict_u.stable
-    tripped_somewhere = any(any(rec.tripped) for rec in traj_u.records)
-    first_u = traj_u.records[0]
+    tripped_somewhere = any(any(rec.tripped) for rec in records_u)
+    first_u = records_u[0]
     late_violation = any(
         abs(rec.theta_cg[p] - first_u.theta_cg[p]) > cfg.settle_tol
-        for k, rec in enumerate(traj_u.records)
-        if k * dt >= (len(traj_u.records) - 1) * dt - cfg.settle_window
+        for k, rec in enumerate(records_u)
+        if k * dt >= (len(records_u) - 1) * dt - cfg.settle_window
         for p in range(len(cfg.fleet))
     )
     assert tripped_somewhere or late_violation
@@ -344,9 +345,9 @@ def test_criterion_10_trip_cascade(table_config):
 def test_criterion_11_performance(nofault_config, table_config, tmp_path, monkeypatch):
     cfg = nofault_config
     t0 = time.perf_counter()
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     single = time.perf_counter() - t0
-    assert len(traj.records) == 2001
+    assert len(records) == 2001
     assert single < 1.0, f"single 20 ms run took {single:.3f} s"
 
     monkeypatch.delenv("GFLSWING_THREADS", raising=False)

@@ -24,8 +24,9 @@ from gflswing.cli import (
     load_config,
     main,
 )
-from gflswing.dynamics import simulate
-from gflswing.stability import classify
+from gflswing.dynamics import Runs
+from gflswing.stability import RunFold
+from helpers_oracles import records_of
 
 SMALL_CONFIG = """\
 grid:
@@ -193,6 +194,28 @@ def test_missing_required_fields_are_named(tmp_path):
     assert "fleet" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "- grid\n"],
+                         ids=["empty", "comment", "sequence"])
+def test_a_config_root_that_is_not_a_mapping_is_rejected(tmp_path, text):
+    # An empty document (or one of comments only) has no root node at all.
+    p = tmp_path / "root.yaml"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config root: expected a mapping of sections$"):
+        load_config(p)
+
+
+def test_cct_needs_the_cct_section(tmp_path, capsys):
+    p = tmp_path / "nocct.yaml"
+    p.write_text(SMALL_CONFIG.split("  cct:\n", 1)[0], encoding="utf-8")
+    config = load_config(p)
+    assert config.cct is None
+    with pytest.raises(ConfigError, match=r"^stability\.cct: section is required"):
+        cmd_cct(config, tmp_path / "out")
+    assert not (tmp_path / "out" / "cct.json").exists()
+    assert main(["cct", "--config", str(p), "--out", str(tmp_path / "main")]) == 1
+    assert "stability.cct: section is required for this command" in capsys.readouterr().err
+
+
 def test_unknown_sweep_axis_rejected(tmp_path):
     text = SMALL_CONFIG + "sweep:\n  axes:\n    bogus: [1.0]\n"
     p = tmp_path / "sweep.yaml"
@@ -270,7 +293,7 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(example, "README.md", "exec"), namespace)
     assert namespace["verdict"].stable
-    assert len(namespace["t"]) == len(namespace["trajectory"].records)
+    assert len(namespace["t"]) == namespace["cfg"].scenario.k_end + 1
     assert namespace["cct"] == pytest.approx(1.505e-3)
 
 
@@ -405,19 +428,19 @@ def test_compare_replays_from_its_searches_runs(table_config, tmp_path, monkeypa
     assert calls == {"find_equilibrium": 2, "step": 32_092}
 
 
-def _write_trajectory_csv(path, traj):
-    for _ in cli._trajectory_csv(path, traj.fleet, traj.scenario.dt, traj.records):
+def _write_trajectory_csv(path, cfg, records):
+    for _ in cli._trajectory_csv(path, cfg.fleet, cfg.scenario.dt, records):
         pass
 
 
 def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
     # Holding the rows, their join and its encoding costs about 3x the file.
-    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
-                    table_config.solver)
+    records = records_of(table_config.fleet, table_config.grid, table_config.scenario,
+                         table_config.solver)
     path = tmp_path / "trajectory.csv"
     tracemalloc.start()
     try:
-        _write_trajectory_csv(path, traj)
+        _write_trajectory_csv(path, table_config, records)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -434,15 +457,17 @@ def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
 ):
     # table1_uncleared at depth 1.0: every unit has tripped by 4.5 ms and
     # the source-less node fails to solve at step 451. The streamed command
-    # writes what simulate() and classify() of the whole run give, through
-    # either writer path.
+    # writes what the run's records, every one kept, and their fold give,
+    # through either writer path.
     cfg = replace(uncleared_config,
                   scenario=replace(uncleared_config.scenario, fault_depth=1.0))
     ref = tmp_path / "ref"
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    verdict = classify(traj, cfg.settle_tol, cfg.settle_window)
+    run = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).stream(cfg.scenario.t_clear)
+    records = tuple(run)
+    verdict = RunFold(records, cfg.fleet, cfg.scenario, cfg.settle_tol).verdict(
+        cfg.settle_window)
     ref.mkdir()
-    _write_trajectory_csv(ref / "trajectory.csv", traj)
+    _write_trajectory_csv(ref / "trajectory.csv", cfg, records)
     for threads in WRITER_THREADS:
         monkeypatch.setenv("GFLSWING_THREADS", threads)
         out = tmp_path / threads
@@ -453,7 +478,7 @@ def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
         cli._write_json(ref / "summary.json", {
             **summary,
             "verdict": cli._verdict_dict(verdict),
-            "solver_failure_t_s": traj.solver_failure_t,
+            "solver_failure_t_s": run.solver_failure_t,
         })
         for name in ("trajectory.csv", "summary.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, threads)
@@ -541,14 +566,12 @@ def test_a_failing_trajectory_writer_process_raises_naming_the_csv(
     # A record the writer cannot format (a limited flag of 2) fails the
     # writer process, and the parent raises an OSError naming the file.
     monkeypatch.setenv("GFLSWING_THREADS", "2")
-    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
-                    table_config.solver)
-    records = list(traj.records)
+    records = list(records_of(table_config.fleet, table_config.grid,
+                              table_config.scenario, table_config.solver))
     records[200] = replace(records[200], limited=(2,) * len(table_config.fleet))
     path = tmp_path / "trajectory.csv"
     with pytest.raises(OSError, match=str(path)):
-        for _ in cli._trajectory_csv(path, traj.fleet, traj.scenario.dt, records):
-            pass
+        _write_trajectory_csv(path, table_config, records)
     _assert_no_child_left()
     assert "IndexError" in capfd.readouterr().err
 
@@ -564,18 +587,17 @@ def test_a_stream_error_after_the_writer_failed_is_the_error_raised(
     pids = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
-    traj = simulate(table_config.fleet, table_config.grid, table_config.scenario,
-                    table_config.solver)
-    bad = replace(traj.records[0], limited=(2,) * len(traj.fleet))
+    kept = records_of(table_config.fleet, table_config.grid, table_config.scenario,
+                      table_config.solver)
+    bad = replace(kept[0], limited=(2,) * len(table_config.fleet))
 
     def records():
-        yield from [bad, *traj.records[1:cli._FRAME_RECORDS]]
+        yield from [bad, *kept[1:cli._FRAME_RECORDS]]
         os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
         raise RuntimeError("the stream failed")
 
     with pytest.raises(RuntimeError, match="the stream failed"):
-        for _ in cli._trajectory_csv(tmp_path / "t.csv", traj.fleet, traj.scenario.dt, records()):
-            pass
+        _write_trajectory_csv(tmp_path / "t.csv", table_config, records())
     _assert_no_child_left()
     assert "IndexError" in capfd.readouterr().err
 
@@ -741,19 +763,17 @@ def test_trajectory_csv_of_shared_tuples_equals_that_of_copied_ones(table_config
     # writer formats them once. Record 100 is equal to its neighbours by
     # value but holds -0.0 where they hold 0.0, and prints "-0".
     cfg = table_config
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    records = list(traj.records)
+    records = list(records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver))
     rec = records[100]
     records[100] = replace(rec, v_gq=tuple(-v for v in rec.v_gq))
     assert records[100].v_gq == records[99].v_gq == records[101].v_gq
-    shared = replace(traj, records=tuple(records))
-    copied = replace(traj, records=tuple(
+    copied = [
         replace(r, **{f: tuple(list(getattr(r, f))) for f in _UNIT_FIELDS})
         for r in records
-    ))
-    assert copied.records[99].theta_cg is not copied.records[100].theta_cg
-    _write_trajectory_csv(tmp_path / "shared.csv", shared)
-    _write_trajectory_csv(tmp_path / "copied.csv", copied)
+    ]
+    assert copied[99].theta_cg is not copied[100].theta_cg
+    _write_trajectory_csv(tmp_path / "shared.csv", cfg, records)
+    _write_trajectory_csv(tmp_path / "copied.csv", cfg, copied)
     text = (tmp_path / "shared.csv").read_bytes()
     assert text == (tmp_path / "copied.csv").read_bytes()
     rows = text.decode().splitlines()
@@ -1051,13 +1071,11 @@ def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path
     assert verdicts == sorted(verdicts, reverse=True)
 
     from dataclasses import replace as dc_replace
-    from gflswing.dynamics import simulate
-    from gflswing.stability import classify
 
     for interval, row in zip(intervals, rows):
         scen = dc_replace(cfg.scenario, t_clear=cfg.scenario.t_fault + interval)
-        verdict = classify(simulate(cfg.fleet, cfg.grid, scen, cfg.solver),
-                           cfg.settle_tol, cfg.settle_window)
+        run = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
+        verdict = RunFold(run, cfg.fleet, scen, cfg.settle_tol).verdict(cfg.settle_window)
         assert (row["stable"] == "true") == verdict.stable
 
 

@@ -9,12 +9,12 @@ from gflswing import dynamics
 from gflswing.cli import bundled_config_path, cmd_simulate, load_config
 from gflswing.dynamics import (
     FaultScenario,
+    InitializationFailure,
     InverterConfig,
     SolverOptions,
     Runs,
     TrajectoryRecord,
     UnitTable,
-    simulate,
     step,
 )
 from gflswing.network import (
@@ -23,9 +23,9 @@ from gflswing.network import (
     equivalent_impedance,
     faulted_grid,
 )
-from gflswing.pcc import solve_vpcc
-from gflswing.stability import _to_first_trip, classify
-from helpers_oracles import aggregate_cd
+from gflswing.pcc import NonConvergence, solve_vpcc
+from gflswing.stability import DEFAULT_SETTLE_WINDOW_S, RunFold, _to_first_trip
+from helpers_oracles import aggregate_cd, records_of
 
 
 def _small_fleet():
@@ -77,12 +77,12 @@ def test_a_fault_of_half_a_step_or_less_is_rejected(table_config):
             replace(scen, t_clear=scen.t_fault + short * scen.dt)
     once = replace(scen, t_clear=scen.t_fault + 0.6 * scen.dt)
     assert once.k_clear == once.k_fault + 1
-    traj = simulate(cfg.fleet, cfg.grid, once, cfg.solver)
+    records = records_of(cfg.fleet, cfg.grid, once, cfg.solver)
     k = once.k_fault
-    eq = traj.records[0]
-    assert traj.records[k].v_pcc_mag < 0.8 * eq.v_pcc_mag
-    assert traj.records[k + 1].v_pcc_mag > 0.9 * eq.v_pcc_mag
-    assert classify(traj).max_angle_excursion > 1e-6
+    eq = records[0]
+    assert records[k].v_pcc_mag < 0.8 * eq.v_pcc_mag
+    assert records[k + 1].v_pcc_mag > 0.9 * eq.v_pcc_mag
+    assert RunFold(records, cfg.fleet, once, math.inf).max_excursion > 1e-6
 
 
 def test_a_cleared_fault_at_step_0_is_rejected(table_config):
@@ -96,8 +96,8 @@ def test_a_cleared_fault_at_step_0_is_rejected(table_config):
             replace(scen, t_fault=t_fault, t_clear=t_fault + dt)
         assert replace(scen, t_fault=t_fault).k_fault == 0  # uncleared stays valid
     once = replace(scen, t_fault=dt, t_clear=2 * dt)
-    traj = simulate(table_config.fleet, table_config.grid, once, table_config.solver)
-    assert min(rec.v_pcc_mag for rec in traj.records) < 0.6 * traj.records[0].v_pcc_mag
+    records = records_of(table_config.fleet, table_config.grid, once, table_config.solver)
+    assert min(rec.v_pcc_mag for rec in records) < 0.6 * records[0].v_pcc_mag
 
 
 def _assert_fixed_point(fleet, grid):
@@ -121,9 +121,12 @@ def test_table1_nofault_holds_its_equilibrium_to_round_off(nofault_config):
     # find_equilibrium and step solve the PCC voltage the same way, so with
     # no fault every angle holds its pre-fault value to round-off.
     cfg = nofault_config
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    assert classify(traj).max_angle_excursion <= 1e-12
-    assert classify(traj, settle_tol=1e-12).stable
+    fold = RunFold(
+        Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).stream(cfg.scenario.t_clear),
+        cfg.fleet, cfg.scenario, 1e-12,
+    )
+    assert fold.max_excursion <= 1e-12
+    assert fold.verdict(DEFAULT_SETTLE_WINDOW_S).stable
 
 
 def _pf_fleet():
@@ -168,9 +171,10 @@ def test_direct_fault_on_step_equals_the_step_a_run_makes():
     scenario = FaultScenario(0.0, None, 0.5, 10 * dt, dt)
     run = Runs(fleet, _small_grid(), scenario, SolverOptions())
     direct = step(run.equilibrium, run.units, run.fault, run.equilibrium.theta_cg)
-    traj = run.run(None)
-    assert traj.solver_failure_t is None
-    assert traj.records[1] == direct
+    stream = run.stream(None)
+    records = tuple(stream)
+    assert stream.solver_failure_t is None
+    assert records[1] == direct
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-5])
@@ -206,11 +210,11 @@ def test_removing_one_injection_lowers_voltage_and_raises_currents():
 
 def test_simulate_without_disturbance_holds_angles(nofault_config):
     cfg = nofault_config
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    first = traj.records[0]
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    first = records[0]
     worst = max(
         abs(rec.theta_cg[p] - first.theta_cg[p])
-        for rec in traj.records
+        for rec in records
         for p in range(len(cfg.fleet))
     )
     assert worst < 1e-6
@@ -243,15 +247,15 @@ def test_table1_is_first_order_in_dt(table_config):
     # 1.009e-5 rad between dt and dt/2, 5.05e-6 rad between dt/2 and dt/4.
     cfg = table_config
     runs = [
-        simulate(cfg.fleet, cfg.grid, replace(cfg.scenario, dt=cfg.scenario.dt / m), cfg.solver)
+        records_of(cfg.fleet, cfg.grid, replace(cfg.scenario, dt=cfg.scenario.dt / m), cfg.solver)
         for m in (1, 2, 4)
     ]
 
     def largest_difference(coarse, fine):
         return max(
             abs(a - b)
-            for k, rec in enumerate(coarse.records)
-            for a, b in zip(rec.theta_cg, fine.records[2 * k].theta_cg)
+            for k, rec in enumerate(coarse)
+            for a, b in zip(rec.theta_cg, fine[2 * k].theta_cg)
         )
 
     d_half = largest_difference(runs[0], runs[1])
@@ -274,17 +278,17 @@ def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
 
     monkeypatch.setattr(dynamics, "q_components", counting)
     cfg = table_config
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    assert calls == len(traj.records) - cfg.scenario.k_fault == 1_901
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert calls == len(records) - cfg.scenario.k_fault == 1_901
 
 
 def test_default_tolerance_resolves_against_the_prefault_source(table_config):
     # SolverOptions() and the loaded table1 solver both mean tol_rel 1e-9 of
     # the pre-fault |v_th|, fault-on steps included.
     cfg = table_config
-    default = simulate(cfg.fleet, cfg.grid, cfg.scenario, SolverOptions())
-    loaded = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    assert default.records == loaded.records
+    default = records_of(cfg.fleet, cfg.grid, cfg.scenario, SolverOptions())
+    loaded = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert default == loaded
 
 
 def test_runs_alone_resolves_the_tolerance(table_config):
@@ -317,24 +321,26 @@ def test_deep_fault_verdicts_and_solver_failures_are_pinned(
     cfg = load_config(bundled_config_path(name))
     t_clear = None if cleared_after is None else cfg.scenario.t_fault + cleared_after
     scen = replace(cfg.scenario, fault_depth=depth, t_clear=t_clear)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    assert classify(traj, cfg.settle_tol, cfg.settle_window).stable is stable
+    run = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
+    records = tuple(run)
+    assert RunFold(records, cfg.fleet, scen, cfg.settle_tol).verdict(
+        cfg.settle_window).stable is stable
     if failure_step is None:
-        assert traj.solver_failure_t is None
+        assert run.solver_failure_t is None
     else:
-        assert traj.solver_failure_t == failure_step * scen.dt
-    assert len(traj.records) == n_records
+        assert run.solver_failure_t == failure_step * scen.dt
+    assert len(records) == n_records
 
 
 def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    last = traj.records[-1]
+    records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
+    last = records[-1]
     assert all(last.tripped)
     # largest unit goes first
     first_trip = {}
-    for k, rec in enumerate(traj.records):
+    for k, rec in enumerate(records):
         for p in range(5):
             if rec.tripped[p] and p not in first_trip:
                 first_trip[p] = k * scen.dt
@@ -358,7 +364,7 @@ def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
     # Cleared 2 ms after a depth-0.6 fault, after Inv 4's 1.5 ms holdoff.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
-    full = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
+    full = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
     cut = _decision_run(cfg, scen)
     assert len(cut) < len(full)
     assert cut == _cut_at_first_trip(full)
@@ -369,7 +375,7 @@ def test_stop_at_first_trip_leaves_a_run_without_trips_whole(table_config):
     # run's state one step before clearing.
     cfg = table_config
     cut = _decision_run(cfg, cfg.scenario)
-    assert cut == simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).records
+    assert cut == records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
 
 
 def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, monkeypatch):
@@ -403,10 +409,10 @@ def test_runs_in_any_order_equal_simulate(table_config, depth):
     for t_clear in (
         scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min, None, scen.t_clear
     ):
-        full = simulate(cfg.fleet, cfg.grid, replace(scen, t_clear=t_clear), cfg.solver)
-        assert runs.run(t_clear) == full
+        full = records_of(cfg.fleet, cfg.grid, replace(scen, t_clear=t_clear), cfg.solver)
+        assert tuple(runs.stream(t_clear)) == full
         cut = tuple(_to_first_trip(runs.stream(t_clear)))
-        assert cut == _cut_at_first_trip(full.records)
+        assert cut == _cut_at_first_trip(full)
 
 
 def _count_steps(monkeypatch):
@@ -429,14 +435,14 @@ def test_cleared_runs_of_one_runs_step_their_shared_prefix_once(table_config, mo
     scen = cfg.scenario
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
     calls = _count_steps(monkeypatch)
-    first = runs.run(scen.t_clear)
-    assert calls[0] == len(first.records) - scen.k_fault
+    first = tuple(runs.stream(scen.t_clear))
+    assert calls[0] == len(first) - scen.k_fault
     k_first = round(scen.t_clear / scen.dt)
     for t_clear in (scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min):
         before = calls[0]
-        traj = runs.run(t_clear)
+        records = tuple(runs.stream(t_clear))
         k_shared = min(k_first, round(t_clear / scen.dt)) - 1
-        assert calls[0] - before == len(traj.records) - 1 - k_shared
+        assert calls[0] - before == len(records) - 1 - k_shared
 
 
 @pytest.mark.parametrize("k_fault", [0, 1, 2, 300])
@@ -449,7 +455,7 @@ def test_records_before_the_fault_are_the_equilibrium(table_config, k_fault):
     scen = replace(cfg.scenario, t_fault=k_fault * dt, t_clear=None)
     assert scen.k_fault == k_fault
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
-    records = runs.run(None).records
+    records = tuple(runs.stream(None))
     eq = runs.equilibrium
     for rec in records[:max(k_fault, 1)]:
         assert rec is eq
@@ -465,8 +471,8 @@ def test_an_uncleared_simulate_steps_only_from_the_fault_on(uncleared_config, mo
     cfg = uncleared_config
     scen = cfg.scenario
     calls = _count_steps(monkeypatch)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    assert len(traj.records) == scen.k_end + 1
+    records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
+    assert len(records) == scen.k_end + 1
     assert calls[0] == scen.k_end - scen.k_fault + 1 == 1_901
 
 
@@ -478,12 +484,12 @@ def test_an_uncleared_run_keeps_no_states(table_config, monkeypatch):
     scen = cfg.scenario
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
     calls = _count_steps(monkeypatch)
-    uncleared = runs.run(None)
-    assert calls[0] == len(uncleared.records) - scen.k_fault
+    uncleared = tuple(runs.stream(None))
+    assert calls[0] == len(uncleared) - scen.k_fault
     before = calls[0]
-    cleared = runs.run(scen.t_clear)
-    assert calls[0] - before == len(cleared.records) - scen.k_fault
-    assert cleared == simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    cleared = tuple(runs.stream(scen.t_clear))
+    assert calls[0] - before == len(cleared) - scen.k_fault
+    assert cleared == records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
 
 
 def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
@@ -510,7 +516,7 @@ def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):
     q_components = dynamics.q_components
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
     monkeypatch.setattr(dynamics, "q_components", projecting)
-    records = run.run(scenario.t_clear).records
+    records = tuple(run.stream(scenario.t_clear))
     assert len(projected) == len(records) - scenario.k_fault == 301
     assert all(projected)
     assert len(solved) > len(projected)
@@ -525,7 +531,7 @@ def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config, dt):
     # nearest, 21.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None, dt=dt)
-    records = simulate(cfg.fleet, cfg.grid, scen, cfg.solver).records
+    records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
     for p, unit in enumerate(cfg.fleet):
         k_limit = next(k for k, rec in enumerate(records) if rec.limited[p])
         k_trip = next(k for k, rec in enumerate(records) if rec.tripped[p])
@@ -537,9 +543,9 @@ def test_trip_follows_first_limit_by_exactly_the_holdoff(table_config, dt):
 
 def test_cleared_early_returns_to_prefault(table_config):
     cfg = table_config  # clears 1 ms after inception, well under the CCT
-    traj = simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
-    first = traj.records[0]
-    last = traj.records[-1]
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    first = records[0]
+    last = records[-1]
     assert not any(last.tripped)
     for p in range(5):
         assert abs(last.theta_cg[p] - first.theta_cg[p]) < cfg.settle_tol
@@ -548,9 +554,9 @@ def test_cleared_early_returns_to_prefault(table_config):
 def test_limited_units_record_exact_ceiling(table_config):
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.5, t_clear=None, t_end=8e-3)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
     saw_limited = False
-    for rec in traj.records:
+    for rec in records:
         for p, cfg_p in enumerate(cfg.fleet):
             if rec.limited[p] and not rec.tripped[p]:
                 saw_limited = True
@@ -573,11 +579,11 @@ def test_higher_xr_ratio_gives_steeper_reactive_current_rise():
     assert abs(fleet[0].z_total()) == pytest.approx(abs(fleet[1].z_total()))
     grid = _small_grid()
     scen = FaultScenario(t_fault=1e-3, t_clear=None, fault_depth=0.4, t_end=3e-3, dt=1e-5)
-    traj = simulate(fleet, grid, scen, SolverOptions())
+    records = records_of(fleet, grid, scen, SolverOptions())
     k0 = round(scen.t_fault / scen.dt)
     k1 = round(2e-3 / scen.dt)
     slope = [
-        (traj.records[k1].i_q[p] - traj.records[k0].i_q[p]) / (k1 * scen.dt - k0 * scen.dt)
+        (records[k1].i_q[p] - records[k0].i_q[p]) / (k1 * scen.dt - k0 * scen.dt)
         for p in range(2)
     ]
     assert slope[1] > slope[0] > 0.0
@@ -586,24 +592,44 @@ def test_higher_xr_ratio_gives_steeper_reactive_current_rise():
 def test_bolted_fault_saturates_everyone_then_trips(table_config):
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=1.0, t_clear=None)
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    run = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(None)
+    records = tuple(run)
     k = round(scen.t_fault / scen.dt)
-    assert all(traj.records[k].limited)
-    assert all(traj.records[-1].tripped)
+    assert all(records[k].limited)
+    assert all(records[-1].tripped)
     # once every unit has tripped the source-less node collapses and the run
     # is truncated as instability onset
-    assert traj.solver_failure_t is not None
+    assert run.solver_failure_t is not None
 
 
 def test_trip_latches_and_zeroes_injection():
     fleet = _small_fleet()
     grid = _small_grid()
     scen = FaultScenario(1e-3, None, 0.6, 6e-3, 1e-5)
-    traj = simulate(fleet, grid, scen, SolverOptions())
-    trip_idx = next(i for i, r in enumerate(traj.records) if r.tripped[1])
-    for rec in traj.records[trip_idx + 1:]:
+    records = records_of(fleet, grid, scen, SolverOptions())
+    trip_idx = next(i for i, r in enumerate(records) if r.tripped[1])
+    for rec in records[trip_idx + 1:]:
         assert rec.tripped[1]
         assert rec.i_mag[1] == 0.0
+
+
+def test_a_failed_prefault_voltage_solve_fails_initialization():
+    # One Newton iteration cannot reach the tolerance from v_th.
+    with pytest.raises(InitializationFailure, match=r"^no pre-fault voltage solution: pcc "
+                       r"voltage iteration did not converge: .* after 1 iterations$") as err:
+        Runs(_small_fleet()[:1], _small_grid(), FaultScenario(1e-3, None, 0.3, 5e-3, 1e-5),
+             SolverOptions(max_iter=1))
+    assert isinstance(err.value.__cause__, NonConvergence)
+
+
+def test_a_unit_with_no_lock_angle_fails_initialization():
+    # A 10 ohm line reactance drops more q-axis voltage at the rated current
+    # than the PCC voltage can supply: |sin(theta - angle(v_pcc))| would
+    # exceed 1.
+    fleet = (InverterConfig("A", 6000.0, complex(0.15, 10.0), 0.0, 4.31e-3, 260.0, 1000.0),)
+    with pytest.raises(InitializationFailure,
+                       match=r"^A: no locked injection angle exists \(\|1\.065\| > 1\)$"):
+        Runs(fleet, _small_grid(), FaultScenario(1e-3, None, 0.3, 5e-3, 1e-5))
 
 
 def test_overloaded_fleet_fails_initialization():
@@ -614,4 +640,4 @@ def test_overloaded_fleet_fails_initialization():
     from gflswing.dynamics import InitializationFailure
 
     with pytest.raises(InitializationFailure):
-        simulate(fleet, grid, FaultScenario(1e-3, None, 0.3, 5e-3, 1e-5))
+        Runs(fleet, grid, FaultScenario(1e-3, None, 0.3, 5e-3, 1e-5))

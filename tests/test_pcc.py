@@ -134,6 +134,47 @@ def test_seed_below_the_zero_voltage_floor_raises(seed):
         solve_vpcc(grid, agg, tol=1e-9 * 230, max_iter=100, seed=seed)
 
 
+def _newton_trials(seed, w, c):
+    """Residual of F(v) = v - w - c / |v| at seed, and at seed less the full
+    Newton step (central-difference Jacobian) and each of its first five
+    halvings."""
+    def f(v):
+        return v - w - c / abs(v)
+
+    h = 1e-7
+    dx, dy = ((f(seed + d) - f(seed - d)) / (2 * h) for d in (h, 1j * h))
+    f0 = f(seed)
+    # The real 2-D step (a, b) with a dx + b dy = f0, by Cramer's rule.
+    det = dx.real * dy.imag - dy.real * dx.imag
+    step = complex((f0.real * dy.imag - dy.real * f0.imag) / det,
+                   (dx.real * f0.imag - f0.real * dx.imag) / det)
+    return abs(f0), [abs(f(seed - step / 2 ** j)) for j in range(6)]
+
+
+@pytest.mark.parametrize("c, d, seed, rejected", [
+    # From 1j under C = 1e4 the full step doubles the residual; the half step
+    # is taken.
+    (1e4 + 0j, 0j, 1j, 1),
+    # From 1 under C = 1000j every one of the six trials raises it, and the
+    # smallest step, 1/64 of the full one, is taken anyway.
+    (1000j, 0j, 1 + 0j, 6),
+    # The first full step is taken; full steps alone never reach the
+    # tolerance from here (NonConvergence after 100 iterations), halved
+    # later steps do.
+    (-1e5 + 1e5j, 100 + 0j, 10j, 0),
+])
+def test_a_newton_step_that_raises_the_residual_is_halved(c, d, seed, rejected):
+    # The seeded solve still lands on the cold one.
+    grid = _grid()
+    tol = 1e-9 * 230
+    residual, trials = _newton_trials(seed, grid.v_th + d, c)
+    assert [r > residual for r in trials] == [True] * rejected + [False] * (6 - rejected)
+    warm = solve_vpcc(grid, (c, d), tol=tol, max_iter=100, seed=seed)
+    cold = solve_vpcc(grid, (c, d), tol=tol, max_iter=100)
+    assert abs(warm.v_pcc - grid.v_th - d - c / abs(warm.v_pcc)) <= tol
+    assert abs(warm.v_pcc - cold.v_pcc) <= 1e-6
+
+
 def test_solver_reports_nonconvergence_when_budget_exhausted():
     grid = _grid()
     zeq = _zeq((0.1, 0.05))

@@ -13,11 +13,9 @@ from gflswing.dynamics import (
     FaultScenario,
     InverterConfig,
     SolverOptions,
-    Trajectory,
     TrajectoryRecord,
     Runs,
     UnitTable,
-    simulate,
     step,
 )
 from gflswing.network import GridModel, TheveninEquivalent, line_impedance
@@ -26,12 +24,11 @@ from gflswing.stability import (
     BracketInvalid,
     CctSettings,
     RunFold,
-    classify,
     compare_uniform,
     find_cct,
     uniform_fleet_of,
 )
-from helpers_oracles import loss_order
+from helpers_oracles import loss_order, records_of
 
 
 def _fleet2():
@@ -56,9 +53,9 @@ def _runs2(scenario=None):
     return Runs(_fleet2(), _grid2(), scenario or _base_scenario())
 
 
-def _synthetic(fleet, rows, t_clear, dt=1e-3):
-    """Build a trajectory from (theta_cg tuple, tripped tuple) rows, row k
-    at k * dt."""
+def _synthetic(fleet, rows, t_clear, settle_tol=math.inf, dt=1e-3):
+    """The fold under settle_tol (math.inf: trips only) of a run built from
+    (theta_cg tuple, tripped tuple) rows, row k at k * dt."""
     n = len(fleet)
     records = tuple(
         TrajectoryRecord(
@@ -79,14 +76,13 @@ def _synthetic(fleet, rows, t_clear, dt=1e-3):
     t_end = (len(rows) - 1) * dt or dt
     scenario = FaultScenario(t_fault=dt, t_clear=t_clear, fault_depth=0.5,
                              t_end=t_end, dt=dt)
-    return Trajectory(records, scenario, tuple(fleet))
+    return RunFold(records, fleet, scenario, settle_tol)
 
 
 def test_constant_trajectory_is_stable():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 9
-    traj = _synthetic(fleet, rows, t_clear=2e-3)
-    verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
+    verdict = _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02).verdict(2e-3)
     assert verdict.stable
     assert verdict.first_unstable is None
     assert verdict.t_settled == 0.0
@@ -99,8 +95,7 @@ def test_angle_past_pi_reads_unstable():
     for k in range(9):
         drift = 0.0 if k < 4 else (k - 3) * 1.1
         rows.append(((0.1, 0.2 + drift), (False, drift > math.pi)))
-    traj = _synthetic(fleet, rows, t_clear=2e-3)
-    verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
+    verdict = _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02).verdict(2e-3)
     assert not verdict.stable
     assert verdict.first_unstable == "B"
     assert verdict.t_unstable == pytest.approx(6e-3)
@@ -111,8 +106,7 @@ def test_non_settling_angle_reads_unstable_without_trip():
     fleet = _fleet2()
     rows = [((0.1, 0.2 + (0.05 if k >= 5 else 0.0)), (False, False))
             for k in range(9)]
-    traj = _synthetic(fleet, rows, t_clear=2e-3)
-    verdict = classify(traj, settle_tol=0.02, settle_window=2e-3)
+    verdict = _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02).verdict(2e-3)
     assert not verdict.stable
     assert verdict.first_unstable == "B"
     assert verdict.t_unstable == pytest.approx(5e-3)
@@ -121,33 +115,30 @@ def test_non_settling_angle_reads_unstable_without_trip():
 def test_classify_rejects_short_trajectory():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 3
-    traj = _synthetic(fleet, rows, t_clear=2e-3)
+    fold = _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02)
     with pytest.raises(ValueError):
-        classify(traj, settle_tol=0.02, settle_window=5e-3)
+        fold.verdict(5e-3)
 
 
 def test_classify_validates_parameters():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 9
-    traj = _synthetic(fleet, rows, t_clear=2e-3)
     with pytest.raises(ValueError):
-        classify(traj, settle_tol=0.0, settle_window=1e-3)
+        _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.0)
     with pytest.raises(ValueError):
-        classify(traj, settle_tol=0.02, settle_window=0.0)
+        _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02).verdict(0.0)
 
 
 def test_sync_loss_order_single_unit():
     fleet = _fleet2()[:1]
     rows = [((0.1,), (k >= 3,)) for k in range(6)]
-    traj = _synthetic(fleet, rows, t_clear=None)
-    assert loss_order(traj) == [("A", pytest.approx(3e-3))]
+    assert _synthetic(fleet, rows, t_clear=None).loss_order() == [("A", pytest.approx(3e-3))]
 
 
 def test_sync_loss_order_breaks_ties_by_rating():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (k >= 3, k >= 3)) for k in range(6)]
-    traj = _synthetic(fleet, rows, t_clear=None)
-    order = loss_order(traj)
+    order = _synthetic(fleet, rows, t_clear=None).loss_order()
     assert [name for name, _ in order] == ["B", "A"]
 
 
@@ -155,8 +146,7 @@ def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
     # As in a solver failure's record, which trips every unit.
     fleet = _fleet2()
     rows = [((0.1, 0.2), (k >= 3, k == 5)) for k in range(6)]
-    traj = _synthetic(fleet, rows, t_clear=None)
-    assert loss_order(traj) == [
+    assert _synthetic(fleet, rows, t_clear=None).loss_order() == [
         ("A", pytest.approx(3e-3)), ("B", pytest.approx(5e-3)),
     ]
 
@@ -164,19 +154,18 @@ def test_sync_loss_order_takes_a_trip_first_set_in_the_last_record():
 def test_sync_loss_order_empty_on_stable_run():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 6
-    traj = _synthetic(fleet, rows, t_clear=None)
-    assert loss_order(traj) == []
+    assert _synthetic(fleet, rows, t_clear=None).loss_order() == []
 
 
-def _first_trips_by_scan(traj):
+def _first_trips_by_scan(records, fleet, dt):
     """Every record's every flag, scanned for each unit's first trip."""
     trip_time = {}
-    for k, rec in enumerate(traj.records):
+    for k, rec in enumerate(records):
         for p, tripped in enumerate(rec.tripped):
             if tripped and p not in trip_time:
-                trip_time[p] = k * traj.scenario.dt
-    order = sorted(trip_time.items(), key=lambda pt: (pt[1], -traj.fleet[pt[0]].s_rated))
-    return [(traj.fleet[p].name, t) for p, t in order]
+                trip_time[p] = k * dt
+    order = sorted(trip_time.items(), key=lambda pt: (pt[1], -fleet[pt[0]].s_rated))
+    return [(fleet[p].name, t) for p, t in order]
 
 
 @pytest.mark.parametrize("depth, cleared_after, trips", [
@@ -196,18 +185,19 @@ def test_loss_order_of_the_fold_equals_the_full_scan(
         fault_depth=scen.fault_depth if depth is None else depth,
         t_clear=None if cleared_after is None else scen.t_fault + cleared_after,
     )
-    traj = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    found = RunFold(traj.records, traj.fleet, traj.scenario, cfg.settle_tol).loss_order()
+    records = records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
+    found = RunFold(records, cfg.fleet, scen, cfg.settle_tol).loss_order()
     assert len(found) == trips
-    assert found == _first_trips_by_scan(traj)
+    assert found == _first_trips_by_scan(records, cfg.fleet, scen.dt)
 
 
 def test_a_stream_is_folded_once(table_config):
     cfg = table_config
     run = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver).stream(cfg.scenario.t_clear)
     verdict = RunFold(run, run.fleet, run.scenario, cfg.settle_tol).verdict(cfg.settle_window)
-    assert verdict == classify(simulate(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver),
-                               cfg.settle_tol, cfg.settle_window)
+    records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert verdict == RunFold(records, cfg.fleet, cfg.scenario, cfg.settle_tol).verdict(
+        cfg.settle_window)
     with pytest.raises(ValueError, match="a stream is read once"):
         RunFold(run, run.fleet, run.scenario, cfg.settle_tol)
 
@@ -228,9 +218,10 @@ def test_find_cct_brackets_the_trip_boundary():
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs):
     """find_cct on a new Runs of fleet, grid, scenario and opts, with the
     runs it streams recorded: (result, calls), where calls.decided holds,
-    in order, the trajectory of every run it reads to decide a verdict
-    (through _to_first_trip, so to its first trip), calls.ordered that of
-    every run it reads otherwise, to its end, for the loss order, and
+    in order, the records read and the scenario of every run it reads to
+    decide a verdict (through _to_first_trip, so to its first trip),
+    calls.ordered those of every run it reads otherwise, to its end, for
+    the loss order, and
     calls.steps counts dynamics.step calls, calls.solves the voltage
     solves (the equilibrium's among them) and calls.iterations the
     iterations they took."""
@@ -269,9 +260,8 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
     monkeypatch.setattr(runs, "stream", recording)
     result = find_cct(runs, *args, **kwargs)
     for recorded in streamed:
-        run = recorded.run
-        traj = Trajectory(tuple(recorded.kept), run.scenario, runs.fleet, run.solver_failure_t)
-        (calls.decided if recorded.decided else calls.ordered).append(traj)
+        read = SimpleNamespace(records=tuple(recorded.kept), scenario=recorded.scenario)
+        (calls.decided if recorded.decided else calls.ordered).append(read)
     return result, calls
 
 
@@ -288,9 +278,9 @@ class _Recorded:
             yield rec
 
 
-def _clearing_steps(trajectories):
-    """Clearing step of every trajectory, in order."""
-    return [traj.scenario.k_clear for traj in trajectories]
+def _clearing_steps(runs):
+    """Clearing step of every recorded run, in order."""
+    return [run.scenario.k_clear for run in runs]
 
 
 def _step_of(scenario, interval):
@@ -330,8 +320,8 @@ def test_find_cct_decision_runs_stop_at_their_first_trip(table_config, monkeypat
     # nothing more. The loss-order run continues from step 450 to 2,200:
     # 151 + 1,773 + 1,759 + 1,752 + 1,881 + 1,750 steps.
     _, calls = _reference_cct(monkeypatch, table_config, table_config.scenario)
-    for traj in calls.decided:
-        assert not any(True in rec.tripped for rec in traj.records[:-1])
+    for read in calls.decided:
+        assert not any(True in rec.tripped for rec in read.records[:-1])
     assert _clearing_steps(calls.decided) == [
         750, 535, 428, 482, 455, 442, 449, 452, 320, 642,
     ]
@@ -350,25 +340,27 @@ def test_find_cct_voltage_solves_start_from_the_last_voltage(table_config, monke
 def test_find_cct_decisions_equal_full_runs_cut_at_their_first_trip(
     table_config, monkeypatch
 ):
-    # Every trajectory find_cct classifies is the full run of its clearing
+    # Every run find_cct folds for a verdict is the full run of its clearing
     # step cut at its first trip, every logged verdict (those taken from the
     # fault-on run included) is the full run's, and the loss-order run is
     # the full run of bracket_hi's clearing step.
     cfg = table_config
     res, calls = _reference_cct(monkeypatch, cfg, cfg.scenario)
-    for traj in calls.decided:
-        full = simulate(cfg.fleet, cfg.grid, traj.scenario, cfg.solver)
+    for read in calls.decided:
+        full = records_of(cfg.fleet, cfg.grid, read.scenario, cfg.solver)
         k_trip = next(
-            (k for k, rec in enumerate(full.records) if True in rec.tripped),
-            len(full.records) - 1,
+            (k for k, rec in enumerate(full) if True in rec.tripped), len(full) - 1
         )
-        assert traj.records == full.records[:k_trip + 1]
+        assert read.records == full[:k_trip + 1]
     for interval, stable in res.evaluation_log:
         at = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + interval)
-        full = simulate(cfg.fleet, cfg.grid, at, cfg.solver)
-        assert stable == classify(full, cfg.settle_tol, cfg.settle_window).stable
+        full = records_of(cfg.fleet, cfg.grid, at, cfg.solver)
+        fold = RunFold(full, cfg.fleet, at, cfg.settle_tol)
+        assert stable == fold.verdict(cfg.settle_window).stable
     at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
-    assert calls.ordered == [simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver)]
+    assert [read.records for read in calls.ordered] == [
+        records_of(cfg.fleet, cfg.grid, at_hi, cfg.solver)
+    ]
 
 
 def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
@@ -378,11 +370,10 @@ def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):
     scenario = replace(cfg.scenario, fault_depth=0.7)
     res, calls = _reference_cct(monkeypatch, cfg, scenario)
     assert _clearing_steps(calls.ordered) == [_step_of(scenario, res.bracket_hi)]
-    at_hi = replace(scenario, t_clear=scenario.t_fault + res.bracket_hi)
-    order = loss_order(simulate(cfg.fleet, cfg.grid, at_hi, cfg.solver))
+    runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
+    order = loss_order(runs.stream(scenario.t_fault + res.bracket_hi))
     assert res.loss_order == tuple(name for name, _ in order)
-    at_max = replace(scenario, t_clear=scenario.t_fault + cfg.cct.t_max)
-    assert len(loss_order(simulate(cfg.fleet, cfg.grid, at_max, cfg.solver))) > len(order)
+    assert len(loss_order(runs.stream(scenario.t_fault + cfg.cct.t_max))) > len(order)
 
 
 def test_find_cct_loss_order_without_a_trip_names_the_unit_that_did_not_settle(
@@ -398,9 +389,10 @@ def test_find_cct_loss_order_without_a_trip_names_the_unit_that_did_not_settle(
     res = find_cct(Runs(fleet, cfg.grid, cfg.scenario, cfg.solver), cfg.cct,
                    settle_tol=0.01, settle_window=cfg.settle_window)
     at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
-    full = simulate(fleet, cfg.grid, at_hi, cfg.solver)
-    assert loss_order(full) == []
-    verdict = classify(full, 0.01, cfg.settle_window)
+    full = records_of(fleet, cfg.grid, at_hi, cfg.solver)
+    fold = RunFold(full, fleet, at_hi, 0.01)
+    assert fold.loss_order() == []
+    verdict = fold.verdict(cfg.settle_window)
     assert not verdict.stable
     assert res.loss_order == (verdict.first_unstable,) == ("Inv 4",)
 
@@ -501,9 +493,9 @@ def test_find_cct_validates_bracket_and_coverage():
                      settle_window=2e-3)
 
 
-def _steady_trajectory():
+def _steady_fold(settle_tol):
     rows = [((0.1, 0.2), (False, False))] * 9
-    return _synthetic(_fleet2(), rows, t_clear=2e-3)
+    return _synthetic(_fleet2(), rows, t_clear=2e-3, settle_tol=settle_tol)
 
 
 def _step_by(dt):
@@ -536,8 +528,8 @@ def _table1():
 # +-inf where a check written as x > 0 would let it through.
 @pytest.mark.parametrize("call", [
     lambda: find_cct(_runs2(), CctSettings(t_min=2e-4, t_max=2e-3, resolution=NAN)),
-    lambda: classify(_steady_trajectory(), settle_tol=NAN, settle_window=2e-3),
-    lambda: classify(_steady_trajectory(), settle_tol=0.02, settle_window=NAN),
+    lambda: _steady_fold(NAN).verdict(2e-3),
+    lambda: _steady_fold(0.02).verdict(NAN),
     lambda: FaultScenario(1e-3, None, 0.5, 8e-3, NAN),
     lambda: _step_by(NAN),
     lambda: InverterConfig("X", NAN, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0),
@@ -560,7 +552,7 @@ def _table1():
     lambda: TheveninEquivalent(230.0, complex(0.2, NAN)),
     lambda: GridModel(_grid2().prefault, complex(NAN, 0.05)),
     *(_unit_with(field, sign * INF) for field in _BOUNDED_BELOW for sign in (1, -1)),
-    lambda: classify(_steady_trajectory(), 0.02, INF),
+    lambda: _steady_fold(0.02).verdict(INF),
     lambda: _table1().cct.steps(_table1().scenario, INF),
     lambda: CctSettings(2e-4, 4.5e-3, INF).steps(_table1().scenario, 1e-3),
     lambda: SolverOptions(tol_rel=NAN),
@@ -663,10 +655,10 @@ def test_nonuniform_fleet_spreads_divergence_times(table_config):
     # together while the mixed fleet staggers.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=None)
-    traj_mixed = simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
-    traj_uni = simulate(uniform_fleet_of(cfg.fleet), cfg.grid, scen, cfg.solver)
-    times_mixed = [t for _, t in loss_order(traj_mixed)]
-    times_uni = [t for _, t in loss_order(traj_uni)]
+    mixed = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(None)
+    uni = Runs(uniform_fleet_of(cfg.fleet), cfg.grid, scen, cfg.solver).stream(None)
+    times_mixed = [t for _, t in loss_order(mixed)]
+    times_uni = [t for _, t in loss_order(uni)]
     spread_mixed = max(times_mixed) - min(times_mixed)
     spread_uni = max(times_uni) - min(times_uni)
     assert spread_mixed > spread_uni

@@ -142,7 +142,7 @@ def test_seeded_fleets_with_power_factor_angles_limit_and_recover(table_config, 
     assert walk.limit_entries and walk.limit_exits
     assert walk.solves > walk.steps
     assert not walk.holdoff_trips and not walk.divergence_trips
-    _assert_folds_match(runs.run(cfg.scenario.t_clear).records, fleet, runs.scenario)
+    _assert_folds_match(tuple(runs.stream(cfg.scenario.t_clear)), fleet, runs.scenario)
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -159,7 +159,7 @@ def test_seeded_fleets_trip_on_holdoff_and_step_on_with_tripped_units(
     assert walk.failure is None
     assert walk.holdoff_trips and not walk.divergence_trips
     assert walk.steps_with_tripped
-    _assert_folds_match(runs.run(None).records, fleet, runs.scenario)
+    _assert_folds_match(tuple(runs.stream(None)), fleet, runs.scenario)
 
 
 @pytest.mark.parametrize("pf, k_trip, tripped", [
@@ -184,7 +184,7 @@ def test_a_divergence_trip_and_the_units_after_it(table_config, pf, k_trip, trip
     assert walk.steps_with_tripped
     i, first = next((i, r) for i, r in enumerate(walk.records) if True in r.tripped)
     assert (walk.k0 + i, first.tripped) == (k_trip, tripped)
-    _assert_folds_match(runs.run(None).records, fleet, runs.scenario)
+    _assert_folds_match(tuple(runs.stream(None)), fleet, runs.scenario)
 
 
 def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):

@@ -81,6 +81,48 @@ def test_every_config_attribute_the_benchmark_reads_resolves():
     assert missing == []
 
 
+# Names only perfbench reads: stability's adapter block, which no command and
+# no test calls, so that it can go once perfbench streams its runs.
+ADAPTER_NAMES = {"simulate", "classify", "Trajectory"}
+
+
+def test_the_adapter_names_are_exported_nowhere():
+    exported = {
+        (module, name)
+        for module in MODULES
+        for name in importlib.import_module(module).__all__
+        if name in ADAPTER_NAMES
+    }
+    assert exported == set()
+    assert [name for name in sorted(ADAPTER_NAMES) if hasattr(gflswing, name)] == []
+
+
+def test_runs_has_no_materializing_run():
+    # A run is read as a stream (Runs.stream) and folded (RunFold).
+    assert not hasattr(dynamics.Runs, "run")
+
+
+def test_no_test_module_refers_to_the_adapter_names():
+    # Names, attributes and import aliases: a command name in a string,
+    # such as "simulate", is not a reference.
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        if path.name == Path(__file__).name:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = (node.id,)
+            elif isinstance(node, ast.Attribute):
+                names = (node.attr,)
+            elif isinstance(node, ast.alias):
+                names = (node.name, node.asname)
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in names if n in ADAPTER_NAMES]
+    assert found == []
+
+
 def test_step_takes_the_fleet_second():
     # The tracer reads a step's fleet size from its second positional argument.
     assert list(inspect.signature(dynamics.step).parameters)[1] == "fleet"
