@@ -555,24 +555,19 @@ class Trajectory:
     records: tuple[TrajectoryRecord, ...]
     scenario: FaultScenario
     fleet: tuple[InverterConfig, ...]
-    solver_failure_t: float | None = None
 
 
 def simulate(
     fleet: Sequence[InverterConfig],
     grid: GridModel,
     scenario: FaultScenario,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions,
 ) -> Trajectory:
     """The run of a new Runs that clears at scenario.t_clear, every record kept."""
     run = Runs(fleet, grid, scenario, opts).stream(scenario.t_clear)
-    return Trajectory(tuple(run), run.scenario, run.fleet, run.solver_failure_t)
+    return Trajectory(tuple(run), run.scenario, run.fleet)
 
 
-def classify(
-    traj: Trajectory,
-    settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
-    settle_window: float = DEFAULT_SETTLE_WINDOW_S,
-) -> StabilityVerdict:
+def classify(traj: Trajectory, settle_tol: float, settle_window: float) -> StabilityVerdict:
     """RunFold's verdict of traj."""
     return RunFold(traj.records, traj.fleet, traj.scenario, settle_tol).verdict(settle_window)

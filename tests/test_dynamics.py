@@ -360,6 +360,13 @@ def _cut_at_first_trip(records):
     return records[:k_trip + 1]
 
 
+def _read_whole(run):
+    """A stream read to its end: its records, scenario, fleet and failure
+    time (set once the stream ends)."""
+    records = tuple(run)
+    return records, run.scenario, run.fleet, run.solver_failure_t
+
+
 def test_stop_at_first_trip_ends_the_full_run_at_its_first_trip(table_config):
     # Cleared 2 ms after a depth-0.6 fault, after Inv 4's 1.5 ms holdoff.
     cfg = table_config
@@ -402,17 +409,23 @@ def test_runs_in_any_order_equal_simulate(table_config, depth):
     # must not matter: t_max's clearing first, then t_min's, then none, then
     # table1's own. At each depth the fault-on run trips at step 450,
     # between t_min's clearing step and t_max's; at depth 1.0 the uncleared
-    # run then fails to solve at step 451 (see the pinned deep-fault verdicts).
+    # run and t_max's then fail to solve at step 451 (see the pinned
+    # deep-fault verdicts), in a shared Runs as in a new one.
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=depth)
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
+    failures = []
     for t_clear in (
         scen.t_fault + cfg.cct.t_max, scen.t_fault + cfg.cct.t_min, None, scen.t_clear
     ):
-        full = records_of(cfg.fleet, cfg.grid, replace(scen, t_clear=t_clear), cfg.solver)
-        assert tuple(runs.stream(t_clear)) == full
+        full = _read_whole(Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(t_clear))
+        assert _read_whole(runs.stream(t_clear)) == full
+        assert full[1] == replace(scen, t_clear=t_clear)
+        failures.append(full[3])
         cut = tuple(_to_first_trip(runs.stream(t_clear)))
-        assert cut == _cut_at_first_trip(full)
+        assert cut == _cut_at_first_trip(full[0])
+    failed = 451 * scen.dt if depth == 1.0 else None
+    assert failures == [failed, None, failed, None]
 
 
 def _count_steps(monkeypatch):
@@ -487,9 +500,9 @@ def test_an_uncleared_run_keeps_no_states(table_config, monkeypatch):
     uncleared = tuple(runs.stream(None))
     assert calls[0] == len(uncleared) - scen.k_fault
     before = calls[0]
-    cleared = tuple(runs.stream(scen.t_clear))
-    assert calls[0] - before == len(cleared) - scen.k_fault
-    assert cleared == records_of(cfg.fleet, cfg.grid, scen, cfg.solver)
+    cleared = _read_whole(runs.stream(scen.t_clear))
+    assert calls[0] - before == len(cleared[0]) - scen.k_fault
+    assert cleared == _read_whole(Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear))
 
 
 def test_step_hands_every_voltage_solve_an_aggregate(table_config, monkeypatch):

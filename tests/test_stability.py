@@ -218,10 +218,10 @@ def test_find_cct_brackets_the_trip_boundary():
 def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs):
     """find_cct on a new Runs of fleet, grid, scenario and opts, with the
     runs it streams recorded: (result, calls), where calls.decided holds,
-    in order, the records read and the scenario of every run it reads to
-    decide a verdict (through _to_first_trip, so to its first trip),
-    calls.ordered those of every run it reads otherwise, to its end, for
-    the loss order, and
+    in order, the records read, the scenario and the failure time of every
+    run it reads to decide a verdict (through _to_first_trip, so to its
+    first trip), calls.ordered those of every run it reads otherwise, to
+    its end, for the loss order, and
     calls.steps counts dynamics.step calls, calls.solves the voltage
     solves (the equilibrium's among them) and calls.iterations the
     iterations they took."""
@@ -260,7 +260,8 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
     monkeypatch.setattr(runs, "stream", recording)
     result = find_cct(runs, *args, **kwargs)
     for recorded in streamed:
-        read = SimpleNamespace(records=tuple(recorded.kept), scenario=recorded.scenario)
+        read = SimpleNamespace(records=tuple(recorded.kept), scenario=recorded.scenario,
+                               solver_failure_t=recorded.run.solver_failure_t)
         (calls.decided if recorded.decided else calls.ordered).append(read)
     return result, calls
 
@@ -358,9 +359,10 @@ def test_find_cct_decisions_equal_full_runs_cut_at_their_first_trip(
         fold = RunFold(full, cfg.fleet, at, cfg.settle_tol)
         assert stable == fold.verdict(cfg.settle_window).stable
     at_hi = replace(cfg.scenario, t_clear=cfg.scenario.t_fault + res.bracket_hi)
-    assert [read.records for read in calls.ordered] == [
-        records_of(cfg.fleet, cfg.grid, at_hi, cfg.solver)
-    ]
+    fresh = Runs(cfg.fleet, cfg.grid, at_hi, cfg.solver).stream(at_hi.t_clear)
+    full = SimpleNamespace(records=tuple(fresh), scenario=fresh.scenario,
+                           solver_failure_t=fresh.solver_failure_t)
+    assert calls.ordered == [full]
 
 
 def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):

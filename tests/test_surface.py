@@ -9,12 +9,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import gflswing
-from gflswing import dynamics
+from gflswing import cli, dynamics, stability
 from gflswing.cli import bundled_config_path, load_config
 
 MODULES = (
@@ -95,6 +96,26 @@ def test_the_adapter_names_are_exported_nowhere():
     }
     assert exported == set()
     assert [name for name in sorted(ADAPTER_NAMES) if hasattr(gflswing, name)] == []
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_the_adapter_keeps_a_stream_and_folds_it(deep):
+    # perfbench's bracket check and tracer read runs through the adapter:
+    # table1's stable run, and an uncleared full-depth fault that fails to
+    # solve.
+    cfg = load_config(bundled_config_path("table1.yaml"))
+    scen = cfg.scenario
+    if deep:
+        scen = replace(scen, fault_depth=1.0, t_clear=None)
+    assert (cli.simulate, cli.classify) == (stability.simulate, stability.classify)
+    traj = stability.simulate(cfg.fleet, cfg.grid, scen, cfg.solver)
+    run = dynamics.Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
+    assert (traj.records, traj.scenario, traj.fleet) == (tuple(run), run.scenario, run.fleet)
+    run = dynamics.Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
+    verdict = stability.RunFold(run, run.fleet, run.scenario, cfg.settle_tol).verdict(
+        cfg.settle_window)
+    assert verdict.stable is not deep
+    assert stability.classify(traj, cfg.settle_tol, cfg.settle_window) == verdict
 
 
 def test_runs_has_no_materializing_run():
