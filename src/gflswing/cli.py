@@ -55,6 +55,7 @@ from gflswing.stability import (
     StabilityVerdict,
     _cpu_split,
     _fork_piped,
+    _settle_steps,
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
     compare_uniform,
     find_cct,
@@ -256,6 +257,11 @@ def _axes(value: Any, where: str) -> dict[str, list[float]]:
     return axes
 
 
+def _no_fault_override(value: Any, where: str) -> None:
+    raise ConfigError(f"{where}: the fault-on override was removed; set scenario.fault_depth, "
+                      "which scales the pre-fault source by 1 - fault_depth")
+
+
 _CONFIG = {
     "grid": (REQUIRED, {
         "v_th_volts": (REQUIRED, _NONNEGATIVE),
@@ -264,11 +270,7 @@ _CONFIG = {
         "z_load_ohms": (REQUIRED, _IMPEDANCE),
         "frequency_hz": (DEFAULT_FREQUENCY_HZ, _POSITIVE),
         "v_nominal_volts": (None, _POSITIVE),  # None: v_th_volts
-        "faulted": (None, {
-            "v_th_volts": (REQUIRED, _NONNEGATIVE),
-            "v_th_angle_rad": (None, _ANY),  # None: the pre-fault angle
-            "z_th_ohms": (None, _IMPEDANCE),  # None: the pre-fault impedance
-        }),
+        "faulted": (None, _no_fault_override),  # null only; echoed, so hashes hold
     }),
     "fleet": (REQUIRED, _fleet),
     "scenario": (REQUIRED, {
@@ -333,13 +335,6 @@ def _read_yaml(path: Path) -> Any:
         loader.dispose()
 
 
-def _thevenin(echo: dict) -> TheveninEquivalent:
-    z = echo["z_th_ohms"]
-    return TheveninEquivalent(
-        cmath.rect(echo["v_th_volts"], echo["v_th_angle_rad"]), complex(z["r"], z["x"])
-    )
-
-
 def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig:
     """Parse and fully validate a YAML run configuration.
 
@@ -367,21 +362,9 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
     g = resolved["grid"]
     if g["v_nominal_volts"] is None:
         g["v_nominal_volts"] = g["v_th_volts"]
-    gf = g["faulted"]
-    if gf is not None:
-        if gf["v_th_volts"] > g["v_th_volts"]:
-            raise ConfigError(
-                f"grid.faulted.v_th_volts: fault-on voltage {gf['v_th_volts']} "
-                f"exceeds pre-fault {g['v_th_volts']}"
-            )
-        if gf["v_th_angle_rad"] is None:
-            gf["v_th_angle_rad"] = g["v_th_angle_rad"]
-        if gf["z_th_ohms"] is None:
-            gf["z_th_ohms"] = dict(g["z_th_ohms"])
-    z_load = g["z_load_ohms"]
-    grid = GridModel(
-        _thevenin(g), complex(z_load["r"], z_load["x"]), None if gf is None else _thevenin(gf)
-    )
+    v_th = cmath.rect(g["v_th_volts"], g["v_th_angle_rad"])
+    z_th, z_load = (complex(z["r"], z["x"]) for z in (g["z_th_ohms"], g["z_load_ohms"]))
+    grid = GridModel(TheveninEquivalent(v_th, z_th), z_load)
 
     fleet = []
     for k, unit in enumerate(resolved["fleet"]):
@@ -677,11 +660,16 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
 
     The run is streamed: each record is folded into the verdict as it is
     stepped, its row is written with its frame, and none is kept. Returns
-    0 when the verdict is stable and 2 when it is unstable.
+    0 when the verdict is stable and 2 when it is unstable. A t_end short
+    of the settle window (see stability._settle_steps) fails before any step.
     """
+    scenario = config.scenario
+    try:
+        _settle_steps(scenario, config.settle_window, scenario.k_end)
+    except ValueError as exc:
+        raise ConfigError(f"scenario.t_end_s: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = config.scenario
     run = Runs(config.fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
     rows = _trajectory_csv(out / "trajectory.csv", run.fleet, scenario.dt, run)
     fold = RunFold(rows, run.fleet, run.scenario, config.settle_tol)
@@ -829,16 +817,16 @@ def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]])
 
 def _worker_cap() -> int:
     """THREADS_ENV if set, else the CPUs this process may run on: its
-    affinity set where the platform has one, not the host's CPU count."""
+    affinity set where the platform has one, not the host's CPU count. A
+    THREADS_ENV that is not an integer of at least 1 is a ConfigError."""
     cap = os.environ.get(THREADS_ENV)
     if cap is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: expected an integer, got {cap!r}")
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ConfigError(f"{THREADS_ENV}: expected an integer >= 1, got {cap!r}")
+    return int(cap)
 
 
 def _may_fork() -> bool:

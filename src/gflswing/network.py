@@ -76,26 +76,15 @@ class TheveninEquivalent:
 
 @dataclass(frozen=True, slots=True)
 class GridModel:
-    """Pre-fault equivalent, series load impedance and optional fault-on override.
-
-    When ``faulted`` is None the fault-on equivalent is derived from the
-    pre-fault one by scaling the source voltage (see faulted_grid); an
-    explicit override wins over depth scaling.
-    """
+    """Pre-fault equivalent and series load impedance; the fault-on
+    equivalent is derived from them (see faulted_grid)."""
 
     prefault: TheveninEquivalent
     z_load: complex
-    faulted: TheveninEquivalent | None = None
 
     def __post_init__(self) -> None:
         if not cmath.isfinite(self.z_load):
             raise ValueError(f"load impedance must be finite, got {self.z_load}")
-        if self.faulted is not None:
-            if abs(self.faulted.v_th) > abs(self.prefault.v_th) + 1e-12:
-                raise ValueError(
-                    "fault-on source voltage exceeds the pre-fault voltage: "
-                    f"{abs(self.faulted.v_th):.6g} > {abs(self.prefault.v_th):.6g}"
-                )
 
 
 def equivalent_impedance(
@@ -111,14 +100,8 @@ def equivalent_impedance(
 
 
 def faulted_grid(grid: GridModel, fault_depth: float) -> TheveninEquivalent:
-    """Fault-on equivalent: source voltage scaled by (1 - fault_depth).
-
-    The equivalent is held constant for the whole fault-on interval. An
-    explicit ``grid.faulted`` override is returned unchanged, ignoring
-    fault_depth; otherwise z_th is carried over from the pre-fault model.
-    """
+    """Fault-on equivalent: the pre-fault source scaled by (1 - fault_depth)
+    behind the pre-fault z_th, held for the whole fault-on interval."""
     if not 0.0 <= fault_depth <= 1.0:
         raise ValueError(f"fault_depth must lie in [0, 1], got {fault_depth}")
-    if grid.faulted is not None:
-        return grid.faulted
     return TheveninEquivalent((1.0 - fault_depth) * grid.prefault.v_th, grid.prefault.z_th)

@@ -145,6 +145,21 @@ class FleetComparison:
     result_uniform: CctResult
 
 
+def _settle_steps(scenario: FaultScenario, settle_window: float, k_last: int) -> int:
+    """settle_window in whole steps of scenario.dt, which a run whose last
+    record is k_last must span past its clearing step (past step 0 if never
+    cleared) to have a verdict, else a ValueError: the one horizon rule."""
+    window = whole_steps(settle_window, scenario.dt)
+    k_needed = (scenario.k_clear or 0) + window
+    if k_last < k_needed:
+        after = "settle_window" if scenario.k_clear is None else "t_clear + settle_window"
+        raise ValueError(
+            f"trajectory ends at {k_last * scenario.dt:.6g} s, before {after} "
+            f"= {k_needed * scenario.dt:.6g} s; cannot classify"
+        )
+    return window
+
+
 class RunFold:
     """What a verdict and a loss order read of one run, taken in one pass
     over its records: each record is read as it arrives and none is kept,
@@ -228,10 +243,9 @@ class RunFold:
         """Stable iff nothing tripped and no angle left settle_tol of its
         pre-fault value in the run's final settle_window.
 
-        settle_window is a whole number of steps (see dynamics.whole_steps),
-        and a run of violations is a run of consecutive records. A run with
-        a clearing time must extend a settle window past the clearing step
-        unless a trip already decided the verdict.
+        A run of violations is a run of consecutive records. Unless a trip
+        already decided the verdict, the run must reach the horizon of
+        _settle_steps, which takes settle_window in whole steps.
         """
         if not 0.0 < settle_window < math.inf:
             raise ValueError(f"settle_window must be positive and finite, got {settle_window}")
@@ -247,18 +261,7 @@ class RunFold:
             )
 
         dt = self.scenario.dt
-        k_last = self.k_last
-        window = whole_steps(settle_window, dt)
-        k_clear = self.scenario.k_clear
-        if k_clear is not None and k_last < k_clear + window:
-            raise ValueError(
-                f"trajectory ends at {k_last * dt:.6g} s, before t_clear + settle_window "
-                f"= {(k_clear + window) * dt:.6g} s; cannot classify"
-            )
-        if k_last < window:
-            raise ValueError("trajectory shorter than the settle window")
-
-        window_start = k_last - window
+        window_start = self.k_last - _settle_steps(self.scenario, settle_window, self.k_last)
         unsettled = [
             p
             for p, lv in enumerate(self.last_violation)

@@ -692,26 +692,32 @@ def test_trajectory_csv_frames_are_written_whole_on_both_paths(
     assert forks == [1]
 
 
+# Not an integer, or an integer below 1: each is an error, not a cap of 1.
+BAD_THREAD_COUNTS = ("zebra", "0", "-1")
+
+
 def test_a_bad_thread_count_fails_simulate_before_its_csv_is_opened(
     small_config_path, tmp_path, monkeypatch
 ):
-    monkeypatch.setenv("GFLSWING_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
-        cmd_simulate(load_config(small_config_path), tmp_path)
-    assert not (tmp_path / "trajectory.csv").exists()
+    for threads in BAD_THREAD_COUNTS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer >= 1"):
+            cmd_simulate(load_config(small_config_path), tmp_path)
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_a_bad_thread_count_fails_cct_before_any_step(small_config_path, tmp_path, monkeypatch):
     steps = []
     original = dynamics.step
     monkeypatch.setattr(dynamics, "step", lambda *a, **k: steps.append(1) or original(*a, **k))
-    monkeypatch.setenv("GFLSWING_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
-        cmd_cct(load_config(small_config_path), tmp_path / "out")
-    out = tmp_path / "main"
-    assert main(["cct", "--config", str(small_config_path), "--out", str(out)]) == 1
-    assert steps == []
-    assert not (tmp_path / "out").exists() and not (out / "cct.json").exists()
+    for threads in BAD_THREAD_COUNTS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer >= 1"):
+            cmd_cct(load_config(small_config_path), tmp_path / "out")
+        out = tmp_path / "main"
+        assert main(["cct", "--config", str(small_config_path), "--out", str(out)]) == 1
+        assert steps == []
+        assert not (tmp_path / "out").exists() and not (out / "cct.json").exists()
 
 
 def test_a_bad_thread_count_fails_compare_before_either_search(
@@ -721,10 +727,44 @@ def test_a_bad_thread_count_fails_compare_before_either_search(
         raise AssertionError("a CCT search ran")
 
     monkeypatch.setattr(cli, "compare_uniform", no_search)
-    monkeypatch.setenv("GFLSWING_THREADS", "zebra")
-    with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer"):
-        cmd_compare(load_config(small_config_path), tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+    for threads in BAD_THREAD_COUNTS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer >= 1"):
+            cmd_compare(load_config(small_config_path), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_horizon_short_of_the_settle_window_before_any_step(
+    tmp_path, monkeypatch
+):
+    # table1 cleared at 20 ms: t_end = 22 ms does not cover t_clear plus
+    # its 13 ms settle window, which validate, reading no t_clear rule, accepts.
+    text = bundled_config_path().read_text(encoding="utf-8")
+    assert "t_clear_s: 4.0e-3" in text and "fault_depth: 0.3" in text
+    p = tmp_path / "short.yaml"
+    p.write_text(text.replace("t_clear_s: 4.0e-3", "t_clear_s: 2.0e-2", 1)
+                     .replace("fault_depth: 0.3", "fault_depth: 0.01", 1), encoding="utf-8")
+    config = load_config(p)
+    assert cmd_validate(config) == 0
+    steps = []
+    original = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a, **k: steps.append(1) or original(*a, **k))
+    message = ("scenario.t_end_s: trajectory ends at 0.022 s, before t_clear + settle_window "
+               "= 0.033 s; cannot classify")
+    with pytest.raises(ConfigError) as err:
+        cmd_simulate(config, tmp_path / "out")
+    assert str(err.value) == message
+    out = tmp_path / "main"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert steps == []
+    assert not (tmp_path / "out").exists() and not (out / "trajectory.csv").exists()
+    # Uncleared, the run must span the settle window itself.
+    uncleared = replace(config, scenario=replace(config.scenario, t_clear=None),
+                        settle_window=config.scenario.t_end * 2)
+    with pytest.raises(ConfigError, match=r"^scenario\.t_end_s: trajectory ends at 0\.022 s, "
+                       r"before settle_window = 0\.044 s; cannot classify$"):
+        cmd_simulate(uncleared, tmp_path / "out")
+    assert steps == []
 
 
 def _traced_peak(command, config, out):
@@ -914,11 +954,8 @@ def test_a_null_section_takes_its_defaults(tmp_path, small_config_path):
 @pytest.mark.parametrize("old, new, field", [
     ("stability:\n", "stabilty:\n  settle_tol_rad: 0.5\nstability:\n", "stabilty"),
     ("  v_th_volts: 230.0\n", "  v_th_volts: 230.0\n  frequency: 50.0\n", "grid.frequency"),
-    ("fleet:\n", "  faulted: {v_th_volts: 100.0, depth: 0.5}\nfleet:\n", "grid.faulted.depth"),
     ("z_load_ohms: {r: 0.10, x: 0.05}", "z_load_ohms: {r: 0.10, x: 0.05, l: 1.0e-4}",
      "grid.z_load_ohms.l"),
-    ("fleet:\n", "  faulted:\n    v_th_volts: 100.0\n    z_th_ohms: {r: 0.2, x: 0.1, y: 0.0}\nfleet:\n",
-     "grid.faulted.z_th_ohms.y"),
     ("    ki: 265.0\n", "    ki: 265.0\n    kd: 1.0\n", r"fleet\[1\]\.kd"),
     ("    ki: 260.0\n", "    ki: 260.0\n    line_reactance_ohm: 0.0151\n",
      r"fleet\[0\]\.line_reactance_ohm"),
@@ -928,7 +965,7 @@ def test_a_null_section_takes_its_defaults(tmp_path, small_config_path):
      "stability.settle"),
     ("    audit_samples: 5\n", "    audit_samples: 5\n    samples: 7\n", "stability.cct.samples"),
     ("stability:\n", "sweep:\n  axis: {fault_depth: [0.4]}\nstability:\n", "sweep.axis"),
-], ids=["top", "grid", "faulted", "impedance", "faulted_impedance", "fleet",
+], ids=["top", "grid", "impedance", "fleet",
         "derived_reactance", "scenario", "solver", "stability", "cct", "sweep"])
 def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field):
     # A misspelt key would otherwise run silently with its default.
@@ -951,8 +988,6 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("z_th_ohms: {r: 0.20, x: 0.10}", "z_th_ohms: 0.2",
      "grid.z_th_ohms: expected a mapping, got float"),
     ("kp: 4.31e-3", "kp: fast", "fleet[0].kp: expected a number, got 'fast'"),
-    ("fleet:\n", "  faulted: {v_th_volts: 300.0}\nfleet:\n",
-     "grid.faulted.v_th_volts: fault-on voltage 300.0 exceeds pre-fault 230.0"),
     ("t_min_s: 2.0e-4", "t_min_s: 2.0e-3",
      "stability.cct: need 0 < t_min < t_max <= t_end, got 0.002, 0.002"),
     ("t_end_s: 8.0e-3", "t_end_s: 4.0e-3",
@@ -981,8 +1016,8 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("t_end_s: 8.0e-3", "t_end_s: 1.0e-3",
      "scenario.t_fault_s: t_fault must satisfy 0 <= t_fault < t_end, got 0.001"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
-        "impedance_part", "impedance_not_a_map", "not_a_number", "faulted_above_prefault",
-        "cct_bracket", "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
+        "impedance_part", "impedance_not_a_map", "not_a_number", "cct_bracket",
+        "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
         "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum",
         "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
@@ -991,6 +1026,29 @@ def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     with pytest.raises(ConfigError) as err:
         load_config(p)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("faulted", [
+    "{v_th_volts: 100.0}", "{v_th_volts: 100.0, z_th_ohms: {r: 0.2, x: 0.1}}", "{}", "0.5",
+], ids=["voltage", "voltage_and_impedance", "empty", "number"])
+def test_a_fault_on_source_override_is_rejected_naming_fault_depth(tmp_path, faulted):
+    # The fault-on source is the pre-fault one scaled by 1 - fault_depth: an
+    # override would leave fault_depth and its sweep axis inert.
+    p = tmp_path / "faulted.yaml"
+    p.write_text(SMALL_CONFIG.replace("fleet:\n", f"  faulted: {faulted}\nfleet:\n", 1),
+                 encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=r"^grid\.faulted: .*removed; set scenario\.fault_depth, "):
+        load_config(p)
+
+
+def test_a_null_fault_on_source_hashes_as_if_omitted(tmp_path, small_config_path):
+    p = tmp_path / "null_faulted.yaml"
+    p.write_text(SMALL_CONFIG.replace("fleet:\n", "  faulted: null\nfleet:\n", 1),
+                 encoding="utf-8")
+    cfg = load_config(p)
+    assert cfg.resolved["grid"]["faulted"] is None
+    assert cfg.sha256 == load_config(small_config_path).sha256
 
 
 def test_provenance_hash_tracks_semantic_changes(tmp_path):

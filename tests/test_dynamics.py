@@ -55,6 +55,13 @@ def test_inverter_config_validation():
         InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 0.0)
 
 
+def test_runs_reject_an_empty_fleet():
+    # A Runs of no unit has no equilibrium and no PCC current to solve for.
+    for fleet in ((), []):
+        with pytest.raises(ValueError, match="^fleet must be non-empty$"):
+            _runs(fleet, _small_grid())
+
+
 def test_fault_scenario_validation():
     with pytest.raises(ValueError):
         FaultScenario(0.0, None, 0.5, 1e-2, 0.0)

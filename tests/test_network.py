@@ -101,21 +101,6 @@ def test_faulted_grid_rejects_bad_depth():
             faulted_grid(grid, depth)
 
 
-def test_explicit_fault_override_wins_over_depth():
-    pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.2, 0.1))
-    override = TheveninEquivalent(cmath.rect(100.0, 0.0), complex(0.3, 0.2))
-    grid = GridModel(pre, complex(0.1, 0.05), faulted=override)
-    f = faulted_grid(grid, 0.9)
-    assert f == override
-
-
-def test_fault_override_cannot_exceed_prefault_voltage():
-    pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.2, 0.1))
-    override = TheveninEquivalent(cmath.rect(231.0, 0.0), complex(0.2, 0.1))
-    with pytest.raises(ValueError):
-        GridModel(pre, complex(0.1, 0.05), faulted=override)
-
-
 def test_parallel_helper_consistency_with_equivalent_impedance():
     z_a = complex(0.31, 0.015)
     z_b = complex(1.0, 0.5)

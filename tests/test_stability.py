@@ -116,8 +116,21 @@ def test_classify_rejects_short_trajectory():
     fleet = _fleet2()
     rows = [((0.1, 0.2), (False, False))] * 3
     fold = _synthetic(fleet, rows, t_clear=2e-3, settle_tol=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^trajectory ends at 0\.002 s, before "
+                       r"t_clear \+ settle_window = 0\.007 s; cannot classify$"):
         fold.verdict(5e-3)
+
+
+def test_classify_rejects_an_uncleared_stream_shorter_than_the_settle_window():
+    # Depth 0 trips nothing, so only the horizon can decide: the 8 ms run
+    # cannot hold a 10 ms settle window.
+    run = _runs2(replace(_base_scenario(), fault_depth=0.0)).stream(None)
+    fold = RunFold(run, run.fleet, run.scenario, 0.02)
+    assert fold.k_last == run.scenario.k_end and fold.loss_order() == []
+    with pytest.raises(ValueError, match=r"^trajectory ends at 0\.008 s, before "
+                       r"settle_window = 0\.01 s; cannot classify$"):
+        fold.verdict(1e-2)
+    assert fold.verdict(8e-3).stable
 
 
 def test_classify_validates_parameters():
