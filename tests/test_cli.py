@@ -451,6 +451,12 @@ def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
 
 _UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
 
+# trajectory.csv of table1_uncleared at depth 1.0, whose last row is the
+# solver-failure record.
+SOLVER_FAILURE_TRAJECTORY_CSV_SHA256 = (
+    "a1d52cdda3689e85c4553c086d77ebae61bd93e3355c19eba99fc1562e19a209"
+)
+
 
 def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
     uncleared_config, tmp_path, monkeypatch
@@ -458,7 +464,7 @@ def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
     # table1_uncleared at depth 1.0: every unit has tripped by 4.5 ms and
     # the source-less node fails to solve at step 451. The streamed command
     # writes what the run's records, every one kept, and their fold give,
-    # through either writer path.
+    # through either writer path, and the pinned bytes.
     cfg = replace(uncleared_config,
                   scenario=replace(uncleared_config.scenario, fault_depth=1.0))
     ref = tmp_path / "ref"
@@ -482,6 +488,8 @@ def test_simulate_reports_a_solver_failure_as_the_materialized_run_does(
         })
         for name in ("trajectory.csv", "summary.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), (name, threads)
+        digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+        assert digest == SOLVER_FAILURE_TRAJECTORY_CSV_SHA256, threads
 
 
 def _assert_no_child_left():
