@@ -477,7 +477,7 @@ _UNIT_COLUMNS = (
 _BOOL_CELL = ("false", "true")
 # The record fields a row is formatted from, in the order _frame_writer reads them.
 _RECORD_FIELDS = operator.attrgetter(
-    "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+    "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "v_gq", "limited", "tripped",
 )
 # Records per frame handed to the frame writer (8 to 64 measured alike).
 _FRAME_RECORDS = 16
@@ -530,21 +530,31 @@ def _trajectory_csv(
 def _frame_writer(f: TextIO, units: int, dt: float) -> Callable[[list], None]:
     """The writer to f of one frame's rows, row k at k * dt, k counted
     on across frames; a None in the frame reuses the row before's cells
-    after t_s."""
+    after t_s.
+
+    Each unit's i_q cell is its current in quadrature with the solved PCC
+    voltage (leading positive): i_mag times the sine of the injection angle
+    that flowed during the step, the row before's theta_cg (row 0's own),
+    less the PCC voltage angle. The angle is carried across frames."""
     row = _ROW_REST + _ROW_UNIT * units + "\n"
-    degrees = math.degrees
+    degrees, sin = math.degrees, math.sin
     k = 0
     cells = ""
+    prev = None
 
     def write(frame: list) -> None:
-        nonlocal k, cells
+        nonlocal k, cells, prev
         for fields in frame:
             if fields is not None:
-                v_mag, v_angle, theta_cg, i_mag, i_q, v_gq, limited, tripped = fields
+                v_mag, v_angle, theta_cg, i_mag, v_gq, limited, tripped = fields
                 values = [v_mag, v_angle, degrees(v_angle)]
-                for th, i, iq, vq, lim, trip in zip(theta_cg, i_mag, i_q, v_gq, limited, tripped):
-                    values += (th, degrees(th), i, iq, vq, _BOOL_CELL[lim], _BOOL_CELL[trip])
+                for th, i, flowed, vq, lim, trip in zip(
+                    theta_cg, i_mag, prev or theta_cg, v_gq, limited, tripped
+                ):
+                    values += (th, degrees(th), i, i * sin(flowed - v_angle), vq,
+                               _BOOL_CELL[lim], _BOOL_CELL[trip])
                 cells = row % tuple(values)
+                prev = theta_cg
             f.write(_ROW_T % (k * dt) + cells)
             k += 1
 

@@ -181,15 +181,13 @@ class TrajectoryRecord:
     A record carries no time: record k of a trajectory is at
     k * scenario.dt.
 
-    i_q is the current component in quadrature with the solved PCC voltage
-    (leading positive); v_gq is the q-axis generation voltage seen by each
-    unit's own PLL (0.0 once tripped). i_mag equals i_max exactly while a
-    unit is limited and 0 after it trips. theta is each unit's PLL angle
-    (constant at lock) and theta_cg its injection angle, theta plus its
-    pf_angle, or theta itself when the fleet is aligned (see UnitTable).
-    integral is each PLL's PI integral, and limited_steps the steps since
-    each unit's limiting began: 0 on its first limited record, and while
-    it is unlimited.
+    v_gq is the q-axis generation voltage seen by each unit's own PLL (0.0
+    once tripped). i_mag equals i_max exactly while a unit is limited and 0
+    after it trips. theta is each unit's PLL angle (constant at lock) and
+    theta_cg its injection angle, theta plus its pf_angle, or theta itself
+    when the fleet is aligned (see UnitTable). integral is each PLL's PI
+    integral, and limited_steps the steps since each unit's limiting began:
+    0 on its first limited record, and while it is unlimited.
 
     Read-only by contract, as forked runs share earlier records; not
     frozen, since a frozen dataclass sets each field through
@@ -200,7 +198,6 @@ class TrajectoryRecord:
     v_pcc_angle: float
     theta_cg: tuple[float, ...]
     i_mag: tuple[float, ...]
-    i_q: tuple[float, ...]
     v_gq: tuple[float, ...]
     limited: tuple[bool, ...]
     tripped: tuple[bool, ...]
@@ -371,9 +368,7 @@ def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
     i_mag = tuple(s / v_mag for s in units.s_rated)
     zeros = (0.0,) * n
     return TrajectoryRecord(
-        v_mag, v_angle, theta_cg, i_mag,
-        tuple(i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg)),
-        zeros, flags_off, flags_off, theta, zeros, (0,) * n,
+        v_mag, v_angle, theta_cg, i_mag, zeros, flags_off, flags_off, theta, zeros, (0,) * n,
     )
 
 
@@ -401,11 +396,10 @@ def step(
     Trig per step, n units: one cos and one sin of each injection angle
     serve every voltage solve and, when fleet.aligned (each PLL frame is its
     injection angle), the q projection too; otherwise the projection takes
-    one cos and one sin of each PLL angle. One sin of each injection angle
-    less the PCC voltage angle gives the quadrature currents: 3n calls when
-    aligned, 5n otherwise. Each rated current s / |v| is divided once per
-    voltage solve. The aggregate sums the fleet in one pass while no unit
-    is limited or tripped, and the limiter and trip flags are built unit by
+    one cos and one sin of each PLL angle: 2n calls when aligned, 4n
+    otherwise. Each rated current s / |v| is divided once per voltage
+    solve. The aggregate sums the fleet in one pass while no unit is
+    limited or tripped, and the limiter and trip flags are built unit by
     unit only while some unit is limited or past the divergence bound.
     """
     n = len(fleet)
@@ -420,9 +414,8 @@ def step(
     s_rated = fleet.s_rated
     if any_tripped:
         s_rated = tuple([0.0 if t else s for t, s in zip(tripped, s_rated)])
-    theta_cg_old = rec.theta_cg
-    cos_cg = list(map(math.cos, theta_cg_old))
-    sin_cg = list(map(math.sin, theta_cg_old))
+    cos_cg = list(map(math.cos, rec.theta_cg))
+    sin_cg = list(map(math.sin, rec.theta_cg))
     e = list(map(complex, cos_cg, sin_cg))
 
     if grid.v_th == 0.0:
@@ -464,15 +457,12 @@ def step(
     _, v_gq = q_components(grid, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
 
     # One pass over the units: the PI update of each PLL with its divergence
-    # check, and the quadrature current, which follows the injection angle
-    # that flowed during the step. A tripped unit's PLL entries are then put
-    # back; its trip needs no check, so its flag may raise diverged in vain.
-    v_angle = cmath.phase(v)
-    theta, integral, i_q = [], [], []
+    # check. A tripped unit's PLL entries are then put back; its trip needs
+    # no check, so its flag may raise diverged in vain.
+    theta, integral = [], []
     diverged = False
-    for th, ig, q, a, b, pf, ref, th_cg, i in zip(
-        rec.theta, rec.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle,
-        theta_cg_ref, theta_cg_old, i_mag,
+    for th, ig, q, a, b, pf, ref in zip(
+        rec.theta, rec.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle, theta_cg_ref,
     ):
         ig += q * dt
         th += (a * q + b * ig) * dt
@@ -480,7 +470,6 @@ def step(
         theta.append(th)
         if abs(th + pf - ref) > DIVERGENCE_BOUND_RAD:
             diverged = True
-        i_q.append(i * math.sin(th_cg - v_angle))
     if any_tripped:
         v_gq = list(v_gq)
         for p, t in enumerate(tripped):
@@ -508,7 +497,7 @@ def step(
         limited_steps = (0,) * n if True in rec.limited else rec.limited_steps
 
     return TrajectoryRecord(
-        v_mag, v_angle, theta_cg, i_mag, tuple(i_q), v_gq, limited, tripped,
+        v_mag, cmath.phase(v), theta_cg, i_mag, v_gq, limited, tripped,
         theta, tuple(integral), limited_steps,
     )
 
@@ -643,7 +632,6 @@ class Runs:
             run.solver_failure_t = k * run.scenario.dt
             n = len(self.fleet)
             yield replace(
-                rec, i_mag=(0.0,) * n, i_q=(0.0,) * n,
-                v_gq=(0.0,) * n, limited=(False,) * n, tripped=(True,) * n,
-                limited_steps=(0,) * n,
+                rec, i_mag=(0.0,) * n, v_gq=(0.0,) * n, limited=(False,) * n,
+                tripped=(True,) * n, limited_steps=(0,) * n,
             )

@@ -6,7 +6,8 @@ finite-difference Newton and grid-search refinement. The per-unit step and
 fold at the end share the package's voltage solve, q projection and record
 types, and differ from it only in doing each unit's work one unit at a time.
 records_of and loss_order read the package's own runs, for tests that look
-at every record or at the trips of a run.
+at every record or at the trips of a run, and quadrature_currents gives the
+i_q that trajectory.csv writes for consecutive records.
 """
 
 from __future__ import annotations
@@ -250,10 +251,8 @@ def reference_step(rec, fleet, phase, tol, max_iter, theta_cg_ref):
         if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
             tripped_new[p] = True
 
-    v_angle = cmath.phase(v)
     return TrajectoryRecord(
-        v_mag, v_angle, tuple(theta_cg), tuple(i_mag),
-        tuple([i * math.sin(th - v_angle) for i, th in zip(i_mag, theta_cg_old)]),
+        v_mag, cmath.phase(v), tuple(theta_cg), tuple(i_mag),
         tuple(v_gq), tuple(limited), tuple(tripped_new),
         tuple(theta), tuple(integral), tuple(limited_steps),
     )
@@ -287,6 +286,23 @@ def records_of(fleet, grid, scenario, opts=None) -> tuple[TrajectoryRecord, ...]
     """Every record of scenario's run, kept: a new Runs' stream that clears
     at scenario.t_clear, read to its end."""
     return tuple(Runs(fleet, grid, scenario, opts).stream(scenario.t_clear))
+
+
+def quadrature_currents(records):
+    """Each record's i_q tuple as trajectory.csv writes it: each unit's
+    i_mag times the sine of the record before's theta_cg (record 0's own),
+    the injection angle that flowed during the step, less the record's PCC
+    voltage angle. A record that is the record before, as one object,
+    repeats its i_q, as the writer repeats its row."""
+    currents = []
+    last = None
+    for rec in records:
+        if rec is not last:
+            flowed = (last or rec).theta_cg
+            i_q = tuple(i * math.sin(th - rec.v_pcc_angle) for i, th in zip(rec.i_mag, flowed))
+        currents.append(i_q)
+        last = rec
+    return currents
 
 
 def loss_order(run):

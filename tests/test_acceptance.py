@@ -27,7 +27,13 @@ from gflswing.network import (
 )
 from gflswing.pcc import q_components, solve_vpcc
 from gflswing.stability import RunFold, compare_uniform, find_cct
-from helpers_oracles import aggregate_cd, loss_order, newton_fd_vpcc, records_of
+from helpers_oracles import (
+    aggregate_cd,
+    loss_order,
+    newton_fd_vpcc,
+    quadrature_currents,
+    records_of,
+)
 
 XR_TABLE = [
     (0.15, 40.0, 0.1005),
@@ -221,8 +227,9 @@ def test_criterion_06_current_plateau(table_config):
                 engage_idx[p] = idx
     # the staged unit engages strictly after fault inception
     assert engage_idx[2] > k_fault + 10
+    i_q = quadrature_currents(records)
     for p, idx in engage_idx.items():
-        window = [rec.i_q[p] for rec in records[k_fault:idx + 1]]
+        window = [currents[p] for currents in i_q[k_fault:idx + 1]]
         assert all(b >= a - 1e-12 for a, b in zip(window, window[1:])), (
             f"unit {p} reactive current dipped before its limit engaged"
         )

@@ -26,7 +26,7 @@ from gflswing.cli import (
 )
 from gflswing.dynamics import Runs
 from gflswing.stability import RunFold
-from helpers_oracles import records_of
+from helpers_oracles import quadrature_currents, records_of
 
 SMALL_CONFIG = """\
 grid:
@@ -449,12 +449,12 @@ def test_trajectory_csv_is_streamed_not_built_in_memory(table_config, tmp_path):
     assert peak <= 0.25 * size, f"peak {peak} B for a {size} B file"
 
 
-_UNIT_FIELDS = ("theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped")
+_UNIT_FIELDS = ("theta_cg", "i_mag", "v_gq", "limited", "tripped")
 
 # trajectory.csv of table1_uncleared at depth 1.0, whose last row is the
 # solver-failure record.
 SOLVER_FAILURE_TRAJECTORY_CSV_SHA256 = (
-    "a1d52cdda3689e85c4553c086d77ebae61bd93e3355c19eba99fc1562e19a209"
+    "08cabdd64639863eb1aafab4e03a2d7168d591d4618b425496cdb5620f36a694"
 )
 
 
@@ -660,8 +660,9 @@ def _synthetic_records(n):
         if key not in shared:
             x = (key + 1) * 0.1234567891
             shared[key] = dynamics.TrajectoryRecord(
-                230.0 + x, -x / 7, (x, -0.0 if key % 3 else 1e-300), (x * 9, 0.0),
-                (-x, 2.5e6 * x), (x / 3, -x / 3), (key % 2 == 0, False), (False, key % 5 == 4),
+                230.0 + x, -x / 7, (x, -0.0 if key % 3 else 1e-300),
+                (x * 9, 0.0 if key % 2 else 2.5e6 * x),
+                (x / 3, -x / 3), (key % 2 == 0, False), (False, key % 5 == 4),
                 (x, 0.0), (x / 11, 0.0), (0, 0),
             )
         records.append(shared[key])
@@ -675,16 +676,17 @@ def test_trajectory_csv_frames_are_written_whole_on_both_paths(
     # Records go to the frame writer 16 at a time: the CSV of a stream that
     # ends inside, at or just past a frame, with a repeated record on each
     # side of a frame boundary, equals rows formatted one by one, through
-    # either writer path.
+    # either writer path. Each row's i_q reads the previous record's
+    # injection angle, which the writer carries across frames.
     fleet, dt = table_config.fleet[:2], 2.5e-5
     records = _synthetic_records(n)
     expected = "t_s,vpcc_mag_V,vpcc_angle_rad,vpcc_angle_deg" + "".join(
         f",{cfg.name}.{column}" for cfg in fleet for column in cli._UNIT_COLUMNS
     ) + "\n"
     template = "%.9e,%.9g,%.9g,%.9g" + ",%.9g,%.9g,%.9g,%.9g,%.9g,%s,%s" * len(fleet) + "\n"
-    for k, rec in enumerate(records):
+    for k, (rec, i_q) in enumerate(zip(records, quadrature_currents(records))):
         values = [k * dt, rec.v_pcc_mag, rec.v_pcc_angle, math.degrees(rec.v_pcc_angle)]
-        for th, i, iq, vq, lim, trip in zip(rec.theta_cg, rec.i_mag, rec.i_q, rec.v_gq,
+        for th, i, iq, vq, lim, trip in zip(rec.theta_cg, rec.i_mag, i_q, rec.v_gq,
                                             rec.limited, rec.tripped):
             values += [th, math.degrees(th), i, iq, vq, str(lim).lower(), str(trip).lower()]
         expected += template % tuple(values)

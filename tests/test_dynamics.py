@@ -25,7 +25,7 @@ from gflswing.network import (
 )
 from gflswing.pcc import NonConvergence, solve_vpcc
 from gflswing.stability import DEFAULT_SETTLE_WINDOW_S, RunFold, _to_first_trip
-from helpers_oracles import aggregate_cd, records_of
+from helpers_oracles import aggregate_cd, quadrature_currents, records_of
 
 
 def _small_fleet():
@@ -229,9 +229,10 @@ def test_simulate_without_disturbance_holds_angles(nofault_config):
 
 def test_trajectory_record_fields_are_pinned():
     # A record carries no time: record k is at k * dt. It carries what the
-    # next step reads, and no step index.
+    # next step reads, and no step index; i_q, which no step reads, is
+    # derived by the trajectory writer.
     assert [f.name for f in fields(TrajectoryRecord)] == [
-        "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "i_q", "v_gq", "limited", "tripped",
+        "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "v_gq", "limited", "tripped",
         "theta", "integral", "limited_steps",
     ]
 
@@ -599,11 +600,11 @@ def test_higher_xr_ratio_gives_steeper_reactive_current_rise():
     assert abs(fleet[0].z_total()) == pytest.approx(abs(fleet[1].z_total()))
     grid = _small_grid()
     scen = FaultScenario(t_fault=1e-3, t_clear=None, fault_depth=0.4, t_end=3e-3, dt=1e-5)
-    records = records_of(fleet, grid, scen, SolverOptions())
+    i_q = quadrature_currents(records_of(fleet, grid, scen, SolverOptions()))
     k0 = round(scen.t_fault / scen.dt)
     k1 = round(2e-3 / scen.dt)
     slope = [
-        (records[k1].i_q[p] - records[k0].i_q[p]) / (k1 * scen.dt - k0 * scen.dt)
+        (i_q[k1][p] - i_q[k0][p]) / (k1 * scen.dt - k0 * scen.dt)
         for p in range(2)
     ]
     assert slope[1] > slope[0] > 0.0

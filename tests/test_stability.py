@@ -63,7 +63,6 @@ def _synthetic(fleet, rows, t_clear, settle_tol=math.inf, dt=1e-3):
             v_pcc_angle=0.0,
             theta_cg=theta,
             i_mag=(0.0,) * n,
-            i_q=(0.0,) * n,
             v_gq=(0.0,) * n,
             limited=(False,) * n,
             tripped=tripped,

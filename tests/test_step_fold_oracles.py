@@ -229,7 +229,7 @@ def test_aligned_is_every_pf_angle_zero(table_config):
 def _record(theta, tripped=None):
     n = len(theta)
     zeros = (0.0,) * n
-    return TrajectoryRecord(230.0, 0.0, tuple(theta), zeros, zeros, zeros,
+    return TrajectoryRecord(230.0, 0.0, tuple(theta), zeros, zeros,
                             (False,) * n, tuple(tripped or (False,) * n),
                             tuple(theta), zeros, (0,) * n)
 
