@@ -528,14 +528,12 @@ def _trajectory_csv(
 
 
 def _frame_writer(f: TextIO, units: int, dt: float) -> Callable[[list], None]:
-    """The writer to f of one frame's rows, row k at k * dt, k counted
-    on across frames; a None in the frame reuses the row before's cells
-    after t_s.
-
-    Each unit's i_q cell is its current in quadrature with the solved PCC
-    voltage (leading positive): i_mag times the sine of the injection angle
-    that flowed during the step, the row before's theta_cg (row 0's own),
-    less the PCC voltage angle. The angle is carried across frames."""
+    """The writer to f of one frame's rows, row k at k * dt, k and the row
+    before's theta_cg carried across frames; a None in the frame reuses the
+    row before's cells after t_s. A unit's i_q cell is its current in
+    quadrature with the solved PCC voltage (leading positive): i_mag times
+    the sine of the row before's theta_cg (row 0's own), the injection angle
+    that flowed during the step, less the PCC voltage angle."""
     row = _ROW_REST + _ROW_UNIT * units + "\n"
     degrees, sin = math.degrees, math.sin
     k = 0
@@ -548,9 +546,8 @@ def _frame_writer(f: TextIO, units: int, dt: float) -> Callable[[list], None]:
             if fields is not None:
                 v_mag, v_angle, theta_cg, i_mag, v_gq, limited, tripped = fields
                 values = [v_mag, v_angle, degrees(v_angle)]
-                for th, i, flowed, vq, lim, trip in zip(
-                    theta_cg, i_mag, prev or theta_cg, v_gq, limited, tripped
-                ):
+                for th, i, flowed, vq, lim, trip in zip(theta_cg, i_mag, prev or theta_cg,
+                                                        v_gq, limited, tripped):
                     values += (th, degrees(th), i, i * sin(flowed - v_angle), vq,
                                _BOOL_CELL[lim], _BOOL_CELL[trip])
                 cells = row % tuple(values)
@@ -910,10 +907,13 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
             return ";".join(v)
         return str(v)
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell_value(row, col) for col in header))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    import csv  # here, as the pool is: no other command pays its import
+
+    with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as f:
+        # Quoted where a cell needs it: an error message may hold a comma.
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell_value(row, col) for col in header] for row in rows)
 
     n_err = sum(1 for r in rows if r.get("status") == "error")
     _write_json(

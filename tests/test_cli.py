@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import json
@@ -1147,6 +1148,31 @@ def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path
         assert (row["stable"] == "true") == verdict.stable
 
 
+def _sweep_rows(path):
+    """The rows of sweep.csv at path, each as {column: cell}; every row
+    has the header's width."""
+    with path.open(encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert [len(row) for row in rows] == [len(header)] * len(rows)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_sweep_csv_quotes_an_error_cell_that_holds_a_comma(table_config, tmp_path, monkeypatch):
+    # Cleared 19 ms after the fault, table1's run ends before its settle
+    # window, and the message has a comma: the row keeps the header's
+    # width, and its error cell the whole message.
+    monkeypatch.setenv("GFLSWING_THREADS", "1")
+    cfg = replace(table_config, scenario=replace(table_config.scenario, fault_depth=0.01),
+                  sweep_axes={"clear_interval_s": (1.0e-3, 1.9e-2)})
+    assert cmd_sweep(cfg, tmp_path) == 0
+    rows = _sweep_rows(tmp_path / "sweep.csv")
+    assert [row["status"] for row in rows] == ["ok", "error"]
+    assert rows[1]["error"] == (
+        "ValueError: trajectory ends at 0.022 s, before t_clear + settle_window "
+        "= 0.035 s; cannot classify"
+    )
+
+
 def test_clearing_time_sweep_reports_a_fault_of_no_step_as_an_error_row(
     small_config_path, tmp_path
 ):
@@ -1155,11 +1181,12 @@ def test_clearing_time_sweep_reports_a_fault_of_no_step_as_an_error_row(
     dt = cfg.scenario.dt
     axes = {"clear_interval_s": (0.4 * dt, 0.6 * dt)}
     assert cmd_sweep(replace(cfg, sweep_axes=axes), tmp_path) == 0
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = _sweep_rows(tmp_path / "sweep.csv")
     assert rows[0]["status"] == "error"
-    assert rows[0]["error"].startswith("ValueError: t_clear must lie more than half a step")
+    assert rows[0]["error"] == (
+        f"ValueError: t_clear must lie more than half a step (dt = {dt:.6g} s) after "
+        f"t_fault, got t_clear - t_fault = {0.4 * dt:.6g} s: the fault would last no step"
+    )
     assert rows[1]["status"] == "ok" and rows[1]["stable"] == "true"
 
 
@@ -1167,9 +1194,7 @@ def test_depth_sweep_records_bracket_failures_and_continues(small_config_path, t
     cfg = load_config(small_config_path)
     out = tmp_path / "sweep"
     assert cmd_sweep(replace(cfg, sweep_axes={"fault_depth": (0.0, 0.5)}), out) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = _sweep_rows(out / "sweep.csv")
     assert rows[0]["status"] == "error"
     assert "BracketInvalid" in rows[0]["error"]
     assert rows[1]["status"] == "ok"
@@ -1234,9 +1259,7 @@ def test_a_group_that_fails_to_build_gives_each_of_its_cells_the_error(table_con
     # for its second cell and fails the same way.
     axes = {"s_scale": (1.0, 1.5), "clear_interval_s": (4e-4, 8e-4)}
     assert cmd_sweep(replace(table_config, sweep_axes=axes), tmp_path) == 0
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = _sweep_rows(tmp_path / "sweep.csv")
     assert [row["s_scale"] for row in rows] == ["1", "1.5", "1", "1.5"]
     for row in rows:
         if row["s_scale"] == "1":
