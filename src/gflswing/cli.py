@@ -215,8 +215,10 @@ def _section(raw: Any, table: dict, path: str) -> dict:
 def _name(value: Any, where: str) -> str:
     if not isinstance(value, str) or not value.strip():
         raise ConfigError(f"{where}: required non-empty string")
-    if any(ch in value for ch in ",;\n\r"):
-        raise ConfigError(f"{where}: must not contain commas, semicolons or newlines")
+    if any(ch in value for ch in ',;"\n\r'):
+        raise ConfigError(
+            f"{where}: must not contain commas, semicolons, double quotes or newlines"
+        )
     return value
 
 

@@ -23,12 +23,7 @@ from itertools import repeat
 from operator import add, gt, mul
 from typing import Iterator, Sequence
 
-from gflswing.network import (
-    GridModel,
-    TheveninEquivalent,
-    equivalent_impedance,
-    faulted_grid,
-)
+from gflswing.network import GridModel, TheveninEquivalent, equivalent_impedance, faulted_grid
 from gflswing.pcc import NonConvergence, ZeroVoltage, q_components, solve_vpcc
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "SolverOptions",
     "InitializationFailure",
     "UnitTable",
-    "GridPhase",
     "Runs",
     "RunStream",
     "whole_steps",
@@ -233,23 +227,32 @@ class UnitTable:
     holdoff is trip_holdoff in whole steps of dt (see whole_steps): a unit
     trips when it has been limited for that many steps. series_q is
     Im(z_total e^{j pf_angle}), the q-axis drop per ampere across the
-    unit's series impedance in its own PLL frame. aligned is True when every
-    pf_angle is 0: each unit injects at its PLL angle, and a record's
-    injection angles are its PLL angles, one tuple. Every voltage solve of
-    the run stops at tol, the residual in volts that Runs resolves, within
-    max_iter iterations.
+    unit's series impedance in its own PLL frame. zs and zi are the products
+    zeq * s_rated and zeq * i_max that the aggregate (C, D) sums, with zeq
+    each unit's equivalent impedance on grid (see equivalent_impedance):
+    one table for every step of the run, as the fault scales only the
+    source (see faulted_grid). aligned is True when every pf_angle is 0:
+    each unit injects at its PLL angle, and a record's injection angles
+    are its PLL angles, one tuple. Every voltage solve of the run stops at
+    tol, the residual in volts that Runs resolves, within max_iter
+    iterations.
 
-    UnitTable and GridPhase are plain slotted classes, not dataclasses: a
-    dataclass takes about 1 ms to define, which every import would pay.
+    UnitTable is a plain slotted class, not a dataclass: a dataclass takes
+    about 1 ms to define, which every import would pay.
     """
 
     __slots__ = (
-        "names", "dt", "tol", "max_iter",
-        "s_rated", "i_max", "kp", "ki", "pf_angle", "holdoff", "series_q", "aligned",
+        "names", "dt", "tol", "max_iter", "s_rated", "i_max", "kp", "ki", "pf_angle",
+        "holdoff", "series_q", "zs", "zi", "aligned",
     )
 
     def __init__(
-        self, fleet: Sequence[InverterConfig], dt: float, tol: float, max_iter: int
+        self,
+        fleet: Sequence[InverterConfig],
+        grid: GridModel,
+        dt: float,
+        tol: float,
+        max_iter: int,
     ) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -266,30 +269,17 @@ class UnitTable:
         self.series_q = tuple(
             (cfg.z_total() * cmath.exp(1j * cfg.pf_angle)).imag for cfg in fleet
         )
+        zeq = equivalent_impedance(fleet, grid)
+        self.zs = tuple(map(mul, zeq, self.s_rated))
+        self.zi = tuple(map(mul, zeq, self.i_max))
         self.aligned = not any(self.pf_angle)
 
     def __len__(self) -> int:
         return len(self.s_rated)
 
 
-class GridPhase:
-    """One interval's Thevenin equivalent grid and each unit's equivalent
-    impedance zeq under it, with the products zs = zeq * s_rated and
-    zi = zeq * i_max that the aggregate (C, D) sums."""
-
-    __slots__ = ("grid", "zeq", "zs", "zi")
-
-    def __init__(
-        self, units: UnitTable, grid: TheveninEquivalent, zeq: Sequence[complex]
-    ) -> None:
-        self.grid = grid
-        self.zeq = tuple(zeq)
-        self.zs = tuple(z * s for z, s in zip(self.zeq, units.s_rated))
-        self.zi = tuple(z * i for z, i in zip(self.zeq, units.i_max))
-
-
 def _aggregate(
-    phase: GridPhase,
+    units: UnitTable,
     e: Sequence[complex],
     tripped: Sequence[bool],
     limited: Sequence[bool],
@@ -297,9 +287,9 @@ def _aggregate(
     """(C, D) of the fleet at injection phasors e: limited units enter D at
     i_max, other live units C at s_rated, tripped units neither."""
     if True not in limited and True not in tripped:
-        return reduce(add, map(mul, phase.zs, e), 0j), 0j
+        return reduce(add, map(mul, units.zs, e), 0j), 0j
     c = d = 0j
-    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
+    for zs, zi, e_p, trip, lim in zip(units.zs, units.zi, e, tripped, limited):
         if trip:
             continue
         if lim:
@@ -309,11 +299,11 @@ def _aggregate(
     return c, d
 
 
-def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
+def find_equilibrium(units: UnitTable, grid: TheveninEquivalent) -> TrajectoryRecord:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
-    units and prefault are the run's tables (see Runs); units names the
-    units in errors. Alternates the PCC voltage solve, started at v_th, with
+    units is the run's table and grid its pre-fault source (see Runs);
+    units names the units in errors. Alternates the PCC voltage solve, started at v_th, with
     per-inverter re-locking of the injection angle until both are
     self-consistent. At lock, v_gq = 0 in the unit's frame theta gives
 
@@ -322,7 +312,6 @@ def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
     Fails when a unit would exceed its current ceiling at rest or no lock
     angle exists.
     """
-    grid = prefault.grid
     n = len(units)
     flags_off = (False,) * n
 
@@ -332,7 +321,7 @@ def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
     for _ in range(500):
         theta_cg = [th + pf for th, pf in zip(theta, units.pf_angle)]
         e = [complex(math.cos(th), math.sin(th)) for th in theta_cg]
-        agg = _aggregate(prefault, e, flags_off, flags_off)
+        agg = _aggregate(units, e, flags_off, flags_off)
         try:
             sol = solve_vpcc(grid, agg, units.tol, units.max_iter)
         except (NonConvergence, ZeroVoltage) as exc:
@@ -375,15 +364,16 @@ def find_equilibrium(units: UnitTable, prefault: GridPhase) -> TrajectoryRecord:
 def step(
     rec: TrajectoryRecord,
     fleet: UnitTable,
-    phase: GridPhase,
+    grid: TheveninEquivalent,
     theta_cg_ref: Sequence[float],
 ) -> TrajectoryRecord:
     """The record after rec: the fleet advanced by one step of fleet.dt
-    under the given grid phase.
+    behind the given source.
 
-    fleet and phase are per-run tables (see Runs); every voltage solve
-    stops at fleet.tol within fleet.max_iter iterations. rec carries all
-    a step reads besides them, so a step needs no step index. Order per
+    fleet is the run's table and grid the source of the step's phase (see
+    Runs); every voltage solve stops at fleet.tol within fleet.max_iter
+    iterations. rec carries all a step reads besides them, so a step needs
+    no step index. Order per
     step: resolve limiter flags and solve the PCC voltage with the current
     injection angles, evaluate each live unit's q-axis generation voltage
     in its own PLL frame, update the PLLs, then latch trips (holdoff
@@ -404,7 +394,6 @@ def step(
     """
     n = len(fleet)
     dt = fleet.dt
-    grid = phase.grid
     i_max = fleet.i_max
 
     tripped = rec.tripped
@@ -425,7 +414,7 @@ def step(
         limited = tuple([lim and not t for lim, t in zip(rec.limited, tripped)])
     else:
         limited = rec.limited
-    agg = _aggregate(phase, e, tripped, limited)
+    agg = _aggregate(fleet, e, tripped, limited)
     sol = solve_vpcc(
         grid, agg, fleet.tol, fleet.max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
@@ -440,7 +429,7 @@ def step(
         if want == limited or resolves > n:
             break
         limited = want
-        agg = _aggregate(phase, e, tripped, limited)
+        agg = _aggregate(fleet, e, tripped, limited)
         sol = solve_vpcc(grid, agg, fleet.tol, fleet.max_iter, sol.v_pcc)
 
     v = sol.v_pcc
@@ -539,9 +528,10 @@ class Runs:
     units is the fleet's table of constants and of the run's solve
     settings, for the equilibrium and every step: its tol is opts.tol_rel
     times max(|v_th|, 1 V) of the pre-fault source, the one place the
-    tolerance is resolved. prefault and fault are the grid phases before
-    and during the fault, and equilibrium the locked pre-fault record, whose
-    injection angles are the reference of the divergence trip.
+    tolerance is resolved. prefault and fault are the sources before and
+    during the fault, grid.prefault and faulted_grid(grid, fault_depth),
+    and equilibrium the locked pre-fault record, whose injection angles
+    are the reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
@@ -580,12 +570,9 @@ class Runs:
         self.scenario = scenario
         self.opts = opts = opts or SolverOptions()
         tol = opts.tol_rel * max(abs(grid.prefault.v_th), 1.0)
-        self.units = units = UnitTable(fleet, scenario.dt, tol, opts.max_iter)
-        zeq_pre = equivalent_impedance(fleet, grid.prefault, grid.z_load)
-        fault_ten = faulted_grid(grid, scenario.fault_depth)
-        zeq_fault = equivalent_impedance(fleet, fault_ten, grid.z_load)
-        self.prefault = GridPhase(units, grid.prefault, zeq_pre)
-        self.fault = GridPhase(units, fault_ten, zeq_fault)
+        self.units = units = UnitTable(fleet, grid, scenario.dt, tol, opts.max_iter)
+        self.prefault = grid.prefault
+        self.fault = faulted_grid(grid, scenario.fault_depth)
         self.equilibrium = find_equilibrium(units, self.prefault)
         # The fault-on run's record of each step from _first_kept on,
         # beginning with the equilibrium there; its records before are the

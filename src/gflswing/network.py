@@ -2,10 +2,10 @@
 
 Voltages and impedances are Python ``complex`` numbers in volts and ohms.
 The feeder behind the point of common coupling is collapsed to one voltage
-source behind one impedance, with separate pre-fault and fault-on
-equivalents. Source voltage, source impedance and the series load impedance
-carry no defaults anywhere in this module: they are configuration inputs,
-not quantities derivable from the fleet itself.
+source behind one impedance; the fault scales only that source (see
+faulted_grid). Source voltage, source impedance and the series load
+impedance carry no defaults anywhere in this module: they are
+configuration inputs, not quantities derivable from the fleet itself.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class TheveninEquivalent:
 
 @dataclass(frozen=True, slots=True)
 class GridModel:
-    """Pre-fault equivalent and series load impedance; the fault-on
-    equivalent is derived from them (see faulted_grid)."""
+    """Pre-fault equivalent and series load impedance. The fault-on
+    equivalent scales only its source (see faulted_grid), behind z_th."""
 
     prefault: TheveninEquivalent
     z_load: complex
@@ -88,14 +88,13 @@ class GridModel:
 
 
 def equivalent_impedance(
-    fleet: Sequence["InverterConfig"],
-    grid: TheveninEquivalent,
-    z_load: complex,
+    fleet: Sequence["InverterConfig"], grid: GridModel
 ) -> tuple[complex, ...]:
-    """Per-inverter z_eq = (z_line + z_virtual) || (z_th + z_load)."""
+    """Per-inverter z_eq = (z_line + z_virtual) || (z_th + z_load), one
+    table for the whole run, as the fault-on source shares z_th."""
     if not fleet:
         raise ValueError("equivalent_impedance needs a non-empty fleet")
-    z_grid = grid.z_th + z_load
+    z_grid = grid.prefault.z_th + grid.z_load
     return tuple(parallel(cfg.z_total(), z_grid) for cfg in fleet)
 
 

@@ -165,9 +165,9 @@ def aggregate_cd(zeq, s, theta, i_fixed=None) -> tuple[complex, complex]:
 # injection and PLL frames each taking their own cos and sin; their outputs
 # must equal the package's bit for bit.
 
-def _reference_aggregate(phase, e, tripped, limited) -> tuple[complex, complex]:
+def _reference_aggregate(fleet, e, tripped, limited) -> tuple[complex, complex]:
     c = d = 0j
-    for zs, zi, e_p, trip, lim in zip(phase.zs, phase.zi, e, tripped, limited):
+    for zs, zi, e_p, trip, lim in zip(fleet.zs, fleet.zi, e, tripped, limited):
         if trip:
             continue
         if lim:
@@ -177,12 +177,11 @@ def _reference_aggregate(phase, e, tripped, limited) -> tuple[complex, complex]:
     return c, d
 
 
-def reference_step(rec, fleet, phase, tol, max_iter, theta_cg_ref):
+def reference_step(rec, fleet, grid, tol, max_iter, theta_cg_ref):
     """dynamics.step, one unit at a time (see dynamics.step for the order),
     each voltage solve stopping at tol within max_iter iterations."""
     n = len(fleet)
     dt = fleet.dt
-    grid = phase.grid
     s_rated = fleet.s_rated
     i_max = fleet.i_max
 
@@ -195,7 +194,7 @@ def reference_step(rec, fleet, phase, tol, max_iter, theta_cg_ref):
     limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
     if grid.v_th == 0.0:
         limited = [not t for t in tripped]
-    agg = _reference_aggregate(phase, e, tripped, limited)
+    agg = _reference_aggregate(fleet, e, tripped, limited)
     sol = solve_vpcc(
         grid, agg, tol, max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
@@ -208,7 +207,7 @@ def reference_step(rec, fleet, phase, tol, max_iter, theta_cg_ref):
         if want == limited:
             break
         limited = want
-        agg = _reference_aggregate(phase, e, tripped, limited)
+        agg = _reference_aggregate(fleet, e, tripped, limited)
         sol = solve_vpcc(grid, agg, tol, max_iter, sol.v_pcc)
 
     v = sol.v_pcc

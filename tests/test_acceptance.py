@@ -20,6 +20,7 @@ import pytest
 from gflswing.cli import cmd_sweep
 from gflswing.dynamics import InverterConfig, Runs, UnitTable
 from gflswing.network import (
+    GridModel,
     TheveninEquivalent,
     equivalent_impedance,
     faulted_grid,
@@ -135,7 +136,7 @@ def test_criterion_03_termwise_complex_agreement():
             grid, v_pcc, aggregate_cd(zeq, s, th),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
-            UnitTable(fleet, 1e-5, 230e-9, 100).series_q,
+            UnitTable(fleet, GridModel(grid, 0j), 1e-5, 230e-9, 100).series_q,
             [s_p / v_mag for s_p in s],
         )
 
@@ -333,7 +334,7 @@ def test_criterion_10_trip_cascade(table_config):
     runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
     theta = runs.equilibrium.theta_cg
     fault = faulted_grid(cfg.grid, 0.4)
-    zeq_f = equivalent_impedance(cfg.fleet, fault, cfg.grid.z_load)
+    zeq_f = equivalent_impedance(cfg.fleet, cfg.grid)
     s_all = tuple(c.s_rated for c in cfg.fleet)
     tol = runs.units.tol
 

@@ -1012,9 +1012,11 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
     ("t_min_s: 2.0e-4\n    t_max_s: 2.0e-3", "t_min_s: 2.4e-5\n    t_max_s: 2.8e-5",
      "stability.cct: need 0 < k_min < k_max, got steps 1 and 1 of dt"),
     ("name: A", "name: 'A,1'",
-     "fleet[0].name: must not contain commas, semicolons or newlines"),
+     "fleet[0].name: must not contain commas, semicolons, double quotes or newlines"),
     ("name: A", "name: 'A;1'",
-     "fleet[0].name: must not contain commas, semicolons or newlines"),
+     "fleet[0].name: must not contain commas, semicolons, double quotes or newlines"),
+    ("name: A", "name: 'A\"1'",
+     "fleet[0].name: must not contain commas, semicolons, double quotes or newlines"),
     ("s_rated_va: 6000.0", "s_rated_va: 0.0", "fleet[0].s_rated_va: must be > 0.0, got 0.0"),
     ("line_resistance_ohm: 0.15", "line_resistance_ohm: -0.15",
      "fleet[0].line_resistance_ohm: must be >= 0.0, got -0.15"),
@@ -1029,8 +1031,8 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "cct_bracket",
         "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
-        "cct_bracket_in_one_step", "name_comma", "name_semicolon", "strict_min", "minimum",
-        "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end"])
+        "cct_bracket_in_one_step", "name_comma", "name_semicolon", "name_quote", "strict_min",
+        "minimum", "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")

@@ -157,7 +157,7 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     rec = step(eq, run.units, run.fault, eq.theta_cg)
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
-    scale = max(abs(v_pcc), abs(run.fault.grid.v_th))
+    scale = max(abs(v_pcc), abs(run.fault.v_th))
     for p, cfg in enumerate(fleet):
         full = v_pcc + cfg.z_total() * rec.i_mag[p] * cmath.exp(1j * eq.theta_cg[p])
         oracle = (full * cmath.exp(-1j * eq.theta[p])).imag
@@ -188,7 +188,7 @@ def test_direct_fault_on_step_equals_the_step_a_run_makes():
 def test_unit_table_rejects_a_non_positive_dt(dt):
     # step takes its dt from the unit table, which counts holdoffs in it.
     with pytest.raises(ValueError, match="dt must be positive"):
-        UnitTable(_small_fleet(), dt, 230e-9, 100)
+        UnitTable(_small_fleet(), _small_grid(), dt, 230e-9, 100)
 
 
 def test_fault_step_depresses_voltage():
@@ -203,7 +203,7 @@ def test_removing_one_injection_lowers_voltage_and_raises_currents():
     fleet = _small_fleet()
     grid = _small_grid()
     fault = faulted_grid(grid, 0.4)
-    zeq = equivalent_impedance(fleet, fault, grid.z_load)
+    zeq = equivalent_impedance(fleet, grid)
     theta = (0.03, 0.04)
     with_all = solve_vpcc(fault, aggregate_cd(zeq, (6000.0, 12000.0), theta),
                           tol=1e-9, max_iter=100)
@@ -288,6 +288,26 @@ def test_step_projects_q_once_for_the_whole_fleet(table_config, monkeypatch):
     cfg = table_config
     records = records_of(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     assert calls == len(records) - cfg.scenario.k_fault == 1_901
+
+
+def test_a_run_takes_one_impedance_table(table_config, monkeypatch):
+    # The fault scales only the source, behind the pre-fault z_th, so one
+    # table of equivalent impedances serves the run before, during and
+    # after the fault.
+    calls = 0
+    original = dynamics.equivalent_impedance
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "equivalent_impedance", counting)
+    cfg = table_config
+    runs = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert calls == 1
+    assert runs.fault.z_th == runs.prefault.z_th
+    assert runs.fault.v_th == (1.0 - cfg.scenario.fault_depth) * runs.prefault.v_th
 
 
 def test_default_tolerance_resolves_against_the_prefault_source(table_config):

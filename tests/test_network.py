@@ -26,7 +26,7 @@ def test_equivalent_impedance_equal_pair():
     grid = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.6, 0.7))
     z_load = complex(0.4, 0.3)  # z_th + z_load = 1 + j1
     fleet = [_cfg(r=0.9, x=1.0, rv=0.1)]  # z_line + r_virtual = 1 + j1
-    zeq = equivalent_impedance(fleet, grid, z_load)
+    zeq = equivalent_impedance(fleet, GridModel(grid, z_load))
     assert zeq[0].real == pytest.approx(0.5, rel=1e-12)
     assert zeq[0].imag == pytest.approx(0.5, rel=1e-12)
     assert cmath.phase(zeq[0]) == pytest.approx(math.pi / 4, rel=1e-12)
@@ -35,7 +35,7 @@ def test_equivalent_impedance_equal_pair():
 def test_equivalent_impedance_stiff_grid_limit():
     grid = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.31e9, 0.015e9))
     fleet = [_cfg()]
-    zeq = equivalent_impedance(fleet, grid, complex(0.0, 0.0))
+    zeq = equivalent_impedance(fleet, GridModel(grid, complex(0.0, 0.0)))
     z_total = fleet[0].z_total()
     assert zeq[0].real == pytest.approx(z_total.real, rel=1e-8)
     assert zeq[0].imag == pytest.approx(z_total.imag, rel=1e-8)
@@ -46,7 +46,7 @@ def test_equivalent_impedance_reference_row_matches_exact_arithmetic():
     expected = fc_to_complex(fc_parallel(fc("0.31", "0.01508"), fc(1, "0.5")))
     grid = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.6, 0.25))
     zeq = equivalent_impedance(
-        [_cfg(r=0.15, x=0.01508, rv=0.16)], grid, complex(0.4, 0.25)
+        [_cfg(r=0.15, x=0.01508, rv=0.16)], GridModel(grid, complex(0.4, 0.25))
     )
     assert zeq[0].real == pytest.approx(expected.real, rel=1e-13)
     assert zeq[0].imag == pytest.approx(expected.imag, rel=1e-13)
@@ -64,7 +64,7 @@ def test_equivalent_impedance_bounded_by_branches():
         fleet = [
             _cfg(r=rng.uniform(0.01, 1.0), x=rng.uniform(0.0, 1.0), rv=rng.uniform(0.0, 0.3))
         ]
-        zeq = equivalent_impedance(fleet, grid, z_load)
+        zeq = equivalent_impedance(fleet, GridModel(grid, z_load))
         bound = min(
             abs(fleet[0].z_total()), abs(grid.z_th + z_load)
         )
@@ -105,7 +105,7 @@ def test_parallel_helper_consistency_with_equivalent_impedance():
     z_a = complex(0.31, 0.015)
     z_b = complex(1.0, 0.5)
     grid = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.5, 0.25))
-    zeq = equivalent_impedance([_cfg(r=0.31, x=0.015)], grid, complex(0.5, 0.25))
+    zeq = equivalent_impedance([_cfg(r=0.31, x=0.015)], GridModel(grid, complex(0.5, 0.25)))
     direct = parallel(z_a, z_b)
     assert zeq[0].real == pytest.approx(direct.real, rel=1e-13)
     assert zeq[0].imag == pytest.approx(direct.imag, rel=1e-13)

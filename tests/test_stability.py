@@ -515,7 +515,7 @@ def _steady_fold(settle_tol):
 def _step_by(dt):
     run = Runs(_fleet2(), _grid2(), _base_scenario())
     return step(
-        run.equilibrium, UnitTable(_fleet2(), dt, run.units.tol, run.units.max_iter),
+        run.equilibrium, UnitTable(_fleet2(), _grid2(), dt, run.units.tol, run.units.max_iter),
         run.prefault, run.equilibrium.theta_cg,
     )
 

@@ -193,7 +193,7 @@ def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):
     # fails to solve in both steps alike.
     cfg = table_config
     runs = _runs(cfg, fault_depth=1.0, t_clear=None)
-    assert runs.fault.grid.v_th == 0.0
+    assert runs.fault.v_th == 0.0
     walk = _Walk(runs, None, monkeypatch)
     assert walk.failure == 451
     assert all(walk.records[1].limited)
@@ -218,11 +218,13 @@ def test_step_from_a_state_with_a_tripped_unit_and_a_limited_one(table_config):
 
 
 def test_aligned_is_every_pf_angle_zero(table_config):
-    fleet = table_config.fleet
-    assert UnitTable(fleet, 1e-5, 230e-9, 100).aligned
-    assert UnitTable(fleet[:-1] + (replace(fleet[-1], pf_angle=-0.0),), 1e-5, 230e-9, 100).aligned
+    fleet, grid = table_config.fleet, table_config.grid
+    assert UnitTable(fleet, grid, 1e-5, 230e-9, 100).aligned
+    assert UnitTable(
+        fleet[:-1] + (replace(fleet[-1], pf_angle=-0.0),), grid, 1e-5, 230e-9, 100
+    ).aligned
     assert not UnitTable(
-        fleet[:-1] + (replace(fleet[-1], pf_angle=1e-12),), 1e-5, 230e-9, 100
+        fleet[:-1] + (replace(fleet[-1], pf_angle=1e-12),), grid, 1e-5, 230e-9, 100
     ).aligned
 
 
