@@ -23,7 +23,12 @@ from itertools import repeat
 from operator import add, gt, mul
 from typing import Iterator, Sequence
 
-from gflswing.network import GridModel, TheveninEquivalent, equivalent_impedance, faulted_grid
+from gflswing.network import (
+    GridModel,
+    TheveninEquivalent,
+    equivalent_impedance,
+    faulted_grid,
+)
 from gflswing.pcc import NonConvergence, ZeroVoltage, q_components, solve_vpcc
 
 __all__ = [
@@ -247,12 +252,7 @@ class UnitTable:
     )
 
     def __init__(
-        self,
-        fleet: Sequence[InverterConfig],
-        grid: GridModel,
-        dt: float,
-        tol: float,
-        max_iter: int,
+        self, fleet: Sequence[InverterConfig], grid: GridModel, dt: float, tol: float, max_iter: int
     ) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -303,9 +303,9 @@ def find_equilibrium(units: UnitTable, grid: TheveninEquivalent) -> TrajectoryRe
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
     units is the run's table and grid its pre-fault source (see Runs);
-    units names the units in errors. Alternates the PCC voltage solve, started at v_th, with
-    per-inverter re-locking of the injection angle until both are
-    self-consistent. At lock, v_gq = 0 in the unit's frame theta gives
+    units names the units in errors. Alternates the PCC voltage solve,
+    started at v_th, with per-inverter re-locking of the injection angle
+    until both are self-consistent. At lock, v_gq = 0 in frame theta gives
 
         |v_pcc| sin(theta - angle(v_pcc)) = Im(z_series i e^{j pf_angle}).
 
@@ -373,15 +373,14 @@ def step(
     fleet is the run's table and grid the source of the step's phase (see
     Runs); every voltage solve stops at fleet.tol within fleet.max_iter
     iterations. rec carries all a step reads besides them, so a step needs
-    no step index. Order per
-    step: resolve limiter flags and solve the PCC voltage with the current
-    injection angles, evaluate each live unit's q-axis generation voltage
-    in its own PLL frame, update the PLLs, then latch trips (holdoff
-    expiry, once a unit's limited_steps reach fleet.holdoff, or angle
-    divergence past DIVERGENCE_BOUND_RAD from theta_cg_ref). Tripped units are frozen and
-    inject nothing from the following step. The first voltage solve is
-    seeded with the previous record's PCC voltage and each limiter re-solve
-    with the last solution.
+    no step index. Order per step: resolve limiter flags and solve the PCC
+    voltage with the current injection angles, evaluate each live unit's
+    q-axis generation voltage in its own PLL frame, update the PLLs, then
+    latch trips (holdoff expiry, once a unit's limited_steps reach
+    fleet.holdoff, or angle divergence past DIVERGENCE_BOUND_RAD from
+    theta_cg_ref). Tripped units are frozen and inject nothing from the
+    following step. The first voltage solve is seeded with the previous
+    record's PCC voltage and each limiter re-solve with the last solution.
 
     Trig per step, n units: one cos and one sin of each injection angle
     serve every voltage solve and, when fleet.aligned (each PLL frame is its
@@ -528,10 +527,9 @@ class Runs:
     units is the fleet's table of constants and of the run's solve
     settings, for the equilibrium and every step: its tol is opts.tol_rel
     times max(|v_th|, 1 V) of the pre-fault source, the one place the
-    tolerance is resolved. prefault and fault are the sources before and
-    during the fault, grid.prefault and faulted_grid(grid, fault_depth),
-    and equilibrium the locked pre-fault record, whose injection angles
-    are the reference of the divergence trip.
+    tolerance is resolved. prefault and fault are the Thevenin sources
+    before and during the fault, and equilibrium the locked pre-fault
+    record, whose injection angles are the reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
