@@ -34,9 +34,7 @@ from gflswing.stability import (
     BracketInvalid,
     CctResult,
     CctSettings,
-    FleetComparison,
     StabilityVerdict,
-    compare_uniform,
     find_cct,
 )
 
@@ -63,9 +61,7 @@ __all__ = [
     "BracketInvalid",
     "CctResult",
     "CctSettings",
-    "FleetComparison",
     "StabilityVerdict",
-    "compare_uniform",
     "find_cct",
     "__version__",
 ]

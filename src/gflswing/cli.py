@@ -57,9 +57,9 @@ from gflswing.stability import (
     _fork_piped,
     _settle_steps,
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
-    compare_uniform,
     find_cct,
     simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
+    uniform_fleet_of,
 )
 
 __all__ = [
@@ -707,9 +707,9 @@ def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
     """Bisect the critical clearing time, deciding clearing steps in forked
     processes too where _may_fork(); write cct.json."""
     fork = _may_fork()  # a bad THREADS_ENV fails here, before any step
+    settings = _require_cct(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    settings = _require_cct(config)
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     try:
         result = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
@@ -742,24 +742,30 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     """Uniform-vs-configured fleet CCT comparison with both trajectories;
     the searches fork as cmd_cct's does."""
     fork = _may_fork()  # a bad THREADS_ENV fails here, not after both searches
+    settings = _require_cct(config)
+    if len(config.fleet) < 2:
+        raise ConfigError("fleet: compare needs at least two inverters")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    settings = _require_cct(config)
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
-    comparison = compare_uniform(runs, settings, config.settle_tol, config.settle_window, fork)
+    nonuniform = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
+    uniform_runs = Runs(uniform_fleet_of(config.fleet), config.grid, config.scenario,
+                        config.solver)
+    uniform = find_cct(uniform_runs, settings, config.settle_tol, config.settle_window, fork)
+    delta = uniform.cct - nonuniform.cct
     # Both fleets replayed, from their searches' runs, at the configured
     # fleet's last stable clearing step, and streamed to their files.
-    t_clear = config.scenario.t_fault + comparison.result_nonuniform.bracket_lo
+    t_clear = config.scenario.t_fault + nonuniform.bracket_lo
     dt = config.scenario.dt
-    for name, fleet_runs in (("nonuniform", runs), ("uniform", comparison.uniform)):
+    for name, fleet_runs in (("nonuniform", runs), ("uniform", uniform_runs)):
         run = fleet_runs.stream(t_clear)
         for _ in _trajectory_csv(out / f"trajectory_{name}.csv", run.fleet, dt, run):
             pass
     payload = {
         "command": "compare",
-        "cct_nonuniform_s": comparison.cct_nonuniform,
-        "cct_uniform_s": comparison.cct_uniform,
-        "delta_s": comparison.delta,
+        "cct_nonuniform_s": nonuniform.cct,
+        "cct_uniform_s": uniform.cct,
+        "delta_s": delta,
         "uniform_fleet": [
             {
                 "name": c.name,
@@ -773,10 +779,10 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
                 "pf_angle_rad": c.pf_angle,
                 "trip_holdoff_s": c.trip_holdoff,
             }
-            for c in comparison.uniform.fleet
+            for c in uniform_runs.fleet
         ],
-        "nonuniform": _cct_dict(comparison.result_nonuniform),
-        "uniform": _cct_dict(comparison.result_uniform),
+        "nonuniform": _cct_dict(nonuniform),
+        "uniform": _cct_dict(uniform),
         "outputs": {
             "trajectory_nonuniform_csv": "trajectory_nonuniform.csv",
             "trajectory_uniform_csv": "trajectory_uniform.csv",
@@ -784,7 +790,7 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
         "provenance": _provenance(config),
     }
     _write_json(out / "comparison.json", payload)
-    log.info("compare: delta %.6g s (wrote %s)", comparison.delta, out)
+    log.info("compare: delta %.6g s (wrote %s)", delta, out)
     return 0
 
 

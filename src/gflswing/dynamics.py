@@ -522,11 +522,11 @@ class Runs:
     """The runs of one fleet on one grid through one fault, one per clearing
     time, each branching from one uncleared fault-on run.
 
-    fleet, grid, scenario and opts are as given (opts None: SolverOptions());
-    scenario's t_clear is not used, as stream sets the clearing time.
-    units is the fleet's table of constants and of the run's solve
-    settings, for the equilibrium and every step: its tol is opts.tol_rel
-    times max(|v_th|, 1 V) of the pre-fault source, the one place the
+    fleet and scenario are as given; scenario's t_clear is not used, as
+    stream sets the clearing time. units is the fleet's table of constants
+    and of the run's solve settings (opts None: SolverOptions()), for the
+    equilibrium and every step: its tol is opts.tol_rel times
+    max(|v_th|, 1 V) of grid's pre-fault source, the one place the
     tolerance is resolved. prefault and fault are the Thevenin sources
     before and during the fault, and equilibrium the locked pre-fault
     record, whose injection angles are the reference of the divergence trip.
@@ -564,9 +564,8 @@ class Runs:
         if not fleet:
             raise ValueError("fleet must be non-empty")
         self.fleet = fleet = tuple(fleet)
-        self.grid = grid
         self.scenario = scenario
-        self.opts = opts = opts or SolverOptions()
+        opts = opts or SolverOptions()
         tol = opts.tol_rel * max(abs(grid.prefault.v_th), 1.0)
         self.units = units = UnitTable(fleet, grid, scenario.dt, tol, opts.max_iter)
         self.prefault = grid.prefault

@@ -30,11 +30,9 @@ __all__ = [
     "StabilityVerdict",
     "CctSettings",
     "CctResult",
-    "FleetComparison",
     "BracketInvalid",
     "RunFold",
     "find_cct",
-    "compare_uniform",
     "uniform_fleet_of",
 ]
 
@@ -133,16 +131,6 @@ class CctResult:
     evaluation_log: tuple[tuple[float, bool], ...]
     audit: tuple[tuple[float, bool], ...]
     monotonic: bool
-
-
-@dataclass(frozen=True, slots=True)
-class FleetComparison:
-    cct_nonuniform: float
-    cct_uniform: float
-    delta: float
-    uniform: Runs
-    result_nonuniform: CctResult
-    result_uniform: CctResult
 
 
 def _settle_steps(scenario: FaultScenario, settle_window: float, k_last: int) -> int:
@@ -518,32 +506,6 @@ def uniform_fleet_of(fleet: Sequence[InverterConfig]) -> tuple[InverterConfig, .
         trip_holdoff=mean_of(c.trip_holdoff for c in fleet),
     )
     return tuple(replace(mean, name=f"Uni {p + 1}") for p in range(n))
-
-
-def compare_uniform(
-    runs: Runs,
-    cct: CctSettings,
-    settle_tol: float = DEFAULT_SETTLE_TOL_RAD,
-    settle_window: float = DEFAULT_SETTLE_WINDOW_S,
-    fork: bool = False,
-) -> FleetComparison:
-    """CCT of runs' fleet against its mean-built uniform counterpart, whose
-    Runs, the result's uniform, shares runs' grid, scenario and solver
-    settings; either fleet replays from its Runs afterwards. Each search
-    forks as find_cct does with fork."""
-    if len(runs.fleet) < 2:
-        raise ValueError("compare_uniform needs a fleet of at least two inverters")
-    res_nonuni = find_cct(runs, cct, settle_tol, settle_window, fork)
-    uniform = Runs(uniform_fleet_of(runs.fleet), runs.grid, runs.scenario, runs.opts)
-    res_uni = find_cct(uniform, cct, settle_tol, settle_window, fork)
-    return FleetComparison(
-        cct_nonuniform=res_nonuni.cct,
-        cct_uniform=res_uni.cct,
-        delta=res_uni.cct - res_nonuni.cct,
-        uniform=uniform,
-        result_nonuniform=res_nonuni,
-        result_uniform=res_uni,
-    )
 
 
 # perfbench's adapter, which no command calls: perfbench/worker.py calls

@@ -27,7 +27,7 @@ from gflswing.network import (
     line_impedance,
 )
 from gflswing.pcc import q_components, solve_vpcc
-from gflswing.stability import RunFold, compare_uniform, find_cct
+from gflswing.stability import RunFold, find_cct, uniform_fleet_of
 from helpers_oracles import (
     aggregate_cd,
     loss_order,
@@ -279,11 +279,14 @@ def test_criterion_08_nonuniformity_penalty(table_config):
     settings = cfg.cct
     for depth in (0.30, 0.35, 0.40):
         base = replace(cfg.scenario, fault_depth=depth)
-        comp = compare_uniform(Runs(cfg.fleet, cfg.grid, base, cfg.solver), settings,
-                               cfg.settle_tol, cfg.settle_window)
-        assert comp.delta > 0.0, (
-            f"depth {depth}: uniform CCT {comp.cct_uniform} not above "
-            f"non-uniform {comp.cct_nonuniform}"
+        nonuniform, uniform = (
+            find_cct(Runs(fleet, cfg.grid, base, cfg.solver), settings,
+                     cfg.settle_tol, cfg.settle_window)
+            for fleet in (cfg.fleet, uniform_fleet_of(cfg.fleet))
+        )
+        assert uniform.cct > nonuniform.cct, (
+            f"depth {depth}: uniform CCT {uniform.cct} not above "
+            f"non-uniform {nonuniform.cct}"
         )
 
     res = find_cct(Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver), settings,

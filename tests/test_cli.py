@@ -25,7 +25,7 @@ from gflswing.cli import (
     load_config,
     main,
 )
-from gflswing.dynamics import Runs
+from gflswing.dynamics import InitializationFailure, Runs
 from gflswing.stability import RunFold
 from helpers_oracles import quadrature_currents, records_of
 
@@ -737,12 +737,42 @@ def test_a_bad_thread_count_fails_compare_before_either_search(
     def no_search(*args):
         raise AssertionError("a CCT search ran")
 
-    monkeypatch.setattr(cli, "compare_uniform", no_search)
+    monkeypatch.setattr(cli, "find_cct", no_search)
     for threads in BAD_THREAD_COUNTS:
         monkeypatch.setenv("GFLSWING_THREADS", threads)
         with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer >= 1"):
             cmd_compare(load_config(small_config_path), tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["cct", "compare"])
+def test_a_missing_cct_section_fails_before_the_out_directory(command, tmp_path, capsys):
+    config = bundled_config_path("table1_nofault.yaml")
+    assert load_config(config).cct is None
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    message = "error: stability.cct: section is required for this command\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_compare_of_one_unit_fails_before_any_runs_or_search(
+    small_config_path, tmp_path, monkeypatch, capsys
+):
+    def no_search(*args):
+        raise AssertionError("a Runs was built or a CCT search ran")
+
+    monkeypatch.setattr(cli, "Runs", no_search)
+    monkeypatch.setattr(cli, "find_cct", no_search)
+    text = small_config_path.read_text(encoding="utf-8")
+    one = tmp_path / "one.yaml"
+    one.write_text(text[:text.index("  - name: B")] + text[text.index("scenario:"):],
+                   encoding="utf-8")
+    assert len(load_config(one).fleet) == 1
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(one), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: fleet: compare needs at least two inverters\n"
+    assert not out.exists()
 
 
 def test_simulate_rejects_a_horizon_short_of_the_settle_window_before_any_step(
@@ -1271,6 +1301,36 @@ def test_a_group_that_fails_to_build_gives_each_of_its_cells_the_error(table_con
             assert row["error"].startswith(
                 "InitializationFailure: Inv 4: rated current 66.18 A exceeds "
             )
+
+
+# How a sweep cell applies each fleet axis, written out by hand: s_scale
+# multiplies every unit's s_rated, xr_scale its line reactance only.
+HAND_SCALED = {
+    "s_scale": lambda c, v: replace(c, s_rated=c.s_rated * v),
+    "xr_scale": lambda c, v: replace(c, z_line=complex(c.z_line.real, c.z_line.imag * v)),
+}
+
+
+# At s_scale 2 table1 has no equilibrium: that cell is the hand-built Runs' error.
+@pytest.mark.parametrize("axis, statuses", [("s_scale", ["ok", "error"]),
+                                            ("xr_scale", ["ok", "ok"])])
+def test_fleet_axis_cells_match_the_fleet_scaled_by_hand(axis, statuses, table_config, tmp_path):
+    cfg, values, interval = table_config, (1.0, 2.0), 1e-3
+    axes = {axis: values, "clear_interval_s": (interval,)}
+    assert cmd_sweep(replace(cfg, sweep_axes=axes), tmp_path) == 0
+    rows = _sweep_rows(tmp_path / "sweep.csv")
+    assert [row["status"] for row in rows] == statuses
+    for value, row in zip(values, rows):
+        fleet = tuple(HAND_SCALED[axis](c, value) for c in cfg.fleet)
+        try:
+            runs = Runs(fleet, cfg.grid, cfg.scenario, cfg.solver)
+        except InitializationFailure as exc:
+            assert row["error"] == f"InitializationFailure: {exc}"
+            continue
+        run = runs.stream(cfg.scenario.t_fault + interval)
+        verdict = RunFold(run, run.fleet, run.scenario, cfg.settle_tol).verdict(cfg.settle_window)
+        assert row["stable"] == ("true" if verdict.stable else "false")
+        assert row["max_angle_excursion_rad"] == f"{verdict.max_angle_excursion:.9g}"
 
 
 def test_sweep_worker_cap_env_validation(small_config_path, tmp_path, monkeypatch):

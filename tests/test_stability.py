@@ -24,7 +24,6 @@ from gflswing.stability import (
     BracketInvalid,
     CctSettings,
     RunFold,
-    compare_uniform,
     find_cct,
     uniform_fleet_of,
 )
@@ -651,17 +650,16 @@ def test_uniform_fleet_means_equal_statistics_fmean(fleet_name, table_config):
 
 
 def test_self_comparison_has_zero_delta():
-    runs = Runs(uniform_fleet_of(_fleet2()), _grid2(), _base_scenario())
-    comp = compare_uniform(runs, CctSettings(t_min=2e-4, t_max=2e-3, resolution=1e-4),
-                           settle_tol=0.02, settle_window=2e-3)
-    assert comp.delta == 0.0
-    assert comp.cct_uniform == comp.cct_nonuniform
-
-
-def test_compare_uniform_requires_two_units():
-    runs = Runs(_fleet2()[:1], _grid2(), _base_scenario())
-    with pytest.raises(ValueError, match="at least two inverters"):
-        compare_uniform(runs, CctSettings(2e-4, 2e-3, 1e-4))
+    # A uniform fleet is its own uniform counterpart: both searches agree.
+    fleet = uniform_fleet_of(_fleet2())
+    settings = CctSettings(t_min=2e-4, t_max=2e-3, resolution=1e-4)
+    nonuniform, uniform = (
+        find_cct(Runs(f, _grid2(), _base_scenario()), settings, settle_tol=0.02,
+                 settle_window=2e-3)
+        for f in (fleet, uniform_fleet_of(fleet))
+    )
+    assert uniform.cct - nonuniform.cct == 0.0
+    assert uniform.cct == nonuniform.cct
 
 
 def test_nonuniform_fleet_spreads_divergence_times(table_config):
