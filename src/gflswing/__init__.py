@@ -9,9 +9,7 @@ and estimates critical clearing times by bisection.
 
 from gflswing.network import (
     GridModel,
-    TheveninEquivalent,
     equivalent_impedance,
-    faulted_grid,
     line_impedance,
     parallel,
 )
@@ -42,9 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridModel",
-    "TheveninEquivalent",
     "equivalent_impedance",
-    "faulted_grid",
     "line_impedance",
     "parallel",
     "NonConvergence",

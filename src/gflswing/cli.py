@@ -43,7 +43,7 @@ from gflswing.dynamics import (
     SolverOptions,
     TrajectoryRecord,
 )
-from gflswing.network import GridModel, TheveninEquivalent, line_impedance
+from gflswing.network import GridModel, line_impedance
 from gflswing.stability import (
     DEFAULT_AUDIT_SAMPLES,
     DEFAULT_SETTLE_TOL_RAD,
@@ -366,7 +366,7 @@ def load_config(path: str | Path, dt_override: float | None = None) -> RunConfig
         g["v_nominal_volts"] = g["v_th_volts"]
     v_th = cmath.rect(g["v_th_volts"], g["v_th_angle_rad"])
     z_th, z_load = (complex(z["r"], z["x"]) for z in (g["z_th_ohms"], g["z_load_ohms"]))
-    grid = GridModel(TheveninEquivalent(v_th, z_th), z_load)
+    grid = GridModel(v_th, z_th, z_load)
 
     fleet = []
     for k, unit in enumerate(resolved["fleet"]):
@@ -814,14 +814,13 @@ def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]])
                 for axis, value in cell.items():
                     if SWEEP_AXES[axis] is not None:
                         fleet, scenario = SWEEP_AXES[axis](fleet, scenario, value)
-                settings = config.cct if "clear_interval_s" in cell else _require_cct(config)
                 runs = Runs(fleet, config.grid, scenario, config.solver)
             if "clear_interval_s" in cell:
                 run = runs.stream(runs.scenario.t_fault + cell["clear_interval_s"])
                 fold = RunFold(run, run.fleet, run.scenario, config.settle_tol)
                 row.update(_verdict_dict(fold.verdict(config.settle_window)))
             else:
-                result = find_cct(runs, settings, config.settle_tol, config.settle_window)
+                result = find_cct(runs, config.cct, config.settle_tol, config.settle_window)
                 row.update(_cct_dict(result))
             row["status"] = "ok"
         except Exception as exc:
@@ -862,9 +861,12 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
     workers, each with its own Runs. Failures are recorded as error
     strings and the sweep continues.
     """
+    cap = _worker_cap()  # a bad THREADS_ENV fails here, before out exists
+    axes = config.sweep_axes or {}
+    if "clear_interval_s" not in axes:
+        _require_cct(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    axes = config.sweep_axes or {}
     axis_names = [name for name in SWEEP_AXES if name in axes]
     # Cells in product order, grouped by their positions on the Runs' axes.
     groups: dict[tuple[int, ...], list[tuple[int, dict[str, float]]]] = {}
@@ -874,7 +876,6 @@ def cmd_sweep(config: RunConfig, out_dir: str | Path) -> int:
         cell = {name: axes[name][j] for name, j in zip(axis_names, position)}
         groups.setdefault(key, []).append((k, cell))
 
-    cap = _worker_cap()
     split = math.ceil(cap / len(groups))
     tasks = [(config, cells[j::split])
              for cells in groups.values() for j in range(min(split, len(cells)))]

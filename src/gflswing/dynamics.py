@@ -23,12 +23,7 @@ from itertools import repeat
 from operator import add, gt, mul
 from typing import Iterator, Sequence
 
-from gflswing.network import (
-    GridModel,
-    TheveninEquivalent,
-    equivalent_impedance,
-    faulted_grid,
-)
+from gflswing.network import GridModel, equivalent_impedance
 from gflswing.pcc import NonConvergence, ZeroVoltage, q_components, solve_vpcc
 
 __all__ = [
@@ -236,7 +231,7 @@ class UnitTable:
     zeq * s_rated and zeq * i_max that the aggregate (C, D) sums, with zeq
     each unit's equivalent impedance on grid (see equivalent_impedance):
     one table for every step of the run, as the fault scales only the
-    source (see faulted_grid). aligned is True when every pf_angle is 0:
+    source (see Runs). aligned is True when every pf_angle is 0:
     each unit injects at its PLL angle, and a record's injection angles
     are its PLL angles, one tuple. Every voltage solve of the run stops at
     tol, the residual in volts that Runs resolves, within max_iter
@@ -299,12 +294,12 @@ def _aggregate(
     return c, d
 
 
-def find_equilibrium(units: UnitTable, grid: TheveninEquivalent) -> TrajectoryRecord:
+def find_equilibrium(units: UnitTable, v_th: complex) -> TrajectoryRecord:
     """Pre-fault operating point with every PLL locked (v_gq = 0).
 
-    units is the run's table and grid its pre-fault source (see Runs);
-    units names the units in errors. Alternates the PCC voltage solve,
-    started at v_th, with per-inverter re-locking of the injection angle
+    units is the run's table and v_th its pre-fault source voltage (see
+    Runs); units names the units in errors. Alternates the PCC voltage
+    solve, started at v_th, with a re-lock of each unit's injection angle
     until both are self-consistent. At lock, v_gq = 0 in frame theta gives
 
         |v_pcc| sin(theta - angle(v_pcc)) = Im(z_series i e^{j pf_angle}).
@@ -315,15 +310,15 @@ def find_equilibrium(units: UnitTable, grid: TheveninEquivalent) -> TrajectoryRe
     n = len(units)
     flags_off = (False,) * n
 
-    theta = [cmath.phase(grid.v_th)] * n
+    theta = [cmath.phase(v_th)] * n
 
-    v = grid.v_th
+    v = v_th
     for _ in range(500):
         theta_cg = [th + pf for th, pf in zip(theta, units.pf_angle)]
         e = [complex(math.cos(th), math.sin(th)) for th in theta_cg]
         agg = _aggregate(units, e, flags_off, flags_off)
         try:
-            sol = solve_vpcc(grid, agg, units.tol, units.max_iter)
+            sol = solve_vpcc(v_th, agg, units.tol, units.max_iter)
         except (NonConvergence, ZeroVoltage) as exc:
             raise InitializationFailure(f"no pre-fault voltage solution: {exc}") from exc
         v = sol.v_pcc
@@ -364,14 +359,14 @@ def find_equilibrium(units: UnitTable, grid: TheveninEquivalent) -> TrajectoryRe
 def step(
     rec: TrajectoryRecord,
     fleet: UnitTable,
-    grid: TheveninEquivalent,
+    v_th: complex,
     theta_cg_ref: Sequence[float],
 ) -> TrajectoryRecord:
     """The record after rec: the fleet advanced by one step of fleet.dt
-    behind the given source.
+    behind the source voltage v_th.
 
-    fleet is the run's table and grid the source of the step's phase (see
-    Runs); every voltage solve stops at fleet.tol within fleet.max_iter
+    fleet is the run's table and v_th the source voltage of the step's phase
+    (see Runs); every voltage solve stops at fleet.tol within fleet.max_iter
     iterations. rec carries all a step reads besides them, so a step needs
     no step index. Order per step: resolve limiter flags and solve the PCC
     voltage with the current injection angles, evaluate each live unit's
@@ -406,7 +401,7 @@ def step(
     sin_cg = list(map(math.sin, rec.theta_cg))
     e = list(map(complex, cos_cg, sin_cg))
 
-    if grid.v_th == 0.0:
+    if v_th == 0.0:
         # Collapsed source: every live unit saturates at once.
         limited = tuple([not t for t in tripped])
     elif any_tripped:
@@ -415,7 +410,7 @@ def step(
         limited = rec.limited
     agg = _aggregate(fleet, e, tripped, limited)
     sol = solve_vpcc(
-        grid, agg, fleet.tol, fleet.max_iter,
+        v_th, agg, fleet.tol, fleet.max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
     # Up to n + 1 limiter re-solves; the last solution's flags are not checked.
@@ -429,7 +424,7 @@ def step(
             break
         limited = want
         agg = _aggregate(fleet, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, fleet.tol, fleet.max_iter, sol.v_pcc)
+        sol = solve_vpcc(v_th, agg, fleet.tol, fleet.max_iter, sol.v_pcc)
 
     v = sol.v_pcc
     any_limited = True in limited
@@ -442,7 +437,7 @@ def step(
     else:
         cos_th = list(map(math.cos, rec.theta))
         sin_th = list(map(math.sin, rec.theta))
-    _, v_gq = q_components(grid, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
+    _, v_gq = q_components(v_th, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
 
     # One pass over the units: the PI update of each PLL with its divergence
     # check. A tripped unit's PLL entries are then put back; its trip needs
@@ -526,10 +521,11 @@ class Runs:
     stream sets the clearing time. units is the fleet's table of constants
     and of the run's solve settings (opts None: SolverOptions()), for the
     equilibrium and every step: its tol is opts.tol_rel times
-    max(|v_th|, 1 V) of grid's pre-fault source, the one place the
-    tolerance is resolved. prefault and fault are the Thevenin sources
-    before and during the fault, and equilibrium the locked pre-fault
-    record, whose injection angles are the reference of the divergence trip.
+    max(|grid.v_th|, 1 V), the one place the tolerance is resolved.
+    prefault is grid's source voltage v_th and fault the fault-on one,
+    (1 - fault_depth) v_th behind the same z_th, so one table serves
+    every step. equilibrium is the locked pre-fault record, whose
+    injection angles are the reference of the divergence trip.
 
     Step k is under the fault while k_fault <= k < k_clear, the scenario's
     event steps (see FaultScenario), so every run agrees with the fault-on
@@ -566,10 +562,10 @@ class Runs:
         self.fleet = fleet = tuple(fleet)
         self.scenario = scenario
         opts = opts or SolverOptions()
-        tol = opts.tol_rel * max(abs(grid.prefault.v_th), 1.0)
+        tol = opts.tol_rel * max(abs(grid.v_th), 1.0)
         self.units = units = UnitTable(fleet, grid, scenario.dt, tol, opts.max_iter)
-        self.prefault = grid.prefault
-        self.fault = faulted_grid(grid, scenario.fault_depth)
+        self.prefault = grid.v_th
+        self.fault = (1.0 - scenario.fault_depth) * grid.v_th
         self.equilibrium = find_equilibrium(units, self.prefault)
         # The fault-on run's record of each step from _first_kept on,
         # beginning with the equilibrium there; its records before are the

@@ -3,7 +3,7 @@
 Voltages and impedances are Python ``complex`` numbers in volts and ohms.
 The feeder behind the point of common coupling is collapsed to one voltage
 source behind one impedance; the fault scales only that source (see
-faulted_grid). Source voltage, source impedance and the series load
+dynamics.Runs). Source voltage, source impedance and the series load
 impedance carry no defaults anywhere in this module: they are
 configuration inputs, not quantities derivable from the fleet itself.
 """
@@ -19,10 +19,8 @@ if TYPE_CHECKING:
     from gflswing.dynamics import InverterConfig
 
 __all__ = [
-    "TheveninEquivalent",
     "GridModel",
     "equivalent_impedance",
-    "faulted_grid",
     "line_impedance",
     "parallel",
 ]
@@ -59,11 +57,13 @@ def parallel(a: complex, b: complex) -> complex:
 
 
 @dataclass(frozen=True, slots=True)
-class TheveninEquivalent:
-    """Single voltage source v_th behind a series impedance z_th."""
+class GridModel:
+    """Pre-fault source v_th behind z_th, and the series load impedance
+    z_load. The fault scales only v_th (see dynamics.Runs)."""
 
     v_th: complex
     z_th: complex
+    z_load: complex
 
     def __post_init__(self) -> None:
         if not cmath.isfinite(self.v_th):
@@ -72,17 +72,6 @@ class TheveninEquivalent:
             raise ValueError(f"Thevenin resistance must be non-negative, got {self.z_th.real}")
         if not cmath.isfinite(self.z_th):
             raise ValueError(f"Thevenin impedance must be finite, got {self.z_th}")
-
-
-@dataclass(frozen=True, slots=True)
-class GridModel:
-    """Pre-fault equivalent and series load impedance. The fault-on
-    equivalent scales only its source (see faulted_grid), behind z_th."""
-
-    prefault: TheveninEquivalent
-    z_load: complex
-
-    def __post_init__(self) -> None:
         if not cmath.isfinite(self.z_load):
             raise ValueError(f"load impedance must be finite, got {self.z_load}")
 
@@ -94,13 +83,6 @@ def equivalent_impedance(
     table for the whole run, as the fault-on source shares z_th."""
     if not fleet:
         raise ValueError("equivalent_impedance needs a non-empty fleet")
-    z_grid = grid.prefault.z_th + grid.z_load
+    z_grid = grid.z_th + grid.z_load
     return tuple(parallel(cfg.z_total(), z_grid) for cfg in fleet)
 
-
-def faulted_grid(grid: GridModel, fault_depth: float) -> TheveninEquivalent:
-    """Fault-on equivalent: the pre-fault source scaled by (1 - fault_depth)
-    behind the pre-fault z_th, held for the whole fault-on interval."""
-    if not 0.0 <= fault_depth <= 1.0:
-        raise ValueError(f"fault_depth must lie in [0, 1], got {fault_depth}")
-    return TheveninEquivalent((1.0 - fault_depth) * grid.prefault.v_th, grid.prefault.z_th)

@@ -29,11 +29,10 @@ the equivalent impedances come from network.equivalent_impedance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from gflswing.network import TheveninEquivalent
 
 __all__ = [
     "PccSolution",
@@ -78,7 +77,7 @@ class PccSolution:
 
 
 def solve_vpcc(
-    grid: TheveninEquivalent,
+    v_th: complex,
     agg: tuple[complex, complex],
     tol: float,
     max_iter: int,
@@ -97,12 +96,13 @@ def solve_vpcc(
     iterations and ZeroVoltage if |v| (the seed's included) falls below
     ZERO_VOLTAGE_FRACTION * |v_th|.
     """
+    if not cmath.isfinite(v_th):
+        raise ValueError(f"Thevenin source voltage must be finite, got {v_th}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    v_th = grid.v_th
     v_th_mag = abs(v_th)
     c, d = agg
 
@@ -171,7 +171,7 @@ def solve_vpcc(
 
 
 def q_components(
-    grid: TheveninEquivalent,
+    v_th: complex,
     v_pcc: complex,
     agg: tuple[complex, complex],
     cos_ref: Sequence[float],
@@ -181,9 +181,10 @@ def q_components(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """q-axis components of the PCC and generation voltages, one per unit frame.
 
-    agg is the aggregate (C, D) of the injections at v_pcc. The PCC
-    right-hand side total = v_th + D + C / |v_pcc| is rotated into each
-    unit's frame ref_p, given by cos_ref and sin_ref:
+    agg is the aggregate (C, D) of the injections at v_pcc behind the
+    source voltage v_th. The PCC right-hand side total = v_th + D +
+    C / |v_pcc| is rotated into each unit's frame ref_p, given by cos_ref
+    and sin_ref:
 
         v_pcc_q[p] = Im(total e^{-j ref_p})
         v_gq[p]    = v_pcc_q[p] + series_q[p] i_mag[p]
@@ -192,6 +193,8 @@ def q_components(
     drop per ampere of unit p's series impedance at its injection angle
     theta_p, and i_mag[p] its current. The cost is O(n) for the whole fleet.
     """
+    if not cmath.isfinite(v_th):
+        raise ValueError(f"Thevenin source voltage must be finite, got {v_th}")
     v_mag = abs(v_pcc)
     if v_mag <= 0.0:
         raise ValueError("q_components requires |v_pcc| > 0")
@@ -200,7 +203,7 @@ def q_components(
         raise ValueError("cos_ref, sin_ref, series_q and i_mag must match the fleet size")
 
     c, d = agg
-    total = grid.v_th + d + c / v_mag
+    total = v_th + d + c / v_mag
     re, im = total.real, total.imag
     v_pcc_q, v_gq = [], []
     for cr, sr, b, i in zip(cos_ref, sin_ref, series_q, i_mag):

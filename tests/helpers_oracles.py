@@ -177,9 +177,10 @@ def _reference_aggregate(fleet, e, tripped, limited) -> tuple[complex, complex]:
     return c, d
 
 
-def reference_step(rec, fleet, grid, tol, max_iter, theta_cg_ref):
+def reference_step(rec, fleet, v_th, tol, max_iter, theta_cg_ref):
     """dynamics.step, one unit at a time (see dynamics.step for the order),
-    each voltage solve stopping at tol within max_iter iterations."""
+    behind the source voltage v_th, each voltage solve stopping at tol
+    within max_iter iterations."""
     n = len(fleet)
     dt = fleet.dt
     s_rated = fleet.s_rated
@@ -192,11 +193,11 @@ def reference_step(rec, fleet, grid, tol, max_iter, theta_cg_ref):
     e = list(map(complex, cos_cg, sin_cg))
 
     limited = [lim and not trip for lim, trip in zip(rec.limited, tripped)]
-    if grid.v_th == 0.0:
+    if v_th == 0.0:
         limited = [not t for t in tripped]
     agg = _reference_aggregate(fleet, e, tripped, limited)
     sol = solve_vpcc(
-        grid, agg, tol, max_iter,
+        v_th, agg, tol, max_iter,
         cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle),
     )
     for _ in range(n + 1):
@@ -208,7 +209,7 @@ def reference_step(rec, fleet, grid, tol, max_iter, theta_cg_ref):
             break
         limited = want
         agg = _reference_aggregate(fleet, e, tripped, limited)
-        sol = solve_vpcc(grid, agg, tol, max_iter, sol.v_pcc)
+        sol = solve_vpcc(v_th, agg, tol, max_iter, sol.v_pcc)
 
     v = sol.v_pcc
     v_mag = abs(v)
@@ -219,7 +220,7 @@ def reference_step(rec, fleet, grid, tol, max_iter, theta_cg_ref):
         for t, lim, s, i in zip(tripped, limited, s_rated, i_max)
     ]
     _, v_gq_all = q_components(
-        grid, v, agg,
+        v_th, v, agg,
         list(map(math.cos, rec.theta)), list(map(math.sin, rec.theta)),
         fleet.series_q, i_mag,
     )

@@ -19,13 +19,7 @@ import pytest
 
 from gflswing.cli import cmd_sweep
 from gflswing.dynamics import InverterConfig, Runs, UnitTable
-from gflswing.network import (
-    GridModel,
-    TheveninEquivalent,
-    equivalent_impedance,
-    faulted_grid,
-    line_impedance,
-)
+from gflswing.network import GridModel, equivalent_impedance, line_impedance
 from gflswing.pcc import q_components, solve_vpcc
 from gflswing.stability import RunFold, find_cct, uniform_fleet_of
 from helpers_oracles import (
@@ -84,9 +78,7 @@ def test_criterion_02_fixed_point_correctness():
     for case in range(100):
         n = rng.randint(1, 3)
         v_mag = rng.uniform(110, 400)
-        grid = TheveninEquivalent(
-            cmath.rect(v_mag, rng.uniform(-0.2, 0.2)), complex(0.1, 0.05)
-        )
+        v_th = cmath.rect(v_mag, rng.uniform(-0.2, 0.2))
         zc, s, th = [], [], []
         budget = 0.15 * v_mag * v_mag
         for _ in range(n):
@@ -95,14 +87,13 @@ def test_criterion_02_fixed_point_correctness():
             s.append(rng.uniform(0.05, 0.9) * budget / (n * abs(z)))
             th.append(rng.uniform(-0.6, 0.6))
         zeq = tuple(zc)
-        sol = solve_vpcc(grid, aggregate_cd(zeq, s, th), tol=1e-10 * v_mag, max_iter=100)
+        sol = solve_vpcc(v_th, aggregate_cd(zeq, s, th), tol=1e-10 * v_mag, max_iter=100)
         got = sol.v_pcc
-        v_th = grid.v_th
         assert abs(got - v_th) < 0.2 * v_mag  # perturbation regime guard
         oracle = newton_fd_vpcc(v_th, zc, s, th)
         assert abs(got - oracle) <= 1e-6 * abs(oracle), f"case {case}"
 
-        zero = solve_vpcc(grid, aggregate_cd(zeq, (0.0,) * n, th),
+        zero = solve_vpcc(v_th, aggregate_cd(zeq, (0.0,) * n, th),
                           tol=1e-10 * v_mag, max_iter=100)
         assert abs(zero.v_pcc - v_th) <= 1e-12 * v_mag
 
@@ -113,7 +104,6 @@ def test_criterion_03_termwise_complex_agreement():
     for _ in range(1000):
         n = rng.randint(1, 5)
         v_th = cmath.rect(rng.uniform(50, 400), rng.uniform(-math.pi, math.pi))
-        grid = TheveninEquivalent(v_th, complex(0.1, 0.1))
         zc = [complex(rng.uniform(0.01, 0.5), rng.uniform(-0.2, 0.5)) for _ in range(n)]
         zeq = tuple(zc)
         s = tuple(rng.uniform(0, 2e4) for _ in range(n))
@@ -133,10 +123,10 @@ def test_criterion_03_termwise_complex_agreement():
         v_pcc = cmath.rect(rng.uniform(40, 400), rng.uniform(-math.pi, math.pi))
         v_mag = abs(v_pcc)
         q, v_gq = q_components(
-            grid, v_pcc, aggregate_cd(zeq, s, th),
+            v_th, v_pcc, aggregate_cd(zeq, s, th),
             [math.cos(ref) for ref in refs],
             [math.sin(ref) for ref in refs],
-            UnitTable(fleet, GridModel(grid, 0j), 1e-5, 230e-9, 100).series_q,
+            UnitTable(fleet, GridModel(v_th, complex(0.1, 0.1), 0j), 1e-5, 230e-9, 100).series_q,
             [s_p / v_mag for s_p in s],
         )
 
@@ -336,7 +326,7 @@ def test_criterion_10_trip_cascade(table_config):
     scenario = replace(cfg.scenario, fault_depth=0.4)
     runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
     theta = runs.equilibrium.theta_cg
-    fault = faulted_grid(cfg.grid, 0.4)
+    fault = runs.fault
     zeq_f = equivalent_impedance(cfg.fleet, cfg.grid)
     s_all = tuple(c.s_rated for c in cfg.fleet)
     tol = runs.units.tol

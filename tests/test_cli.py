@@ -756,6 +756,32 @@ def test_a_missing_cct_section_fails_before_the_out_directory(command, tmp_path,
     assert not out.exists()
 
 
+def test_a_cct_sweep_without_a_cct_section_fails_before_the_out_directory(tmp_path, capsys):
+    # With no clear_interval_s axis every cell is a CCT search, which needs
+    # the section; a verdict-mode sweep does not.
+    config = tmp_path / "nofault_sweep.yaml"
+    config.write_text(bundled_config_path("table1_nofault.yaml").read_text(encoding="utf-8")
+                      + "sweep:\n  axes: {fault_depth: [0.3, 0.4]}\n", encoding="utf-8")
+    assert load_config(config).cct is None
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    message = "error: stability.cct: section is required for this command\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_a_bad_thread_count_fails_sweep_before_the_out_directory(
+    small_config_path, tmp_path, monkeypatch, capsys
+):
+    for threads in BAD_THREAD_COUNTS:
+        monkeypatch.setenv("GFLSWING_THREADS", threads)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(small_config_path), "--out", str(out)]) == 1
+        message = f"error: GFLSWING_THREADS: expected an integer >= 1, got {threads!r}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 def test_compare_of_one_unit_fails_before_any_runs_or_search(
     small_config_path, tmp_path, monkeypatch, capsys
 ):
@@ -969,6 +995,20 @@ def test_duplicate_keys_are_parse_errors_under_each_parser(loader, tmp_path, mon
         load_config(p)
 
 
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_self_referential_alias_is_a_config_error_under_each_parser(
+    loader, tmp_path, monkeypatch
+):
+    # The axis list is its own second item: the duplicate-key scan visits
+    # the aliased node once, and the axis check rejects the nested list.
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    p = tmp_path / "alias.yaml"
+    p.write_text(SMALL_CONFIG + "sweep:\n  axes:\n    fault_depth: &x [0.3, *x]\n",
+                 encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^sweep\.axes\.fault_depth\[1\]: expected a number, "):
+        load_config(p)
+
+
 @pytest.mark.parametrize("section, message", [
     ("solver: []", "solver: expected a mapping, got list"),
     ("solver: 0", "solver: expected a mapping, got int"),
@@ -1058,11 +1098,19 @@ def test_unknown_keys_are_rejected_with_field_address(tmp_path, old, new, field)
      "when the fault is cleared, got 0 s: no step makes record 0"),
     ("t_end_s: 8.0e-3", "t_end_s: 1.0e-3",
      "scenario.t_fault_s: t_fault must satisfy 0 <= t_fault < t_end, got 0.001"),
+    ("name: A", "name: '  '", "fleet[0].name: required non-empty string"),
+    ("stability:\n", "sweep:\n  axes: {fault_depth: []}\nstability:\n",
+     "sweep.axes.fault_depth: expected a non-empty list of numbers"),
+    # Each value is in range, but 2 pi f overflows: InverterConfig's error,
+    # addressed to the unit.
+    ("  v_th_volts: 230.0\n", "  v_th_volts: 230.0\n  frequency_hz: 1.0e+308\n",
+     "fleet[0]: A: z_line must be finite, got (0.15+infj)"),
 ], ids=["solver_strict_min", "maximum", "whole_number_minimum", "cct_whole_number",
         "impedance_part", "impedance_not_a_map", "not_a_number", "cct_bracket",
         "t_end_coverage", "cct_resolution", "cct_t_min_at_step_0",
         "cct_bracket_in_one_step", "name_comma", "name_semicolon", "name_quote", "strict_min",
-        "minimum", "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end"])
+        "minimum", "fault_of_no_step", "cleared_fault_at_step_0", "fault_after_end",
+        "name_blank", "sweep_axis_empty", "unit_line_overflow"])
 def test_config_errors_keep_their_messages(tmp_path, old, new, message):
     p = tmp_path / "bad.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new, 1), encoding="utf-8")

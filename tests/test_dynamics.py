@@ -17,12 +17,7 @@ from gflswing.dynamics import (
     UnitTable,
     step,
 )
-from gflswing.network import (
-    GridModel,
-    TheveninEquivalent,
-    equivalent_impedance,
-    faulted_grid,
-)
+from gflswing.network import GridModel, equivalent_impedance
 from gflswing.pcc import NonConvergence, solve_vpcc
 from gflswing.stability import DEFAULT_SETTLE_WINDOW_S, RunFold, _to_first_trip
 from helpers_oracles import aggregate_cd, quadrature_currents, records_of
@@ -38,8 +33,7 @@ def _small_fleet():
 
 
 def _small_grid():
-    pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.20, 0.10))
-    return GridModel(pre, complex(0.10, 0.05))
+    return GridModel(cmath.rect(230.0, 0.0), complex(0.20, 0.10), complex(0.10, 0.05))
 
 
 def _runs(fleet, grid, opts=None):
@@ -157,7 +151,7 @@ def test_pf_angle_fault_step_matches_the_termwise_projection():
     rec = step(eq, run.units, run.fault, eq.theta_cg)
     assert rec.limited == (False, True) and not any(rec.tripped)
     v_pcc = cmath.rect(rec.v_pcc_mag, rec.v_pcc_angle)
-    scale = max(abs(v_pcc), abs(run.fault.v_th))
+    scale = max(abs(v_pcc), abs(run.fault))
     for p, cfg in enumerate(fleet):
         full = v_pcc + cfg.z_total() * rec.i_mag[p] * cmath.exp(1j * eq.theta_cg[p])
         oracle = (full * cmath.exp(-1j * eq.theta[p])).imag
@@ -202,7 +196,7 @@ def test_removing_one_injection_lowers_voltage_and_raises_currents():
     # unit's power must depress the node and push up everyone else's current.
     fleet = _small_fleet()
     grid = _small_grid()
-    fault = faulted_grid(grid, 0.4)
+    fault = (1.0 - 0.4) * grid.v_th
     zeq = equivalent_impedance(fleet, grid)
     theta = (0.03, 0.04)
     with_all = solve_vpcc(fault, aggregate_cd(zeq, (6000.0, 12000.0), theta),
@@ -306,8 +300,8 @@ def test_a_run_takes_one_impedance_table(table_config, monkeypatch):
     cfg = table_config
     runs = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
     assert calls == 1
-    assert runs.fault.z_th == runs.prefault.z_th
-    assert runs.fault.v_th == (1.0 - cfg.scenario.fault_depth) * runs.prefault.v_th
+    assert runs.prefault == cfg.grid.v_th
+    assert runs.fault == (1.0 - cfg.scenario.fault_depth) * runs.prefault
 
 
 def test_default_tolerance_resolves_against_the_prefault_source(table_config):

@@ -20,7 +20,6 @@ import pytest
 
 from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import Runs, whole_steps
-from gflswing.network import GridModel, TheveninEquivalent
 from gflswing.stability import RunFold, _to_first_trip, find_cct
 
 CONFIGS = ("table1.yaml", "table1_sync.yaml")
@@ -75,10 +74,9 @@ def _verdicts(cfg, span):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_a_doubled_voltage_base_doubles_every_voltage_and_current(name):
     cfg, (records, fold, result) = _base(name)
-    pre = cfg.grid.prefault
     doubled = replace(
         cfg,
-        grid=GridModel(TheveninEquivalent(2.0 * pre.v_th, pre.z_th), cfg.grid.z_load),
+        grid=replace(cfg.grid, v_th=2.0 * cfg.grid.v_th),
         fleet=tuple(
             replace(unit, s_rated=4.0 * unit.s_rated, i_max=2.0 * unit.i_max,
                     kp=unit.kp / 2.0, ki=unit.ki / 2.0)

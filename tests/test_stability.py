@@ -18,8 +18,8 @@ from gflswing.dynamics import (
     UnitTable,
     step,
 )
-from gflswing.network import GridModel, TheveninEquivalent, line_impedance
-from gflswing.pcc import solve_vpcc
+from gflswing.network import GridModel, line_impedance
+from gflswing.pcc import q_components, solve_vpcc
 from gflswing.stability import (
     BracketInvalid,
     CctSettings,
@@ -40,8 +40,7 @@ def _fleet2():
 
 
 def _grid2():
-    pre = TheveninEquivalent(cmath.rect(230.0, 0.0), complex(0.20, 0.10))
-    return GridModel(pre, complex(0.10, 0.05))
+    return GridModel(cmath.rect(230.0, 0.0), complex(0.20, 0.10), complex(0.10, 0.05))
 
 
 def _base_scenario():
@@ -555,15 +554,15 @@ def _table1():
     lambda: line_impedance(NAN, 1e-6, 50.0),
     lambda: line_impedance(0.1, NAN, 50.0),
     lambda: line_impedance(0.1, 1e-6, NAN),
-    lambda: TheveninEquivalent(230.0, complex(NAN, 0.1)),
-    lambda: solve_vpcc(_grid2().prefault, (1000.0 + 0j, 0j), NAN, 10),
+    lambda: GridModel(230.0, complex(NAN, 0.1), 0j),
+    lambda: solve_vpcc(_grid2().v_th, (1000.0 + 0j, 0j), NAN, 10),
     lambda: InverterConfig("X", 100.0, complex(NAN, 0.0), 0.0, 1e-3, 100.0, 10.0),
     lambda: InverterConfig("X", 100.0, complex(0.1, NAN), 0.0, 1e-3, 100.0, 10.0),
     lambda: InverterConfig("X", 100.0, complex(0.1, 0.0), 0.0, 1e-3, 100.0, 10.0,
                            pf_angle=NAN),
-    lambda: TheveninEquivalent(NAN, complex(0.2, 0.1)),
-    lambda: TheveninEquivalent(230.0, complex(0.2, NAN)),
-    lambda: GridModel(_grid2().prefault, complex(NAN, 0.05)),
+    lambda: GridModel(NAN, complex(0.2, 0.1), 0j),
+    lambda: GridModel(230.0, complex(0.2, NAN), 0j),
+    lambda: GridModel(230.0, complex(0.2, 0.1), complex(NAN, 0.05)),
     *(_unit_with(field, sign * INF) for field in _BOUNDED_BELOW for sign in (1, -1)),
     lambda: _steady_fold(0.02).verdict(INF),
     lambda: _table1().cct.steps(_table1().scenario, INF),
@@ -573,7 +572,10 @@ def _table1():
     lambda: SolverOptions(tol_rel=0.0),
     lambda: SolverOptions(max_iter=0),
     lambda: SolverOptions(max_iter=2.5),
-    lambda: solve_vpcc(_grid2().prefault, (1000.0 + 0j, 0j), INF, 10),
+    lambda: solve_vpcc(_grid2().v_th, (1000.0 + 0j, 0j), INF, 10),
+    lambda: solve_vpcc(complex(NAN, 0.0), (0j, 0j), 1e-9, 10),
+    lambda: solve_vpcc(complex(INF, 0.0), (1000.0 + 0j, 0j), 1e-9, 10),
+    lambda: q_components(complex(0.0, NAN), 230.0 + 0j, (0j, 0j), (1.0,), (0.0,), (0.1,), (1.0,)),
 ], ids=["find_cct_resolution", "classify_settle_tol", "classify_settle_window",
         "scenario_dt", "step_dt", "s_rated", "r_virtual", "kp", "ki", "i_max",
         "trip_holdoff", "line_resistance", "line_inductance", "frequency",
@@ -584,7 +586,8 @@ def _table1():
         "classify_settle_window_inf", "cct_steps_settle_window_inf",
         "cct_steps_resolution_inf", "solver_tol_rel", "solver_tol_rel_inf",
         "solver_tol_rel_zero", "solver_max_iter_zero",
-        "solver_max_iter_fraction", "solve_vpcc_tol_inf"])
+        "solver_max_iter_fraction", "solve_vpcc_tol_inf", "solve_vpcc_v_th_nan",
+        "solve_vpcc_v_th_inf", "q_components_v_th_nan"])
 def test_range_checks_reject_nan(call):
     with pytest.raises(ValueError):
         call()
@@ -647,6 +650,12 @@ def test_uniform_fleet_means_equal_statistics_fmean(fleet_name, table_config):
     uni = uniform_fleet_of(fleet)
     assert len(uni) == len(fleet)
     assert all([v.hex() for v in _averaged_fields(c)] == expected for c in uni)
+
+
+def test_uniform_fleet_of_no_units_is_an_error():
+    # A mean of no units would divide by zero.
+    with pytest.raises(ValueError, match="^fleet must be non-empty$"):
+        uniform_fleet_of(())
 
 
 def test_self_comparison_has_zero_delta():

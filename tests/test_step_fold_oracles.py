@@ -193,7 +193,7 @@ def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):
     # fails to solve in both steps alike.
     cfg = table_config
     runs = _runs(cfg, fault_depth=1.0, t_clear=None)
-    assert runs.fault.v_th == 0.0
+    assert runs.fault == 0.0
     walk = _Walk(runs, None, monkeypatch)
     assert walk.failure == 451
     assert all(walk.records[1].limited)
