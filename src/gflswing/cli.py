@@ -670,16 +670,17 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     The run is streamed: each record is folded into the verdict as it is
     stepped, its row is written with its frame, and none is kept. Returns
     0 when the verdict is stable and 2 when it is unstable. A t_end short
-    of the settle window (see stability._settle_steps) fails before any step.
+    of the settle window (see stability._settle_steps) fails before any step,
+    and a fleet with no pre-fault equilibrium before out_dir is made.
     """
     scenario = config.scenario
     try:
         _settle_steps(scenario, config.settle_window, scenario.k_end)
     except ValueError as exc:
         raise ConfigError(f"scenario.t_end_s: {exc}") from exc
+    run = Runs(config.fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = Runs(config.fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
     rows = _trajectory_csv(out / "trajectory.csv", run.fleet, scenario.dt, run)
     fold = RunFold(rows, run.fleet, run.scenario, config.settle_tol)
     verdict = fold.verdict(config.settle_window)
@@ -705,12 +706,14 @@ def _require_cct(config: RunConfig) -> CctSettings:
 
 def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
     """Bisect the critical clearing time, deciding clearing steps in forked
-    processes too where _may_fork(); write cct.json."""
+    processes too where _may_fork(); write cct.json. Every config error, a
+    fleet with no pre-fault equilibrium included, fails before out_dir is
+    made."""
     fork = _may_fork()  # a bad THREADS_ENV fails here, before any step
     settings = _require_cct(config)
+    runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
     try:
         result = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
     except BracketInvalid as exc:
@@ -740,17 +743,19 @@ def cmd_cct(config: RunConfig, out_dir: str | Path) -> int:
 
 def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     """Uniform-vs-configured fleet CCT comparison with both trajectories;
-    the searches fork as cmd_cct's does."""
+    the searches fork as cmd_cct's does. Both fleets' Runs are built before
+    out_dir is made and either search runs, so neither fleet's missing
+    pre-fault equilibrium costs a search or leaves an empty out_dir."""
     fork = _may_fork()  # a bad THREADS_ENV fails here, not after both searches
     settings = _require_cct(config)
     if len(config.fleet) < 2:
         raise ConfigError("fleet: compare needs at least two inverters")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     runs = Runs(config.fleet, config.grid, config.scenario, config.solver)
-    nonuniform = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
     uniform_runs = Runs(uniform_fleet_of(config.fleet), config.grid, config.scenario,
                         config.solver)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    nonuniform = find_cct(runs, settings, config.settle_tol, config.settle_window, fork)
     uniform = find_cct(uniform_runs, settings, config.settle_tol, config.settle_window, fork)
     delta = uniform.cct - nonuniform.cct
     # Both fleets replayed, from their searches' runs, at the configured

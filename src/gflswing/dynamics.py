@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import repeat
-from operator import add, gt, mul
+from operator import add, gt, mul, sub
 from typing import Iterator, Sequence
 
 from gflswing.network import GridModel, equivalent_impedance
@@ -181,7 +181,10 @@ class TrajectoryRecord:
     theta_cg its injection angle, theta plus its pf_angle, or theta itself
     when the fleet is aligned (see UnitTable). integral is each PLL's PI
     integral, and limited_steps the steps since each unit's limiting began:
-    0 on its first limited record, and while it is unlimited.
+    0 on its first limited record, and while it is unlimited. excursion is
+    the largest |theta_cg - theta_cg_ref| over the units, the deviation of
+    each injection angle from the run's equilibrium (see step): 0.0 in the
+    equilibrium record, and a NaN angle counts for nothing.
 
     Read-only by contract, as forked runs share earlier records; not
     frozen, since a frozen dataclass sets each field through
@@ -198,6 +201,7 @@ class TrajectoryRecord:
     theta: tuple[float, ...]
     integral: tuple[float, ...]
     limited_steps: tuple[int, ...]
+    excursion: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,6 +357,7 @@ def find_equilibrium(units: UnitTable, v_th: complex) -> TrajectoryRecord:
     zeros = (0.0,) * n
     return TrajectoryRecord(
         v_mag, v_angle, theta_cg, i_mag, zeros, flags_off, flags_off, theta, zeros, (0,) * n,
+        0.0,
     )
 
 
@@ -374,8 +379,11 @@ def step(
     latch trips (holdoff expiry, once a unit's limited_steps reach
     fleet.holdoff, or angle divergence past DIVERGENCE_BOUND_RAD from
     theta_cg_ref). Tripped units are frozen and inject nothing from the
-    following step. The first voltage solve is seeded with the previous
-    record's PCC voltage and each limiter re-solve with the last solution.
+    following step. The record's excursion is the largest deviation from
+    theta_cg_ref that the PLL update takes, or, with a unit tripped, that
+    of the record's own angles, as a tripped unit's update is in vain. The
+    first voltage solve is seeded with the previous record's PCC voltage
+    and each limiter re-solve with the last solution.
 
     Trig per step, n units: one cos and one sin of each injection angle
     serve every voltage solve and, when fleet.aligned (each PLL frame is its
@@ -384,7 +392,10 @@ def step(
     otherwise. Each rated current s / |v| is divided once per voltage
     solve. The aggregate sums the fleet in one pass while no unit is
     limited or tripped, and the limiter and trip flags are built unit by
-    unit only while some unit is limited or past the divergence bound.
+    unit only while some unit is limited or the excursion is past the
+    divergence bound. Under a collapsed source (v_th 0) every live unit is
+    limited and stays so: a constant-power unit cannot be solved behind
+    0 V.
     """
     n = len(fleet)
     dt = fleet.dt
@@ -420,7 +431,7 @@ def step(
             raise ZeroVoltage("PCC voltage collapsed to zero during a step")
         i_rated = tuple([s / v_mag for s in s_rated])
         want = tuple(map(gt, i_rated, i_max))
-        if want == limited or resolves > n:
+        if want == limited or resolves > n or v_th == 0.0:
             break
         limited = want
         agg = _aggregate(fleet, e, tripped, limited)
@@ -439,11 +450,11 @@ def step(
         sin_th = list(map(math.sin, rec.theta))
     _, v_gq = q_components(v_th, v, agg, cos_th, sin_th, fleet.series_q, i_mag)
 
-    # One pass over the units: the PI update of each PLL with its divergence
-    # check. A tripped unit's PLL entries are then put back; its trip needs
-    # no check, so its flag may raise diverged in vain.
+    # One pass over the units: the PI update of each PLL with its deviation
+    # from theta_cg_ref. A tripped unit's PLL entries are then put back, and
+    # the excursion is taken again over the angles kept.
     theta, integral = [], []
-    diverged = False
+    excursion = 0.0
     for th, ig, q, a, b, pf, ref in zip(
         rec.theta, rec.integral, v_gq, fleet.kp, fleet.ki, fleet.pf_angle, theta_cg_ref,
     ):
@@ -451,8 +462,8 @@ def step(
         th += (a * q + b * ig) * dt
         integral.append(ig)
         theta.append(th)
-        if abs(th + pf - ref) > DIVERGENCE_BOUND_RAD:
-            diverged = True
+        if (dev := abs(th + pf - ref)) > excursion:
+            excursion = dev
     if any_tripped:
         v_gq = list(v_gq)
         for p, t in enumerate(tripped):
@@ -463,8 +474,11 @@ def step(
         v_gq = tuple(v_gq)
     theta = tuple(theta)
     theta_cg = theta if fleet.aligned else tuple(map(add, theta, fleet.pf_angle))
+    if any_tripped:
+        # max from 0.0 skips a NaN deviation, as the loop above does.
+        excursion = max(0.0, *map(abs, map(sub, theta_cg, theta_cg_ref)))
 
-    if diverged or any_limited:
+    if excursion > DIVERGENCE_BOUND_RAD or any_limited:
         limited_steps = tuple([
             steps + 1 if lim and old else 0
             for lim, old, steps in zip(limited, rec.limited, rec.limited_steps)
@@ -481,7 +495,7 @@ def step(
 
     return TrajectoryRecord(
         v_mag, cmath.phase(v), theta_cg, i_mag, v_gq, limited, tripped,
-        theta, tuple(integral), limited_steps,
+        theta, tuple(integral), limited_steps, excursion,
     )
 
 
@@ -583,8 +597,8 @@ class Runs:
 
         A solver failure ends the run as instability onset: the failed
         step's record, the stream's last, marks every unit tripped and
-        injecting nothing, and its index times dt is the stream's
-        solver_failure_t.
+        injecting nothing, with the angles and excursion of the record
+        before, and its index times dt is the stream's solver_failure_t.
         """
         run = RunStream(replace(self.scenario, t_clear=t_clear), self.fleet)
         run._records = self._records(run)

@@ -153,13 +153,17 @@ class RunFold:
     over its records: each record is read as it arrives and none is kept,
     so records may be a stream (see dynamics.Runs.stream).
 
-    records are the run's, record k being step k, at k * scenario.dt;
+    records are the run's from record 0, record k being step k, at
+    k * scenario.dt, each carrying its excursion against record 0's
+    injection angles, as every record of a dynamics.Runs stream does;
     fleet names and rates its units in order, and scenario.k_clear is the
-    run's clearing step. Per unit the pass keeps the largest angle
-    excursion from record 0, the last record in which the excursion exceeds
-    settle_tol and the first of that final run of such records, and the
-    first record in which the unit is tripped. A settle_tol of math.inf
-    counts no excursion, for a pass that reads trips only.
+    run's clearing step. The pass keeps the largest excursion of any
+    record and, per unit, the last record in which the unit's deviation
+    from record 0 exceeds settle_tol and the first of that final run of
+    such records, and the first record in which the unit is tripped. A
+    record whose excursion is within settle_tol has no such unit, so only
+    the others are read unit by unit. A settle_tol of math.inf marks no
+    unit, for a pass that reads trips only.
     """
 
     __slots__ = (
@@ -189,24 +193,16 @@ class RunFold:
         streak_start: list[int | None] = [None] * n
         first_trip: list[int | None] = [None] * n
         untripped = n
-        calm = None
         for k, rec in enumerate(chain((first,), records)):
-            if rec is calm:
-                # The record before, again, with no unit past settle_tol (a
-                # run repeats its equilibrium record up to the fault): it
-                # changes nothing.
-                continue
-            calm = rec
-            theta = rec.theta_cg
-            for p in range(n):
-                dev = abs(theta[p] - theta0[p])
-                if dev > max_exc:
-                    max_exc = dev
-                if dev > settle_tol:
-                    calm = None
-                    if last_violation[p] != k - 1:
-                        streak_start[p] = k
-                    last_violation[p] = k
+            if (exc := rec.excursion) > max_exc:
+                max_exc = exc
+            if exc > settle_tol:
+                theta = rec.theta_cg
+                for p in range(n):
+                    if abs(theta[p] - theta0[p]) > settle_tol:
+                        if last_violation[p] != k - 1:
+                            streak_start[p] = k
+                        last_violation[p] = k
             if untripped and True in rec.tripped:
                 for p, tripped in enumerate(rec.tripped):
                     if tripped and first_trip[p] is None:

@@ -205,7 +205,7 @@ def reference_step(rec, fleet, v_th, tol, max_iter, theta_cg_ref):
         if v_mag == 0.0:
             raise ZeroVoltage("PCC voltage collapsed to zero during a step")
         want = [not t and s / v_mag > i for t, s, i in zip(tripped, s_rated, i_max)]
-        if want == limited:
+        if want == limited or v_th == 0.0:
             break
         limited = want
         agg = _reference_aggregate(fleet, e, tripped, limited)
@@ -251,10 +251,18 @@ def reference_step(rec, fleet, v_th, tol, max_iter, theta_cg_ref):
         if abs(theta_cg_p - theta_cg_ref[p]) > DIVERGENCE_BOUND_RAD:
             tripped_new[p] = True
 
+    # Each unit's deviation from theta_cg_ref, a tripped unit's at the angle
+    # it keeps; a NaN deviation is never the largest.
+    excursion = 0.0
+    for p in range(n):
+        dev = abs(theta_cg[p] - theta_cg_ref[p])
+        if dev > excursion:
+            excursion = dev
+
     return TrajectoryRecord(
         v_mag, cmath.phase(v), tuple(theta_cg), tuple(i_mag),
         tuple(v_gq), tuple(limited), tuple(tripped_new),
-        tuple(theta), tuple(integral), tuple(limited_steps),
+        tuple(theta), tuple(integral), tuple(limited_steps), excursion,
     )
 
 

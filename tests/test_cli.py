@@ -26,7 +26,7 @@ from gflswing.cli import (
     main,
 )
 from gflswing.dynamics import InitializationFailure, Runs
-from gflswing.stability import RunFold
+from gflswing.stability import BracketInvalid, RunFold, uniform_fleet_of
 from helpers_oracles import quadrature_currents, records_of
 
 SMALL_CONFIG = """\
@@ -664,7 +664,7 @@ def _synthetic_records(n):
                 230.0 + x, -x / 7, (x, -0.0 if key % 3 else 1e-300),
                 (x * 9, 0.0 if key % 2 else 2.5e6 * x),
                 (x / 3, -x / 3), (key % 2 == 0, False), (False, key % 5 == 4),
-                (x, 0.0), (x / 11, 0.0), (0, 0),
+                (x, 0.0), (x / 11, 0.0), (0, 0), x,
             )
         records.append(shared[key])
     return records
@@ -799,6 +799,99 @@ def test_compare_of_one_unit_fails_before_any_runs_or_search(
     assert main(["compare", "--config", str(one), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: fleet: compare needs at least two inverters\n"
     assert not out.exists()
+
+
+def _table1_with(tmp_path, fault_depth=0.3, s_scale=1.0, pf=0.0, seed=0, i_max=None, sweep=None,
+                 resolution=None):
+    """The path of a copy of table1.yaml with the given fault_depth, every
+    s_rated_va times s_scale, each unit's pf_angle_rad drawn from seed
+    within +-pf, and, where given, every i_max_a, the sweep section and the
+    CCT resolution."""
+    doc = yaml.safe_load(bundled_config_path().read_text(encoding="utf-8"))
+    rng = random.Random(seed)
+    for unit in doc["fleet"]:
+        unit["s_rated_va"] *= s_scale
+        unit["pf_angle_rad"] = rng.uniform(-pf, pf)
+        if i_max is not None:
+            unit["i_max_a"] = i_max
+    doc["scenario"]["fault_depth"] = fault_depth
+    if resolution is not None:
+        doc["stability"]["cct"]["resolution_s"] = resolution
+    if sweep is not None:
+        doc["sweep"] = {"axes": sweep}
+    path = tmp_path / f"table1_{fault_depth}_{s_scale}_{pf}_{seed}.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_a_bolted_fault_on_units_below_their_ceiling_runs_every_command(tmp_path):
+    # At depth 1.0 the fault-on source is 0 V and every live unit is
+    # limited; at 0.3 times their ratings the units' rated currents fall
+    # under their ceilings, and un-limiting them asked for a constant-power
+    # solve behind 0 V, which raised ValueError out of every command.
+    path = _table1_with(tmp_path, fault_depth=1.0, s_scale=0.3)
+    config = load_config(path)
+    assert cmd_simulate(config, tmp_path / "simulate") == 0
+    summary = json.loads((tmp_path / "simulate" / "summary.json").read_text())
+    assert summary["verdict"]["stable"] and summary["solver_failure_t_s"] is None
+    assert cmd_cct(config, tmp_path / "cct") == 0
+    result = json.loads((tmp_path / "cct" / "cct.json").read_text())
+    assert (result["bracket_lo_s"], result["bracket_hi_s"]) == (1.32e-3, 1.35e-3)
+    assert result["loss_order"] == ["Inv 4"]
+    swept = _table1_with(tmp_path, fault_depth=1.0, s_scale=0.3, sweep={"fault_depth": [1.0]})
+    assert cmd_sweep(load_config(swept), tmp_path / "sweep") == 0
+    rows = _sweep_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [(row["status"], row["bracket_lo_s"], row["bracket_hi_s"]) for row in rows] == [
+        ("ok", "0.00132", "0.00135")
+    ]
+
+
+@pytest.mark.parametrize("fault_depth", [0.3, 0.9, 1.0])
+def test_simulate_and_cct_raise_only_config_errors_on_a_grid_of_faults_and_fleets(
+    fault_depth, tmp_path
+):
+    # Ratings from far below the ceilings to table1's own, with and without
+    # seeded power-factor angles, at dt 100 us: a command ends with an exit
+    # code or with one of the errors a config can cause, never another.
+    for s_scale in (0.05, 0.3, 1.0):
+        for pf in (0.0, 0.3):
+            path = _table1_with(tmp_path, fault_depth, s_scale, pf, seed=7, resolution=1e-4)
+            config = load_config(path, dt_override=1e-4)
+            for command in (cmd_simulate, cmd_cct):
+                try:
+                    assert command(config, tmp_path / "out") in (0, 1, 2)
+                except (ConfigError, InitializationFailure, BracketInvalid):
+                    pass
+
+
+@pytest.mark.parametrize("command", ["simulate", "cct", "compare"])
+def test_a_fleet_with_no_equilibrium_fails_before_the_out_directory(command, tmp_path, capsys):
+    path = _table1_with(tmp_path, i_max=5.0)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Inv 1: rated current 23.14 A exceeds the 5.00 A ceiling at the pre-fault "
+        "voltage\n"
+    )
+    assert not out.exists()
+
+
+def test_compare_builds_the_uniform_fleet_s_runs_before_either_search(
+    table_config, tmp_path, monkeypatch
+):
+    # A uniform fleet with no equilibrium fails compare before any search
+    # runs or the output directory is made.
+    def no_search(*args):
+        raise AssertionError("a CCT search ran")
+
+    def tight(fleet):
+        return tuple(replace(unit, i_max=5.0) for unit in uniform_fleet_of(fleet))
+
+    monkeypatch.setattr(cli, "find_cct", no_search)
+    monkeypatch.setattr(cli, "uniform_fleet_of", tight)
+    with pytest.raises(InitializationFailure, match="^Uni 1: rated current"):
+        cmd_compare(table_config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_a_horizon_short_of_the_settle_window_before_any_step(

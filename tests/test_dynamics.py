@@ -223,11 +223,13 @@ def test_simulate_without_disturbance_holds_angles(nofault_config):
 
 def test_trajectory_record_fields_are_pinned():
     # A record carries no time: record k is at k * dt. It carries what the
-    # next step reads, and no step index; i_q, which no step reads, is
+    # next step reads, and no step index, and the excursion that its own
+    # step measured for the divergence trip, which RunFold reads instead of
+    # taking every unit's deviation again; i_q, which no step reads, is
     # derived by the trajectory writer.
     assert [f.name for f in fields(TrajectoryRecord)] == [
         "v_pcc_mag", "v_pcc_angle", "theta_cg", "i_mag", "v_gq", "limited", "tripped",
-        "theta", "integral", "limited_steps",
+        "theta", "integral", "limited_steps", "excursion",
     ]
 
 

@@ -53,8 +53,10 @@ def _runs2(scenario=None):
 
 def _synthetic(fleet, rows, t_clear, settle_tol=math.inf, dt=1e-3):
     """The fold under settle_tol (math.inf: trips only) of a run built from
-    (theta_cg tuple, tripped tuple) rows, row k at k * dt."""
+    (theta_cg tuple, tripped tuple) rows, row k at k * dt, each record with
+    its excursion from row 0's angles."""
     n = len(fleet)
+    theta0 = rows[0][0]
     records = tuple(
         TrajectoryRecord(
             v_pcc_mag=230.0,
@@ -67,6 +69,7 @@ def _synthetic(fleet, rows, t_clear, settle_tol=math.inf, dt=1e-3):
             theta=theta,
             integral=(0.0,) * n,
             limited_steps=(0,) * n,
+            excursion=max(abs(th - th0) for th, th0 in zip(theta, theta0)),
         )
         for theta, tripped in rows
     )
@@ -763,3 +766,39 @@ def test_table1_sync_first_unstable_interval_holds_at_half_dt_and_double_t_end(
 
     first = next((tenths for tenths in range(395, 403) if not stable(tenths)), None)
     assert first in (400, 401, 402), first  # in tenths of a ms
+
+
+# table1_sync's uniform fleet with its total rating split into m identical
+# units: (pre-fault |v_pcc| in V, CCT bracket in steps of 100 us, None for a
+# bracket stable at both ends). Each unit's z_eq = z_total || z_grid, so the
+# grid's share of the feeder grows with m and the split is not invariant.
+RATING_SPLITS = {
+    1: (240.77, None),
+    2: (247.81, None),
+    5: (259.03, (520, 521)),
+    10: (266.38, (293, 294)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(RATING_SPLITS))
+def test_the_cct_depends_on_how_a_rating_is_split_into_units(sync_config, m):
+    cfg = sync_config
+    dt = cfg.scenario.dt
+    mean = uniform_fleet_of(cfg.fleet)[0]
+    scale = len(cfg.fleet) / m
+    fleet = tuple(
+        replace(mean, name=f"U{p + 1}", s_rated=mean.s_rated * scale, i_max=mean.i_max * scale,
+                z_line=mean.z_line / scale, r_virtual=mean.r_virtual / scale)
+        for p in range(m)
+    )
+    v_pcc, bracket = RATING_SPLITS[m]
+    runs = Runs(fleet, cfg.grid, cfg.scenario, cfg.solver)
+    assert runs.equilibrium.v_pcc_mag == pytest.approx(v_pcc, abs=5e-3)
+    settings = CctSettings(20e-3, 300e-3, 1e-4, cfg.cct.audit_samples)
+    if bracket is None:
+        with pytest.raises(BracketInvalid) as err:
+            find_cct(runs, settings, cfg.settle_tol, cfg.settle_window)
+        assert (err.value.lo_stable, err.value.hi_stable) == (True, True)
+    else:
+        res = find_cct(runs, settings, cfg.settle_tol, cfg.settle_window)
+        assert (round(res.bracket_lo / dt), round(res.bracket_hi / dt)) == bracket

@@ -1,8 +1,9 @@
 """dynamics.step and stability.RunFold against their one-unit-at-a-time
-references in helpers_oracles: every record a step makes and every fold's
-state are equal bit for bit, on seeded fleets through every branch of the
-step (power-factor angles, limiter entry and exit, holdoff and divergence
-trips, tripped units, a collapsed source) and on synthetic records."""
+references in helpers_oracles: every record a step makes, its excursion
+included, and every fold's state are equal bit for bit, on the bundled
+runs and on seeded fleets through every branch of the step (power-factor
+angles, limiter entry and exit, holdoff and divergence trips, tripped
+units, a collapsed source) and on synthetic records."""
 
 import math
 import random
@@ -11,6 +12,7 @@ from dataclasses import fields, replace
 import pytest
 
 from gflswing import dynamics
+from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import (
     DIVERGENCE_BOUND_RAD,
     Runs,
@@ -187,6 +189,29 @@ def test_a_divergence_trip_and_the_units_after_it(table_config, pf, k_trip, trip
     _assert_folds_match(tuple(runs.stream(None)), fleet, runs.scenario)
 
 
+@pytest.mark.parametrize("name, interval, divergence_trips", [
+    ("table1.yaml", 1e-3, 0),
+    ("table1_sync.yaml", 48e-3, 1),
+])
+def test_the_bundled_runs_carry_the_excursion_of_their_angles(
+    name, interval, divergence_trips, monkeypatch
+):
+    # Each record's excursion is the one reference_step takes from its
+    # angles: 0.0 at the equilibrium, and past the fold's smallest
+    # settle_tol in some records, so the fold reads those unit by unit.
+    # table1 at its own clearing interval settles; table1_sync cleared
+    # after 48 ms loses Inv 5 past the divergence bound, and the others
+    # step on beside it.
+    cfg = load_config(bundled_config_path(name))
+    runs = _runs(cfg)
+    t_clear = cfg.scenario.t_fault + interval
+    walk = _Walk(runs, t_clear, monkeypatch)
+    assert walk.failure is None and walk.records[0].excursion == 0.0
+    assert max(rec.excursion for rec in walk.records) > 1e-3
+    assert (walk.divergence_trips, walk.holdoff_trips) == (divergence_trips, 0)
+    _assert_folds_match(tuple(runs.stream(t_clear)), cfg.fleet, runs.scenario)
+
+
 def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):
     # At depth 1.0 the faulted source is 0 V: every live unit is limited at
     # once, limited units trip on holdoff at step 450, and the step after
@@ -200,14 +225,41 @@ def test_a_collapsed_source_limits_every_live_unit(table_config, monkeypatch):
     assert walk.holdoff_trips == 5
 
 
+def test_a_collapsed_source_keeps_units_limited_below_their_ceiling(table_config, monkeypatch):
+    # At 0.3 times their ratings the units' rated currents fall under their
+    # ceilings at the fault-on voltage, which would un-limit them; a
+    # constant-power unit behind a 0 V source has no solution, so every live
+    # unit stays limited until the fault clears, and the run recovers.
+    cfg = table_config
+    fleet = tuple(replace(u, s_rated=0.3 * u.s_rated) for u in cfg.fleet)
+    runs = _runs(cfg, fleet, fault_depth=1.0)
+    walk = _Walk(runs, cfg.scenario.t_clear, monkeypatch)
+    assert walk.failure is None
+    k_fault, k_clear = runs.scenario.k_fault, runs.scenario.k_clear
+    under_fault = walk.records[k_fault - walk.k0:k_clear - walk.k0]
+    assert under_fault and all(all(rec.limited) for rec in under_fault)
+    assert any(
+        s / rec.v_pcc_mag < i
+        for rec in under_fault for s, i in zip(runs.units.s_rated, runs.units.i_max)
+    )
+    assert not walk.holdoff_trips and not walk.divergence_trips
+
+
 def test_step_from_a_state_with_a_tripped_unit_and_a_limited_one(table_config):
-    # A hand-made record: Inv 2 tripped, Inv 4 limited since two steps ago,
-    # under the fault and after it.
+    # A hand-made record: Inv 2 tripped 3 rad off its equilibrium angle,
+    # with an integral that would move it past the divergence bound, and
+    # Inv 4 limited since two steps ago, under the fault and after it. The
+    # tripped unit's move is put back, so it counts for nothing in the
+    # excursion, which is Inv 2's kept 3 rad.
     cfg = table_config
     runs = _runs(cfg, fault_depth=0.6)
     eq = runs.equilibrium
+    theta = tuple(th + 3.0 if p == 1 else th for p, th in enumerate(eq.theta))
     rec = replace(eq, tripped=(False, True, False, False, False),
-                  limited=(False, True, False, True, False), limited_steps=(0, 0, 0, 2, 0))
+                  limited=(False, True, False, True, False), limited_steps=(0, 0, 0, 2, 0),
+                  theta=theta, theta_cg=theta, integral=(0.0, 1e3, 0.0, 0.0, 0.0),
+                  excursion=abs(theta[1] - eq.theta[1]))
+    assert 3.0 + runs.units.ki[1] * 1e3 * runs.units.dt > DIVERGENCE_BOUND_RAD
     for phase in (runs.fault, runs.prefault):
         got = step(rec, runs.units, phase, eq.theta_cg)
         expected = reference_step(
@@ -215,6 +267,7 @@ def test_step_from_a_state_with_a_tripped_unit_and_a_limited_one(table_config):
         )
         assert _record_bits(got) == _record_bits(expected)
         assert got.tripped[1] and got.i_mag[1] == 0.0
+        assert got.theta_cg[1] == theta[1] and got.excursion == rec.excursion
 
 
 def test_aligned_is_every_pf_angle_zero(table_config):
@@ -228,12 +281,19 @@ def test_aligned_is_every_pf_angle_zero(table_config):
     ).aligned
 
 
-def _record(theta, tripped=None):
+def _record(theta, tripped=None, excursion=None):
+    """A record at angles theta, with its excursion from angles of 0, the
+    first record's below, unless one is given."""
     n = len(theta)
     zeros = (0.0,) * n
+    if excursion is None:
+        excursion = 0.0
+        for th in theta:
+            if abs(th) > excursion:
+                excursion = abs(th)
     return TrajectoryRecord(230.0, 0.0, tuple(theta), zeros, zeros,
                             (False,) * n, tuple(tripped or (False,) * n),
-                            tuple(theta), zeros, (0,) * n)
+                            tuple(theta), zeros, (0,) * n, excursion)
 
 
 def test_synthetic_records_fold_as_one_unit_at_a_time(table_config):
@@ -270,3 +330,21 @@ def test_synthetic_records_fold_as_one_unit_at_a_time(table_config):
     fold = RunFold(records, fleet, scenario, 0.02)
     assert (fold.streak_start[0], fold.last_violation[0]) == (12, 12)
     assert fold.first_trip == [None, None, 9]
+
+
+def test_the_fold_reads_the_excursion_each_record_carries(table_config):
+    # A hand-made stream whose excursions disagree with its angles: the
+    # fold's max_excursion is the field's maximum, and a unit past
+    # settle_tol is marked only in a record whose excursion exceeds it.
+    cfg = table_config
+    fleet = cfg.fleet[:2]
+    scenario = replace(cfg.scenario, t_clear=None)
+    records = [
+        _record((0.0, 0.0)),
+        _record((0.5, 0.0), excursion=0.01),
+        _record((0.0, 0.0), excursion=0.7),
+        _record((0.0, 0.3), excursion=0.3),
+    ]
+    fold = RunFold(records, fleet, scenario, 0.02)
+    assert fold.max_excursion == 0.7
+    assert fold.last_violation == [None, 3] and fold.streak_start == [None, 3]
