@@ -57,6 +57,7 @@ from gflswing.stability import (
     _fork_piped,
     _settle_steps,
     classify,  # noqa: F401  perfbench/worker.py and tracer.py read cli.classify
+    decide,
     find_cct,
     simulate,  # noqa: F401  perfbench/worker.py and tracer.py read cli.simulate
     uniform_fleet_of,
@@ -266,7 +267,7 @@ def _no_fault_override(value: Any, where: str) -> None:
 
 _CONFIG = {
     "grid": (REQUIRED, {
-        "v_th_volts": (REQUIRED, _NONNEGATIVE),
+        "v_th_volts": (REQUIRED, _POSITIVE),
         "v_th_angle_rad": (0.0, _ANY),
         "z_th_ohms": (REQUIRED, _IMPEDANCE),
         "z_load_ohms": (REQUIRED, _IMPEDANCE),
@@ -487,7 +488,7 @@ _FRAME_RECORDS = 16
 
 def _trajectory_csv(
     path: Path, fleet: Sequence[InverterConfig], dt: float,
-    records: Iterable[TrajectoryRecord],
+    records: Iterable[TrajectoryRecord], forked: bool,
 ) -> Iterator[TrajectoryRecord]:
     """Write records, record k at k * dt, as CSV to path, yielding each
     record as it is read; the file is complete when the records are
@@ -496,13 +497,12 @@ def _trajectory_csv(
     Records go to one frame writer (see _frame_writer) _FRAME_RECORDS at a
     time, each as its _RECORD_FIELDS tuple, or as None if it is the record
     before it, as the equilibrium record is at every step before the
-    fault. The frame writer runs here, or in a writer process (see
-    _forked_writer) where _may_fork(); both paths write the same bytes.
-    The path is chosen, and the file opened, before the first record is
-    read. No row list or joined string is built, and no record is kept
-    past its frame.
+    fault. The frame writer runs here, or with forked (the caller's
+    _may_fork()) in a writer process (see _forked_writer); both paths write
+    the same bytes. The file is opened before the first record is read. No
+    row list or joined string is built, and no record is kept past its
+    frame.
     """
-    forked = _may_fork()
     header = ["t_s", "vpcc_mag_V", "vpcc_angle_rad", "vpcc_angle_deg"]
     for cfg in fleet:
         header += [f"{cfg.name}.{column}" for column in _UNIT_COLUMNS]
@@ -671,8 +671,10 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     stepped, its row is written with its frame, and none is kept. Returns
     0 when the verdict is stable and 2 when it is unstable. A t_end short
     of the settle window (see stability._settle_steps) fails before any step,
-    and a fleet with no pre-fault equilibrium before out_dir is made.
+    and a fleet with no pre-fault equilibrium or a bad THREADS_ENV before
+    out_dir is made.
     """
+    fork = _may_fork()  # a bad THREADS_ENV fails here, before any step
     scenario = config.scenario
     try:
         _settle_steps(scenario, config.settle_window, scenario.k_end)
@@ -681,7 +683,7 @@ def cmd_simulate(config: RunConfig, out_dir: str | Path) -> int:
     run = Runs(config.fleet, config.grid, scenario, config.solver).stream(scenario.t_clear)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _trajectory_csv(out / "trajectory.csv", run.fleet, scenario.dt, run)
+    rows = _trajectory_csv(out / "trajectory.csv", run.fleet, scenario.dt, run, fork)
     fold = RunFold(rows, run.fleet, run.scenario, config.settle_tol)
     verdict = fold.verdict(config.settle_window)
     summary = {
@@ -764,7 +766,7 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
     dt = config.scenario.dt
     for name, fleet_runs in (("nonuniform", runs), ("uniform", uniform_runs)):
         run = fleet_runs.stream(t_clear)
-        for _ in _trajectory_csv(out / f"trajectory_{name}.csv", run.fleet, dt, run):
+        for _ in _trajectory_csv(out / f"trajectory_{name}.csv", run.fleet, dt, run, fork):
             pass
     payload = {
         "command": "compare",
@@ -805,10 +807,11 @@ def cmd_compare(config: RunConfig, out_dir: str | Path) -> int:
 
 def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]]) -> list[dict]:
     """The rows of (index, cell) pairs that differ only in clear_interval_s,
-    read from one Runs: a verdict of each clearing interval's run, or else a
-    CCT search. A failure is the cell's error row; a Runs that fails to
-    build is built again for the next cell."""
+    read from one Runs: the verdict of each clearing interval (see
+    stability.decide), or else a CCT search. A failure is the cell's error
+    row; a Runs that fails to build is built again for the next cell."""
     config, cells = args
+    settle = config.settle_tol, config.settle_window
     rows = []
     runs = None
     for index, cell in cells:
@@ -821,12 +824,10 @@ def _run_sweep_cells(args: tuple[RunConfig, list[tuple[int, dict[str, float]]]])
                         fleet, scenario = SWEEP_AXES[axis](fleet, scenario, value)
                 runs = Runs(fleet, config.grid, scenario, config.solver)
             if "clear_interval_s" in cell:
-                run = runs.stream(runs.scenario.t_fault + cell["clear_interval_s"])
-                fold = RunFold(run, run.fleet, run.scenario, config.settle_tol)
-                row.update(_verdict_dict(fold.verdict(config.settle_window)))
+                t_clear = runs.scenario.t_fault + cell["clear_interval_s"]
+                row.update(_verdict_dict(decide(runs, t_clear, *settle)))
             else:
-                result = find_cct(runs, config.cct, config.settle_tol, config.settle_window)
-                row.update(_cct_dict(result))
+                row.update(_cct_dict(find_cct(runs, config.cct, *settle)))
             row["status"] = "ok"
         except Exception as exc:
             row.update(status="error", error=f"{type(exc).__name__}: {exc}")

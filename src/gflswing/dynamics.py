@@ -394,8 +394,8 @@ def step(
     limited or tripped, and the limiter and trip flags are built unit by
     unit only while some unit is limited or the excursion is past the
     divergence bound. Under a collapsed source (v_th 0) every live unit is
-    limited and stays so: a constant-power unit cannot be solved behind
-    0 V.
+    limited and stays so. That is a modelling choice, not a limit of the
+    equation, which has a root behind 0 V too (see pcc.NonConvergence).
     """
     n = len(fleet)
     dt = fleet.dt

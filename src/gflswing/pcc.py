@@ -49,8 +49,10 @@ ZERO_VOLTAGE_FRACTION = 1e-6
 class NonConvergence(RuntimeError):
     """Residual stayed above tolerance after the iteration budget.
 
-    Signals an operating point with no reachable voltage equilibrium, e.g. a
-    fault so deep the constant-power injections cannot be supported.
+    A failure of the iteration, not of the equation: for C != 0 the
+    magnitude r = |v| solves r^4 - |w|^2 r^2 - 2 Re(w conj(C)) r - |C|^2 = 0
+    with w = v_th + D, which always has a positive root, however deep the
+    fault (r = sqrt|C| behind 0 V with D = 0).
     """
 
     def __init__(self, residual: float, iterations: int) -> None:
@@ -108,7 +110,8 @@ def solve_vpcc(
 
     if v_th_mag == 0.0 and abs(c) > 0.0:
         raise ValueError(
-            "zero source voltage is only solvable with zero constant-power injections"
+            "zero source voltage with constant-power injections is not iterated: the "
+            "seed and the collapse bound are relative to |v_th|"
         )
 
     if c == 0.0:

@@ -277,13 +277,17 @@ class RunFold:
         )
 
 
-def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRecord]:
-    """records up to and including the first in which any unit is tripped;
-    records past it are not read, so a stream makes no step past it."""
-    for rec in records:
-        yield rec
-        if True in rec.tripped:
-            return
+def decide(runs: Runs, t_clear: float, settle_tol: float, settle_window: float) -> StabilityVerdict:
+    """RunFold's verdict of runs' run clearing at t_clear, stepped to its first
+    tripped record, which decides it; max_angle_excursion is the largest to it."""
+    def _to_first_trip(records: Iterable[TrajectoryRecord]) -> Iterator[TrajectoryRecord]:
+        for rec in records:
+            yield rec
+            if True in rec.tripped:
+                return
+
+    run = runs.stream(t_clear)
+    return RunFold(_to_first_trip(run), runs.fleet, run.scenario, settle_tol).verdict(settle_window)
 
 
 @contextlib.contextmanager
@@ -405,8 +409,7 @@ def find_cct(
     while hi - lo >= 2. A stable k_min and an unstable k_max are required:
     BracketInvalid follows the bisection that k_max's verdict allowed.
 
-    A trip decides a verdict, so each verdict reads its stream up to its
-    first tripped record, and no step past it is made. The loss order
+    Each verdict is decide's, read to its run's first trip. The loss order
     needs the whole cascade: bracket_hi's run is read to t_end for it, and
     if nothing trips there it is the unit that did not settle, from the
     same pass. cct.audit_samples clearing intervals
@@ -429,13 +432,10 @@ def find_cct(
     n = max(2, cct.audit_samples)
     audit_steps = [k_min + round((k_max - k_min) * j / (n - 1)) for j in range(n)]
 
-    def decide(k: int) -> bool:
-        run = runs.stream(t_fault + k * dt)
-        fold = RunFold(_to_first_trip(run), runs.fleet, run.scenario, settle_tol)
-        return fold.verdict(settle_window).stable
-
-    with (_cpu_split() if fork else contextlib.nullcontext()) as others, \
-            contextlib.closing(_Decisions(decide, others)) as decisions:
+    with (_cpu_split() if fork else contextlib.nullcontext()) as others, contextlib.closing(
+        _Decisions(lambda k: decide(runs, t_fault + k * dt, settle_tol, settle_window).stable,
+                   others)
+    ) as decisions:
         stable, verdicts = decisions.stable, decisions.verdicts
         hi_stable = stable(k_max)
         decisions.assign([k_min])

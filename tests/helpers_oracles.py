@@ -6,8 +6,10 @@ finite-difference Newton and grid-search refinement. The per-unit step and
 fold at the end share the package's voltage solve, q projection and record
 types, and differ from it only in doing each unit's work one unit at a time.
 records_of and loss_order read the package's own runs, for tests that look
-at every record or at the trips of a run, and quadrature_currents gives the
-i_q that trajectory.csv writes for consecutive records.
+at every record or at the trips of a run, KeptStream keeps the records a
+stream yields, decided reads stability.decide's verdict with the records it
+read, and quadrature_currents gives the i_q that trajectory.csv writes for
+consecutive records.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from gflswing.dynamics import DIVERGENCE_BOUND_RAD, Runs, TrajectoryRecord
 from gflswing.pcc import ZeroVoltage, q_components, solve_vpcc
-from gflswing.stability import RunFold
+from gflswing.stability import RunFold, decide
 
 
 # -- exact rational complex arithmetic (pairs of Fractions) -----------------
@@ -318,3 +321,24 @@ def loss_order(run):
     (see Runs.stream), earliest first: RunFold's loss order, reading trips
     only."""
     return RunFold(run, run.fleet, run.scenario, math.inf).loss_order()
+
+
+class KeptStream:
+    """A run stream that appends each record it yields to kept."""
+
+    def __init__(self, run, kept):
+        self.run, self.scenario, self.kept = run, run.scenario, kept
+
+    def __iter__(self):
+        for rec in self.run:
+            self.kept.append(rec)
+            yield rec
+
+
+def decided(runs, t_clear, settle_tol, settle_window):
+    """(verdict, records): stability.decide's verdict of runs' run that
+    clears at t_clear and the records it read, in order, through a stand-in
+    for runs whose streams keep each record they yield."""
+    read = []
+    reader = SimpleNamespace(fleet=runs.fleet, stream=lambda t: KeptStream(runs.stream(t), read))
+    return decide(reader, t_clear, settle_tol, settle_window), tuple(read)

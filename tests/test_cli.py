@@ -26,8 +26,8 @@ from gflswing.cli import (
     main,
 )
 from gflswing.dynamics import InitializationFailure, Runs
-from gflswing.stability import BracketInvalid, RunFold, uniform_fleet_of
-from helpers_oracles import quadrature_currents, records_of
+from gflswing.stability import BracketInvalid, RunFold, decide, uniform_fleet_of
+from helpers_oracles import decided, quadrature_currents, records_of
 
 SMALL_CONFIG = """\
 grid:
@@ -102,6 +102,28 @@ def test_zero_dt_is_rejected_with_field_address(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(p)
     assert "scenario.dt_s" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("given", [True, False], ids=["given_bases", "default_bases"])
+def test_a_zero_volt_grid_is_a_config_error(command, given, tmp_path, capsys):
+    # A 0 V pre-fault source has no equilibrium. With v_nominal_volts and
+    # i_max_a given, it passed validate and simulate failed on its voltage
+    # solve; without them, validate raised ZeroDivisionError on the default
+    # current ceiling.
+    doc = yaml.safe_load(bundled_config_path().read_text(encoding="utf-8"))
+    doc["grid"]["v_th_volts"] = 0.0
+    if not given:
+        del doc["grid"]["v_nominal_volts"]
+        for unit in doc["fleet"]:
+            del unit["i_max_a"]
+    path = tmp_path / "zero_volts.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command != "validate" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: grid.v_th_volts: must be > 0.0, got 0.0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new, field", [
@@ -430,7 +452,8 @@ def test_compare_replays_from_its_searches_runs(table_config, tmp_path, monkeypa
 
 
 def _write_trajectory_csv(path, cfg, records):
-    for _ in cli._trajectory_csv(path, cfg.fleet, cfg.scenario.dt, records):
+    """records written to path, by a writer process where cli._may_fork()."""
+    for _ in cli._trajectory_csv(path, cfg.fleet, cfg.scenario.dt, records, cli._may_fork()):
         pass
 
 
@@ -697,7 +720,8 @@ def test_trajectory_csv_frames_are_written_whole_on_both_paths(
     for threads in WRITER_THREADS:
         monkeypatch.setenv("GFLSWING_THREADS", threads)
         path = tmp_path / f"{threads}.csv"
-        assert list(cli._trajectory_csv(path, fleet, dt, iter(records))) == records
+        written = cli._trajectory_csv(path, fleet, dt, iter(records), cli._may_fork())
+        assert list(written) == records
         _assert_no_child_left()
         assert path.read_bytes() == expected.encode(), f"GFLSWING_THREADS={threads}"
     assert forks == [1]
@@ -715,6 +739,10 @@ def test_a_bad_thread_count_fails_simulate_before_its_csv_is_opened(
         with pytest.raises(ConfigError, match="GFLSWING_THREADS: expected an integer >= 1"):
             cmd_simulate(load_config(small_config_path), tmp_path)
         assert not (tmp_path / "trajectory.csv").exists()
+        # Decided before the out directory is made, as cct and compare do.
+        out = tmp_path / "main"
+        assert main(["simulate", "--config", str(small_config_path), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_a_bad_thread_count_fails_cct_before_any_step(small_config_path, tmp_path, monkeypatch):
@@ -1312,13 +1340,12 @@ def test_clearing_time_sweep_matches_individual_runs(small_config_path, tmp_path
     # monotone: once unstable, stays unstable
     assert verdicts == sorted(verdicts, reverse=True)
 
-    from dataclasses import replace as dc_replace
-
     for interval, row in zip(intervals, rows):
-        scen = dc_replace(cfg.scenario, t_clear=cfg.scenario.t_fault + interval)
-        run = Runs(cfg.fleet, cfg.grid, scen, cfg.solver).stream(scen.t_clear)
-        verdict = RunFold(run, cfg.fleet, scen, cfg.settle_tol).verdict(cfg.settle_window)
+        runs = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+        verdict = decide(runs, cfg.scenario.t_fault + interval, cfg.settle_tol,
+                         cfg.settle_window)
         assert (row["stable"] == "true") == verdict.stable
+        assert row["max_angle_excursion_rad"] == f"{verdict.max_angle_excursion:.9g}"
 
 
 def _sweep_rows(path):
@@ -1406,10 +1433,18 @@ def test_split_group_sweep_output_matches_serial(small_config_path, tmp_path, mo
         ).read_bytes()
 
 
+# Criterion 11's 10 x 10 verdict sweep of table1.
+CRITERION_11_AXES = {
+    "fault_depth": tuple(0.25 + 0.05 * k for k in range(10)),
+    "clear_interval_s": tuple(4e-4 * (k + 1) for k in range(10)),
+}
+
+
 def test_sweep_cells_of_one_fleet_and_fault_share_one_runs(table_config, tmp_path, monkeypatch):
     # Criterion 11's 10 x 10 grid: one Runs per depth, so 10 equilibria, and
-    # each depth's fault-on steps are made once: 17,210 steps a depth. A Runs
-    # per cell made 100 equilibria and 190,100 steps.
+    # each depth's fault-on steps are made once, each cell's run read only to
+    # its first trip (see stability.decide): 56,140 steps. Read to t_end,
+    # 17,210 steps a depth; a Runs per cell made 100 equilibria and 190,100.
     calls = {"step": 0, "find_equilibrium": 0}
     for name in calls:
         original = getattr(dynamics, name)
@@ -1419,12 +1454,67 @@ def test_sweep_cells_of_one_fleet_and_fault_share_one_runs(table_config, tmp_pat
             return _original(*args)
 
         monkeypatch.setattr(dynamics, name, counting)
-    depths = tuple(0.25 + 0.05 * k for k in range(10))
-    intervals = tuple(4e-4 * (k + 1) for k in range(10))
-    axes = {"fault_depth": depths, "clear_interval_s": intervals}
-    assert cmd_sweep(replace(table_config, sweep_axes=axes), tmp_path) == 0
+    assert cmd_sweep(replace(table_config, sweep_axes=CRITERION_11_AXES), tmp_path) == 0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 101
-    assert calls == {"step": 172_100, "find_equilibrium": 10}
+    assert calls == {"step": 56_140, "find_equilibrium": 10}
+
+
+def test_verdict_sweep_rows_are_decides_verdicts_read_to_their_first_trip(
+    table_config, tmp_path
+):
+    # Every row of criterion 11's sweep is decide's verdict of its clearing
+    # interval on a Runs of its depth; the records decide reads end at the
+    # first tripped record of the 70 runs that trip, and at t_end of the 30
+    # that do not. A row's excursion is the largest up to that record.
+    cfg = table_config
+    assert cmd_sweep(replace(cfg, sweep_axes=CRITERION_11_AXES), tmp_path) == 0
+    rows = iter(_sweep_rows(tmp_path / "sweep.csv"))
+    ends = {"trip": 0, "t_end": 0}
+    for depth in CRITERION_11_AXES["fault_depth"]:
+        runs = Runs(cfg.fleet, cfg.grid, replace(cfg.scenario, fault_depth=depth), cfg.solver)
+        for interval in CRITERION_11_AXES["clear_interval_s"]:
+            verdict, read = decided(runs, cfg.scenario.t_fault + interval, cfg.settle_tol,
+                                    cfg.settle_window)
+            assert not any(True in rec.tripped for rec in read[:-1])
+            if True in read[-1].tripped:
+                ends["trip"] += 1
+            else:
+                assert len(read) - 1 == cfg.scenario.k_end
+                ends["t_end"] += 1
+            row = next(rows)
+            assert (row["status"], row["stable"], row["first_unstable"]) == (
+                "ok", "true" if verdict.stable else "false", verdict.first_unstable or "")
+            assert row["t_unstable_s"] == (
+                "" if verdict.t_unstable is None else f"{verdict.t_unstable:.9g}")
+            assert row["max_angle_excursion_rad"] == f"{verdict.max_angle_excursion:.9g}"
+    assert ends == {"trip": 70, "t_end": 30}
+
+
+def test_a_trip_decides_a_sweep_row_before_its_horizon_is_checked(
+    table_config, tmp_path, monkeypatch
+):
+    # Cleared 19 ms after the fault, table1's run ends before its settle
+    # window. At depth 0.01 nothing trips, so the row is the horizon error;
+    # at depth 0.3 Inv 4 trips at 4.5 ms, which decides the row, and the
+    # sweep steps no run past that trip: 1,952 steps, where its runs read
+    # to t_end took 3,702.
+    monkeypatch.setenv("GFLSWING_THREADS", "1")
+    steps = []
+    original = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda *a: steps.append(1) or original(*a))
+    cells = {}
+    for depth in (0.01, 0.3):
+        cfg = replace(table_config, scenario=replace(table_config.scenario, fault_depth=depth),
+                      sweep_axes={"clear_interval_s": (1.0e-3, 1.9e-2)})
+        steps.clear()
+        assert cmd_sweep(cfg, tmp_path / str(depth)) == 0
+        cells[depth] = (tmp_path / str(depth) / "sweep.csv").read_text().splitlines()[2]
+    assert cells[0.01] == (
+        '1,0.019,error,,,,,"ValueError: trajectory ends at 0.022 s, before t_clear + '
+        'settle_window = 0.035 s; cannot classify"'
+    )
+    assert cells[0.3].startswith("1,0.019,ok,false,Inv 4,0.0045,")
+    assert len(steps) == 1_952 < 3_702
 
 
 def test_a_group_that_fails_to_build_gives_each_of_its_cells_the_error(table_config, tmp_path):
@@ -1468,8 +1558,8 @@ def test_fleet_axis_cells_match_the_fleet_scaled_by_hand(axis, statuses, table_c
         except InitializationFailure as exc:
             assert row["error"] == f"InitializationFailure: {exc}"
             continue
-        run = runs.stream(cfg.scenario.t_fault + interval)
-        verdict = RunFold(run, run.fleet, run.scenario, cfg.settle_tol).verdict(cfg.settle_window)
+        verdict = decide(runs, cfg.scenario.t_fault + interval, cfg.settle_tol,
+                         cfg.settle_window)
         assert row["stable"] == ("true" if verdict.stable else "false")
         assert row["max_angle_excursion_rad"] == f"{verdict.max_angle_excursion:.9g}"
 

@@ -19,8 +19,8 @@ from gflswing.dynamics import (
 )
 from gflswing.network import GridModel, equivalent_impedance
 from gflswing.pcc import NonConvergence, solve_vpcc
-from gflswing.stability import DEFAULT_SETTLE_WINDOW_S, RunFold, _to_first_trip
-from helpers_oracles import aggregate_cd, quadrature_currents, records_of
+from gflswing.stability import DEFAULT_SETTLE_WINDOW_S, RunFold
+from helpers_oracles import aggregate_cd, decided, quadrature_currents, records_of
 
 
 def _small_fleet():
@@ -372,11 +372,12 @@ def test_uncleared_deep_fault_trips_whole_fleet(table_config):
     assert all(first_trip[inv4] <= first_trip[p] for p in first_trip)
 
 
-def _decision_run(cfg, scenario):
-    """The records of scenario's run read to its first trip, as find_cct's
-    decisions read them: continued from the uncleared fault-on run."""
-    runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
-    return tuple(_to_first_trip(runs.stream(scenario.t_clear)))
+def _decision_run(cfg, scenario, runs=None):
+    """The records stability.decide reads of scenario's run, of runs or of a
+    new Runs: continued from the uncleared fault-on run, to its first trip."""
+    if runs is None:
+        runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
+    return decided(runs, scenario.t_clear, cfg.settle_tol, cfg.settle_window)[1]
 
 
 def _cut_at_first_trip(records):
@@ -416,7 +417,7 @@ def test_stop_at_first_trip_makes_no_step_after_a_tripped_record(table_config, m
     cfg = table_config
     scen = replace(cfg.scenario, fault_depth=0.6, t_clear=cfg.scenario.t_fault + 2e-3)
     runs = Runs(cfg.fleet, cfg.grid, scen, cfg.solver)
-    cut = tuple(_to_first_trip(runs.stream(scen.t_clear)))
+    cut = _decision_run(cfg, scen, runs)
     assert len(cut) - 1 == 450 < scen.k_clear
 
     def no_step(*args, **kwargs):
@@ -446,7 +447,7 @@ def test_runs_in_any_order_equal_simulate(table_config, depth):
         assert _read_whole(runs.stream(t_clear)) == full
         assert full[1] == replace(scen, t_clear=t_clear)
         failures.append(full[3])
-        cut = tuple(_to_first_trip(runs.stream(t_clear)))
+        cut = _decision_run(cfg, replace(scen, t_clear=t_clear), runs)
         assert cut == _cut_at_first_trip(full[0])
     failed = 451 * scen.dt if depth == 1.0 else None
     assert failures == [failed, None, failed, None]

@@ -20,7 +20,7 @@ import pytest
 
 from gflswing.cli import bundled_config_path, load_config
 from gflswing.dynamics import Runs, whole_steps
-from gflswing.stability import RunFold, _to_first_trip, find_cct
+from gflswing.stability import RunFold, decide, find_cct
 
 CONFIGS = ("table1.yaml", "table1_sync.yaml")
 # Record fields in volts or amperes, and the rest that a step carries on.
@@ -65,9 +65,8 @@ def _verdicts(cfg, span):
     runs = Runs(cfg.fleet, cfg.grid, scenario, cfg.solver)
     verdicts = []
     for k in range(whole_steps(lo, dt), whole_steps(hi, dt) + 1):
-        run = runs.stream(scenario.t_fault + k * dt)
-        fold = RunFold(_to_first_trip(run), run.fleet, run.scenario, cfg.settle_tol)
-        verdicts.append("S" if fold.verdict(cfg.settle_window).stable else "U")
+        verdict = decide(runs, scenario.t_fault + k * dt, cfg.settle_tol, cfg.settle_window)
+        verdicts.append("S" if verdict.stable else "U")
     return "".join(verdicts)
 
 

@@ -27,7 +27,7 @@ from gflswing.stability import (
     find_cct,
     uniform_fleet_of,
 )
-from helpers_oracles import loss_order, records_of
+from helpers_oracles import KeptStream, decided, loss_order, records_of
 
 
 def _fleet2():
@@ -232,7 +232,7 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
     """find_cct on a new Runs of fleet, grid, scenario and opts, with the
     runs it streams recorded: (result, calls), where calls.decided holds,
     in order, the records read, the scenario and the failure time of every
-    run it reads to decide a verdict (through _to_first_trip, so to its
+    run it reads to decide a verdict (through stability.decide, so to its
     first trip), calls.ordered those of every run it reads otherwise, to
     its end, for the loss order, and
     calls.steps counts dynamics.step calls, calls.solves the voltage
@@ -241,7 +241,8 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
     calls = SimpleNamespace(decided=[], ordered=[], steps=0, solves=0, iterations=0)
     step = dynamics.step
     solve_vpcc = dynamics.solve_vpcc
-    to_first_trip = stability._to_first_trip
+    decide = stability.decide
+    deciding = []  # holds one entry while decide runs
 
     def stepping(*a, **kw):
         calls.steps += 1
@@ -253,20 +254,24 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
         calls.iterations += sol.iterations
         return sol
 
-    def deciding(records):
-        records.decided = True
-        return to_first_trip(records)
+    def counted_decide(*a, **kw):
+        deciding.append(True)
+        try:
+            return decide(*a, **kw)
+        finally:
+            deciding.pop()
 
     monkeypatch.setattr(dynamics, "step", stepping)
     monkeypatch.setattr(dynamics, "solve_vpcc", solving)
-    monkeypatch.setattr(stability, "_to_first_trip", deciding)
+    monkeypatch.setattr(stability, "decide", counted_decide)
     # Built after the patches, so that the equilibrium's solves count.
     runs = Runs(fleet, grid, scenario, opts)
     streamed = []
     stream = runs.stream
 
     def recording(t_clear):
-        recorded = _Recorded(stream(t_clear))
+        recorded = KeptStream(stream(t_clear), [])
+        recorded.decided = bool(deciding)  # read to decide a verdict
         streamed.append(recorded)
         return recorded
 
@@ -277,19 +282,6 @@ def _counting_find_cct(monkeypatch, fleet, grid, scenario, opts, *args, **kwargs
                                solver_failure_t=recorded.run.solver_failure_t)
         (calls.decided if recorded.decided else calls.ordered).append(read)
     return result, calls
-
-
-class _Recorded:
-    """A run stream that keeps each record it yields; decided is set when
-    it is read to decide a verdict."""
-
-    def __init__(self, run):
-        self.run, self.scenario, self.kept, self.decided = run, run.scenario, [], False
-
-    def __iter__(self):
-        for rec in self.run:
-            self.kept.append(rec)
-            yield rec
 
 
 def _clearing_steps(runs):
@@ -376,6 +368,36 @@ def test_find_cct_decisions_equal_full_runs_cut_at_their_first_trip(
     full = SimpleNamespace(records=tuple(fresh), scenario=fresh.scenario,
                            solver_failure_t=fresh.solver_failure_t)
     assert calls.ordered == [full]
+
+
+# (records the decisions of each bundled config's CCT search read, records
+# of their full runs).
+DECIDED_RECORDS = {"table1.yaml": [11_510, 22_010], "table1_sync.yaml": [41_533, 60_010]}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDED_RECORDS))
+def test_every_find_cct_decision_is_decides_verdict_read_to_its_first_trip(name, monkeypatch):
+    # decide, on a Runs of its own, gives every verdict the search logs, and
+    # reads what the search read: the full run of the clearing step cut at
+    # its first tripped record (or whole where none trips), no record past
+    # it. Counted in DECIDED_RECORDS.
+    cfg = load_config(bundled_config_path(name))
+    res, calls = _reference_cct(monkeypatch, cfg, cfg.scenario)
+    runs = Runs(cfg.fleet, cfg.grid, cfg.scenario, cfg.solver)
+    searched = {read.scenario.k_clear: read for read in calls.decided}
+    assert len(searched) == len(calls.decided) == len(res.evaluation_log)
+    counts = [0, 0]
+    for interval, stable in res.evaluation_log:
+        verdict, read = decided(runs, cfg.scenario.t_fault + interval, cfg.settle_tol,
+                                cfg.settle_window)
+        at = searched.pop(_step_of(cfg.scenario, interval))
+        full = records_of(cfg.fleet, cfg.grid, at.scenario, cfg.solver)
+        k_trip = next((k for k, rec in enumerate(full) if True in rec.tripped), len(full) - 1)
+        assert read == at.records == full[:k_trip + 1]
+        assert verdict.stable is stable
+        counts[0] += len(read)
+        counts[1] += len(full)
+    assert counts == DECIDED_RECORDS[name]
 
 
 def test_find_cct_loss_order_is_that_of_bracket_hi(table_config, monkeypatch):

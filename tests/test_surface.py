@@ -144,6 +144,85 @@ def test_no_test_module_refers_to_the_adapter_names():
     assert found == []
 
 
+def _stops_at_a_trip(func):
+    """Whether func, a function definition, returns or breaks out of a loop
+    under a test that reads a record's tripped flags: a cut at a trip."""
+    return any(
+        isinstance(node, ast.If)
+        and any(getattr(n, "attr", None) == "tripped" for n in ast.walk(node.test))
+        and any(isinstance(n, (ast.Return, ast.Break)) for stmt in node.body for n in ast.walk(stmt))
+        for loop in ast.walk(func) if isinstance(loop, (ast.For, ast.While))
+        for node in ast.walk(loop)
+    )
+
+
+def _folds_of_own_cuts(tree):
+    """Lines of tree's RunFold calls whose records are a call, or a name
+    bound to a call, of a function of tree that cuts them at a trip, or of
+    itertools.takewhile."""
+    cutters = {f.name for f in ast.walk(tree)
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and _stops_at_a_trip(f)}
+    cutters.add("takewhile")
+
+    def cuts(expr):
+        return (isinstance(expr, ast.Call)
+                and getattr(expr.func, "id", getattr(expr.func, "attr", None)) in cutters)
+
+    cut_names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(cuts(n) for n in ast.walk(node.value))
+                 for target in node.targets if isinstance(target, ast.Name)}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RunFold"):
+            records = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "records"), None)
+            if records is not None and any(
+                cuts(n) or (isinstance(n, ast.Name) and n.id in cut_names)
+                for n in ast.walk(records)
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+_A_FOLD_OF_ITS_OWN_CUT = """
+def cut(run):
+    for rec in run:
+        yield rec
+        if True in rec.tripped:
+            return
+
+fold = RunFold(cut(run), fleet, scenario, settle_tol)
+kept = tuple(cut(run))
+again = stability.RunFold(kept, fleet, scenario, settle_tol)
+"""
+
+
+def test_only_stability_decide_cuts_a_run_at_its_first_trip():
+    # One decision path: stability.decide reads a run to its first trip
+    # (its _to_first_trip), and no other module, test modules included,
+    # names that cut or folds a run that it cuts at a trip itself.
+    assert _folds_of_own_cuts(ast.parse(_A_FOLD_OF_ITS_OWN_CUT)) == [8, 10]
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "gflswing").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py"))
+    named, folded = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "stability.py":
+            assert len(_folds_of_own_cuts(tree)) == 1  # decide's
+            continue
+        if path.name == Path(__file__).name:
+            continue
+        # Names, attributes, import aliases and strings (a monkeypatched name).
+        named += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if "_to_first_trip" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                          getattr(node, "name", None), getattr(node, "asname", None),
+                                          getattr(node, "value", None))]
+        folded += [(path.name, line) for line in _folds_of_own_cuts(tree)]
+    assert (named, folded) == ([], [])
+
+
 def test_step_takes_the_fleet_second():
     # The tracer reads a step's fleet size from its second positional argument.
     assert list(inspect.signature(dynamics.step).parameters)[1] == "fleet"
